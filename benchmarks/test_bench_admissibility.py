@@ -74,9 +74,11 @@ def test_e6_reliability_of_figure1_quorums(benchmark, figure1_gqs):
 
 
 def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
-    """Batched bitset engine vs the set-based reference: ≥10x samples/sec.
+    """Batched bitset shards vs the set-based oracle engine: ≥10x samples/sec.
 
-    The comparison is at *equal statistical output*: both engines consume the
+    The production shards run against ``oracles.montecarlo`` (same specs and
+    merges, object-per-pattern shards).  The comparison is at *equal
+    statistical output*: both engines consume the
     shard RNG stream draw for draw, so the counters they produce are asserted
     identical before the throughputs are compared.  The engines run
     interleaved and each timing keeps the best of three rounds, so a noisy
@@ -87,25 +89,30 @@ def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
     import gc
     import time
 
+    from oracles.montecarlo import admissibility_sweep_set, estimate_reliability_set
     from repro.montecarlo import estimate_reliability
 
+    ENGINES = {
+        "set": (estimate_reliability_set, admissibility_sweep_set),
+        "bitset": (estimate_reliability, admissibility_sweep),
+    }
     REL_SAMPLES = 3000
     ADM_SAMPLES = 1200
     ROUNDS = 3
 
     def run(engine):
+        estimate_with, sweep_with = ENGINES[engine]
         start = time.perf_counter()
-        estimate = estimate_reliability(
+        estimate = estimate_with(
             figure1_gqs,
             crash_prob=0.1,
             disconnect_prob=0.3,
             samples=REL_SAMPLES,
             seed=5,
-            engine=engine,
         )
         rel_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        points = admissibility_sweep(
+        points = sweep_with(
             (0.3,),
             5,      # n
             3,      # patterns per system
@@ -113,7 +120,6 @@ def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
             ADM_SAMPLES,
             None,   # max_crashes
             3,      # seed
-            engine=engine,
         )
         adm_seconds = time.perf_counter() - start
         return estimate, points, rel_seconds, adm_seconds

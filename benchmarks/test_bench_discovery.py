@@ -8,14 +8,15 @@ deployment's failure assumptions are tolerable at all, so its cost matters.
 
 The ``pruned_vs_seed`` benchmarks pit the production search (bitmask
 candidates + forward checking) against the seed backtracker
-(``algorithm="naive"``: set-based candidate enumeration, prefix-only pruning)
-on the production-size families of :mod:`repro.failures.generators`, and
+(``oracles.discovery.discover_naive``: set-based candidate enumeration,
+prefix-only pruning) on the production-size families of :mod:`repro.failures.generators`, and
 **assert** a ≥10x reduction in explored search nodes plus a wall-clock win —
 the acceptance bar of the discovery rework.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.analysis import ResultTable
@@ -28,23 +29,36 @@ from repro.failures import (
 from repro.quorums import discover_gqs
 
 from conftest import bench_once
+from oracles.discovery import discover_naive
 
 
-def _compare_algorithms(build_system, label):
+def _timed_on_fresh_system(build_system, discover):
+    """``(system, result, seconds)`` of ``discover`` on a fresh system.
+
+    A full collection runs before the timed call, so it does not pay for
+    garbage the system builder or the previous call left behind.
+    """
+    system = build_system()
+    gc.collect()
+    started = time.perf_counter()
+    result = discover(system, validate=False)
+    return system, result, time.perf_counter() - started
+
+
+def _compare_algorithms(build_system, label, rounds=2):
     """Run both algorithms on fresh system instances and report one table row.
 
-    Each algorithm gets its own instance so the pruned path cannot feed off
-    caches warmed by the naive run (or vice versa).
+    Each call gets its own instance so the pruned path cannot feed off caches
+    warmed by the naive run (or vice versa).  The two run interleaved and each
+    keeps the best of ``rounds`` timings, so a noisy stretch of CPU hits both
+    sides rather than deciding the comparison.
     """
-    naive_system = build_system()
-    started = time.perf_counter()
-    naive = discover_gqs(naive_system, validate=False, algorithm="naive")
-    naive_seconds = time.perf_counter() - started
-
-    pruned_system = build_system()
-    started = time.perf_counter()
-    pruned = discover_gqs(pruned_system, validate=False)
-    pruned_seconds = time.perf_counter() - started
+    naive_seconds = pruned_seconds = float("inf")
+    for _ in range(rounds):
+        naive_system, naive, seconds = _timed_on_fresh_system(build_system, discover_naive)
+        naive_seconds = min(naive_seconds, seconds)
+        _, pruned, seconds = _timed_on_fresh_system(build_system, discover_gqs)
+        pruned_seconds = min(pruned_seconds, seconds)
 
     assert pruned.exists == naive.exists
     if pruned.exists:
@@ -244,6 +258,58 @@ def test_e7_quotient_vs_full_at_production_scale(benchmark, bench_numbers):
         pattern_orbits=quotient.pattern_orbits,
         candidates_permuted=quotient.candidates_permuted,
         node_ratio=round(full.nodes_explored / max(1, quotient.nodes_explored), 1),
+    )
+
+
+def test_e7_validated_discovery_at_scale(benchmark, bench_numbers):
+    """Default-validated discovery at n=252 costs at most 5x the unvalidated call.
+
+    Witness validation re-derives Consistency and per-pattern Availability
+    from the residual graphs, touching none of the search's candidate caches —
+    under the quotient search that means one residual view and SCC pass per
+    pattern where the search needed one per *orbit*, so validation is expected
+    to cost about as much again as the search, not hundreds of times more.
+    Twin fresh systems keep either call from feeding off the other's caches.
+    """
+    size, window = 252, 12
+
+    def timed_discovery(**kwargs):
+        system = large_threshold_system(n=size, max_crashes=window)
+        started = time.perf_counter()
+        result = discover_gqs(system, algorithm="quotient", **kwargs)
+        return result, time.perf_counter() - started
+
+    def experiment():
+        unvalidated, unvalidated_seconds = timed_discovery(validate=False)
+        validated, validated_seconds = timed_discovery()  # validate=True is the default
+        return unvalidated, unvalidated_seconds, validated, validated_seconds
+
+    unvalidated, unvalidated_seconds, validated, validated_seconds = bench_once(
+        benchmark, experiment
+    )
+    ratio = validated_seconds / unvalidated_seconds
+    table = ResultTable(
+        title="E7: validated vs unvalidated quotient discovery at n={}".format(size),
+        columns=["validate", "exists", "nodes explored", "seconds"],
+    )
+    for label, result, seconds in (
+        ("False", unvalidated, unvalidated_seconds),
+        ("True (default)", validated, validated_seconds),
+    ):
+        table.add_row(
+            validate=label,
+            exists=result.exists,
+            **{"nodes explored": result.nodes_explored, "seconds": round(seconds, 3)},
+        )
+    print()
+    print(table)
+    assert unvalidated.exists and validated.exists
+    assert validated.quorum_system is not None and validated.quorum_system.is_valid()
+    assert ratio <= 5.0, (validated_seconds, unvalidated_seconds)
+    bench_numbers(
+        validated_seconds=round(validated_seconds, 6),
+        unvalidated_seconds=round(unvalidated_seconds, 6),
+        validate_ratio=round(ratio, 2),
     )
 
 

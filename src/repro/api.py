@@ -614,7 +614,7 @@ class MonteCarloSweep:
         return data
 
     def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — byte-stable across jobs and engines."""
+        """Canonical JSON (sorted keys) — byte-stable across job counts."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
@@ -627,18 +627,13 @@ def sweep(
     seed: int = 0,
     jobs: int = 1,
     progress_factory: Optional[Callable[[str], ProgressCallback]] = None,
-    engine: str = "bitset",
 ) -> MonteCarloSweep:
     """Run the Monte Carlo studies: quorum-condition admissibility and/or the
     availability of the Figure 1 quorums.
 
     ``kind`` is ``"admissibility"``, ``"reliability"`` or ``"all"``;
     ``progress_factory(label)`` supplies an optional per-study progress
-    callback.  ``engine`` selects the evaluation path
-    (:data:`repro.montecarlo.MONTE_CARLO_ENGINES`): the batched bitmask
-    engine (default) or the set-based reference.  Results depend only on
-    ``seed`` — never on ``jobs``, and never on ``engine`` (the two are
-    sample-for-sample equivalent).
+    callback.  Results depend only on ``seed`` — never on ``jobs``.
     """
     if kind not in ("admissibility", "reliability", "all"):
         raise ReproError(
@@ -656,7 +651,6 @@ def sweep(
             seed=seed,
             jobs=jobs,
             progress=progress_factory("admissibility") if progress_factory else None,
-            engine=engine,
         )
     if kind in ("reliability", "all"):
         outcome.reliability = reliability_sweep(
@@ -666,7 +660,6 @@ def sweep(
             seed=seed,
             jobs=jobs,
             progress=progress_factory("reliability") if progress_factory else None,
-            engine=engine,
         )
     return outcome
 

@@ -398,7 +398,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         progress_factory=(
             (lambda label: functools.partial(_stderr_progress, label)) if args.progress else None
         ),
-        engine=args.engine,
     )
     if args.format == "json":
         print(outcome.to_json())
@@ -696,8 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(DISCOVERY_ALGORITHMS),
         default="pruned",
         help="search strategy: 'pruned' (bitmask forward checking, default), "
-        "'full' (alias of pruned), 'quotient' (symmetry-quotiented search) or "
-        "'naive' (the reference backtracker)",
+        "'full' (alias of pruned) or 'quotient' (symmetry-quotiented search)",
     )
     quorums_discover.add_argument(
         "--progress",
@@ -806,13 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="report per-shard progress on stderr",
-    )
-    sweep.add_argument(
-        "--engine",
-        choices=["bitset", "set"],
-        default="bitset",
-        help="Monte Carlo evaluation engine: batched integer bitmasks (default) or the "
-        "set-based reference path; both produce identical results for every seed",
     )
     sweep.add_argument(
         "--format",

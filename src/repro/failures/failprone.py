@@ -306,16 +306,11 @@ class FailProneSystem:
         """
         maximal: List[FailurePattern] = []
         for f in self._patterns:
-            subsumed = any(
-                f is not g and f.is_subsumed_by(g) and not (g.is_subsumed_by(f) and f == g)
-                for g in self._patterns
-            )
             strictly_subsumed = any(
                 f is not g and f.is_subsumed_by(g) and f != g for g in self._patterns
             )
             if not strictly_subsumed and f not in maximal:
                 maximal.append(f)
-            del subsumed
         return tuple(maximal)
 
     def with_pattern(self, pattern: FailurePattern, name: Optional[str] = None) -> "FailProneSystem":

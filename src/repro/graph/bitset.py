@@ -59,6 +59,12 @@ def component_containing(components: Sequence[int], mask: int) -> Optional[int]:
     return None
 
 
+#: Input bits consumed per :class:`MaskPermutation` lookup table (one table
+#: per byte of the mask); the table size and the extraction mask both follow.
+_WORD_BITS = 8
+_WORD_MASK = (1 << _WORD_BITS) - 1
+
+
 def permute_mask(mask: int, perm: Sequence[int]) -> int:
     """Apply a bit-position permutation to ``mask`` (reference implementation).
 
@@ -85,9 +91,6 @@ class MaskPermutation:
 
     __slots__ = ("_perm", "_tables")
 
-    #: Input bits consumed per lookup table (one table per byte of the mask).
-    WORD_BITS = 8
-
     def __init__(self, perm: Sequence[int]) -> None:
         n = len(perm)
         if sorted(perm) != list(range(n)):
@@ -100,10 +103,9 @@ class MaskPermutation:
         self._tables: Optional[List[List[int]]] = None
 
     def _build_tables(self) -> List[List[int]]:
-        word = self.WORD_BITS
         tables: List[List[int]] = []
-        for base in range(0, len(self._perm), word):
-            chunk = self._perm[base : base + word]
+        for base in range(0, len(self._perm), _WORD_BITS):
+            chunk = self._perm[base : base + _WORD_BITS]
             table = [0] * (1 << len(chunk))
             for value in range(1, len(table)):
                 low = value & -value
@@ -126,14 +128,14 @@ class MaskPermutation:
         if mask >> len(self._perm):
             raise ValueError("mask has bits outside the permutation's domain")
         image = 0
-        word = self.WORD_BITS
+        word, word_mask = _WORD_BITS, _WORD_MASK
         tables = self._tables
         if tables is None:
             tables = self._build_tables()
         for table in tables:
             if not mask:
                 break
-            image |= table[mask & 0xFF]
+            image |= table[mask & word_mask]
             mask >>= word
         return image
 

@@ -10,7 +10,6 @@ from .comparison import (
     sample_fail_prone_system,
 )
 from .reliability import (
-    MONTE_CARLO_ENGINES,
     ReliabilityEstimate,
     estimate_reliability,
     reliability_sweep,
@@ -19,7 +18,6 @@ from .reliability import (
 
 __all__ = [
     "AdmissibilityPoint",
-    "MONTE_CARLO_ENGINES",
     "ReliabilityEstimate",
     "admissibility_sweep",
     "admissibility_table",

@@ -1,39 +1,35 @@
-"""Batched bitmask Monte Carlo sampling — the ``engine="bitset"`` hot path.
+"""Batched bitmask Monte Carlo sampling — the shards every sweep runs.
 
-The set-based shards in :mod:`repro.montecarlo.reliability` and
-:mod:`repro.montecarlo.comparison` pay heavy per-sample object churn: every
-sampled failure pattern is materialised as a :class:`FailurePattern`, wrapped
-in a fresh :class:`FailProneSystem` (defensive graph copy included) and
-evaluated through set-based reachability, one quorum pair at a time.  The
-shards here sample failure patterns *directly as integers* — one crash mask
-plus one disconnect row per surviving source, drawn from the shard RNG — and
-evaluate the GQS / QS+ / classical predicates over
-:class:`~repro.graph.BitsetDiGraph` residual operations (SCC masks, forward /
-backward closures), so a shard of thousands of samples allocates a few small
-lists per sample and nothing else.
+Failure patterns are sampled *directly as integers* — one crash mask plus one
+disconnect row per surviving source, drawn from the shard RNG — and the
+GQS / QS+ / classical predicates are evaluated over forward closures and SCC
+masks, so a shard of thousands of samples allocates a few small lists per
+sample and nothing else: no :class:`FailurePattern`, no
+:class:`FailProneSystem`, no graph objects.
 
-Sample-for-sample equivalence guarantee
----------------------------------------
-For every shard seed the samplers below consume the RNG in **exactly** the
-same order as their set-based counterparts (same per-process crash draws,
-same uniform all-crashed adjustment, same early-stop and survivor-pair
-disconnect discipline), and the mask predicates compute the same three
-booleans per sample:
+What the masks compute, per sample:
 
 * a write quorum is ``f``-available iff it lies inside one SCC mask of the
-  residual graph, and the read quorums that reach it are exactly the
-  backward closure ``can_reach`` of that SCC;
+  residual graph, and the read quorums that reach it are exactly those inside
+  the backward closure of that SCC;
 * a read/write pair satisfies QS+ availability iff the union mask lies
   inside one SCC;
-* the admissibility existence questions reduce to the same per-pattern
-  component / candidate choice problems the set deciders solve
-  (:func:`~repro.quorums.strong_choice_exists`,
-  :func:`~repro.quorums.gqs_choice_exists`).
+* the admissibility existence questions reduce to the per-pattern component /
+  candidate choice problems decided by
+  :func:`~repro.quorums.strong_choice_exists` and
+  :func:`~repro.quorums.gqs_choice_exists`.
 
-Merged counters — and therefore every sweep table and JSON byte — are thus
-identical between ``engine="set"`` and ``engine="bitset"`` for every
-``(seed, samples, chunk_size)``, independent of ``--jobs``.  The differential
-battery in ``tests/test_montecarlo_differential.py`` pins this contract.
+RNG discipline
+--------------
+The order of draws is part of the contract, because merged counters — and
+therefore every sweep table and JSON byte — are a function of
+``(seed, samples, chunk_size)`` alone: one crash draw per process in
+iteration order (stopping early at the crash limit where there is one), one
+extra draw only to revive a uniformly chosen process when all crashed, then
+one disconnect draw per ordered pair of distinct survivors.  The object-level
+reference samplers and shards in ``tests/oracles/montecarlo.py`` consume the
+stream in exactly this order, and ``tests/test_montecarlo_differential.py``
+compares the two draw for draw and counter for counter.
 """
 
 from __future__ import annotations
@@ -43,14 +39,14 @@ import weakref
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..engine import ExperimentSpec, ShardSpec
-from ..graph import BitsetDiGraph, ProcessIndex, component_containing, iter_bits
+from ..graph import BitsetDiGraph, ProcessIndex, iter_bits
 from ..quorums import gqs_choice_exists, strong_choice_exists
 from .comparison import AdmissibilityPoint
 from .reliability import ReliabilityEstimate
 
 
 # ---------------------------------------------------------------------- #
-# Mask-level pattern samplers (RNG-stream twins of the set samplers)
+# Mask-level pattern samplers
 # ---------------------------------------------------------------------- #
 def sample_reliability_masks(
     order: Sequence[int],
@@ -58,13 +54,16 @@ def sample_reliability_masks(
     crash_prob: float,
     disconnect_prob: float,
 ) -> Tuple[int, Dict[int, int]]:
-    """Draw-for-draw twin of :func:`repro.montecarlo.reliability._sample_pattern`.
+    """Sample one i.i.d. failure pattern, conditioned on at least one survivor.
 
-    ``order`` lists bit positions in the set sampler's process iteration
-    order; the returned ``(crash_mask, succ_clear)`` pair feeds
-    :meth:`~repro.graph.BitsetDiGraph.residual_masks`.  The all-crashed draw
-    is adjusted by un-crashing one position uniformly at random, spending the
-    same single extra draw as the set sampler.
+    ``order`` lists bit positions in process iteration order; the returned
+    ``(crash_mask, succ_clear)`` pair feeds
+    :meth:`~repro.graph.BitsetDiGraph.residual_masks`.  A pattern that crashes
+    *every* process is meaningless for availability, so the all-crashed draw
+    is adjusted by un-crashing one position **chosen uniformly at random**
+    (reviving a fixed position would give that process a systematically
+    higher survival probability at high ``crash_prob``).  The adjustment
+    spends one extra draw, and only in the all-crashed branch.
     """
     crashed = [pos for pos in order if rng.random() < crash_prob]
     if len(crashed) == len(order):
@@ -91,12 +90,11 @@ def sample_admissibility_masks(
     disconnect_prob: float,
     max_crashes: Optional[int] = None,
 ) -> Tuple[int, Dict[int, int]]:
-    """Draw-for-draw twin of :func:`repro.failures.random_failure_pattern`.
+    """Mask-level form of :func:`repro.failures.random_failure_pattern`.
 
-    The crash loop stops *before* drawing for the next process once the crash
-    limit is reached — the set sampler's ``break`` ends the per-process draw
-    stream early, and mirroring that exactly is what keeps the two engines on
-    the same RNG stream.
+    Draw for draw the same stream: the crash loop stops *before* drawing for
+    the next process once the crash limit is reached, exactly where the
+    pattern-level sampler's ``break`` ends its per-process draws.
     """
     limit = len(order) - 1 if max_crashes is None else min(max_crashes, len(order) - 1)
     crash_mask = 0
@@ -124,7 +122,7 @@ def _complete_bitset_graph(n: int) -> Tuple[ProcessIndex, BitsetDiGraph]:
 
     The admissibility samplers generate processes ``p0 .. p{n-1}`` over a
     complete network graph; since the existence predicates are invariant
-    under vertex renaming, the bitset engine numbers bits ``0 .. n-1`` in the
+    under vertex renaming, the shards number bits ``0 .. n-1`` in the
     generator's iteration order directly instead of re-deriving the
     repr-sorted order of the string names.
     """
@@ -146,8 +144,8 @@ _RELIABILITY_SETUP_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionar
 def _reliability_setup(quorum_system):
     """(iteration order, base succ rows, read entries, write entries) for a shard.
 
-    ``order`` lists bit positions in the set sampler's process iteration
-    order (``sorted(..., key=repr)``); each quorum entry pairs the quorum's
+    ``order`` lists bit positions in the sampler's process iteration order
+    (``sorted(..., key=repr)``); each quorum entry pairs the quorum's
     mask with the tuple of its bit positions.
     """
     setup = _RELIABILITY_SETUP_CACHE.get(quorum_system)
@@ -172,51 +170,8 @@ def _reliability_setup(quorum_system):
     return setup
 
 
-def _availability_under_masks(
-    residual: BitsetDiGraph,
-    correct_mask: int,
-    read_masks: Sequence[int],
-    write_masks: Sequence[int],
-) -> Tuple[bool, bool, bool]:
-    """(GQS, QS+, classical) availability booleans for one sampled residual.
-
-    Boolean-equivalent to :func:`repro.montecarlo.reliability._availability_under`:
-    classical needs a correct write and a correct read quorum; a correct
-    write quorum is available iff one SCC contains it, and the read quorums
-    reaching it are those inside the SCC's backward closure; a pair is QS+
-    available iff the union sits inside one SCC.
-    """
-    correct_writes = [w for w in write_masks if not w & ~correct_mask]
-    if not correct_writes:
-        return False, False, False
-    correct_reads = [r for r in read_masks if not r & ~correct_mask]
-    if not correct_reads:
-        return False, False, False
-    components = residual.scc_masks()
-    readers_cache: Dict[int, int] = {}
-    gqs_ok = False
-    strong_ok = False
-    for w in correct_writes:
-        home = component_containing(components, w)
-        if home is None:
-            continue
-        if not gqs_ok:
-            readers = readers_cache.get(home)
-            if readers is None:
-                readers = residual.can_reach_mask(home)
-                readers_cache[home] = readers
-            gqs_ok = any(not r & ~readers for r in correct_reads)
-        if not strong_ok:
-            strong_ok = any(
-                component_containing(components, w | r) is not None for r in correct_reads
-            )
-        if gqs_ok and strong_ok:
-            break
-    return gqs_ok, strong_ok, True
-
-
 def _reliability_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> ReliabilityEstimate:
-    """Bitset-engine twin of :func:`reliability._reliability_shard` (worker side).
+    """Run one shard of a reliability estimate (executes inside a worker).
 
     The sampler and the three predicates are fused into one loop of integer
     operations — the per-sample cost is a handful of forward closures and mask
@@ -255,8 +210,8 @@ def _reliability_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Reliabi
                 crash_mask |= bits[pos]
                 crash_count += 1
         if crash_count == num_processes:
-            # The set sampler revives a uniformly chosen process; with all
-            # processes crashed, position k of the crashed list is order[k].
+            # Revive a uniformly chosen process, as sample_reliability_masks
+            # does; with all crashed, entry k of its crashed list is order[k].
             crash_mask &= not_bits[order[rng_randrange(num_processes)]]
         keep = ~crash_mask
         survivors = [pos for pos in order if keep & bits[pos]]
@@ -336,7 +291,7 @@ def _classify_residual_masks(residuals: Sequence[BitsetDiGraph]) -> Tuple[bool, 
 
 
 def _admissibility_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> AdmissibilityPoint:
-    """Bitset-engine twin of :func:`comparison._admissibility_shard` (worker side).
+    """Classify one shard's worth of random fail-prone systems (worker side).
 
     Like the reliability shard, sampling and evaluation are fused into integer
     loops: each pattern's residual is a list of successor rows, SCCs and reader
@@ -462,7 +417,7 @@ def _admissibility_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Admis
 
 
 def _asymmetric_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int]:
-    """Bitset-engine twin of :func:`comparison._asymmetric_shard` (worker side).
+    """Count (QS+, GQS) admissions in one shard of asymmetric-partition samples.
 
     The asymmetric-partition residual is built directly: the sampled window is
     a complete subgraph, the reader keeps a single channel into it, and every

@@ -18,18 +18,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import ResultTable
-from ..engine import (
-    DEFAULT_CHUNK_SIZE,
-    ExperimentSpec,
-    ParallelRunner,
-    ShardSpec,
-    derive_seed,
-)
+from ..engine import DEFAULT_CHUNK_SIZE, ExperimentSpec, ParallelRunner, derive_seed
 from ..engine.runner import ProgressCallback
 from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern, random_failure_pattern
-from ..quorums import classify_fail_prone_system, gqs_exists, strong_system_exists
-from .reliability import MONTE_CARLO_ENGINES, resolve_engine
+from ..quorums import gqs_exists, strong_system_exists
 
 
 @dataclass
@@ -80,33 +73,6 @@ def sample_fail_prone_system(
     return FailProneSystem(processes, patterns)
 
 
-def _admissibility_shard(spec: ExperimentSpec, shard: ShardSpec) -> AdmissibilityPoint:
-    """Classify one shard's worth of random fail-prone systems (worker side)."""
-    rng = random.Random(shard.seed)
-    point = AdmissibilityPoint(
-        disconnect_prob=spec.params["disconnect_prob"],
-        crash_prob=spec.params["crash_prob"],
-        samples=shard.samples,
-    )
-    for _ in range(shard.samples):
-        system = sample_fail_prone_system(
-            rng,
-            n=spec.params["n"],
-            num_patterns=spec.params["num_patterns"],
-            crash_prob=spec.params["crash_prob"],
-            disconnect_prob=spec.params["disconnect_prob"],
-            max_crashes=spec.params["max_crashes"],
-        )
-        verdict = classify_fail_prone_system(system)
-        if verdict["generalized"]:
-            point.generalized += 1
-        if verdict["strong"]:
-            point.strong += 1
-        if verdict["classical"]:
-            point.classical += 1
-    return point
-
-
 def _merge_admissibility(
     spec: ExperimentSpec, shard_points: List[AdmissibilityPoint]
 ) -> AdmissibilityPoint:
@@ -142,36 +108,18 @@ def _merge_admissibility(
     return merged
 
 
-def _admissibility_task(engine: str):
-    """The shard task implementing ``engine`` (see :data:`MONTE_CARLO_ENGINES`)."""
-    from .bitsampler import _admissibility_shard_bitset
-
-    return resolve_engine(engine, _admissibility_shard, _admissibility_shard_bitset)
-
-
-def admissibility_sweep(
-    disconnect_probs: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
-    n: int = 5,
-    num_patterns: int = 3,
-    crash_prob: float = 0.2,
-    samples: int = 50,
-    max_crashes: Optional[int] = None,
-    seed: int = 0,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
-    engine: str = "bitset",
-) -> List[AdmissibilityPoint]:
-    """Classify random fail-prone systems across a channel-failure probability sweep.
-
-    Each grid point's sample budget is sharded with deterministic per-shard
-    seeds and all shards share one worker pool; the classification counts are
-    independent of ``jobs`` and of ``engine`` (the bitmask and set engines
-    are sample-for-sample equivalent).
-    """
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
-    specs = [
+def _admissibility_specs(
+    disconnect_probs: Sequence[float],
+    n: int,
+    num_patterns: int,
+    crash_prob: float,
+    samples: int,
+    max_crashes: Optional[int],
+    seed: int,
+    chunk_size: Optional[int],
+) -> List[ExperimentSpec]:
+    """Engine specs of an admissibility sweep, one per disconnection probability."""
+    return [
         ExperimentSpec(
             name="admissibility",
             samples=samples,
@@ -187,7 +135,34 @@ def admissibility_sweep(
         )
         for disconnect_prob in disconnect_probs
     ]
-    return runner.run_sharded(specs, _admissibility_task(engine), _merge_admissibility)
+
+
+def admissibility_sweep(
+    disconnect_probs: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
+    n: int = 5,
+    num_patterns: int = 3,
+    crash_prob: float = 0.2,
+    samples: int = 50,
+    max_crashes: Optional[int] = None,
+    seed: int = 0,
+    jobs: int = 1,
+    chunk_size: Optional[int] = None,
+    progress: Optional[ProgressCallback] = None,
+    runner: Optional[ParallelRunner] = None,
+) -> List[AdmissibilityPoint]:
+    """Classify random fail-prone systems across a channel-failure probability sweep.
+
+    Each grid point's sample budget is sharded with deterministic per-shard
+    seeds and all shards share one worker pool; the classification counts are
+    independent of ``jobs``.
+    """
+    from .bitsampler import _admissibility_shard_bitset  # imports this module
+
+    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    specs = _admissibility_specs(
+        disconnect_probs, n, num_patterns, crash_prob, samples, max_crashes, seed, chunk_size
+    )
+    return runner.run_sharded(specs, _admissibility_shard_bitset, _merge_admissibility)
 
 
 def admissibility_table(points: Iterable[AdmissibilityPoint]) -> ResultTable:
@@ -247,25 +222,6 @@ def sample_asymmetric_partition_system(
     return FailProneSystem(processes, patterns)
 
 
-def _asymmetric_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int]:
-    """Count (QS+, GQS) admissions in one shard of asymmetric-partition samples."""
-    rng = random.Random(shard.seed)
-    strong_count = 0
-    generalized_count = 0
-    for _ in range(shard.samples):
-        system = sample_asymmetric_partition_system(
-            rng,
-            n=spec.params["n"],
-            num_patterns=spec.params["num_patterns"],
-            window_size=spec.params["window_size"],
-        )
-        if strong_system_exists(system):
-            strong_count += 1
-        if gqs_exists(system):
-            generalized_count += 1
-    return strong_count, generalized_count
-
-
 def _merge_asymmetric(
     spec: ExperimentSpec, shard_counts: List[Tuple[int, int]]
 ) -> Dict[str, object]:
@@ -282,11 +238,25 @@ def _merge_asymmetric(
     }
 
 
-def _asymmetric_task(engine: str):
-    """The shard task implementing ``engine`` (see :data:`MONTE_CARLO_ENGINES`)."""
-    from .bitsampler import _asymmetric_shard_bitset
-
-    return resolve_engine(engine, _asymmetric_shard, _asymmetric_shard_bitset)
+def _asymmetric_specs(
+    n_values: Sequence[int],
+    num_patterns: int,
+    samples: int,
+    seed: int,
+    window_size: Optional[int],
+    chunk_size: Optional[int],
+) -> List[ExperimentSpec]:
+    """Engine specs of an asymmetric-partition sweep, one per system size."""
+    return [
+        ExperimentSpec(
+            name="asymmetric-admissibility",
+            samples=samples,
+            seed=derive_seed(seed, "asymmetric", n),
+            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
+            params={"n": n, "num_patterns": num_patterns, "window_size": window_size},
+        )
+        for n in n_values
+    ]
 
 
 def asymmetric_admissibility_sweep(
@@ -299,7 +269,6 @@ def asymmetric_admissibility_sweep(
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     runner: Optional[ParallelRunner] = None,
-    engine: str = "bitset",
 ) -> ResultTable:
     """E6 (second series): admissibility under the asymmetric-partition distribution.
 
@@ -310,18 +279,11 @@ def asymmetric_admissibility_sweep(
     fraction admitting a GQS.  The GQS column dominates — the quantitative form
     of "GQS is strictly weaker".
     """
+    from .bitsampler import _asymmetric_shard_bitset  # imports this module
+
     runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
-    specs = [
-        ExperimentSpec(
-            name="asymmetric-admissibility",
-            samples=samples,
-            seed=derive_seed(seed, "asymmetric", n),
-            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-            params={"n": n, "num_patterns": num_patterns, "window_size": window_size},
-        )
-        for n in n_values
-    ]
-    rows = runner.run_sharded(specs, _asymmetric_task(engine), _merge_asymmetric)
+    specs = _asymmetric_specs(n_values, num_patterns, samples, seed, window_size, chunk_size)
+    rows = runner.run_sharded(specs, _asymmetric_shard_bitset, _merge_asymmetric)
     table = ResultTable(
         title="E6: admissibility under asymmetric partitions (GQS vs QS+)",
         columns=["n", "samples", "strong (QS+)", "generalized (GQS)", "gap"],

@@ -12,39 +12,14 @@ read∪write pair.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..analysis.metrics import ResultTable
-from ..engine import DEFAULT_CHUNK_SIZE, ExperimentSpec, ParallelRunner, ShardSpec
+from ..engine import DEFAULT_CHUNK_SIZE, ExperimentSpec, ParallelRunner
 from ..engine.runner import ProgressCallback
 from ..errors import ReproError
-from ..failures import FailProneSystem, FailurePattern
-from ..graph import mutually_reachable
-from ..quorums import GeneralizedQuorumSystem, is_f_available, is_f_reachable
-from ..types import ProcessId, ProcessSet
-
-#: Interchangeable Monte Carlo evaluation engines.  ``"bitset"`` (the default)
-#: samples failure patterns as integer bitmasks and evaluates the predicates
-#: over :class:`~repro.graph.BitsetDiGraph` residual operations
-#: (:mod:`repro.montecarlo.bitsampler`); ``"set"`` is the original
-#: object-per-pattern path, kept as the differential-testing oracle and
-#: benchmark baseline.  Both produce identical counters for identical seeds.
-MONTE_CARLO_ENGINES = ("bitset", "set")
-
-
-def resolve_engine(engine: str, set_task, bitset_task):
-    """Pick the shard task for ``engine``, validating the name."""
-    if engine == "bitset":
-        return bitset_task
-    if engine == "set":
-        return set_task
-    raise ReproError(
-        "unknown Monte Carlo engine {!r}; expected one of {}".format(
-            engine, list(MONTE_CARLO_ENGINES)
-        )
-    )
+from ..quorums import GeneralizedQuorumSystem
 
 
 @dataclass
@@ -71,68 +46,6 @@ class ReliabilityEstimate:
         return self.classical_available / self.samples if self.samples else 0.0
 
 
-def _sample_pattern(
-    processes: Sequence[ProcessId],
-    rng: random.Random,
-    crash_prob: float,
-    disconnect_prob: float,
-) -> FailurePattern:
-    """Sample one i.i.d. failure pattern, conditioned on at least one survivor.
-
-    A pattern that crashes *every* process is meaningless for availability
-    (all three conditions fail trivially and forever), so the all-crashed draw
-    is adjusted by un-crashing one process **chosen uniformly at random**.
-    Silently reviving the last process in iteration order — the previous
-    behaviour — gave that one process a systematically higher survival
-    probability at high ``crash_prob``, biasing exactly the grid cells where
-    the adjustment fires most often.  The uniform choice spends one extra
-    ``rng`` draw only in the all-crashed branch, so sample streams for
-    non-degenerate draws are unchanged.
-    """
-    crashed = [p for p in processes if rng.random() < crash_prob]
-    if len(crashed) == len(processes):
-        crashed.pop(rng.randrange(len(crashed)))
-    survivors = [p for p in processes if p not in crashed]
-    channels = [
-        (src, dst)
-        for src in survivors
-        for dst in survivors
-        if src != dst and rng.random() < disconnect_prob
-    ]
-    return FailurePattern(crashed, channels)
-
-
-def _availability_under(
-    quorum_system: GeneralizedQuorumSystem, pattern: FailurePattern
-) -> Tuple[bool, bool, bool]:
-    """(GQS availability, QS+ availability, classical availability) for one pattern."""
-    fail_prone = FailProneSystem(
-        quorum_system.processes, [pattern], graph=quorum_system.fail_prone.graph_view
-    )
-    correct = pattern.correct_processes(quorum_system.processes)
-    residual = fail_prone.residual_graph(pattern)
-
-    gqs_ok = False
-    strong_ok = False
-    classical_ok = False
-    for write_quorum in quorum_system.write_quorums:
-        write_correct = write_quorum <= correct
-        if not write_correct:
-            continue
-        write_available = is_f_available(fail_prone, pattern, write_quorum)
-        for read_quorum in quorum_system.read_quorums:
-            if not read_quorum <= correct:
-                continue
-            classical_ok = True
-            if write_available and is_f_reachable(fail_prone, pattern, write_quorum, read_quorum):
-                gqs_ok = True
-            if mutually_reachable(residual, read_quorum | write_quorum):
-                strong_ok = True
-        if gqs_ok and strong_ok and classical_ok:
-            break
-    return gqs_ok, strong_ok, classical_ok
-
-
 def _reliability_spec(
     quorum_system: GeneralizedQuorumSystem,
     crash_prob: float,
@@ -153,28 +66,6 @@ def _reliability_spec(
         crash_prob=crash_prob,
         disconnect_prob=disconnect_prob,
     )
-
-
-def _reliability_shard(spec: ExperimentSpec, shard: ShardSpec) -> ReliabilityEstimate:
-    """Run one shard of a reliability estimate (executes inside a worker)."""
-    quorum_system = spec.params["quorum_system"]
-    crash_prob = spec.params["crash_prob"]
-    disconnect_prob = spec.params["disconnect_prob"]
-    rng = random.Random(shard.seed)
-    processes = sorted(quorum_system.processes, key=repr)
-    estimate = ReliabilityEstimate(
-        crash_prob=crash_prob, disconnect_prob=disconnect_prob, samples=shard.samples
-    )
-    for _ in range(shard.samples):
-        pattern = _sample_pattern(processes, rng, crash_prob, disconnect_prob)
-        gqs_ok, strong_ok, classical_ok = _availability_under(quorum_system, pattern)
-        if gqs_ok:
-            estimate.gqs_available += 1
-        if strong_ok:
-            estimate.strong_available += 1
-        if classical_ok:
-            estimate.classical_available += 1
-    return estimate
 
 
 def _merge_reliability(
@@ -212,13 +103,6 @@ def _merge_reliability(
     return merged
 
 
-def _reliability_task(engine: str):
-    """The shard task implementing ``engine`` (see :data:`MONTE_CARLO_ENGINES`)."""
-    from .bitsampler import _reliability_shard_bitset
-
-    return resolve_engine(engine, _reliability_shard, _reliability_shard_bitset)
-
-
 def estimate_reliability(
     quorum_system: GeneralizedQuorumSystem,
     crash_prob: float = 0.1,
@@ -228,20 +112,20 @@ def estimate_reliability(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     runner: Optional[ParallelRunner] = None,
-    engine: str = "bitset",
 ) -> ReliabilityEstimate:
     """Estimate availability of the quorum system's three availability notions.
 
     The sample budget is sharded with deterministic per-shard seeds, so the
     estimate depends only on ``(samples, seed, chunk_size)`` — never on
-    ``jobs`` and never on ``engine`` (the two engines are sample-for-sample
-    equivalent; ``"set"`` is the slow reference path).
+    ``jobs``.
     """
+    from .bitsampler import _reliability_shard_bitset  # imports this module
+
     runner = runner if runner is not None else ParallelRunner(jobs=jobs)
     spec = _reliability_spec(
         quorum_system, crash_prob, disconnect_prob, samples, seed, chunk_size
     )
-    return runner.run(spec, _reliability_task(engine), _merge_reliability)
+    return runner.run(spec, _reliability_shard_bitset, _merge_reliability)
 
 
 def reliability_sweep(
@@ -254,13 +138,14 @@ def reliability_sweep(
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     runner: Optional[ParallelRunner] = None,
-    engine: str = "bitset",
 ) -> List[ReliabilityEstimate]:
     """Sweep the disconnection probability, keeping the crash probability fixed.
 
     All grid points share one worker pool, so parallelism spans the whole
     sweep rather than a single point.
     """
+    from .bitsampler import _reliability_shard_bitset  # imports this module
+
     runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
     specs = [
         _reliability_spec(
@@ -268,7 +153,7 @@ def reliability_sweep(
         )
         for index, p in enumerate(disconnect_probs)
     ]
-    return runner.run_sharded(specs, _reliability_task(engine), _merge_reliability)
+    return runner.run_sharded(specs, _reliability_shard_bitset, _merge_reliability)
 
 
 def reliability_table(estimates: Iterable[ReliabilityEstimate]) -> ResultTable:

@@ -8,13 +8,7 @@ from .classical import (
     quorum_load,
     threshold_quorum_system,
 )
-from .generalized import (
-    GeneralizedQuorumSystem,
-    is_f_available,
-    is_f_available_mask,
-    is_f_reachable,
-    is_f_reachable_mask,
-)
+from .generalized import GeneralizedQuorumSystem, is_f_available, is_f_reachable
 from .repair import RepairReport, RepairSuggestion, harden_channels, suggest_channel_repairs
 from .strong import StrongQuorumSystem, strong_choice_exists, strong_system_exists
 from .discovery import (
@@ -22,13 +16,11 @@ from .discovery import (
     CandidateQuorumPair,
     DiscoveryResult,
     candidate_pairs,
-    candidate_pairs_reference,
     classify_fail_prone_system,
     discover_gqs,
     find_gqs,
     gqs_choice_exists,
     gqs_exists,
-    gqs_exists_bruteforce,
 )
 from .incremental import (
     DELTA_OPS,
@@ -61,19 +53,15 @@ __all__ = [
     "RepairSuggestion",
     "StrongQuorumSystem",
     "candidate_pairs",
-    "candidate_pairs_reference",
     "classify_fail_prone_system",
     "discover_gqs",
     "find_gqs",
     "gqs_choice_exists",
     "gqs_exists",
-    "gqs_exists_bruteforce",
     "grid_quorum_system",
     "harden_channels",
     "is_f_available",
-    "is_f_available_mask",
     "is_f_reachable",
-    "is_f_reachable_mask",
     "majority_quorum_system",
     "minimal_quorums",
     "quorum_load",

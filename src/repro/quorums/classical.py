@@ -30,8 +30,15 @@ from ..types import ProcessId, ProcessSet, sorted_processes
 QuorumFamily = Tuple[ProcessSet, ...]
 
 
-def _normalise_family(quorums: Iterable[Iterable[ProcessId]]) -> QuorumFamily:
-    """Deduplicate and freeze a family of quorums, preserving first-seen order."""
+def _normalise_family(
+    quorums: Iterable[Iterable[ProcessId]], processes: ProcessSet
+) -> QuorumFamily:
+    """Deduplicate and freeze a family of quorums over ``processes``.
+
+    First-seen order is preserved.  Every quorum must be non-empty and name
+    only members of ``processes``; the mask-level predicates encode quorums
+    over the system's process index and rely on this having been checked.
+    """
     seen: List[ProcessSet] = []
     for q in quorums:
         fq = frozenset(q)
@@ -41,6 +48,14 @@ def _normalise_family(quorums: Iterable[Iterable[ProcessId]]) -> QuorumFamily:
             seen.append(fq)
     if not seen:
         raise InvalidQuorumSystemError("a quorum family must contain at least one quorum")
+    for fq in seen:
+        unknown = fq - processes
+        if unknown:
+            raise InvalidQuorumSystemError(
+                "quorum {} references unknown processes {}".format(
+                    sorted_processes(fq), sorted_processes(unknown)
+                )
+            )
     return tuple(seen)
 
 
@@ -73,16 +88,8 @@ class QuorumSystem:
                 "use GeneralizedQuorumSystem instead"
             )
         self._fail_prone = fail_prone
-        self._read_quorums = _normalise_family(read_quorums)
-        self._write_quorums = _normalise_family(write_quorums)
-        for q in self._read_quorums + self._write_quorums:
-            unknown = q - fail_prone.processes
-            if unknown:
-                raise InvalidQuorumSystemError(
-                    "quorum {} references unknown processes {}".format(
-                        sorted_processes(q), sorted_processes(unknown)
-                    )
-                )
+        self._read_quorums = _normalise_family(read_quorums, fail_prone.processes)
+        self._write_quorums = _normalise_family(write_quorums, fail_prone.processes)
         if validate:
             self.check()
 

@@ -16,18 +16,20 @@ Enlarging quorums only helps Consistency, so a GQS exists **iff** one SCC
 every ordered pair of patterns ``(f, g)``.
 
 That choice problem is a binary constraint-satisfaction problem over the
-per-pattern candidate lists, and this module solves it at two speeds:
+per-pattern candidate lists.  Candidates are enumerated on the memoized
+bitmask view of each residual graph
+(:meth:`repro.failures.FailProneSystem.residual_bitset`), pairwise
+compatibility is evaluated with integer masks and memoized row-by-row, and the
+search runs backtracking with *forward checking* — assigning a candidate
+immediately prunes the viable-candidate domains of every unassigned pattern,
+so a choice that dooms a later pattern fails at the assignment instead of
+after an exponential subtree.  All derived per-pattern structures are cached
+on the :class:`~repro.failures.FailProneSystem` itself, which is what makes
+repeated discovery (repair search, classification sweeps) incremental.  Three
+strategy names select how the search branches:
 
-* ``algorithm="pruned"`` (the default): candidates are enumerated on the
-  memoized bitmask view of each residual graph
-  (:meth:`repro.failures.FailProneSystem.residual_bitset`), pairwise
-  compatibility is evaluated with integer masks and memoized row-by-row, and
-  the search runs backtracking with *forward checking* — assigning a candidate
-  immediately prunes the viable-candidate domains of every unassigned pattern,
-  so a choice that dooms a later pattern fails at the assignment instead of
-  after an exponential subtree.  All derived per-pattern structures are cached
-  on the :class:`~repro.failures.FailProneSystem` itself, which is what makes
-  repeated discovery (repair search, classification sweeps) incremental.
+* ``algorithm="pruned"`` (the default): forward checking over every candidate
+  of every pattern.
 * ``algorithm="quotient"``: the pruned search additionally exploits the
   system's declared :class:`~repro.failures.SymmetryGroup` (when present).
   Candidate structures are computed once per pattern *orbit* and transported
@@ -41,11 +43,6 @@ per-pattern candidate lists, and this module solves it at two speeds:
 * ``algorithm="full"``: an alias of the pruned strategy, named from the
   quotient search's perspective (no symmetry quotienting); useful to compare
   the two on equal terms in reports and benchmarks.
-* ``algorithm="naive"``: the original reference backtracker, kept as a
-  differential-testing oracle and benchmark baseline.  It re-derives residual
-  graphs with ordinary set operations and checks compatibility only against
-  the already-chosen prefix, exploring (and counting) every candidate it
-  tries.
 
 The quotient search returns the *same verdict and the same witness* as the
 pruned/full search: the first solution depth-first search finds is the
@@ -54,26 +51,27 @@ order), and at every decision the lexicographically least solution goes
 through the lowest-indexed member of each candidate equivalence class — the
 very representative the quotient search branches on.
 
-Both algorithms see the same fully specified candidate order (read-quorum size
+All strategies see the same fully specified candidate order (read-quorum size
 descending, then write-quorum size, then the sorted process lists), visit
 patterns in the same order, and are deterministic: no output — witness
 quorums, candidate order or ``nodes_explored`` — depends on
-``PYTHONHASHSEED``.  A (size-guarded) brute-force reference implementation
-over arbitrary subsets is provided for cross-checking on tiny systems.
+``PYTHONHASHSEED``.  The reference implementations the search is checked
+against (set-based candidate enumeration, a prefix-only backtracker and a
+brute-forcer over arbitrary subsets) live with the tests, in
+``tests/oracles/``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.runner import ProgressCallback
 from ..errors import NoQuorumSystemExistsError
 from ..failures import FailProneSystem, FailurePattern, SymmetryGroup
-from ..graph import can_reach, iter_bits, permute_mask, strongly_connected_components
-from ..types import ProcessId, ProcessSet, sort_key, sorted_processes
-from .generalized import GeneralizedQuorumSystem, is_f_available, is_f_reachable
+from ..graph import iter_bits, permute_mask
+from ..types import ProcessSet, sort_key, sorted_processes
+from .generalized import GeneralizedQuorumSystem
 
 #: Namespace under which per-pattern candidate structures are memoized on a
 #: :class:`FailProneSystem` (see :meth:`FailProneSystem.analysis_cache`).
@@ -82,7 +80,7 @@ CANDIDATE_CACHE_NAMESPACE = "gqs-candidates"
 #: The supported search strategies of :func:`discover_gqs`.  ``"full"`` is an
 #: alias of ``"pruned"`` (the default), named from the quotient search's
 #: perspective.
-DISCOVERY_ALGORITHMS = ("pruned", "full", "quotient", "naive")
+DISCOVERY_ALGORITHMS = ("pruned", "full", "quotient")
 
 
 @dataclass(frozen=True)
@@ -181,73 +179,10 @@ def candidate_pairs(
     return [entry.pair for entry in _masked_candidates(fail_prone, pattern)]
 
 
-def candidate_pairs_reference(
-    fail_prone: FailProneSystem, pattern: FailurePattern
-) -> List[CandidateQuorumPair]:
-    """Uncached set-based candidate enumeration (the pre-bitmask pipeline).
-
-    Retained as the differential-testing oracle for :func:`candidate_pairs`
-    and as the honest cost baseline of ``algorithm="naive"``: residual graph,
-    Tarjan SCCs and reader closures are recomputed from scratch with ordinary
-    set operations on every call.
-    """
-    residual = pattern.residual_graph(fail_prone.graph_view)
-    candidates: List[CandidateQuorumPair] = []
-    for component in strongly_connected_components(residual):
-        if not component:
-            continue
-        readers = can_reach(residual, component)
-        candidates.append(
-            CandidateQuorumPair(pattern=pattern, write_quorum=component, read_quorum=readers)
-        )
-    candidates.sort(key=_candidate_sort_key)
-    return candidates
-
-
-def _compatible(a: CandidateQuorumPair, b: CandidateQuorumPair) -> bool:
-    """Mutual Consistency between the candidates chosen for two patterns."""
-    return bool(a.read_quorum & b.write_quorum) and bool(b.read_quorum & a.write_quorum)
-
-
-def _naive_search(
-    per_pattern: Sequence[Sequence[CandidateQuorumPair]], result: DiscoveryResult
-) -> Optional[List[CandidateQuorumPair]]:
-    """The reference backtracker: pairwise checks against the chosen prefix."""
-    order = sorted(range(len(per_pattern)), key=lambda i: len(per_pattern[i]))
-    chosen: List[CandidateQuorumPair] = []
-
-    def backtrack(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        for candidate in per_pattern[order[depth]]:
-            result.nodes_explored += 1
-            if all(_compatible(candidate, prev) for prev in chosen):
-                chosen.append(candidate)
-                if backtrack(depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return chosen if backtrack(0) else None
-
-
-def _pruned_search(
-    per_pattern: Sequence[Tuple[_MaskedCandidate, ...]], result: DiscoveryResult
-) -> Optional[List[CandidateQuorumPair]]:
-    """Forward-checking search over the memoized compatibility matrix.
-
-    Domains are integer bitmasks over candidate indices.  Assigning a
-    candidate intersects every unassigned pattern's domain with the
-    candidate's compatibility row; an emptied domain fails the assignment on
-    the spot (arc consistency with respect to the partial assignment), which
-    is what prevents the exponential thrashing of the reference backtracker on
-    systems whose preferred candidates doom a much later pattern.
-    """
-    m = len(per_pattern)
-    if m == 0:
-        return []
-    order = sorted(range(m), key=lambda i: len(per_pattern[i]))
-
+def _compatibility_rows(
+    per_pattern: Sequence[Tuple[_MaskedCandidate, ...]]
+) -> Callable[[int, int, int], int]:
+    """The lazily materialized, memoized compatibility matrix of one search."""
     rows: Dict[Tuple[int, int, int], int] = {}
 
     def compatibility_row(i: int, ci: int, j: int) -> int:
@@ -266,6 +201,27 @@ def _pruned_search(
                     row |= 1 << d
             rows[key] = row
         return row
+
+    return compatibility_row
+
+
+def _pruned_search(
+    per_pattern: Sequence[Tuple[_MaskedCandidate, ...]], result: DiscoveryResult
+) -> Optional[List[CandidateQuorumPair]]:
+    """Forward-checking search over the memoized compatibility matrix.
+
+    Domains are integer bitmasks over candidate indices.  Assigning a
+    candidate intersects every unassigned pattern's domain with the
+    candidate's compatibility row; an emptied domain fails the assignment on
+    the spot (arc consistency with respect to the partial assignment), which
+    is what prevents the exponential thrashing of a prefix-only backtracker on
+    systems whose preferred candidates doom a much later pattern.
+    """
+    m = len(per_pattern)
+    if m == 0:
+        return []
+    order = sorted(range(m), key=lambda i: len(per_pattern[i]))
+    compatibility_row = _compatibility_rows(per_pattern)
 
     # domain_stack[d] holds the candidate domains in force while searching at
     # depth d (one bitmask per pattern, original pattern indexing).
@@ -498,20 +454,7 @@ def _quotient_search(
         return []
     order = sorted(range(m), key=lambda i: len(per_pattern[i]))
 
-    rows: Dict[Tuple[int, int, int], int] = {}
-
-    def compatibility_row(i: int, ci: int, j: int) -> int:
-        key = (i, ci, j)
-        row = rows.get(key)
-        if row is None:
-            a = per_pattern[i][ci]
-            row = 0
-            for d, b in enumerate(per_pattern[j]):
-                if (a.read_mask & b.write_mask) and (b.read_mask & a.write_mask):
-                    row |= 1 << d
-            rows[key] = row
-        return row
-
+    compatibility_row = _compatibility_rows(per_pattern)
     assignment = [-1] * m
 
     def propagate(i: int, ci: int, domains: Sequence[int]):
@@ -640,34 +583,23 @@ def discover_gqs(
     patterns = list(fail_prone.patterns)
     result = DiscoveryResult(fail_prone=fail_prone, exists=False, algorithm=algorithm)
 
-    empty = False
-    if algorithm == "naive":
-        naive_candidates: List[List[CandidateQuorumPair]] = []
-        for done, f in enumerate(patterns):
-            cands = candidate_pairs_reference(fail_prone, f)
-            result.candidates_per_pattern[f] = len(cands)
-            empty = empty or not cands
-            naive_candidates.append(cands)
-            if progress is not None:
-                progress(done + 1, len(patterns))
-        chosen = None if empty else _naive_search(naive_candidates, result)
-    elif algorithm == "quotient":
-        quotiented = _quotient_candidates(fail_prone, patterns, result, progress)
-        for f, cands in zip(patterns, quotiented):
-            result.candidates_per_pattern[f] = len(cands)
-            empty = empty or not cands
-        context = _QuotientContext(fail_prone, patterns, quotiented)
-        chosen = None if empty else _quotient_search(quotiented, context, result)
+    if algorithm == "quotient":
+        masked = _quotient_candidates(fail_prone, patterns, result, progress)
     else:  # "pruned" and its alias "full"
-        masked: List[Tuple[_MaskedCandidate, ...]] = []
+        masked = []
         for done, f in enumerate(patterns):
-            cands = _masked_candidates(fail_prone, f)
-            result.candidates_per_pattern[f] = len(cands)
-            empty = empty or not cands
-            masked.append(cands)
+            masked.append(_masked_candidates(fail_prone, f))
             if progress is not None:
                 progress(done + 1, len(patterns))
-        chosen = None if empty else _pruned_search(masked, result)
+    for f, cands in zip(patterns, masked):
+        result.candidates_per_pattern[f] = len(cands)
+    if not all(masked):
+        chosen = None
+    elif algorithm == "quotient":
+        context = _QuotientContext(fail_prone, patterns, masked)
+        chosen = _quotient_search(masked, context, result)
+    else:
+        chosen = _pruned_search(masked, result)
 
     if chosen is None:
         return result
@@ -697,7 +629,7 @@ def gqs_choice_exists(candidates_per_pattern: Sequence[Sequence[Tuple[int, int]]
     candidate can be chosen per pattern with mutual read/write intersections
     for every pair, exactly the choice problem :func:`discover_gqs` solves;
     this entry point skips witness construction and is what the Monte Carlo
-    bitset engine runs per sampled system.
+    shards run per sampled system.
     """
     if any(not candidates for candidates in candidates_per_pattern):
         return False
@@ -732,58 +664,6 @@ def find_gqs(fail_prone: FailProneSystem) -> GeneralizedQuorumSystem:
             "the fail-prone system {!r} admits no generalized quorum system".format(fail_prone)
         )
     return result.quorum_system
-
-
-def gqs_exists_bruteforce(fail_prone: FailProneSystem, max_processes: int = 5) -> bool:
-    """Reference (exponential) decision procedure used to cross-check the search.
-
-    For every failure pattern all availability-validating ``(R, W)`` pairs over
-    *arbitrary subsets* of the process set are enumerated; the procedure then
-    looks for one choice per pattern such that every chosen read quorum
-    intersects every chosen write quorum.  Guarded to small systems because the
-    candidate enumeration is exponential in ``n``.
-    """
-    processes = sorted_processes(fail_prone.processes)
-    if len(processes) > max_processes:
-        raise ValueError(
-            "brute-force check limited to {} processes (got {})".format(
-                max_processes, len(processes)
-            )
-        )
-    subsets: List[ProcessSet] = []
-    for size in range(1, len(processes) + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(processes, size))
-
-    per_pattern: List[List[Tuple[ProcessSet, ProcessSet]]] = []
-    for f in fail_prone:
-        pairs = [
-            (r, w)
-            for w in subsets
-            if is_f_available(fail_prone, f, w)
-            for r in subsets
-            if is_f_reachable(fail_prone, f, w, r)
-        ]
-        if not pairs:
-            return False
-        per_pattern.append(pairs)
-
-    chosen: List[Tuple[ProcessSet, ProcessSet]] = []
-
-    def compatible(a: Tuple[ProcessSet, ProcessSet], b: Tuple[ProcessSet, ProcessSet]) -> bool:
-        return bool(a[0] & b[1]) and bool(b[0] & a[1]) and bool(a[0] & a[1]) and bool(b[0] & b[1])
-
-    def backtrack(i: int) -> bool:
-        if i == len(per_pattern):
-            return True
-        for pair in per_pattern[i]:
-            if all(compatible(pair, prev) for prev in chosen):
-                chosen.append(pair)
-                if backtrack(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return backtrack(0)
 
 
 def classify_fail_prone_system(fail_prone: FailProneSystem) -> Dict[str, bool]:

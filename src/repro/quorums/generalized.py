@@ -15,11 +15,19 @@ only required in one direction (R → W).  The module also computes ``U_f``, the
 strongly connected component of ``G \\ f`` that contains every write quorum
 validating Availability for ``f`` (Proposition 1); ``U_f`` is exactly the set
 of processes at which the paper's protocols guarantee wait-freedom.
+
+Every predicate here is evaluated on the bitmask view of the residual graph
+(:meth:`repro.failures.FailProneSystem.residual_bitset`): a quorum is
+``f``-available iff one strongly connected component of ``G \\ f`` contains
+it, the read quorums it is ``f``-reachable from are those inside the
+``CanReach`` closure of that component, and Consistency is ``r_mask & w_mask``.
+Nothing is read from the discovery search's candidate caches, so validating a
+discovered witness re-derives it from the residual graphs alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
     InvalidQuorumSystemError,
@@ -27,13 +35,7 @@ from ..errors import (
     QuorumConsistencyError,
 )
 from ..failures import FailProneSystem, FailurePattern
-from ..graph import (
-    BitsetDiGraph,
-    DiGraph,
-    mutually_reachable,
-    reachable_from,
-    set_reaches_set,
-)
+from ..graph import component_containing
 from ..types import ProcessId, ProcessSet, sorted_processes
 from .classical import QuorumFamily, QuorumSystem, _normalise_family
 
@@ -41,6 +43,45 @@ from .classical import QuorumFamily, QuorumSystem, _normalise_family
 # ---------------------------------------------------------------------- #
 # The two availability predicates of §3
 # ---------------------------------------------------------------------- #
+def _quorum_mask(fail_prone: FailProneSystem, quorum: Iterable[ProcessId]) -> int:
+    """``quorum`` over the system's process index; 0 if it cannot be correct.
+
+    An empty quorum, or one naming a process outside the system, is correct
+    under no pattern — both encode as the empty mask, which every predicate
+    below rejects.
+    """
+    q = frozenset(quorum)
+    if not q <= fail_prone.processes:
+        return 0
+    return fail_prone.process_index.mask_of(q)
+
+
+def _available_write_quorums(
+    fail_prone: FailProneSystem, pattern: FailurePattern, write_masks: Sequence[int]
+) -> Iterator[Tuple[int, int, int]]:
+    """The availability kernel: ``(position, home, readers)`` per ``f``-available write quorum.
+
+    A write quorum is ``pattern``-available iff one strongly connected
+    component of the residual graph — its ``home`` — contains it (crashed
+    processes belong to no component, so its members are then all correct);
+    ``readers`` is the ``CanReach`` closure of ``home``, and a read quorum
+    reaches every member of the write quorum from every one of its own members
+    iff it lies inside ``readers``.  Positions are yielded in the order of
+    ``write_masks``.
+    """
+    residual = fail_prone.residual_bitset(pattern)
+    components = residual.scc_masks()
+    readers_of: Dict[int, int] = {}
+    for position, write_mask in enumerate(write_masks):
+        home = component_containing(components, write_mask)
+        if home is None:
+            continue
+        readers = readers_of.get(home)
+        if readers is None:
+            readers = readers_of[home] = residual.can_reach_mask(home)
+        yield position, home, readers
+
+
 def is_f_available(
     fail_prone: FailProneSystem, pattern: FailurePattern, quorum: Iterable[ProcessId]
 ) -> bool:
@@ -49,14 +90,8 @@ def is_f_available(
     The quorum must contain only processes correct according to ``pattern`` and
     be strongly connected (mutually reachable) in the residual graph.
     """
-    q = frozenset(quorum)
-    if not q:
-        return False
-    correct = pattern.correct_processes(fail_prone.processes)
-    if not q <= correct:
-        return False
-    residual = fail_prone.residual_graph(pattern)
-    return mutually_reachable(residual, q)
+    components = fail_prone.residual_bitset(pattern).scc_masks()
+    return component_containing(components, _quorum_mask(fail_prone, quorum)) is not None
 
 
 def is_f_reachable(
@@ -69,44 +104,15 @@ def is_f_reachable(
 
     Both quorums must contain only correct processes, and every member of the
     write quorum must be reachable from every member of the read quorum via a
-    directed path in the residual graph.
+    directed path in the residual graph.  The write quorum need not be
+    ``f``-available, so this asks the residual graph directly instead of going
+    through one component's closure.
     """
-    w = frozenset(write_quorum)
-    r = frozenset(read_quorum)
-    if not w or not r:
-        return False
-    correct = pattern.correct_processes(fail_prone.processes)
-    if not (w <= correct and r <= correct):
-        return False
-    residual = fail_prone.residual_graph(pattern)
-    return set_reaches_set(residual, r, w)
-
-
-def is_f_available_mask(residual: "BitsetDiGraph", correct_mask: int, quorum_mask: int) -> bool:
-    """Mask-level mirror of :func:`is_f_available`.
-
-    ``residual`` is the pattern's residual graph as a
-    :class:`~repro.graph.BitsetDiGraph` (crashed vertices absent), and the
-    masks are encoded over its :class:`~repro.graph.ProcessIndex`.  Used by
-    the Monte Carlo bitset engine, which never materialises the pattern as a
-    :class:`FailurePattern` at all.
-    """
-    if not quorum_mask:
-        return False
-    if quorum_mask & ~correct_mask:
-        return False
-    return residual.mutually_reachable(quorum_mask)
-
-
-def is_f_reachable_mask(
-    residual: "BitsetDiGraph", correct_mask: int, write_mask: int, read_mask: int
-) -> bool:
-    """Mask-level mirror of :func:`is_f_reachable` (see :func:`is_f_available_mask`)."""
+    write_mask = _quorum_mask(fail_prone, write_quorum)
+    read_mask = _quorum_mask(fail_prone, read_quorum)
     if not write_mask or not read_mask:
         return False
-    if (write_mask | read_mask) & ~correct_mask:
-        return False
-    return residual.set_reaches_set(read_mask, write_mask)
+    return fail_prone.residual_bitset(pattern).set_reaches_set(read_mask, write_mask)
 
 
 class GeneralizedQuorumSystem:
@@ -133,17 +139,10 @@ class GeneralizedQuorumSystem:
         validate: bool = True,
     ) -> None:
         self._fail_prone = fail_prone
-        self._read_quorums = _normalise_family(read_quorums)
-        self._write_quorums = _normalise_family(write_quorums)
-        for q in self._read_quorums + self._write_quorums:
-            unknown = q - fail_prone.processes
-            if unknown:
-                raise InvalidQuorumSystemError(
-                    "quorum {} references unknown processes {}".format(
-                        sorted_processes(q), sorted_processes(unknown)
-                    )
-                )
+        self._read_quorums = _normalise_family(read_quorums, fail_prone.processes)
+        self._write_quorums = _normalise_family(write_quorums, fail_prone.processes)
         self._u_cache: Dict[FailurePattern, ProcessSet] = {}
+        self._family_masks: Optional[Tuple[List[int], List[int]]] = None
         if validate:
             self.check()
 
@@ -181,13 +180,28 @@ class GeneralizedQuorumSystem:
     # ------------------------------------------------------------------ #
     # Definition 2 predicates
     # ------------------------------------------------------------------ #
+    def _masks(self) -> Tuple[List[int], List[int]]:
+        """``(read masks, write masks)`` over the system's process index.
+
+        Encoded on first use, so a system built with ``validate=False`` and
+        never queried does not pay for it.
+        """
+        if self._family_masks is None:
+            mask_of = self._fail_prone.process_index.mask_of
+            self._family_masks = (
+                [mask_of(r) for r in self._read_quorums],
+                [mask_of(w) for w in self._write_quorums],
+            )
+        return self._family_masks
+
     def consistency_violations(self) -> List[Tuple[ProcessSet, ProcessSet]]:
         """Return every ``(R, W)`` pair with an empty intersection."""
+        read_masks, write_masks = self._masks()
         return [
-            (r, w)
-            for r in self._read_quorums
-            for w in self._write_quorums
-            if not (r & w)
+            (self._read_quorums[i], self._write_quorums[j])
+            for i, read_mask in enumerate(read_masks)
+            for j, write_mask in enumerate(write_masks)
+            if not read_mask & write_mask
         ]
 
     def is_consistent(self) -> bool:
@@ -202,12 +216,11 @@ class GeneralizedQuorumSystem:
         The returned write quorum is ``pattern``-available and reachable from
         the returned read quorum; ``None`` when no such pair exists.
         """
-        for w in self._write_quorums:
-            if not is_f_available(self._fail_prone, pattern, w):
-                continue
-            for r in self._read_quorums:
-                if is_f_reachable(self._fail_prone, pattern, w, r):
-                    return r, w
+        read_masks, write_masks = self._masks()
+        for j, _, readers in _available_write_quorums(self._fail_prone, pattern, write_masks):
+            for i, read_mask in enumerate(read_masks):
+                if not read_mask & ~readers:
+                    return self._read_quorums[i], self._write_quorums[j]
         return None
 
     def is_available(self, pattern: FailurePattern) -> bool:
@@ -246,21 +259,24 @@ class GeneralizedQuorumSystem:
     # ------------------------------------------------------------------ #
     # Proposition 1: the component U_f
     # ------------------------------------------------------------------ #
+    def _validating(self, pattern: FailurePattern) -> List[Tuple[int, int]]:
+        """``(family position, home component)`` per write quorum validating ``pattern``."""
+        read_masks, write_masks = self._masks()
+        return [
+            (j, home)
+            for j, home, readers in _available_write_quorums(
+                self._fail_prone, pattern, write_masks
+            )
+            if any(not read_mask & ~readers for read_mask in read_masks)
+        ]
+
     def validating_write_quorums(self, pattern: FailurePattern) -> List[ProcessSet]:
         """Write quorums that validate Availability with respect to ``pattern``.
 
         These are the write quorums that are ``pattern``-available and
         reachable from at least one read quorum.
         """
-        result = []
-        for w in self._write_quorums:
-            if not is_f_available(self._fail_prone, pattern, w):
-                continue
-            if any(
-                is_f_reachable(self._fail_prone, pattern, w, r) for r in self._read_quorums
-            ):
-                result.append(w)
-        return result
+        return [self._write_quorums[j] for j, _ in self._validating(pattern)]
 
     def termination_component(self, pattern: FailurePattern) -> ProcessSet:
         """The component ``U_f`` of Proposition 1 for ``pattern``.
@@ -274,26 +290,16 @@ class GeneralizedQuorumSystem:
         """
         if pattern in self._u_cache:
             return self._u_cache[pattern]
-        validating = self.validating_write_quorums(pattern)
-        union: FrozenSet[ProcessId] = frozenset().union(*validating) if validating else frozenset()
-        if not union:
-            self._u_cache[pattern] = frozenset()
-            return frozenset()
-        residual = self._fail_prone.residual_graph(pattern)
-        anchor = next(iter(union))
-        forward = reachable_from(residual, [anchor])
-        backward = frozenset(
-            v for v in residual.vertices if anchor in reachable_from(residual, [v])
-        )
-        component = frozenset(forward & backward)
+        homes = {home for _, home in self._validating(pattern)}
         # Sanity: Proposition 1 guarantees the union is inside one component.
-        if not union <= component:
+        if len(homes) > 1:
             raise InvalidQuorumSystemError(
                 "validating write quorums are not strongly connected under {!r}; "
                 "the quorum system violates Consistency or Availability".format(pattern)
             )
-        self._u_cache[pattern] = component
-        return component
+        u_f = self._fail_prone.process_index.set_of(homes.pop()) if homes else frozenset()
+        self._u_cache[pattern] = u_f
+        return u_f
 
     def termination_mapping(self) -> Dict[FailurePattern, ProcessSet]:
         """The mapping ``τ : f ↦ U_f`` used by Theorems 1 and 5."""

@@ -20,7 +20,7 @@ from ..errors import (
     QuorumConsistencyError,
 )
 from ..failures import FailProneSystem, FailurePattern
-from ..graph import mutually_reachable
+from ..graph import component_containing, popcount
 from ..types import ProcessId, ProcessSet, sorted_processes
 from .classical import QuorumFamily, _normalise_family
 
@@ -42,16 +42,8 @@ class StrongQuorumSystem:
         validate: bool = True,
     ) -> None:
         self._fail_prone = fail_prone
-        self._read_quorums = _normalise_family(read_quorums)
-        self._write_quorums = _normalise_family(write_quorums)
-        for q in self._read_quorums + self._write_quorums:
-            unknown = q - fail_prone.processes
-            if unknown:
-                raise InvalidQuorumSystemError(
-                    "quorum {} references unknown processes {}".format(
-                        sorted_processes(q), sorted_processes(unknown)
-                    )
-                )
+        self._read_quorums = _normalise_family(read_quorums, fail_prone.processes)
+        self._write_quorums = _normalise_family(write_quorums, fail_prone.processes)
         if validate:
             self.check()
 
@@ -91,15 +83,15 @@ class StrongQuorumSystem:
         self, pattern: FailurePattern
     ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
         """A ``(read, write)`` pair whose union is correct and strongly connected."""
-        correct = pattern.correct_processes(self._fail_prone.processes)
-        residual = self._fail_prone.residual_graph(pattern)
+        mask_of = self._fail_prone.process_index.mask_of
+        components = self._fail_prone.residual_bitset(pattern).scc_masks()
+        read_masks = [mask_of(r) for r in self._read_quorums]
         for w in self._write_quorums:
-            if not w <= correct:
-                continue
-            for r in self._read_quorums:
-                if not r <= correct:
-                    continue
-                if mutually_reachable(residual, r | w):
+            write_mask = mask_of(w)
+            for r, read_mask in zip(self._read_quorums, read_masks):
+                # Crashed processes belong to no component, so containment in
+                # one component also certifies that both quorums are correct.
+                if component_containing(components, read_mask | write_mask) is not None:
                     return r, w
         return None
 
@@ -140,8 +132,9 @@ def strong_choice_exists(components_per_pattern: Sequence[Sequence[int]]) -> boo
     :class:`~repro.graph.ProcessIndex` (e.g.
     :meth:`~repro.graph.BitsetDiGraph.scc_masks` output).  A QS+ exists iff
     one component can be chosen per pattern with pairwise non-empty
-    intersections, decided by the same backtracking as the set version; the
-    Monte Carlo bitset engine calls this directly on sampled residual masks.
+    intersections, decided by backtracking over the patterns with the fewest
+    components first; the Monte Carlo shards call this directly on sampled
+    residual masks.
     """
     if any(not components for components in components_per_pattern):
         return False
@@ -175,30 +168,12 @@ def strong_system_exists(fail_prone: FailProneSystem) -> bool:
     loss of generality — any valid QS+ quorums for ``f`` live inside a single
     component, and enlarging quorums can only help Consistency.  A QS+ exists
     iff components ``S_f`` can be chosen so that ``S_f ∩ S_g ≠ ∅`` for every
-    pair of patterns, which we decide by backtracking.
+    pair of patterns, which :func:`strong_choice_exists` decides; larger
+    components are offered first because they intersect more.
     """
-    from ..graph import strongly_connected_components
-
-    per_pattern: List[List[ProcessSet]] = []
-    for f in fail_prone:
-        residual = fail_prone.residual_graph(f)
-        correct = f.correct_processes(fail_prone.processes)
-        comps = [c for c in strongly_connected_components(residual) if c <= correct and c]
-        if not comps:
-            return False
-        per_pattern.append(sorted(comps, key=len, reverse=True))
-
-    chosen: List[ProcessSet] = []
-
-    def backtrack(i: int) -> bool:
-        if i == len(per_pattern):
-            return True
-        for comp in per_pattern[i]:
-            if all(comp & prev for prev in chosen):
-                chosen.append(comp)
-                if backtrack(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return backtrack(0)
+    return strong_choice_exists(
+        [
+            sorted(fail_prone.residual_bitset(f).scc_masks(), key=popcount, reverse=True)
+            for f in fail_prone
+        ]
+    )

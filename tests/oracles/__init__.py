@@ -1,0 +1,21 @@
+"""Reference implementations the production decision layer is checked against.
+
+``src/repro`` keeps one implementation per concept, all of it on
+:class:`~repro.graph.BitsetDiGraph` masks.  The slow, obviously-correct
+versions it replaced live here, as a test-side package (not under ``src/``,
+not installed): the differential batteries in ``tests/`` and the speedup
+benchmarks in ``benchmarks/`` import them via their conftests.
+
+Everything in this package is written on :class:`~repro.graph.DiGraph` and the
+set-based functions of :mod:`repro.graph.connectivity` only.  It must never
+import :mod:`repro.graph.bitset`, :mod:`repro.montecarlo.bitsampler` or any
+mask-level helper — an oracle that shares code with what it checks checks
+nothing (``tests/test_surface.py`` enforces this).
+
+* :mod:`oracles.predicates` — the two availability predicates of §3, the
+  set-based Definition 2 validator and the component ``U_f``;
+* :mod:`oracles.discovery` — Tarjan-based candidate enumeration, the
+  prefix-only backtracker and the exponential brute-forcer;
+* :mod:`oracles.montecarlo` — object-per-pattern samplers and shards, run
+  through the production spec builders and merge functions.
+"""

@@ -1,0 +1,220 @@
+"""The object-per-pattern Monte Carlo engine: samplers, predicates and shards.
+
+Every sampled failure pattern is materialised as a
+:class:`~repro.failures.FailurePattern`, wrapped in a fresh
+:class:`~repro.failures.FailProneSystem` and evaluated through set-based
+reachability, one quorum pair at a time — slow, and independent of every mask
+the production shards compute.  The shards consume the RNG in the documented
+draw order (see :mod:`repro.montecarlo.bitsampler`), and the ``*_set``
+runners push them through the *production* spec builders and merge functions,
+so a differential test compares merged counters draw for draw.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import List, Optional, Sequence, Tuple
+
+from repro.engine import ExperimentSpec, ParallelRunner, ShardSpec
+from repro.failures import FailProneSystem, FailurePattern
+from repro.graph.connectivity import mutually_reachable
+from repro.montecarlo import (
+    AdmissibilityPoint,
+    ReliabilityEstimate,
+    sample_asymmetric_partition_system,
+    sample_fail_prone_system,
+)
+from repro.montecarlo.comparison import (
+    _admissibility_specs,
+    _asymmetric_specs,
+    _merge_admissibility,
+    _merge_asymmetric,
+)
+from repro.montecarlo.reliability import _merge_reliability, _reliability_spec
+from repro.types import ProcessId
+
+from .discovery import discover_naive, strong_system_exists_reference
+from .predicates import is_f_available, is_f_reachable
+
+
+def sample_pattern(
+    processes: Sequence[ProcessId],
+    rng: random.Random,
+    crash_prob: float,
+    disconnect_prob: float,
+) -> FailurePattern:
+    """Sample one i.i.d. failure pattern, conditioned on at least one survivor.
+
+    The all-crashed draw is adjusted by un-crashing one process chosen
+    uniformly at random, spending one extra ``rng`` draw only in that branch.
+    """
+    crashed = [p for p in processes if rng.random() < crash_prob]
+    if len(crashed) == len(processes):
+        crashed.pop(rng.randrange(len(crashed)))
+    survivors = [p for p in processes if p not in crashed]
+    channels = [
+        (src, dst)
+        for src in survivors
+        for dst in survivors
+        if src != dst and rng.random() < disconnect_prob
+    ]
+    return FailurePattern(crashed, channels)
+
+
+def availability_under(quorum_system, pattern: FailurePattern) -> Tuple[bool, bool, bool]:
+    """(GQS availability, QS+ availability, classical availability) for one pattern."""
+    fail_prone = FailProneSystem(
+        quorum_system.processes, [pattern], graph=quorum_system.fail_prone.graph_view
+    )
+    correct = pattern.correct_processes(quorum_system.processes)
+    residual = fail_prone.residual_graph(pattern)
+
+    gqs_ok = False
+    strong_ok = False
+    classical_ok = False
+    for write_quorum in quorum_system.write_quorums:
+        if not write_quorum <= correct:
+            continue
+        write_available = is_f_available(fail_prone, pattern, write_quorum)
+        for read_quorum in quorum_system.read_quorums:
+            if not read_quorum <= correct:
+                continue
+            classical_ok = True
+            if write_available and is_f_reachable(fail_prone, pattern, write_quorum, read_quorum):
+                gqs_ok = True
+            if mutually_reachable(residual, read_quorum | write_quorum):
+                strong_ok = True
+        if gqs_ok and strong_ok and classical_ok:
+            break
+    return gqs_ok, strong_ok, classical_ok
+
+
+# ---------------------------------------------------------------------- #
+# Shards (same signature as the production ones: run inside a worker)
+# ---------------------------------------------------------------------- #
+def reliability_shard(spec: ExperimentSpec, shard: ShardSpec) -> ReliabilityEstimate:
+    quorum_system = spec.params["quorum_system"]
+    crash_prob = spec.params["crash_prob"]
+    disconnect_prob = spec.params["disconnect_prob"]
+    rng = random.Random(shard.seed)
+    processes = sorted(quorum_system.processes, key=repr)
+    estimate = ReliabilityEstimate(
+        crash_prob=crash_prob, disconnect_prob=disconnect_prob, samples=shard.samples
+    )
+    for _ in range(shard.samples):
+        pattern = sample_pattern(processes, rng, crash_prob, disconnect_prob)
+        gqs_ok, strong_ok, classical_ok = availability_under(quorum_system, pattern)
+        estimate.gqs_available += gqs_ok
+        estimate.strong_available += strong_ok
+        estimate.classical_available += classical_ok
+    return estimate
+
+
+def _classify(system: FailProneSystem) -> Tuple[bool, bool]:
+    """(GQS exists, QS+ exists) by the reference deciders."""
+    return discover_naive(system, validate=False).exists, strong_system_exists_reference(system)
+
+
+def admissibility_shard(spec: ExperimentSpec, shard: ShardSpec) -> AdmissibilityPoint:
+    rng = random.Random(shard.seed)
+    point = AdmissibilityPoint(
+        disconnect_prob=spec.params["disconnect_prob"],
+        crash_prob=spec.params["crash_prob"],
+        samples=shard.samples,
+    )
+    for _ in range(shard.samples):
+        system = sample_fail_prone_system(
+            rng,
+            n=spec.params["n"],
+            num_patterns=spec.params["num_patterns"],
+            crash_prob=spec.params["crash_prob"],
+            disconnect_prob=spec.params["disconnect_prob"],
+            max_crashes=spec.params["max_crashes"],
+        )
+        generalized, strong = _classify(system)
+        point.generalized += generalized
+        point.strong += strong
+        # Definition 1 applies only without channel failures (see
+        # repro.quorums.classify_fail_prone_system).
+        point.classical += strong and not system.allows_channel_failures()
+    return point
+
+
+def asymmetric_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int]:
+    rng = random.Random(shard.seed)
+    strong_count = 0
+    generalized_count = 0
+    for _ in range(shard.samples):
+        system = sample_asymmetric_partition_system(
+            rng,
+            n=spec.params["n"],
+            num_patterns=spec.params["num_patterns"],
+            window_size=spec.params["window_size"],
+        )
+        generalized, strong = _classify(system)
+        strong_count += strong
+        generalized_count += generalized
+    return strong_count, generalized_count
+
+
+# ---------------------------------------------------------------------- #
+# Runners: production specs and merges, reference shards
+# ---------------------------------------------------------------------- #
+def estimate_reliability_set(
+    quorum_system,
+    crash_prob: float = 0.1,
+    disconnect_prob: float = 0.2,
+    samples: int = 200,
+    seed: int = 0,
+    jobs: int = 1,
+    chunk_size: Optional[int] = None,
+) -> ReliabilityEstimate:
+    spec = _reliability_spec(quorum_system, crash_prob, disconnect_prob, samples, seed, chunk_size)
+    return ParallelRunner(jobs=jobs).run(spec, reliability_shard, _merge_reliability)
+
+
+def reliability_sweep_set(
+    quorum_system,
+    disconnect_probs: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
+    crash_prob: float = 0.1,
+    samples: int = 200,
+    seed: int = 0,
+    jobs: int = 1,
+    chunk_size: Optional[int] = None,
+) -> List[ReliabilityEstimate]:
+    specs = [
+        _reliability_spec(quorum_system, crash_prob, p, samples, seed + index, chunk_size)
+        for index, p in enumerate(disconnect_probs)
+    ]
+    return ParallelRunner(jobs=jobs).run_sharded(specs, reliability_shard, _merge_reliability)
+
+
+def admissibility_sweep_set(
+    disconnect_probs: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
+    n: int = 5,
+    num_patterns: int = 3,
+    crash_prob: float = 0.2,
+    samples: int = 50,
+    max_crashes: Optional[int] = None,
+    seed: int = 0,
+    jobs: int = 1,
+    chunk_size: Optional[int] = None,
+) -> List[AdmissibilityPoint]:
+    specs = _admissibility_specs(
+        disconnect_probs, n, num_patterns, crash_prob, samples, max_crashes, seed, chunk_size
+    )
+    return ParallelRunner(jobs=jobs).run_sharded(specs, admissibility_shard, _merge_admissibility)
+
+
+def asymmetric_rows_set(
+    n_values: Sequence[int] = (4, 5, 6),
+    num_patterns: int = 3,
+    samples: int = 100,
+    seed: int = 0,
+    window_size: Optional[int] = None,
+    jobs: int = 1,
+    chunk_size: Optional[int] = None,
+) -> List[dict]:
+    """The rows :func:`repro.montecarlo.asymmetric_admissibility_sweep` tabulates."""
+    specs = _asymmetric_specs(n_values, num_patterns, samples, seed, window_size, chunk_size)
+    return ParallelRunner(jobs=jobs).run_sharded(specs, asymmetric_shard, _merge_asymmetric)

@@ -1,0 +1,138 @@
+"""Set-based Definition 2: availability predicates, validator and ``U_f``.
+
+The pre-bitmask validator of :class:`~repro.quorums.GeneralizedQuorumSystem`,
+kept word for word in what it accepts, what it raises and which offending
+pair or pattern it names, so the production ``check`` can be compared against
+it on accept/reject, exception class and message.
+"""
+
+from __future__ import annotations
+
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+from repro.errors import QuorumAvailabilityError, QuorumConsistencyError
+from repro.failures import FailProneSystem, FailurePattern
+from repro.graph.connectivity import (
+    mutually_reachable,
+    set_reaches_set,
+    strongly_connected_components,
+)
+from repro.types import ProcessId, ProcessSet, sorted_processes
+
+Family = Sequence[ProcessSet]
+
+
+def is_f_available(
+    fail_prone: FailProneSystem, pattern: FailurePattern, quorum: Iterable[ProcessId]
+) -> bool:
+    """``quorum`` is all correct and mutually reachable in ``G \\ f``."""
+    q = frozenset(quorum)
+    if not q:
+        return False
+    correct = pattern.correct_processes(fail_prone.processes)
+    if not q <= correct:
+        return False
+    return mutually_reachable(fail_prone.residual_graph(pattern), q)
+
+
+def is_f_reachable(
+    fail_prone: FailProneSystem,
+    pattern: FailurePattern,
+    write_quorum: Iterable[ProcessId],
+    read_quorum: Iterable[ProcessId],
+) -> bool:
+    """Both quorums are correct and every reader reaches every writer in ``G \\ f``."""
+    w = frozenset(write_quorum)
+    r = frozenset(read_quorum)
+    if not w or not r:
+        return False
+    correct = pattern.correct_processes(fail_prone.processes)
+    if not (w <= correct and r <= correct):
+        return False
+    return set_reaches_set(fail_prone.residual_graph(pattern), r, w)
+
+
+def consistency_violations(
+    read_quorums: Family, write_quorums: Family
+) -> List[Tuple[ProcessSet, ProcessSet]]:
+    """Every ``(R, W)`` pair with an empty intersection, in family order."""
+    return [(r, w) for r in read_quorums for w in write_quorums if not (r & w)]
+
+
+def available_pair(
+    fail_prone: FailProneSystem,
+    pattern: FailurePattern,
+    read_quorums: Family,
+    write_quorums: Family,
+) -> Optional[Tuple[ProcessSet, ProcessSet]]:
+    """The first ``(read, write)`` pair validating Availability under ``pattern``."""
+    for w in write_quorums:
+        if not is_f_available(fail_prone, pattern, w):
+            continue
+        for r in read_quorums:
+            if is_f_reachable(fail_prone, pattern, w, r):
+                return r, w
+    return None
+
+
+def check(fail_prone: FailProneSystem, read_quorums: Family, write_quorums: Family) -> None:
+    """Validate Definition 2 the set-based way, raising as the library does.
+
+    Consistency first (the first non-intersecting pair in family order), then
+    Availability (the first unavailable pattern in system order).
+    """
+    bad_pairs = consistency_violations(read_quorums, write_quorums)
+    if bad_pairs:
+        r, w = bad_pairs[0]
+        raise QuorumConsistencyError(
+            "read quorum {} does not intersect write quorum {}".format(
+                sorted_processes(r), sorted_processes(w)
+            )
+        )
+    bad_patterns = [
+        f
+        for f in fail_prone
+        if available_pair(fail_prone, f, read_quorums, write_quorums) is None
+    ]
+    if bad_patterns:
+        raise QuorumAvailabilityError(
+            "no f-available write quorum reachable from a read quorum "
+            "under pattern {!r}".format(bad_patterns[0])
+        )
+
+
+def validating_write_quorums(
+    fail_prone: FailProneSystem,
+    pattern: FailurePattern,
+    read_quorums: Family,
+    write_quorums: Family,
+) -> List[ProcessSet]:
+    """Write quorums that are available and reachable from some read quorum."""
+    return [
+        w
+        for w in write_quorums
+        if is_f_available(fail_prone, pattern, w)
+        and any(is_f_reachable(fail_prone, pattern, w, r) for r in read_quorums)
+    ]
+
+
+def termination_component(
+    fail_prone: FailProneSystem,
+    pattern: FailurePattern,
+    read_quorums: Family,
+    write_quorums: Family,
+) -> ProcessSet:
+    """``U_f``: the Tarjan SCC of ``G \\ f`` holding every validating write quorum.
+
+    Empty when no write quorum validates Availability.  Proposition 1 puts the
+    union inside one component for anything the validator accepts; a union
+    straddling components trips the assertion.
+    """
+    validating = validating_write_quorums(fail_prone, pattern, read_quorums, write_quorums)
+    union: FrozenSet[ProcessId] = frozenset().union(*validating)
+    if not union:
+        return frozenset()
+    residual = fail_prone.residual_graph(pattern)
+    homes = [c for c in strongly_connected_components(residual) if c & union]
+    assert len(homes) == 1 and union <= homes[0], (pattern, union, homes)
+    return homes[0]

@@ -162,20 +162,27 @@ def test_quorums_discover_reports_impossibility(capsys):
 
 
 def test_quorums_discover_naive_algorithm_agrees(capsys):
+    from repro.failures import builtin_fail_prone_system
+    from repro.types import sorted_processes
+
+    from oracles.discovery import discover_naive
+
     assert main(["quorums", "discover", "--builtin", "ring-5", "--format", "json"]) == 0
     pruned = json.loads(capsys.readouterr().out)
-    assert (
-        main(
-            [
-                "quorums", "discover", "--builtin", "ring-5",
-                "--algorithm", "naive", "--format", "json",
-            ]
+    system = builtin_fail_prone_system("ring-5")
+    naive = discover_naive(system)
+    assert pruned["exists"] == naive.exists is True
+    assert [
+        (row["candidates"], row["read_quorum"], row["write_quorum"])
+        for row in pruned["patterns"]
+    ] == [
+        (
+            naive.candidates_per_pattern[pattern],
+            sorted_processes(naive.choices[pattern].read_quorum),
+            sorted_processes(naive.choices[pattern].write_quorum),
         )
-        == 0
-    )
-    naive = json.loads(capsys.readouterr().out)
-    assert pruned["exists"] == naive["exists"] is True
-    assert pruned["patterns"] == naive["patterns"]
+        for pattern in system.patterns
+    ]
 
 
 def test_quorums_classify_table_and_json(capsys):

@@ -15,6 +15,7 @@ import sys
 import repro
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))  # where ``oracles`` lives
 
 #: Systems with channel failures (multiple SCC candidates per pattern), where
 #: a hash-order-dependent traversal has the most room to reorder the search.
@@ -30,6 +31,8 @@ from repro.failures import (
 from repro.quorums import candidate_pairs, discover_gqs
 from repro.types import sorted_processes
 
+from oracles.discovery import discover_naive
+
 systems = [
     builtin_fail_prone_system("figure1"),
     builtin_fail_prone_system("ring-6"),
@@ -40,8 +43,11 @@ systems = [
 report = []
 for system in systems:
     entry = {"system": system.name}
-    for algorithm in ("pruned", "naive"):
-        result = discover_gqs(system, validate=False, algorithm=algorithm)
+    results = {
+        "pruned": discover_gqs(system, validate=False),
+        "naive": discover_naive(system, validate=False),
+    }
+    for algorithm, result in results.items():
         entry[algorithm] = {
             "exists": result.exists,
             "nodes_explored": result.nodes_explored,
@@ -66,7 +72,7 @@ print(json.dumps(report, sort_keys=True))
 def _run_under_hash_seed(hash_seed: str, argv=None) -> bytes:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join([SRC_DIR, TESTS_DIR, env.get("PYTHONPATH", "")])
     command = argv if argv is not None else [sys.executable, "-c", DISCOVERY_SCRIPT]
     completed = subprocess.run(
         command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE

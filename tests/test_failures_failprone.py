@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidFailurePatternError
-from repro.failures import FailProneSystem, FailurePattern
+from repro.failures import FailProneSystem, FailurePattern, large_threshold_system
 from repro.graph import DiGraph
 
 
@@ -87,6 +87,9 @@ def test_maximal_patterns_filters_subsumed():
     system = FailProneSystem(["a", "b", "c"], [small, big])
     maximal = system.maximal_patterns()
     assert maximal == (big,)
+    # Rotating crash windows of equal size: none subsumes another.
+    windows = large_threshold_system(n=252, max_crashes=12)
+    assert windows.maximal_patterns() == windows.patterns
 
 
 def test_with_pattern_and_restrict():

@@ -79,7 +79,7 @@ def test_sample_asymmetric_partition_system_shape():
 
 
 def test_sample_pattern_always_leaves_a_survivor():
-    from repro.montecarlo.reliability import _sample_pattern
+    from oracles.montecarlo import sample_pattern as _sample_pattern
 
     processes = ["a", "b", "c", "d"]
     rng = random.Random(0)
@@ -92,7 +92,7 @@ def test_sample_pattern_survivor_is_uniform_not_positional():
     """Regression: the all-crashed adjustment used to revive the *last* process
     in iteration order, so at crash_prob=1.0 one fixed process survived every
     single sample.  The adjustment must instead pick the survivor uniformly."""
-    from repro.montecarlo.reliability import _sample_pattern
+    from oracles.montecarlo import sample_pattern as _sample_pattern
 
     processes = ["a", "b", "c", "d", "e"]
     rng = random.Random(123)
@@ -113,7 +113,7 @@ def test_sample_pattern_non_degenerate_stream_unchanged():
     """The uniform-survivor fix draws extra randomness only in the all-crashed
     branch: with moderate crash probabilities the sampled patterns match the
     plain i.i.d. process."""
-    from repro.montecarlo.reliability import _sample_pattern
+    from oracles.montecarlo import sample_pattern as _sample_pattern
 
     processes = ["a", "b", "c", "d"]
     # Seed 0 never draws the all-crashed branch in 50 samples, so the two
@@ -203,8 +203,8 @@ def test_merge_admissibility_rejects_misrouted_shard():
 
 # --------------------------------------------------------------------- #
 # Statistical-shape regression: fixed-seed curves pinned to the values
-# the set-based reference engine produced when this suite was written.
-# The default (bitset) engine must keep reproducing them exactly.
+# the set-based reference engine (now ``oracles.montecarlo``) produced when
+# this suite was written.  The production shards must keep reproducing them.
 # --------------------------------------------------------------------- #
 def test_pinned_reliability_counters(figure1_gqs):
     estimate = estimate_reliability(

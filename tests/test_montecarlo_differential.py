@@ -1,26 +1,25 @@
-"""Differential battery: the bitset Monte Carlo engine vs the set-based engine.
+"""Differential battery: the bitset Monte Carlo shards vs the set-based oracle.
 
-The bitmask engine (:mod:`repro.montecarlo.bitsampler`) is a faster
-representation of the same experiment, never a different experiment.  These
-tests pin the strongest form of that claim: for identical shard seeds the two
-engines consume the RNG stream draw for draw and therefore produce **the same
-counters on every sample**, not merely statistically compatible estimates.
-The battery runs the samplers head-to-head, sweeps ≥20 random systems and
-configurations through both engines, and checks the public ``sweep`` JSON is
-byte-identical across engines and across ``jobs`` counts.
+The production shards (:mod:`repro.montecarlo.bitsampler`) are a faster
+representation of the same experiment as the object-per-pattern engine in
+``oracles.montecarlo``, never a different experiment.  These tests pin the
+strongest form of that claim: for identical shard seeds the two consume the
+RNG stream draw for draw and therefore produce **the same counters on every
+sample**, not merely statistically compatible estimates.  The battery runs
+the samplers head-to-head, sweeps ≥20 random systems and configurations
+through both (same spec builders, same merge functions, different shards),
+and checks the public ``sweep`` JSON is byte-identical to the oracle's and
+across ``jobs`` counts.
 """
 
 import json
 import random
 
-import pytest
-
 from repro import api
-from repro.errors import ReproError
+from repro.analysis import figure1_quorum_system
 from repro.failures import FailProneSystem, FailurePattern
 from repro.graph import ProcessIndex
 from repro.montecarlo import (
-    MONTE_CARLO_ENGINES,
     admissibility_sweep,
     asymmetric_admissibility_sweep,
     estimate_reliability,
@@ -30,9 +29,16 @@ from repro.montecarlo.bitsampler import (
     sample_admissibility_masks,
     sample_reliability_masks,
 )
-from repro.montecarlo.reliability import _sample_pattern, resolve_engine
 from repro.failures.generators import random_failure_pattern
 from repro.quorums import GeneralizedQuorumSystem
+
+from oracles.montecarlo import (
+    admissibility_sweep_set,
+    asymmetric_rows_set,
+    estimate_reliability_set,
+    reliability_sweep_set,
+    sample_pattern,
+)
 
 
 def _random_quorum_system(rng, n):
@@ -63,7 +69,7 @@ def test_reliability_mask_sampler_is_a_stream_twin_of_sample_pattern():
         rng_set = random.Random(seed)
         rng_bit = random.Random(seed)
         for crash_prob, disconnect_prob in [(0.3, 0.4), (1.0, 0.0), (0.9, 0.9)]:
-            pattern = _sample_pattern(
+            pattern = sample_pattern(
                 sorted(processes, key=repr), rng_set, crash_prob, disconnect_prob
             )
             crash_mask, succ_clear = sample_reliability_masks(
@@ -106,20 +112,12 @@ def test_reliability_counters_equal_on_random_systems():
         crash_prob = rng.choice([0.0, 0.1, 0.3, 0.7, 1.0])
         disconnect_prob = rng.choice([0.0, 0.2, 0.5, 0.9])
         seed = rng.randrange(10_000)
-        estimates = {
-            engine: estimate_reliability(
-                quorum_system,
-                crash_prob=crash_prob,
-                disconnect_prob=disconnect_prob,
-                samples=60,
-                seed=seed,
-                engine=engine,
-            )
-            for engine in MONTE_CARLO_ENGINES
-        }
-        assert estimates["bitset"] == estimates["set"], (
-            case, crash_prob, disconnect_prob, seed,
+        config = dict(
+            crash_prob=crash_prob, disconnect_prob=disconnect_prob, samples=60, seed=seed
         )
+        assert estimate_reliability(quorum_system, **config) == estimate_reliability_set(
+            quorum_system, **config
+        ), (case, crash_prob, disconnect_prob, seed)
 
 
 def test_admissibility_counters_equal_on_random_configurations():
@@ -136,41 +134,22 @@ def test_admissibility_counters_equal_on_random_configurations():
             max_crashes=rng.choice([None, 1, n - 1]),
             seed=rng.randrange(10_000),
         )
-        points = {
-            engine: admissibility_sweep(engine=engine, **config)
-            for engine in MONTE_CARLO_ENGINES
-        }
-        assert points["bitset"] == points["set"], (case, config)
+        assert admissibility_sweep(**config) == admissibility_sweep_set(**config), (
+            case, config,
+        )
 
 
 def test_asymmetric_sweep_equal_across_engines():
-    tables = {
-        engine: asymmetric_admissibility_sweep(
-            n_values=(3, 4, 5, 6), num_patterns=3, samples=40, seed=9, engine=engine
-        )
-        for engine in MONTE_CARLO_ENGINES
-    }
-    assert tables["bitset"].rows == tables["set"].rows
+    config = dict(n_values=(3, 4, 5, 6), num_patterns=3, samples=40, seed=9)
+    assert asymmetric_admissibility_sweep(**config).rows == asymmetric_rows_set(**config)
 
 
 def test_reliability_counters_independent_of_jobs(figure1_gqs):
-    reference = estimate_reliability(
-        figure1_gqs, crash_prob=0.2, disconnect_prob=0.3, samples=96, seed=11, jobs=1
-    )
+    config = dict(crash_prob=0.2, disconnect_prob=0.3, samples=96, seed=11)
+    reference = estimate_reliability(figure1_gqs, jobs=1, **config)
     for jobs in (2, 4):
-        for engine in MONTE_CARLO_ENGINES:
-            assert (
-                estimate_reliability(
-                    figure1_gqs,
-                    crash_prob=0.2,
-                    disconnect_prob=0.3,
-                    samples=96,
-                    seed=11,
-                    jobs=jobs,
-                    engine=engine,
-                )
-                == reference
-            )
+        assert estimate_reliability(figure1_gqs, jobs=jobs, **config) == reference
+        assert estimate_reliability_set(figure1_gqs, jobs=jobs, **config) == reference
 
 
 # --------------------------------------------------------------------- #
@@ -178,25 +157,23 @@ def test_reliability_counters_independent_of_jobs(figure1_gqs):
 # --------------------------------------------------------------------- #
 def test_sweep_json_bytes_identical_across_engines_and_jobs():
     outputs = set()
-    for engine in MONTE_CARLO_ENGINES:
-        for jobs in (1, 2, 4):
-            outcome = api.sweep(
-                kind="all", probs=(0.0, 0.3), n=4, patterns=2, samples=24,
-                seed=5, jobs=jobs, engine=engine,
-            )
-            outputs.add(outcome.to_json().encode("utf-8"))
+    for jobs in (1, 2, 4):
+        outcome = api.sweep(
+            kind="all", probs=(0.0, 0.3), n=4, patterns=2, samples=24, seed=5, jobs=jobs
+        )
+        outputs.add(outcome.to_json().encode("utf-8"))
+        # What api.sweep computes, recomputed by the oracle engine.
+        oracle = api.MonteCarloSweep(
+            admissibility=admissibility_sweep_set(
+                disconnect_probs=(0.0, 0.3), n=4, num_patterns=2, samples=24, seed=5, jobs=jobs
+            ),
+            reliability=reliability_sweep_set(
+                figure1_quorum_system(),
+                disconnect_probs=(0.0, 0.3), samples=24, seed=5, jobs=jobs,
+            ),
+        )
+        outputs.add(oracle.to_json().encode("utf-8"))
     assert len(outputs) == 1
     payload = json.loads(outputs.pop().decode("utf-8"))
     assert set(payload) == {"admissibility", "reliability"}
     assert all(point["samples"] == 24 for point in payload["admissibility"])
-
-
-def test_unknown_engine_is_rejected_everywhere(figure1_gqs):
-    with pytest.raises(ReproError, match="unknown Monte Carlo engine"):
-        resolve_engine("frozenset", None, None)
-    with pytest.raises(ReproError):
-        estimate_reliability(figure1_gqs, samples=4, engine="frozenset")
-    with pytest.raises(ReproError):
-        admissibility_sweep(disconnect_probs=(0.1,), samples=4, engine="frozenset")
-    with pytest.raises(ReproError):
-        asymmetric_admissibility_sweep(n_values=(3,), samples=4, engine="frozenset")

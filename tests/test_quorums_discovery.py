@@ -10,8 +10,9 @@ from repro.quorums import (
     discover_gqs,
     find_gqs,
     gqs_exists,
-    gqs_exists_bruteforce,
 )
+
+from oracles.discovery import gqs_exists_bruteforce
 
 
 def test_figure1_discovery_finds_a_gqs(figure1_system):

@@ -9,11 +9,12 @@ from repro.quorums import (
     GeneralizedQuorumSystem,
     discover_gqs,
     gqs_exists,
-    gqs_exists_bruteforce,
     is_f_available,
     is_f_reachable,
     strong_system_exists,
 )
+
+from oracles.discovery import gqs_exists_bruteforce
 
 PROCESSES = ["p0", "p1", "p2", "p3"]
 

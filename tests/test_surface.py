@@ -1,0 +1,134 @@
+"""The decision layer has one implementation per concept, and no way to pick another.
+
+Pins what the mask-native rewrite deleted: the set-based twins, the Monte
+Carlo engine selector and ``algorithm="naive"`` are gone from ``src/`` (they
+live on as ``tests/oracles``, which is not installed), the CLI rejects the
+removed flags as ordinary usage errors, and the oracles share no code with
+the bitset layer they check.
+"""
+
+from __future__ import annotations
+
+import ast
+import glob
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+from setuptools import find_packages
+
+import repro
+from repro.failures import builtin_fail_prone_system
+from repro.quorums import DISCOVERY_ALGORITHMS, discover_gqs
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+#: The decision-layer subset of ``benchmarks/e2e/test_e2e_smoke.py::SLATED_FOR_DELETION``
+#: plus the private helpers that went with it.
+DELETED_FROM_SRC = (
+    r"candidate_pairs_reference",
+    r"gqs_exists_bruteforce",
+    r"_naive_search",
+    r"resolve_engine",
+    r"MONTE_CARLO_ENGINES",
+    r"_availability_under",
+    r"is_f_(available|reachable)_mask",
+    r"engine\s*=\s*[\"'](set|bitset)[\"']",
+    r"algorithm\s*=\s*[\"']naive[\"']",
+    r"--engine",
+)
+
+#: What an oracle must never import or call: the layer it is the oracle *for*.
+FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
+FORBIDDEN_ORACLE_NAMES = {
+    "BitsetDiGraph", "ProcessIndex", "MaskPermutation", "component_containing",
+    "iter_bits", "permute_mask", "popcount", "residual_bitset", "bitset_graph",
+    "process_index", "gqs_choice_exists", "strong_choice_exists",
+}
+
+
+def _sources(root):
+    paths = glob.glob(os.path.join(root, "**", "*.py"), recursive=True)
+    assert paths
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield path, handle.read()
+
+
+def test_deleted_names_are_gone_from_src():
+    for path, text in _sources(SRC_DIR):
+        for pattern in DELETED_FROM_SRC:
+            assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
+
+
+def test_decision_layer_has_one_graph_currency():
+    """``repro.quorums`` and ``repro.montecarlo`` never touch set-based reachability."""
+    # ``.set_reaches_set(`` as a method call is the BitsetDiGraph mask form.
+    set_based = re.compile(
+        r"residual_graph|mutually_reachable|(?<!\.)\bset_reaches_set\(|reachable_from"
+        r"|\bcan_reach\(|strongly_connected_components"
+    )
+    for package in ("quorums", "montecarlo"):
+        for path, text in _sources(os.path.join(SRC_DIR, "repro", package)):
+            assert not set_based.search(text), path
+    discovery = os.path.join(SRC_DIR, "repro", "quorums", "discovery.py")
+    with open(discovery, "r", encoding="utf-8") as handle:
+        assert handle.read().count("def compatibility_row(") == 1
+
+
+def test_oracles_are_not_packaged_and_share_nothing_with_the_bitset_layer():
+    assert not [name for name in find_packages(SRC_DIR) if "oracles" in name]
+    for path, text in _sources(os.path.join(TESTS_DIR, "oracles")):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                used = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                used = {node.module or ""} | {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            else:
+                continue
+            for name in used:
+                assert name not in FORBIDDEN_ORACLE_NAMES, "{} uses {}".format(path, name)
+                assert not any(part in name for part in FORBIDDEN_ORACLE_MODULES), (path, name)
+
+
+def test_removed_selectors_are_gone_from_the_api():
+    import inspect
+
+    from repro import api, montecarlo
+
+    assert DISCOVERY_ALGORITHMS == ("pruned", "full", "quotient")
+    for function in (
+        montecarlo.estimate_reliability,
+        montecarlo.reliability_sweep,
+        montecarlo.admissibility_sweep,
+        montecarlo.asymmetric_admissibility_sweep,
+        api.sweep,
+    ):
+        assert "engine" not in inspect.signature(function).parameters, function
+    with pytest.raises(ValueError, match="unknown discovery algorithm 'naive'"):
+        discover_gqs(builtin_fail_prone_system("figure1"), algorithm="naive")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--engine", "set"],
+        ["quorums", "discover", "--builtin", "figure1", "--algorithm", "naive"],
+    ],
+)
+def test_cli_rejects_removed_flags_as_usage_errors(argv):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    finished = subprocess.run(
+        [sys.executable, "-m", "repro"] + argv,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, universal_newlines=True,
+    )
+    assert finished.returncode == 2
+    assert "usage:" in finished.stderr
+    assert "Traceback" not in finished.stderr and "Traceback" not in finished.stdout

@@ -1,0 +1,163 @@
+"""Differential battery: the mask-native Definition 2 validator vs the set-based one.
+
+``GeneralizedQuorumSystem.check`` (and everything it is built from) runs on
+:class:`~repro.graph.BitsetDiGraph` masks; ``oracles.predicates`` is the
+set-based validator it replaced, written on ``DiGraph`` reachability alone.
+On the systems the discovery batteries already generate — plus a sweep of
+larger random ones — both must agree on the discovered witness **and** on
+mutated witnesses: accept or reject, exception class, and the offending pair
+or pattern named in the message.  ``U_f`` must equal the Tarjan component.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from repro.errors import InvalidQuorumSystemError
+from repro.failures import random_fail_prone_system
+from repro.quorums import GeneralizedQuorumSystem, discover_gqs, is_f_available, is_f_reachable
+from repro.types import sorted_processes
+
+from oracles import predicates
+from test_discovery_differential import _random_systems
+from test_discovery_quotient import _battery_systems
+
+
+def _systems():
+    yield from _random_systems()
+    for build, _ in _battery_systems():
+        yield build()
+    for seed in range(36):
+        yield random_fail_prone_system(
+            n=6 + seed % 3, num_patterns=3 + seed % 4, crash_prob=0.2,
+            disconnect_prob=0.3, seed=9000 + seed,
+        )
+
+
+def _verdict(check, *args):
+    """``None`` on accept, else ``(exception class, message)``."""
+    try:
+        check(*args)
+    except InvalidQuorumSystemError as error:
+        return type(error), str(error)
+    return None
+
+
+def _assert_validators_agree(system, reads, writes):
+    """Both validators on one ``(R, W)``; returns the shared verdict."""
+    library = GeneralizedQuorumSystem(system, reads, writes, validate=False)
+    expected = _verdict(predicates.check, system, reads, writes)
+    assert _verdict(library.check) == expected, (system.describe(), reads, writes)
+    assert library.is_valid() == (expected is None)
+    return expected
+
+
+def _mutants(system, reads, writes, rng):
+    """Mutated witnesses: ``(label, reads, writes)`` with every quorum non-empty."""
+    patterns = system.patterns
+    # Drop one member of one quorum.
+    for family_name in ("read", "write"):
+        family = reads if family_name == "read" else writes
+        position = rng.randrange(len(family))
+        if len(family[position]) > 1:
+            member = rng.choice(sorted_processes(family[position]))
+            mutated = list(family)
+            mutated[position] = family[position] - {member}
+            yield (
+                "drop-" + family_name,
+                mutated if family_name == "read" else reads,
+                mutated if family_name == "write" else writes,
+            )
+    # Swap a quorum across patterns: pattern i loses its own write quorum to
+    # a second copy of pattern j's (and, separately, its read quorum).
+    if len(patterns) > 1:
+        i, j = rng.sample(range(len(patterns)), 2)
+        swapped = list(writes)
+        swapped[i] = writes[j]
+        yield "swap-write", reads, swapped
+        swapped = list(reads)
+        swapped[i] = reads[j]
+        yield "swap-read", swapped, writes
+    # Add a process that the quorum's own pattern crashes.
+    for i, pattern in enumerate(patterns):
+        if pattern.crash_prone:
+            crashed = rng.choice(sorted_processes(pattern.crash_prone))
+            mutated = list(writes)
+            mutated[i] = writes[i] | {crashed}
+            yield "crashed-writer", reads, mutated
+            mutated = list(reads)
+            mutated[i] = reads[i] | {crashed}
+            yield "crashed-reader", mutated, writes
+            break
+
+
+def test_validators_agree_on_discovered_and_mutated_witnesses():
+    rng = random.Random(20250929)
+    witnesses = 0
+    rejected = {}
+    for system in _systems():
+        result = discover_gqs(system, validate=False)
+        if not result.exists:
+            continue
+        witnesses += 1
+        # discover_gqs hands the constructor one quorum per pattern, in order.
+        reads = [result.choices[f].read_quorum for f in system.patterns]
+        writes = [result.choices[f].write_quorum for f in system.patterns]
+        assert _assert_validators_agree(system, reads, writes) is None
+        for label, mutated_reads, mutated_writes in _mutants(system, reads, writes, rng):
+            for ordered_reads, ordered_writes in (
+                (mutated_reads, mutated_writes),
+                # Family order decides *which* violation is reported first.
+                (mutated_reads[::-1], mutated_writes[::-1]),
+            ):
+                verdict = _assert_validators_agree(system, ordered_reads, ordered_writes)
+                if verdict is not None:
+                    rejected.setdefault(verdict[0].__name__, set()).add(label)
+    assert witnesses >= 100
+    # The mutations must reach both rejection paths, or the battery only ever
+    # compared two validators saying "fine".
+    assert set(rejected) == {"QuorumConsistencyError", "QuorumAvailabilityError"}, rejected
+
+
+def test_termination_components_and_validating_pairs_match_the_oracle():
+    checked = 0
+    for system in _systems():
+        result = discover_gqs(system, validate=False)
+        if not result.exists:
+            continue
+        gqs = result.quorum_system
+        reads, writes = gqs.read_quorums, gqs.write_quorums
+        for pattern in system.patterns:
+            assert gqs.termination_component(pattern) == predicates.termination_component(
+                system, pattern, reads, writes
+            )
+            assert gqs.available_pair(pattern) == predicates.available_pair(
+                system, pattern, reads, writes
+            )
+            assert gqs.validating_write_quorums(pattern) == predicates.validating_write_quorums(
+                system, pattern, reads, writes
+            )
+            checked += 1
+    assert checked >= 300
+
+
+def test_set_level_predicates_match_the_oracle_on_arbitrary_subsets():
+    """The public wrappers, on quorums that are *not* whole components —
+    including the empty quorum and one naming a process outside the system."""
+    for system in itertools.islice(_random_systems(), 16):
+        processes = sorted_processes(system.processes)
+        subsets = [frozenset()] + [
+            frozenset(c)
+            for size in (1, 2, 3)
+            for c in itertools.combinations(processes, size)
+        ] + [frozenset({processes[0], "nobody"})]
+        for pattern in system.patterns:
+            for w in subsets:
+                assert is_f_available(system, pattern, w) == predicates.is_f_available(
+                    system, pattern, w
+                )
+                for r in subsets[::3]:
+                    assert is_f_reachable(system, pattern, w, r) == predicates.is_f_reachable(
+                        system, pattern, w, r
+                    ), (pattern, w, r)
