@@ -1,34 +1,41 @@
-"""Simulator throughput: the fast path vs the reference scheduler.
+"""Simulator throughput: the production hot path vs the reference simulator.
 
 Message-heavy discrete-event workloads execute one scheduler event per
-delivered message, so events/sec is the simulator's samples/sec analogue.  Two
-workloads are measured, mirroring the two fast-path lanes:
+delivered message, so events/sec is the simulator's samples/sec analogue.
+The reference is ``tests/oracles/sim.py`` (one heap of ``Event`` objects, wait
+probes polled after every delivery), swapped in with ``reference_simulator()``.
+Three workloads are measured:
 
-* **fixed delay** — the delay model preserves FIFO order, so deliveries route
-  through the pooled FIFO short-circuit deque instead of the heap; this is
-  the headline ≥1.5x claim;
-* **uniform delay** — randomized delays stay on the heap and benefit only
-  from event pooling; measured for the snapshot record (no ratio assertion —
-  the heap path's win is allocation churn, not asymptotics).
+* **fixed delay token ring** — the delay model preserves FIFO order, so
+  deliveries route through the FIFO short-circuit deque instead of the heap;
+  this is the headline ≥1.5x claim;
+* **uniform delay token ring** — randomized delays stay on the heap, where
+  the win is the tuple-keyed queue (ordering in C, no per-message object);
+* **relay flood** — eight relay-enabled register processes: most deliveries
+  are duplicate or pass-through envelopes, which is where polling wait probes
+  only after a protocol step pays; besides events/sec it records the exact
+  ``probe_polls_per_delivery`` of both sides.
 
-Like PR 7's engine speedup test, the two paths run interleaved with the best
-of three rounds per side, at *equal output*: every round asserts the processed
-event count identical before any throughput is compared.  The recorded
-``events_per_sec`` metrics feed the conftest regression guard against
-``BENCH_seed.json``.
+The two sides run interleaved with the best of three rounds per side, at
+*equal output*: every round asserts the processed event count identical
+before any throughput is compared.  The recorded ``events_per_sec`` metrics
+(keys ``reference_*`` / ``fastpath_*`` kept from the days of the scheduler
+switch, so the snapshot series stays comparable) feed the conftest regression
+guard against ``BENCH_seed.json``.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from contextlib import nullcontext
 
-from repro.sim import FixedDelay, Network, Process, UniformDelay
-from repro.sim.events import FASTPATH_ENV
+from oracles.sim import reference_simulator
+from repro.experiments import run_workload
+from repro.quorums import GeneralizedQuorumSystem, threshold_quorum_system
+from repro.sim import FixedDelay, Network, Process, UniformDelay, WaitCondition
 
 from conftest import bench_once
-
-import os
 
 RING_SIZE = 8
 TOKENS_PER_PROCESS = 500
@@ -67,40 +74,43 @@ def _run_token_ring(delay_model):
     return network.scheduler.events_processed, network.stats.messages_delivered, seconds
 
 
-def _interleaved_events_per_sec(make_delay):
-    """Best-of-ROUNDS events/sec per path, asserting equal event counts."""
+def _interleaved_events_per_sec(run):
+    """Best-of-ROUNDS events/sec per side, asserting equal event counts.
+
+    ``run()`` returns ``(events, fingerprint, seconds)``; the fingerprint must
+    be equal across every round of both sides.
+    """
     numbers = {}
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    previous = os.environ.get(FASTPATH_ENV)
     try:
         for _ in range(ROUNDS):
-            for label, fastpath in (("reference", "0"), ("fastpath", "1")):
-                os.environ[FASTPATH_ENV] = fastpath
-                events, delivered, seconds = _run_token_ring(make_delay())
+            for label, simulator in (
+                ("reference", reference_simulator),
+                ("fastpath", nullcontext),
+            ):
+                with simulator():
+                    events, fingerprint, seconds = run()
                 entry = numbers.setdefault(
-                    label, {"events": events, "delivered": delivered, "seconds": seconds}
+                    label, {"events": events, "fingerprint": fingerprint, "seconds": seconds}
                 )
-                assert entry["events"] == events and entry["delivered"] == delivered
+                assert entry["events"] == events and entry["fingerprint"] == fingerprint
                 entry["seconds"] = min(entry["seconds"], seconds)
                 gc.collect()
     finally:
-        if previous is None:
-            os.environ.pop(FASTPATH_ENV, None)
-        else:
-            os.environ[FASTPATH_ENV] = previous
         if gc_was_enabled:
             gc.enable()
     assert numbers["fastpath"]["events"] == numbers["reference"]["events"]
+    assert numbers["fastpath"].pop("fingerprint") == numbers["reference"].pop("fingerprint")
     for entry in numbers.values():
         entry["events_per_sec"] = round(entry["events"] / entry.pop("seconds"), 1)
     return numbers
 
 
 def test_sim_fixed_delay_message_heavy_speedup(benchmark, bench_numbers):
-    """FIFO lane + pool vs the reference scheduler: ≥1.5x events/sec."""
+    """FIFO lane + tuple queue vs the reference scheduler: ≥1.5x events/sec."""
     numbers = bench_once(
-        benchmark, _interleaved_events_per_sec, lambda: FixedDelay(1.0)
+        benchmark, _interleaved_events_per_sec, lambda: _run_token_ring(FixedDelay(1.0))
     )
     speedup = numbers["fastpath"]["events_per_sec"] / numbers["reference"]["events_per_sec"]
     bench_numbers(
@@ -123,9 +133,11 @@ def test_sim_fixed_delay_message_heavy_speedup(benchmark, bench_numbers):
 
 
 def test_sim_uniform_delay_message_heavy_throughput(benchmark, bench_numbers):
-    """The heap lane with pooling: equal event counts, throughput recorded."""
+    """The heap lane on tuple entries: equal event counts, throughput recorded."""
     numbers = bench_once(
-        benchmark, _interleaved_events_per_sec, lambda: UniformDelay(0.5, 2.0, seed=3)
+        benchmark,
+        _interleaved_events_per_sec,
+        lambda: _run_token_ring(UniformDelay(0.5, 2.0, seed=3)),
     )
     bench_numbers(
         reference_events_per_sec=numbers["reference"]["events_per_sec"],
@@ -141,9 +153,87 @@ def test_sim_uniform_delay_message_heavy_throughput(benchmark, bench_numbers):
             numbers["fastpath"]["events_per_sec"],
         )
     )
-    # Pooling must never make the heap lane slower than the reference path by
-    # more than measurement noise; the hard ratio claim lives on the FIFO lane.
+    # The heap lane must never be slower than the reference path by more than
+    # measurement noise; the hard ratio claim lives on the FIFO lane.
     assert (
         numbers["fastpath"]["events_per_sec"]
         >= 0.8 * numbers["reference"]["events_per_sec"]
+    ), numbers
+
+
+# --------------------------------------------------------------------- #
+# Relay flood: step-driven wait polling
+# --------------------------------------------------------------------- #
+FLOOD_PROCESSES = 8
+FLOOD_OPS_PER_PROCESS = 6
+
+
+def _run_relay_flood():
+    """Eight relay-enabled register processes, every one of them a client."""
+    quorum_system = GeneralizedQuorumSystem.from_classical(
+        threshold_quorum_system(["p{}".format(i) for i in range(FLOOD_PROCESSES)], 2)
+    )
+    delay_model = UniformDelay(0.5, 2.0, seed=3)
+    start = time.perf_counter()
+    result = run_workload(
+        "register",
+        quorum_system,
+        delay_model=delay_model,
+        ops_per_process=FLOOD_OPS_PER_PROCESS,
+        seed=3,
+    )
+    seconds = time.perf_counter() - start
+    network = result.cluster.network
+    assert result.completed
+    fingerprint = (result.history.records, vars(network.stats), network.now)
+    return network.scheduler.events_processed, fingerprint, seconds
+
+
+def _probe_polls_per_delivery():
+    """Exact count: wait-probe evaluations per delivered message (one untimed run)."""
+    polls = [0]
+    original = WaitCondition.poll
+
+    def counting_poll(self):
+        polls[0] += 1
+        return original(self)
+
+    WaitCondition.poll = counting_poll
+    try:
+        _events, (_records, stats, _now), _seconds = _run_relay_flood()
+    finally:
+        WaitCondition.poll = original
+    return polls[0], stats["messages_delivered"]
+
+
+def test_sim_relay_flood_throughput(benchmark, bench_numbers):
+    """Relay traffic: probes polled per delivery drop ≥3x at equal histories."""
+    numbers = bench_once(benchmark, _interleaved_events_per_sec, _run_relay_flood)
+    with reference_simulator():
+        reference_polls, reference_delivered = _probe_polls_per_delivery()
+    polls, delivered = _probe_polls_per_delivery()
+    assert delivered == reference_delivered
+    bench_numbers(
+        reference_relay_events_per_sec=numbers["reference"]["events_per_sec"],
+        relay_events_per_sec=numbers["fastpath"]["events_per_sec"],
+        events=numbers["reference"]["events"],
+        deliveries=delivered,
+        reference_probe_polls_per_delivery=round(reference_polls / delivered, 4),
+        probe_polls_per_delivery=round(polls / delivered, 4),
+    )
+    print()
+    print(
+        "sim relay flood ({} events, {} deliveries): reference {:.0f} -> production {:.0f} "
+        "events/sec; probe polls per delivery {:.3f} -> {:.3f}".format(
+            numbers["reference"]["events"],
+            delivered,
+            numbers["reference"]["events_per_sec"],
+            numbers["fastpath"]["events_per_sec"],
+            reference_polls / delivered,
+            polls / delivered,
+        )
+    )
+    assert 3 * polls <= reference_polls, (polls, reference_polls)
+    assert (
+        numbers["fastpath"]["events_per_sec"] >= numbers["reference"]["events_per_sec"]
     ), numbers

@@ -97,6 +97,16 @@ class QuorumAccessProcess(Process):
                 return {member: responders[member] for member in quorum}
         return None
 
+    @staticmethod
+    def _record_response(
+        table: Dict[int, Dict[ProcessId, Any]], seq: int, sender: ProcessId, value: Any
+    ) -> None:
+        """File a reply under its open request; a reply for a request whose
+        wait already completed (or was never issued here) is ignored."""
+        responses = table.get(seq)
+        if responses is not None:
+            responses[sender] = value
+
     # -- abstract generator subroutines ----------------------------------- #
     def _quorum_get(self) -> Generator:
         """Generator subroutine implementing ``quorum_get()``.
@@ -158,22 +168,23 @@ class ClassicalQuorumAccessProcess(QuorumAccessProcess):
             self.state = message.update(self.state)
             self.send(sender, SetRespAck(message.seq))
         elif isinstance(message, GetRespSeq):
-            self._get_responses.setdefault(message.seq, {})[sender] = message.state
+            self._record_response(self._get_responses, message.seq, sender, message.state)
         elif isinstance(message, SetRespAck):
-            self._set_responses.setdefault(message.seq, {})[sender] = True
+            self._record_response(self._set_responses, message.seq, sender, True)
 
     # -- quorum_get (Figure 2, lines 3-7) ----------------------------------- #
     def _quorum_get(self) -> Generator:
         self.seq += 1
         seq = self.seq
-        self._get_responses.setdefault(seq, {})
+        responses = self._get_responses[seq] = {}
         self.broadcast(GetReq(seq))
 
         def read_quorum_ready() -> Any:
-            states = self._first_complete_quorum(self.read_quorums, self._get_responses[seq])
+            states = self._first_complete_quorum(self.read_quorums, responses)
             return states if states is not None else NOT_READY
 
         states = yield self.wait_for(read_quorum_ready, "GET_RESP from a read quorum")
+        del self._get_responses[seq]
         self.completed_gets += 1
         return states
 
@@ -181,14 +192,15 @@ class ClassicalQuorumAccessProcess(QuorumAccessProcess):
     def _quorum_set(self, update: UpdateFunction) -> Generator:
         self.seq += 1
         seq = self.seq
-        self._set_responses.setdefault(seq, {})
+        responses = self._set_responses[seq] = {}
         self.broadcast(SetReq(seq, update))
 
         def write_quorum_ready() -> Any:
-            acks = self._first_complete_quorum(self.write_quorums, self._set_responses[seq])
+            acks = self._first_complete_quorum(self.write_quorums, responses)
             return acks if acks is not None else NOT_READY
 
         yield self.wait_for(write_quorum_ready, "SET_RESP from a write quorum")
+        del self._set_responses[seq]
         self.completed_sets += 1
         return None
 
@@ -269,9 +281,9 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
             if previous is None or message.clock > previous[1]:
                 self._latest_push[sender] = (message.state, message.clock)
         elif isinstance(message, ClockResp):
-            self._clock_responses.setdefault(message.seq, {})[sender] = message.clock
+            self._record_response(self._clock_responses, message.seq, sender, message.clock)
         elif isinstance(message, SetRespClock):
-            self._set_responses.setdefault(message.seq, {})[sender] = message.clock
+            self._record_response(self._set_responses, message.seq, sender, message.clock)
 
     # -- internal wait helpers ---------------------------------------------- #
     def _write_quorum_clock_cutoff(self, responses: Dict[ProcessId, int]) -> Any:
@@ -295,13 +307,14 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
     def _quorum_get(self) -> Generator:
         self.seq += 1
         seq = self.seq
-        self._clock_responses.setdefault(seq, {})
+        responses = self._clock_responses[seq] = {}
         self.broadcast(ClockReq(seq))
 
         cutoff = yield self.wait_for(
-            lambda: self._write_quorum_clock_cutoff(self._clock_responses[seq]),
+            lambda: self._write_quorum_clock_cutoff(responses),
             "CLOCK_RESP from a write quorum",
         )
+        del self._clock_responses[seq]
         states = yield self.wait_for(
             lambda: self._read_quorum_states_at(cutoff),
             "fresh GET_RESP pushes from a read quorum",
@@ -313,13 +326,14 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
     def _quorum_set(self, update: UpdateFunction) -> Generator:
         self.seq += 1
         seq = self.seq
-        self._set_responses.setdefault(seq, {})
+        responses = self._set_responses[seq] = {}
         self.broadcast(SetReq(seq, update))
 
         c_set = yield self.wait_for(
-            lambda: self._write_quorum_clock_cutoff(self._set_responses[seq]),
+            lambda: self._write_quorum_clock_cutoff(responses),
             "SET_RESP from a write quorum",
         )
+        del self._set_responses[seq]
         yield self.wait_for(
             lambda: None if self._read_quorum_states_at(c_set) is not NOT_READY else NOT_READY,
             "read-quorum clocks past c_set",

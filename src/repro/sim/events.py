@@ -6,114 +6,87 @@ seed of the delay model.  Simulated time is a float in arbitrary "time units";
 the protocols and experiments only rely on relative ordering and on the partial
 synchrony bound ``δ``, never on wall-clock meaning.
 
-Fast path
----------
+Hot path
+--------
 Message-heavy simulations execute one event per delivered message, so the
 per-event constant factor of the scheduler dominates whole protocol workloads.
-Three optimisations (enabled by default, disabled by ``REPRO_SIM_FASTPATH=0``
-or ``EventScheduler(fastpath=False)``) cut that constant without changing any
-observable behaviour:
+The queue is built to keep that constant small:
 
-* **event pool** — delivery events scheduled through
-  :meth:`EventScheduler.schedule_pooled` / :meth:`~EventScheduler.schedule_fifo`
-  are recycled through a free list instead of allocated per message.  Pooled
-  events are never handed out to callers, so no stale reference can observe
-  (or corrupt) a recycled slot;
+* **tuple entries** — a queued event is a ``(time, seq, callback, handle)``
+  tuple.  ``seq`` is unique, so ``heapq`` and the lane merge order entries by
+  ``(time, seq)`` entirely in C and never reach the callback.  ``handle`` is
+  the :class:`Event` returned by :meth:`EventScheduler.schedule` /
+  :meth:`~EventScheduler.schedule_at` — the only thing a caller can cancel —
+  and ``None`` for deliveries, which nothing ever cancels;
 * **FIFO short-circuit lane** — when the delay model in force preserves
   per-run FIFO order (see :attr:`repro.sim.DelayModel.preserves_fifo`),
   deliveries bypass the heap entirely and flow through a deque whose entries
   are kept sorted by construction; the execution loop merges the lane with the
-  heap by the exact ``(time, seq)`` tie-break of the reference path, so event
-  order is bit-for-bit identical;
+  heap by the same ``(time, seq)`` order, so event order is bit-for-bit what a
+  single heap would produce;
 * **lazy-deletion heap compaction** — cancelled events are counted
   (:meth:`EventScheduler.pending` is O(1) instead of an O(queue) rescan) and
   the heap is rebuilt without them once they exceed half of it, so a crash
   that cancels long timers does not leave their corpses occupying the heap
   until their scheduled time.
 
-The reference path (``fastpath=False``) allocates a fresh :class:`Event` per
-schedule and keeps every cancelled event in the heap until it is popped —
-exactly the original scheduler.  The differential battery
-(``tests/test_sim_fastpath_differential.py``) pins histories, network
-statistics, ``events_processed`` and recorded trace bytes equal between the
-two paths across the scenario catalogue.
+The scheduler this one replaced — a single heap of ``Event`` objects with a
+Python-level ordering method — lives on as ``tests/oracles/sim.py``; the
+differential battery in ``tests/`` pins histories, network statistics,
+``events_processed`` and recorded trace bytes equal between the two across
+the scenario catalogue.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
 
 EventCallback = Callable[[], None]
 
-#: Environment switch for the scheduler fast path (pool + FIFO lane +
-#: compaction).  Any of ``0``/``false``/``off`` selects the reference path.
-FASTPATH_ENV = "REPRO_SIM_FASTPATH"
-
-
-def fastpath_default() -> bool:
-    """Whether new schedulers use the fast path (reads :data:`FASTPATH_ENV`)."""
-    return os.environ.get(FASTPATH_ENV, "1").strip().lower() not in ("0", "false", "off")
-
 
 class Event:
-    """A scheduled callback.  ``cancel()`` prevents it from firing."""
+    """Cancel handle of a scheduled callback.  ``cancel()`` prevents it from firing."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "pooled", "_scheduler")
+    __slots__ = ("time", "seq", "cancelled", "_scheduler")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Optional[EventCallback],
-        scheduler: Optional["EventScheduler"] = None,
-        pooled: bool = False,
-    ) -> None:
+    def __init__(self, time: float, seq: int, scheduler: "EventScheduler") -> None:
         self.time = time
         self.seq = seq
-        self.callback = callback
         self.cancelled = False
-        self.pooled = pooled
-        self._scheduler = scheduler
+        # Cleared when the event fires or is cancelled: a handle acts once.
+        self._scheduler: Optional["EventScheduler"] = scheduler
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled or self.callback is None:
-            return
-        self.cancelled = True
-        if self._scheduler is not None:
-            self._scheduler._note_cancel(self)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        scheduler = self._scheduler
+        if scheduler is not None:
+            self._scheduler = None
+            self.cancelled = True
+            scheduler._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Event(t={:.3f}, seq={}, cancelled={})".format(self.time, self.seq, self.cancelled)
 
 
+_Entry = Tuple[float, int, EventCallback, Optional[Event]]
+
+
 class EventScheduler:
-    """A deterministic discrete-event scheduler.
+    """A deterministic discrete-event scheduler."""
 
-    ``fastpath`` selects the pooled/FIFO-lane implementation (the default,
-    overridable via the ``REPRO_SIM_FASTPATH`` environment variable); both
-    paths produce identical event orders, times and counters.
-    """
-
-    def __init__(self, fastpath: Optional[bool] = None) -> None:
-        self._queue: List[Event] = []
-        self._fifo: Deque[Event] = deque()
-        self._free: List[Event] = []
+    def __init__(self) -> None:
+        self._queue: List[_Entry] = []
+        self._fifo: Deque[_Entry] = deque()
         self._now = 0.0
         self._counter = itertools.count()
         self._events_processed = 0
         self._live = 0
         self._heap_cancelled = 0
-        self.fastpath = fastpath_default() if fastpath is None else bool(fastpath)
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -136,8 +109,9 @@ class EventScheduler:
                     self._now, time
                 )
             )
-        event = Event(time, next(self._counter), callback, self)
-        heapq.heappush(self._queue, event)
+        seq = next(self._counter)
+        event = Event(time, seq, self)
+        heapq.heappush(self._queue, (time, seq, callback, event))
         self._live += 1
         return event
 
@@ -148,19 +122,16 @@ class EventScheduler:
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_pooled(self, delay: float, callback: EventCallback) -> None:
-        """Schedule an *internal* delivery event through the recycling pool.
+        """Schedule an *internal* delivery event on the heap.
 
-        The event is never exposed, so callers cannot retain or cancel it —
-        which is exactly what makes recycling safe.  On the reference path
-        this degrades to a plain :meth:`schedule`.
+        No handle is created or returned, so callers cannot retain or cancel
+        the event — deliveries are never cancelled (crashes are re-checked at
+        delivery time).
         """
-        if not self.fastpath:
-            self.schedule(delay, callback)
-            return
         time = self._now + delay
         if time < self._now:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
-        heapq.heappush(self._queue, self._acquire(time, callback))
+        heapq.heappush(self._queue, (time, next(self._counter), callback, None))
         self._live += 1
 
     def schedule_fifo(self, delay: float, callback: EventCallback) -> None:
@@ -168,109 +139,48 @@ class EventScheduler:
 
         Valid whenever delivery times arrive in non-decreasing order (the
         :attr:`~repro.sim.DelayModel.preserves_fifo` contract); an
-        out-of-order time falls back to the pooled heap path, so the lane is
-        correct even against a misdeclared delay model.  Events are pooled and
-        never exposed, as in :meth:`schedule_pooled`.
+        out-of-order time falls back to the heap, so the lane is correct even
+        against a misdeclared delay model.  No handle is exposed, as in
+        :meth:`schedule_pooled`.
         """
-        if not self.fastpath:
-            self.schedule(delay, callback)
-            return
         time = self._now + delay
         if time < self._now:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
         fifo = self._fifo
-        if fifo and time < fifo[-1].time:
-            heapq.heappush(self._queue, self._acquire(time, callback))
+        entry = (time, next(self._counter), callback, None)
+        if fifo and time < fifo[-1][0]:
+            heapq.heappush(self._queue, entry)
         else:
-            fifo.append(self._acquire(time, callback))
+            fifo.append(entry)
         self._live += 1
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1))."""
         return self._live
 
-    def pool_size(self) -> int:
-        """Number of recycled events currently in the free list."""
-        return len(self._free)
-
     # ------------------------------------------------------------------ #
-    # Pool and lazy-deletion internals
+    # Lazy deletion
     # ------------------------------------------------------------------ #
-    def _acquire(self, time: float, callback: EventCallback) -> Event:
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = next(self._counter)
-            event.callback = callback
-            return event
-        return Event(time, next(self._counter), callback, self, pooled=True)
-
-    def _note_cancel(self, event: Event) -> None:
+    def _note_cancel(self) -> None:
         """Bookkeeping for :meth:`Event.cancel`: keep the live count exact and
         compact the heap once cancelled corpses outnumber live entries."""
         self._live -= 1
         self._heap_cancelled += 1
-        if self.fastpath and self._heap_cancelled * 2 > len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        survivors = []
-        for event in self._queue:
-            if event.cancelled:
-                event.callback = None
-            else:
-                survivors.append(event)
-        heapq.heapify(survivors)
-        self._queue = survivors
-        self._heap_cancelled = 0
-
-    def _peek(self) -> Optional[Event]:
-        """The next live event across both lanes, or ``None``.  Discards
-        cancelled heap heads as a side effect (they never fire anyway)."""
         queue = self._queue
-        while queue and queue[0].cancelled:
-            stale = heapq.heappop(queue)
-            stale.callback = None
-            self._heap_cancelled -= 1
-        fifo = self._fifo
-        if fifo:
-            head = fifo[0]
-            if not queue or (head.time, head.seq) < (queue[0].time, queue[0].seq):
-                return head
-            return queue[0]
-        return queue[0] if queue else None
-
-    def _pop(self, event: Event) -> None:
-        if self._fifo and self._fifo[0] is event:
-            self._fifo.popleft()
-        else:
-            heapq.heappop(self._queue)
-
-    def _fire(self, event: Event) -> None:
-        self._now = event.time
-        self._events_processed += 1
-        self._live -= 1
-        callback = event.callback
-        event.callback = None
-        if event.pooled:
-            # Release before running the callback: the callback only ever sees
-            # the pool through schedule_pooled/schedule_fifo, which reset every
-            # field on acquisition.
-            self._free.append(event)
-        callback()
+        if self._heap_cancelled * 2 > len(queue):
+            # In place: run() holds an alias to the list.
+            queue[:] = [entry for entry in queue if entry[3] is None or not entry[3].cancelled]
+            heapq.heapify(queue)
+            self._heap_cancelled = 0
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        event = self._peek()
-        if event is None:
-            return False
-        self._pop(event)
-        self._fire(event)
-        return True
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def run(
         self,
@@ -284,20 +194,44 @@ class EventScheduler:
         ``max_time``, when ``max_events`` events have been executed by this
         call, or when ``stop_when()`` becomes true (checked after every event).
         """
-        executed = 0
         if stop_when is not None and stop_when():
             return
-        while True:
-            if max_events is not None and executed >= max_events:
+        queue = self._queue
+        fifo = self._fifo
+        heappop = heapq.heappop
+        executed = 0
+        while max_events is None or executed < max_events:
+            if queue:
+                entry = queue[0]
+                handle = entry[3]
+                if handle is not None and handle.cancelled:
+                    # Cancelled heads never fire; discard them before looking
+                    # at max_time, which only live events may trip.
+                    heappop(queue)
+                    self._heap_cancelled -= 1
+                    continue
+                from_fifo = bool(fifo) and fifo[0] < entry
+                if from_fifo:
+                    entry = fifo[0]
+            elif fifo:
+                from_fifo = True
+                entry = fifo[0]
+            else:
                 return
-            event = self._peek()
-            if event is None:
-                return
-            if max_time is not None and event.time > max_time:
+            time = entry[0]
+            if max_time is not None and time > max_time:
                 self._now = max_time
                 return
-            self._pop(event)
-            self._fire(event)
+            if from_fifo:
+                fifo.popleft()
+            else:
+                heappop(queue)
+                if handle is not None:
+                    handle._scheduler = None  # fired: cancel() is a no-op now
+            self._now = time
+            self._events_processed += 1
+            self._live -= 1
+            entry[2]()
             executed += 1
             if stop_when is not None and stop_when():
                 return

@@ -215,9 +215,9 @@ class Network:
             return
         latency = self.delay_model.delay((sender, receiver), self.scheduler.now)
         # Deliveries are internal events: nothing ever cancels one (crashes are
-        # re-checked at delivery time), so they qualify for the scheduler's
-        # recycling pool — and for the FIFO short-circuit lane whenever the
-        # delay model in force preserves per-run FIFO order.
+        # re-checked at delivery time), so they need no cancel handle — and
+        # take the FIFO short-circuit lane whenever the delay model in force
+        # preserves per-run FIFO order.
         if getattr(self.delay_model, "preserves_fifo", False):
             self.scheduler.schedule_fifo(
                 latency, lambda: self._deliver(sender, receiver, message)

@@ -233,10 +233,11 @@ class Process:
         envelope = RelayEnvelope(self.pid, self._relay_seq, destination, message)
         self._relay_handle(envelope, deliver_to_self=include_self or destination == self.pid)
 
-    def _relay_handle(self, envelope: "RelayEnvelope", deliver_to_self: bool = True) -> None:
+    def _relay_handle(self, envelope: "RelayEnvelope", deliver_to_self: bool = True) -> bool:
+        """Forward ``envelope`` once; returns whether :meth:`on_message` ran."""
         key = (envelope.origin, envelope.seq)
         if key in self._relay_seen:
-            return
+            return False
         self._relay_seen.add(key)
         # Forward to every other process; the network drops the copies sent
         # over disconnected channels.
@@ -246,21 +247,32 @@ class Process:
         targeted_here = envelope.destination is None or envelope.destination == self.pid
         if targeted_here and deliver_to_self:
             self.on_message(envelope.origin, envelope.payload)
+            return True
+        return False
 
     def deliver(self, sender: ProcessId, message: Any) -> None:
-        """Entry point used by the network to hand a message to this process."""
+        """Entry point used by the network to hand a message to this process.
+
+        Wait probes are re-evaluated only when the delivery ran protocol code:
+        a duplicate envelope, or one merely passed on towards another
+        destination, changes nothing a probe may read and wakes nothing.
+        """
         if self.crashed:
             return
         if isinstance(message, RelayEnvelope):
             if self._relay_enabled:
-                self._relay_handle(message)
+                if not self._relay_handle(message):
+                    return
             elif message.destination is None or message.destination == self.pid:
                 # A non-relaying process still understands envelopes but does
                 # not forward them.
                 self.on_message(message.origin, message.payload)
+            else:
+                return
         else:
             self.on_message(sender, message)
-        self._check_waits()
+        if self._waits:
+            self._check_waits()
 
     def on_message(self, sender: ProcessId, message: Any) -> None:
         """Handle a delivered message.  Subclasses override this."""

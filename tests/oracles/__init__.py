@@ -18,4 +18,10 @@ nothing (``tests/test_surface.py`` enforces this).
   prefix-only backtracker and the exponential brute-forcer;
 * :mod:`oracles.montecarlo` — object-per-pattern samplers and shards, run
   through the production spec builders and merge functions.
+
+One oracle belongs to the simulator instead: :mod:`oracles.sim` carries the
+single-heap ``Event`` scheduler and the poll-after-every-delivery
+``Process.deliver`` that :mod:`repro.sim` replaced, with a context manager
+that swaps them in.  Its rule is the same in spirit — it imports nothing from
+:mod:`repro.sim.events`.
 """

@@ -137,3 +137,43 @@ def test_gqs_completed_counters(figure1_gqs):
     cluster.run_until_done([handle], max_time=300.0, require_completion=True)
     assert cluster.processes["a"].completed_gets == 1
     assert cluster.processes["a"].completed_sets == 0
+
+
+# --------------------------------------------------------------------------- #
+# Response tables stay bounded (regression: one dict per seq was kept forever,
+# and a late reply re-created the dict of a finished request)
+# --------------------------------------------------------------------------- #
+def _open_response_dicts(process):
+    tables = ("_get_responses", "_clock_responses", "_set_responses")
+    return sum(len(getattr(process, table, ())) for table in tables)
+
+
+def test_register_run_leaves_no_response_dicts_behind(figure1_gqs):
+    from repro.experiments import run_workload
+
+    result = run_workload("register", figure1_gqs, ops_per_process=50, seed=4)
+    assert result.completed and len(result.history.records) == 200
+    # Let the replies still in flight when the last operation returned arrive.
+    result.cluster.run(max_time=result.cluster.now + 50.0)
+    for process in result.cluster.processes.values():
+        assert process.seq >= 50
+        assert _open_response_dicts(process) <= process.pending_operations() == 0
+
+
+def test_classical_late_replies_do_not_reopen_finished_requests(threshold_3_1):
+    cluster = Cluster(["a", "b", "c"], classical_factory(threshold_3_1), UniformDelay(seed=6))
+    handles = [cluster.invoke("a", "quorum_set", add(1)), cluster.invoke("a", "quorum_get")]
+    # Quorums have two members: each wait completes with the third reply still
+    # in flight; running on delivers it after the request was closed.
+    cluster.run_until_done(handles, max_time=100.0, require_completion=True)
+    cluster.run(max_time=cluster.now + 50.0)
+    assert cluster.messages_delivered() == cluster.messages_sent()
+    assert _open_response_dicts(cluster.processes["a"]) == 0
+    # A request still waiting keeps exactly its own table entry.
+    from repro.failures import FailurePattern
+
+    cluster.apply_failure_pattern(FailurePattern.crash_only(["b", "c"]))
+    stuck = cluster.invoke("a", "quorum_get")
+    cluster.run(max_time=cluster.now + 50.0)
+    assert not stuck.done
+    assert _open_response_dicts(cluster.processes["a"]) == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.sim import EventScheduler as ReferenceScheduler
 from repro.errors import SimulationError
 from repro.sim import EventScheduler
 
@@ -107,7 +108,7 @@ def test_events_processed_counter():
 
 
 # --------------------------------------------------------------------------- #
-# Fast path: event pool, FIFO short-circuit lane, lazy-deletion compaction
+# Hot path: tuple queue, FIFO short-circuit lane, lazy-deletion compaction
 # --------------------------------------------------------------------------- #
 def test_pending_is_live_count_with_cancellations():
     scheduler = EventScheduler()
@@ -134,7 +135,7 @@ def test_cancel_after_fire_is_a_noop_for_the_live_count():
 
 
 def test_compaction_drops_cancelled_events_from_the_heap():
-    scheduler = EventScheduler(fastpath=True)
+    scheduler = EventScheduler()
     keep = [scheduler.schedule(100.0 + i, lambda: None) for i in range(3)]
     doomed = [scheduler.schedule(1_000_000.0 + i, lambda: None) for i in range(20)]
     for event in doomed:
@@ -148,38 +149,50 @@ def test_compaction_drops_cancelled_events_from_the_heap():
     assert scheduler.events_processed == 3
 
 
-def test_pooled_events_are_recycled():
-    scheduler = EventScheduler(fastpath=True)
-    fired = []
-    scheduler.schedule_pooled(1.0, lambda: fired.append("pooled"))
-    scheduler.schedule_fifo(2.0, lambda: fired.append("fifo"))
-    assert scheduler.pending() == 2
-    scheduler.run()
-    assert fired == ["pooled", "fifo"]
-    assert scheduler.pool_size() == 2
-    # The freed events are reused, not reallocated.
-    recycled = set(map(id, scheduler._free))
-    scheduler.schedule_fifo(1.0, lambda: fired.append("again"))
-    assert id(scheduler._fifo[0]) in recycled
-    scheduler.run()
-    assert fired == ["pooled", "fifo", "again"]
-
-
 def test_pool_reuse_does_not_leak_stale_callbacks_or_cancelled_state():
-    scheduler = EventScheduler(fastpath=True)
+    """No queue entry outlives its firing, and a handle acts at most once.
+
+    (Named for the recycling pool the tuple queue replaced; the property is
+    the same: nothing stale — callback or cancelled flag — survives a round.)
+    """
+    scheduler = EventScheduler()
     fired = []
     for round_index in range(50):
         for i in range(4):
             scheduler.schedule_fifo(1.0, lambda r=round_index, i=i: fired.append((r, i)))
         scheduler.run()
+        assert not scheduler._fifo and not scheduler._queue
     assert fired == [(r, i) for r in range(50) for i in range(4)]
-    # The pool never grew beyond the maximum number of simultaneously
-    # scheduled deliveries.
-    assert scheduler.pool_size() <= 4
+
+    # Cancel-after-fire: the handle is spent, later events are unaffected.
+    first = scheduler.schedule(1.0, lambda: fired.append("first"))
+    scheduler.run()
+    first.cancel()
+    assert not first.cancelled
+    second = scheduler.schedule(1.0, lambda: fired.append("second"))
+    assert second is not first and second.seq > first.seq
+    scheduler.run()
+    assert fired[-2:] == ["first", "second"]
+
+    # Cancel-then-compact (the third cancellation tips 3 of 4 past one half):
+    # the corpses are gone from the heap, their handles stay cancelled, and a
+    # second cancel() cannot disturb the live count.
+    doomed = [scheduler.schedule(50.0 + i, lambda: fired.append("doomed")) for i in range(3)]
+    survivor = scheduler.schedule(10.0, lambda: fired.append("survivor"))
+    for handle in doomed:
+        handle.cancel()
+    assert [entry[3] for entry in scheduler._queue] == [survivor]
+    for handle in doomed:
+        handle.cancel()
+        assert handle.cancelled
+    assert scheduler.pending() == 1
+    scheduler.run()
+    assert fired[-1] == "survivor" and "doomed" not in fired
+    assert scheduler.pending() == 0 and scheduler._heap_cancelled == 0
 
 
 def test_fifo_lane_merges_with_heap_in_time_seq_order():
-    scheduler = EventScheduler(fastpath=True)
+    scheduler = EventScheduler()
     order = []
     scheduler.schedule(2.0, lambda: order.append("heap@2"))
     scheduler.schedule_fifo(1.0, lambda: order.append("fifo@1"))
@@ -192,7 +205,7 @@ def test_fifo_lane_merges_with_heap_in_time_seq_order():
 
 
 def test_fifo_lane_falls_back_to_heap_on_out_of_order_times():
-    scheduler = EventScheduler(fastpath=True)
+    scheduler = EventScheduler()
     order = []
     scheduler.schedule_fifo(5.0, lambda: order.append("late"))
     # A misdeclared delay model handing out a shorter delivery after a longer
@@ -203,7 +216,7 @@ def test_fifo_lane_falls_back_to_heap_on_out_of_order_times():
 
 
 def test_fifo_and_pooled_reject_negative_delays():
-    scheduler = EventScheduler(fastpath=True)
+    scheduler = EventScheduler()
     with pytest.raises(SimulationError):
         scheduler.schedule_pooled(-1.0, lambda: None)
     with pytest.raises(SimulationError):
@@ -211,28 +224,19 @@ def test_fifo_and_pooled_reject_negative_delays():
 
 
 def test_reference_path_routes_everything_through_the_heap():
-    scheduler = EventScheduler(fastpath=False)
+    scheduler = ReferenceScheduler()
     fired = []
     scheduler.schedule_fifo(1.0, lambda: fired.append("a"))
     scheduler.schedule_pooled(2.0, lambda: fired.append("b"))
-    assert not scheduler._fifo
-    assert scheduler.pool_size() == 0
+    assert not hasattr(scheduler, "_fifo")
+    assert len(scheduler._queue) == 2
     scheduler.run()
     assert fired == ["a", "b"]
-    assert scheduler.pool_size() == 0
-
-
-def test_fastpath_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-    assert EventScheduler().fastpath is False
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1")
-    assert EventScheduler().fastpath is True
-    monkeypatch.delenv("REPRO_SIM_FASTPATH")
-    assert EventScheduler().fastpath is True
+    assert not scheduler._queue
 
 
 def test_run_max_time_considers_the_fifo_lane():
-    scheduler = EventScheduler(fastpath=True)
+    scheduler = EventScheduler()
     seen = []
     scheduler.schedule_fifo(1.0, lambda: seen.append(1))
     scheduler.schedule_fifo(10.0, lambda: seen.append(2))

@@ -1,45 +1,37 @@
-"""Differential battery: the simulator fast path vs the reference scheduler.
+"""Differential battery: the simulator hot path vs the reference simulator.
 
-The fast path (:mod:`repro.sim.events`: pooled delivery events, the FIFO
-short-circuit lane for :attr:`~repro.sim.DelayModel.preserves_fifo` models,
-lazy-deletion heap compaction) is a faster implementation of the same
-simulator, never a different simulator.  These tests pin the strongest form of
-that claim, mirroring PR 7's Monte Carlo battery: every catalogue scenario is
-recorded under both paths and the trace directories are compared **byte for
-byte** (jobs 1 and 2 included), per-workload histories / ``NetworkStats`` /
-``events_processed`` are asserted equal, and property tests cover pool
-recycling (no stale callback or cancelled state survives reuse) and the FIFO
-lane's ``(time, seq)`` tie-break equivalence against a reference scheduler fed
-the same schedule.
+The production per-message path (:mod:`repro.sim.events`: tuple-keyed queue,
+the FIFO short-circuit lane for :attr:`~repro.sim.DelayModel.preserves_fifo`
+models, lazy-deletion heap compaction; ``Process.deliver`` polling wait probes
+only after a protocol step) is a faster implementation of the same simulator,
+never a different simulator.  The reference — one heap of ``Event`` objects,
+probes polled after every delivery — lives in :mod:`oracles.sim`.  These tests
+pin the strongest form of the claim: every catalogue scenario is recorded on
+both and the trace directories are compared **byte for byte** (jobs 1 and 2
+included), per-workload histories / ``NetworkStats`` / ``events_processed`` are
+asserted equal, and property tests cover the tuple queue (no callback fires
+twice, nothing stale survives a round) and the FIFO lane's ``(time, seq)``
+tie-break equivalence against the reference scheduler fed the same schedule.
+
+(The file keeps its historical name so the test ids stay stable; there is no
+"fast path" switch any more — :func:`oracles.sim.reference_simulator` swaps
+the reference in.)
 """
 
 from __future__ import annotations
 
 import os
 import random
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import pytest
 
+from oracles.sim import EventScheduler as ReferenceScheduler
+from oracles.sim import reference_simulator
 from repro.experiments import run_workload
 from repro.scenarios.registry import all_scenarios
 from repro.scenarios.runner import run_scenario, sweep_scenarios
-from repro.sim import EventScheduler, FixedDelay
-from repro.sim.events import FASTPATH_ENV
-
-
-@contextmanager
-def sim_mode(fastpath):
-    """Force every scheduler built inside the block onto one path."""
-    previous = os.environ.get(FASTPATH_ENV)
-    os.environ[FASTPATH_ENV] = "1" if fastpath else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[FASTPATH_ENV]
-        else:
-            os.environ[FASTPATH_ENV] = previous
+from repro.sim import EventScheduler, FixedDelay, ScheduleOverride, UniformDelay
 
 
 def _workload_fingerprint(kind, quorum_system, seed, delay_model=None):
@@ -61,24 +53,40 @@ def _workload_fingerprint(kind, quorum_system, seed, delay_model=None):
 @pytest.mark.parametrize("kind", ["register", "snapshot", "lattice", "consensus", "paxos"])
 def test_workload_histories_stats_and_event_counts_equal(kind, figure1_gqs):
     for seed in (0, 3):
-        with sim_mode(False):
+        with reference_simulator():
             reference = _workload_fingerprint(kind, figure1_gqs, seed)
-        with sim_mode(True):
-            fast = _workload_fingerprint(kind, figure1_gqs, seed)
+        fast = _workload_fingerprint(kind, figure1_gqs, seed)
         assert fast == reference, (kind, seed)
 
 
 def test_fixed_delay_workload_exercises_the_fifo_lane_and_stays_equal(figure1_gqs):
     """FixedDelay is the model that actually routes through the FIFO lane."""
-    with sim_mode(False):
+    with reference_simulator():
         reference = _workload_fingerprint(
             "register", figure1_gqs, seed=1, delay_model=FixedDelay(1.0)
         )
-    with sim_mode(True):
-        fast = _workload_fingerprint(
-            "register", figure1_gqs, seed=1, delay_model=FixedDelay(1.0)
-        )
+    fast = _workload_fingerprint(
+        "register", figure1_gqs, seed=1, delay_model=FixedDelay(1.0)
+    )
     assert fast == reference
+
+
+def test_schedule_override_workload_stays_equal(figure1_gqs):
+    """The nemesis path: a stretched channel and nudged deliveries reorder
+    arrivals (and keep the run on the heap lane) identically on both sides."""
+
+    def mutated():
+        return ScheduleOverride(
+            UniformDelay(0.5, 2.0, seed=5),
+            stretches={("a", "b"): 4.0, ("c", "a"): 0.25},
+            nudges={(("b", "c"), 0): 3.0, (("a", "c"), 2): 1.5},
+        )
+
+    for kind in ("register", "snapshot"):
+        with reference_simulator():
+            reference = _workload_fingerprint(kind, figure1_gqs, seed=2, delay_model=mutated())
+        fast = _workload_fingerprint(kind, figure1_gqs, seed=2, delay_model=mutated())
+        assert fast == reference, kind
 
 
 # --------------------------------------------------------------------- #
@@ -94,13 +102,13 @@ def _read_directory(directory):
 def test_catalogue_traces_byte_identical_across_paths_and_jobs(tmp_path):
     """Every catalogue scenario, fast vs reference, jobs 1 and 2."""
     recordings = {}
-    for label, fastpath, jobs in (
-        ("ref-jobs1", False, 1),
-        ("fast-jobs1", True, 1),
-        ("fast-jobs2", True, 2),
+    for label, simulator, jobs in (
+        ("ref-jobs1", reference_simulator, 1),
+        ("fast-jobs1", nullcontext, 1),
+        ("fast-jobs2", nullcontext, 2),
     ):
         directory = str(tmp_path / label)
-        with sim_mode(fastpath):
+        with simulator():
             results = sweep_scenarios(runs=2, seed=7, jobs=jobs, record_traces=directory)
         recordings[label] = (
             _read_directory(directory),
@@ -118,21 +126,20 @@ def test_catalogue_traces_byte_identical_across_paths_and_jobs(tmp_path):
 
 def test_single_scenario_rows_equal_with_reference_jobs2(tmp_path):
     """The reference path is itself jobs-independent; pin one scenario at jobs 2."""
-    with sim_mode(False):
+    with reference_simulator():
         serial = run_scenario("heavy-contention-register", runs=3, seed=11, jobs=1)
         parallel = run_scenario("heavy-contention-register", runs=3, seed=11, jobs=2)
-    with sim_mode(True):
-        fast = run_scenario("heavy-contention-register", runs=3, seed=11, jobs=2)
+    fast = run_scenario("heavy-contention-register", runs=3, seed=11, jobs=2)
     assert serial.rows == parallel.rows == fast.rows
 
 
 # --------------------------------------------------------------------- #
-# Property: pool recycling leaks no stale state through reuse
+# Property: the tuple queue leaks no stale state from one event to the next
 # --------------------------------------------------------------------- #
 def test_pool_recycling_is_invisible_under_random_schedules():
-    """Random mixes of pooled/FIFO/plain events with cancellations: the fast
-    scheduler fires exactly what the reference scheduler fires, in the same
-    order, and recycled slots never resurrect an old callback."""
+    """Random mixes of handle-less/FIFO/plain events with cancellations: the
+    production scheduler fires exactly what the reference scheduler fires, in
+    the same order, and no spent entry ever resurrects an old callback."""
     for case in range(25):
         rng = random.Random(case)
         plan = []
@@ -150,7 +157,7 @@ def test_pool_recycling_is_invisible_under_random_schedules():
                 def callback():
                     fired.append(tag)
                     # A third of the events schedule follow-up deliveries, so
-                    # recycled slots are re-acquired while the run is hot.
+                    # the lanes are refilled while the run is hot.
                     if depth < 2 and tag % 3 == 0:
                         scheduler.schedule_fifo(1.0, spawn(tag + 1000, depth + 1))
 
@@ -170,13 +177,11 @@ def test_pool_recycling_is_invisible_under_random_schedules():
             scheduler.run()
             return fired, scheduler.events_processed, scheduler.now, scheduler.pending()
 
-        assert execute(EventScheduler(fastpath=True)) == execute(
-            EventScheduler(fastpath=False)
-        ), case
+        assert execute(EventScheduler()) == execute(ReferenceScheduler()), case
 
 
 def test_pool_never_fires_a_callback_twice():
-    scheduler = EventScheduler(fastpath=True)
+    scheduler = EventScheduler()
     counts = {}
     for wave in range(30):
         for i in range(8):
@@ -185,9 +190,9 @@ def test_pool_never_fires_a_callback_twice():
                 float(i % 3), lambda key=key: counts.__setitem__(key, counts.get(key, 0) + 1)
             )
         scheduler.run()
+        assert not scheduler._fifo and not scheduler._queue
     assert all(count == 1 for count in counts.values())
     assert len(counts) == 30 * 8
-    assert scheduler.pool_size() <= 8
 
 
 # --------------------------------------------------------------------- #
@@ -217,6 +222,4 @@ def test_fifo_lane_tie_breaks_match_the_reference_heap():
             scheduler.run()
             return fired
 
-        assert execute(EventScheduler(fastpath=True)) == execute(
-            EventScheduler(fastpath=False)
-        ), case
+        assert execute(EventScheduler()) == execute(ReferenceScheduler()), case

@@ -2,8 +2,17 @@
 
 import pytest
 
+from oracles.sim import reference_simulator
 from repro.errors import ProcessCrashedError
-from repro.sim import FixedDelay, Network, Process, NOT_READY
+from repro.sim import (
+    NOT_READY,
+    FixedDelay,
+    Network,
+    Process,
+    RelayEnvelope,
+    ScheduleOverride,
+    UniformDelay,
+)
 
 
 class Echo(Process):
@@ -204,6 +213,107 @@ def test_non_relaying_process_unwraps_envelopes():
     sender.send("b", "ping")
     network.run(max_time=10.0)
     assert sender.pongs == ["b"]
+
+
+# --------------------------------------------------------------------------- #
+# Wait probes are polled only after a protocol step
+# --------------------------------------------------------------------------- #
+class Waiter(Process):
+    """One suspended operation whose (never satisfied) probe counts its calls."""
+
+    def __init__(self, pid, network, relay):
+        super().__init__(pid, network)
+        if relay:
+            self.enable_relay()
+        self.polls = 0
+        self.handled = []
+
+    def on_message(self, sender, message):
+        self.handled.append((sender, message))
+
+    def suspend(self):
+        def probe():
+            self.polls += 1
+            return NOT_READY
+
+        def gen():
+            yield self.wait_for(probe, "never")
+
+        handle = self.start_operation("suspend", None, gen())
+        self.polls = 0  # start_operation polled once; count deliveries only
+        return handle
+
+
+PROBE_DELAY_MODELS = {
+    "fifo-lane": lambda: FixedDelay(1.0),
+    "heap-lane": lambda: UniformDelay(0.5, 2.0, seed=4),
+    "schedule-override": lambda: ScheduleOverride(
+        UniformDelay(0.5, 2.0, seed=4),
+        stretches={("y", "x"): 3.0},
+        nudges={(("y", "x"), 1): 2.5, (("y", "x"), 4): 0.75},
+    ),
+}
+
+
+def _flood_waiter(delay_model, relay, duplicates):
+    """``x`` (suspended) receives, from the plain sink ``y``: one envelope for
+    itself, ``duplicates`` more copies of it, and ``duplicates`` envelopes
+    addressed to ``z``.  Returns ``(x, network)`` after the run."""
+    network = Network(delay_model=delay_model)
+    x = Waiter("x", network, relay=relay)
+    Process("y", network)
+    Process("z", network)
+    x.suspend()
+    for _ in range(1 + duplicates):
+        network.send("y", "x", RelayEnvelope("y", 1, "x", "for-x"))
+    for index in range(duplicates):
+        network.send("y", "x", RelayEnvelope("y", 2 + index, "z", "for-z"))
+    network.run()
+    assert network.stats.per_process_delivered["x"] == 2 * duplicates + 1
+    return x, network
+
+
+@pytest.mark.parametrize("lane", sorted(PROBE_DELAY_MODELS))
+def test_relay_duplicates_and_pass_through_envelopes_poll_no_probe(lane):
+    duplicates = 7
+    x, network = _flood_waiter(PROBE_DELAY_MODELS[lane](), relay=True, duplicates=duplicates)
+    # Only the first copy of the envelope addressed to x ran protocol code.
+    assert x.handled == [("y", "for-x")]
+    assert x.polls == 1
+    # The pass-through envelopes were still forwarded, once each, to y and z.
+    assert network.stats.per_process_sent["x"] == 2 * (1 + duplicates)
+    with reference_simulator():
+        old, old_network = _flood_waiter(
+            PROBE_DELAY_MODELS[lane](), relay=True, duplicates=duplicates
+        )
+    assert old.polls == 2 * duplicates + 1
+    assert old.handled == x.handled
+    assert vars(old_network.stats) == vars(network.stats)
+    assert old_network.scheduler.events_processed == network.scheduler.events_processed
+
+
+def test_non_relaying_process_ignores_foreign_envelopes_without_polling():
+    duplicates = 3
+    x, network = _flood_waiter(FixedDelay(1.0), relay=False, duplicates=duplicates)
+    # No dedup without relaying: every copy addressed to x is handled (and
+    # polled); the envelopes for z are dropped on the floor, probe untouched.
+    assert x.handled == [("y", "for-x")] * (1 + duplicates)
+    assert x.polls == 1 + duplicates
+    assert "x" not in network.stats.per_process_sent
+    with reference_simulator():
+        old, _ = _flood_waiter(FixedDelay(1.0), relay=False, duplicates=duplicates)
+    assert old.polls == 2 * duplicates + 1 and old.handled == x.handled
+
+
+def test_timers_and_plain_messages_still_poll_the_probe():
+    network = Network(delay_model=FixedDelay(1.0))
+    x = Waiter("x", network, relay=True)
+    Process("y", network)
+    x.suspend()
+    x.set_timer(1.0, lambda: None)
+    network.send("y", "x", "plain")
+    network.run()
+    assert x.polls == 2
 
 
 # --------------------------------------------------------------------------- #

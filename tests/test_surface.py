@@ -4,7 +4,8 @@ Pins what the mask-native rewrite deleted: the set-based twins, the Monte
 Carlo engine selector and ``algorithm="naive"`` are gone from ``src/`` (they
 live on as ``tests/oracles``, which is not installed), the CLI rejects the
 removed flags as ordinary usage errors, and the oracles share no code with
-the bitset layer they check.
+the bitset layer they check.  The simulator follows the same rule: one
+scheduler, no ``REPRO_SIM_FASTPATH`` switch, the old one in ``oracles.sim``.
 """
 
 from __future__ import annotations
@@ -132,3 +133,47 @@ def test_cli_rejects_removed_flags_as_usage_errors(argv):
     assert finished.returncode == 2
     assert "usage:" in finished.stderr
     assert "Traceback" not in finished.stderr and "Traceback" not in finished.stdout
+
+
+# --------------------------------------------------------------------- #
+# One simulator hot path: no scheduler switch, the old one is an oracle
+# --------------------------------------------------------------------- #
+def test_simulator_has_one_scheduler_and_no_switch():
+    from repro.sim import EventScheduler
+    from repro.sim import events
+
+    switch = re.compile(r"REPRO_SIM_FASTPATH|FASTPATH_ENV|fastpath")
+    for path, text in _sources(SRC_DIR):
+        assert not switch.search(text), "{} still mentions the scheduler switch".format(path)
+    with pytest.raises(TypeError):
+        EventScheduler(fastpath=True)
+    # Queue entries are tuples ordered in C: nothing in the module defines an
+    # ordering, and the recycling pool went with the Event objects it recycled.
+    with open(events.__file__, "r", encoding="utf-8") as handle:
+        assert "__lt__" not in handle.read()
+    for name in ("pool_size", "_acquire", "_peek", "_pop", "_fire"):
+        assert not hasattr(EventScheduler, name), name
+    assert "Event" in repro.sim.__all__ and "EventScheduler" in repro.sim.__all__
+
+
+def test_sim_oracle_carries_its_own_queue():
+    """``oracles.sim`` may patch the simulator but must not reuse its queue."""
+    import oracles.sim
+
+    with open(oracles.sim.__file__, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [node.module or ""] + [
+                "{}.{}".format(node.module, alias.name) for alias in node.names
+            ]
+        else:
+            continue
+        for name in imported:
+            assert name not in ("repro.sim", "repro.sim.events"), name
+            assert not name.startswith("repro.sim.events."), name
+    assert oracles.sim.Event is not repro.sim.Event
+    assert oracles.sim.EventScheduler is not repro.sim.EventScheduler
+    assert "__lt__" in vars(oracles.sim.Event)
