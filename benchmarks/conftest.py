@@ -81,22 +81,24 @@ def _snapshot_path(directory):
 HIGHER_IS_BETTER = ("samples_per_sec", "events_per_sec", "reuse_fraction")
 
 #: Guarded metric-name substrings where smaller numbers are better (search
-#: effort, and the cost of witness validation relative to the search it
-#: certifies); a value growing more than 2x above the committed seed is a
-#: regression.  ``max(reference, 1)`` keeps a perfect seed of 0 explored
-#: nodes from flagging every nonzero future value.
-LOWER_IS_BETTER = ("nodes_explored", "validate_ratio")
+#: effort, the cost of witness validation relative to the search it
+#: certifies, and the cold-start wall clock of fixed one-shot commands); a
+#: value growing more than 2x above the committed seed is a regression.
+#: ``reference or 1`` keeps a perfect seed of 0 explored nodes from flagging
+#: every nonzero future value.
+LOWER_IS_BETTER = ("nodes_explored", "validate_ratio", "_wall_s")
 
 
 def _throughput_regressions(results):
     """Guarded metrics that moved more than 2x past the committed seed.
 
     Wall-clock seconds vary with workload sizes between revisions, so the
-    guard only watches workload-independent counters: throughput metrics
+    guard only watches workload-independent numbers: throughput metrics
     (``*samples_per_sec*``, ``*events_per_sec*``), the watch-mode
-    ``*reuse_fraction*`` (all higher-is-better: a >2x drop is a regression)
-    and discovery search effort and validation overhead (``*nodes_explored*``,
-    ``*validate_ratio*``, lower-is-better: a >2x growth is a regression).
+    ``*reuse_fraction*`` (all higher-is-better: a >2x drop is a regression),
+    discovery search effort and validation overhead (``*nodes_explored*``,
+    ``*validate_ratio*``) and the cold-start wall clock of fixed one-shot
+    commands (``*_wall_s``; lower-is-better: a >2x growth is a regression).
     """
     try:
         with open(SEED_SNAPSHOT, encoding="utf-8") as handle:
@@ -115,7 +117,7 @@ def _throughput_regressions(results):
             lower = any(tag in metric for tag in LOWER_IS_BETTER)
             if higher and value * 2 < reference:
                 regressions.append((name, metric, value, reference))
-            elif lower and value > max(reference, 1) * 2:
+            elif lower and value > (reference or 1) * 2:
                 regressions.append((name, metric, value, reference))
     return regressions
 

@@ -42,35 +42,33 @@ Quickstart::
     print(result.quorum_system.describe())
 """
 
+from ._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-from . import registry  # noqa: E402 - the extension registry underpins every subsystem
-from . import (  # noqa: E402
-    analysis,
-    checkers,
-    engine,
-    experiments,
-    failures,
-    graph,
-    montecarlo,
-    nemesis,
-    protocols,
-    quorums,
-    scenarios,
-    serialization,
-    sim,
-    traces,
-)
-from . import api  # noqa: E402 - the facade builds on every subsystem above
-from .errors import (
-    InvalidFailurePatternError,
-    InvalidQuorumSystemError,
-    NoQuorumSystemExistsError,
-    ReproError,
-)
-from .failures import FailProneSystem, FailurePattern
-from .history import History, OperationRecord
-from .quorums import GeneralizedQuorumSystem, QuorumSystem, discover_gqs, find_gqs, gqs_exists
+#: Nothing below is imported until it is first touched, so ``import repro`` —
+#: and with it every ``repro.<layer>`` import and every CLI command — pays only
+#: for the layers it goes on to use.  The registries import their own home
+#: modules on first look (:mod:`repro.registry`), so nothing needs importing
+#: here for its side effects.
+_EXPORTS = {
+    ".errors": (
+        "InvalidFailurePatternError",
+        "InvalidQuorumSystemError",
+        "NoQuorumSystemExistsError",
+        "ReproError",
+    ),
+    ".failures": ("FailProneSystem", "FailurePattern"),
+    ".history": ("History", "OperationRecord"),
+    ".quorums": ("GeneralizedQuorumSystem", "QuorumSystem", "discover_gqs", "find_gqs", "gqs_exists"),
+    **dict.fromkeys(
+        (".analysis", ".api", ".checkers", ".engine", ".experiments", ".graph", ".montecarlo",
+         ".nemesis", ".protocols", ".registry", ".scenarios", ".serialization", ".sim",
+         ".traces", ".types"),
+        (),
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "FailProneSystem",

@@ -31,61 +31,32 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
-from .analysis import (
-    ExampleOutcome,
-    figure1_quorum_system,
-    run_all_examples,
-)
-from .analysis.metrics import ResultTable
-from .engine import ParallelRunner, ProgressCallback, spawn_seeds
+from ._lazy import lazy_exports
 from .errors import NoQuorumSystemExistsError, ReproError
-from .experiments import run_workload, safety_report
-from .failures import FailProneSystem, FailurePattern, builtin_fail_prone_system
-from .nemesis import (
-    DEFAULT_BATCH,
-    DEFAULT_BUDGET,
-    DEFAULT_SEED_SCHEDULES,
-    HuntReport,
-)
-from .nemesis import corpus_rows as _nemesis_corpus_rows
-from .nemesis import corpus_table as _nemesis_corpus_table
-from .nemesis import hunt_scenario as _hunt_scenario
-from .nemesis import replay_schedule_file as _replay_schedule_file
-from .montecarlo import (
-    AdmissibilityPoint,
-    ReliabilityEstimate,
-    admissibility_sweep,
-    admissibility_table,
-    reliability_sweep,
-    reliability_table,
-)
-from .quorums import (
-    DiscoveryResult,
-    GeneralizedQuorumSystem,
-    MembershipDelta,
-    RepairReport,
-    WatchOutcome,
-    classify_fail_prone_system,
-    discover_gqs,
-    load_deltas,
-    suggest_channel_repairs,
-    watch_deltas,
-)
 from .registry import CHECKERS, PROTOCOLS, loaded_plugins, plugin_contributions
-from .scenarios import (
-    ScenarioRunResult,
-    ScenarioSpec,
-    get_scenario,
-)
-from .scenarios import run_scenario as _run_scenario_spec
-from .scenarios import sweep_scenarios as _sweep_scenario_specs
-from .serialization import load_fail_prone_system
-from .traces import TraceCheckReport
-from .traces import check_traces as _check_trace_directory
-from .traces import write_run_trace
 from .types import sorted_channels, sorted_processes
+
+if TYPE_CHECKING:  # annotations only: each function imports the layers it runs
+    from .analysis import ExampleOutcome, ResultTable
+    from .engine import ProgressCallback
+    from .failures import FailProneSystem, FailurePattern
+    from .montecarlo import AdmissibilityPoint, ReliabilityEstimate
+    from .nemesis import HuntReport
+    from .quorums import (
+        DiscoveryResult,
+        GeneralizedQuorumSystem,
+        MembershipDelta,
+        RepairReport,
+        WatchOutcome,
+    )
+    from .scenarios import ScenarioRunResult, ScenarioSpec
+    from .traces import TraceCheckReport
+
+#: ``HuntReport`` is re-exported for callers of :func:`hunt`; it is imported
+#: from :mod:`repro.nemesis` on first access.
+__getattr__, __dir__ = lazy_exports(globals(), {".nemesis": ("HuntReport",)})
 
 __all__ = [
     "ClassifyReport",
@@ -124,7 +95,11 @@ def resolve_system(spec: Optional[str] = None, builtin: str = "figure1") -> Fail
     topologies are addressable by name too.
     """
     if spec is not None:
+        from .serialization import load_fail_prone_system
+
         return load_fail_prone_system(spec)
+    from .failures import builtin_fail_prone_system
+
     return builtin_fail_prone_system(builtin)
 
 
@@ -152,6 +127,8 @@ def discover(
     progress: Optional[ProgressCallback] = None,
 ) -> DiscoveryResult:
     """Run the GQS decision procedure (Theorem 2) on ``system``."""
+    from .quorums import discover_gqs
+
     return discover_gqs(system, validate=validate, algorithm=algorithm, progress=progress)
 
 
@@ -210,8 +187,7 @@ def discovery_report(
 ) -> DiscoveryReport:
     """:func:`discover` wrapped with the witness rows the CLI renders."""
     return DiscoveryReport(
-        system,
-        discover_gqs(system, validate=validate, algorithm=algorithm, progress=progress),
+        system, discover(system, algorithm=algorithm, validate=validate, progress=progress)
     )
 
 
@@ -228,6 +204,8 @@ class ClassifyReport:
 
 def classify(system: FailProneSystem) -> ClassifyReport:
     """Classify ``system`` against the paper's three quorum conditions."""
+    from .quorums import classify_fail_prone_system
+
     return ClassifyReport(system, classify_fail_prone_system(system))
 
 
@@ -264,6 +242,8 @@ def repair(
     max_suggestions: Optional[int] = None,
 ) -> RepairOutcome:
     """Search for minimal channel hardenings that make ``system`` tolerable."""
+    from .quorums import suggest_channel_repairs
+
     report = suggest_channel_repairs(
         system, max_channels=max_channels, max_suggestions=max_suggestions
     )
@@ -324,6 +304,8 @@ def watch_quorums(
     recertification reuses every per-pattern structure the delta preserved,
     which is what makes watching a large deployment cheap.
     """
+    from .quorums import load_deltas, watch_deltas
+
     if isinstance(deltas, str):
         deltas = load_deltas(deltas)
     return WatchReport(watch_deltas(system, deltas, algorithm=algorithm))
@@ -357,6 +339,8 @@ def _simulate_once(
     out across worker processes; with ``record_dir`` the run's trace is
     persisted for later ``repro check`` re-verification.
     """
+    from .experiments import run_workload, safety_report
+
     repeat_ops = PROTOCOLS.get(protocol).extras.get("repeat_ops", False)
     ops_per_process = ops if repeat_ops else 1
     run = run_workload(protocol, gqs, pattern=pattern, ops_per_process=ops_per_process, seed=seed)
@@ -370,6 +354,8 @@ def _simulate_once(
         "messages_sent": run.metrics.messages_sent,
     }
     if record_dir is not None:
+        from .traces import write_run_trace
+
         write_run_trace(
             record_dir,
             name="simulate-{}".format(protocol),
@@ -483,8 +469,10 @@ def simulate(
     ``seed`` and fanned out over ``jobs`` workers — the aggregate depends only
     on ``(seed, runs)``, never on the job count.
     """
+    from .engine import ParallelRunner, spawn_seeds
+
     PROTOCOLS.get(protocol)  # fail fast (rich error) on an unknown protocol
-    result = discover_gqs(system)
+    result = discover(system)
     if not result.exists or result.quorum_system is None:
         raise NoQuorumSystemExistsError(
             "the fail-prone system admits no generalized quorum system; nothing to simulate"
@@ -542,8 +530,10 @@ def run_scenario(
     ``scenario`` is a registered name (resolved through the scenario registry,
     with did-you-mean errors) or a :class:`ScenarioSpec` instance.
     """
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    return _run_scenario_spec(
+    from . import scenarios
+
+    spec = scenarios.get_scenario(scenario) if isinstance(scenario, str) else scenario
+    return scenarios.run_scenario(
         spec, runs=runs, seed=seed, jobs=jobs, progress=progress, record_traces=record_traces
     )
 
@@ -557,7 +547,9 @@ def sweep_scenarios(
     record_traces: Optional[str] = None,
 ) -> List[ScenarioRunResult]:
     """Run several scenarios (default: the whole catalogue) over one worker pool."""
-    return _sweep_scenario_specs(
+    from . import scenarios
+
+    return scenarios.sweep_scenarios(
         names, runs=runs, seed=seed, jobs=jobs, progress=progress, record_traces=record_traces
     )
 
@@ -573,9 +565,13 @@ class MonteCarloSweep:
     reliability: Optional[List[ReliabilityEstimate]] = None
 
     def admissibility_text(self) -> str:
+        from .montecarlo import admissibility_table
+
         return str(admissibility_table(self.admissibility or []))
 
     def reliability_text(self) -> str:
+        from .montecarlo import reliability_table
+
         return str(reliability_table(self.reliability or []))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -635,6 +631,9 @@ def sweep(
     ``progress_factory(label)`` supplies an optional per-study progress
     callback.  Results depend only on ``seed`` — never on ``jobs``.
     """
+    from .analysis import figure1_quorum_system
+    from .montecarlo import admissibility_sweep, reliability_sweep
+
     if kind not in ("admissibility", "reliability", "all"):
         raise ReproError(
             "unknown sweep kind {!r}; expected one of {}".format(
@@ -670,9 +669,9 @@ def sweep(
 def hunt(
     scenario: Union[str, ScenarioSpec],
     strategy: str = "hill-climb",
-    budget: int = DEFAULT_BUDGET,
-    seeds: int = DEFAULT_SEED_SCHEDULES,
-    batch: int = DEFAULT_BATCH,
+    budget: int = 32,
+    seeds: int = 2,
+    batch: int = 4,
     seed: int = 0,
     jobs: int = 1,
     corpus_dir: Optional[str] = None,
@@ -688,8 +687,12 @@ def hunt(
     every survivor is persisted as an ordinary trace plus a schedule file
     and an incident report.  The report and corpus bytes depend only on
     ``(scenario, strategy, budget, seeds, batch, seed)``, never on ``jobs``.
+    The defaults equal :data:`repro.nemesis.DEFAULT_BUDGET`,
+    ``DEFAULT_SEED_SCHEDULES`` and ``DEFAULT_BATCH``.
     """
-    return _hunt_scenario(
+    from .nemesis import hunt_scenario
+
+    return hunt_scenario(
         scenario,
         strategy=strategy,
         budget=budget,
@@ -710,17 +713,23 @@ def replay_schedule(path: str) -> Dict[str, Any]:
     report exists, ``"match"`` says whether the replay reproduced the
     hunt-time verdict exactly (``None`` when there is nothing to compare).
     """
-    return _replay_schedule_file(path)
+    from .nemesis import replay_schedule_file
+
+    return replay_schedule_file(path)
 
 
 def nemesis_corpus(directory: str) -> List[Dict[str, Any]]:
     """One summary row per incident report in a hunt corpus directory."""
-    return _nemesis_corpus_rows(directory)
+    from .nemesis import corpus_rows
+
+    return corpus_rows(directory)
 
 
 def nemesis_corpus_table(directory: str) -> ResultTable:
     """The ``repro nemesis corpus`` table."""
-    return _nemesis_corpus_table(directory)
+    from .nemesis import corpus_table
+
+    return corpus_table(directory)
 
 
 # ---------------------------------------------------------------------- #
@@ -733,12 +742,16 @@ def check_traces(
     progress: Optional[ProgressCallback] = None,
 ) -> TraceCheckReport:
     """Re-verify every recorded trace in ``directory`` (see :mod:`repro.traces`)."""
+    from . import traces
+
     CHECKERS.get(checker)  # rich unknown-checker error before touching the disk
-    return _check_trace_directory(directory, checker=checker, jobs=jobs, progress=progress)
+    return traces.check_traces(directory, checker=checker, jobs=jobs, progress=progress)
 
 
 def run_examples() -> List[ExampleOutcome]:
     """Replay the paper's worked examples (Examples 4-9)."""
+    from .analysis import run_all_examples
+
     return run_all_examples()
 
 
@@ -768,6 +781,8 @@ def plugin_rows() -> List[Dict[str, str]]:
 
 def plugin_table() -> ResultTable:
     """The ``repro plugins list`` table."""
+    from .analysis import ResultTable
+
     table = ResultTable(
         title="loaded plugins: {}".format(len(loaded_plugins())),
         columns=("plugin", "kind", "name", "description"),

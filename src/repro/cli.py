@@ -85,21 +85,8 @@ import os
 import sys
 from typing import List, Optional
 
-from . import __version__, api
-from .analysis import ResultTable
+from . import __version__
 from .errors import NoQuorumSystemExistsError, ReproError
-from .quorums import DISCOVERY_ALGORITHMS
-from .registry import (
-    CHECKERS,
-    NEMESIS,
-    PLUGINS_ENV_VAR,
-    PROTOCOLS,
-    load_env_plugins,
-    load_plugin,
-    loaded_plugins,
-    plugin_contributions,
-)
-from .scenarios import catalogue_markdown, catalogue_table, get_scenario, scenario_names, sweep_table
 
 
 def _jobs_value(text: str) -> int:
@@ -129,7 +116,10 @@ def _runs_value(text: str) -> int:
 
 
 def _resolve_system(args: argparse.Namespace):
+    from . import api
+
     return api.resolve_system(spec=args.spec, builtin=args.builtin)
+
 
 
 def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
@@ -155,6 +145,8 @@ def _stderr_progress(label: str, done: int, total: int, unit: str = "shards") ->
 # ---------------------------------------------------------------------- #
 def _cmd_check_traces(args: argparse.Namespace) -> int:
     """``repro check DIR``: parallel re-verification of recorded traces."""
+    from . import api
+
     report = api.check_traces(
         args.target,
         checker=args.checker,
@@ -179,6 +171,8 @@ def _cmd_check_traces(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import api
+
     if args.target is not None:
         return _cmd_check_traces(args)
     system = _resolve_system(args)
@@ -214,6 +208,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 # quorums
 # ---------------------------------------------------------------------- #
 def cmd_quorums_discover(args: argparse.Namespace) -> int:
+    from . import api
+    from .analysis import ResultTable
+
     report = api.discovery_report(
         _resolve_system(args),
         algorithm=args.algorithm,
@@ -263,6 +260,9 @@ def cmd_quorums_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_quorums_watch(args: argparse.Namespace) -> int:
+    from . import api
+    from .analysis import ResultTable
+
     report = api.watch_quorums(
         _resolve_system(args), args.deltas, algorithm=args.algorithm
     )
@@ -284,6 +284,8 @@ def cmd_quorums_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_quorums_classify(args: argparse.Namespace) -> int:
+    from . import api
+
     report = api.classify(_resolve_system(args))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -297,6 +299,8 @@ def cmd_quorums_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_quorums_repair(args: argparse.Namespace) -> int:
+    from . import api
+
     outcome = api.repair(
         _resolve_system(args),
         max_channels=args.max_channels,
@@ -331,6 +335,8 @@ def cmd_quorums_repair(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------- #
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import api
+
     system = _resolve_system(args)
     try:
         report = api.simulate(
@@ -387,6 +393,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------- #
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import api
+
     outcome = api.sweep(
         kind=args.kind,
         probs=tuple(args.probs),
@@ -414,17 +422,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # scenario
 # ---------------------------------------------------------------------- #
 def cmd_scenario_list(args: argparse.Namespace) -> int:
+    from . import scenarios
+
     if args.format == "json":
-        print(json.dumps([get_scenario(n).to_dict() for n in scenario_names()], indent=2))
+        print(json.dumps([scenarios.get_scenario(n).to_dict() for n in scenarios.scenario_names()], indent=2))
     elif args.format == "markdown":
-        print(catalogue_markdown())
+        print(scenarios.catalogue_markdown())
     else:
-        print(catalogue_table().to_text())
+        print(scenarios.catalogue_table().to_text())
     return 0
 
 
 def cmd_scenario_show(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.name)
+    from . import scenarios
+
+    scenario = scenarios.get_scenario(args.name)
     if args.format == "json":
         print(scenario.to_json())
         return 0
@@ -447,7 +459,9 @@ def cmd_scenario_show(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.name)
+    from . import api, scenarios
+
+    scenario = scenarios.get_scenario(args.name)
     result = api.run_scenario(
         scenario,
         runs=args.runs,
@@ -482,6 +496,8 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_sweep(args: argparse.Namespace) -> int:
+    from . import api, scenarios
+
     names = args.names if args.names else None
     results = api.sweep_scenarios(
         names,
@@ -494,7 +510,7 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], indent=2))
     else:
-        print(sweep_table(results).to_text())
+        print(scenarios.sweep_table(results).to_text())
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -502,6 +518,8 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
 # nemesis
 # ---------------------------------------------------------------------- #
 def cmd_nemesis_hunt(args: argparse.Namespace) -> int:
+    from . import api
+
     report = api.hunt(
         args.scenario,
         strategy=args.strategy,
@@ -544,6 +562,8 @@ def cmd_nemesis_hunt(args: argparse.Namespace) -> int:
 
 
 def cmd_nemesis_replay(args: argparse.Namespace) -> int:
+    from . import api
+
     outcome = api.replay_schedule(args.schedule)
     # Only a demonstrated divergence from the recorded incident fails the
     # replay; a schedule without a sibling incident has nothing to diff.
@@ -568,6 +588,8 @@ def cmd_nemesis_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_nemesis_corpus(args: argparse.Namespace) -> int:
+    from . import api
+
     rows = api.nemesis_corpus(args.directory)
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -581,6 +603,9 @@ def cmd_nemesis_corpus(args: argparse.Namespace) -> int:
 # plugins
 # ---------------------------------------------------------------------- #
 def cmd_plugins_list(args: argparse.Namespace) -> int:
+    from . import api
+    from .registry import loaded_plugins, plugin_contributions
+
     if args.format == "json":
         payload = [
             {
@@ -605,6 +630,8 @@ def cmd_plugins_list(args: argparse.Namespace) -> int:
 # examples
 # ---------------------------------------------------------------------- #
 def cmd_examples(args: argparse.Namespace) -> int:
+    from . import api
+
     outcomes = api.run_examples()
     failures = 0
     for outcome in outcomes:
@@ -616,31 +643,11 @@ def cmd_examples(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Entry point
+# Parsers (one builder per command) and the entry point
 # ---------------------------------------------------------------------- #
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Generalized quorum systems: decision procedure, protocol simulation, studies.",
-    )
-    parser.add_argument(
-        "--version", action="version", version="repro {}".format(__version__)
-    )
-    parser.add_argument(
-        "--plugin",
-        action="append",
-        default=[],
-        metavar="MODULE",
-        help="import a plugin module that registers extensions via repro.registry "
-        "(repeatable; the REPRO_PLUGINS environment variable works too)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_check_arguments(check: argparse.ArgumentParser) -> None:
+    from .registry import CHECKERS
 
-    check = sub.add_parser(
-        "check",
-        help="decide whether a fail-prone system admits a GQS, "
-        "or re-verify a recorded trace directory",
-    )
     check.add_argument(
         "target",
         nargs="?",
@@ -679,10 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.set_defaults(func=cmd_check)
 
-    quorums = sub.add_parser(
-        "quorums",
-        help="quorum-decision toolbox: discover a GQS witness, classify, repair",
-    )
+
+def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
+    from .quorums import DISCOVERY_ALGORITHMS
+
     quorums_sub = quorums.add_subparsers(dest="quorums_command", required=True)
 
     quorums_discover = quorums_sub.add_parser(
@@ -753,7 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
     quorums_repair.add_argument("--format", choices=["table", "json"], default="table")
     quorums_repair.set_defaults(func=cmd_quorums_repair)
 
-    simulate = sub.add_parser("simulate", help="run a protocol on the simulated network")
+
+def _add_simulate_arguments(simulate: argparse.ArgumentParser) -> None:
+    from .registry import PROTOCOLS
+
     _add_system_arguments(simulate)
     simulate.add_argument(
         "--object",
@@ -786,7 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(func=cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="run the Monte Carlo studies")
+
+def _add_sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("kind", choices=["admissibility", "reliability", "all"], default="all", nargs="?")
     sweep.add_argument("--probs", type=float, nargs="+", default=[0.0, 0.1, 0.2, 0.3, 0.5])
     sweep.add_argument("--samples", type=int, default=40)
@@ -813,9 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=cmd_sweep)
 
-    scenario = sub.add_parser(
-        "scenario", help="declarative scenario catalogue: list, show, run, sweep"
-    )
+
+def _add_scenario_arguments(scenario: argparse.ArgumentParser) -> None:
     scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
 
     scenario_list = scenario_sub.add_parser("list", help="list the registered scenarios")
@@ -890,10 +900,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_sweep.set_defaults(func=cmd_scenario_sweep)
 
-    nemesis = sub.add_parser(
-        "nemesis",
-        help="guided adversarial schedule search: hunt, replay, corpus",
-    )
+
+def _add_nemesis_arguments(nemesis: argparse.ArgumentParser) -> None:
+    from .registry import NEMESIS
+
     nemesis_sub = nemesis.add_subparsers(dest="nemesis_command", required=True)
 
     nemesis_hunt = nemesis_sub.add_parser(
@@ -974,9 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
     nemesis_corpus.add_argument("--format", choices=["table", "json"], default="table")
     nemesis_corpus.set_defaults(func=cmd_nemesis_corpus)
 
-    plugins = sub.add_parser(
-        "plugins", help="inspect loaded plugin modules and their registered extensions"
-    )
+
+def _add_plugins_arguments(plugins: argparse.ArgumentParser) -> None:
     plugins_sub = plugins.add_subparsers(dest="plugins_command", required=True)
     plugins_list = plugins_sub.add_parser(
         "list", help="list loaded plugins and what each registered"
@@ -984,9 +993,78 @@ def build_parser() -> argparse.ArgumentParser:
     plugins_list.add_argument("--format", choices=["table", "json"], default="table")
     plugins_list.set_defaults(func=cmd_plugins_list)
 
-    examples = sub.add_parser("examples", help="replay the paper's worked examples")
+
+def _add_examples_arguments(examples: argparse.ArgumentParser) -> None:
     examples.set_defaults(func=cmd_examples)
 
+
+#: Every command in ``--help`` order: its one-line help, and the function that
+#: adds its arguments and subcommands.  Building those can import whole layers
+#: (the ``--object`` choices are the protocol registry), so :func:`build_parser`
+#: does it only for the command actually on the command line.
+_COMMANDS = {
+    "check": (
+        "decide whether a fail-prone system admits a GQS, "
+        "or re-verify a recorded trace directory",
+        _add_check_arguments,
+    ),
+    "quorums": (
+        "quorum-decision toolbox: discover a GQS witness, classify, repair",
+        _add_quorums_arguments,
+    ),
+    "simulate": ("run a protocol on the simulated network", _add_simulate_arguments),
+    "sweep": ("run the Monte Carlo studies", _add_sweep_arguments),
+    "scenario": (
+        "declarative scenario catalogue: list, show, run, sweep",
+        _add_scenario_arguments,
+    ),
+    "nemesis": (
+        "guided adversarial schedule search: hunt, replay, corpus",
+        _add_nemesis_arguments,
+    ),
+    "plugins": (
+        "inspect loaded plugin modules and their registered extensions",
+        _add_plugins_arguments,
+    ),
+    "examples": ("replay the paper's worked examples", _add_examples_arguments),
+}
+
+
+def _command_on(argv: List[str]) -> Optional[str]:
+    """The command word on ``argv``: its first token naming one (``--plugin``'s value skipped)."""
+    index = 0
+    while index < len(argv):
+        if argv[index] == "--plugin":
+            index += 1
+        elif argv[index] in _COMMANDS:
+            return argv[index]
+        index += 1
+    return None
+
+
+def build_parser(argv: List[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command by name and help, one in full."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Generalized quorum systems: decision procedure, protocol simulation, studies.",
+    )
+    parser.add_argument(
+        "--version", action="version", version="repro {}".format(__version__)
+    )
+    parser.add_argument(
+        "--plugin",
+        action="append",
+        default=[],
+        metavar="MODULE",
+        help="import a plugin module that registers extensions via repro.registry "
+        "(repeatable; the REPRO_PLUGINS environment variable works too)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = _command_on(argv)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name == chosen:
+            add_arguments(command)
     return parser
 
 
@@ -1011,22 +1089,32 @@ def _plugin_modules_from_argv(argv: List[str]) -> List[str]:
     return modules
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit status."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        load_env_plugins()
-        for module in _plugin_modules_from_argv(argv):
-            load_plugin(module)
-    except ReproError as error:
-        print("error: {}".format(error), file=sys.stderr)
-        return 1
+def _load_plugins(argv: List[str]) -> None:
+    """Import the ``REPRO_PLUGINS`` and ``--plugin`` modules, in that order."""
+    modules = _plugin_modules_from_argv(argv)
+    if not modules and not os.environ.get("REPRO_PLUGINS"):
+        return  # nothing asked for: do not import the registry on its account
+    from .registry import PLUGINS_ENV_VAR, load_env_plugins, load_plugin, loaded_plugins
+
+    load_env_plugins()
+    for module in modules:
+        load_plugin(module)
     if loaded_plugins():
         # Mirror --plugin modules into the environment so spawn-started
         # engine workers (macOS/Windows) re-load them too; fork-started
         # workers inherit the registries either way.
         os.environ[PLUGINS_ENV_VAR] = ",".join(loaded_plugins())
-    parser = build_parser()
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point; returns the process exit status."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        _load_plugins(argv)
+    except ReproError as error:
+        print("error: {}".format(error), file=sys.stderr)
+        return 1
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -9,17 +9,13 @@ identical merged results regardless of the number of jobs** — parallelism is
 an execution detail, never part of the experiment's definition.
 """
 
-from .runner import ParallelRunner, ProgressCallback, resolve_jobs
-from .seeding import derive_seed, spawn_seeds
-from .spec import DEFAULT_CHUNK_SIZE, ExperimentSpec, ShardSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CHUNK_SIZE",
-    "ExperimentSpec",
-    "ParallelRunner",
-    "ProgressCallback",
-    "ShardSpec",
-    "derive_seed",
-    "resolve_jobs",
-    "spawn_seeds",
-]
+_EXPORTS = {
+    ".runner": ("ParallelRunner", "ProgressCallback", "resolve_jobs"),
+    ".seeding": ("derive_seed", "spawn_seeds"),
+    ".spec": ("DEFAULT_CHUNK_SIZE", "ExperimentSpec", "ShardSpec"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

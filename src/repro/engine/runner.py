@@ -5,6 +5,9 @@ hands results back *in submission order*, so merging is deterministic no matter
 which worker finished first.  With ``jobs=1`` (the default) it degrades to a
 plain serial loop in the calling process — no pool, no pickling — and it also
 falls back to that loop when the platform cannot provide worker processes.
+A task that raises ends the run at once, the same way in both modes; a shard
+task's failure surfaces as a :class:`~repro.errors.ReproError` naming the
+spec, the shard index and the shard's derived seed.
 
 Two entry points:
 
@@ -21,11 +24,12 @@ picklable arguments so worker processes can import them.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import multiprocessing
 import os
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ..errors import ReproError
 from .spec import ExperimentSpec, ShardSpec
 
 __all__ = ["ParallelRunner", "resolve_jobs"]
@@ -52,6 +56,16 @@ def _invoke_shard_task(
     """Module-level trampoline so flattened (spec, shard) work pickles cleanly."""
     spec, shard = item
     return shard_task(spec, shard)
+
+
+def _shard_failure(item: Tuple[ExperimentSpec, ShardSpec], error: Exception) -> ReproError:
+    """What a failed shard surfaces as: enough to re-run exactly that shard."""
+    spec, shard = item
+    return ReproError(
+        "shard {} of experiment {!r} (derived seed {}) failed: {}: {}".format(
+            shard.index, spec.name, shard.seed, type(error).__name__, error
+        )
+    )
 
 
 def _worker_initializer() -> None:
@@ -107,34 +121,52 @@ class ParallelRunner:
         — and anything merged from it — is identical whether one worker or
         sixteen executed the tasks.
         """
-        work = list(items)
-        if self.jobs == 1 or len(work) <= 1:
-            return self._map_serial(task, work)
+        return self._run(task, list(items))
+
+    def _run(
+        self,
+        task: Callable[[Any], Any],
+        work: Sequence[Any],
+        blame: Optional[Callable[[Any, Exception], Exception]] = None,
+    ) -> List[Any]:
+        """Ordered ``task(item)`` results, reporting progress after each.
+
+        An exception raised by a task ends the run where its result was due,
+        serial or parallel alike; ``blame(item, error)`` may supply the
+        exception raised in its place (chained to the original).
+        """
+        pool = self._open_pool(len(work))
+        self.last_mode = "serial" if pool is None else "parallel"
+        results: List[Any] = []
+        with pool if pool is not None else contextlib.nullcontext():
+            outcomes = iter(map(task, work) if pool is None else pool.imap(task, work))
+            for item in work:
+                try:
+                    results.append(next(outcomes))
+                except Exception as error:
+                    if blame is None:
+                        raise
+                    raise blame(item, error) from error
+                self._report(len(results), len(work))
+        return results
+
+    def _open_pool(self, tasks: int) -> Optional[Any]:
+        """A worker pool for ``tasks`` items, or ``None`` for the serial loop."""
+        if self.jobs == 1 or tasks <= 1:
+            return None
         try:
-            return self._map_parallel(task, work)
+            import multiprocessing  # deferred: serial runs never pay for it
+
+            context = self._mp_context or multiprocessing.get_context()
+            return context.Pool(
+                processes=min(self.jobs, tasks), initializer=_worker_initializer
+            )
         except (OSError, ImportError, PermissionError):
             # Platforms without usable process/semaphore support (some
-            # sandboxes, AWS Lambda, ...): degrade to the serial path.
-            return self._map_serial(task, work)
-
-    def _map_serial(self, task: Callable[[Any], Any], work: Sequence[Any]) -> List[Any]:
-        self.last_mode = "serial"
-        results = []
-        for done, item in enumerate(work, start=1):
-            results.append(task(item))
-            self._report(done, len(work))
-        return results
-
-    def _map_parallel(self, task: Callable[[Any], Any], work: Sequence[Any]) -> List[Any]:
-        context = self._mp_context or multiprocessing.get_context()
-        processes = min(self.jobs, len(work))
-        with context.Pool(processes=processes, initializer=_worker_initializer) as pool:
-            self.last_mode = "parallel"
-            results = []
-            for done, result in enumerate(pool.imap(task, work), start=1):
-                results.append(result)
-                self._report(done, len(work))
-        return results
+            # sandboxes, AWS Lambda, ...): degrade to the serial path.  Only
+            # pool creation is guarded — an OSError raised *by a task* must
+            # fail the run, not restart it serially.
+            return None
 
     def _report(self, done: int, total: int) -> None:
         if self.progress is not None:
@@ -166,7 +198,7 @@ class ParallelRunner:
                 spec_indices.append(spec_index)
                 flattened.append((spec, shard))
         task = functools.partial(_invoke_shard_task, shard_task)
-        results = self.map(task, flattened)
+        results = self._run(task, flattened, blame=_shard_failure)
         grouped: List[List[Any]] = [[] for _ in spec_list]
         for spec_index, result in zip(spec_indices, results):
             grouped[spec_index].append(result)

@@ -1,74 +1,22 @@
 """Experiment harnesses reproducing the paper's examples and implied evaluation (E1-E8)."""
 
-from .tightness import PatternVerdict, TightnessReport, verify_pattern, verify_tightness
-from .workloads import (
-    PROTOCOL_KINDS,
-    PROTOCOL_PARAM_KEYS,
-    WORKLOAD_DEFAULTS,
-    Invocation,
-    WorkloadResult,
-    alternating_write_read_schedule,
-    build_protocol_factory,
-    client_schedule,
-    compare_register_overhead,
-    EFFORT_PROBE_MAX_STATES,
-    default_invokers,
-    evaluate_safety,
-    execute_workload,
-    judge_baseline_history,
-    judge_consensus_history,
-    judge_history,
-    judge_lattice_history,
-    judge_register_history,
-    judge_snapshot_history,
-    register_search_effort,
-    run_consensus_workload,
-    run_lattice_workload,
-    run_paxos_baseline_workload,
-    run_register_workload,
-    run_snapshot_workload,
-    run_workload,
-    safety_report,
-    singleton_proposal_schedule,
-    unique_value_proposal_schedule,
-    validate_protocol_params,
-    write_then_scan_schedule,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Invocation",
-    "PROTOCOL_KINDS",
-    "PROTOCOL_PARAM_KEYS",
-    "PatternVerdict",
-    "TightnessReport",
-    "WORKLOAD_DEFAULTS",
-    "WorkloadResult",
-    "alternating_write_read_schedule",
-    "build_protocol_factory",
-    "client_schedule",
-    "compare_register_overhead",
-    "default_invokers",
-    "EFFORT_PROBE_MAX_STATES",
-    "evaluate_safety",
-    "execute_workload",
-    "judge_baseline_history",
-    "judge_consensus_history",
-    "judge_history",
-    "judge_lattice_history",
-    "judge_register_history",
-    "judge_snapshot_history",
-    "run_consensus_workload",
-    "run_lattice_workload",
-    "run_paxos_baseline_workload",
-    "register_search_effort",
-    "run_register_workload",
-    "run_snapshot_workload",
-    "run_workload",
-    "safety_report",
-    "singleton_proposal_schedule",
-    "unique_value_proposal_schedule",
-    "validate_protocol_params",
-    "verify_pattern",
-    "verify_tightness",
-    "write_then_scan_schedule",
-]
+_EXPORTS = {
+    ".tightness": ("PatternVerdict", "TightnessReport", "verify_pattern", "verify_tightness"),
+    ".workloads": (
+        "PROTOCOL_KINDS", "PROTOCOL_PARAM_KEYS", "WORKLOAD_DEFAULTS", "Invocation",
+        "WorkloadResult", "alternating_write_read_schedule", "build_protocol_factory",
+        "client_schedule", "compare_register_overhead", "EFFORT_PROBE_MAX_STATES",
+        "default_invokers", "evaluate_safety", "execute_workload", "judge_baseline_history",
+        "judge_consensus_history", "judge_history", "judge_lattice_history",
+        "judge_register_history", "judge_snapshot_history", "register_search_effort",
+        "run_consensus_workload", "run_lattice_workload", "run_paxos_baseline_workload",
+        "run_register_workload", "run_snapshot_workload", "run_workload", "safety_report",
+        "singleton_proposal_schedule", "unique_value_proposal_schedule", "validate_protocol_params",
+        "write_then_scan_schedule",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

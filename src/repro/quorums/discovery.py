@@ -64,14 +64,16 @@ brute-forcer over arbitrary subsets) live with the tests, in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.runner import ProgressCallback
 from ..errors import NoQuorumSystemExistsError
 from ..failures import FailProneSystem, FailurePattern, SymmetryGroup
 from ..graph import iter_bits, permute_mask
 from ..types import ProcessSet, sort_key, sorted_processes
 from .generalized import GeneralizedQuorumSystem
+
+if TYPE_CHECKING:  # the decision layer runs without the engine
+    from ..engine import ProgressCallback
 
 #: Namespace under which per-pattern candidate structures are memoized on a
 #: :class:`FailProneSystem` (see :meth:`FailProneSystem.analysis_cache`).

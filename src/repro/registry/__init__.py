@@ -20,9 +20,12 @@ Third-party code extends any of them through the ``register_*`` functions
 below, typically from a plugin module loaded via ``repro --plugin mod`` or
 ``REPRO_PLUGINS=mod1,mod2`` (see :mod:`repro.registry.plugins` and
 ``docs/extending.md``).  The built-in entries are registered when the owning
-module imports; importing any ``repro`` submodule triggers the package
-``__init__``, which imports them all, so the registries are always fully
-populated by the time user code can observe them.
+module imports, and each registry knows its owning modules: it imports them
+itself the first time it is looked at or registered into from anywhere else,
+and all six do so before a plugin loads.  So a registry is always fully
+populated — builtins in catalogue order, then plugins in load order — by the
+time user code can observe it, and a command that never looks at a registry
+never imports the layer behind it.
 """
 
 from __future__ import annotations
@@ -72,22 +75,34 @@ __all__ = [
 ]
 
 #: Protocol kinds the workload layer can drive (register, snapshot, …).
-PROTOCOLS = Registry("protocol", noun="protocol kind", param_noun="protocol")
+PROTOCOLS = Registry(
+    "protocol", noun="protocol kind", param_noun="protocol",
+    homes=("repro.experiments.workloads",),
+)
 
 #: Fail-prone system generators (figure1, ring, geo, …).
-TOPOLOGIES = Registry("topology", noun="topology kind", param_noun="topology")
+TOPOLOGIES = Registry(
+    "topology", noun="topology kind", param_noun="topology",
+    homes=("repro.failures.generators",),
+)
 
 #: Message-delay models of the network simulator (fixed, uniform, …).
-DELAY_MODELS = Registry("delay-model", noun="delay model kind", param_noun="delay model")
+DELAY_MODELS = Registry(
+    "delay-model", noun="delay model kind", param_noun="delay model",
+    homes=("repro.sim.delays", "repro.sim.override"),
+)
 
 #: Trace re-verification checkers of ``repro check`` (auto, wing-gong, …).
-CHECKERS = Registry("checker", noun="checker")
+CHECKERS = Registry("checker", noun="checker", homes=("repro.traces.check",))
 
 #: The named scenario catalogue (``repro scenario …``).
-SCENARIOS = Registry("scenario", noun="scenario")
+SCENARIOS = Registry("scenario", noun="scenario", homes=("repro.scenarios.registry",))
 
 #: Adversarial search strategies of ``repro nemesis hunt`` (random, hill-climb, …).
-NEMESIS = Registry("nemesis", noun="nemesis strategy", param_noun="nemesis strategy")
+NEMESIS = Registry(
+    "nemesis", noun="nemesis strategy", param_noun="nemesis strategy",
+    homes=("repro.nemesis.strategies",),
+)
 
 
 # ---------------------------------------------------------------------- #

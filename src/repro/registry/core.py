@@ -22,7 +22,8 @@ messages depend only on the registered names — never on hash seeds.
 
 from __future__ import annotations
 
-import difflib
+import importlib
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -107,14 +108,44 @@ class Registry(MappingABC):
     kind"``); ``param_noun`` the shorter phrase used in parameter-validation
     errors (e.g. ``"protocol"``).  Iteration order is registration order, so
     every listing derived from a registry is deterministic.
+
+    ``homes`` names the modules that register the built-in entries when they
+    import.  The registry imports them itself, in order, the first time anyone
+    looks at it — or registers into it from outside them — so it is fully
+    populated, builtins first, by the time it can be observed, without any
+    package ``__init__`` having to import every layer up front.
     """
 
-    def __init__(self, kind: str, noun: str, param_noun: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        kind: str,
+        noun: str,
+        param_noun: Optional[str] = None,
+        homes: Tuple[str, ...] = (),
+    ) -> None:
         self.kind = kind
         self.noun = noun
         self.param_noun = param_noun if param_noun is not None else noun
-        self._entries: Dict[str, Descriptor] = {}
+        self._homes = tuple(homes)
+        self._table: Dict[str, Descriptor] = {}
         ALL_REGISTRIES.append(self)
+
+    def _import_homes(self) -> None:
+        """Import the pending home modules, in order.
+
+        They are cleared first, so the ``register`` calls the homes make (and
+        anything they look up meanwhile) pass straight through.
+        """
+        homes, self._homes = self._homes, ()
+        for home in homes:
+            importlib.import_module(home)
+
+    @property
+    def _entries(self) -> Dict[str, Descriptor]:
+        """The name → descriptor table, once every home module has registered."""
+        if self._homes:
+            self._import_homes()
+        return self._table
 
     # ------------------------------------------------------------------ #
     # Mapping protocol (iteration yields names, lookup yields descriptors)
@@ -145,7 +176,11 @@ class Registry(MappingABC):
                     descriptor.name, descriptor.kind, self.kind
                 )
             )
-        if descriptor.name in self._entries and not replace:
+        if not any(home in sys.modules for home in self._homes):
+            # No home is importing or imported, so this is not a home registering
+            # itself: the builtins go in first.
+            self._import_homes()
+        if descriptor.name in self._table and not replace:
             raise ReproError(
                 "{} {!r} is already registered".format(self.noun, descriptor.name)
             )
@@ -160,7 +195,7 @@ class Registry(MappingABC):
                 origin=current_origin(),
                 extras=dict(descriptor.extras),
             )
-        self._entries[descriptor.name] = descriptor
+        self._table[descriptor.name] = descriptor
         return descriptor
 
     def get(self, name: str, default: Any = _MISSING) -> Any:
@@ -205,6 +240,8 @@ class Registry(MappingABC):
     # ------------------------------------------------------------------ #
     def unknown_name_error(self, name: str, extra: Sequence[str] = ()) -> ReproError:
         """The canonical unknown-name error: sorted candidates + did-you-mean."""
+        import difflib  # only the error path pays for it
+
         candidates = sorted(set(self._entries) | set(extra))
         message = "unknown {} {!r}; expected one of {}".format(self.noun, name, candidates)
         close = difflib.get_close_matches(str(name), candidates, n=1, cutoff=0.6)

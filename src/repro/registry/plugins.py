@@ -67,6 +67,10 @@ def load_plugin(module: str) -> List[Descriptor]:
         raise ReproError("empty plugin module name")
     if module in _LOADED:
         return plugin_contributions(module)
+    for registry in ALL_REGISTRIES:
+        # Builtins first: whatever the plugin imports or registers must find
+        # them in place, ordered ahead of it and not attributed to it.
+        registry._import_homes()
     previous = set_current_origin(module)
     try:
         importlib.import_module(module)

@@ -26,10 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..errors import ReproError
-from ..experiments import validate_protocol_params  # populates the protocol registry
-from ..failures import TOPOLOGY_KINDS  # noqa: F401 - populates the topology registry
-from ..registry import DELAY_MODELS, TOPOLOGIES
-from ..sim import DELAY_MODEL_KINDS  # noqa: F401 - populates the delay-model registry
+from ..registry import DELAY_MODELS, PROTOCOLS, TOPOLOGIES
 
 __all__ = [
     "DelaySpec",
@@ -155,7 +152,7 @@ class ProtocolSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        validate_protocol_params(self.kind, self.params)
+        PROTOCOLS.validate_params(self.kind, self.params)
 
     def label(self) -> str:
         if not self.params:

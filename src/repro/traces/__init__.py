@@ -19,51 +19,20 @@ declared fail-prone budget.  ``repro check`` re-verifies such a corpus
 unchanged — it only reads the ``*.trace.jsonl`` files.
 """
 
-from .check import (
-    CHECKER_KINDS,
-    TraceCheckReport,
-    check_trace,
-    check_traces,
-)
-from .incidents import (
-    INCIDENT_KEYS,
-    INCIDENT_SCHEMA_VERSION,
-    INCIDENT_SUFFIX,
-    budget_check,
-    build_incident,
-    incident_file_name,
-    list_incident_files,
-    load_incident,
-    write_incident,
-)
-from .store import (
-    TRACE_SCHEMA_VERSION,
-    TRACE_SUFFIX,
-    Trace,
-    list_trace_files,
-    load_trace,
-    trace_file_name,
-    write_run_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKER_KINDS",
-    "INCIDENT_KEYS",
-    "INCIDENT_SCHEMA_VERSION",
-    "INCIDENT_SUFFIX",
-    "TRACE_SCHEMA_VERSION",
-    "TRACE_SUFFIX",
-    "Trace",
-    "TraceCheckReport",
-    "budget_check",
-    "build_incident",
-    "check_trace",
-    "check_traces",
-    "incident_file_name",
-    "list_incident_files",
-    "list_trace_files",
-    "load_incident",
-    "load_trace",
-    "trace_file_name",
-    "write_run_trace",
-]
+_EXPORTS = {
+    ".check": ("CHECKER_KINDS", "TraceCheckReport", "check_trace", "check_traces"),
+    ".incidents": (
+        "INCIDENT_KEYS", "INCIDENT_SCHEMA_VERSION", "INCIDENT_SUFFIX", "budget_check",
+        "build_incident", "incident_file_name", "list_incident_files", "load_incident",
+        "write_incident",
+    ),
+    ".store": (
+        "TRACE_SCHEMA_VERSION", "TRACE_SUFFIX", "Trace", "list_trace_files", "load_trace",
+        "trace_file_name", "write_run_trace",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

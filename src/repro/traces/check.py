@@ -35,10 +35,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..analysis.metrics import ResultTable
-from ..checkers import check_register_linearizability
 from ..engine import ParallelRunner, ProgressCallback
 from ..errors import ReproError
-from ..experiments import judge_history
 from ..registry import CHECKERS, RegistryView, register_checker
 from .store import Trace, list_trace_files, load_trace
 
@@ -67,6 +65,8 @@ CHECK_COLUMNS = (
 def _check_register(trace: Trace, checker: str) -> Dict[str, Any]:
     """A forced register checker choice (``auto``/``dep-graph`` use the shared
     dispatch in :func:`_check_auto`)."""
+    from ..checkers import check_register_linearizability
+
     mode = "streaming" if checker == "streaming" else "batch"
     outcome = check_register_linearizability(trace.history, initial_value=0, mode=mode)
     return {"safe": outcome.is_linearizable, "explored": outcome.explored_states,
@@ -78,8 +78,11 @@ def _check_auto(trace: Trace) -> Dict[str, Any]:
 
     Delegates to :func:`repro.experiments.judge_history` — the one shared
     protocol→checker dispatch — so the re-check can never drift from the
-    recorded verdict's semantics.
+    recorded verdict's semantics.  (Imported here: listing the ``--checker``
+    choices, which imports this module, must not import the protocol stack.)
     """
+    from ..experiments import judge_history
+
     if trace.protocol in ("snapshot", "consensus") and trace.quorum_system is None:
         raise ReproError(
             "{}: {} trace carries no quorum system (needed to re-judge it)".format(

@@ -8,6 +8,8 @@ and the contract end-to-end on the Monte Carlo experiments that run on it.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.engine import (
@@ -19,6 +21,7 @@ from repro.engine import (
     resolve_jobs,
     spawn_seeds,
 )
+from repro.errors import ReproError
 
 
 # ---------------------------------------------------------------------- #
@@ -106,6 +109,21 @@ def _merge_counts(spec, shard_results):
     }
 
 
+def _log_then_fail_on_three(log_path, value):
+    """Appends one line per call (across processes), then fails on item 3."""
+    with open(log_path, "a") as handle:
+        handle.write("{}\n".format(value))
+    if value == 3:
+        raise OSError("disk full on item 3")
+    return value
+
+
+def _fail_second_shard(spec, shard):
+    if shard.index == 1:
+        raise OSError("cannot write shard {}".format(shard.index))
+    return {"samples": shard.samples, "seed": shard.seed}
+
+
 def test_resolve_jobs():
     assert resolve_jobs(None) == 1
     assert resolve_jobs(1) == 1
@@ -151,6 +169,33 @@ def test_run_sharded_merges_in_shard_order():
         merged = ParallelRunner(jobs=jobs).run_sharded(specs, _count_shard, _merge_counts)
         assert [m["samples"] for m in merged] == [25, 5, 0]
         assert merged[0]["seeds"] == tuple(s.seed for s in specs[0].shards())
+
+
+def test_task_oserror_fails_the_run_instead_of_restarting_it_serially(tmp_path):
+    """Only pool *creation* may fall back to the serial loop: an OSError raised
+    by a task used to be mistaken for a platform without process support."""
+    log = tmp_path / "calls.log"
+    seen = []
+    runner = ParallelRunner(jobs=2, progress=lambda done, total: seen.append(done))
+    with pytest.raises(OSError, match="disk full on item 3"):
+        runner.map(functools.partial(_log_then_fail_on_three, str(log)), list(range(8)))
+    assert runner.last_mode == "parallel"
+    calls = log.read_text().split()
+    assert len(calls) == len(set(calls)) <= 8, calls  # no item ran twice
+    assert seen == sorted(set(seen)) and 4 not in seen, seen  # progress never restarted
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_shard_surfaces_as_attributed_repro_error(jobs):
+    spec = ExperimentSpec(name="boom", samples=25, seed=9, chunk_size=10)
+    with pytest.raises(ReproError) as excinfo:
+        ParallelRunner(jobs=jobs).run_sharded([spec], _fail_second_shard, _merge_counts)
+    assert str(excinfo.value) == (
+        "shard 1 of experiment 'boom' (derived seed {}) failed: "
+        "OSError: cannot write shard 1".format(spec.shards()[1].seed)
+    )
+    assert isinstance(excinfo.value.__cause__, OSError)
+    assert str(excinfo.value.__cause__) == "cannot write shard 1"
 
 
 def test_run_single_spec():
