@@ -78,11 +78,11 @@ def _snapshot_path(directory):
 
 #: Guarded metric-name substrings where bigger numbers are better; a value
 #: falling more than 2x below the committed seed is a regression.
-HIGHER_IS_BETTER = ("samples_per_sec", "events_per_sec", "reuse_fraction")
+HIGHER_IS_BETTER = ("samples_per_sec", "events_per_sec", "reuse_fraction", "speedup")
 
 #: Guarded metric-name substrings where smaller numbers are better (search
 #: effort, the cost of witness validation relative to the search it
-#: certifies, and the cold-start wall clock of fixed one-shot commands); a
+#: certifies, and the wall clock of fixed one-shot commands and searches); a
 #: value growing more than 2x above the committed seed is a regression.
 #: ``reference or 1`` keeps a perfect seed of 0 explored nodes from flagging
 #: every nonzero future value.
@@ -94,11 +94,12 @@ def _throughput_regressions(results):
 
     Wall-clock seconds vary with workload sizes between revisions, so the
     guard only watches workload-independent numbers: throughput metrics
-    (``*samples_per_sec*``, ``*events_per_sec*``), the watch-mode
-    ``*reuse_fraction*`` (all higher-is-better: a >2x drop is a regression),
-    discovery search effort and validation overhead (``*nodes_explored*``,
-    ``*validate_ratio*``) and the cold-start wall clock of fixed one-shot
-    commands (``*_wall_s``; lower-is-better: a >2x growth is a regression).
+    (``*samples_per_sec*``, ``*events_per_sec*``), production-vs-oracle
+    ``*speedup*`` ratios, the watch-mode ``*reuse_fraction*`` (all
+    higher-is-better: a >2x drop is a regression), discovery search effort
+    and validation overhead (``*nodes_explored*``, ``*validate_ratio*``) and
+    the wall clock of fixed one-shot commands and searches (``*_wall_s``;
+    lower-is-better: a >2x growth is a regression).
     """
     try:
         with open(SEED_SNAPSHOT, encoding="utf-8") as handle:

@@ -182,7 +182,7 @@ class DiscoveryReport:
 def discovery_report(
     system: FailProneSystem,
     algorithm: str = "pruned",
-    validate: bool = False,
+    validate: bool = True,
     progress: Optional[ProgressCallback] = None,
 ) -> DiscoveryReport:
     """:func:`discover` wrapped with the witness rows the CLI renders."""

@@ -14,7 +14,7 @@ import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidFailurePatternError
-from ..graph import BitsetDiGraph, DiGraph, MaskPermutation, ProcessIndex, iter_bits
+from ..graph import BitsetDiGraph, DiGraph, MaskReindex, ProcessIndex
 from ..types import Channel, ProcessId, ProcessSet, sorted_processes
 from .pattern import FailurePattern
 from .symmetry import SymmetryGroup
@@ -52,21 +52,47 @@ class FailProneSystem:
         name: Optional[str] = None,
         symmetry: Optional[SymmetryGroup] = None,
     ) -> None:
-        self._processes = frozenset(processes)
-        if not self._processes:
+        members = frozenset(processes)
+        if not members:
             raise InvalidFailurePatternError("a fail-prone system needs at least one process")
-        # Vertices are inserted in sorted order: the network graph must never
-        # inherit the hash-seed-dependent iteration order of a frozenset, or
-        # every traversal downstream (SCCs, candidate enumeration, discovery)
-        # would differ between interpreter runs.
-        ordered = sorted_processes(self._processes)
-        self._graph = graph.copy() if graph is not None else DiGraph.complete(ordered)
-        for p in ordered:
-            self._graph.add_vertex(p)
+        # The sorted process index fixes every bit position, so nothing
+        # downstream (SCCs, candidate enumeration, discovery) inherits the
+        # hash-seed-dependent iteration order of a frozenset or of ``graph``.
+        index = ProcessIndex(members)
+        if graph is None:
+            network = BitsetDiGraph.complete(index)
+        else:
+            strangers = graph.vertex_set - members
+            if strangers:
+                raise InvalidFailurePatternError(
+                    "network graph has vertices outside the process set: {}".format(
+                        sorted_processes(strangers)
+                    )
+                )
+            network = BitsetDiGraph.from_digraph(graph, index)
+            network.vertex_mask = index.full_mask  # a process without channels is still a vertex
+        self._setup(members, network, None, patterns, name, symmetry)
+
+    def _setup(
+        self,
+        processes: ProcessSet,
+        network: BitsetDiGraph,
+        graph: Optional[DiGraph],
+        patterns: Iterable[FailurePattern],
+        name: Optional[str],
+        symmetry: Optional[SymmetryGroup],
+    ) -> None:
+        """Install the network and validate ``patterns`` and ``symmetry`` against it."""
+        self._processes = processes
+        self._process_index = index = network.index
+        self._bitset_graph = network
+        # The set-based DiGraph is only materialized for callers that ask for
+        # it (``graph`` / ``graph_view``); the decision layer never does.
+        self._graph = graph
         self._patterns: Tuple[FailurePattern, ...] = tuple(patterns)
         self._name = name
         for f in self._patterns:
-            unknown = f.crash_prone - self._processes
+            unknown = f.crash_prone - processes
             if unknown:
                 raise InvalidFailurePatternError(
                     "pattern {!r} references unknown processes {}".format(
@@ -74,29 +100,54 @@ class FailProneSystem:
                     )
                 )
             for src, dst in f.disconnect_prone:
-                if src not in self._processes or dst not in self._processes:
+                if src not in processes or dst not in processes:
                     raise InvalidFailurePatternError(
                         "pattern {!r} references a channel outside the process set".format(f)
                     )
-                if not self._graph.has_edge(src, dst):
+                if not network.successor_mask(index.position(src)) >> index.position(dst) & 1:
                     raise InvalidFailurePatternError(
                         "pattern {!r} disconnects channel ({!r}, {!r}) "
                         "that does not exist in the network graph".format(f, src, dst)
                     )
         self._symmetry = symmetry if symmetry is not None and not symmetry.is_trivial() else None
         if self._symmetry is not None:
-            self._symmetry.validate_for(self._processes, self._graph, self._patterns)
+            complete = network == BitsetDiGraph.complete(index)
+            self._symmetry.validate_for(
+                processes, None if complete else self.graph_view, self._patterns
+            )
         # Lazily populated derived state.  The decision procedure re-derives
         # the same residual graphs and candidate structures for every pattern
         # over and over (discovery, repair, classification, availability
         # checks), so they are memoized here, keyed by (value-hashable)
         # FailurePattern.  All memoized objects are shared: callers must treat
         # them as immutable.
-        self._process_index: Optional[ProcessIndex] = None
-        self._bitset_graph: Optional[BitsetDiGraph] = None
         self._residual_cache: Dict[FailurePattern, DiGraph] = {}
         self._residual_bitset_cache: Dict[FailurePattern, BitsetDiGraph] = {}
         self._analysis_caches: Dict[str, Dict] = {}
+
+    def _derive(
+        self,
+        patterns: Iterable[FailurePattern],
+        name: Optional[str] = None,
+        symmetry: Optional[SymmetryGroup] = None,
+        network: Optional[BitsetDiGraph] = None,
+    ) -> "FailProneSystem":
+        """A system with other patterns over this system's network (or ``network``).
+
+        The one derivation path behind :meth:`with_pattern`, :meth:`restrict`,
+        channel hardening and the membership deltas.  Without ``network`` the
+        process index and both graph views are shared by identity — nothing is
+        copied or rebuilt; with it (a join or leave, which re-indexes) the new
+        system takes its processes from ``network.index``.  Every constructor
+        check still runs.
+        """
+        if network is None:
+            processes, network, graph = self._processes, self._bitset_graph, self._graph
+        else:
+            processes, graph = frozenset(network.index.processes), None
+        system = FailProneSystem.__new__(FailProneSystem)
+        system._setup(processes, network, graph, patterns, name, symmetry)
+        return system
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -108,14 +159,13 @@ class FailProneSystem:
 
     @property
     def graph(self) -> DiGraph:
-        """The network graph ``G = (P, C)`` (a defensive copy).
+        """The network graph ``G = (P, C)`` as a fresh, caller-owned :class:`DiGraph`.
 
-        Copying keeps external callers from mutating the graph behind the
-        memoized residual/candidate caches; in-tree hot loops that only *read*
-        the graph use :attr:`graph_view` instead so that large-``n`` discovery
-        and reliability sampling never re-copy the network per pattern.
+        Built from the bitmask rows on every access, so editing it never
+        reaches the system or the systems derived from it; readers that only
+        traverse the graph use the shared :attr:`graph_view` instead.
         """
-        return self._graph.copy()
+        return self._bitset_graph.to_digraph()
 
     @property
     def graph_view(self) -> DiGraph:
@@ -123,8 +173,10 @@ class FailProneSystem:
 
         Mutating the returned graph would silently invalidate every memoized
         residual graph and candidate structure; use :attr:`graph` when a
-        mutable copy is needed.
+        mutable copy is needed.  Materialized on first access.
         """
+        if self._graph is None:
+            self._graph = self._bitset_graph.to_digraph()
         return self._graph
 
     @property
@@ -161,15 +213,11 @@ class FailProneSystem:
     @property
     def process_index(self) -> ProcessIndex:
         """The deterministic process ↔ bit-position mapping for this system."""
-        if self._process_index is None:
-            self._process_index = ProcessIndex(self._processes)
         return self._process_index
 
     @property
     def bitset_graph(self) -> BitsetDiGraph:
         """The network graph as a shared bitmask view (treat as immutable)."""
-        if self._bitset_graph is None:
-            self._bitset_graph = BitsetDiGraph.from_digraph(self._graph, self.process_index)
         return self._bitset_graph
 
     def residual_graph(self, pattern: FailurePattern) -> DiGraph:
@@ -180,7 +228,7 @@ class FailProneSystem:
         """
         cached = self._residual_cache.get(pattern)
         if cached is None:
-            cached = pattern.residual_graph(self._graph)
+            cached = pattern.residual_graph(self.graph_view)
             self._residual_cache[pattern] = cached
         return cached
 
@@ -212,12 +260,8 @@ class FailProneSystem:
         :func:`repro.quorums.repair.harden_channels`.  Returns the number of
         adopted cache entries.
         """
-        if self._processes != other._processes or self._graph != other._graph:
+        if self._bitset_graph != other._bitset_graph:
             return 0
-        if self._process_index is None:
-            self._process_index = other._process_index
-        if self._bitset_graph is None:
-            self._bitset_graph = other._bitset_graph
         own_patterns = set(self._patterns)
         adopted = self.adopt_pattern_caches(other, {f: f for f in own_patterns})
         for namespace, entries in other._analysis_caches.items():
@@ -232,26 +276,24 @@ class FailProneSystem:
         self,
         other: "FailProneSystem",
         pattern_map: Dict[FailurePattern, FailurePattern],
-        permutation: Optional[MaskPermutation] = None,
+        reindex: Optional[MaskReindex] = None,
     ) -> int:
         """Adopt ``other``'s memoized residual structures under remapped keys.
 
         ``pattern_map`` sends a pattern of ``self`` to the pattern of
-        ``other`` whose residual structure it shares; ``permutation`` (old bit
-        positions → new bit positions, see
-        :meth:`~repro.graph.ProcessIndex.permutation_to`) re-indexes the
-        bitmask views when the process sets differ.  The *caller* guarantees
-        the structural equality — this is the delta-aware core of
-        :meth:`warm_caches_from`, used by :mod:`repro.quorums.incremental` to
-        carry caches across membership deltas where the plain warm path's
-        "same processes, same graph" precondition no longer holds.
+        ``other`` whose residual structure it shares (the *caller* guarantees
+        that equality); ``reindex`` carries ``other``'s bit positions onto this
+        system's when the process sets differ.  This is the delta-aware core
+        of :meth:`warm_caches_from`, used by :mod:`repro.quorums.incremental`
+        where "same processes, same graph" no longer holds.
 
         Residual :class:`~repro.graph.DiGraph` objects are process-id based
-        and adopted as shared objects; residual bitmask views are shared when
-        ``permutation`` is the identity and rebuilt through it otherwise.
-        Returns the number of adopted entries.
+        and shared as they are; bitmask views are shared when ``reindex`` is
+        absent or the identity and re-keyed through it otherwise
+        (``ValueError`` if a residual still holds a process without a
+        position here).  Returns the number of adopted entries.
         """
-        identity = permutation is None or permutation.is_identity()
+        identity = reindex is None or reindex.is_identity()
         adopted = 0
         for new_pattern, old_pattern in pattern_map.items():
             if new_pattern not in self._residual_cache:
@@ -262,33 +304,11 @@ class FailProneSystem:
             if new_pattern not in self._residual_bitset_cache:
                 bitset = other._residual_bitset_cache.get(old_pattern)
                 if bitset is not None:
-                    if not identity:
-                        bitset = self._remap_residual_bitset(bitset, permutation)
-                    self._residual_bitset_cache[new_pattern] = bitset
+                    self._residual_bitset_cache[new_pattern] = (
+                        bitset if identity else bitset.reindexed(reindex)
+                    )
                     adopted += 1
         return adopted
-
-    def _remap_residual_bitset(
-        self, residual: BitsetDiGraph, permutation: MaskPermutation
-    ) -> BitsetDiGraph:
-        """Re-index a residual bitmask view onto this system's process index.
-
-        Only valid when every vertex present in ``residual`` maps to a process
-        of this system (the cache-remap contract: departed processes are
-        crashed, hence absent, in every remapped residual).
-        """
-        index = self.process_index
-        n = len(index)
-        succ = [0] * n
-        pred = [0] * n
-        perm = permutation.perm
-        for i in iter_bits(residual.vertex_mask):
-            j = perm[i]
-            succ[j] = permutation.apply(residual.successor_mask(i))
-            pred[j] = permutation.apply(residual.predecessor_mask(i))
-        return BitsetDiGraph(
-            index, permutation.apply(residual.vertex_mask), succ, pred
-        )
 
     def correct_processes(self, pattern: FailurePattern) -> ProcessSet:
         """Processes correct under ``pattern``."""
@@ -315,13 +335,11 @@ class FailProneSystem:
 
     def with_pattern(self, pattern: FailurePattern, name: Optional[str] = None) -> "FailProneSystem":
         """Return a new system with ``pattern`` appended."""
-        return FailProneSystem(
-            self._processes, list(self._patterns) + [pattern], graph=self._graph, name=name or self._name
-        )
+        return self._derive(self._patterns + (pattern,), name=name or self._name)
 
     def restrict(self, patterns: Sequence[FailurePattern], name: Optional[str] = None) -> "FailProneSystem":
         """Return a new system containing only ``patterns``."""
-        return FailProneSystem(self._processes, patterns, graph=self._graph, name=name or self._name)
+        return self._derive(patterns, name=name or self._name)
 
     # ------------------------------------------------------------------ #
     # Threshold constructions

@@ -130,7 +130,7 @@ class SymmetryGroup:
     def validate_for(
         self,
         processes: FrozenSet[ProcessId],
-        graph: DiGraph,
+        graph: Optional[DiGraph],
         patterns: Sequence[FailurePattern],
     ) -> None:
         """Check every generator is an automorphism of ``(processes, graph, patterns)``.
@@ -139,10 +139,11 @@ class SymmetryGroup:
         moves a process outside the system, fails to be a bijection of the
         process set, breaks a network channel, or maps some pattern outside
         the declared family.  A complete network graph is invariant under any
-        process bijection, so the per-edge check is skipped for it.
+        process bijection, so the per-edge check is skipped for it; a caller
+        that already knows the graph is complete passes ``None``.
         """
         n = len(processes)
-        complete = graph.num_edges() == n * (n - 1)
+        complete = graph is None or graph.num_edges() == n * (n - 1)
         pattern_values = set(patterns)
         for position, generator in enumerate(self._generators):
             moved = set(generator)

@@ -4,6 +4,7 @@ from .digraph import DiGraph
 from .bitset import (
     BitsetDiGraph,
     MaskPermutation,
+    MaskReindex,
     ProcessIndex,
     canonical_orbit_mask,
     component_containing,
@@ -29,6 +30,7 @@ __all__ = [
     "BitsetDiGraph",
     "DiGraph",
     "MaskPermutation",
+    "MaskReindex",
     "ProcessIndex",
     "can_reach",
     "canonical_orbit_mask",

@@ -17,8 +17,9 @@ Two types are provided:
   reachability, and strongly connected components over masks.
 
 The bitmask layer is a *view*: :class:`~repro.graph.digraph.DiGraph` remains
-the construction-friendly representation, and
-:meth:`BitsetDiGraph.from_digraph` converts once per graph.
+the construction-friendly representation;
+:meth:`BitsetDiGraph.from_digraph` and :meth:`BitsetDiGraph.to_digraph`
+convert between the two.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class MaskPermutation:
     (``perm`` restricted to that byte, images pre-shifted into place), so
     applying it to a mask costs ``⌈n/8⌉`` table lookups instead of a Python
     loop over set bits — the quotiented discovery path permutes thousands of
-    candidate masks per orbit, and the watch-mode cache remapper re-indexes
-    every memoized structure of a system on a membership delta.
+    candidate masks per orbit.  Arbitrary permutations only: carrying masks
+    between two process indexes is :class:`MaskReindex`'s job.
     """
 
     __slots__ = ("_perm", "_tables")
@@ -266,31 +267,6 @@ class ProcessIndex:
             rows[i] = rows.get(i, 0) | (1 << positions[dst])
         return self.mask_of(crashed), rows
 
-    def permutation_to(self, other: "ProcessIndex") -> "MaskPermutation":
-        """A mask permutation carrying this index's bit positions onto ``other``'s.
-
-        Shared processes map position to position; positions of processes
-        absent from ``other`` are assigned the leftover codomain slots (the
-        permutation acts on ``max(len(self), len(other))`` positions so it
-        stays a bijection).  A mask that only mentions shared processes
-        therefore re-indexes exactly — the contract of the watch-mode cache
-        remapper, where a departed process is crashed (hence absent) in every
-        remapped residual structure.
-        """
-        size = max(len(self._processes), len(other))
-        perm = [-1] * size
-        taken = set()
-        for i, process in enumerate(self._processes):
-            if process in other:
-                j = other.position(process)
-                perm[i] = j
-                taken.add(j)
-        spare = (j for j in range(size) if j not in taken)
-        for i in range(size):
-            if perm[i] < 0:
-                perm[i] = next(spare)
-        return MaskPermutation(perm)
-
     def channels_of(self, succ_clear: Mapping[int, int]) -> FrozenSet[Channel]:
         """Decode per-source destination rows back into a channel set."""
         return frozenset(
@@ -303,15 +279,76 @@ class ProcessIndex:
         return "ProcessIndex(n={})".format(len(self._processes))
 
 
+class MaskReindex:
+    """Order-preserving re-keying of masks from one :class:`ProcessIndex` to another.
+
+    Both indexes sort by the same key, so the position map is monotone on the
+    shared processes: it splits into a few segments of positions that all move
+    by the same offset (bits below a joiner stay, bits from it up shift by
+    one; a leave is the mirror image — two segments either way).  Re-keying
+    is one mask-and-shift per segment, whatever the index size.  A mask naming
+    a process without a position in ``target`` (it departed, or was never in
+    ``source``) is refused, never silently moved.
+    """
+
+    __slots__ = ("target", "images", "_segments", "_unmapped")
+
+    def __init__(self, source: ProcessIndex, target: ProcessIndex) -> None:
+        self.target = target
+        #: Target position per source position (``-1``: none).
+        self.images: Tuple[int, ...] = tuple(
+            target._positions.get(process, -1) for process in source.processes
+        )
+        segments: Dict[int, int] = {}  # offset -> the source bits moving by it
+        shared = 0
+        for i, j in enumerate(self.images):
+            if j >= 0:
+                segments[j - i] = segments.get(j - i, 0) | (1 << i)
+                shared |= 1 << i
+        self._segments = tuple(segments.items())
+        self._unmapped = ~shared
+
+    def is_identity(self) -> bool:
+        """Whether both indexes hold the same processes (every mask maps to itself)."""
+        return self.images == tuple(range(len(self.target)))
+
+    def apply(self, mask: int) -> int:
+        """``mask`` re-keyed to ``target``'s bit positions."""
+        return self.apply_all((mask,))[0]
+
+    def apply_all(self, masks: Sequence[int]) -> List[int]:
+        """Every mask re-keyed: one list pass per segment, no per-mask call."""
+        union = 0
+        for mask in masks:
+            union |= mask
+        if union & self._unmapped:
+            raise ValueError("mask names a process with no position in the target index")
+        images = [0] * len(masks)
+        for offset, segment in self._segments:
+            if offset >= 0:
+                images = [image | (m & segment) << offset for image, m in zip(images, masks)]
+            else:
+                images = [image | (m & segment) >> -offset for image, m in zip(images, masks)]
+        return images
+
+    def __repr__(self) -> str:
+        return "MaskReindex({} -> {}, segments={})".format(
+            len(self.images), len(self.target), len(self._segments)
+        )
+
+
 class BitsetDiGraph:
     """A directed graph stored as per-vertex successor/predecessor masks.
 
     Vertices are bit positions of a shared :class:`ProcessIndex`; a vertex may
     be absent (its bit unset in :attr:`vertex_mask`), which is how residual
-    graphs drop crashed processes without re-indexing.
+    graphs drop crashed processes without re-indexing; the rows of present
+    vertices only ever mention present vertices.  Instances are shared
+    between caches and never edited after construction, so the component list
+    is memoized on first use.
     """
 
-    __slots__ = ("index", "vertex_mask", "_succ", "_pred")
+    __slots__ = ("index", "vertex_mask", "_succ", "_pred", "_sccs")
 
     def __init__(
         self,
@@ -324,10 +361,27 @@ class BitsetDiGraph:
         self.vertex_mask = vertex_mask
         self._succ = succ
         self._pred = pred
+        self._sccs: Optional[List[int]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitsetDiGraph):
+            return NotImplemented
+        return self is other or (
+            self.index.processes == other.index.processes
+            and self.vertex_mask == other.vertex_mask
+            and self._succ == other._succ
+        )
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    @classmethod
+    def complete(cls, index: ProcessIndex) -> "BitsetDiGraph":
+        """The complete graph on ``index``: a channel per ordered pair of processes."""
+        full = index.full_mask
+        rows = [full ^ (1 << i) for i in range(len(index))]
+        return cls(index, full, rows, list(rows))
+
     @classmethod
     def from_digraph(cls, graph: DiGraph, index: Optional[ProcessIndex] = None) -> "BitsetDiGraph":
         """Convert a :class:`DiGraph` into its bitmask view."""
@@ -342,6 +396,47 @@ class BitsetDiGraph:
             succ[i] |= 1 << j
             pred[j] |= 1 << i
         return cls(index, vertex_mask, succ, pred)
+
+    def to_digraph(self) -> DiGraph:
+        """A fresh :class:`DiGraph` with the same vertices and edges, in position order."""
+        processes = self.index.processes
+        present = list(iter_bits(self.vertex_mask))
+        graph = DiGraph(vertices=[processes[i] for i in present])
+        for i in present:
+            for j in iter_bits(self._succ[i]):
+                graph.add_edge(processes[i], processes[j])
+        return graph
+
+    def reindexed(self, reindex: MaskReindex) -> "BitsetDiGraph":
+        """The same graph over ``reindex.target``.
+
+        Raises ``ValueError`` if a present vertex has no position there.  The
+        memoized components are carried along (a monotone re-index keeps their
+        lowest-bit order).
+        """
+        # Only absent vertices may lack a position, and their rows are empty.
+        vertex_mask = reindex.apply(self.vertex_mask)
+        n = len(reindex.target)
+        succ, pred = [0] * n, [0] * n
+        rows = zip(reindex.images, reindex.apply_all(self._succ), reindex.apply_all(self._pred))
+        for j, succ_row, pred_row in rows:
+            if j >= 0:
+                succ[j], pred[j] = succ_row, pred_row
+        graph = BitsetDiGraph(reindex.target, vertex_mask, succ, pred)
+        if self._sccs is not None:
+            graph._sccs = reindex.apply_all(self._sccs)
+        return graph
+
+    def with_hub(self, position: int) -> "BitsetDiGraph":
+        """This graph plus the absent vertex ``position``, linked to and from every vertex."""
+        bit = 1 << position
+        succ = list(self._succ)
+        pred = list(self._pred)
+        for i in iter_bits(self.vertex_mask):
+            succ[i] |= bit
+            pred[i] |= bit
+        succ[position] = pred[position] = self.vertex_mask
+        return BitsetDiGraph(self.index, self.vertex_mask | bit, succ, pred)
 
     def residual(self, crashed: Iterable[ProcessId], disconnected: Iterable[Channel]) -> "BitsetDiGraph":
         """The residual graph with ``crashed`` vertices and ``disconnected`` edges removed.
@@ -400,28 +495,29 @@ class BitsetDiGraph:
     # ------------------------------------------------------------------ #
     def reachable_mask(self, sources: int) -> int:
         """Every vertex reachable from any source bit (sources included)."""
-        reach = sources & self.vertex_mask
-        frontier = reach
-        succ = self._succ
-        while frontier:
-            grown = 0
-            for i in iter_bits(frontier):
-                grown |= succ[i]
-            frontier = grown & ~reach
-            reach |= frontier
-        return reach
+        return self._closure(sources, self._succ)
 
     def can_reach_mask(self, targets: int) -> int:
         """Every vertex from which some target bit is reachable (targets included)."""
-        reach = targets & self.vertex_mask
-        frontier = reach
-        pred = self._pred
+        return self._closure(targets, self._pred)
+
+    def _closure(self, seeds: int, rows: List[int]) -> int:
+        """Breadth-first closure of ``seeds`` along ``rows``.
+
+        Stops the moment every present vertex is covered: in the dense
+        residual graphs of threshold systems the first row already is the
+        whole graph, and the other rows of the frontier would add nothing.
+        """
+        vertices = self.vertex_mask
+        reach = frontier = seeds & vertices
         while frontier:
-            grown = 0
+            grown = reach
             for i in iter_bits(frontier):
-                grown |= pred[i]
+                grown |= rows[i]
+                if grown == vertices:
+                    return vertices
             frontier = grown & ~reach
-            reach |= frontier
+            reach = grown
         return reach
 
     def mutually_reachable(self, mask: int) -> bool:
@@ -462,7 +558,10 @@ class BitsetDiGraph:
 
         The order is canonical (ascending lowest bit position of each
         component), hence independent of both hash seed and traversal order.
+        The list is memoized and shared: treat it as immutable.
         """
+        if self._sccs is not None:
+            return self._sccs
         components: List[int] = []
         remaining = self.vertex_mask
         while remaining:
@@ -472,12 +571,14 @@ class BitsetDiGraph:
             component = forward & backward & remaining
             components.append(component)
             remaining &= ~component
+        self._sccs = components
         return components
 
 
 __all__ = [
     "BitsetDiGraph",
     "MaskPermutation",
+    "MaskReindex",
     "ProcessIndex",
     "canonical_orbit_mask",
     "component_containing",

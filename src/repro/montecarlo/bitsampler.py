@@ -127,9 +127,7 @@ def _complete_bitset_graph(n: int) -> Tuple[ProcessIndex, BitsetDiGraph]:
     repr-sorted order of the string names.
     """
     index = ProcessIndex(range(n))
-    full = (1 << n) - 1
-    rows = [full & ~(1 << i) for i in range(n)]
-    return index, BitsetDiGraph(index, full, rows, list(rows))
+    return index, BitsetDiGraph.complete(index)
 
 
 # ---------------------------------------------------------------------- #

@@ -68,8 +68,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from ..errors import NoQuorumSystemExistsError
 from ..failures import FailProneSystem, FailurePattern, SymmetryGroup
-from ..graph import iter_bits, permute_mask
-from ..types import ProcessSet, sort_key, sorted_processes
+from ..graph import iter_bits, permute_mask, popcount
+from ..types import ProcessSet
 from .generalized import GeneralizedQuorumSystem
 
 if TYPE_CHECKING:  # the decision layer runs without the engine
@@ -129,20 +129,20 @@ class DiscoveryResult:
         return self.exists
 
 
-def _candidate_sort_key(pair: CandidateQuorumPair):
-    """Total order on candidates: no tie is left to traversal order.
+def _candidate_sort_key(entry: _MaskedCandidate):
+    """Total order on one pattern's candidates: no tie is left to traversal order.
 
-    Larger read quorums intersect more write quorums, so they are tried first;
-    remaining ties are broken by the deterministically sorted process lists of
-    the write then read quorum, making candidate order — and therefore the
-    chosen witness and ``nodes_explored`` — fully specified.
+    Larger read quorums intersect more write quorums, so they are tried first,
+    then larger write quorums; remaining ties are broken by the sorted process
+    list of the write quorum.  Bit positions are assigned in process sort
+    order and the write quorums of one pattern are disjoint (they are SCCs),
+    so comparing those lists is comparing lowest set bits — no process is
+    decoded or ``repr``-ed.  Candidate order — and therefore the chosen
+    witness and ``nodes_explored`` — is fully specified; the ``repr``-based
+    key in ``tests/oracles/discovery.py`` pins the equivalence.
     """
-    return (
-        -len(pair.read_quorum),
-        -len(pair.write_quorum),
-        tuple(sort_key(p) for p in sorted_processes(pair.write_quorum)),
-        tuple(sort_key(p) for p in sorted_processes(pair.read_quorum)),
-    )
+    write = entry.write_mask
+    return (-popcount(entry.read_mask), -popcount(write), write & -write)
 
 
 def _masked_candidates(
@@ -157,13 +157,15 @@ def _masked_candidates(
         entries: List[_MaskedCandidate] = []
         for component in residual.scc_masks():
             readers = residual.can_reach_mask(component)
+            write_quorum = index.set_of(component)
             pair = CandidateQuorumPair(
                 pattern=pattern,
-                write_quorum=index.set_of(component),
-                read_quorum=index.set_of(readers),
+                write_quorum=write_quorum,
+                # A component nobody else reaches is its own reader set.
+                read_quorum=write_quorum if readers == component else index.set_of(readers),
             )
             entries.append(_MaskedCandidate(pair, readers, component))
-        entries.sort(key=lambda entry: _candidate_sort_key(entry.pair))
+        entries.sort(key=_candidate_sort_key)
         cached = tuple(entries)
         cache[pattern] = cached
     return cached
@@ -311,7 +313,7 @@ def _quotient_candidates(
                         read_quorum=index.set_of(read),
                     )
                     entries.append(_MaskedCandidate(pair, read, write))
-                entries.sort(key=lambda entry: _candidate_sort_key(entry.pair))
+                entries.sort(key=_candidate_sort_key)
                 cached = tuple(entries)
                 cache[f] = cached
                 result.candidates_permuted += len(cached)

@@ -9,10 +9,13 @@ graphs and candidate structures are untouched by a single delta.
 
 This module applies a stream of deltas to a fail-prone system, carrying the
 memoized per-pattern structures across each step via
-:meth:`~repro.failures.FailProneSystem.adopt_pattern_caches` (re-indexing the
-bitmask views through a :class:`~repro.graph.MaskPermutation` when the process
-set changes), recertifies after each delta with :func:`discover_gqs`, and
-reports per-delta verdicts with reuse accounting.
+:meth:`~repro.failures.FailProneSystem.adopt_pattern_caches` (re-keying the
+bitmask views through an order-preserving :class:`~repro.graph.MaskReindex`
+when the process set changes), recertifies after each delta with
+:func:`discover_gqs` — witness validation included — and reports per-delta
+verdicts with reuse accounting.  A delta never copies the network graph:
+suspect/trust ops share it with the previous system, join/leave derive the
+bitmask rows from the previous ones.
 
 Delta semantics (one JSON object per line in the watch-mode stream):
 
@@ -47,7 +50,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InvalidSymmetryError, ReproError
 from ..failures import FailProneSystem, FailurePattern
-from ..graph import MaskPermutation
+from ..graph import BitsetDiGraph, MaskReindex, ProcessIndex
 from ..types import ProcessId
 from .discovery import (
     CANDIDATE_CACHE_NAMESPACE,
@@ -131,70 +134,60 @@ def _require_known(system: FailProneSystem, process: ProcessId, op: str) -> None
         )
 
 
-def _carry_symmetry(old: FailProneSystem):
-    """The old system's symmetry, to be revalidated against the new patterns."""
-    return old.symmetry
-
-
 def _build(
     old: FailProneSystem,
-    processes: Iterable[ProcessId],
     patterns: Sequence[FailurePattern],
-    graph,
+    network: Optional[BitsetDiGraph] = None,
 ) -> FailProneSystem:
-    """Construct the post-delta system, keeping the declared symmetry if it still holds."""
-    symmetry = _carry_symmetry(old)
-    if symmetry is not None:
+    """Derive the post-delta system, keeping the declared symmetry if it still holds."""
+    if old.symmetry is not None:
         try:
-            return FailProneSystem(
-                processes, patterns, graph=graph, name=old.name, symmetry=symmetry
-            )
+            return old._derive(patterns, old.name, old.symmetry, network)
         except InvalidSymmetryError:
             pass
-    return FailProneSystem(processes, patterns, graph=graph, name=old.name)
+    return old._derive(patterns, old.name, network=network)
 
 
 def apply_delta(
     system: FailProneSystem, delta: MembershipDelta
-) -> Tuple[FailProneSystem, Dict[FailurePattern, FailurePattern], Optional[MaskPermutation]]:
+) -> Tuple[FailProneSystem, Dict[FailurePattern, FailurePattern], Optional[MaskReindex]]:
     """Apply one membership delta, returning the new system plus reuse metadata.
 
     The returned ``pattern_map`` sends each new pattern whose residual
     structure is *identical* to an old pattern's (modulo re-indexing) to that
-    old pattern; the returned permutation re-indexes old bit positions onto
-    the new system's :class:`~repro.graph.ProcessIndex` (``None`` when the
-    process set is unchanged).  Patterns outside the map must be recomputed.
+    old pattern; the returned re-index carries old bit positions onto the new
+    system's :class:`~repro.graph.ProcessIndex` (``None`` when the process set
+    — and with it the shared network graph — is unchanged).  Patterns outside
+    the map must be recomputed.
     """
     patterns = list(system.patterns)
     pattern_map: Dict[FailurePattern, FailurePattern] = {}
+    reindex = network = None
+    new_patterns = []
     op = delta.op
 
     if op == "join":
         p = delta.process
         if p in system.processes:
             raise ReproError("delta join({}) duplicates an existing process".format(p))
-        graph = system.graph  # mutable copy
-        graph.add_vertex(p)
-        for q in sorted(system.processes, key=repr):
-            graph.add_edge(p, q)
-            graph.add_edge(q, p)
-        new_patterns = []
+        index = ProcessIndex(system.processes | {p})
+        reindex = MaskReindex(system.process_index, index)
+        network = system.bitset_graph.reindexed(reindex).with_hub(index.position(p))
         for f in patterns:
             image = FailurePattern(
                 set(f.crash_prone) | {p}, f.disconnect_prone, name=f.name
             )
             new_patterns.append(image)
             pattern_map[image] = f
-        new_system = _build(system, set(system.processes) | {p}, new_patterns, graph)
 
     elif op == "leave":
         p = delta.process
         _require_known(system, p, op)
         if len(system.processes) == 1:
             raise ReproError("delta leave({}) would empty the system".format(p))
-        graph = system.graph
-        graph.remove_vertex(p)
-        new_patterns = []
+        reindex = MaskReindex(system.process_index, ProcessIndex(system.processes - {p}))
+        departed = 1 << system.process_index.position(p)
+        network = system.bitset_graph.residual_masks(departed).reindexed(reindex)
         for f in patterns:
             if p in f.crash_prone:
                 image = FailurePattern(
@@ -208,12 +201,10 @@ def apply_delta(
                     name=f.name,
                 )
             new_patterns.append(image)
-        new_system = _build(system, set(system.processes) - {p}, new_patterns, graph)
 
     elif op == "suspect":
         p = delta.process
         _require_known(system, p, op)
-        new_patterns = []
         for f in patterns:
             if p in f.crash_prone:
                 new_patterns.append(f)
@@ -226,12 +217,10 @@ def apply_delta(
                         name=f.name,
                     )
                 )
-        new_system = _build(system, system.processes, new_patterns, system.graph_view)
 
     elif op == "trust":
         p = delta.process
         _require_known(system, p, op)
-        new_patterns = []
         for f in patterns:
             if p in f.crash_prone:
                 new_patterns.append(
@@ -240,14 +229,12 @@ def apply_delta(
             else:
                 new_patterns.append(f)
                 pattern_map[f] = f
-        new_system = _build(system, system.processes, new_patterns, system.graph_view)
 
     else:  # suspect-channel / trust-channel
         src, dst = delta.src, delta.dst
         _require_known(system, src, op)
         _require_known(system, dst, op)
         channel = (src, dst)
-        new_patterns = []
         for f in patterns:
             crashed_endpoint = src in f.crash_prone or dst in f.crash_prone
             present = channel in f.disconnect_prone
@@ -270,24 +257,20 @@ def apply_delta(
             else:
                 new_patterns.append(f)
                 pattern_map[f] = f
-        new_system = _build(system, system.processes, new_patterns, system.graph_view)
 
-    permutation = None
-    if new_system.processes != system.processes:
-        permutation = system.process_index.permutation_to(new_system.process_index)
-    return new_system, pattern_map, permutation
+    return _build(system, new_patterns, network), pattern_map, reindex
 
 
 def _adopt_candidates(
     new_system: FailProneSystem,
     old_system: FailProneSystem,
     pattern_map: Dict[FailurePattern, FailurePattern],
-    permutation: Optional[MaskPermutation],
+    reindex: Optional[MaskReindex],
 ) -> int:
     """Carry memoized ``gqs-candidates`` entries across a delta.
 
     Value-identical patterns share the entry object; re-indexed patterns get
-    their masks rebuilt through ``permutation`` and their pairs re-keyed to
+    their masks re-keyed through ``reindex`` and their pairs re-keyed to
     the new pattern.  The quorum *sets* never change — a structure-preserving
     delta only moves processes that are absent from the residual — so the
     candidate sort order is preserved and no re-sort is needed.  Returns the
@@ -295,7 +278,7 @@ def _adopt_candidates(
     """
     old_cache = old_system.analysis_cache(CANDIDATE_CACHE_NAMESPACE)
     new_cache = new_system.analysis_cache(CANDIDATE_CACHE_NAMESPACE)
-    identity = permutation is None or permutation.is_identity()
+    identity = reindex is None or reindex.is_identity()
     adopted = 0
     for new_pattern, old_pattern in pattern_map.items():
         if new_pattern in new_cache:
@@ -313,8 +296,8 @@ def _adopt_candidates(
                         write_quorum=entry.pair.write_quorum,
                         read_quorum=entry.pair.read_quorum,
                     ),
-                    permutation.apply(entry.read_mask) if not identity else entry.read_mask,
-                    permutation.apply(entry.write_mask) if not identity else entry.write_mask,
+                    entry.read_mask if identity else reindex.apply(entry.read_mask),
+                    entry.write_mask if identity else reindex.apply(entry.write_mask),
                 )
                 for entry in entries
             )
@@ -388,10 +371,10 @@ def recertify_delta(
     algorithm: str = "pruned",
 ) -> DeltaVerdict:
     """Apply one delta and recertify, reusing every structure the delta preserved."""
-    new_system, pattern_map, permutation = apply_delta(system, delta)
-    caches = new_system.adopt_pattern_caches(system, pattern_map, permutation)
-    candidates = _adopt_candidates(new_system, system, pattern_map, permutation)
-    result = discover_gqs(new_system, validate=False, algorithm=algorithm)
+    new_system, pattern_map, reindex = apply_delta(system, delta)
+    caches = new_system.adopt_pattern_caches(system, pattern_map, reindex)
+    candidates = _adopt_candidates(new_system, system, pattern_map, reindex)
+    result = discover_gqs(new_system, algorithm=algorithm)
     return DeltaVerdict(
         index=index,
         delta=delta,
@@ -416,7 +399,7 @@ def watch_deltas(
     output is deterministic across hash seeds and identical however the
     caches were pre-warmed.
     """
-    initial_result = discover_gqs(system, validate=False, algorithm=algorithm)
+    initial_result = discover_gqs(system, algorithm=algorithm)
     outcome = WatchOutcome(
         initial=system, final=system, algorithm=algorithm, initial_result=initial_result
     )

@@ -73,9 +73,7 @@ def harden_channels(
     for pattern in fail_prone.patterns:
         remaining = [ch for ch in pattern.disconnect_prone if ch not in hardened]
         patterns.append(FailurePattern(pattern.crash_prone, remaining, name=pattern.name))
-    system = FailProneSystem(
-        fail_prone.processes, patterns, graph=fail_prone.graph_view, name=fail_prone.name
-    )
+    system = fail_prone._derive(patterns, name=fail_prone.name)
     system.warm_caches_from(fail_prone)
     return system
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import InvalidFailurePatternError
-from repro.failures import FailProneSystem, FailurePattern, large_threshold_system
+from repro.errors import InvalidFailurePatternError, InvalidSymmetryError
+from repro.failures import FailProneSystem, FailurePattern, SymmetryGroup, large_threshold_system
 from repro.graph import DiGraph
 
 
@@ -124,6 +124,96 @@ def test_graph_view_is_shared_and_matches_the_copy():
     assert system.graph_view is system.graph_view
     assert system.graph_view == system.graph
     assert system.graph is not system.graph_view
+
+
+def test_graph_with_a_vertex_outside_the_process_set_is_rejected():
+    graph = DiGraph(vertices=["a", "b", "stranger"], edges=[("a", "b")])
+    with pytest.raises(InvalidFailurePatternError, match="stranger"):
+        FailProneSystem(["a", "b"], [FailurePattern()], graph=graph)
+
+
+def test_caller_graph_is_read_not_kept():
+    graph = DiGraph(vertices=["a", "b"], edges=[("a", "b")])
+    system = FailProneSystem(["a", "b", "c"], [FailurePattern()], graph=graph)
+    graph.add_edge("b", "a")  # the caller's object is theirs to edit
+    assert not system.graph_view.has_edge("b", "a")
+    assert system.graph_view.has_vertex("c")  # channel-less processes are vertices
+
+
+# ---------------------------------------------------------------------- #
+# Derived systems share the network instead of rebuilding it
+# ---------------------------------------------------------------------- #
+def _ring_system():
+    ring = DiGraph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c"), ("c", "a")])
+    rotation = SymmetryGroup.from_cycles([["a", "b", "c"]])
+    patterns = [FailurePattern([p], name="f" + p) for p in "abc"]
+    return FailProneSystem("abc", patterns, graph=ring, symmetry=rotation), rotation
+
+
+def _derivations(system):
+    """Every same-network derivation: the two methods, hardening, four delta ops."""
+    from repro.quorums import MembershipDelta, apply_delta
+    from repro.quorums.repair import harden_channels
+
+    yield system.with_pattern(FailurePattern(["a", "b"], name="fab"))
+    yield system.restrict(system.patterns[:1])
+    yield harden_channels(system, [("a", "b")])
+    for delta in (
+        MembershipDelta(op="suspect", process="a"),
+        MembershipDelta(op="trust", process="a"),
+        MembershipDelta(op="suspect-channel", src="a", dst="b"),
+        MembershipDelta(op="trust-channel", src="a", dst="b"),
+    ):
+        yield apply_delta(system, delta)[0]
+
+
+def test_derived_systems_share_the_graph_objects_by_identity():
+    system, _ = _ring_system()
+    view = system.graph_view  # materialized before deriving, so it is shared too
+    for child in _derivations(system):
+        assert child.process_index is system.process_index
+        assert child.bitset_graph is system.bitset_graph
+        assert child.graph_view is view
+        assert child.processes is system.processes
+    # A system whose set-based graph was never asked for hands down nothing
+    # to copy; the child materializes its own, equal, view on demand.
+    cold, _ = _ring_system()
+    child = cold.restrict(cold.patterns[:1])
+    assert child.bitset_graph is cold.bitset_graph
+    assert child.graph_view == cold.graph_view == view
+
+
+def test_derived_systems_still_run_every_constructor_check():
+    system, rotation = _ring_system()
+    with pytest.raises(InvalidFailurePatternError, match="unknown processes"):
+        system.with_pattern(FailurePattern(["z"]))
+    with pytest.raises(InvalidFailurePatternError, match="outside the process set"):
+        system.restrict([FailurePattern([], [("a", "z")])])
+    with pytest.raises(InvalidFailurePatternError, match="does not exist in the network graph"):
+        system.with_pattern(FailurePattern([], [("b", "a")]))  # the ring is one-way
+    with pytest.raises(InvalidSymmetryError, match="outside the family"):
+        system._derive(system.patterns[:1], symmetry=rotation)
+    # ... and the membership deltas drop, rather than keep, a symmetry that broke.
+    from repro.quorums import MembershipDelta, apply_delta
+
+    assert apply_delta(system, MembershipDelta(op="trust", process="a"))[0].symmetry is None
+    kept = apply_delta(system, MembershipDelta(op="join", process="d"))[0]
+    assert kept.symmetry is rotation
+    assert kept.graph_view.has_edge("d", "a") and not kept.graph_view.has_edge("b", "a")
+
+
+def test_graph_copies_do_not_leak_into_parent_or_child():
+    system, _ = _ring_system()
+    child = system.restrict(system.patterns[:1])
+    for owner in (system, child):
+        copy = owner.graph
+        copy.remove_vertex("a")
+        copy.add_edge("c", "b")
+    for owner in (system, child):
+        assert owner.graph.vertex_set == frozenset("abc")
+        assert not owner.graph.has_edge("c", "b")
+        assert not owner.graph_view.has_edge("c", "b")
+        assert not owner.bitset_graph.successor_mask(2) >> 1 & 1
 
 
 # ---------------------------------------------------------------------- #

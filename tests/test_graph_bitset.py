@@ -8,10 +8,12 @@ different semantics — so most tests here are differential over random graphs.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     BitsetDiGraph,
     DiGraph,
+    MaskReindex,
     ProcessIndex,
     can_reach,
     iter_bits,
@@ -336,26 +338,79 @@ def test_orbit_and_canonical_mask():
     assert canonical_orbit_mask(0b1010, []) == 0b1010
 
 
-def test_permutation_to_reindexes_shared_processes_exactly():
-    old = ProcessIndex(["a", "b", "c", "d"])
-    new = ProcessIndex(["a", "c", "d", "e"])  # b left, e joined
-    perm = old.permutation_to(new)
-    for process in ("a", "c", "d"):
-        assert perm.apply(1 << old.position(process)) == 1 << new.position(process)
-    # A mask over shared processes only re-indexes exactly.
-    mask = old.mask_of(["a", "d"])
-    assert perm.apply(mask) == new.mask_of(["a", "d"])
+# ---------------------------------------------------------------------- #
+# Order-preserving re-index (the watch-mode cache re-keying primitive)
+# ---------------------------------------------------------------------- #
+#: Mixed identifier types: ``sort_key`` orders by (type name, repr).
+_POOL = ["p{}".format(i) for i in range(40)] + list(range(12))
 
 
-def test_permutation_to_stays_a_bijection_with_disjoint_leftovers():
-    old = ProcessIndex(["a", "b", "c"])
-    new = ProcessIndex(["b", "x", "y", "z"])
-    perm = old.permutation_to(new)
-    n = max(len(old), len(new))
-    assert sorted(perm.perm) == list(range(n))
-    assert perm.apply(1 << old.position("b")) == 1 << new.position("b")
+@given(
+    st.sets(st.sampled_from(_POOL), min_size=1, max_size=30),
+    st.sets(st.sampled_from(_POOL), min_size=1, max_size=30),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_reindex_agrees_with_decode_and_re_encode(old_processes, new_processes, data):
+    """Arbitrary joins and leaves at once: re-keying == decoding then re-encoding."""
+    old, new = ProcessIndex(old_processes), ProcessIndex(new_processes)
+    reindex = MaskReindex(old, new)
+    assert reindex.is_identity() == (old_processes == new_processes)
+    shared = sorted(old_processes & new_processes, key=repr)
+    for _ in range(8):
+        members = data.draw(st.sets(st.sampled_from(shared))) if shared else set()
+        mask = old.mask_of(members)
+        assert reindex.apply(mask) == new.mask_of(old.set_of(mask))
+        if reindex.is_identity():
+            assert reindex.apply(mask) == mask
+    # Every departed process — and any bit beyond the old index — is refused,
+    # alone or mixed into an otherwise mappable mask.
+    for process in old_processes - new_processes:
+        bit = 1 << old.position(process)
+        with pytest.raises(ValueError):
+            reindex.apply(bit)
+        with pytest.raises(ValueError):
+            reindex.apply(bit | old.mask_of(shared))
+    with pytest.raises(ValueError):
+        reindex.apply(1 << len(old))
 
 
-def test_permutation_to_identity_on_equal_indices():
-    index = ProcessIndex(["a", "b", "c"])
-    assert index.permutation_to(ProcessIndex(["c", "b", "a"])).is_identity()
+def test_reindex_is_a_few_shifts_not_a_table():
+    """One join or leave is two segments: the bits below stay, the bits above shift."""
+    processes = ["p{:03d}".format(i) for i in range(200)]
+    old = ProcessIndex(processes)
+    join = MaskReindex(old, ProcessIndex(processes + ["p100-new"]))
+    leave = MaskReindex(old, ProcessIndex(processes[:100] + processes[101:]))
+    assert "segments=2" in repr(join)
+    assert "segments=2" in repr(leave)
+    assert join.apply(old.full_mask) == join.target.full_mask ^ (
+        1 << join.target.position("p100-new")
+    )
+    assert leave.apply(old.full_mask ^ (1 << 100)) == leave.target.full_mask
+
+
+def test_reindexed_graph_matches_a_rebuild_and_carries_components():
+    rng = random.Random(11)
+    graph = _random_digraph(rng, 14, 0.25)
+    old = ProcessIndex(graph.vertices)
+    view = BitsetDiGraph.from_digraph(graph, old)
+    expected_components = list(view.scc_masks())
+    # v5 leaves, two processes join (one sorting first, one last).
+    survivors = [v for v in graph.vertices if v != "v5"]
+    new = ProcessIndex(survivors + ["a-first", "z-last"])
+    reindex = MaskReindex(old, new)
+    with pytest.raises(ValueError):
+        view.reindexed(reindex)  # v5 is still a vertex: nothing to map it to
+    residual = view.residual(["v5"], [])
+    moved = residual.reindexed(reindex)
+    rebuilt = BitsetDiGraph.from_digraph(graph.without(vertices=["v5"]), new)
+    assert moved == rebuilt
+    assert {new.set_of(c) for c in moved.scc_masks()} == {
+        old.set_of(c) for c in residual.scc_masks()
+    }
+    assert view.scc_masks() == expected_components
+    # Round trip through the set-based graph.
+    assert moved.to_digraph() == graph.without(vertices=["v5"])
+    hub = moved.with_hub(new.position("a-first")).to_digraph()
+    assert hub.has_edge("a-first", "v1") and hub.has_edge("v1", "a-first")
+    assert not hub.has_edge("a-first", "z-last")  # z-last is not a vertex

@@ -234,6 +234,46 @@ def test_watch_verdicts_match_from_scratch_discovery():
     assert outcome.final.processes == outcome.verdicts[-1].system.processes
 
 
+#: Joiners sorting before, between and after the ``g<region>m<replica>``
+#: names, so the re-index shifts every bit, some bits, and no bit.
+REINDEX_SCRIPT = [
+    MembershipDelta(op="join", process="a-first"),
+    MembershipDelta(op="join", process="g1m5"),
+    MembershipDelta(op="suspect-channel", src="g1m0", dst="g2m0"),
+    MembershipDelta(op="join", process="z-last"),
+    MembershipDelta(op="trust", process="g1m5"),
+    MembershipDelta(op="leave", process="a-first"),
+]
+
+
+@pytest.mark.parametrize("algorithm", ["pruned", "quotient"])
+def test_reindexed_caches_give_the_from_scratch_report(algorithm):
+    """Delta for delta: same witness rows, search effort and candidate counts.
+
+    Both sides validate their witness (the watch path's default), so a cache
+    entry re-keyed to the wrong bit would also fail Definition 2 outright.
+    """
+    from repro.api import DiscoveryReport
+
+    outcome = watch_deltas(
+        multi_region_system(regions=4, replicas_per_region=3), REINDEX_SCRIPT, algorithm=algorithm
+    )
+    assert outcome.all_exist
+    current = multi_region_system(regions=4, replicas_per_region=3)
+    for delta, verdict in zip(REINDEX_SCRIPT, outcome.verdicts):
+        current = apply_delta(current, delta)[0]  # nothing carried over
+        scratch = discover_gqs(current, algorithm=algorithm)
+        assert verdict.result.quorum_system.is_valid()
+        assert DiscoveryReport(verdict.system, verdict.result).rows == (
+            DiscoveryReport(current, scratch).rows
+        )
+        assert verdict.result.nodes_explored == scratch.nodes_explored
+        assert verdict.result.candidates_per_pattern == scratch.candidates_per_pattern
+        assert verdict.system.bitset_graph == current.bitset_graph
+    assert [v.reuse_fraction for v in outcome.verdicts[:2]] == [1.0, 1.0]
+    assert "g1m5" in set().union(*outcome.verdicts[-1].result.quorum_system.read_quorums)
+
+
 def test_join_reuses_every_candidate_structure():
     system = multi_region_system(regions=4, replicas_per_region=3)
     discover_gqs(system, validate=False)
