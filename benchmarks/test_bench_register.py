@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.analysis import ResultTable
 from repro.checkers import check_register_linearizability
-from repro.experiments import run_register_workload
+from repro.experiments import run_workload
 
 from conftest import bench_once
 
@@ -19,8 +19,8 @@ from conftest import bench_once
 def run_all_patterns(figure1_gqs, ops_per_process=2):
     rows = []
     for index, pattern in enumerate(figure1_gqs.fail_prone.patterns):
-        result = run_register_workload(
-            figure1_gqs, pattern=pattern, ops_per_process=ops_per_process, seed=index
+        result = run_workload(
+            "register", figure1_gqs, pattern=pattern, ops_per_process=ops_per_process, seed=index
         )
         outcome = check_register_linearizability(result.history, initial_value=0)
         rows.append(
@@ -61,7 +61,7 @@ def test_e3_register_under_figure1_patterns(benchmark, figure1_gqs):
 def test_e3_register_failure_free_baseline(benchmark, figure1_gqs):
     """Failure-free run of the same workload (the latency baseline for E3)."""
     result = bench_once(
-        benchmark, run_register_workload, figure1_gqs, None, 2
+        benchmark, run_workload, "register", figure1_gqs, pattern=None, ops_per_process=2
     )
     assert result.completed
     assert bool(check_register_linearizability(result.history, initial_value=0))
@@ -81,11 +81,12 @@ def test_e3_push_interval_sensitivity(benchmark, figure1_gqs):
     def sweep():
         rows = []
         for push_interval in (0.5, 1.0, 2.0, 4.0):
-            result = run_register_workload(
+            result = run_workload(
+                "register",
                 figure1_gqs,
                 pattern=figure1_gqs.fail_prone.patterns[0],
+                protocol_params={"push_interval": push_interval},
                 ops_per_process=2,
-                push_interval=push_interval,
                 seed=7,
             )
             rows.append(

@@ -23,12 +23,9 @@ from repro.analysis import (
     figure1_quorum_system,
 )
 from repro.checkers import check_consensus, check_register_linearizability
-from repro.experiments import (
-    run_consensus_workload,
-    run_paxos_baseline_workload,
-    run_register_workload,
-)
+from repro.experiments import run_workload
 from repro.quorums import discover_gqs, gqs_exists
+from repro.sim import PartialSynchronyDelay
 from repro.types import sorted_processes
 
 
@@ -58,7 +55,7 @@ def main() -> None:
 
     section("Example 10 / Section 5: the register under failure pattern f1")
     f1 = gqs.fail_prone.patterns[0]
-    run = run_register_workload(gqs, pattern=f1, ops_per_process=2, seed=0)
+    run = run_workload("register", gqs, pattern=f1, ops_per_process=2, seed=0)
     verdict = check_register_linearizability(run.history, initial_value=0)
     print("  operations invoked at U_f1 = {}".format(run.extra["invokers"]))
     print("  all operations terminated :", run.completed)
@@ -78,8 +75,15 @@ def main() -> None:
         )
 
     section("Section 7: consensus under f1 — GQS protocol vs classical Paxos")
-    consensus = run_consensus_workload(gqs, pattern=f1, gst=25.0, seed=0, max_time=4_000.0)
-    paxos = run_paxos_baseline_workload(gqs, pattern=f1, max_time=700.0, seed=0)
+    consensus = run_workload(
+        "consensus",
+        gqs,
+        pattern=f1,
+        delay_model=PartialSynchronyDelay(gst=25.0, delta=1.0, seed=0),
+        max_time=4_000.0,
+        seed=0,
+    )
+    paxos = run_workload("paxos", gqs, pattern=f1, max_time=700.0, seed=0)
     check = check_consensus(consensus.history, required_to_terminate=gqs.termination_component(f1))
     print("  GQS consensus decided       :", consensus.completed,
           "value(s):", consensus.extra["decided_values"])

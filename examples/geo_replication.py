@@ -15,7 +15,7 @@ Run with:  python examples/geo_replication.py
 from __future__ import annotations
 
 from repro.checkers import check_consensus, check_register_linearizability
-from repro.experiments import run_consensus_workload, run_register_workload
+from repro.experiments import run_workload
 from repro.failures import geo_replicated_system
 from repro.quorums import discover_gqs, strong_system_exists
 from repro.types import sorted_processes
@@ -45,7 +45,7 @@ def main() -> None:
     print("Under {!r} the protocols guarantee termination at U_f = {}".format(
         pattern.name, component))
 
-    register_run = run_register_workload(gqs, pattern=pattern, ops_per_process=2, seed=2)
+    register_run = run_workload("register", gqs, pattern=pattern, ops_per_process=2, seed=2)
     register_ok = check_register_linearizability(register_run.history, initial_value=0)
     print()
     print("Register workload under the partition:")
@@ -54,7 +54,7 @@ def main() -> None:
     print("  mean latency : {:.2f}".format(register_run.metrics.mean_latency))
     print("  messages     :", register_run.metrics.messages_sent)
 
-    consensus_run = run_consensus_workload(gqs, pattern=pattern, gst=30.0, seed=2, max_time=4_000.0)
+    consensus_run = run_workload("consensus", gqs, pattern=pattern, max_time=4_000.0, seed=2)
     consensus_ok = check_consensus(
         consensus_run.history, required_to_terminate=gqs.termination_component(pattern)
     )

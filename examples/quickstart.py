@@ -19,7 +19,7 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro.checkers import check_register_linearizability
-from repro.experiments import run_register_workload
+from repro.experiments import run_workload
 from repro.failures import FailProneSystem, FailurePattern
 from repro.quorums import discover_gqs
 from repro.scenarios import run_scenario
@@ -59,7 +59,7 @@ def main() -> None:
     #    Operations are invoked inside the termination component U_f, where
     #    the paper guarantees wait-freedom.
     # ------------------------------------------------------------------ #
-    run = run_register_workload(gqs, pattern=partition, ops_per_process=2, seed=1)
+    run = run_workload("register", gqs, pattern=partition, ops_per_process=2, seed=1)
     verdict = check_register_linearizability(run.history, initial_value=0)
     print("register run under {!r}:".format(partition.name))
     print("  invoked at          :", run.extra["invokers"])

@@ -472,6 +472,12 @@ def simulate(
     from .engine import ParallelRunner, spawn_seeds
 
     PROTOCOLS.get(protocol)  # fail fast (rich error) on an unknown protocol
+    if ops < 1 or runs < 1:
+        raise ReproError(
+            "simulate needs at least 1 operation per process and at least 1 run "
+            "(got ops={}, runs={}); an empty run would report vacuous "
+            "liveness/safety".format(ops, runs)
+        )
     result = discover(system)
     if not result.exists or result.quorum_system is None:
         raise NoQuorumSystemExistsError(
@@ -490,7 +496,6 @@ def simulate(
             )
         failure = matches[0]
 
-    runs = max(1, runs)
     if runs == 1:
         outcomes = [
             _simulate_once(

@@ -101,10 +101,11 @@ def _jobs_value(text: str) -> int:
 
 
 def _runs_value(text: str) -> int:
-    """argparse type for ``scenario ... --runs``: a positive int.
+    """argparse type for ``--runs`` and the other counts: a positive int.
 
-    Rejecting 0 matters: a zero-run batch would report ``0/0`` liveness and
-    safety and exit 0 — a vacuously green result.
+    Rejecting 0 matters: a zero-run batch (or a zero-operation ``simulate``)
+    would report ``0/0`` liveness and safety and exit 0 — a vacuously green
+    result.
     """
     try:
         value = int(text)
@@ -772,11 +773,13 @@ def _add_simulate_arguments(simulate: argparse.ArgumentParser) -> None:
         help="which registered protocol to drive (plugins extend this list)",
     )
     simulate.add_argument("--pattern", help="name of the failure pattern to inject (default: none)")
-    simulate.add_argument("--ops", type=int, default=2, help="operations per invoking process")
+    simulate.add_argument(
+        "--ops", type=_runs_value, default=2, help="operations per invoking process"
+    )
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
         "--runs",
-        type=int,
+        type=_runs_value,
         default=1,
         help="repeat the simulation under seeds spawned deterministically from "
         "--seed and aggregate the verdicts (default 1)",

@@ -56,11 +56,3 @@ class OperationTimeoutError(SimulationError):
 
 class HistoryError(ReproError):
     """An operation history handed to a checker is malformed."""
-
-
-class NotLinearizableError(ReproError):
-    """A history failed a linearizability check (used by assert-style helpers)."""
-
-
-class SpecificationViolationError(ReproError):
-    """A protocol execution violated its object specification."""

@@ -5,15 +5,13 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     ".tightness": ("PatternVerdict", "TightnessReport", "verify_pattern", "verify_tightness"),
     ".workloads": (
-        "PROTOCOL_KINDS", "PROTOCOL_PARAM_KEYS", "WORKLOAD_DEFAULTS", "Invocation",
-        "WorkloadResult", "alternating_write_read_schedule", "build_protocol_factory",
-        "client_schedule", "compare_register_overhead", "EFFORT_PROBE_MAX_STATES",
-        "default_invokers", "evaluate_safety", "execute_workload", "judge_baseline_history",
-        "judge_consensus_history", "judge_history", "judge_lattice_history",
-        "judge_register_history", "judge_snapshot_history", "register_search_effort",
-        "run_consensus_workload", "run_lattice_workload", "run_paxos_baseline_workload",
-        "run_register_workload", "run_snapshot_workload", "run_workload", "safety_report",
-        "singleton_proposal_schedule", "unique_value_proposal_schedule", "validate_protocol_params",
+        "Invocation", "WorkloadResult", "alternating_write_read_schedule",
+        "build_protocol_factory", "client_schedule", "compare_register_overhead",
+        "EFFORT_PROBE_MAX_STATES", "default_invokers", "execute_workload",
+        "judge_baseline_history", "judge_consensus_history", "judge_history",
+        "judge_lattice_history", "judge_register_history", "judge_snapshot_history",
+        "register_search_effort", "run_workload", "safety_report",
+        "singleton_proposal_schedule", "unique_value_proposal_schedule",
         "write_then_scan_schedule",
     ),
 }

@@ -30,7 +30,7 @@ from ..checkers import (
 from ..failures import FailProneSystem, FailurePattern
 from ..quorums import DiscoveryResult, GeneralizedQuorumSystem, discover_gqs
 from ..types import sorted_processes
-from .workloads import run_lattice_workload, run_register_workload, run_snapshot_workload
+from .workloads import run_workload
 
 
 @dataclass
@@ -123,8 +123,8 @@ def verify_pattern(
     component = sorted_processes(quorum_system.termination_component(pattern))
     verdict = PatternVerdict(pattern=pattern, termination_component=component)
 
-    register_run = run_register_workload(
-        quorum_system, pattern=pattern, ops_per_process=ops_per_process, seed=seed
+    register_run = run_workload(
+        "register", quorum_system, pattern=pattern, ops_per_process=ops_per_process, seed=seed
     )
     verdict.register_live = register_run.completed
     verdict.register_linearizable = bool(
@@ -132,8 +132,8 @@ def verify_pattern(
     )
 
     if include_snapshot:
-        snapshot_run = run_snapshot_workload(
-            quorum_system, pattern=pattern, writes_per_process=1, seed=seed
+        snapshot_run = run_workload(
+            "snapshot", quorum_system, pattern=pattern, ops_per_process=1, seed=seed
         )
         verdict.snapshot_live = snapshot_run.completed
         verdict.snapshot_linearizable = bool(
@@ -144,7 +144,7 @@ def verify_pattern(
             )
         )
     if include_lattice:
-        lattice_run = run_lattice_workload(quorum_system, pattern=pattern, seed=seed)
+        lattice_run = run_workload("lattice", quorum_system, pattern=pattern, seed=seed)
         verdict.lattice_live = lattice_run.completed
         verdict.lattice_correct = bool(check_lattice_agreement(lattice_run.history))
     return verdict

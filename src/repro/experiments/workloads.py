@@ -11,12 +11,8 @@ directly (by the benchmarks and examples):
 * :func:`execute_workload` — cluster construction, failure injection (at time
   zero or later), plan execution, history/metric collection;
 * :func:`run_workload` — the one-call front-end combining the three;
-* :func:`evaluate_safety` — protocol kind → the paper's safety verdict for a
+* :func:`judge_history` — protocol kind → the paper's safety verdict for a
   finished run (linearizability, lattice properties, consensus properties).
-
-Each legacy ``run_*_workload`` function is a thin wrapper over
-:func:`run_workload` preserving its original signature and behaviour; the
-benchmark harnesses (E3–E5, E8) and the examples build on either level.
 """
 
 from __future__ import annotations
@@ -43,9 +39,9 @@ from ..protocols import (
     paxos_factory,
     snapshot_factory,
 )
-from ..protocols.lattice_agreement import SemiLattice, SetLattice
+from ..protocols.lattice_agreement import SetLattice
 from ..quorums import GeneralizedQuorumSystem, QuorumSystem
-from ..registry import PROTOCOLS, RegistryView, register_protocol
+from ..registry import PROTOCOLS, register_protocol
 from ..sim import Cluster, DelayModel, OperationHandle, PartialSynchronyDelay, UniformDelay
 from ..types import ProcessId, sorted_processes
 
@@ -91,10 +87,6 @@ def default_invokers(
     if pattern is None:
         return sorted_processes(quorum_system.processes)
     return sorted_processes(quorum_system.termination_component(pattern))
-
-
-# Backwards-compatible alias (the pre-scenario name of the helper).
-_termination_set = default_invokers
 
 
 # ---------------------------------------------------------------------- #
@@ -375,33 +367,10 @@ register_protocol(
     doc="the classical request/response Paxos baseline (no channel-failure safety claim)",
 )
 
-#: The protocol kinds the workload layer can drive — a live, read-only view
-#: over the :data:`repro.registry.PROTOCOLS` registry (plugin-registered
-#: protocols appear automatically).
-PROTOCOL_KINDS = RegistryView(PROTOCOLS, lambda descriptor: descriptor.name)
-
-#: Allowed protocol parameters per kind (validated by the factory builder).
-PROTOCOL_PARAM_KEYS = RegistryView(PROTOCOLS, lambda descriptor: descriptor.params)
-
-#: Per-kind defaults for the client plan: spacing between operations and the
-#: liveness horizon of the simulation.
-WORKLOAD_DEFAULTS = RegistryView(PROTOCOLS, lambda descriptor: descriptor.extras["defaults"])
-
 
 # ---------------------------------------------------------------------- #
 # Declarative building blocks
 # ---------------------------------------------------------------------- #
-def validate_protocol_params(kind: str, params: Mapping[str, Any]) -> None:
-    """Check a protocol kind and its parameter names (raises :class:`ReproError`).
-
-    The single registry-backed validator shared by
-    :func:`build_protocol_factory` and the declarative
-    :class:`~repro.scenarios.spec.ProtocolSpec`, so typos in scenario files
-    fail loudly with one consistent message.
-    """
-    PROTOCOLS.validate_params(kind, params)
-
-
 def build_protocol_factory(
     kind: str,
     quorum_system: GeneralizedQuorumSystem,
@@ -410,7 +379,7 @@ def build_protocol_factory(
     """Build a process factory for protocol ``kind`` over ``quorum_system``.
 
     ``params`` supplies the protocol's tuning knobs, validated against the
-    registry descriptor's schema (see :data:`PROTOCOL_PARAM_KEYS`).
+    registry descriptor's schema (``PROTOCOLS[kind].params``).
     """
     params = dict(params or {})
     descriptor = PROTOCOLS.validate_params(kind, params)
@@ -509,7 +478,7 @@ def run_workload(
     failure-free), delays are uniform for the asynchronous objects and
     partially synchronous (GST 30, delta 1) for consensus and the Paxos
     baseline, and the liveness horizon is protocol-specific
-    (:data:`WORKLOAD_DEFAULTS`).
+    (``PROTOCOLS[kind].extras["defaults"]``).
     """
     descriptor = PROTOCOLS.get(kind)
     if delay_model is None:
@@ -577,51 +546,9 @@ def safety_report(
     return judge_history(kind, result.history, quorum_system, pattern)
 
 
-def evaluate_safety(
-    kind: str,
-    quorum_system: GeneralizedQuorumSystem,
-    pattern: Optional[FailurePattern],
-    result: WorkloadResult,
-) -> bool:
-    """The boolean safety verdict of :func:`safety_report`."""
-    return safety_report(kind, quorum_system, pattern, result)["safe"]
-
-
 # ---------------------------------------------------------------------- #
-# Registers (E3, E4)
+# Register overhead (E4)
 # ---------------------------------------------------------------------- #
-def run_register_workload(
-    quorum_system: GeneralizedQuorumSystem,
-    pattern: Optional[FailurePattern] = None,
-    ops_per_process: int = 2,
-    invokers: Optional[Sequence[ProcessId]] = None,
-    push_interval: float = 1.0,
-    op_spacing: float = 8.0,
-    max_time: float = 4_000.0,
-    seed: int = 0,
-    classical: bool = False,
-    relay: bool = True,
-) -> WorkloadResult:
-    """Run an alternating write/read workload on the register protocol.
-
-    When ``classical`` is true the ABD baseline over request/response access
-    is used instead of the GQS register.
-    """
-    result = run_workload(
-        "register",
-        quorum_system,
-        pattern=pattern,
-        protocol_params={"classical": classical, "push_interval": push_interval, "relay": relay},
-        ops_per_process=ops_per_process,
-        op_spacing=op_spacing,
-        max_time=max_time,
-        invokers=invokers,
-        seed=seed,
-    )
-    result.extra["classical"] = classical
-    return result
-
-
 def compare_register_overhead(
     classical_system: QuorumSystem,
     gqs_system: Optional[GeneralizedQuorumSystem] = None,
@@ -631,113 +558,18 @@ def compare_register_overhead(
     """E4: classical ABD vs the GQS register on a failure-free run of the same system."""
     if gqs_system is None:
         gqs_system = GeneralizedQuorumSystem.from_classical(classical_system)
-    classical_run = run_register_workload(
-        gqs_system, pattern=None, ops_per_process=ops_per_process, seed=seed, classical=True
-    )
-    gqs_run = run_register_workload(
+    classical_run = run_workload(
+        "register",
         gqs_system,
-        pattern=None,
+        protocol_params={"classical": True},
         ops_per_process=ops_per_process,
         seed=seed,
-        classical=False,
-        relay=False,
+    )
+    gqs_run = run_workload(
+        "register",
+        gqs_system,
+        protocol_params={"relay": False},
+        ops_per_process=ops_per_process,
+        seed=seed,
     )
     return {"classical_abd": classical_run, "gqs_register": gqs_run}
-
-
-# ---------------------------------------------------------------------- #
-# Snapshots and lattice agreement (E8)
-# ---------------------------------------------------------------------- #
-def run_snapshot_workload(
-    quorum_system: GeneralizedQuorumSystem,
-    pattern: Optional[FailurePattern] = None,
-    writes_per_process: int = 1,
-    push_interval: float = 1.0,
-    op_spacing: float = 15.0,
-    max_time: float = 6_000.0,
-    seed: int = 0,
-) -> WorkloadResult:
-    """Each invoking process writes unique values to its segment and then scans."""
-    return run_workload(
-        "snapshot",
-        quorum_system,
-        pattern=pattern,
-        protocol_params={"push_interval": push_interval},
-        ops_per_process=writes_per_process,
-        op_spacing=op_spacing,
-        max_time=max_time,
-        seed=seed,
-    )
-
-
-def run_lattice_workload(
-    quorum_system: GeneralizedQuorumSystem,
-    pattern: Optional[FailurePattern] = None,
-    lattice: Optional[SemiLattice] = None,
-    push_interval: float = 1.0,
-    max_time: float = 6_000.0,
-    seed: int = 0,
-) -> WorkloadResult:
-    """Every invoking process proposes a singleton set; outputs must be comparable joins."""
-    lattice = lattice if lattice is not None else SetLattice()
-    result = run_workload(
-        "lattice",
-        quorum_system,
-        pattern=pattern,
-        protocol_params={"lattice": lattice, "push_interval": push_interval},
-        max_time=max_time,
-        seed=seed,
-    )
-    result.extra["lattice"] = lattice
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# Consensus (E5)
-# ---------------------------------------------------------------------- #
-def run_consensus_workload(
-    quorum_system: GeneralizedQuorumSystem,
-    pattern: Optional[FailurePattern] = None,
-    proposers: Optional[Sequence[ProcessId]] = None,
-    view_duration: float = 5.0,
-    gst: float = 30.0,
-    delta: float = 1.0,
-    max_time: float = 3_000.0,
-    seed: int = 0,
-) -> WorkloadResult:
-    """Run the Figure 6 consensus protocol under partial synchrony."""
-    result = run_workload(
-        "consensus",
-        quorum_system,
-        pattern=pattern,
-        delay_model=PartialSynchronyDelay(gst=gst, delta=delta, seed=seed),
-        protocol_params={"view_duration": view_duration},
-        max_time=max_time,
-        invokers=proposers,
-        seed=seed,
-    )
-    result.extra.update({"gst": gst, "delta": delta})
-    return result
-
-
-def run_paxos_baseline_workload(
-    quorum_system: GeneralizedQuorumSystem,
-    pattern: Optional[FailurePattern] = None,
-    proposers: Optional[Sequence[ProcessId]] = None,
-    gst: float = 30.0,
-    delta: float = 1.0,
-    retry_timeout: float = 20.0,
-    max_time: float = 1_500.0,
-    seed: int = 0,
-) -> WorkloadResult:
-    """Run the classical request/response Paxos baseline under the same conditions."""
-    return run_workload(
-        "paxos",
-        quorum_system,
-        pattern=pattern,
-        delay_model=PartialSynchronyDelay(gst=gst, delta=delta, seed=seed),
-        protocol_params={"retry_timeout": retry_timeout},
-        max_time=max_time,
-        invokers=proposers,
-        seed=seed,
-    )

@@ -4,7 +4,6 @@ from .pattern import NO_FAILURES, FailurePattern
 from .symmetry import SymmetryGroup, block_permutation
 from .failprone import FailProneSystem
 from .generators import (
-    TOPOLOGY_KINDS,
     adversarial_partition_system,
     all_crash_patterns,
     build_fail_prone_system,
@@ -22,7 +21,6 @@ __all__ = [
     "FailurePattern",
     "FailProneSystem",
     "SymmetryGroup",
-    "TOPOLOGY_KINDS",
     "adversarial_partition_system",
     "all_crash_patterns",
     "block_permutation",

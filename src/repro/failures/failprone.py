@@ -380,17 +380,6 @@ class FailProneSystem:
         k = (len(procs) - 1) // 2
         return cls.crash_threshold(procs, k, name=name or "minority-crashes")
 
-    @classmethod
-    def single_pattern(
-        cls,
-        processes: Iterable[ProcessId],
-        pattern: FailurePattern,
-        graph: Optional[DiGraph] = None,
-        name: Optional[str] = None,
-    ) -> "FailProneSystem":
-        """A fail-prone system consisting of a single pattern."""
-        return cls(processes, [pattern], graph=graph, name=name)
-
     # ------------------------------------------------------------------ #
     # Diagnostics
     # ------------------------------------------------------------------ #

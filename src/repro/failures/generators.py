@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InvalidSymmetryError, ReproError
 from ..graph import DiGraph
-from ..registry import TOPOLOGIES, RegistryView, register_topology
+from ..registry import TOPOLOGIES, register_topology
 from ..types import Channel, ProcessId, sorted_processes
 from .failprone import FailProneSystem
 from .pattern import FailurePattern
@@ -655,12 +655,6 @@ register_topology(
     builtin=("multiregion-<regions>x<replicas>", _multiregion_builtin),
     doc="WAN-epoch islands over replica regions plus a primary-chain blackout",
 )
-
-#: Topology kind -> builder of the corresponding fail-prone system — a live,
-#: read-only view over the :data:`repro.registry.TOPOLOGIES` registry
-#: (plugin-registered topologies appear automatically).
-TOPOLOGY_KINDS = RegistryView(TOPOLOGIES, lambda descriptor: descriptor.builder)
-
 
 def build_fail_prone_system(kind: str, params: Optional[Mapping[str, Any]] = None) -> FailProneSystem:
     """Build a fail-prone system from a declarative ``(kind, params)`` description."""

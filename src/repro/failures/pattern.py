@@ -87,10 +87,6 @@ class FailurePattern:
         """Processes of the system that are correct under this pattern."""
         return frozenset(p for p in processes if p not in self._crash_prone)
 
-    def is_faulty_process(self, process: ProcessId) -> bool:
-        """Return whether ``process`` may crash under this pattern."""
-        return process in self._crash_prone
-
     def is_faulty_channel(self, channel: Channel) -> bool:
         """Return whether ``channel`` may fail under this pattern.
 

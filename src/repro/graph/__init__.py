@@ -6,10 +6,8 @@ from .bitset import (
     MaskPermutation,
     MaskReindex,
     ProcessIndex,
-    canonical_orbit_mask,
     component_containing,
     iter_bits,
-    orbit_of_mask,
     permute_mask,
     popcount,
 )
@@ -33,14 +31,12 @@ __all__ = [
     "MaskReindex",
     "ProcessIndex",
     "can_reach",
-    "canonical_orbit_mask",
     "component_containing",
     "condensation",
     "has_path",
     "is_strongly_connected",
     "iter_bits",
     "mutually_reachable",
-    "orbit_of_mask",
     "permute_mask",
     "popcount",
     "reachable_from",

@@ -140,13 +140,6 @@ class MaskPermutation:
             mask >>= word
         return image
 
-    def inverse(self) -> "MaskPermutation":
-        """The inverse permutation (``inverse().apply(apply(m)) == m``)."""
-        inv = [0] * len(self._perm)
-        for i, j in enumerate(self._perm):
-            inv[j] = i
-        return MaskPermutation(inv)
-
     def compose(self, other: "MaskPermutation") -> "MaskPermutation":
         """The permutation applying ``other`` first, then ``self``."""
         if len(other) != len(self._perm):
@@ -159,38 +152,6 @@ class MaskPermutation:
 
     def __repr__(self) -> str:
         return "MaskPermutation(n={})".format(len(self._perm))
-
-
-def orbit_of_mask(mask: int, permutations: Sequence["MaskPermutation"]) -> FrozenSet[int]:
-    """The orbit of ``mask`` under the group generated by ``permutations``.
-
-    Breadth-first closure over the generator set; the orbit size is bounded by
-    the group order, which stays small for the declared symmetries in this
-    repository (rotations and zone/region permutations).
-    """
-    seen = {mask}
-    frontier = [mask]
-    while frontier:
-        grown = []
-        for m in frontier:
-            for permutation in permutations:
-                image = permutation.apply(m)
-                if image not in seen:
-                    seen.add(image)
-                    grown.append(image)
-        frontier = grown
-    return frozenset(seen)
-
-
-def canonical_orbit_mask(mask: int, permutations: Sequence["MaskPermutation"]) -> int:
-    """The canonical representative of a mask orbit: its smallest integer image.
-
-    Deterministic by construction (integer minimum over the closure), hence
-    independent of hash seeds and of the generator order.
-    """
-    if not permutations:
-        return mask
-    return min(orbit_of_mask(mask, permutations))
 
 
 class ProcessIndex:
@@ -520,23 +481,6 @@ class BitsetDiGraph:
             reach = grown
         return reach
 
-    def mutually_reachable(self, mask: int) -> bool:
-        """Whether all vertices in ``mask`` can reach each other.
-
-        Mirrors :func:`repro.graph.connectivity.mutually_reachable`: mutual
-        reachability within the whole graph, empty/singleton masks trivially
-        pass when present.
-        """
-        mask &= self.index.full_mask
-        if mask & ~self.vertex_mask:
-            return False
-        if popcount(mask) <= 1:
-            return True
-        anchor = mask & -mask
-        forward = self.reachable_mask(anchor)
-        backward = self.can_reach_mask(anchor)
-        return mask & ~(forward & backward) == 0
-
     def set_reaches_set(self, sources: int, targets: int) -> bool:
         """Whether every target bit is reachable from every source bit.
 
@@ -580,10 +524,8 @@ __all__ = [
     "MaskPermutation",
     "MaskReindex",
     "ProcessIndex",
-    "canonical_orbit_mask",
     "component_containing",
     "iter_bits",
-    "orbit_of_mask",
     "permute_mask",
     "popcount",
 ]

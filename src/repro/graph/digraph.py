@@ -245,11 +245,6 @@ class DiGraph:
                     g.add_edge(p, q)
         return g
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[Channel]) -> "DiGraph":
-        """Build a graph from an edge list."""
-        return cls(edges=edges)
-
     def to_dot(self) -> str:
         """Render the graph in GraphViz DOT format (for debugging/examples)."""
         lines = ["digraph G {"]

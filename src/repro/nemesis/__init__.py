@@ -46,7 +46,6 @@ from .schedule import (
     save_schedule,
 )
 from .strategies import (
-    NEMESIS_STRATEGIES,
     CoverageGuidedStrategy,
     Evaluation,
     HillClimbStrategy,
@@ -67,7 +66,6 @@ __all__ = [
     "HuntReport",
     "HuntState",
     "MUTATION_OPERATORS",
-    "NEMESIS_STRATEGIES",
     "NemesisStrategy",
     "RandomStrategy",
     "SCHEDULE_SCHEMA_VERSION",

@@ -36,14 +36,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..registry import NEMESIS, RegistryView, register_nemesis_strategy
+from ..registry import NEMESIS, register_nemesis_strategy
 from .schedule import Schedule
 
 __all__ = [
     "COVERAGE_BUCKET",
     "Evaluation",
     "HuntState",
-    "NEMESIS_STRATEGIES",
     "NemesisStrategy",
     "build_strategy",
 ]
@@ -177,12 +176,6 @@ register_nemesis_strategy(
     builder=CoverageGuidedStrategy,
     doc="corpus-style search: mutate any survivor, keep improvements or new coverage buckets",
 )
-
-#: The ``--strategy`` choices of ``repro nemesis hunt`` — a live, read-only
-#: view over the :data:`repro.registry.NEMESIS` registry (plugin strategies
-#: appear automatically).
-NEMESIS_STRATEGIES = RegistryView(NEMESIS, lambda descriptor: descriptor.doc)
-
 
 def build_strategy(name: str) -> NemesisStrategy:
     """A fresh strategy instance by registry name (rich unknown-name errors)."""

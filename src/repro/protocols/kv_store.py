@@ -17,7 +17,6 @@ Operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..sim.network import Network
@@ -69,15 +68,6 @@ def merge_kv_states(states) -> KVState:
             if current is None or version > current[1]:
                 merged[key] = (value, version)
     return merged
-
-
-@dataclass(frozen=True)
-class KVEntry:
-    """A key's value and version as observed by a ``get``/``keys`` operation."""
-
-    key: str
-    value: Any
-    version: Version
 
 
 class ReplicatedKVStore(GeneralizedQuorumAccessProcess):

@@ -36,7 +36,6 @@ from .core import (
     ALL_REGISTRIES,
     Descriptor,
     Registry,
-    RegistryView,
     validate_params,
 )
 from .plugins import (
@@ -57,7 +56,6 @@ __all__ = [
     "PLUGINS_ENV_VAR",
     "PROTOCOLS",
     "Registry",
-    "RegistryView",
     "SCENARIOS",
     "TOPOLOGIES",
     "load_env_plugins",

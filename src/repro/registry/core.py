@@ -38,7 +38,6 @@ __all__ = [
     "ALL_REGISTRIES",
     "Descriptor",
     "Registry",
-    "RegistryView",
     "current_origin",
     "set_current_origin",
     "validate_params",
@@ -276,32 +275,3 @@ def validate_params(
                 sorted(unknown),
             )
         )
-
-
-class RegistryView(MappingABC):
-    """A live, read-only mapping view over a registry with a value projection.
-
-    The legacy module-level tables (``TOPOLOGY_KINDS`` mapping kind → builder,
-    ``DELAY_MODEL_KINDS`` mapping kind → allowed parameter names, …) are kept
-    alive as views so existing callers and tests keep working while the
-    registry stays the single source of truth — entries registered by plugins
-    appear in the views immediately.
-    """
-
-    def __init__(self, registry: Registry, project: Callable[[Descriptor], Any]) -> None:
-        self._registry = registry
-        self._project = project
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry)
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __getitem__(self, name: str) -> Any:
-        return self._project(self._registry[name])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "RegistryView({!r}, names={})".format(self._registry.kind, list(self))
-
-

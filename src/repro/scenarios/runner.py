@@ -134,7 +134,7 @@ class ScenarioRunResult:
     @property
     def ok(self) -> bool:
         """Liveness + safety across all runs (the Paxos baseline is exempt
-        from the safety claim, see :func:`repro.experiments.evaluate_safety`)."""
+        from the safety claim, see :func:`repro.experiments.judge_baseline_history`)."""
         return self.all_completed and self.all_safe
 
     @property

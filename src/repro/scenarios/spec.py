@@ -41,7 +41,7 @@ __all__ = [
 
 #: Topology kind for an inline fail-prone system description (see
 #: :mod:`repro.serialization`); handled by the scenario builders rather than
-#: by :data:`repro.failures.TOPOLOGY_KINDS`.
+#: by :data:`repro.registry.TOPOLOGIES`.
 EXPLICIT_TOPOLOGY = "explicit"
 
 
@@ -123,7 +123,7 @@ class FailureSpec:
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Which delay model the network uses (see :data:`repro.sim.DELAY_MODEL_KINDS`)."""
+    """Which delay model the network uses (see :data:`repro.registry.DELAY_MODELS`)."""
 
     kind: str = "uniform"
     params: Dict[str, Any] = field(default_factory=dict)
@@ -146,7 +146,7 @@ class DelaySpec:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Which protocol to run (see :data:`repro.experiments.PROTOCOL_KINDS`)."""
+    """Which protocol to run (see :data:`repro.registry.PROTOCOLS`)."""
 
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -173,7 +173,7 @@ class WorkloadSpec:
     """The client workload: operation count, spacing, and liveness horizon.
 
     ``op_spacing`` and ``max_time`` default (``None``) to the protocol's
-    canonical values from :data:`repro.experiments.WORKLOAD_DEFAULTS`.
+    canonical values in ``repro.registry.PROTOCOLS[kind].extras["defaults"]``.
     """
 
     ops_per_process: int = 2

@@ -110,11 +110,6 @@ def quorum_system_from_dict(data: Dict[str, Any], validate: bool = True) -> Gene
 # ---------------------------------------------------------------------- #
 # Operation values and histories
 # ---------------------------------------------------------------------- #
-#: Tag prefix reserved by the value codec; a plain dict value whose keys start
-#: with it would be ambiguous, which is why dicts are always tagged.
-_TAG_PREFIX = "$"
-
-
 def value_to_jsonable(value: Any) -> Any:
     """Encode an operation argument/result as a JSON-compatible structure.
 

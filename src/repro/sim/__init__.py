@@ -1,7 +1,6 @@
 """Discrete-event simulation of the paper's asynchronous / partially synchronous network."""
 
 from .delays import (
-    DELAY_MODEL_KINDS,
     DelayModel,
     FixedDelay,
     PartialSynchronyDelay,
@@ -16,7 +15,6 @@ from .runtime import Cluster, DeferredInvocation
 
 __all__ = [
     "Cluster",
-    "DELAY_MODEL_KINDS",
     "DeferredInvocation",
     "DelayModel",
     "Event",

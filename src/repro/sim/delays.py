@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Any, Mapping, Optional
 
-from ..registry import DELAY_MODELS, RegistryView, register_delay_model
+from ..registry import DELAY_MODELS, register_delay_model
 from ..types import Channel
 
 
@@ -161,12 +161,6 @@ register_delay_model(
     params=("gst", "delta", "pre_gst_max"),
     doc="Dwork-Lynch-Stockmeyer: arbitrary delays before GST, within delta after",
 )
-
-#: Allowed keyword parameters for each delay-model kind — a live, read-only
-#: view over the :data:`repro.registry.DELAY_MODELS` registry (plugin-registered
-#: models appear automatically).
-DELAY_MODEL_KINDS = RegistryView(DELAY_MODELS, lambda descriptor: descriptor.params)
-
 
 def build_delay_model(
     kind: str, params: Optional[Mapping[str, Any]] = None, seed: Optional[int] = 0

@@ -22,7 +22,7 @@ unchanged — it only reads the ``*.trace.jsonl`` files.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    ".check": ("CHECKER_KINDS", "TraceCheckReport", "check_trace", "check_traces"),
+    ".check": ("TraceCheckReport", "check_trace", "check_traces"),
     ".incidents": (
         "INCIDENT_KEYS", "INCIDENT_SCHEMA_VERSION", "INCIDENT_SUFFIX", "budget_check",
         "build_incident", "incident_file_name", "list_incident_files", "load_incident",

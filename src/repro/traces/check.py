@@ -37,11 +37,10 @@ from typing import Any, Dict, List, Optional
 from ..analysis.metrics import ResultTable
 from ..engine import ParallelRunner, ProgressCallback
 from ..errors import ReproError
-from ..registry import CHECKERS, RegistryView, register_checker
+from ..registry import CHECKERS, register_checker
 from .store import Trace, list_trace_files, load_trace
 
 __all__ = [
-    "CHECKER_KINDS",
     "TraceCheckReport",
     "check_trace",
     "check_traces",
@@ -129,12 +128,6 @@ register_checker(
     judge=_forced_register_checker("streaming"),
     doc="the incremental forward-closure register checker, fed in invocation order",
 )
-
-#: The ``--checker`` choices of ``repro check`` — a live, read-only view over
-#: the :data:`repro.registry.CHECKERS` registry (plugin checkers appear
-#: automatically).
-CHECKER_KINDS = RegistryView(CHECKERS, lambda descriptor: descriptor.name)
-
 
 def check_trace(trace: Trace, checker: str = "auto") -> Dict[str, Any]:
     """Re-verify one parsed trace; returns a verdict-table row."""

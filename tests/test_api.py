@@ -90,6 +90,13 @@ def test_simulate_rejects_unknown_pattern_and_protocol():
         api.simulate(system, protocol="registr")
 
 
+@pytest.mark.parametrize("kwargs", [{"ops": 0}, {"ops": -1}, {"runs": 0}, {"runs": -4}])
+def test_simulate_rejects_vacuous_runs(kwargs):
+    system = api.resolve_system(builtin="figure1")
+    with pytest.raises(ReproError, match="at least 1 operation per process and at least 1 run"):
+        api.simulate(system, **kwargs)
+
+
 def test_simulate_intolerable_system_raises_typed_error():
     system = api.resolve_system(builtin="figure1-modified")
     with pytest.raises(NoQuorumSystemExistsError, match="nothing to simulate"):

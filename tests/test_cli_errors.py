@@ -64,6 +64,20 @@ def test_unknown_protocol_object_rejected_by_generated_choices(capsys):
         assert kind in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--ops", "0"), ("--ops", "-1"), ("--runs", "0"), ("--runs", "-4")]
+)
+def test_simulate_rejects_vacuous_runs_as_usage_errors(capsys, flag, value):
+    """Zero operations or zero runs would print an all-green report for nothing."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--builtin", "figure1", flag, value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert "argument {}:".format(flag) in captured.err and "must be at least 1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_unknown_checker_rejected_by_generated_choices(capsys, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", str(tmp_path), "--checker", "wing-gog"])

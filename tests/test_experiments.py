@@ -5,20 +5,17 @@ import pytest
 from repro.checkers import check_register_linearizability
 from repro.experiments import (
     compare_register_overhead,
-    run_consensus_workload,
-    run_lattice_workload,
-    run_paxos_baseline_workload,
-    run_register_workload,
-    run_snapshot_workload,
+    run_workload,
     verify_pattern,
     verify_tightness,
 )
 from repro.failures import FailProneSystem
 from repro.quorums import threshold_quorum_system
+from repro.sim import PartialSynchronyDelay
 
 
 def test_register_workload_reports_metrics(figure1_gqs):
-    result = run_register_workload(figure1_gqs, pattern=None, ops_per_process=1, seed=1)
+    result = run_workload("register", figure1_gqs, pattern=None, ops_per_process=1, seed=1)
     assert result.completed
     assert result.metrics.operations == len(figure1_gqs.processes)
     assert result.metrics.completed == result.metrics.operations
@@ -29,13 +26,13 @@ def test_register_workload_reports_metrics(figure1_gqs):
 
 def test_register_workload_restricts_invokers_to_component(figure1_gqs):
     f2 = figure1_gqs.fail_prone.patterns[1]
-    result = run_register_workload(figure1_gqs, pattern=f2, ops_per_process=1, seed=2)
+    result = run_workload("register", figure1_gqs, pattern=f2, ops_per_process=1, seed=2)
     assert set(result.extra["invokers"]) == set(figure1_gqs.termination_component(f2))
 
 
 def test_register_workload_explicit_invokers(figure1_gqs):
-    result = run_register_workload(
-        figure1_gqs, pattern=None, ops_per_process=1, invokers=["a"], seed=3
+    result = run_workload(
+        "register", figure1_gqs, pattern=None, ops_per_process=1, invokers=["a"], seed=3
     )
     assert result.extra["invokers"] == ["a"]
     assert result.metrics.operations == 1
@@ -53,19 +50,25 @@ def test_overhead_comparison_shows_extra_messages(threshold_3_1):
 
 
 def test_snapshot_and_lattice_workloads_complete(figure1_gqs):
-    snapshot = run_snapshot_workload(figure1_gqs, pattern=None, writes_per_process=1, seed=5)
-    lattice = run_lattice_workload(figure1_gqs, pattern=None, seed=5)
+    snapshot = run_workload("snapshot", figure1_gqs, pattern=None, ops_per_process=1, seed=5)
+    lattice = run_workload("lattice", figure1_gqs, pattern=None, seed=5)
     assert snapshot.completed and lattice.completed
 
 
 def test_consensus_workload_records_decisions(figure1_gqs):
-    result = run_consensus_workload(figure1_gqs, pattern=None, gst=10.0, seed=6)
+    result = run_workload(
+        "consensus",
+        figure1_gqs,
+        pattern=None,
+        delay_model=PartialSynchronyDelay(gst=10.0, delta=1.0, seed=6),
+        seed=6,
+    )
     assert result.completed
     assert len(result.extra["decided_values"]) == 1
 
 
 def test_paxos_baseline_workload_failure_free(figure1_gqs):
-    result = run_paxos_baseline_workload(figure1_gqs, pattern=None, max_time=800.0, seed=7)
+    result = run_workload("paxos", figure1_gqs, pattern=None, max_time=800.0, seed=7)
     assert result.completed
 
 

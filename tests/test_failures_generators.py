@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.failures import (
-    TOPOLOGY_KINDS,
     adversarial_partition_system,
     all_crash_patterns,
     builtin_fail_prone_system,
@@ -17,6 +16,7 @@ from repro.failures import (
     ring_unidirectional_system,
 )
 from repro.quorums import discover_gqs, gqs_exists
+from repro.registry import TOPOLOGIES
 
 
 def test_random_failure_pattern_respects_max_crashes():
@@ -211,8 +211,8 @@ def test_multi_region_validation():
 
 
 def test_new_families_are_registered_everywhere():
-    assert "large-threshold" in TOPOLOGY_KINDS
-    assert "multi-region" in TOPOLOGY_KINDS
+    assert "large-threshold" in TOPOLOGIES
+    assert "multi-region" in TOPOLOGIES
     assert len(builtin_fail_prone_system("large-threshold-30x4").processes) == 30
     zoned = builtin_fail_prone_system("large-threshold-30x4x3")
     assert zoned.patterns[-1].name == "blackout"

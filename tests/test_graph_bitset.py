@@ -17,7 +17,6 @@ from repro.graph import (
     ProcessIndex,
     can_reach,
     iter_bits,
-    mutually_reachable,
     popcount,
     reachable_from,
     strongly_connected_components,
@@ -93,20 +92,6 @@ def test_scc_masks_order_is_canonical():
     assert components == [frozenset({"a", "b"}), frozenset({"c", "d"})]
 
 
-def test_mutually_reachable_matches_set_based():
-    rng = random.Random(3)
-    for _ in range(20):
-        graph = _random_digraph(rng, rng.randint(2, 7), 0.3)
-        view = BitsetDiGraph.from_digraph(graph)
-        index = view.index
-        for _ in range(5):
-            k = rng.randint(1, len(graph.vertices))
-            subset = rng.sample(graph.vertices, k)
-            assert view.mutually_reachable(index.mask_of(subset)) == mutually_reachable(
-                graph, subset
-            )
-
-
 def test_residual_matches_digraph_without():
     rng = random.Random(7)
     for _ in range(20):
@@ -132,15 +117,6 @@ def test_residual_matches_digraph_without():
             assert index.set_of(
                 residual_view.predecessor_mask(index.position(v))
             ) == frozenset(residual_graph.predecessors(v))
-
-
-def test_mutually_reachable_rejects_absent_vertices():
-    graph = DiGraph(edges=[("a", "b"), ("b", "a"), ("a", "c")])
-    view = BitsetDiGraph.from_digraph(graph)
-    index = view.index
-    residual = view.residual(["c"], [])
-    assert residual.mutually_reachable(index.mask_of(["a", "b"]))
-    assert not residual.mutually_reachable(index.mask_of(["a", "c"]))
 
 
 # --------------------------------------------------------------------- #
@@ -237,14 +213,12 @@ def test_word_boundary_ring_reachability(n):
     # Every vertex reaches the whole ring, so the ring is one SCC.
     assert view.reachable_mask(1) == full
     assert view.can_reach_mask(1 << (n - 1)) == full
-    assert view.mutually_reachable(full)
     assert view.scc_masks() == [full]
     # Crash the top-position vertex: the ring breaks into a path; the
     # remaining graph has n-1 singleton SCCs and the top bit is gone.
     top = index.process_at(n - 1)
     residual = view.residual([top], [])
     assert residual.vertex_mask == full >> 1
-    assert not residual.mutually_reachable(full >> 1)
     assert len(residual.scc_masks()) == n - 1
     # The path still reaches forward from its head across the word boundary.
     assert residual.reachable_mask(1) == full >> 1
@@ -315,27 +289,15 @@ def test_mask_permutation_inverse_and_compose():
     rng.shuffle(a)
     rng.shuffle(b)
     pa, pb = MaskPermutation(a), MaskPermutation(b)
+    pa_inverse = MaskPermutation([a.index(i) for i in range(n)])
     composed = pa.compose(pb)  # apply pb first, then pa
     for _ in range(40):
         mask = rng.getrandbits(n)
         assert composed.apply(mask) == pa.apply(pb.apply(mask))
-        assert pa.inverse().apply(pa.apply(mask)) == mask
-    assert pa.compose(pa.inverse()).is_identity()
+        assert pa_inverse.apply(pa.apply(mask)) == mask
+    assert pa.compose(pa_inverse).is_identity()
     assert MaskPermutation(list(range(5))).is_identity()
     assert not pa.is_identity() or a == list(range(n))
-
-
-def test_orbit_and_canonical_mask():
-    from repro.graph import MaskPermutation, canonical_orbit_mask, orbit_of_mask
-
-    # The 4-cycle rotation acting on single bits: the orbit is all four bits,
-    # the canonical representative the smallest integer (bit 0).
-    rotation = MaskPermutation([1, 2, 3, 0])
-    orbit = orbit_of_mask(0b0010, [rotation])
-    assert orbit == frozenset({0b0001, 0b0010, 0b0100, 0b1000})
-    assert canonical_orbit_mask(0b1000, [rotation]) == 0b0001
-    # No permutations: the mask is its own canonical form.
-    assert canonical_orbit_mask(0b1010, []) == 0b1010
 
 
 # ---------------------------------------------------------------------- #

@@ -16,21 +16,17 @@ from repro.checkers import (
     check_lattice_agreement,
     check_register_linearizability,
 )
-from repro.experiments import (
-    run_consensus_workload,
-    run_lattice_workload,
-    run_paxos_baseline_workload,
-    run_register_workload,
-)
+from repro.experiments import run_workload
 from repro.failures import ring_unidirectional_system
 from repro.quorums import discover_gqs, find_gqs, gqs_exists, strong_system_exists
+from repro.sim import PartialSynchronyDelay
 
 
 def test_theorem1_register_wait_freedom_inside_uf_figure1():
     """Theorem 1 (registers): wait-freedom inside U_f plus linearizability, per pattern."""
     gqs = figure1_quorum_system()
     for index, pattern in enumerate(gqs.fail_prone.patterns):
-        result = run_register_workload(gqs, pattern=pattern, ops_per_process=2, seed=100 + index)
+        result = run_workload("register", gqs, pattern=pattern, ops_per_process=2, seed=100 + index)
         assert result.completed
         assert bool(check_register_linearizability(result.history, initial_value=0))
 
@@ -39,7 +35,7 @@ def test_theorem1_lattice_agreement_inside_uf():
     """Theorem 1 (lattice agreement): termination inside U_f and the three properties."""
     gqs = figure1_quorum_system()
     pattern = gqs.fail_prone.patterns[2]
-    result = run_lattice_workload(gqs, pattern=pattern, seed=42)
+    result = run_workload("lattice", gqs, pattern=pattern, seed=42)
     assert result.completed
     assert check_lattice_agreement(result.history).ok
 
@@ -53,8 +49,13 @@ def test_theorem5_consensus_under_partial_synchrony():
     """Theorem 5: consensus decides inside U_f under partial synchrony, for each pattern."""
     gqs = figure1_quorum_system()
     for index, pattern in enumerate(gqs.fail_prone.patterns):
-        result = run_consensus_workload(
-            gqs, pattern=pattern, gst=25.0, seed=200 + index, max_time=4_000.0
+        result = run_workload(
+            "consensus",
+            gqs,
+            pattern=pattern,
+            delay_model=PartialSynchronyDelay(gst=25.0, delta=1.0, seed=200 + index),
+            seed=200 + index,
+            max_time=4_000.0,
         )
         component = gqs.termination_component(pattern)
         verdict = check_consensus(result.history, required_to_terminate=component)
@@ -73,7 +74,7 @@ def test_classical_request_response_paxos_does_not_help():
     cannot decide under f1 even though the GQS consensus can."""
     gqs = figure1_quorum_system()
     f1 = gqs.fail_prone.patterns[0]
-    baseline = run_paxos_baseline_workload(gqs, pattern=f1, max_time=700.0, seed=3)
+    baseline = run_workload("paxos", gqs, pattern=f1, max_time=700.0, seed=3)
     assert not baseline.completed
 
 
@@ -85,7 +86,7 @@ def test_ring_generalisation_scales_beyond_four_processes():
     assert result.exists
     gqs = result.quorum_system
     pattern = system.patterns[0]
-    run = run_register_workload(gqs, pattern=pattern, ops_per_process=1, seed=11)
+    run = run_workload("register", gqs, pattern=pattern, ops_per_process=1, seed=11)
     assert run.completed
     assert bool(check_register_linearizability(run.history, initial_value=0))
 
@@ -97,6 +98,6 @@ def test_discovered_gqs_supports_protocols_on_random_admitting_system():
     system = adversarial_partition_system(4)
     gqs = find_gqs(system)
     pattern = system.patterns[1]
-    run = run_register_workload(gqs, pattern=pattern, ops_per_process=1, seed=21)
+    run = run_workload("register", gqs, pattern=pattern, ops_per_process=1, seed=21)
     assert run.completed
     assert bool(check_register_linearizability(run.history, initial_value=0))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checkers import check_consensus
-from repro.experiments import run_consensus_workload
+from repro.experiments import run_workload
 from repro.protocols import ConsensusProcess, consensus_factory
 from repro.quorums import GeneralizedQuorumSystem
 from repro.sim import Cluster, PartialSynchronyDelay
@@ -36,7 +36,13 @@ def test_single_proposer_decides_failure_free(figure1_gqs):
 
 
 def test_all_proposers_agree_failure_free(figure1_gqs):
-    result = run_consensus_workload(figure1_gqs, pattern=None, gst=10.0, seed=2)
+    result = run_workload(
+        "consensus",
+        figure1_gqs,
+        pattern=None,
+        delay_model=PartialSynchronyDelay(gst=10.0, delta=1.0, seed=2),
+        seed=2,
+    )
     assert result.completed
     check = check_consensus(result.history, required_to_terminate=figure1_gqs.processes)
     assert check.ok, check.violations
@@ -45,8 +51,13 @@ def test_all_proposers_agree_failure_free(figure1_gqs):
 
 def test_consensus_under_every_figure1_pattern(figure1_gqs):
     for index, pattern in enumerate(figure1_gqs.fail_prone.patterns):
-        result = run_consensus_workload(
-            figure1_gqs, pattern=pattern, gst=20.0, seed=10 + index, max_time=4_000.0
+        result = run_workload(
+            "consensus",
+            figure1_gqs,
+            pattern=pattern,
+            delay_model=PartialSynchronyDelay(gst=20.0, delta=1.0, seed=10 + index),
+            seed=10 + index,
+            max_time=4_000.0,
         )
         component = figure1_gqs.termination_component(pattern)
         check = check_consensus(result.history, required_to_terminate=component)
@@ -58,7 +69,13 @@ def test_consensus_under_every_figure1_pattern(figure1_gqs):
 
 def test_decision_is_a_proposed_value(figure1_gqs):
     f2 = figure1_gqs.fail_prone.patterns[1]
-    result = run_consensus_workload(figure1_gqs, pattern=f2, gst=15.0, seed=3)
+    result = run_workload(
+        "consensus",
+        figure1_gqs,
+        pattern=f2,
+        delay_model=PartialSynchronyDelay(gst=15.0, delta=1.0, seed=3),
+        seed=3,
+    )
     proposals = {record.argument for record in result.history}
     for record in result.history.complete_records():
         assert record.result in proposals
@@ -66,8 +83,22 @@ def test_decision_is_a_proposed_value(figure1_gqs):
 
 def test_late_gst_delays_but_does_not_prevent_decision(figure1_gqs):
     f1 = figure1_gqs.fail_prone.patterns[0]
-    early = run_consensus_workload(figure1_gqs, pattern=f1, gst=10.0, seed=4, max_time=5_000.0)
-    late = run_consensus_workload(figure1_gqs, pattern=f1, gst=150.0, seed=4, max_time=5_000.0)
+    early = run_workload(
+        "consensus",
+        figure1_gqs,
+        pattern=f1,
+        delay_model=PartialSynchronyDelay(gst=10.0, delta=1.0, seed=4),
+        seed=4,
+        max_time=5_000.0,
+    )
+    late = run_workload(
+        "consensus",
+        figure1_gqs,
+        pattern=f1,
+        delay_model=PartialSynchronyDelay(gst=150.0, delta=1.0, seed=4),
+        seed=4,
+        max_time=5_000.0,
+    )
     assert early.completed and late.completed
     assert late.metrics.max_latency >= early.metrics.max_latency
 

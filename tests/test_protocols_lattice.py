@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checkers import check_lattice_agreement
-from repro.experiments import run_lattice_workload
+from repro.experiments import run_workload
 from repro.protocols import MaxLattice, SetLattice, lattice_agreement_factory
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
@@ -51,7 +51,7 @@ def test_single_proposal_returns_itself(figure1_gqs):
 
 
 def test_outputs_satisfy_lattice_agreement_failure_free(figure1_gqs):
-    result = run_lattice_workload(figure1_gqs, pattern=None, seed=1)
+    result = run_workload("lattice", figure1_gqs, pattern=None, seed=1)
     assert result.completed
     check = check_lattice_agreement(result.history)
     assert check.ok, check.violations
@@ -59,7 +59,7 @@ def test_outputs_satisfy_lattice_agreement_failure_free(figure1_gqs):
 
 def test_outputs_satisfy_lattice_agreement_under_f1(figure1_gqs):
     f1 = figure1_gqs.fail_prone.patterns[0]
-    result = run_lattice_workload(figure1_gqs, pattern=f1, seed=2)
+    result = run_workload("lattice", figure1_gqs, pattern=f1, seed=2)
     assert result.completed
     check = check_lattice_agreement(result.history)
     assert check.ok, check.violations
@@ -68,13 +68,13 @@ def test_outputs_satisfy_lattice_agreement_under_f1(figure1_gqs):
 
 
 def test_outputs_dominate_inputs(figure1_gqs):
-    result = run_lattice_workload(figure1_gqs, pattern=None, seed=3)
+    result = run_workload("lattice", figure1_gqs, pattern=None, seed=3)
     for record in result.history.complete_records():
         assert frozenset(record.argument) <= frozenset(record.result)
 
 
 def test_outputs_bounded_by_join_of_inputs(figure1_gqs):
-    result = run_lattice_workload(figure1_gqs, pattern=None, seed=4)
+    result = run_workload("lattice", figure1_gqs, pattern=None, seed=4)
     all_inputs = frozenset().union(*(frozenset(r.argument) for r in result.history))
     for record in result.history.complete_records():
         assert frozenset(record.result) <= all_inputs

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import run_consensus_workload, run_paxos_baseline_workload
+from repro.experiments import run_workload
 from repro.protocols import majority_quorums, paxos_factory
 from repro.sim import Cluster, PartialSynchronyDelay, UniformDelay
 
@@ -51,8 +51,15 @@ def test_paxos_survives_one_crash():
 def test_paxos_fails_under_figure1_pattern_but_gqs_consensus_decides(figure1_gqs):
     """The headline comparison of E5: who wins under the paper's failure pattern."""
     f1 = figure1_gqs.fail_prone.patterns[0]
-    paxos = run_paxos_baseline_workload(figure1_gqs, pattern=f1, max_time=800.0, seed=5)
-    gqs = run_consensus_workload(figure1_gqs, pattern=f1, gst=20.0, max_time=4_000.0, seed=5)
+    paxos = run_workload("paxos", figure1_gqs, pattern=f1, max_time=800.0, seed=5)
+    gqs = run_workload(
+        "consensus",
+        figure1_gqs,
+        pattern=f1,
+        delay_model=PartialSynchronyDelay(gst=20.0, delta=1.0, seed=5),
+        max_time=4_000.0,
+        seed=5,
+    )
     assert not paxos.completed
     assert gqs.completed
 
@@ -69,8 +76,13 @@ def test_paxos_learns_decision_from_decided_message():
 
 def test_paxos_retries_are_counted_when_quorum_unreachable(figure1_gqs):
     f1 = figure1_gqs.fail_prone.patterns[0]
-    result = run_paxos_baseline_workload(
-        figure1_gqs, pattern=f1, max_time=400.0, retry_timeout=10.0, seed=7
+    result = run_workload(
+        "paxos",
+        figure1_gqs,
+        pattern=f1,
+        protocol_params={"retry_timeout": 10.0},
+        max_time=400.0,
+        seed=7,
     )
     proposers = result.extra["invokers"]
     cluster = result.cluster

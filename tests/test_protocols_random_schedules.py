@@ -14,11 +14,8 @@ from repro.checkers import (
     check_lattice_agreement,
     check_register_linearizability,
 )
-from repro.experiments import (
-    run_consensus_workload,
-    run_lattice_workload,
-    run_register_workload,
-)
+from repro.experiments import run_workload
+from repro.sim import PartialSynchronyDelay
 
 SEEDS = range(6)
 
@@ -26,8 +23,13 @@ SEEDS = range(6)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_register_linearizable_across_random_schedules(figure1_gqs, seed):
     pattern = figure1_gqs.fail_prone.patterns[seed % 4]
-    result = run_register_workload(
-        figure1_gqs, pattern=pattern, ops_per_process=2, seed=1_000 + seed, op_spacing=5.0
+    result = run_workload(
+        "register",
+        figure1_gqs,
+        pattern=pattern,
+        ops_per_process=2,
+        seed=1_000 + seed,
+        op_spacing=5.0,
     )
     assert result.completed
     assert bool(check_register_linearizability(result.history, initial_value=0))
@@ -36,8 +38,8 @@ def test_register_linearizable_across_random_schedules(figure1_gqs, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_register_linearizable_with_heavy_concurrency(figure1_gqs, seed):
     """All invokers issue operations nearly simultaneously (op_spacing ~ one delay)."""
-    result = run_register_workload(
-        figure1_gqs, pattern=None, ops_per_process=2, seed=2_000 + seed, op_spacing=1.5
+    result = run_workload(
+        "register", figure1_gqs, pattern=None, ops_per_process=2, seed=2_000 + seed, op_spacing=1.5
     )
     assert result.completed
     assert bool(check_register_linearizability(result.history, initial_value=0))
@@ -46,7 +48,7 @@ def test_register_linearizable_with_heavy_concurrency(figure1_gqs, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_lattice_agreement_across_random_schedules(figure1_gqs, seed):
     pattern = figure1_gqs.fail_prone.patterns[seed % 4]
-    result = run_lattice_workload(figure1_gqs, pattern=pattern, seed=3_000 + seed)
+    result = run_workload("lattice", figure1_gqs, pattern=pattern, seed=3_000 + seed)
     assert result.completed
     verdict = check_lattice_agreement(result.history)
     assert verdict.ok, verdict.violations
@@ -55,8 +57,13 @@ def test_lattice_agreement_across_random_schedules(figure1_gqs, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_consensus_agreement_across_random_schedules(figure1_gqs, seed):
     pattern = figure1_gqs.fail_prone.patterns[(seed + 1) % 4]
-    result = run_consensus_workload(
-        figure1_gqs, pattern=pattern, gst=15.0 + 10.0 * seed, seed=4_000 + seed, max_time=5_000.0
+    result = run_workload(
+        "consensus",
+        figure1_gqs,
+        pattern=pattern,
+        delay_model=PartialSynchronyDelay(gst=15.0 + 10.0 * seed, delta=1.0, seed=4_000 + seed),
+        seed=4_000 + seed,
+        max_time=5_000.0,
     )
     assert result.completed
     verdict = check_consensus(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checkers import check_register_linearizability
-from repro.experiments import run_register_workload
+from repro.experiments import run_workload
 from repro.history import History
 from repro.protocols import (
     classical_register_factory,
@@ -82,7 +82,7 @@ def test_register_versions_grow_monotonically(figure1_gqs):
 
 
 def test_concurrent_writes_and_reads_linearizable(figure1_gqs):
-    result = run_register_workload(figure1_gqs, pattern=None, ops_per_process=2, seed=11)
+    result = run_workload("register", figure1_gqs, pattern=None, ops_per_process=2, seed=11)
     assert result.completed
     outcome = check_register_linearizability(result.history, initial_value=0)
     assert bool(outcome)
@@ -90,8 +90,8 @@ def test_concurrent_writes_and_reads_linearizable(figure1_gqs):
 
 def test_register_liveness_and_safety_under_every_figure1_pattern(figure1_gqs):
     for index, pattern in enumerate(figure1_gqs.fail_prone.patterns):
-        result = run_register_workload(
-            figure1_gqs, pattern=pattern, ops_per_process=2, seed=20 + index
+        result = run_workload(
+            "register", figure1_gqs, pattern=pattern, ops_per_process=2, seed=20 + index
         )
         assert result.completed, "operations inside U_f must terminate under {}".format(
             pattern.name
@@ -123,7 +123,14 @@ def test_classical_abd_register_basic(threshold_3_1):
 
 def test_classical_abd_workload_linearizable(threshold_3_1):
     gqs = GeneralizedQuorumSystem.from_classical(threshold_3_1)
-    result = run_register_workload(gqs, pattern=None, ops_per_process=2, classical=True, seed=5)
+    result = run_workload(
+        "register",
+        gqs,
+        pattern=None,
+        protocol_params={"classical": True},
+        ops_per_process=2,
+        seed=5,
+    )
     assert result.completed
     assert bool(check_register_linearizability(result.history, initial_value=0))
 
@@ -135,7 +142,7 @@ def test_writer_ranks_are_unique(figure1_gqs):
 
 
 def test_register_history_records_invocations(figure1_gqs):
-    result = run_register_workload(figure1_gqs, pattern=None, ops_per_process=2, seed=13)
+    result = run_workload("register", figure1_gqs, pattern=None, ops_per_process=2, seed=13)
     history: History = result.history
     kinds = {record.kind for record in history}
     assert kinds == {"read", "write"}

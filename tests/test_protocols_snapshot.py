@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checkers import check_snapshot_linearizability, scans_totally_ordered
-from repro.experiments import run_snapshot_workload
+from repro.experiments import run_workload
 from repro.protocols import snapshot_factory
 from repro.protocols.snapshot import Segment, initial_vector, merge_vectors
 from repro.sim import Cluster, UniformDelay
@@ -92,7 +92,7 @@ def test_sequential_writes_overwrite_own_segment(figure1_gqs):
 
 
 def test_snapshot_workload_failure_free_linearizable(figure1_gqs):
-    result = run_snapshot_workload(figure1_gqs, pattern=None, writes_per_process=1, seed=2)
+    result = run_workload("snapshot", figure1_gqs, pattern=None, ops_per_process=1, seed=2)
     assert result.completed
     outcome = check_snapshot_linearizability(
         result.history,
@@ -105,7 +105,7 @@ def test_snapshot_workload_failure_free_linearizable(figure1_gqs):
 
 def test_snapshot_workload_under_f1(figure1_gqs):
     f1 = figure1_gqs.fail_prone.patterns[0]
-    result = run_snapshot_workload(figure1_gqs, pattern=f1, writes_per_process=1, seed=3)
+    result = run_workload("snapshot", figure1_gqs, pattern=f1, ops_per_process=1, seed=3)
     assert result.completed
     outcome = check_snapshot_linearizability(
         result.history,
@@ -117,7 +117,7 @@ def test_snapshot_workload_under_f1(figure1_gqs):
 
 def test_snapshot_workload_under_remaining_patterns(figure1_gqs):
     for index, pattern in enumerate(figure1_gqs.fail_prone.patterns[1:], start=1):
-        result = run_snapshot_workload(
-            figure1_gqs, pattern=pattern, writes_per_process=1, seed=10 + index
+        result = run_workload(
+            "snapshot", figure1_gqs, pattern=pattern, ops_per_process=1, seed=10 + index
         )
         assert result.completed, pattern.name

@@ -11,7 +11,6 @@ from repro.registry import (
     TOPOLOGIES,
     Descriptor,
     Registry,
-    RegistryView,
 )
 from repro.registry.core import set_current_origin, validate_params
 
@@ -90,9 +89,6 @@ def test_mapping_contract_on_missing_names():
     assert registry.get("nope", "fallback") == "fallback"
     with pytest.raises(ReproError, match="unknown widget kind 'nope'"):
         registry.get("nope")
-    view = RegistryView(registry, lambda d: d.name)
-    assert "nope" not in view
-    assert view.get("nope") is None
 
 
 def test_topology_spec_unknown_kind_lists_explicit_candidate():
@@ -130,17 +126,6 @@ def test_validate_params_accepts_known_and_rejects_unknown():
 def test_validate_params_none_schema_accepts_anything():
     descriptor = _descriptor("w", params=None)
     validate_params(descriptor, {"anything": 1})
-
-
-def test_registry_view_is_live_and_projected():
-    registry = Registry("widget", noun="widget kind")
-    view = RegistryView(registry, lambda d: d.params)
-    registry.register(_descriptor("w", params=("x",)))
-    assert list(view) == ["w"]
-    assert view["w"] == ("x",)
-    assert "w" in view
-    registry.register(_descriptor("v", params=()))
-    assert list(view) == ["w", "v"]
 
 
 def test_origin_attribution_during_plugin_import():
@@ -207,15 +192,11 @@ def test_scenario_registry_backs_the_catalogue():
 
 
 def test_legacy_views_stay_consistent_with_registries():
-    from repro.experiments import PROTOCOL_KINDS, PROTOCOL_PARAM_KEYS, WORKLOAD_DEFAULTS
-    from repro.failures import TOPOLOGY_KINDS
-    from repro.sim import DELAY_MODEL_KINDS
-    from repro.traces.check import CHECKER_KINDS
-
-    assert list(PROTOCOL_KINDS) == PROTOCOLS.names()
-    assert PROTOCOL_PARAM_KEYS["register"] == ("classical", "push_interval", "relay")
-    assert WORKLOAD_DEFAULTS["paxos"]["max_time"] == 1_500.0
-    assert list(TOPOLOGY_KINDS) == TOPOLOGIES.names()
-    assert callable(TOPOLOGY_KINDS["ring"])
-    assert DELAY_MODEL_KINDS["uniform"] == ("min_delay", "max_delay")
-    assert list(CHECKER_KINDS) == CHECKERS.names()
+    """What the removed per-module view tables projected, read off the registries."""
+    assert list(PROTOCOLS) == PROTOCOLS.names()
+    assert PROTOCOLS["register"].params == ("classical", "push_interval", "relay")
+    assert PROTOCOLS["paxos"].extras["defaults"]["max_time"] == 1_500.0
+    assert list(TOPOLOGIES) == TOPOLOGIES.names()
+    assert callable(TOPOLOGIES["ring"].builder)
+    assert DELAY_MODELS["uniform"].params == ("min_delay", "max_delay")
+    assert list(CHECKERS) == CHECKERS.names()

@@ -6,6 +6,8 @@ live on as ``tests/oracles``, which is not installed), the CLI rejects the
 removed flags as ordinary usage errors, and the oracles share no code with
 the bitset layer they check.  The simulator follows the same rule: one
 scheduler, no ``REPRO_SIM_FASTPATH`` switch, the old one in ``oracles.sim``.
+And every concept has one name: the registries are the only tables,
+``run_workload`` the only workload entry, and exports nobody called are gone.
 """
 
 from __future__ import annotations
@@ -42,6 +44,32 @@ DELETED_FROM_SRC = (
     r"--engine",
 )
 
+#: Second names for a concept and caller-less exports: the registry view
+#: tables, the per-object workload wrappers and forwards, the test-only bitset
+#: leftovers and the names nothing in the repository referenced.
+DELETED_SECOND_NAMES = (
+    r"RegistryView",
+    r"(PROTOCOL|DELAY_MODEL|TOPOLOGY|CHECKER)_KINDS",
+    r"PROTOCOL_PARAM_KEYS",
+    r"WORKLOAD_DEFAULTS",
+    r"NEMESIS_STRATEGIES",
+    r"run_(register|snapshot|lattice|consensus|paxos_baseline)_workload",
+    r"validate_protocol_params",
+    r"evaluate_safety",
+    r"_termination_set",
+    r"orbit_of_mask",
+    r"canonical_orbit_mask",
+    r"def inverse\(",
+    r"def mutually_reachable\(self",
+    r"NotLinearizableError",
+    r"SpecificationViolationError",
+    r"\bfrom_edges\b",
+    r"_TAG_PREFIX",
+    r"KVEntry",
+    r"is_faulty_process",
+    r"\bsingle_pattern\b",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -61,7 +89,7 @@ def _sources(root):
 
 def test_deleted_names_are_gone_from_src():
     for path, text in _sources(SRC_DIR):
-        for pattern in DELETED_FROM_SRC:
+        for pattern in DELETED_FROM_SRC + DELETED_SECOND_NAMES:
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
 
@@ -133,6 +161,20 @@ def test_cli_rejects_removed_flags_as_usage_errors(argv):
     assert finished.returncode == 2
     assert "usage:" in finished.stderr
     assert "Traceback" not in finished.stderr and "Traceback" not in finished.stdout
+
+
+def test_every_package_star_import_resolves():
+    """No ``__all__`` / ``_EXPORTS`` entry dangles after a deletion."""
+    packages = find_packages(SRC_DIR)
+    assert "repro.experiments" in packages and "repro.graph" in packages
+    for package in packages:
+        exec("from {} import *".format(package), {})
+
+
+def test_run_workload_is_the_only_workload_entry():
+    import repro.experiments
+
+    assert [n for n in repro.experiments.__all__ if n.startswith("run_")] == ["run_workload"]
 
 
 # --------------------------------------------------------------------- #
