@@ -645,6 +645,11 @@ def sweep(
                 kind, ["admissibility", "all", "reliability"]
             )
         )
+    for name, value in (("samples", samples), ("n", n), ("patterns", patterns)):
+        if value < 1:
+            raise ReproError("sweep needs {} >= 1 (got {})".format(name, value))
+    if not all(0.0 <= p <= 1.0 for p in probs):  # nan fails both comparisons
+        raise ReproError("sweep probabilities must lie in [0, 1] (got {})".format(list(probs)))
     outcome = MonteCarloSweep()
     if kind in ("admissibility", "all"):
         outcome.admissibility = admissibility_sweep(

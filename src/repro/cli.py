@@ -100,19 +100,37 @@ def _jobs_value(text: str) -> int:
     return value
 
 
-def _runs_value(text: str) -> int:
+def _at_least_one(what: str):
     """argparse type for ``--runs`` and the other counts: a positive int.
 
-    Rejecting 0 matters: a zero-run batch (or a zero-operation ``simulate``)
-    would report ``0/0`` liveness and safety and exit 0 — a vacuously green
-    result.
+    Rejecting 0 matters: a zero-run batch (a zero-operation ``simulate``, a
+    zero-sample ``sweep``) would report ``0/0`` liveness and safety, or all-zero
+    fractions, and exit 0 — a vacuously green result.
     """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got {!r}".format(text))
+        if value < 1:
+            raise argparse.ArgumentTypeError("{} must be at least 1".format(what))
+        return value
+
+    return parse
+
+
+_runs_value = _at_least_one("runs")
+
+
+def _probability_value(text: str) -> float:
+    """argparse type for ``--probs``: a finite float in ``[0, 1]``."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got {!r}".format(text))
-    if value < 1:
-        raise argparse.ArgumentTypeError("runs must be at least 1")
+        raise argparse.ArgumentTypeError("expected a number, got {!r}".format(text))
+    if not 0.0 <= value <= 1.0:  # nan fails both comparisons
+        raise argparse.ArgumentTypeError("a probability must lie in [0, 1]")
     return value
 
 
@@ -802,11 +820,34 @@ def _add_simulate_arguments(simulate: argparse.ArgumentParser) -> None:
 
 def _add_sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("kind", choices=["admissibility", "reliability", "all"], default="all", nargs="?")
-    sweep.add_argument("--probs", type=float, nargs="+", default=[0.0, 0.1, 0.2, 0.3, 0.5])
-    sweep.add_argument("--samples", type=int, default=40)
-    sweep.add_argument("--n", type=int, default=5)
-    sweep.add_argument("--patterns", type=int, default=3)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument(
+        "--probs",
+        type=_probability_value,
+        nargs="+",
+        default=[0.0, 0.1, 0.2, 0.3, 0.5],
+        help="channel-disconnection probabilities to sweep, each in [0, 1]",
+    )
+    sweep.add_argument(
+        "--samples",
+        type=_at_least_one("samples"),
+        default=40,
+        help="samples per probability (at least 1)",
+    )
+    sweep.add_argument(
+        "--n",
+        type=_at_least_one("n"),
+        default=5,
+        help="processes per sampled system (at least 1)",
+    )
+    sweep.add_argument(
+        "--patterns",
+        type=_at_least_one("patterns"),
+        default=3,
+        help="failure patterns per sampled system (at least 1)",
+    )
+    sweep.add_argument(
+        "--seed", type=int, default=0, help="root seed; fixes every counter for every --jobs"
+    )
     sweep.add_argument(
         "--jobs",
         type=_jobs_value,

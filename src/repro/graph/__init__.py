@@ -6,7 +6,9 @@ from .bitset import (
     MaskPermutation,
     MaskReindex,
     ProcessIndex,
+    closure_mask,
     component_containing,
+    component_masks,
     iter_bits,
     permute_mask,
     popcount,
@@ -31,7 +33,9 @@ __all__ = [
     "MaskReindex",
     "ProcessIndex",
     "can_reach",
+    "closure_mask",
     "component_containing",
+    "component_masks",
     "condensation",
     "has_path",
     "is_strongly_connected",

@@ -43,6 +43,10 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+if hasattr(int, "bit_count"):  # Python >= 3.10: the same count, without the string
+    popcount = int.bit_count  # noqa: F811
+
+
 def component_containing(components: Sequence[int], mask: int) -> Optional[int]:
     """The component mask containing *every* bit of ``mask``, or ``None``.
 
@@ -58,6 +62,55 @@ def component_containing(components: Sequence[int], mask: int) -> Optional[int]:
         if component & anchor:
             return component if not mask & ~component else None
     return None
+
+
+def closure_mask(seeds: int, vertices: int, rows: Sequence[int]) -> int:
+    """Breadth-first closure of ``seeds`` along ``rows`` inside ``vertices``.
+
+    ``rows[i]`` is the successor (forward closure) or predecessor (backward
+    closure) mask of vertex ``i``; rows of present vertices only mention
+    present vertices.  Stops the moment every present vertex is covered: in
+    the dense residual graphs of threshold systems the first row already is
+    the whole graph, and the other rows of the frontier would add nothing.
+    """
+    reach = frontier = seeds & vertices
+    while frontier:
+        grown = reach
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            if grown == vertices:
+                return vertices
+            frontier ^= low
+        frontier = grown & ~reach
+        reach = grown
+    return reach
+
+
+def component_masks(vertices: int, succ: Sequence[int], pred: Sequence[int]) -> List[int]:
+    """Strongly connected components of ``vertices``, ordered by lowest member bit.
+
+    Each round anchors at the lowest unassigned vertex and intersects its
+    forward and backward closures, so a strongly connected graph costs two
+    (early-exiting) closures and yields ``[vertices]``.
+    """
+    components: List[int] = []
+    remaining = vertices
+    while remaining:
+        component = anchor = remaining & -remaining
+        i = anchor.bit_length() - 1
+        # Earlier components are maximal, so the anchor's lies inside
+        # ``remaining``: with no edge into it or none out of it, the anchor is
+        # alone and neither closure is needed.
+        if succ[i] & remaining and pred[i] & remaining:
+            component = (
+                closure_mask(anchor, vertices, succ)
+                & closure_mask(anchor, vertices, pred)
+                & remaining
+            )
+        components.append(component)
+        remaining &= ~component
+    return components
 
 
 #: Input bits consumed per :class:`MaskPermutation` lookup table (one table
@@ -456,30 +509,11 @@ class BitsetDiGraph:
     # ------------------------------------------------------------------ #
     def reachable_mask(self, sources: int) -> int:
         """Every vertex reachable from any source bit (sources included)."""
-        return self._closure(sources, self._succ)
+        return closure_mask(sources, self.vertex_mask, self._succ)
 
     def can_reach_mask(self, targets: int) -> int:
         """Every vertex from which some target bit is reachable (targets included)."""
-        return self._closure(targets, self._pred)
-
-    def _closure(self, seeds: int, rows: List[int]) -> int:
-        """Breadth-first closure of ``seeds`` along ``rows``.
-
-        Stops the moment every present vertex is covered: in the dense
-        residual graphs of threshold systems the first row already is the
-        whole graph, and the other rows of the frontier would add nothing.
-        """
-        vertices = self.vertex_mask
-        reach = frontier = seeds & vertices
-        while frontier:
-            grown = reach
-            for i in iter_bits(frontier):
-                grown |= rows[i]
-                if grown == vertices:
-                    return vertices
-            frontier = grown & ~reach
-            reach = grown
-        return reach
+        return closure_mask(targets, self.vertex_mask, self._pred)
 
     def set_reaches_set(self, sources: int, targets: int) -> bool:
         """Whether every target bit is reachable from every source bit.
@@ -504,19 +538,9 @@ class BitsetDiGraph:
         component), hence independent of both hash seed and traversal order.
         The list is memoized and shared: treat it as immutable.
         """
-        if self._sccs is not None:
-            return self._sccs
-        components: List[int] = []
-        remaining = self.vertex_mask
-        while remaining:
-            anchor = remaining & -remaining
-            forward = self.reachable_mask(anchor)
-            backward = self.can_reach_mask(anchor)
-            component = forward & backward & remaining
-            components.append(component)
-            remaining &= ~component
-        self._sccs = components
-        return components
+        if self._sccs is None:
+            self._sccs = component_masks(self.vertex_mask, self._succ, self._pred)
+        return self._sccs
 
 
 __all__ = [
@@ -524,7 +548,9 @@ __all__ = [
     "MaskPermutation",
     "MaskReindex",
     "ProcessIndex",
+    "closure_mask",
     "component_containing",
+    "component_masks",
     "iter_bits",
     "permute_mask",
     "popcount",

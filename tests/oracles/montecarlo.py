@@ -62,10 +62,18 @@ def sample_pattern(
 
 
 def availability_under(quorum_system, pattern: FailurePattern) -> Tuple[bool, bool, bool]:
-    """(GQS availability, QS+ availability, classical availability) for one pattern."""
-    fail_prone = FailProneSystem(
-        quorum_system.processes, [pattern], graph=quorum_system.fail_prone.graph_view
+    """(GQS availability, QS+ availability, classical availability) for one pattern.
+
+    The samplers draw a disconnect coin for *every* ordered pair of survivors;
+    on a sparse network graph the pairs that are no channel are dropped here
+    (the draws already happened), since a pattern may only disconnect channels
+    that exist.
+    """
+    graph = quorum_system.fail_prone.graph_view
+    pattern = FailurePattern(
+        pattern.crash_prone, pattern.disconnect_prone & graph.edge_set(), name=pattern.name
     )
+    fail_prone = FailProneSystem(quorum_system.processes, [pattern], graph=graph)
     correct = pattern.correct_processes(quorum_system.processes)
     residual = fail_prone.residual_graph(pattern)
 

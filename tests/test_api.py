@@ -135,6 +135,33 @@ def test_sweep_kinds_and_validation():
         api.sweep(kind="both")
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"samples": 0}, "samples >= 1"),
+        ({"samples": -3}, "samples >= 1"),
+        ({"n": 0}, "n >= 1"),
+        ({"n": -2}, "n >= 1"),
+        ({"patterns": 0}, "patterns >= 1"),
+        ({"patterns": -1}, "patterns >= 1"),
+        ({"probs": (0.1, 1.5)}, r"probabilities must lie in \[0, 1\]"),
+        ({"probs": (-0.2,)}, r"probabilities must lie in \[0, 1\]"),
+        ({"probs": (float("nan"),)}, r"probabilities must lie in \[0, 1\]"),
+    ],
+)
+def test_sweep_rejects_meaningless_budgets_and_probabilities(monkeypatch, kwargs, message):
+    """All-zero or vacuously all-one tables, a negative shift count out of a
+    shard, a nan that trips the merge guard: refused before any shard runs."""
+    from repro.engine import ParallelRunner
+
+    def no_shard_may_run(*args, **kwargs):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(ParallelRunner, "run_sharded", no_shard_may_run)
+    with pytest.raises(ReproError, match=message):
+        api.sweep(**kwargs)
+
+
 def test_check_traces_round_trip(tmp_path):
     directory = str(tmp_path / "traces")
     api.run_scenario("unidirectional-ring", runs=2, seed=7, record_traces=directory)

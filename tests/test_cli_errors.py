@@ -78,6 +78,46 @@ def test_simulate_rejects_vacuous_runs_as_usage_errors(capsys, flag, value):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flag, value, complaint",
+    [
+        ("--samples", "0", "samples must be at least 1"),
+        ("--samples", "-3", "samples must be at least 1"),
+        ("--n", "0", "n must be at least 1"),
+        ("--n", "-2", "n must be at least 1"),
+        ("--patterns", "0", "patterns must be at least 1"),
+        ("--patterns", "-1", "patterns must be at least 1"),
+        ("--probs", "1.5", "a probability must lie in [0, 1]"),
+        ("--probs", "-0.2", "a probability must lie in [0, 1]"),
+        ("--probs", "nan", "a probability must lie in [0, 1]"),
+    ],
+)
+def test_sweep_rejects_meaningless_budgets_and_probabilities(capsys, flag, value, complaint):
+    """They used to end in a traceback, an all-zero table, a vacuous all-one
+    table or a mis-routed-shard error (``nan != nan`` in the merge guard)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", flag, value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert "argument {}: {}".format(flag, complaint) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_sweep_arguments_are_documented_in_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for text in (
+        "probabilities to sweep, each in [0, 1]",
+        "samples per probability (at least 1)",
+        "processes per sampled system (at least 1)",
+        "failure patterns per sampled system (at least 1)",
+        "root seed",
+    ):
+        assert text in out
+
+
 def test_unknown_checker_rejected_by_generated_choices(capsys, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", str(tmp_path), "--checker", "wing-gog"])

@@ -35,3 +35,10 @@ def test_quorums_discover_json_is_byte_identical(capsys):
     out = capsys.readouterr().out
     assert out == _golden("quorums_discover_figure1.json")
     json.loads(out)  # and it stays well-formed JSON
+
+
+def test_sweep_json_is_byte_identical(capsys):
+    """Captured at the commit before the sampled-residual kernel: the Monte
+    Carlo shards may get faster, never different (same draws, same counters)."""
+    assert main(["sweep", "--seed", "7", "--samples", "64", "--format", "json"]) == 0
+    assert capsys.readouterr().out == _golden("sweep_seed7.json")

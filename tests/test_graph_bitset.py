@@ -16,6 +16,8 @@ from repro.graph import (
     MaskReindex,
     ProcessIndex,
     can_reach,
+    closure_mask,
+    component_masks,
     iter_bits,
     popcount,
     reachable_from,
@@ -376,3 +378,38 @@ def test_reindexed_graph_matches_a_rebuild_and_carries_components():
     hub = moved.with_hub(new.position("a-first")).to_digraph()
     assert hub.has_edge("a-first", "v1") and hub.has_edge("v1", "a-first")
     assert not hub.has_edge("a-first", "z-last")  # z-last is not a vertex
+
+
+# ---------------------------------------------------------------------- #
+# Module-level closure / SCC routines (shared with the Monte Carlo shards)
+# ---------------------------------------------------------------------- #
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closure_and_component_functions_agree_with_class_and_set_oracle(n, data):
+    """``(vertex mask, rows)`` in, the same answers as the graph class and as
+    the set-based ``graph.connectivity`` algorithms out — absent vertices,
+    empty graphs, complete graphs and everything in between."""
+    index = ProcessIndex(range(n))
+    vertices = data.draw(st.integers(0, index.full_mask))
+    succ, pred = [0] * n, [0] * n
+    for i in iter_bits(vertices):
+        succ[i] = data.draw(st.integers(0, index.full_mask)) & vertices & ~(1 << i)
+        for j in iter_bits(succ[i]):
+            pred[j] |= 1 << i
+    view = BitsetDiGraph(index, vertices, succ, pred)
+    graph = view.to_digraph()
+    components = component_masks(vertices, succ, pred)
+    assert components == BitsetDiGraph(index, vertices, succ, pred).scc_masks()
+    assert [index.set_of(c) for c in components] == sorted(
+        strongly_connected_components(graph), key=min
+    )
+    for _ in range(4):
+        # Seeds may name absent vertices: they are ignored, as by the class.
+        seeds = data.draw(st.integers(0, index.full_mask))
+        forward = closure_mask(seeds, vertices, succ)
+        backward = closure_mask(seeds, vertices, pred)
+        assert forward == view.reachable_mask(seeds)
+        assert backward == view.can_reach_mask(seeds)
+        present = index.set_of(seeds & vertices)
+        assert index.set_of(forward) == reachable_from(graph, present)
+        assert index.set_of(backward) == can_reach(graph, present)
