@@ -160,23 +160,14 @@ class DiscoveryReport:
         return rows
 
     def to_dict(self) -> Dict[str, Any]:
-        """The canonical JSON payload (byte-identical across hash seeds).
-
-        The quotient-only accounting keys are emitted only for
-        ``algorithm="quotient"`` so the default payload stays byte-identical
-        to earlier releases (the golden CLI test pins it).
-        """
-        payload = {
+        """The canonical JSON payload (byte-identical across hash seeds)."""
+        return {
             "system": _system_summary(self.system),
             "algorithm": self.result.algorithm,
             "exists": self.result.exists,
             "nodes_explored": self.result.nodes_explored,
             "patterns": self.rows,
         }
-        if self.result.algorithm == "quotient":
-            payload["pattern_orbits"] = self.result.pattern_orbits
-            payload["candidates_permuted"] = self.result.candidates_permuted
-        return payload
 
 
 def discovery_report(

@@ -232,7 +232,6 @@ def cmd_quorums_discover(args: argparse.Namespace) -> int:
 
     report = api.discovery_report(
         _resolve_system(args),
-        algorithm=args.algorithm,
         progress=(
             functools.partial(_stderr_progress, "discover", unit="patterns")
             if args.progress
@@ -251,8 +250,6 @@ def cmd_quorums_discover(args: argparse.Namespace) -> int:
         print()
         print("algorithm         :", report.result.algorithm)
         print("nodes explored    :", report.result.nodes_explored)
-        if report.result.algorithm == "quotient":
-            print("pattern orbits    :", report.result.pattern_orbits)
         return 2
     table = ResultTable(
         title="GQS witness (one candidate per failure pattern)",
@@ -272,9 +269,6 @@ def cmd_quorums_discover(args: argparse.Namespace) -> int:
     print("GQS exists        : True")
     print("algorithm         :", report.result.algorithm)
     print("nodes explored    :", report.result.nodes_explored)
-    if report.result.algorithm == "quotient":
-        print("pattern orbits    :", report.result.pattern_orbits)
-        print("candidates permuted:", report.result.candidates_permuted)
     return 0
 
 
@@ -282,9 +276,7 @@ def cmd_quorums_watch(args: argparse.Namespace) -> int:
     from . import api
     from .analysis import ResultTable
 
-    report = api.watch_quorums(
-        _resolve_system(args), args.deltas, algorithm=args.algorithm
-    )
+    report = api.watch_quorums(_resolve_system(args), args.deltas)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0 if report.all_exist else 2
@@ -681,9 +673,9 @@ def _add_check_arguments(check: argparse.ArgumentParser) -> None:
     )
     check.add_argument(
         "--max-repair-channels",
-        type=int,
+        type=_at_least_one("max-repair-channels"),
         default=2,
-        help="largest channel set considered by --suggest-repairs (default 2)",
+        help="largest channel set considered by --suggest-repairs (default 2, at least 1)",
     )
     check.add_argument(
         "--checker",
@@ -707,8 +699,6 @@ def _add_check_arguments(check: argparse.ArgumentParser) -> None:
 
 
 def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
-    from .quorums import DISCOVERY_ALGORITHMS
-
     quorums_sub = quorums.add_subparsers(dest="quorums_command", required=True)
 
     quorums_discover = quorums_sub.add_parser(
@@ -716,13 +706,6 @@ def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
         help="run the GQS decision procedure and print the per-pattern witness",
     )
     _add_system_arguments(quorums_discover)
-    quorums_discover.add_argument(
-        "--algorithm",
-        choices=list(DISCOVERY_ALGORITHMS),
-        default="pruned",
-        help="search strategy: 'pruned' (bitmask forward checking, default), "
-        "'full' (alias of pruned) or 'quotient' (symmetry-quotiented search)",
-    )
     quorums_discover.add_argument(
         "--progress",
         action="store_true",
@@ -742,12 +725,6 @@ def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
         '(one {"op": ..., ...} object per line; ops: join, leave, suspect, '
         "trust, suspect-channel, trust-channel)",
     )
-    quorums_watch.add_argument(
-        "--algorithm",
-        choices=list(DISCOVERY_ALGORITHMS),
-        default="pruned",
-        help="search strategy used for each recertification (default 'pruned')",
-    )
     quorums_watch.add_argument("--format", choices=["table", "json"], default="table")
     quorums_watch.set_defaults(func=cmd_quorums_watch)
 
@@ -766,15 +743,15 @@ def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
     _add_system_arguments(quorums_repair)
     quorums_repair.add_argument(
         "--max-channels",
-        type=int,
+        type=_at_least_one("max-channels"),
         default=2,
-        help="largest channel set considered (default 2)",
+        help="largest channel set considered (default 2, at least 1)",
     )
     quorums_repair.add_argument(
         "--max-suggestions",
-        type=int,
+        type=_at_least_one("max-suggestions"),
         default=None,
-        help="stop after this many suggestions (default: all minimal ones)",
+        help="stop after this many suggestions (at least 1; default: all minimal ones)",
     )
     quorums_repair.add_argument("--format", choices=["table", "json"], default="table")
     quorums_repair.set_defaults(func=cmd_quorums_repair)

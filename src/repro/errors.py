@@ -22,10 +22,6 @@ class InvalidFailurePatternError(ReproError):
     """
 
 
-class InvalidSymmetryError(ReproError):
-    """A declared symmetry generator is not an automorphism of the system."""
-
-
 class InvalidQuorumSystemError(ReproError):
     """A (classical or generalized) quorum system violates its definition."""
 

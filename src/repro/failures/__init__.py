@@ -1,7 +1,6 @@
 """Failure model: failure patterns and fail-prone systems (paper §2)."""
 
 from .pattern import NO_FAILURES, FailurePattern
-from .symmetry import SymmetryGroup, block_permutation
 from .failprone import FailProneSystem
 from .generators import (
     adversarial_partition_system,
@@ -20,10 +19,8 @@ __all__ = [
     "NO_FAILURES",
     "FailurePattern",
     "FailProneSystem",
-    "SymmetryGroup",
     "adversarial_partition_system",
     "all_crash_patterns",
-    "block_permutation",
     "build_fail_prone_system",
     "builtin_fail_prone_system",
     "geo_replicated_system",

@@ -17,7 +17,6 @@ from ..errors import InvalidFailurePatternError
 from ..graph import BitsetDiGraph, DiGraph, MaskReindex, ProcessIndex
 from ..types import Channel, ProcessId, ProcessSet, sorted_processes
 from .pattern import FailurePattern
-from .symmetry import SymmetryGroup
 
 
 class FailProneSystem:
@@ -36,12 +35,6 @@ class FailProneSystem:
         be supplied to model restricted physical topologies.
     name:
         Optional label used in reports.
-    symmetry:
-        Optional declared :class:`~repro.failures.symmetry.SymmetryGroup`.
-        Every generator must map the network graph and the pattern family onto
-        themselves — this is validated at construction, so downstream
-        consumers (the quotiented discovery search, orbit reporting) may rely
-        on it without re-checking.
     """
 
     def __init__(
@@ -50,7 +43,6 @@ class FailProneSystem:
         patterns: Iterable[FailurePattern],
         graph: Optional[DiGraph] = None,
         name: Optional[str] = None,
-        symmetry: Optional[SymmetryGroup] = None,
     ) -> None:
         members = frozenset(processes)
         if not members:
@@ -71,7 +63,7 @@ class FailProneSystem:
                 )
             network = BitsetDiGraph.from_digraph(graph, index)
             network.vertex_mask = index.full_mask  # a process without channels is still a vertex
-        self._setup(members, network, None, patterns, name, symmetry)
+        self._setup(members, network, None, patterns, name)
 
     def _setup(
         self,
@@ -80,9 +72,8 @@ class FailProneSystem:
         graph: Optional[DiGraph],
         patterns: Iterable[FailurePattern],
         name: Optional[str],
-        symmetry: Optional[SymmetryGroup],
     ) -> None:
-        """Install the network and validate ``patterns`` and ``symmetry`` against it."""
+        """Install the network and validate ``patterns`` against it."""
         self._processes = processes
         self._process_index = index = network.index
         self._bitset_graph = network
@@ -109,12 +100,6 @@ class FailProneSystem:
                         "pattern {!r} disconnects channel ({!r}, {!r}) "
                         "that does not exist in the network graph".format(f, src, dst)
                     )
-        self._symmetry = symmetry if symmetry is not None and not symmetry.is_trivial() else None
-        if self._symmetry is not None:
-            complete = network == BitsetDiGraph.complete(index)
-            self._symmetry.validate_for(
-                processes, None if complete else self.graph_view, self._patterns
-            )
         # Lazily populated derived state.  The decision procedure re-derives
         # the same residual graphs and candidate structures for every pattern
         # over and over (discovery, repair, classification, availability
@@ -129,7 +114,6 @@ class FailProneSystem:
         self,
         patterns: Iterable[FailurePattern],
         name: Optional[str] = None,
-        symmetry: Optional[SymmetryGroup] = None,
         network: Optional[BitsetDiGraph] = None,
     ) -> "FailProneSystem":
         """A system with other patterns over this system's network (or ``network``).
@@ -146,7 +130,7 @@ class FailProneSystem:
         else:
             processes, graph = frozenset(network.index.processes), None
         system = FailProneSystem.__new__(FailProneSystem)
-        system._setup(processes, network, graph, patterns, name, symmetry)
+        system._setup(processes, network, graph, patterns, name)
         return system
 
     # ------------------------------------------------------------------ #
@@ -178,11 +162,6 @@ class FailProneSystem:
         if self._graph is None:
             self._graph = self._bitset_graph.to_digraph()
         return self._graph
-
-    @property
-    def symmetry(self) -> Optional[SymmetryGroup]:
-        """The declared (validated) symmetry group, if any."""
-        return self._symmetry
 
     @property
     def patterns(self) -> Tuple[FailurePattern, ...]:

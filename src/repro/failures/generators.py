@@ -20,39 +20,12 @@ import itertools
 import random
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import InvalidSymmetryError, ReproError
+from ..errors import ReproError
 from ..graph import DiGraph
 from ..registry import TOPOLOGIES, register_topology
 from ..types import Channel, ProcessId, sorted_processes
 from .failprone import FailProneSystem
 from .pattern import FailurePattern
-from .symmetry import SymmetryGroup, block_permutation
-
-
-def _declared(
-    processes: Sequence[ProcessId],
-    patterns: Sequence[FailurePattern],
-    symmetry: Optional[SymmetryGroup],
-    graph: Optional[DiGraph] = None,
-    name: Optional[str] = None,
-) -> FailProneSystem:
-    """Build a system with its natural symmetry, dropping it if invalid.
-
-    The builders below derive their generators from the construction layout
-    (rotations, zone/region permutations), guarded by the layout conditions
-    that make them exact.  Construction re-validates every generator; if a
-    parameter corner case slips past a guard the symmetry is dropped rather
-    than failing the build, so declaring symmetry can never reject a system
-    that was previously constructible.
-    """
-    if symmetry is not None:
-        try:
-            return FailProneSystem(
-                processes, patterns, graph=graph, name=name, symmetry=symmetry
-            )
-        except InvalidSymmetryError:
-            pass
-    return FailProneSystem(processes, patterns, graph=graph, name=name)
 
 
 def random_failure_pattern(
@@ -135,7 +108,6 @@ def geo_replicated_system(
         "s{}r{}".format(i, j) for i in range(sites) for j in range(replicas_per_site)
     ]
     site_of = {p: int(p[1 : p.index("r")]) for p in processes}
-    full_pair_set = partitioned_pairs is None
     if partitioned_pairs is None:
         partitioned_pairs = [(i, j) for i in range(sites) for j in range(sites) if i != j]
     patterns = []
@@ -150,32 +122,9 @@ def geo_replicated_system(
             FailurePattern((), channels, name="partition-{}to{}".format(src_site, dst_site))
         )
         del idx
-    # With the default (complete) pair set the family is invariant under any
-    # site permutation and under permuting replicas within a site: the
-    # patterns never distinguish replicas, and permuting sites permutes the
-    # partition patterns among themselves.  Declared generators: a site
-    # transposition plus a site cycle (generating the full symmetric group on
-    # sites) and a replica transposition inside site 0.
-    symmetry = None
-    if full_pair_set:
-        site_blocks = [
-            ["s{}r{}".format(i, j) for j in range(replicas_per_site)] for i in range(sites)
-        ]
-        generators = []
-        if sites >= 2:
-            generators.append(block_permutation(site_blocks[:2], site_blocks[1::-1]))
-        if sites >= 3:
-            generators.append(
-                block_permutation(site_blocks, site_blocks[1:] + site_blocks[:1])
-            )
-        if replicas_per_site >= 2:
-            generators.append({"s0r0": "s0r1", "s0r1": "s0r0"})
-        if generators:
-            symmetry = SymmetryGroup(generators, name="geo-site-replica")
-    return _declared(
+    return FailProneSystem(
         processes,
         patterns,
-        symmetry,
         name=name or "geo(sites={}, k={})".format(sites, replicas_per_site),
     )
 
@@ -224,15 +173,8 @@ def ring_unidirectional_system(n: int = 4, name: Optional[str] = None) -> FailPr
             if src != dst and (src, dst) not in correct_channels
         ]
         patterns.append(FailurePattern(crash, channels, name="f{}".format(i + 1)))
-    # The construction is invariant under rotating the ring by one position:
-    # rotation maps pattern f_i onto f_{i+1} (window, reader and channel sets
-    # all shift together), so the cyclic group of order n is declared.
-    rotation = SymmetryGroup(
-        [{processes[i]: processes[(i + 1) % n] for i in range(n)}],
-        name="ring-rotation",
-    )
-    return _declared(
-        processes, patterns, rotation, graph=graph, name=name or "ring(n={})".format(n)
+    return FailProneSystem(
+        processes, patterns, graph=graph, name=name or "ring(n={})".format(n)
     )
 
 
@@ -367,31 +309,9 @@ def large_threshold_system(
             (p, q) for p in anchor for q in anchor if p != q and (p, q) not in chain
         ]
         patterns.append(FailurePattern(crashable, broken, name="blackout"))
-    # Rotating the crashable ring maps window-i onto window-(i+1) whenever the
-    # rotation amount is a multiple of ``stride`` and the start positions wrap
-    # cleanly (``count * stride`` divisible by the ring length).  With zones
-    # the rotation must additionally respect zone boundaries, so it shifts by
-    # one whole non-anchor block — only exact when the blocks are equal-sized.
-    # The anchor zone is fixed pointwise, so the blackout pattern is invariant.
-    symmetry = None
-    ring_len = len(crashable)
-    if zones == 1:
-        shift = stride if (count * stride) % ring_len == 0 else 0
-    else:
-        non_anchor = blocks[1:]
-        equal_blocks = len({len(block) for block in non_anchor}) == 1
-        shift = len(non_anchor[0]) if non_anchor and equal_blocks else 0
-        if shift % max(stride, 1) != 0 or (count * stride) % ring_len != 0:
-            shift = 0
-    if 0 < shift < ring_len:
-        symmetry = SymmetryGroup(
-            [{crashable[i]: crashable[(i + shift) % ring_len] for i in range(ring_len)}],
-            name="window-rotation",
-        )
-    return _declared(
+    return FailProneSystem(
         processes,
         patterns,
-        symmetry,
         name=name
         or "large-threshold(n={}, k={}, zones={}{})".format(
             n, max_crashes, zones, ", catastrophic" if catastrophic else ""
@@ -478,36 +398,9 @@ def multi_region_system(
             if p != q and (p, q) not in chain
         ]
         patterns.append(FailurePattern(crashed_all, broken, name="blackout"))
-    # Every wan-i pattern crashes the *same* replica index in *every* secondary
-    # region, so permuting secondary regions (primary fixed) maps each pattern
-    # onto itself — a transposition plus a cycle generate the full symmetric
-    # group on secondaries.  Cycling replica indices inside all secondaries
-    # simultaneously maps wan-i onto wan-(i+1); it is exact only when every
-    # residue mod ``replicas_per_region`` occurs as an epoch (count >= rpr).
-    secondary_blocks = [
-        [pid(r, j) for j in range(replicas_per_region)] for r in range(1, regions)
-    ]
-    generators: List[Dict[ProcessId, ProcessId]] = []
-    if regions >= 3:
-        generators.append(
-            block_permutation(secondary_blocks[:2], secondary_blocks[1::-1])
-        )
-        generators.append(
-            block_permutation(secondary_blocks, secondary_blocks[1:] + secondary_blocks[:1])
-        )
-    if count >= replicas_per_region:
-        generators.append(
-            {
-                pid(r, j): pid(r, (j + 1) % replicas_per_region)
-                for r in range(1, regions)
-                for j in range(replicas_per_region)
-            }
-        )
-    symmetry = SymmetryGroup(generators, name="region-replica") if generators else None
-    return _declared(
+    return FailProneSystem(
         processes,
         patterns,
-        symmetry,
         name=name
         or "multi-region(regions={}, replicas={}, primary={}{})".format(
             regions, replicas_per_region, primary, ", catastrophic" if catastrophic else ""

@@ -3,14 +3,12 @@
 from .digraph import DiGraph
 from .bitset import (
     BitsetDiGraph,
-    MaskPermutation,
     MaskReindex,
     ProcessIndex,
     closure_mask,
     component_containing,
     component_masks,
     iter_bits,
-    permute_mask,
     popcount,
 )
 from .connectivity import (
@@ -29,7 +27,6 @@ from .connectivity import (
 __all__ = [
     "BitsetDiGraph",
     "DiGraph",
-    "MaskPermutation",
     "MaskReindex",
     "ProcessIndex",
     "can_reach",
@@ -41,7 +38,6 @@ __all__ = [
     "is_strongly_connected",
     "iter_bits",
     "mutually_reachable",
-    "permute_mask",
     "popcount",
     "reachable_from",
     "scc_of",

@@ -113,100 +113,6 @@ def component_masks(vertices: int, succ: Sequence[int], pred: Sequence[int]) -> 
     return components
 
 
-#: Input bits consumed per :class:`MaskPermutation` lookup table (one table
-#: per byte of the mask); the table size and the extraction mask both follow.
-_WORD_BITS = 8
-_WORD_MASK = (1 << _WORD_BITS) - 1
-
-
-def permute_mask(mask: int, perm: Sequence[int]) -> int:
-    """Apply a bit-position permutation to ``mask`` (reference implementation).
-
-    ``perm[i]`` is the image position of bit ``i``.  Bits at positions not
-    covered by ``perm`` must be clear.  :class:`MaskPermutation` is the batched
-    fast path; this per-bit loop is its differential-testing oracle.
-    """
-    image = 0
-    for i in iter_bits(mask):
-        image |= 1 << perm[i]
-    return image
-
-
-class MaskPermutation:
-    """A bit-position permutation applied to masks via per-word lookup tables.
-
-    The permutation is compiled once into one 256-entry table per input byte
-    (``perm`` restricted to that byte, images pre-shifted into place), so
-    applying it to a mask costs ``⌈n/8⌉`` table lookups instead of a Python
-    loop over set bits — the quotiented discovery path permutes thousands of
-    candidate masks per orbit.  Arbitrary permutations only: carrying masks
-    between two process indexes is :class:`MaskReindex`'s job.
-    """
-
-    __slots__ = ("_perm", "_tables")
-
-    def __init__(self, perm: Sequence[int]) -> None:
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of 0..{}".format(n - 1))
-        self._perm: Tuple[int, ...] = tuple(perm)
-        # Tables are built lazily on the first ``apply``: orbit transports are
-        # composed in bulk but many are applied to only a handful of masks
-        # (use :func:`permute_mask` for those), and paying ~32 table entries
-        # per domain bit up front would dominate quotient discovery at large n.
-        self._tables: Optional[List[List[int]]] = None
-
-    def _build_tables(self) -> List[List[int]]:
-        tables: List[List[int]] = []
-        for base in range(0, len(self._perm), _WORD_BITS):
-            chunk = self._perm[base : base + _WORD_BITS]
-            table = [0] * (1 << len(chunk))
-            for value in range(1, len(table)):
-                low = value & -value
-                bit = low.bit_length() - 1
-                table[value] = table[value ^ low] | (1 << chunk[bit])
-            tables.append(table)
-        self._tables = tables
-        return tables
-
-    def __len__(self) -> int:
-        return len(self._perm)
-
-    @property
-    def perm(self) -> Tuple[int, ...]:
-        """The underlying position mapping (``perm[i]`` = image of bit ``i``)."""
-        return self._perm
-
-    def apply(self, mask: int) -> int:
-        """The image of ``mask`` under the permutation."""
-        if mask >> len(self._perm):
-            raise ValueError("mask has bits outside the permutation's domain")
-        image = 0
-        word, word_mask = _WORD_BITS, _WORD_MASK
-        tables = self._tables
-        if tables is None:
-            tables = self._build_tables()
-        for table in tables:
-            if not mask:
-                break
-            image |= table[mask & word_mask]
-            mask >>= word
-        return image
-
-    def compose(self, other: "MaskPermutation") -> "MaskPermutation":
-        """The permutation applying ``other`` first, then ``self``."""
-        if len(other) != len(self._perm):
-            raise ValueError("cannot compose permutations of different sizes")
-        return MaskPermutation([self._perm[j] for j in other.perm])
-
-    def is_identity(self) -> bool:
-        """Whether the permutation maps every position to itself."""
-        return all(i == j for i, j in enumerate(self._perm))
-
-    def __repr__(self) -> str:
-        return "MaskPermutation(n={})".format(len(self._perm))
-
-
 class ProcessIndex:
     """A fixed, deterministic process ↔ bit-position mapping.
 
@@ -545,13 +451,11 @@ class BitsetDiGraph:
 
 __all__ = [
     "BitsetDiGraph",
-    "MaskPermutation",
     "MaskReindex",
     "ProcessIndex",
     "closure_mask",
     "component_containing",
     "component_masks",
     "iter_bits",
-    "permute_mask",
     "popcount",
 ]

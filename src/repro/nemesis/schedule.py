@@ -38,6 +38,7 @@ from ..registry import PROTOCOLS
 from ..scenarios import ScenarioSpec
 from ..scenarios.builders import run_built_scenario
 from ..scenarios.spec import DelaySpec, FailureSpec
+from ..serialization import _read_json
 from ..traces import budget_check
 
 __all__ = [
@@ -188,12 +189,7 @@ def save_schedule(schedule: Schedule, path: str) -> None:
 
 def load_schedule(path: str) -> Schedule:
     """Parse one schedule file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError:
-            raise ReproError("{}: not valid JSON".format(path))
-    return Schedule.from_dict(data)
+    return Schedule.from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------- #

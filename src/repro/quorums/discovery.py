@@ -25,35 +25,20 @@ immediately prunes the viable-candidate domains of every unassigned pattern,
 so a choice that dooms a later pattern fails at the assignment instead of
 after an exponential subtree.  All derived per-pattern structures are cached
 on the :class:`~repro.failures.FailProneSystem` itself, which is what makes
-repeated discovery (repair search, classification sweeps) incremental.  Three
-strategy names select how the search branches:
+repeated discovery (repair search, classification sweeps) incremental.
 
-* ``algorithm="pruned"`` (the default): forward checking over every candidate
-  of every pattern.
-* ``algorithm="quotient"``: the pruned search additionally exploits the
-  system's declared :class:`~repro.failures.SymmetryGroup` (when present).
-  Candidate structures are computed once per pattern *orbit* and transported
-  onto the other orbit members by mask permutation, and the search branches on
-  *equivalence classes* of candidates — two candidates that a symmetry fixing
-  the current partial assignment maps onto each other succeed or fail
-  together, so only the class representative is tried.  Domains forced to a
-  single candidate by forward checking are propagated as free assignments, so
-  ``nodes_explored`` counts only genuine decisions.  On systems without a
-  declared symmetry the search degrades to the pruned strategy.
-* ``algorithm="full"``: an alias of the pruned strategy, named from the
-  quotient search's perspective (no symmetry quotienting); useful to compare
-  the two on equal terms in reports and benchmarks.
+That is the one strategy: :data:`DISCOVERY_ALGORITHMS` lists three accepted
+*names* (``"pruned"``, ``"full"``, ``"quotient"``) that are echoed in the
+result and select nothing.  There is no orbit quotient over symmetric
+families: with forward checking ``nodes_explored`` stays within a few per
+cent of the number of patterns, so there is no backtracking for class
+representatives to prune, and a quotient search with orbit-transported
+candidates lost to this one on every wall clock measured (the table is in
+``docs/quorums.md``).
 
-The quotient search returns the *same verdict and the same witness* as the
-pruned/full search: the first solution depth-first search finds is the
-lexicographically least one (patterns in search order, candidates in sorted
-order), and at every decision the lexicographically least solution goes
-through the lowest-indexed member of each candidate equivalence class — the
-very representative the quotient search branches on.
-
-All strategies see the same fully specified candidate order (read-quorum size
-descending, then write-quorum size, then the sorted process lists), visit
-patterns in the same order, and are deterministic: no output — witness
+The candidate order is fully specified (read-quorum size descending, then
+write-quorum size, then the sorted process lists), patterns are visited
+fewest-candidates-first, and the search is deterministic: no output — witness
 quorums, candidate order or ``nodes_explored`` — depends on
 ``PYTHONHASHSEED``.  The reference implementations the search is checked
 against (set-based candidate enumeration, a prefix-only backtracker and a
@@ -67,8 +52,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import NoQuorumSystemExistsError
-from ..failures import FailProneSystem, FailurePattern, SymmetryGroup
-from ..graph import iter_bits, permute_mask, popcount
+from ..failures import FailProneSystem, FailurePattern
+from ..graph import iter_bits, popcount
 from ..types import ProcessSet
 from .generalized import GeneralizedQuorumSystem
 
@@ -79,9 +64,9 @@ if TYPE_CHECKING:  # the decision layer runs without the engine
 #: :class:`FailProneSystem` (see :meth:`FailProneSystem.analysis_cache`).
 CANDIDATE_CACHE_NAMESPACE = "gqs-candidates"
 
-#: The supported search strategies of :func:`discover_gqs`.  ``"full"`` is an
-#: alias of ``"pruned"`` (the default), named from the quotient search's
-#: perspective.
+#: The accepted ``algorithm`` names of :func:`discover_gqs`.  ``"full"`` and
+#: ``"quotient"`` are aliases of ``"pruned"`` (the default): the name is
+#: validated and echoed in the result, and selects nothing.
 DISCOVERY_ALGORITHMS = ("pruned", "full", "quotient")
 
 
@@ -118,12 +103,6 @@ class DiscoveryResult:
     candidates_per_pattern: Dict[FailurePattern, int] = field(default_factory=dict)
     nodes_explored: int = 0
     algorithm: str = "pruned"
-    #: Quotient-only accounting: number of distinct pattern orbits under the
-    #: declared symmetry (= patterns whose candidates were computed directly),
-    #: and number of candidate structures materialized by mask permutation
-    #: from an orbit representative instead of from the residual graph.
-    pattern_orbits: int = 0
-    candidates_permuted: int = 0
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.exists
@@ -265,303 +244,6 @@ def _pruned_search(
     return None
 
 
-def _quotient_candidates(
-    fail_prone: FailProneSystem,
-    patterns: Sequence[FailurePattern],
-    result: DiscoveryResult,
-    progress: Optional[ProgressCallback] = None,
-) -> List[Tuple[_MaskedCandidate, ...]]:
-    """Per-pattern candidates, computed once per pattern orbit.
-
-    For every orbit of the declared symmetry the representative's candidates
-    are enumerated from its residual graph as usual; the other orbit members'
-    candidates are materialized by applying the orbit *transport* permutation
-    (see :meth:`~repro.failures.SymmetryGroup.orbit_transports`) to the
-    representative's masks.  Because the transport is an automorphism mapping
-    the representative's residual graph onto the member's, the permuted masks
-    are exactly the member's SCCs and reader closures — the entries land in
-    the shared ``gqs-candidates`` cache byte-for-byte equal to what direct
-    enumeration would produce, just without re-running Tarjan per member.
-    """
-    symmetry = fail_prone.symmetry
-    cache = fail_prone.analysis_cache(CANDIDATE_CACHE_NAMESPACE)
-    index = fail_prone.process_index
-    transports = (
-        symmetry.orbit_transports(patterns, index) if symmetry is not None else {}
-    )
-    result.pattern_orbits = len(
-        {id(rep) for rep, _ in transports.values()}
-    ) if transports else len(set(patterns))
-    out: List[Tuple[_MaskedCandidate, ...]] = []
-    for done, f in enumerate(patterns):
-        cached = cache.get(f)
-        if cached is None:
-            rep, transport = transports.get(f, (f, None))
-            if rep == f or transport is None or transport.is_identity():
-                cached = _masked_candidates(fail_prone, f)
-            else:
-                # Per-bit permutation: a transport is applied to only a few
-                # candidate masks, so the per-word lookup tables never pay off.
-                perm = transport.perm
-                entries: List[_MaskedCandidate] = []
-                for entry in _masked_candidates(fail_prone, rep):
-                    read = permute_mask(entry.read_mask, perm)
-                    write = permute_mask(entry.write_mask, perm)
-                    pair = CandidateQuorumPair(
-                        pattern=f,
-                        write_quorum=index.set_of(write),
-                        read_quorum=index.set_of(read),
-                    )
-                    entries.append(_MaskedCandidate(pair, read, write))
-                entries.sort(key=_candidate_sort_key)
-                cached = tuple(entries)
-                cache[f] = cached
-                result.candidates_permuted += len(cached)
-        out.append(cached)
-        if progress is not None:
-            progress(done + 1, len(patterns))
-    return out
-
-
-class _QuotientContext:
-    """Symmetry bookkeeping for the quotient search.
-
-    Precompiles, per declared generator, which patterns it fixes (by value)
-    and — lazily — its action on the candidate indices of each fixed pattern.
-    A generator *survives* a partial assignment when it fixes every assigned
-    pattern together with its assigned candidate; surviving generators fixing
-    the pattern being branched induce the candidate equivalence classes whose
-    representatives the search tries.
-    """
-
-    def __init__(
-        self,
-        fail_prone: FailProneSystem,
-        patterns: Sequence[FailurePattern],
-        per_pattern: Sequence[Tuple[_MaskedCandidate, ...]],
-    ) -> None:
-        symmetry = fail_prone.symmetry
-        self._per_pattern = per_pattern
-        generators = symmetry.generators if symmetry is not None else ()
-        self._bit_perms = (
-            symmetry.bit_permutations(fail_prone.process_index)
-            if symmetry is not None
-            else []
-        )
-        self._fixes = [
-            [SymmetryGroup.image_of_pattern(generator, f) == f for f in patterns]
-            for generator in generators
-        ]
-        self._candidate_maps: Dict[Tuple[int, int], Optional[List[int]]] = {}
-
-    def _candidate_map(self, g: int, i: int) -> Optional[List[int]]:
-        """Action of generator ``g`` on candidate indices of (fixed) pattern ``i``.
-
-        A generator fixing pattern ``i`` maps its residual graph onto itself,
-        hence permutes its SCCs and therefore its candidates; the map is the
-        induced permutation of candidate indices (``None`` defensively, if a
-        permuted mask pair is somehow not a candidate).
-        """
-        key = (g, i)
-        if key not in self._candidate_maps:
-            perm = self._bit_perms[g]
-            candidates = self._per_pattern[i]
-            position = {
-                (entry.read_mask, entry.write_mask): k
-                for k, entry in enumerate(candidates)
-            }
-            mapping: Optional[List[int]] = []
-            for entry in candidates:
-                image = position.get(
-                    (perm.apply(entry.read_mask), perm.apply(entry.write_mask))
-                )
-                if image is None:
-                    mapping = None
-                    break
-                mapping.append(image)
-            self._candidate_maps[key] = mapping
-        return self._candidate_maps[key]
-
-    def class_representatives(
-        self, i: int, domain: int, assignment: Sequence[int]
-    ) -> List[int]:
-        """Lowest-index representatives of the candidate classes of pattern ``i``.
-
-        Classes are orbits of the in-domain candidate indices under the
-        generators surviving ``assignment`` that also fix pattern ``i``; each
-        surviving generator is an automorphism of the remaining sub-problem,
-        so all members of a class succeed or fail together and only the
-        lowest-indexed one needs to be tried.
-        """
-        members = list(iter_bits(domain))
-        if not self._bit_perms or len(members) <= 1:
-            return members
-        maps: List[List[int]] = []
-        for g in range(len(self._bit_perms)):
-            if not self._fixes[g][i]:
-                continue
-            survives = True
-            for j, cj in enumerate(assignment):
-                if cj < 0 or j == i:
-                    continue
-                if not self._fixes[g][j]:
-                    survives = False
-                    break
-                candidate_map = self._candidate_map(g, j)
-                if candidate_map is None or candidate_map[cj] != cj:
-                    survives = False
-                    break
-            if survives:
-                candidate_map = self._candidate_map(g, i)
-                if candidate_map is not None:
-                    maps.append(candidate_map)
-        if not maps:
-            return members
-        in_domain = set(members)
-        representatives: List[int] = []
-        seen = set()
-        for c in members:
-            if c in seen:
-                continue
-            representatives.append(c)
-            seen.add(c)
-            frontier = [c]
-            while frontier:
-                grown = []
-                for x in frontier:
-                    for candidate_map in maps:
-                        y = candidate_map[x]
-                        if y in in_domain and y not in seen:
-                            seen.add(y)
-                            grown.append(y)
-                frontier = grown
-        return representatives
-
-
-def _quotient_search(
-    per_pattern: Sequence[Tuple[_MaskedCandidate, ...]],
-    context: _QuotientContext,
-    result: DiscoveryResult,
-) -> Optional[List[CandidateQuorumPair]]:
-    """Forward-checking search over candidate equivalence classes.
-
-    Identical to :func:`_pruned_search` except that (a) each decision only
-    tries the class representatives delivered by
-    :meth:`_QuotientContext.class_representatives`, and (b) domains forced to
-    a single candidate by forward checking are assigned by *unit propagation*
-    without counting a node — ``nodes_explored`` counts genuine decision
-    branches only.  Returns the same witness as the pruned search (see the
-    module docstring for the argument).
-    """
-    m = len(per_pattern)
-    if m == 0:
-        return []
-    order = sorted(range(m), key=lambda i: len(per_pattern[i]))
-
-    compatibility_row = _compatibility_rows(per_pattern)
-    assignment = [-1] * m
-
-    def propagate(i: int, ci: int, domains: Sequence[int]):
-        """Assign ``ci`` to ``i``, forward-check, and chase singleton domains.
-
-        Returns ``(new_domains, trail)`` — the trail lists every pattern
-        assigned (decision plus propagated units, in assignment order) — or
-        ``None`` after undoing the trail when some domain empties.
-        """
-        new_domains = list(domains)
-        new_domains[i] = 1 << ci
-        assignment[i] = ci
-        trail = [i]
-        queue = [i]
-        while queue:
-            src = queue.pop()
-            csrc = assignment[src]
-            for j in range(m):
-                if j == src:
-                    continue
-                if assignment[j] >= 0:
-                    # Two patterns forced to singletons by the same source are
-                    # never pruned against each other — their mutual
-                    # compatibility must be checked explicitly here.
-                    if not (compatibility_row(src, csrc, j) >> assignment[j]) & 1:
-                        for k in trail:
-                            assignment[k] = -1
-                        return None
-                    continue
-                pruned = new_domains[j] & compatibility_row(src, csrc, j)
-                if pruned == 0:
-                    for k in trail:
-                        assignment[k] = -1
-                    return None
-                if pruned != new_domains[j]:
-                    new_domains[j] = pruned
-                    if pruned & (pruned - 1) == 0:
-                        assignment[j] = pruned.bit_length() - 1
-                        trail.append(j)
-                        queue.append(j)
-        return new_domains, trail
-
-    def select() -> int:
-        for i in order:
-            if assignment[i] < 0:
-                return i
-        return -1
-
-    domains = [(1 << len(candidates)) - 1 for candidates in per_pattern]
-    # Initial unit propagation: patterns whose domain starts out singleton are
-    # forced, not decided — assign them (and whatever they force in turn)
-    # without counting nodes.  A conflict among forced assignments means no
-    # solution at all.
-    for i in range(m):
-        if assignment[i] < 0 and domains[i] and domains[i] & (domains[i] - 1) == 0:
-            outcome = propagate(i, domains[i].bit_length() - 1, domains)
-            if outcome is None:
-                return None
-            domains = outcome[0]
-    first = select()
-    if first == -1:
-        return [per_pattern[k][assignment[k]].pair for k in range(m)]
-    # Stack frames: [pattern, representatives, next position, base domains,
-    # trail of the currently active assignment (None between attempts)].
-    stack: List[List] = [
-        [first, context.class_representatives(first, domains[first], assignment), 0, domains, None]
-    ]
-    while stack:
-        frame = stack[-1]
-        i, representatives, pos, base, trail = frame
-        if trail is not None:
-            for k in trail:
-                assignment[k] = -1
-            frame[4] = None
-        advanced = False
-        while pos < len(representatives):
-            ci = representatives[pos]
-            pos += 1
-            result.nodes_explored += 1
-            outcome = propagate(i, ci, base)
-            if outcome is not None:
-                new_domains, trail = outcome
-                frame[2] = pos
-                frame[4] = trail
-                nxt = select()
-                if nxt == -1:
-                    return [per_pattern[k][assignment[k]].pair for k in range(m)]
-                stack.append(
-                    [
-                        nxt,
-                        context.class_representatives(nxt, new_domains[nxt], assignment),
-                        0,
-                        new_domains,
-                        None,
-                    ]
-                )
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-    return None
-
-
 def discover_gqs(
     fail_prone: FailProneSystem,
     validate: bool = True,
@@ -572,8 +254,8 @@ def discover_gqs(
 
     Returns a :class:`DiscoveryResult`; when a GQS exists, ``quorum_system``
     holds the canonical witness built from the chosen per-pattern candidates.
-    ``algorithm`` selects the search strategy (see the module docstring); all
-    strategies return the same verdict and, on success, the same witness.
+    ``algorithm`` is a label (one of :data:`DISCOVERY_ALGORITHMS`) echoed in
+    ``result.algorithm``; every name runs the same search.
     ``progress`` (``progress(done, total)``) is invoked after each pattern's
     candidate structures are enumerated — the phase that dominates wall time
     on large systems.
@@ -587,21 +269,15 @@ def discover_gqs(
     patterns = list(fail_prone.patterns)
     result = DiscoveryResult(fail_prone=fail_prone, exists=False, algorithm=algorithm)
 
-    if algorithm == "quotient":
-        masked = _quotient_candidates(fail_prone, patterns, result, progress)
-    else:  # "pruned" and its alias "full"
-        masked = []
-        for done, f in enumerate(patterns):
-            masked.append(_masked_candidates(fail_prone, f))
-            if progress is not None:
-                progress(done + 1, len(patterns))
+    masked = []
+    for done, f in enumerate(patterns):
+        masked.append(_masked_candidates(fail_prone, f))
+        if progress is not None:
+            progress(done + 1, len(patterns))
     for f, cands in zip(patterns, masked):
         result.candidates_per_pattern[f] = len(cands)
     if not all(masked):
         chosen = None
-    elif algorithm == "quotient":
-        context = _QuotientContext(fail_prone, patterns, masked)
-        chosen = _quotient_search(masked, context, result)
     else:
         chosen = _pruned_search(masked, result)
 
@@ -619,8 +295,11 @@ def discover_gqs(
 
 
 def gqs_exists(fail_prone: FailProneSystem) -> bool:
-    """Return whether ``fail_prone`` admits a generalized quorum system."""
-    return discover_gqs(fail_prone, validate=False).exists
+    """Return whether ``fail_prone`` admits a generalized quorum system.
+
+    A "yes" is a validated witness, like every other answer of this module.
+    """
+    return discover_gqs(fail_prone).exists
 
 
 def gqs_choice_exists(candidates_per_pattern: Sequence[Sequence[Tuple[int, int]]]) -> bool:

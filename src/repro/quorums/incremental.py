@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..errors import InvalidSymmetryError, ReproError
+from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern
-from ..graph import BitsetDiGraph, MaskReindex, ProcessIndex
+from ..graph import MaskReindex, ProcessIndex
 from ..types import ProcessId
 from .discovery import (
     CANDIDATE_CACHE_NAMESPACE,
@@ -112,7 +112,11 @@ def parse_delta(obj: Mapping[str, Any]) -> MembershipDelta:
 def load_deltas(path: str) -> List[MembershipDelta]:
     """Load a JSONL membership-delta stream (blank lines and ``#`` comments skipped)."""
     deltas = []
-    with open(path, "r") as handle:
+    try:
+        handle = open(path, "r")
+    except OSError as error:
+        raise ReproError("{}: {}".format(path, error.strerror or error))
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -132,20 +136,6 @@ def _require_known(system: FailProneSystem, process: ProcessId, op: str) -> None
         raise ReproError(
             "delta {}({}) references a process not in the system".format(op, process)
         )
-
-
-def _build(
-    old: FailProneSystem,
-    patterns: Sequence[FailurePattern],
-    network: Optional[BitsetDiGraph] = None,
-) -> FailProneSystem:
-    """Derive the post-delta system, keeping the declared symmetry if it still holds."""
-    if old.symmetry is not None:
-        try:
-            return old._derive(patterns, old.name, old.symmetry, network)
-        except InvalidSymmetryError:
-            pass
-    return old._derive(patterns, old.name, network=network)
 
 
 def apply_delta(
@@ -258,7 +248,7 @@ def apply_delta(
                 new_patterns.append(f)
                 pattern_map[f] = f
 
-    return _build(system, new_patterns, network), pattern_map, reindex
+    return system._derive(new_patterns, system.name, network), pattern_map, reindex
 
 
 def _adopt_candidates(

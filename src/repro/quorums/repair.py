@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern
 from ..types import Channel, sorted_channels
 from .discovery import CANDIDATE_CACHE_NAMESPACE, gqs_exists
@@ -88,8 +89,13 @@ def suggest_channel_repairs(
     The search enumerates subsets (up to ``max_channels``) of the channels that
     appear in some pattern's disconnect set, smallest subsets first, and keeps
     only inclusion-minimal ones.  It is exponential in ``max_channels`` but the
-    candidate pool is small for realistic fail-prone systems.
+    candidate pool is small for realistic fail-prone systems.  Budgets below
+    1 are rejected: an empty search would read as "no channel repair exists".
     """
+    if max_channels < 1:
+        raise ReproError("repair needs max_channels >= 1 (got {})".format(max_channels))
+    if max_suggestions is not None and max_suggestions < 1:
+        raise ReproError("repair needs max_suggestions >= 1 (got {})".format(max_suggestions))
     report = RepairReport(
         fail_prone=fail_prone,
         already_tolerable=gqs_exists(fail_prone),

@@ -52,12 +52,32 @@ def failure_pattern_to_dict(pattern: FailurePattern) -> Dict[str, Any]:
     }
 
 
+def _process_ids(value: Any, what: str) -> List[Any]:
+    """``value`` checked to be a list of scalar (JSON string or number) process ids."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(process, (str, int, float)) for process in value
+    ):
+        raise ReproError(
+            "{} must be a list of process ids (strings or numbers), got {!r}".format(what, value)
+        )
+    return value
+
+
 def failure_pattern_from_dict(data: Dict[str, Any]) -> FailurePattern:
     """Deserialize a failure pattern from a dictionary."""
     if not isinstance(data, dict):
         raise ReproError("failure pattern must be an object, got {!r}".format(data))
-    crash = data.get("crash", [])
-    disconnect = [tuple(channel) for channel in data.get("disconnect", [])]
+    crash = _process_ids(data.get("crash", []), "'crash'")
+    channels = data.get("disconnect", [])
+    if not isinstance(channels, (list, tuple)):
+        raise ReproError("'disconnect' must be a list of channels, got {!r}".format(channels))
+    disconnect = []
+    for channel in channels:
+        if len(_process_ids(channel, "a channel")) != 2:
+            raise ReproError(
+                "a channel must be a [sender, receiver] pair, got {!r}".format(channel)
+            )
+        disconnect.append(tuple(channel))
     return FailurePattern(crash, disconnect, name=data.get("name"))
 
 
@@ -76,10 +96,14 @@ def fail_prone_system_from_dict(data: Dict[str, Any]) -> FailProneSystem:
         raise ReproError("fail-prone system must be an object, got {!r}".format(data))
     if "processes" not in data:
         raise ReproError("fail-prone system description must list 'processes'")
-    patterns = [failure_pattern_from_dict(entry) for entry in data.get("patterns", [])]
+    processes = _process_ids(data["processes"], "'processes'")
+    entries = data.get("patterns", [])
+    if not isinstance(entries, (list, tuple)):
+        raise ReproError("'patterns' must be a list of failure patterns, got {!r}".format(entries))
+    patterns = [failure_pattern_from_dict(entry) for entry in entries]
     if not patterns:
         patterns = [FailurePattern()]
-    return FailProneSystem(data["processes"], patterns, name=data.get("name"))
+    return FailProneSystem(processes, patterns, name=data.get("name"))
 
 
 # ---------------------------------------------------------------------- #
@@ -210,10 +234,20 @@ def history_from_dicts(data: Iterable[Dict[str, Any]]) -> History:
 # ---------------------------------------------------------------------- #
 # JSON file helpers
 # ---------------------------------------------------------------------- #
+def _read_json(path: str) -> Any:
+    """Parse the JSON file at ``path``; an unreadable or malformed file is a named error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as error:
+        raise ReproError("{}: {}".format(path, error.strerror or error))
+    except ValueError as error:  # JSONDecodeError, or UnicodeDecodeError on a binary file
+        raise ReproError("{}: invalid JSON: {}".format(path, error))
+
+
 def load_fail_prone_system(path: str) -> FailProneSystem:
     """Load a fail-prone system from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return fail_prone_system_from_dict(json.load(handle))
+    return fail_prone_system_from_dict(_read_json(path))
 
 
 def save_fail_prone_system(system: FailProneSystem, path: str) -> None:
@@ -225,8 +259,7 @@ def save_fail_prone_system(system: FailProneSystem, path: str) -> None:
 
 def load_quorum_system(path: str, validate: bool = True) -> GeneralizedQuorumSystem:
     """Load a generalized quorum system from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return quorum_system_from_dict(json.load(handle), validate=validate)
+    return quorum_system_from_dict(_read_json(path), validate=validate)
 
 
 def save_quorum_system(quorum_system: GeneralizedQuorumSystem, path: str) -> None:

@@ -53,6 +53,24 @@ def test_repair_outcome_json_projection():
     assert [["a", "b"]] in outcome.suggestions
 
 
+@pytest.mark.parametrize(
+    "kwargs, complaint",
+    [
+        ({"max_channels": 0}, "max_channels >= 1"),
+        ({"max_channels": -1}, "max_channels >= 1"),
+        ({"max_suggestions": 0}, "max_suggestions >= 1"),
+        ({"max_suggestions": -2}, "max_suggestions >= 1"),
+    ],
+    ids=["max-channels-0", "max-channels-neg", "max-suggestions-0", "max-suggestions-neg"],
+)
+def test_repair_rejects_meaningless_budgets_before_searching(kwargs, complaint):
+    """An empty search used to conclude "the problem lies in the process failures"."""
+    system = api.resolve_system(builtin="figure1-modified")
+    with pytest.raises(ReproError, match=complaint):
+        api.repair(system, **kwargs)
+    assert not system.analysis_cache("gqs-candidates")  # rejected before any search
+
+
 # ---------------------------------------------------------------------- #
 # simulate
 # ---------------------------------------------------------------------- #

@@ -135,3 +135,130 @@ def test_unknown_plugin_module_golden_message(capsys):
     assert captured.err.startswith(
         "error: plugin 'no_such_plugin_module' failed to import: ModuleNotFoundError:"
     )
+
+
+# ---------------------------------------------------------------------- #
+# File ingress: an unreadable or malformed file is one ``error:`` line
+# ---------------------------------------------------------------------- #
+#: Every command that loads a fail-prone system from ``--spec``.
+SPEC_COMMANDS = [
+    ["quorums", "discover"],
+    ["quorums", "classify"],
+    ["quorums", "repair"],
+    ["quorums", "watch", "deltas.jsonl"],
+    ["check"],
+    ["simulate"],
+]
+
+
+def _assert_one_error_line(status, captured, *fragments):
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+@pytest.mark.parametrize("command", SPEC_COMMANDS, ids=lambda command: "-".join(command[:2]))
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-json"])
+def test_unreadable_spec_file_is_one_error_line(capsys, tmp_path, command, kind):
+    """They used to die with FileNotFoundError / IsADirectoryError / JSONDecodeError."""
+    path = tmp_path / "system.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-json":
+        path.write_text("{processes: [a, b]")
+    status = main(command + ["--spec", str(path)])
+    expected = {
+        "missing": "No such file or directory",
+        "directory": "Is a directory",
+        "not-json": "invalid JSON",
+    }[kind]
+    _assert_one_error_line(status, capsys.readouterr(), str(path) + ": ", expected)
+
+
+@pytest.mark.parametrize(
+    "spec, complaint",
+    [
+        ({"processes": 5}, "'processes' must be a list of process ids"),
+        ({"processes": [["a"], "b"]}, "'processes' must be a list of process ids"),
+        ({"processes": "abc"}, "'processes' must be a list of process ids"),
+        ({"processes": ["a", "b"], "patterns": 3}, "'patterns' must be a list"),
+        ({"processes": ["a", "b"], "patterns": [{"crash": 7}]}, "'crash' must be a list"),
+        (
+            {"processes": ["a", "b"], "patterns": [{"disconnect": [["a"]]}]},
+            "a channel must be a [sender, receiver] pair",
+        ),
+        (
+            {"processes": ["a", "b"], "patterns": [{"disconnect": "ab"}]},
+            "'disconnect' must be a list of channels",
+        ),
+    ],
+    ids=[
+        "processes-int", "processes-nested", "processes-string", "patterns-int",
+        "crash-int", "channel-short", "disconnect-string",
+    ],
+)
+def test_wrong_shaped_spec_file_is_one_error_line(capsys, tmp_path, spec, complaint):
+    """Well-formed JSON of the wrong shape used to leak TypeError / ValueError."""
+    import json
+
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(spec))
+    status = main(["quorums", "discover", "--spec", str(path)])
+    _assert_one_error_line(status, capsys.readouterr(), complaint)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_delta_stream_is_one_error_line(capsys, tmp_path, kind):
+    path = tmp_path / "deltas.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    status = main(["quorums", "watch", "--builtin", "figure1", str(path)])
+    _assert_one_error_line(status, capsys.readouterr(), str(path) + ": ")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_schedule_file_is_one_error_line(capsys, tmp_path, kind):
+    path = tmp_path / "x.schedule.json"
+    if kind == "directory":
+        path.mkdir()
+    status = main(["nemesis", "replay", str(path)])
+    _assert_one_error_line(status, capsys.readouterr(), str(path) + ": ")
+
+
+# ---------------------------------------------------------------------- #
+# Repair budgets: an empty search must not read as "no channel repair exists"
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["quorums", "repair", "--builtin", "figure1-modified", "--max-channels", "0"], "--max-channels"),
+        (["quorums", "repair", "--builtin", "figure1-modified", "--max-channels", "-1"], "--max-channels"),
+        (["quorums", "repair", "--builtin", "figure1-modified", "--max-suggestions", "0"], "--max-suggestions"),
+        (["quorums", "repair", "--builtin", "figure1-modified", "--max-suggestions", "-2"], "--max-suggestions"),
+        (
+            ["check", "--builtin", "figure1-modified", "--suggest-repairs", "--max-repair-channels", "-3"],
+            "--max-repair-channels",
+        ),
+        (
+            ["check", "--builtin", "figure1-modified", "--suggest-repairs", "--max-repair-channels", "0"],
+            "--max-repair-channels",
+        ),
+    ],
+    ids=[
+        "max-channels-0", "max-channels-neg", "max-suggestions-0", "max-suggestions-neg",
+        "max-repair-channels-neg", "max-repair-channels-0",
+    ],
+)
+def test_repair_rejects_meaningless_budgets_as_usage_errors(capsys, argv, flag):
+    """``--max-channels 0|-1`` tried nothing and blamed the process failures;
+    ``--max-suggestions 0|-2`` printed one suggestion."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert "argument {}: {} must be at least 1".format(flag, flag[2:]) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import InvalidFailurePatternError, InvalidSymmetryError
-from repro.failures import FailProneSystem, FailurePattern, SymmetryGroup, large_threshold_system
+from repro.errors import InvalidFailurePatternError
+from repro.failures import FailProneSystem, FailurePattern, large_threshold_system
 from repro.graph import DiGraph
 
 
@@ -145,9 +145,8 @@ def test_caller_graph_is_read_not_kept():
 # ---------------------------------------------------------------------- #
 def _ring_system():
     ring = DiGraph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c"), ("c", "a")])
-    rotation = SymmetryGroup.from_cycles([["a", "b", "c"]])
     patterns = [FailurePattern([p], name="f" + p) for p in "abc"]
-    return FailProneSystem("abc", patterns, graph=ring, symmetry=rotation), rotation
+    return FailProneSystem("abc", patterns, graph=ring)
 
 
 def _derivations(system):
@@ -168,7 +167,7 @@ def _derivations(system):
 
 
 def test_derived_systems_share_the_graph_objects_by_identity():
-    system, _ = _ring_system()
+    system = _ring_system()
     view = system.graph_view  # materialized before deriving, so it is shared too
     for child in _derivations(system):
         assert child.process_index is system.process_index
@@ -177,33 +176,29 @@ def test_derived_systems_share_the_graph_objects_by_identity():
         assert child.processes is system.processes
     # A system whose set-based graph was never asked for hands down nothing
     # to copy; the child materializes its own, equal, view on demand.
-    cold, _ = _ring_system()
+    cold = _ring_system()
     child = cold.restrict(cold.patterns[:1])
     assert child.bitset_graph is cold.bitset_graph
     assert child.graph_view == cold.graph_view == view
 
 
 def test_derived_systems_still_run_every_constructor_check():
-    system, rotation = _ring_system()
+    system = _ring_system()
     with pytest.raises(InvalidFailurePatternError, match="unknown processes"):
         system.with_pattern(FailurePattern(["z"]))
     with pytest.raises(InvalidFailurePatternError, match="outside the process set"):
         system.restrict([FailurePattern([], [("a", "z")])])
     with pytest.raises(InvalidFailurePatternError, match="does not exist in the network graph"):
         system.with_pattern(FailurePattern([], [("b", "a")]))  # the ring is one-way
-    with pytest.raises(InvalidSymmetryError, match="outside the family"):
-        system._derive(system.patterns[:1], symmetry=rotation)
-    # ... and the membership deltas drop, rather than keep, a symmetry that broke.
+    # ... and a join keeps the sparse network: the joiner is a hub, no old edge appears.
     from repro.quorums import MembershipDelta, apply_delta
 
-    assert apply_delta(system, MembershipDelta(op="trust", process="a"))[0].symmetry is None
     kept = apply_delta(system, MembershipDelta(op="join", process="d"))[0]
-    assert kept.symmetry is rotation
     assert kept.graph_view.has_edge("d", "a") and not kept.graph_view.has_edge("b", "a")
 
 
 def test_graph_copies_do_not_leak_into_parent_or_child():
-    system, _ = _ring_system()
+    system = _ring_system()
     child = system.restrict(system.patterns[:1])
     for owner in (system, child):
         copy = owner.graph

@@ -249,60 +249,6 @@ def test_word_boundary_matches_set_based(n):
 
 
 # ---------------------------------------------------------------------- #
-# Mask permutations (the quotient-discovery / cache-remap primitive)
-# ---------------------------------------------------------------------- #
-def test_mask_permutation_matches_the_per_bit_reference():
-    from repro.graph import MaskPermutation, permute_mask
-
-    rng = random.Random(99)
-    for n in (1, 7, 8, 9, 16, 40, 200):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        fast = MaskPermutation(perm)
-        for _ in range(25):
-            mask = rng.getrandbits(n)
-            assert fast.apply(mask) == permute_mask(mask, perm)
-
-
-def test_mask_permutation_rejects_non_permutations():
-    from repro.graph import MaskPermutation
-
-    with pytest.raises(ValueError):
-        MaskPermutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        MaskPermutation([1, 2, 3])
-
-
-def test_mask_permutation_rejects_masks_outside_the_domain():
-    from repro.graph import MaskPermutation
-
-    perm = MaskPermutation([1, 0, 2])
-    with pytest.raises(ValueError):
-        perm.apply(1 << 3)
-
-
-def test_mask_permutation_inverse_and_compose():
-    from repro.graph import MaskPermutation
-
-    rng = random.Random(7)
-    n = 24
-    a = list(range(n))
-    b = list(range(n))
-    rng.shuffle(a)
-    rng.shuffle(b)
-    pa, pb = MaskPermutation(a), MaskPermutation(b)
-    pa_inverse = MaskPermutation([a.index(i) for i in range(n)])
-    composed = pa.compose(pb)  # apply pb first, then pa
-    for _ in range(40):
-        mask = rng.getrandbits(n)
-        assert composed.apply(mask) == pa.apply(pb.apply(mask))
-        assert pa_inverse.apply(pa.apply(mask)) == mask
-    assert pa.compose(pa_inverse).is_identity()
-    assert MaskPermutation(list(range(5))).is_identity()
-    assert not pa.is_identity() or a == list(range(n))
-
-
-# ---------------------------------------------------------------------- #
 # Order-preserving re-index (the watch-mode cache re-keying primitive)
 # ---------------------------------------------------------------------- #
 #: Mixed identifier types: ``sort_key`` orders by (type name, repr).

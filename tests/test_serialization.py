@@ -88,3 +88,41 @@ def test_json_file_round_trip(tmp_path, figure1_system, figure1_gqs):
     restored_quorums = load_quorum_system(quorums_path)
     assert restored_system.patterns == figure1_system.patterns
     assert restored_quorums.is_valid()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"processes": 5},
+        {"processes": "abc"},
+        {"processes": [["a"], "b"]},
+        {"processes": ["a", "b"], "patterns": 3},
+        {"processes": ["a", "b"], "patterns": [{"crash": 7}]},
+        {"processes": ["a", "b"], "patterns": [{"crash": [["a"]]}]},
+        {"processes": ["a", "b"], "patterns": [{"disconnect": "ab"}]},
+        {"processes": ["a", "b"], "patterns": [{"disconnect": [["a"]]}]},
+        {"processes": ["a", "b"], "patterns": [{"disconnect": [["a", "b", "a"]]}]},
+        {"processes": ["a", "b"], "patterns": [{"disconnect": [[["a"], "b"]]}]},
+    ],
+)
+def test_wrong_shaped_descriptions_raise_repro_error(data):
+    """They used to leak TypeError (not iterable, unhashable) or ValueError (unpack)."""
+    with pytest.raises(ReproError, match="must be a"):
+        fail_prone_system_from_dict(data)
+
+
+def test_unreadable_or_malformed_files_raise_repro_error_naming_the_path(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{nope")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for load in (load_fail_prone_system, load_quorum_system):
+        with pytest.raises(ReproError, match="missing.json: No such file"):
+            load(missing)
+        with pytest.raises(ReproError, match="Is a directory"):
+            load(str(tmp_path))
+        with pytest.raises(ReproError, match="garbage.json: invalid JSON"):
+            load(str(garbage))
+        with pytest.raises(ReproError, match="binary.json: invalid JSON"):
+            load(str(binary))

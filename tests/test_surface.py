@@ -8,6 +8,9 @@ the bitset layer they check.  The simulator follows the same rule: one
 scheduler, no ``REPRO_SIM_FASTPATH`` switch, the old one in ``oracles.sim``.
 And every concept has one name: the registries are the only tables,
 ``run_workload`` the only workload entry, and exports nobody called are gone.
+The GQS choice problem has one search: the quotient search, orbit transport
+and the declared-symmetry stack that fed them are gone, ``"quotient"`` is an
+accepted name of the forward-checking search and no CLI flag picks a search.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 from setuptools import find_packages
 
 import repro
-from repro.failures import builtin_fail_prone_system
+from repro.failures import FailProneSystem, builtin_fail_prone_system
 from repro.quorums import DISCOVERY_ALGORITHMS, discover_gqs
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -70,11 +73,28 @@ DELETED_SECOND_NAMES = (
     r"\bsingle_pattern\b",
 )
 
+#: The second search for the GQS choice problem and everything only it read:
+#: the quotient search and its context, orbit transport, declared symmetry
+#: groups (class, builder helper, error, constructor parameter, property), the
+#: arbitrary-permutation mask kernels and the two quotient-only result fields.
+DELETED_QUOTIENT_STACK = (
+    r"_quotient_",
+    r"_QuotientContext",
+    r"SymmetryGroup",
+    r"block_permutation",
+    r"InvalidSymmetryError",
+    r"MaskPermutation",
+    r"permute_mask",
+    r"pattern_orbits",
+    r"candidates_permuted",
+    r"\bsymmetry\b",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
-    "BitsetDiGraph", "ProcessIndex", "MaskPermutation", "component_containing",
-    "iter_bits", "permute_mask", "popcount", "residual_bitset", "bitset_graph",
+    "BitsetDiGraph", "ProcessIndex", "component_containing",
+    "iter_bits", "popcount", "residual_bitset", "bitset_graph",
     "process_index", "gqs_choice_exists", "strong_choice_exists",
 }
 
@@ -89,7 +109,7 @@ def _sources(root):
 
 def test_deleted_names_are_gone_from_src():
     for path, text in _sources(SRC_DIR):
-        for pattern in DELETED_FROM_SRC + DELETED_SECOND_NAMES:
+        for pattern in DELETED_FROM_SRC + DELETED_SECOND_NAMES + DELETED_QUOTIENT_STACK:
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
 
@@ -143,6 +163,8 @@ def test_removed_selectors_are_gone_from_the_api():
         assert "engine" not in inspect.signature(function).parameters, function
     with pytest.raises(ValueError, match="unknown discovery algorithm 'naive'"):
         discover_gqs(builtin_fail_prone_system("figure1"), algorithm="naive")
+    assert "symmetry" not in inspect.signature(FailProneSystem).parameters
+    assert not os.path.exists(os.path.join(SRC_DIR, "repro", "failures", "symmetry.py"))
 
 
 @pytest.mark.parametrize(
@@ -150,6 +172,8 @@ def test_removed_selectors_are_gone_from_the_api():
     [
         ["sweep", "--engine", "set"],
         ["quorums", "discover", "--builtin", "figure1", "--algorithm", "naive"],
+        ["quorums", "discover", "--builtin", "figure1", "--algorithm", "quotient"],
+        ["quorums", "watch", "--builtin", "figure1", "deltas.jsonl", "--algorithm", "pruned"],
     ],
 )
 def test_cli_rejects_removed_flags_as_usage_errors(argv):
