@@ -92,8 +92,9 @@ class QuorumAccessProcess(Process):
         self, quorums: Sequence[ProcessSet], responders: Dict[ProcessId, Any]
     ) -> Optional[Dict[ProcessId, Any]]:
         """Return the responses of the first quorum fully covered by ``responders``."""
+        have = responders.keys()
         for quorum in quorums:
-            if all(member in responders for member in quorum):
+            if have >= quorum:
                 return {member: responders[member] for member in quorum}
         return None
 

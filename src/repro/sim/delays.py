@@ -30,10 +30,11 @@ class DelayModel:
     #: run*: for any two sends at times ``t1 <= t2`` the model promises
     #: ``t1 + delay1 <= t2 + delay2``.  Models that preserve FIFO order let
     #: the simulator route deliveries through a short-circuit deque instead of
-    #: the heap (see :meth:`repro.sim.EventScheduler.schedule_fifo`).  The
-    #: default is ``False``, which is always correct — randomized or
+    #: the heap (see :meth:`repro.sim.EventScheduler.schedule_delivery`).
+    #: The default is ``False``, which is always correct — randomized or
     #: per-channel models must keep it.  Only opt in for models whose latency
-    #: is a single run-wide constant (or otherwise provably monotone).
+    #: is a single run-wide constant (or otherwise provably monotone).  It is
+    #: read once per fan-out: a constant of the model, never per message.
     preserves_fifo = False
 
     def delay(self, channel: Channel, send_time: float) -> float:
@@ -82,7 +83,8 @@ class UniformDelay(DelayModel):
         self._rng = random.Random(seed)
 
     def delay(self, channel: Channel, send_time: float) -> float:
-        return self._rng.uniform(self.min_delay, self.max_delay)
+        # What ``random.Random.uniform`` evaluates — the same floats, one frame less.
+        return self.min_delay + (self.max_delay - self.min_delay) * self._rng.random()
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)
@@ -117,11 +119,13 @@ class PartialSynchronyDelay(DelayModel):
         self._rng = random.Random(seed)
 
     def delay(self, channel: Channel, send_time: float) -> float:
+        delta = self.delta  # both draws: ``uniform(low, high)``, float for float
         if send_time >= self.gst:
-            return self._rng.uniform(0.1 * self.delta, self.delta)
+            low = 0.1 * delta
+            return low + (delta - low) * self._rng.random()
         # Arbitrary (but finite) delay before GST.  A message sent just before
         # GST may still arrive late, which is allowed by the model.
-        return self._rng.uniform(self.delta, self.pre_gst_max)
+        return delta + (self.pre_gst_max - delta) * self._rng.random()
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)

@@ -17,7 +17,9 @@ The queue is built to keep that constant small:
   ``(time, seq)`` entirely in C and never reach the callback.  ``handle`` is
   the :class:`Event` returned by :meth:`EventScheduler.schedule` /
   :meth:`~EventScheduler.schedule_at` — the only thing a caller can cancel —
-  and ``None`` for deliveries, which nothing ever cancels;
+  and ``None`` for deliveries, which nothing ever cancels and which carry
+  their arguments instead: ``(..., None, sender, target, message)`` fires as
+  ``callback(sender, target, message)``, one tuple and no closure per message;
 * **FIFO short-circuit lane** — when the delay model in force preserves
   per-run FIFO order (see :attr:`repro.sim.DelayModel.preserves_fifo`),
   deliveries bypass the heap entirely and flow through a deque whose entries
@@ -42,7 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -73,7 +75,8 @@ class Event:
         return "Event(t={:.3f}, seq={}, cancelled={})".format(self.time, self.seq, self.cancelled)
 
 
-_Entry = Tuple[float, int, EventCallback, Optional[Event]]
+# (time, seq, callback, handle), then (sender, target, message) for a delivery.
+_Entry = Tuple[Any, ...]
 
 
 class EventScheduler:
@@ -121,37 +124,27 @@ class EventScheduler:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
         return self.schedule_at(self._now + delay, callback)
 
-    def schedule_pooled(self, delay: float, callback: EventCallback) -> None:
-        """Schedule an *internal* delivery event on the heap.
+    def schedule_delivery(
+        self, delay: float, fifo: bool, callback: Callable[[Any, Any, Any], None],
+        sender: Any, target: Any, message: Any,
+    ) -> None:
+        """Schedule an *internal* delivery: ``callback(sender, target, message)``.
 
-        No handle is created or returned, so callers cannot retain or cancel
-        the event — deliveries are never cancelled (crashes are re-checked at
-        delivery time).
+        The arguments ride in the queue entry and no handle is created, so the
+        event cannot be cancelled — crashes are re-checked at delivery time.
+        ``fifo`` selects the FIFO short-circuit lane, valid whenever delivery
+        times arrive in non-decreasing order (the
+        :attr:`~repro.sim.DelayModel.preserves_fifo` contract); an out-of-order
+        time falls back to the heap, so a misdeclared delay model stays correct.
         """
         time = self._now + delay
         if time < self._now:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
-        heapq.heappush(self._queue, (time, next(self._counter), callback, None))
-        self._live += 1
-
-    def schedule_fifo(self, delay: float, callback: EventCallback) -> None:
-        """Schedule a delivery through the FIFO short-circuit lane.
-
-        Valid whenever delivery times arrive in non-decreasing order (the
-        :attr:`~repro.sim.DelayModel.preserves_fifo` contract); an
-        out-of-order time falls back to the heap, so the lane is correct even
-        against a misdeclared delay model.  No handle is exposed, as in
-        :meth:`schedule_pooled`.
-        """
-        time = self._now + delay
-        if time < self._now:
-            raise SimulationError("delay must be non-negative, got {}".format(delay))
-        fifo = self._fifo
-        entry = (time, next(self._counter), callback, None)
-        if fifo and time < fifo[-1][0]:
-            heapq.heappush(self._queue, entry)
+        entry = (time, next(self._counter), callback, None, sender, target, message)
+        if fifo and not (self._fifo and time < self._fifo[-1][0]):
+            self._fifo.append(entry)
         else:
-            fifo.append(entry)
+            heapq.heappush(self._queue, entry)
         self._live += 1
 
     def pending(self) -> int:
@@ -222,16 +215,19 @@ class EventScheduler:
             if max_time is not None and time > max_time:
                 self._now = max_time
                 return
-            if from_fifo:
-                fifo.popleft()
-            else:
-                heappop(queue)
-                if handle is not None:
-                    handle._scheduler = None  # fired: cancel() is a no-op now
             self._now = time
             self._events_processed += 1
             self._live -= 1
-            entry[2]()
+            if from_fifo:
+                fifo.popleft()
+                handle = None  # only deliveries take the lane
+            else:
+                heappop(queue)
+            if handle is None:
+                entry[2](entry[4], entry[5], entry[6])
+            else:
+                handle._scheduler = None  # fired: cancel() is a no-op now
+                entry[2]()
             executed += 1
             if stop_when is not None and stop_when():
                 return

@@ -46,14 +46,6 @@ class NetworkStats:
     per_process_sent: Dict[ProcessId, int] = field(default_factory=dict)
     per_process_delivered: Dict[ProcessId, int] = field(default_factory=dict)
 
-    def record_sent(self, sender: ProcessId) -> None:
-        self.messages_sent += 1
-        self.per_process_sent[sender] = self.per_process_sent.get(sender, 0) + 1
-
-    def record_delivered(self, receiver: ProcessId) -> None:
-        self.messages_delivered += 1
-        self.per_process_delivered[receiver] = self.per_process_delivered.get(receiver, 0) + 1
-
 
 class Network:
     """A simulated asynchronous network of processes and unidirectional channels.
@@ -107,10 +99,9 @@ class Network:
         """Mapping of process id to process object."""
         return dict(self._processes)
 
-    @property
-    def process_ids(self) -> List[ProcessId]:
-        """Registered process identifiers, in registration order."""
-        return list(self._processes)
+    def has_process(self, pid: ProcessId) -> bool:
+        """Return whether a process named ``pid`` is registered."""
+        return pid in self._processes
 
     @property
     def now(self) -> float:
@@ -195,51 +186,88 @@ class Network:
         always talk to itself.  Messages over disconnected channels or to/from
         crashed processes are dropped, and the drop is counted in ``stats``.
         """
-        if sender not in self._processes or receiver not in self._processes:
+        target = self._processes.get(receiver)
+        if target is None or sender not in self._processes:
             raise SimulationError(
                 "send between unknown processes {!r} -> {!r}".format(sender, receiver)
             )
+        stats = self.stats
         if sender in self._crashed:
             # A crashed process takes no steps; sends from it are ignored.
-            self.stats.messages_dropped_crashed += 1
+            stats.messages_dropped_crashed += 1
             return
-        self.stats.record_sent(sender)
+        stats.messages_sent += 1
+        stats.per_process_sent[sender] = stats.per_process_sent.get(sender, 0) + 1
+        channel = (sender, receiver)
+        graph = self._graph
         if sender == receiver:
-            self._deliver(sender, receiver, message)
-            return
-        if self._graph is not None and not self._graph.has_edge(sender, receiver):
-            self.stats.messages_dropped_channel += 1
-            return
-        if (sender, receiver) in self._disconnected:
-            self.stats.messages_dropped_channel += 1
-            return
-        latency = self.delay_model.delay((sender, receiver), self.scheduler.now)
-        # Deliveries are internal events: nothing ever cancels one (crashes are
-        # re-checked at delivery time), so they need no cancel handle — and
-        # take the FIFO short-circuit lane whenever the delay model in force
-        # preserves per-run FIFO order.
-        if getattr(self.delay_model, "preserves_fifo", False):
-            self.scheduler.schedule_fifo(
-                latency, lambda: self._deliver(sender, receiver, message)
-            )
+            self._deliver(sender, target, message)
+        elif channel in self._disconnected or (
+            graph is not None and not graph.has_edge(sender, receiver)
+        ):
+            stats.messages_dropped_channel += 1
         else:
-            self.scheduler.schedule_pooled(
-                latency, lambda: self._deliver(sender, receiver, message)
+            model = self.delay_model
+            self.scheduler.schedule_delivery(
+                model.delay(channel, self.scheduler.now), model.preserves_fifo,
+                self._deliver, sender, target, message,
             )
 
     def broadcast(self, sender: ProcessId, message: Any, include_self: bool = True) -> None:
-        """Send ``message`` from ``sender`` to every process (optionally itself)."""
-        for receiver in self._processes:
-            if receiver == sender and not include_self:
-                continue
-            self.send(sender, receiver, message)
+        """Send ``message`` from ``sender`` to every process (optionally itself).
 
-    def _deliver(self, sender: ProcessId, receiver: ProcessId, message: Any) -> None:
-        if receiver in self._crashed:
-            self.stats.messages_dropped_crashed += 1
+        Message for message this is :meth:`send` per receiver in registration
+        order — the self-copy delivered synchronously at the sender's position
+        (its handler may send, drawing delays), no delay drawn for a dropped
+        message — with what cannot change inside the loop looked up once, and
+        nothing on the path building a closure (relay forwarding goes through it).
+        """
+        processes = self._processes
+        own = processes.get(sender)
+        if own is None:
+            for receiver in processes:
+                self.send(sender, receiver, message)  # raises: unknown sender
             return
-        self.stats.record_delivered(receiver)
-        self._processes[receiver].deliver(sender, message)
+        stats = self.stats
+        per_sent = stats.per_process_sent
+        graph = self._graph
+        disconnected = self._disconnected
+        schedule_delivery = self.scheduler.schedule_delivery
+        now = self.scheduler.now
+        delay = self.delay_model.delay
+        fifo = self.delay_model.preserves_fifo
+        deliver = self._deliver
+        crashed = sender in self._crashed
+        for receiver, target in processes.items():
+            if target is own and not include_self:
+                continue
+            if crashed:
+                stats.messages_dropped_crashed += 1
+                continue
+            stats.messages_sent += 1
+            per_sent[sender] = per_sent.get(sender, 0) + 1
+            channel = (sender, receiver)
+            if target is own:
+                deliver(sender, target, message)
+                # Protocol code just ran: it may have crashed its own process.
+                crashed = sender in self._crashed
+            elif channel in disconnected or (
+                graph is not None and not graph.has_edge(sender, receiver)
+            ):
+                stats.messages_dropped_channel += 1
+            else:
+                schedule_delivery(delay(channel, now), fifo, deliver, sender, target, message)
+
+    def _deliver(self, sender: ProcessId, target: "Process", message: Any) -> None:
+        """Delivery callback: hand ``message`` to ``target`` unless it crashed meanwhile."""
+        stats = self.stats
+        if target.crashed:
+            stats.messages_dropped_crashed += 1
+            return
+        stats.messages_delivered += 1
+        per_delivered = stats.per_process_delivered
+        per_delivered[target.pid] = per_delivered.get(target.pid, 0) + 1
+        target.deliver(sender, message)
 
     # ------------------------------------------------------------------ #
     # Execution helpers

@@ -32,7 +32,7 @@ through scenario running, trace recording and ``repro check`` unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..types import Channel
@@ -128,20 +128,27 @@ class ScheduleOverride(DelayModel):
         self.base = base
         self.stretches = dict(stretches or {})
         self.nudges = dict(nudges or {})
-        self._sent: Dict[Channel, int] = {}
+        # Per channel, one record built at its first message: [next send index,
+        # stretch, that channel's nudges by index] — a message costs one lookup.
+        self._channels: Dict[Channel, List[Any]] = {}
 
     def delay(self, channel: Channel, send_time: float) -> float:
         latency = self.base.delay(channel, send_time)
-        index = self._sent.get(channel, 0)
-        self._sent[channel] = index + 1
-        latency *= self.stretches.get(channel, 1.0)
-        latency += self.nudges.get((channel, index), 0.0)
+        record = self._channels.get(channel)
+        if record is None:
+            nudges = {i: extra for (c, i), extra in self.nudges.items() if c == channel}
+            record = self._channels[channel] = [0, self.stretches.get(channel, 1.0), nudges]
+        index, stretch, nudges = record
+        record[0] = index + 1
+        latency *= stretch
+        if nudges:
+            latency += nudges.get(index, 0.0)
         # A negative nudge may not deliver into the past.
-        return max(latency, 0.0)
+        return latency if latency > 0.0 else 0.0
 
     def reset(self) -> None:
         self.base.reset()
-        self._sent = {}
+        self._channels = {}
 
 
 def build_schedule_override(

@@ -129,7 +129,7 @@ class RelayEnvelope:
     that each process forwards it at most once.
     """
 
-    __slots__ = ("origin", "seq", "destination", "payload")
+    __slots__ = ("origin", "seq", "destination", "payload", "key")
 
     def __init__(
         self, origin: ProcessId, seq: int, destination: Optional[ProcessId], payload: Any
@@ -138,6 +138,8 @@ class RelayEnvelope:
         self.seq = seq
         self.destination = destination
         self.payload = payload
+        #: De-duplication key, built once and looked up at every delivery.
+        self.key = (origin, seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "RelayEnvelope(origin={!r}, seq={}, dest={!r})".format(
@@ -212,9 +214,10 @@ class Process:
         """Send ``message`` to ``receiver`` over the (possibly faulty) channel."""
         if self.crashed:
             return
-        if self._relay_enabled:
+        if self._relay_enabled and self.network.has_process(receiver):
             self._relay_originate(receiver, message)
         else:
+            # Also what rejects an unknown receiver, relaying or not.
             self.network.send(self.pid, receiver, message)
 
     def broadcast(self, message: Any, include_self: bool = True) -> None:
@@ -234,16 +237,11 @@ class Process:
         self._relay_handle(envelope, deliver_to_self=include_self or destination == self.pid)
 
     def _relay_handle(self, envelope: "RelayEnvelope", deliver_to_self: bool = True) -> bool:
-        """Forward ``envelope`` once; returns whether :meth:`on_message` ran."""
-        key = (envelope.origin, envelope.seq)
-        if key in self._relay_seen:
-            return False
-        self._relay_seen.add(key)
+        """Forward a first-seen envelope; returns whether :meth:`on_message` ran."""
+        self._relay_seen.add(envelope.key)
         # Forward to every other process; the network drops the copies sent
         # over disconnected channels.
-        for receiver in self.network.process_ids:
-            if receiver != self.pid:
-                self.network.send(self.pid, receiver, envelope)
+        self.network.broadcast(self.pid, envelope, include_self=False)
         targeted_here = envelope.destination is None or envelope.destination == self.pid
         if targeted_here and deliver_to_self:
             self.on_message(envelope.origin, envelope.payload)
@@ -253,6 +251,7 @@ class Process:
     def deliver(self, sender: ProcessId, message: Any) -> None:
         """Entry point used by the network to hand a message to this process.
 
+        A duplicate relay envelope — most of a flood — is recognised first.
         Wait probes are re-evaluated only when the delivery ran protocol code:
         a duplicate envelope, or one merely passed on towards another
         destination, changes nothing a probe may read and wakes nothing.
@@ -260,6 +259,9 @@ class Process:
         if self.crashed:
             return
         if isinstance(message, RelayEnvelope):
+            # Only a relaying process ever records a key.
+            if message.key in self._relay_seen:
+                return
             if self._relay_enabled:
                 if not self._relay_handle(message):
                     return

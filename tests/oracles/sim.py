@@ -1,17 +1,27 @@
 """The simulator's per-message path as it was before the tuple queue.
 
-Two pieces, both lifted from the commit that preceded the production hot path
-(``repro.sim.events`` / ``Process.deliver``):
+Three pieces, lifted from the commits that preceded the production hot path
+(``repro.sim.events`` / ``Network.broadcast`` / ``Process.deliver``):
 
 * :class:`EventScheduler` — one heap of :class:`Event` objects ordered by a
-  Python-level ``__lt__``; deliveries and timers alike allocate an ``Event``,
-  there is no FIFO lane and no compaction (a cancelled event stays in the heap
-  until it is popped);
+  Python-level ``__lt__``; deliveries and timers alike allocate an ``Event``
+  holding a closure, there is no FIFO lane and no compaction (a cancelled
+  event stays in the heap until it is popped);
 * :func:`reference_deliver` — ``Process.deliver`` that re-polls every
   suspended operation's wait probe after *every* delivery, including duplicate
-  and pass-through relay envelopes.
+  and pass-through relay envelopes, and recognises a duplicate from the
+  envelope's ``(origin, seq)`` fields rather than its precomputed key;
+* :func:`reference_broadcast` — ``Network.broadcast`` as one
+  :meth:`~repro.sim.Network.send` per receiver, every membership, crash, graph
+  and disconnection test and the lane choice repeated per message (relay
+  forwarding goes through it too).
 
-:func:`reference_simulator` swaps both into the production simulator, so the
+The interface mirrored is what :mod:`repro.sim.network`, :mod:`repro.sim.process`
+and :mod:`repro.sim.runtime` call on a scheduler: ``now``, ``events_processed``,
+``schedule_at``, ``schedule``, ``schedule_delivery(delay, fifo, callback,
+sender, target, message)``, ``pending``, ``step``, ``run`` and ``run_until``.
+
+:func:`reference_simulator` swaps all three into the production simulator, so the
 differential battery and the benchmarks can run any workload on the old path.
 This module carries its own ``Event`` and imports nothing from
 :mod:`repro.sim.events` — it must not share the queue it is the oracle for
@@ -28,6 +38,7 @@ from typing import Callable, Iterator, List, Optional
 import repro.sim.network
 import repro.sim.runtime
 from repro.errors import SimulationError
+from repro.sim.network import Network
 from repro.sim.process import Process, RelayEnvelope
 
 EventCallback = Callable[[], None]
@@ -98,11 +109,9 @@ class EventScheduler:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
         return self.schedule_at(self._now + delay, callback)
 
-    def schedule_pooled(self, delay: float, callback: EventCallback) -> None:
-        self.schedule(delay, callback)
-
-    def schedule_fifo(self, delay: float, callback: EventCallback) -> None:
-        self.schedule(delay, callback)
+    def schedule_delivery(self, delay, fifo, callback, sender, target, message) -> None:
+        # One lane, one entry kind: the arguments ride in a closure on the heap.
+        self.schedule(delay, lambda: callback(sender, target, message))
 
     def pending(self) -> int:
         return self._live
@@ -168,12 +177,21 @@ def reference_deliver(self, sender, message) -> None:
         return
     if isinstance(message, RelayEnvelope):
         if self._relay_enabled:
-            self._relay_handle(message)
+            if (message.origin, message.seq) not in self._relay_seen:
+                self._relay_handle(message)
         elif message.destination is None or message.destination == self.pid:
             self.on_message(message.origin, message.payload)
     else:
         self.on_message(sender, message)
     self._check_waits()
+
+
+def reference_broadcast(self, sender, message, include_self=True) -> None:
+    """``Network.broadcast`` as one independent ``send`` per receiver."""
+    for receiver in list(self._processes):
+        if receiver == sender and not include_self:
+            continue
+        self.send(sender, receiver, message)
 
 
 @contextmanager
@@ -189,12 +207,15 @@ def reference_simulator() -> Iterator[None]:
     )
     saved = [getattr(module, name) for module, name in swaps]
     saved_deliver = Process.deliver
+    saved_broadcast = Network.broadcast
     for module, name in swaps:
         setattr(module, name, EventScheduler)
     Process.deliver = reference_deliver
+    Network.broadcast = reference_broadcast
     try:
         yield
     finally:
         for (module, name), original in zip(swaps, saved):
             setattr(module, name, original)
         Process.deliver = saved_deliver
+        Network.broadcast = saved_broadcast

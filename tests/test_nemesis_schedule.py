@@ -81,6 +81,32 @@ def test_override_preserves_base_draw_sequence():
     assert perturbed == [2.0 * value for value in raw]
 
 
+def test_override_equals_the_formula_message_for_message_on_a_mixed_stream():
+    """``max(base * stretch(channel) + nudge(channel, index), 0)`` with the
+    index counted per channel, over interleaved channels: some stretched,
+    some nudged (one into the past), some neither."""
+    channels = [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")]
+    stretches = {("a", "b"): 3.0, ("c", "a"): 0.25}
+    nudges = {(("a", "b"), 2): 1.5, (("b", "a"), 0): -50.0, (("b", "a"), 5): 0.75}
+    override = ScheduleOverride(
+        build_delay_model("uniform", {}, seed=3), stretches=stretches, nudges=nudges
+    )
+    base = build_delay_model("uniform", {}, seed=3)
+    rng = random.Random(0)
+    sent = {}
+    for _ in range(400):
+        channel = rng.choice(channels)
+        index = sent.get(channel, 0)
+        sent[channel] = index + 1
+        expected = max(
+            base.delay(channel, 0.0) * stretches.get(channel, 1.0)
+            + nudges.get((channel, index), 0.0),
+            0.0,
+        )
+        assert override.delay(channel, 0.0) == expected
+    assert override.delay(("b", "a"), 0.0) > 0.0  # only index 0 was clamped
+
+
 def test_override_rejects_negative_stretch():
     with pytest.raises(ReproError):
         ScheduleOverride(FixedDelay(1.0), stretches={("a", "b"): -1.0})

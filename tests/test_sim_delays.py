@@ -1,5 +1,7 @@
 """Tests for message delay models (:mod:`repro.sim.delays`)."""
 
+import random
+
 import pytest
 
 from repro.sim import FixedDelay, PartialSynchronyDelay, UniformDelay
@@ -60,3 +62,24 @@ def test_partial_synchrony_reset_replays():
     model.reset()
     second = [model.delay(("a", "b"), 0.0) for _ in range(10)]
     assert first == second
+
+
+def test_delay_streams_equal_random_uniform_float_for_float():
+    """The models inline ``a + (b - a) * random()``; every recorded trace and
+    golden file depends on that being the very float ``uniform(a, b)`` returns."""
+    for low, high, seed in ((0.5, 2.0, 0), (0.0, 1.0, 7), (0.1, 0.1, 3), (1e-9, 1e9, 11)):
+        model = UniformDelay(low, high, seed=seed)
+        reference = random.Random(seed)
+        for _ in range(1000):
+            assert model.delay(("a", "b"), 0.0) == reference.uniform(low, high)
+    model = PartialSynchronyDelay(gst=30.0, delta=0.7, pre_gst_max=13.0, seed=5)
+    reference = random.Random(5)
+    for index in range(1000):
+        # Alternate sides of GST (and sit exactly on it) within one stream.
+        send_time = (29.9, 30.0, 31.5)[index % 3]
+        expected = (
+            reference.uniform(0.1 * 0.7, 0.7) if send_time >= 30.0 else reference.uniform(0.7, 13.0)
+        )
+        assert model.delay(("a", "b"), send_time) == expected
+    model.reset()
+    assert model.delay(("a", "b"), 0.0) == random.Random(5).uniform(0.7, 13.0)

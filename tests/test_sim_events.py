@@ -7,6 +7,15 @@ from repro.errors import SimulationError
 from repro.sim import EventScheduler
 
 
+def deliver_to(sink):
+    """A delivery callback appending the delivered message to ``sink``."""
+
+    def callback(sender, target, message):
+        sink.append(message)
+
+    return callback
+
+
 def test_events_run_in_time_order():
     scheduler = EventScheduler()
     order = []
@@ -159,7 +168,7 @@ def test_pool_reuse_does_not_leak_stale_callbacks_or_cancelled_state():
     fired = []
     for round_index in range(50):
         for i in range(4):
-            scheduler.schedule_fifo(1.0, lambda r=round_index, i=i: fired.append((r, i)))
+            scheduler.schedule_delivery(1.0, True, deliver_to(fired), "s", "t", (round_index, i))
         scheduler.run()
         assert not scheduler._fifo and not scheduler._queue
     assert fired == [(r, i) for r in range(50) for i in range(4)]
@@ -195,8 +204,8 @@ def test_fifo_lane_merges_with_heap_in_time_seq_order():
     scheduler = EventScheduler()
     order = []
     scheduler.schedule(2.0, lambda: order.append("heap@2"))
-    scheduler.schedule_fifo(1.0, lambda: order.append("fifo@1"))
-    scheduler.schedule_fifo(2.0, lambda: order.append("fifo@2"))
+    scheduler.schedule_delivery(1.0, True, deliver_to(order), "s", "t", "fifo@1")
+    scheduler.schedule_delivery(2.0, True, deliver_to(order), "s", "t", "fifo@2")
     scheduler.schedule(1.0, lambda: order.append("heap@1"))
     scheduler.run()
     # Ties at t=1 and t=2 break by scheduling order (seq), exactly like the
@@ -207,27 +216,28 @@ def test_fifo_lane_merges_with_heap_in_time_seq_order():
 def test_fifo_lane_falls_back_to_heap_on_out_of_order_times():
     scheduler = EventScheduler()
     order = []
-    scheduler.schedule_fifo(5.0, lambda: order.append("late"))
+    scheduler.schedule_delivery(5.0, True, deliver_to(order), "s", "t", "late")
     # A misdeclared delay model handing out a shorter delivery after a longer
     # one must still fire in time order.
-    scheduler.schedule_fifo(1.0, lambda: order.append("early"))
+    scheduler.schedule_delivery(1.0, True, deliver_to(order), "s", "t", "early")
+    assert len(scheduler._fifo) == 1 and len(scheduler._queue) == 1
     scheduler.run()
     assert order == ["early", "late"]
 
 
 def test_fifo_and_pooled_reject_negative_delays():
     scheduler = EventScheduler()
-    with pytest.raises(SimulationError):
-        scheduler.schedule_pooled(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        scheduler.schedule_fifo(-1.0, lambda: None)
+    for fifo in (False, True):
+        with pytest.raises(SimulationError):
+            scheduler.schedule_delivery(-1.0, fifo, deliver_to([]), "s", "t", "m")
+    assert scheduler.pending() == 0
 
 
 def test_reference_path_routes_everything_through_the_heap():
     scheduler = ReferenceScheduler()
     fired = []
-    scheduler.schedule_fifo(1.0, lambda: fired.append("a"))
-    scheduler.schedule_pooled(2.0, lambda: fired.append("b"))
+    scheduler.schedule_delivery(1.0, True, deliver_to(fired), "s", "t", "a")
+    scheduler.schedule_delivery(2.0, False, deliver_to(fired), "s", "t", "b")
     assert not hasattr(scheduler, "_fifo")
     assert len(scheduler._queue) == 2
     scheduler.run()
@@ -238,11 +248,39 @@ def test_reference_path_routes_everything_through_the_heap():
 def test_run_max_time_considers_the_fifo_lane():
     scheduler = EventScheduler()
     seen = []
-    scheduler.schedule_fifo(1.0, lambda: seen.append(1))
-    scheduler.schedule_fifo(10.0, lambda: seen.append(2))
+    scheduler.schedule_delivery(1.0, True, deliver_to(seen), "s", "t", 1)
+    scheduler.schedule_delivery(10.0, True, deliver_to(seen), "s", "t", 2)
     scheduler.run(max_time=5.0)
     assert seen == [1]
     assert scheduler.now == pytest.approx(5.0)
     assert scheduler.pending() == 1
     scheduler.run()
     assert seen == [1, 2]
+
+
+def test_timers_and_deliveries_at_one_instant_fire_in_seq_order_on_both_lanes():
+    """Timer entries and argument-carrying delivery entries scheduled for the
+    same instant, deliveries on the heap lane and on the FIFO lane, fire in
+    the order they were scheduled — and each delivery gets its own arguments."""
+    for fifo in (False, True):
+        scheduler = EventScheduler()
+        fired = []
+        expected = []
+
+        def deliver(sender, target, message):
+            fired.append((sender, target, message))
+
+        for index in range(12):
+            if index % 3 == 1:
+                scheduler.schedule(1.0, lambda index=index: fired.append(("timer", index)))
+                expected.append(("timer", index))
+            else:
+                scheduler.schedule_delivery(
+                    1.0, fifo, deliver, "s{}".format(index), index, ("m", index)
+                )
+                expected.append(("s{}".format(index), index, ("m", index)))
+        assert bool(scheduler._fifo) == fifo
+        scheduler.run()
+        assert fired == expected
+        assert scheduler.events_processed == 12 and scheduler.now == 1.0
+        assert scheduler.pending() == 0

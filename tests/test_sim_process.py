@@ -3,7 +3,7 @@
 import pytest
 
 from oracles.sim import reference_simulator
-from repro.errors import ProcessCrashedError
+from repro.errors import ProcessCrashedError, SimulationError
 from repro.sim import (
     NOT_READY,
     FixedDelay,
@@ -213,6 +213,21 @@ def test_non_relaying_process_unwraps_envelopes():
     sender.send("b", "ping")
     network.run(max_time=10.0)
     assert sender.pongs == ["b"]
+
+
+@pytest.mark.parametrize("relay", [False, True])
+def test_send_to_an_unknown_process_is_rejected_with_or_without_relaying(relay):
+    """Regression: a relaying sender used to wrap the message in an envelope
+    nobody is the destination of and flood it, raising nothing."""
+    network, procs = make_cluster()
+    if relay:
+        procs["a"].enable_relay()
+    with pytest.raises(SimulationError, match="send between unknown processes 'a' -> 'zzz'"):
+        procs["a"].send("zzz", "lost")
+    network.run()
+    assert network.stats.messages_sent == 0
+    assert network.scheduler.events_processed == 0
+    assert procs["a"]._relay_seq == 0 and not procs["a"]._relay_seen
 
 
 # --------------------------------------------------------------------------- #

@@ -222,6 +222,21 @@ def test_simulator_has_one_scheduler_and_no_switch():
     assert "Event" in repro.sim.__all__ and "EventScheduler" in repro.sim.__all__
 
 
+def test_message_path_has_one_delivery_entry_point_and_no_closure():
+    """Deliveries carry their arguments: the two closure-taking scheduler
+    entry points and the two per-message stats methods left ``src/``, and the
+    network builds no ``lambda`` per message."""
+    from repro.sim import EventScheduler, NetworkStats, network
+
+    gone = re.compile(r"schedule_pooled|schedule_fifo|record_sent|record_delivered")
+    for path, text in _sources(SRC_DIR):
+        assert not gone.search(text), "{} still has {}".format(path, gone.pattern)
+    with open(network.__file__, "r", encoding="utf-8") as handle:
+        assert not re.search(r"\blambda\b", handle.read())
+    assert hasattr(EventScheduler, "schedule_delivery")
+    assert not hasattr(NetworkStats, "record_sent")
+
+
 def test_sim_oracle_carries_its_own_queue():
     """``oracles.sim`` may patch the simulator but must not reuse its queue."""
     import oracles.sim
@@ -243,3 +258,10 @@ def test_sim_oracle_carries_its_own_queue():
     assert oracles.sim.Event is not repro.sim.Event
     assert oracles.sim.EventScheduler is not repro.sim.EventScheduler
     assert "__lt__" in vars(oracles.sim.Event)
+    # The delivery entry point is mirrored as a closure on the one Event heap.
+    for name in ("schedule_pooled", "schedule_fifo", "_fifo"):
+        assert not hasattr(oracles.sim.EventScheduler, name), name
+    reference = oracles.sim.EventScheduler()
+    reference.schedule_delivery(1.0, True, lambda sender, target, message: None, "s", "t", "m")
+    (queued,) = reference._queue
+    assert isinstance(queued, oracles.sim.Event) and callable(queued.callback)
