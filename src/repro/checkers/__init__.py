@@ -5,7 +5,6 @@ from .lattice_checker import LatticeCheckResult, check_lattice_agreement
 from .linearizability import (
     DependencyGraphChecker,
     LinearizabilityResult,
-    StreamingRegisterChecker,
     check_register_linearizability,
     check_register_witness_first,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "DependencyGraphChecker",
     "LatticeCheckResult",
     "LinearizabilityResult",
-    "StreamingRegisterChecker",
     "check_consensus",
     "check_lattice_agreement",
     "check_register_linearizability",

@@ -1,48 +1,55 @@
-"""Linearizability checking for register (and register-like) histories.
+"""Linearizability checking for register and snapshot histories.
 
-Three complementary checkers are provided:
+"Is this history linearizable?" is answered by **one** search:
 
-* :func:`check_register_linearizability` — a complete decision procedure based
-  on the Wing–Gong / Lowe search: it explores all linearization orders
-  consistent with the history's real-time precedence, memoizing on the pair
-  (set of linearized operations, abstract register value).  Exponential in the
-  worst case but fast for the history sizes produced by the experiments, and it
-  handles incomplete operations (crashed writers) correctly: incomplete writes
-  may or may not take effect, incomplete reads impose no constraint.
+* :func:`search_linearization` — the complete decision procedure (Wing–Gong /
+  Lowe): it explores all linearization orders consistent with the history's
+  real-time precedence, memoizing on the pair (mask of linearized operations,
+  abstract object state).  Exponential in the worst case but fast for the
+  history sizes produced by the experiments, and it handles incomplete
+  operations (crashed writers) correctly: incomplete updates may or may not
+  take effect, incomplete queries impose no constraint.  The object enters
+  only through its sequential specification (a :class:`SequentialSpec` plus an
+  ``apply(state, op)`` function): :func:`check_register_linearizability` here
+  and :func:`repro.checkers.check_snapshot_linearizability` are its clients.
 
-* :class:`StreamingRegisterChecker` — the incremental formulation of the same
-  search: operations are appended in invocation order and the checker
-  maintains the set of reachable configurations ``(linearized set, value)``
-  as a forward closure, so the work done for a prefix is *reused* when the
-  prefix is extended instead of being re-explored from scratch.  Under a
-  declared distinct-written-values assumption it also detects violations
-  eagerly (see :meth:`StreamingRegisterChecker.append`), short-circuiting the
-  remainder of the stream.
+Beside it sits a different procedure for registers:
 
 * :class:`DependencyGraphChecker` — the dependency-graph criterion of the
   paper's Appendix B (Theorem 7): given a write→read ("wr") matching derived
   from values and a candidate total order on writes ("ww"), linearizability is
   equivalent to acyclicity of the graph over real-time, wr, ww and the derived
-  read→write ("rw") edges.  It is used as a fast *witness* checker when the
-  protocol supplies a natural write order (the register versions);
+  read→write ("rw") edges.  It is used as a fast *witness* checker;
   :func:`check_register_witness_first` wires it as the default fast path with
   automatic fallback to the complete search when the witness fails.
 
-All operate on :class:`repro.history.History` objects whose records use the
+All operate on :class:`repro.history.History` objects; register records use the
 operation kinds ``"write"`` (argument = value written) and ``"read"``
 (result = value read).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import HistoryError
 from ..history import History, OperationRecord
 
-READ_KINDS = ("read",)
-WRITE_KINDS = ("write",)
+#: Returned by an ``apply`` function when the operation cannot be linearized
+#: in the given state (any other return value, ``None`` included, is a state).
+REJECT = object()
 
 
 class LinearizabilityResult:
@@ -71,32 +78,133 @@ class LinearizabilityResult:
         )
 
 
-def _partition_register_history(
-    history: History,
-) -> Tuple[List[OperationRecord], List[OperationRecord]]:
-    """Split a register history into complete operations and optional (incomplete) writes."""
+class SequentialSpec(NamedTuple):
+    """The object-specific constants of one linearizability search.
+
+    ``update_kind`` / ``query_kind`` are the two operation kinds of the object
+    (an incomplete update is optional, an incomplete query is dropped); the
+    three texts keep each object's error and verdict wording: ``foreign_kind``
+    is formatted with an operation kind that is neither, ``exhausted`` with the
+    ``max_states`` bound, and ``no_order`` is the reason of a negative verdict.
+    """
+
+    update_kind: str
+    query_kind: str
+    foreign_kind: str
+    exhausted: str
+    no_order: str
+
+
+REGISTER = SequentialSpec(
+    update_kind="write",
+    query_kind="read",
+    foreign_kind="register histories may only contain read/write operations, got {!r}",
+    exhausted="linearizability search exceeded {} states; history too large",
+    no_order="no valid linearization order exists",
+)
+
+#: A history split for the search: complete operations, then optional updates.
+Partition = Tuple[List[OperationRecord], List[OperationRecord]]
+
+
+def partition_history(history: History, spec: SequentialSpec) -> Partition:
+    """Split a history into complete operations and optional (incomplete) updates.
+
+    This is the one place operation kinds are validated: a kind the object
+    does not have raises :class:`HistoryError`, so no checker can certify a
+    history after silently ignoring operations it does not understand.
+    """
     complete: List[OperationRecord] = []
-    optional_writes: List[OperationRecord] = []
+    optional_updates: List[OperationRecord] = []
     for record in history:
-        if record.kind not in READ_KINDS + WRITE_KINDS:
-            raise HistoryError(
-                "register histories may only contain read/write operations, got {!r}".format(
-                    record.kind
-                )
-            )
+        if record.kind != spec.update_kind and record.kind != spec.query_kind:
+            raise HistoryError(spec.foreign_kind.format(record.kind))
         if record.is_complete:
             complete.append(record)
-        elif record.kind in WRITE_KINDS:
-            optional_writes.append(record)
-        # Incomplete reads impose no constraint and are dropped.
-    return complete, optional_writes
+        elif record.kind == spec.update_kind:
+            optional_updates.append(record)
+        # Incomplete queries impose no constraint and are dropped.
+    return complete, optional_updates
+
+
+def search_linearization(
+    partition: Partition,
+    spec: SequentialSpec,
+    initial_state: Hashable,
+    apply: Callable[[Any, OperationRecord], Any],
+    max_states: int,
+) -> LinearizabilityResult:
+    """The memoized Wing–Gong search over a partitioned history.
+
+    ``apply(state, op)`` is the object's sequential specification: the state
+    after linearizing ``op`` in ``state``, or :data:`REJECT` when ``op`` (a
+    query whose result does not match) cannot take effect there.  States must
+    be hashable.  ``max_states`` is a safety bound on the memoized states; a
+    :class:`HistoryError` is raised when exceeded, so that callers never
+    mistake an aborted search for a verdict.
+    """
+    complete, optional_updates = partition
+    operations = complete + optional_updates
+    if not operations:
+        return LinearizabilityResult(True, witness=[], explored_states=0)
+    # Complete operations occupy the low positions, so "every complete
+    # operation is linearized" is one mask test; whatever is left then is an
+    # optional update and the linearization may stop.
+    required = (1 << len(complete)) - 1
+
+    # Real-time precedence among *complete* operations only: an operation can
+    # be linearized only after every complete operation that precedes it.
+    candidates: List[Tuple[int, int, OperationRecord]] = []
+    for i, op in enumerate(operations):
+        before = 0
+        for j, other in enumerate(complete):
+            if other.precedes(op):
+                before |= 1 << j
+        candidates.append((1 << i, before, op))
+
+    memo: Set[Tuple[int, Hashable]] = set()
+    explored = 0
+    witness: List[OperationRecord] = []
+
+    def search(linearized: int, state: Any) -> bool:
+        nonlocal explored
+        key = (linearized, state)
+        if key in memo:
+            return False
+        memo.add(key)
+        explored += 1
+        if explored > max_states:
+            raise HistoryError(spec.exhausted.format(max_states))
+        if linearized & required == required:
+            return True
+        pending = ~linearized
+        for bit, before, op in candidates:
+            if not pending & bit or before & pending:
+                continue
+            next_state = apply(state, op)
+            if next_state is not REJECT and search(linearized | bit, next_state):
+                witness.append(op)
+                return True
+        return False
+
+    if search(0, initial_state):
+        witness.reverse()
+        return LinearizabilityResult(True, witness=witness, explored_states=explored)
+    return LinearizabilityResult(False, explored_states=explored, reason=spec.no_order)
+
+
+def _apply_register(value: Any, op: OperationRecord) -> Any:
+    """The register's sequential specification: a write sets the value, a
+    read must return it."""
+    if op.kind == REGISTER.update_kind:
+        return op.argument
+    return value if op.result == value else REJECT
 
 
 def check_register_linearizability(
     history: History,
     initial_value: Any = 0,
     max_states: int = 2_000_000,
-    mode: str = "batch",
 ) -> LinearizabilityResult:
     """Decide whether a register history is linearizable (Wing–Gong search).
 
@@ -108,314 +216,11 @@ def check_register_linearizability(
         The register's initial value (reads before any write must return it).
     max_states:
         Safety bound on the number of memoized states explored; a
-        :class:`HistoryError` is raised when exceeded, so that callers never
-        mistake an aborted search for a verdict.
-    mode:
-        ``"batch"`` (the default) runs the memoized depth-first search;
-        ``"streaming"`` feeds the records, sorted by invocation time, through
-        a :class:`StreamingRegisterChecker` — same verdict, but computed as an
-        incremental forward closure with early exit on the first provable
-        violation (when written values are pairwise distinct).
+        :class:`HistoryError` is raised when exceeded.
     """
-    if mode not in ("batch", "streaming"):
-        raise HistoryError("unknown linearizability mode {!r}".format(mode))
-    if mode == "streaming":
-        return _check_streaming(history, initial_value, max_states)
-    complete, optional_writes = _partition_register_history(history)
-    operations: List[OperationRecord] = complete + optional_writes
-    optional_ids = {id(r) for r in optional_writes}
-    n = len(operations)
-    if n == 0:
-        return LinearizabilityResult(True, witness=[], explored_states=0)
-
-    # Real-time precedence among *complete* operations only: an operation can
-    # be linearized only after every complete operation that precedes it.
-    preceders: List[FrozenSet[int]] = []
-    for i, op in enumerate(operations):
-        before = frozenset(
-            j
-            for j, other in enumerate(operations)
-            if j != i and other.is_complete and other.precedes(op)
-        )
-        preceders.append(before)
-
-    memo: Set[Tuple[FrozenSet[int], Hashable]] = set()
-    explored = 0
-    witness: List[OperationRecord] = []
-
-    def search(linearized: FrozenSet[int], value: Any) -> bool:
-        nonlocal explored
-        key = (linearized, value)
-        if key in memo:
-            return False
-        memo.add(key)
-        explored += 1
-        if explored > max_states:
-            raise HistoryError(
-                "linearizability search exceeded {} states; history too large".format(max_states)
-            )
-        if len(linearized) == n:
-            return True
-        remaining = [i for i in range(n) if i not in linearized]
-        # If every remaining operation is an optional (incomplete) write, the
-        # linearization may stop here.
-        if all(id(operations[i]) in optional_ids for i in remaining):
-            return True
-        progressed = False
-        for i in remaining:
-            if not preceders[i] <= linearized:
-                continue
-            op = operations[i]
-            if op.kind in WRITE_KINDS:
-                if search(linearized | {i}, op.argument):
-                    witness.append(op)
-                    return True
-                progressed = True
-            else:  # read
-                if op.result == value and search(linearized | {i}, value):
-                    witness.append(op)
-                    return True
-                progressed = True
-        del progressed
-        return False
-
-    ok = search(frozenset(), initial_value)
-    if ok:
-        witness.reverse()
-        return LinearizabilityResult(True, witness=witness, explored_states=explored)
-    return LinearizabilityResult(
-        False, explored_states=explored, reason="no valid linearization order exists"
+    return search_linearization(
+        partition_history(history, REGISTER), REGISTER, initial_value, _apply_register, max_states
     )
-
-
-# ---------------------------------------------------------------------- #
-# Streaming / incremental checking
-# ---------------------------------------------------------------------- #
-class StreamingRegisterChecker:
-    """Incremental register linearizability over a stream of operations.
-
-    Operations are :meth:`append`-ed in non-decreasing invocation order (the
-    order a monitor — or a trace replay — naturally observes them).  The
-    checker maintains the set of *reachable configurations*: pairs
-    ``(linearized, value)`` such that some linearization prefix respecting
-    real-time precedence linearizes exactly ``linearized`` and leaves the
-    abstract register holding ``value``.  Appending an operation extends this
-    set by a worklist closure seeded at the configurations the new operation
-    can join — everything computed for the previous prefix is reused, never
-    re-explored.  (Feeding in invocation order is what makes the reuse sound:
-    a later-invoked operation can never become a real-time predecessor of an
-    earlier one, so previously reachable configurations stay reachable.)
-
-    The stream (so far) is linearizable iff some reachable configuration has
-    linearized every *complete* operation — incomplete writes are optional and
-    incomplete reads are ignored, exactly as in the batch checker.
-
-    Early exit: with ``distinct_writes=True`` the caller asserts that no two
-    writes of the whole stream (including ones not appended yet) carry the
-    same value.  Under that assumption, once the current prefix is
-    non-linearizable and every complete read's value has a known source — a
-    seen write of it, or the initial state itself when
-    ``initial_value_never_written`` additionally asserts that no (future)
-    write re-writes the initial value — no future operation can repair it:
-    restricting a hypothetical linearization of the full history to the
-    prefix's operations would yield a valid linearization of the prefix,
-    because each read's unique source already lies inside the prefix.  The
-    checker then latches the violation and ignores the rest of the stream.
-    """
-
-    def __init__(
-        self,
-        initial_value: Any = 0,
-        max_states: int = 2_000_000,
-        distinct_writes: bool = False,
-        initial_value_never_written: bool = False,
-    ) -> None:
-        self.initial_value = initial_value
-        self.max_states = max_states
-        self.distinct_writes = distinct_writes
-        self.initial_value_never_written = initial_value_never_written
-        self._operations: List[OperationRecord] = []
-        self._complete: Set[int] = set()
-        self._preceders: List[FrozenSet[int]] = []
-        self._configs: Set[Tuple[FrozenSet[int], Hashable]] = {(frozenset(), initial_value)}
-        self._written_values: Set[Hashable] = set()
-        self._dangling_reads: Dict[int, Hashable] = {}
-        self._last_invoked = float("-inf")
-        self._violated_at: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def explored_states(self) -> int:
-        """Reachable configurations discovered so far (the memoized states)."""
-        return len(self._configs)
-
-    @property
-    def operations(self) -> int:
-        """Operations appended so far (incomplete reads are not retained)."""
-        return len(self._operations)
-
-    @property
-    def violated(self) -> bool:
-        """Whether a violation has been latched by the early-exit path."""
-        return self._violated_at is not None
-
-    # ------------------------------------------------------------------ #
-    def _applicable(self, index: int, config: Tuple[FrozenSet[int], Hashable]) -> Optional[
-        Tuple[FrozenSet[int], Hashable]
-    ]:
-        """The configuration reached by linearizing ``index`` next, if legal."""
-        linearized, value = config
-        if index in linearized or not self._preceders[index] <= linearized:
-            return None
-        op = self._operations[index]
-        if op.kind in WRITE_KINDS:
-            return (linearized | {index}, op.argument)
-        if op.result == value:
-            return (linearized | {index}, value)
-        return None
-
-    def append(self, record: OperationRecord) -> None:
-        """Feed the next operation (by invocation order) into the checker."""
-        if record.kind not in READ_KINDS + WRITE_KINDS:
-            raise HistoryError(
-                "register histories may only contain read/write operations, got {!r}".format(
-                    record.kind
-                )
-            )
-        if record.invoked_at < self._last_invoked:
-            raise HistoryError(
-                "streaming checker requires operations in invocation order "
-                "({} < {})".format(record.invoked_at, self._last_invoked)
-            )
-        self._last_invoked = record.invoked_at
-        if not record.is_complete and record.kind in READ_KINDS:
-            return  # incomplete reads impose no constraint
-        if record.kind in WRITE_KINDS:
-            if self.distinct_writes and record.argument in self._written_values:
-                raise HistoryError(
-                    "distinct_writes was asserted but value {!r} is written twice".format(
-                        record.argument
-                    )
-                )
-            if self.initial_value_never_written and record.argument == self.initial_value:
-                raise HistoryError(
-                    "initial_value_never_written was asserted but {!r} is written".format(
-                        record.argument
-                    )
-                )
-            self._written_values.add(record.argument)
-        if self._violated_at is not None:
-            # Already provably non-linearizable; later operations cannot help.
-            self._operations.append(record)
-            if record.is_complete:
-                self._complete.add(len(self._operations) - 1)
-            return
-
-        index = len(self._operations)
-        self._operations.append(record)
-        if record.is_complete:
-            self._complete.add(index)
-        self._preceders.append(
-            frozenset(
-                j
-                for j, other in enumerate(self._operations[:index])
-                if other.is_complete and other.precedes(record)
-            )
-        )
-        if record.kind in READ_KINDS:
-            # A read is "dangling" while its value has no seen source write —
-            # a later overlapping write may still supply one, so the early
-            # exit must wait.  This includes reads of the *initial* value
-            # (a future write of that same value is also a legal source)
-            # unless the caller asserted the initial value is never written,
-            # in which case the initial state is the read's only source.
-            settled_by_initial = (
-                record.result == self.initial_value and self.initial_value_never_written
-            )
-            if record.result not in self._written_values and not settled_by_initial:
-                self._dangling_reads[index] = record.result
-        elif self._dangling_reads:
-            # A newly seen write may supply the source for an earlier read.
-            self._dangling_reads = {
-                i: value
-                for i, value in self._dangling_reads.items()
-                if value != record.argument
-            }
-
-        # Closure: seed at configurations the new operation extends, then keep
-        # extending with *any* known operation (a new value may unblock reads
-        # that were waiting for it).
-        fresh: "deque[Tuple[FrozenSet[int], Hashable]]" = deque()
-        for config in list(self._configs):
-            extended = self._applicable(index, config)
-            if extended is not None and extended not in self._configs:
-                self._configs.add(extended)
-                fresh.append(extended)
-        while fresh:
-            config = fresh.popleft()
-            for i in range(len(self._operations)):
-                extended = self._applicable(i, config)
-                if extended is not None and extended not in self._configs:
-                    self._configs.add(extended)
-                    fresh.append(extended)
-            if len(self._configs) > self.max_states:
-                raise HistoryError(
-                    "streaming linearizability closure exceeded {} states; "
-                    "history too large".format(self.max_states)
-                )
-
-        if (
-            self.distinct_writes
-            and not self._dangling_reads
-            and not self._prefix_linearizable()
-        ):
-            self._violated_at = len(self._operations)
-
-    def _prefix_linearizable(self) -> bool:
-        return any(self._complete <= linearized for linearized, _ in self._configs)
-
-    def check(self) -> LinearizabilityResult:
-        """The verdict for the stream consumed so far.
-
-        A positive verdict carries no witness (the forward closure does not
-        keep parent pointers); ``explored_states`` counts the reachable
-        configurations, the streaming analogue of the batch checker's memo.
-        """
-        if self._violated_at is not None:
-            return LinearizabilityResult(
-                False,
-                explored_states=self.explored_states,
-                reason="violation latched after {} operations "
-                "(no future operation can repair the prefix)".format(self._violated_at),
-            )
-        if self._prefix_linearizable():
-            return LinearizabilityResult(True, explored_states=self.explored_states)
-        return LinearizabilityResult(
-            False,
-            explored_states=self.explored_states,
-            reason="no valid linearization order exists",
-        )
-
-
-def _check_streaming(
-    history: History, initial_value: Any, max_states: int
-) -> LinearizabilityResult:
-    """Run the streaming checker over a complete history (sorted by invocation)."""
-    records = sorted(history.records, key=lambda r: r.invoked_at)
-    write_values = [r.argument for r in records if r.kind in WRITE_KINDS]
-    checker = StreamingRegisterChecker(
-        initial_value=initial_value,
-        max_states=max_states,
-        # Early exit is only sound under the distinct-writes assumption, so
-        # enable it exactly when the history satisfies it; knowing the whole
-        # history up front also settles whether the initial value is ever
-        # (re-)written, which lets reads of it skip the dangling wait.
-        distinct_writes=len(set(write_values)) == len(write_values),
-        initial_value_never_written=initial_value not in write_values,
-    )
-    for record in records:
-        checker.append(record)
-    return checker.check()
 
 
 # ---------------------------------------------------------------------- #
@@ -424,19 +229,16 @@ def _check_streaming(
 def check_register_witness_first(
     history: History,
     initial_value: Any = 0,
-    versions: Optional[Dict[int, Any]] = None,
     max_states: int = 2_000_000,
 ) -> LinearizabilityResult:
     """Check linearizability via a dependency-graph witness, falling back.
 
     Fast path: build the :class:`DependencyGraphChecker` and test one
-    candidate write order — the protocol's version order when ``versions`` is
-    supplied (mapping write ``op_id`` to a totally ordered version), otherwise
-    the completion-time order of the writes, which is the order any
-    linearizable register execution with quickly-propagated writes tends to
-    realize.  Acyclicity of the dependency graph is *sound* (Theorem 7), so a
-    passing witness decides immediately in polynomial time; incomplete
-    operations are simply dropped, which is always permitted.
+    candidate write order — the completion-time order of the writes, which is
+    the order any linearizable register execution with quickly-propagated
+    writes tends to realize.  Acyclicity of the dependency graph is *sound*
+    (Theorem 7), so a passing witness decides immediately in polynomial time;
+    incomplete operations are simply dropped, which is always permitted.
 
     Fallback: when the witness order fails — a cycle, duplicated written
     values, or a read whose value only an incomplete write can explain — the
@@ -444,25 +246,21 @@ def check_register_witness_first(
     therefore sound *and* complete, and on protocol-produced histories almost
     always takes the polynomial path.
     """
+    # Kinds are validated before either path: the witness checker filters by
+    # kind, so a foreign operation would otherwise be ignored, not rejected.
+    partition = partition_history(history, REGISTER)
     try:
         checker = DependencyGraphChecker(history, initial_value=initial_value)
-        if versions is not None:
-            order = sorted(checker.writes, key=lambda w: versions[w.op_id])
-        else:
-            order = sorted(
-                checker.writes, key=lambda w: (w.completed_at, w.invoked_at, w.op_id)
-            )
+        order = sorted(checker.writes, key=lambda w: (w.completed_at, w.invoked_at, w.op_id))
         if checker.check(order):
             return LinearizabilityResult(
                 True,
                 explored_states=len(checker.reads) + len(checker.writes),
                 reason="dependency-graph witness accepted",
             )
-    except (HistoryError, KeyError):
+    except HistoryError:
         pass
-    result = check_register_linearizability(
-        history, initial_value=initial_value, max_states=max_states
-    )
+    result = search_linearization(partition, REGISTER, initial_value, _apply_register, max_states)
     result.reason = (
         "complete search after witness failure"
         if result.is_linearizable
@@ -497,8 +295,8 @@ class DependencyGraphChecker:
     def __init__(self, history: History, initial_value: Any = 0) -> None:
         self.history = history
         self.initial_value = initial_value
-        self.reads = [r for r in history.complete_records() if r.kind in READ_KINDS]
-        self.writes = [r for r in history.complete_records() if r.kind in WRITE_KINDS]
+        self.reads = [r for r in history.complete_records() if r.kind == REGISTER.query_kind]
+        self.writes = [r for r in history.complete_records() if r.kind == REGISTER.update_kind]
         values = [w.argument for w in self.writes]
         if len(set(values)) != len(values):
             raise HistoryError(
@@ -559,18 +357,6 @@ class DependencyGraphChecker:
                     if order_index[id(writer)] < order_index[id(write)]:
                         add_edge(read, write)
         return not _has_cycle(adjacency)
-
-    def check_with_version_order(self, versions: Dict[int, Any]) -> bool:
-        """Check using the write order induced by protocol versions.
-
-        ``versions`` maps ``op_id`` of each complete write to a totally ordered
-        version (e.g. the ``(number, writer_rank)`` pairs of Figure 4).
-        """
-        try:
-            order = sorted(self.writes, key=lambda w: versions[w.op_id])
-        except KeyError as missing:
-            raise HistoryError("missing version for write op_id {}".format(missing))
-        return self.check(order)
 
 
 def _has_cycle(adjacency: Dict[int, Set[int]]) -> bool:

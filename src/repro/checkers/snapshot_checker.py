@@ -5,21 +5,38 @@ The sequential specification: the object holds one segment per writer process;
 segment; ``scan`` (kind ``"snapshot_scan"``, result = ``{segment: value}``
 mapping) returns the current contents of every segment.
 
-The checker reuses the Wing–Gong search of the register checker, with the
+The checker is a client of the register checker's Wing–Gong search
+(:func:`~repro.checkers.linearizability.search_linearization`), with the
 abstract state being the whole segment vector.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from ..errors import HistoryError
 from ..history import History, OperationRecord
 from ..types import ProcessId
-from .linearizability import LinearizabilityResult
+from .linearizability import (
+    REJECT,
+    LinearizabilityResult,
+    SequentialSpec,
+    partition_history,
+    search_linearization,
+)
 
 WRITE_KIND = "snapshot_write"
 SCAN_KIND = "snapshot_scan"
+
+SNAPSHOT = SequentialSpec(
+    update_kind=WRITE_KIND,
+    query_kind=SCAN_KIND,
+    foreign_kind="snapshot histories may only contain {}/{} operations, got {{!r}}".format(
+        WRITE_KIND, SCAN_KIND
+    ),
+    exhausted="snapshot linearizability search exceeded {} states",
+    no_order="no valid snapshot linearization exists",
+)
 
 
 def check_snapshot_linearizability(
@@ -34,94 +51,28 @@ def check_snapshot_linearizability(
     constraint.
     """
     segments = tuple(sorted(segment_ids, key=repr))
-    complete: List[OperationRecord] = []
-    optional_writes: List[OperationRecord] = []
-    for record in history:
-        if record.kind not in (WRITE_KIND, SCAN_KIND):
-            raise HistoryError(
-                "snapshot histories may only contain {}/{} operations, got {!r}".format(
-                    WRITE_KIND, SCAN_KIND, record.kind
-                )
-            )
-        if record.is_complete:
-            complete.append(record)
-        elif record.kind == WRITE_KIND:
-            optional_writes.append(record)
-
-    operations = complete + optional_writes
-    optional_ids = {id(r) for r in optional_writes}
-    n = len(operations)
-    if n == 0:
-        return LinearizabilityResult(True, witness=[], explored_states=0)
-
-    preceders: List[FrozenSet[int]] = []
-    for i, op in enumerate(operations):
-        preceders.append(
-            frozenset(
-                j
-                for j, other in enumerate(operations)
-                if j != i and other.is_complete and other.precedes(op)
-            )
-        )
-
-    initial_state: Tuple[Any, ...] = tuple(initial_value for _ in segments)
     segment_index = {segment: k for k, segment in enumerate(segments)}
 
-    memo: Set[Tuple[FrozenSet[int], Hashable]] = set()
-    explored = 0
-    witness: List[OperationRecord] = []
+    def apply(state: Tuple[Any, ...], op: OperationRecord) -> Any:
+        if op.kind == WRITE_KIND:
+            if op.process_id not in segment_index:
+                raise HistoryError("write by unknown segment owner {!r}".format(op.process_id))
+            as_list = list(state)
+            as_list[segment_index[op.process_id]] = op.argument
+            return tuple(as_list)
+        result = op.result
+        if not isinstance(result, dict) or result.keys() != segment_index.keys():
+            return REJECT
+        if all(result[segment] == state[k] for segment, k in segment_index.items()):
+            return state
+        return REJECT
 
-    def scan_matches(result: Any, state: Tuple[Any, ...]) -> bool:
-        if not isinstance(result, dict):
-            return False
-        if set(result) != set(segments):
-            return False
-        return all(result[segment] == state[segment_index[segment]] for segment in segments)
-
-    def apply_write(state: Tuple[Any, ...], writer: ProcessId, value: Any) -> Tuple[Any, ...]:
-        if writer not in segment_index:
-            raise HistoryError("write by unknown segment owner {!r}".format(writer))
-        as_list = list(state)
-        as_list[segment_index[writer]] = value
-        return tuple(as_list)
-
-    def search(linearized: FrozenSet[int], state: Tuple[Any, ...]) -> bool:
-        nonlocal explored
-        key = (linearized, state)
-        if key in memo:
-            return False
-        memo.add(key)
-        explored += 1
-        if explored > max_states:
-            raise HistoryError(
-                "snapshot linearizability search exceeded {} states".format(max_states)
-            )
-        if len(linearized) == n:
-            return True
-        remaining = [i for i in range(n) if i not in linearized]
-        if all(id(operations[i]) in optional_ids for i in remaining):
-            return True
-        for i in remaining:
-            if not preceders[i] <= linearized:
-                continue
-            op = operations[i]
-            if op.kind == WRITE_KIND:
-                next_state = apply_write(state, op.process_id, op.argument)
-                if search(linearized | {i}, next_state):
-                    witness.append(op)
-                    return True
-            else:
-                if scan_matches(op.result, state) and search(linearized | {i}, state):
-                    witness.append(op)
-                    return True
-        return False
-
-    ok = search(frozenset(), initial_state)
-    if ok:
-        witness.reverse()
-        return LinearizabilityResult(True, witness=witness, explored_states=explored)
-    return LinearizabilityResult(
-        False, explored_states=explored, reason="no valid snapshot linearization exists"
+    return search_linearization(
+        partition_history(history, SNAPSHOT),
+        SNAPSHOT,
+        tuple(initial_value for _ in segments),
+        apply,
+        max_states,
     )
 
 

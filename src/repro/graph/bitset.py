@@ -424,9 +424,8 @@ class BitsetDiGraph:
     def set_reaches_set(self, sources: int, targets: int) -> bool:
         """Whether every target bit is reachable from every source bit.
 
-        Mirrors :func:`repro.graph.connectivity.set_reaches_set`: all named
-        vertices must be present, and each source needs its own forward
-        closure (sources included as trivially self-reaching).
+        All named vertices must be present, and each source needs its own
+        forward closure (sources included as trivially self-reaching).
         """
         sources &= self.index.full_mask
         targets &= self.index.full_mask

@@ -17,9 +17,9 @@ large simulated networks do not hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..types import Channel, ProcessId, sorted_processes
+from ..types import Channel, ProcessId
 
 
 class DiGraph:
@@ -138,14 +138,6 @@ class DiGraph:
         """In-neighbours of ``v``, in deterministic edge-insertion order."""
         return tuple(self._pred.get(v, ()))
 
-    def out_degree(self, v: ProcessId) -> int:
-        """Number of out-neighbours of ``v``."""
-        return len(self._succ.get(v, ()))
-
-    def in_degree(self, v: ProcessId) -> int:
-        """Number of in-neighbours of ``v``."""
-        return len(self._pred.get(v, ()))
-
     def num_vertices(self) -> int:
         """Number of vertices."""
         return len(self._succ)
@@ -174,21 +166,6 @@ class DiGraph:
     # ------------------------------------------------------------------ #
     # Derived graphs
     # ------------------------------------------------------------------ #
-    def subgraph(self, vertices: Iterable[ProcessId]) -> "DiGraph":
-        """Return the subgraph induced on ``vertices``."""
-        keep = set(vertices)
-        g = DiGraph()
-        for v in self._succ:
-            if v in keep:
-                g.add_vertex(v)
-        for src, dsts in self._succ.items():
-            if src not in keep:
-                continue
-            for dst in dsts:
-                if dst in keep:
-                    g.add_edge(src, dst)
-        return g
-
     def without(
         self,
         vertices: Iterable[ProcessId] = (),
@@ -217,16 +194,6 @@ class DiGraph:
                 g.add_edge(src, dst)
         return g
 
-    def reverse(self) -> "DiGraph":
-        """Return the graph with every edge reversed."""
-        g = DiGraph()
-        for v in self._succ:
-            g.add_vertex(v)
-        for src, dsts in self._succ.items():
-            for dst in dsts:
-                g.add_edge(dst, src)
-        return g
-
     # ------------------------------------------------------------------ #
     # Factories
     # ------------------------------------------------------------------ #
@@ -245,12 +212,19 @@ class DiGraph:
                     g.add_edge(p, q)
         return g
 
-    def to_dot(self) -> str:
-        """Render the graph in GraphViz DOT format (for debugging/examples)."""
-        lines = ["digraph G {"]
-        for v in sorted_processes(self.vertices):
-            lines.append('  "{}";'.format(v))
-        for src, dst in sorted(self.edges(), key=lambda e: (repr(e[0]), repr(e[1]))):
-            lines.append('  "{}" -> "{}";'.format(src, dst))
-        lines.append("}")
-        return "\n".join(lines)
+
+def reachable_from(graph: DiGraph, sources: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
+    """Return every vertex reachable from any vertex in ``sources``.
+
+    Sources themselves are always included (a vertex reaches itself via the
+    empty path).  Sources that are not vertices of ``graph`` are ignored.
+    """
+    frontier = [v for v in sources if graph.has_vertex(v)]
+    seen: Set[ProcessId] = set(frontier)
+    while frontier:
+        v = frontier.pop()
+        for w in graph.successors(v):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)

@@ -16,8 +16,7 @@ quorums) and grid quorums (a classical non-threshold construction).
 from __future__ import annotations
 
 import itertools
-import math
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import (
     InvalidQuorumSystemError,
@@ -59,20 +58,29 @@ def _normalise_family(
     return tuple(seen)
 
 
-class QuorumSystem:
-    """A classical read/write quorum system ``(F, R, W)``.
+class QuorumTriple:
+    """A triple ``(F, R, W)``: what Definition 1, Definition 2 and QS+ share.
+
+    The three notions of quorum system state **Consistency** identically —
+    every read quorum intersects every write quorum — and differ only in
+    **Availability**.  This base holds the families, Consistency and the
+    validation driver; a subclass supplies :meth:`available_pair` and the
+    wording of its :class:`~repro.errors.QuorumAvailabilityError`.
 
     Parameters
     ----------
     fail_prone:
-        The fail-prone system ``F``.  It must not allow channel failures
-        between correct processes; otherwise Definition 1 does not apply and
-        :class:`~repro.errors.InvalidQuorumSystemError` is raised.
+        The fail-prone system ``F``.
     read_quorums / write_quorums:
         The families ``R`` and ``W``.
     validate:
-        When true (default) Consistency and Availability are checked eagerly.
+        When true (default), Consistency and Availability are checked eagerly
+        and an :class:`~repro.errors.InvalidQuorumSystemError` subclass is
+        raised on violation.
     """
+
+    #: Text of the availability error, formatted with the failing pattern.
+    _UNAVAILABLE: str
 
     def __init__(
         self,
@@ -81,15 +89,10 @@ class QuorumSystem:
         write_quorums: Iterable[Iterable[ProcessId]],
         validate: bool = True,
     ) -> None:
-        if fail_prone.allows_channel_failures():
-            raise InvalidQuorumSystemError(
-                "a classical quorum system requires a fail-prone system with no "
-                "channel failures between correct processes (Definition 1); "
-                "use GeneralizedQuorumSystem instead"
-            )
         self._fail_prone = fail_prone
         self._read_quorums = _normalise_family(read_quorums, fail_prone.processes)
         self._write_quorums = _normalise_family(write_quorums, fail_prone.processes)
+        self._family_masks: Optional[Tuple[List[int], List[int]]] = None
         if validate:
             self.check()
 
@@ -117,50 +120,64 @@ class QuorumSystem:
         return self._fail_prone.processes
 
     def __repr__(self) -> str:
-        return "QuorumSystem(n={}, |R|={}, |W|={})".format(
-            len(self.processes), len(self._read_quorums), len(self._write_quorums)
+        return "{}(n={}, |R|={}, |W|={})".format(
+            type(self).__name__,
+            len(self.processes),
+            len(self._read_quorums),
+            len(self._write_quorums),
         )
 
+    def _masks(self) -> Tuple[List[int], List[int]]:
+        """``(read masks, write masks)`` over the system's process index.
+
+        Encoded on first use, so a system built with ``validate=False`` and
+        never queried does not pay for it.
+        """
+        if self._family_masks is None:
+            mask_of = self._fail_prone.process_index.mask_of
+            self._family_masks = (
+                [mask_of(r) for r in self._read_quorums],
+                [mask_of(w) for w in self._write_quorums],
+            )
+        return self._family_masks
+
     # ------------------------------------------------------------------ #
-    # Definition 1 predicates
+    # Consistency (shared) and Availability (per definition)
     # ------------------------------------------------------------------ #
     def consistency_violations(self) -> List[Tuple[ProcessSet, ProcessSet]]:
         """Return every ``(R, W)`` pair with an empty intersection."""
+        read_masks, write_masks = self._masks()
         return [
-            (r, w)
-            for r in self._read_quorums
-            for w in self._write_quorums
-            if not (r & w)
+            (self._read_quorums[i], self._write_quorums[j])
+            for i, read_mask in enumerate(read_masks)
+            for j, write_mask in enumerate(write_masks)
+            if not read_mask & write_mask
         ]
 
     def is_consistent(self) -> bool:
         """Return whether every read quorum intersects every write quorum."""
         return not self.consistency_violations()
 
-    def available_quorums(
+    def available_pair(
         self, pattern: FailurePattern
     ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
-        """Return a ``(read, write)`` pair of all-correct quorums under ``pattern``.
+        """Return a ``(read, write)`` pair validating Availability under ``pattern``.
 
-        Returns ``None`` when no such pair exists.
+        ``None`` when no such pair exists.  This is the one method in which
+        the three definitions differ.
         """
-        correct = pattern.correct_processes(self.processes)
-        read = next((r for r in self._read_quorums if r <= correct), None)
-        write = next((w for w in self._write_quorums if w <= correct), None)
-        if read is None or write is None:
-            return None
-        return read, write
+        raise NotImplementedError
 
     def is_available(self, pattern: FailurePattern) -> bool:
         """Return whether Availability holds for ``pattern``."""
-        return self.available_quorums(pattern) is not None
+        return self.available_pair(pattern) is not None
 
     def availability_violations(self) -> List[FailurePattern]:
-        """Return the failure patterns with no available quorum pair."""
+        """Return the failure patterns for which Availability fails."""
         return [f for f in self._fail_prone if not self.is_available(f)]
 
     def check(self) -> None:
-        """Validate Definition 1, raising a descriptive error on violation."""
+        """Validate Consistency and Availability, raising a descriptive error."""
         bad_pairs = self.consistency_violations()
         if bad_pairs:
             r, w = bad_pairs[0]
@@ -171,17 +188,54 @@ class QuorumSystem:
             )
         bad_patterns = self.availability_violations()
         if bad_patterns:
-            raise QuorumAvailabilityError(
-                "no available read/write quorum pair under pattern {!r}".format(bad_patterns[0])
-            )
+            raise QuorumAvailabilityError(self._UNAVAILABLE.format(bad_patterns[0]))
 
     def is_valid(self) -> bool:
-        """Return whether the triple satisfies Definition 1."""
+        """Return whether the triple satisfies its definition."""
         try:
             self.check()
         except InvalidQuorumSystemError:
             return False
         return True
+
+
+class QuorumSystem(QuorumTriple):
+    """A classical read/write quorum system ``(F, R, W)`` (Definition 1).
+
+    The fail-prone system must not allow channel failures between correct
+    processes; otherwise Definition 1 does not apply and
+    :class:`~repro.errors.InvalidQuorumSystemError` is raised.  Availability:
+    for every failure pattern some read quorum and some write quorum consist
+    entirely of correct processes.
+    """
+
+    _UNAVAILABLE = "no available read/write quorum pair under pattern {!r}"
+
+    def __init__(
+        self,
+        fail_prone: FailProneSystem,
+        read_quorums: Iterable[Iterable[ProcessId]],
+        write_quorums: Iterable[Iterable[ProcessId]],
+        validate: bool = True,
+    ) -> None:
+        if fail_prone.allows_channel_failures():
+            raise InvalidQuorumSystemError(
+                "a classical quorum system requires a fail-prone system with no "
+                "channel failures between correct processes (Definition 1); "
+                "use GeneralizedQuorumSystem instead"
+            )
+        super().__init__(fail_prone, read_quorums, write_quorums, validate=validate)
+
+    def available_pair(
+        self, pattern: FailurePattern
+    ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
+        """Return a ``(read, write)`` pair of all-correct quorums under ``pattern``."""
+        correct = pattern.correct_processes(self.processes)
+        read = next((r for r in self._read_quorums if r <= correct), None)
+        write = next((w for w in self._write_quorums if w <= correct), None)
+        if read is None or write is None:
+            return None
+        return read, write
 
 
 # ---------------------------------------------------------------------- #

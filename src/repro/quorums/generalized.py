@@ -29,15 +29,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    InvalidQuorumSystemError,
-    QuorumAvailabilityError,
-    QuorumConsistencyError,
-)
+from ..errors import InvalidQuorumSystemError
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import component_containing
 from ..types import ProcessId, ProcessSet, sorted_processes
-from .classical import QuorumFamily, QuorumSystem, _normalise_family
+from .classical import QuorumSystem, QuorumTriple
 
 
 # ---------------------------------------------------------------------- #
@@ -115,21 +111,18 @@ def is_f_reachable(
     return fail_prone.residual_bitset(pattern).set_reaches_set(read_mask, write_mask)
 
 
-class GeneralizedQuorumSystem:
+class GeneralizedQuorumSystem(QuorumTriple):
     """A generalized quorum system ``(F, R, W)`` (Definition 2).
 
-    Parameters
-    ----------
-    fail_prone:
-        The fail-prone system ``F`` (may allow arbitrary process/channel
-        failure patterns).
-    read_quorums / write_quorums:
-        The families ``R`` and ``W``.
-    validate:
-        When true (default), Consistency and Availability are checked eagerly
-        and an :class:`~repro.errors.InvalidQuorumSystemError` subclass is
-        raised on violation.
+    The fail-prone system may allow arbitrary process/channel failure
+    patterns.  Consistency is that of Definition 1; Availability asks, per
+    failure pattern ``f``, for an ``f``-available write quorum that is
+    ``f``-reachable from some read quorum.
     """
+
+    _UNAVAILABLE = (
+        "no f-available write quorum reachable from a read quorum under pattern {!r}"
+    )
 
     def __init__(
         self,
@@ -138,36 +131,8 @@ class GeneralizedQuorumSystem:
         write_quorums: Iterable[Iterable[ProcessId]],
         validate: bool = True,
     ) -> None:
-        self._fail_prone = fail_prone
-        self._read_quorums = _normalise_family(read_quorums, fail_prone.processes)
-        self._write_quorums = _normalise_family(write_quorums, fail_prone.processes)
+        super().__init__(fail_prone, read_quorums, write_quorums, validate=validate)
         self._u_cache: Dict[FailurePattern, ProcessSet] = {}
-        self._family_masks: Optional[Tuple[List[int], List[int]]] = None
-        if validate:
-            self.check()
-
-    # ------------------------------------------------------------------ #
-    # Accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def fail_prone(self) -> FailProneSystem:
-        """The fail-prone system ``F``."""
-        return self._fail_prone
-
-    @property
-    def read_quorums(self) -> QuorumFamily:
-        """The read-quorum family ``R``."""
-        return self._read_quorums
-
-    @property
-    def write_quorums(self) -> QuorumFamily:
-        """The write-quorum family ``W``."""
-        return self._write_quorums
-
-    @property
-    def processes(self) -> ProcessSet:
-        """The process set ``P``."""
-        return self._fail_prone.processes
 
     def __repr__(self) -> str:
         return "GeneralizedQuorumSystem(n={}, |F|={}, |R|={}, |W|={})".format(
@@ -176,37 +141,6 @@ class GeneralizedQuorumSystem:
             len(self._read_quorums),
             len(self._write_quorums),
         )
-
-    # ------------------------------------------------------------------ #
-    # Definition 2 predicates
-    # ------------------------------------------------------------------ #
-    def _masks(self) -> Tuple[List[int], List[int]]:
-        """``(read masks, write masks)`` over the system's process index.
-
-        Encoded on first use, so a system built with ``validate=False`` and
-        never queried does not pay for it.
-        """
-        if self._family_masks is None:
-            mask_of = self._fail_prone.process_index.mask_of
-            self._family_masks = (
-                [mask_of(r) for r in self._read_quorums],
-                [mask_of(w) for w in self._write_quorums],
-            )
-        return self._family_masks
-
-    def consistency_violations(self) -> List[Tuple[ProcessSet, ProcessSet]]:
-        """Return every ``(R, W)`` pair with an empty intersection."""
-        read_masks, write_masks = self._masks()
-        return [
-            (self._read_quorums[i], self._write_quorums[j])
-            for i, read_mask in enumerate(read_masks)
-            for j, write_mask in enumerate(write_masks)
-            if not read_mask & write_mask
-        ]
-
-    def is_consistent(self) -> bool:
-        """Return whether every read quorum intersects every write quorum."""
-        return not self.consistency_violations()
 
     def available_pair(
         self, pattern: FailurePattern
@@ -222,39 +156,6 @@ class GeneralizedQuorumSystem:
                 if not read_mask & ~readers:
                     return self._read_quorums[i], self._write_quorums[j]
         return None
-
-    def is_available(self, pattern: FailurePattern) -> bool:
-        """Return whether Availability holds for ``pattern``."""
-        return self.available_pair(pattern) is not None
-
-    def availability_violations(self) -> List[FailurePattern]:
-        """Return the failure patterns for which Availability fails."""
-        return [f for f in self._fail_prone if not self.is_available(f)]
-
-    def check(self) -> None:
-        """Validate Definition 2, raising a descriptive error on violation."""
-        bad_pairs = self.consistency_violations()
-        if bad_pairs:
-            r, w = bad_pairs[0]
-            raise QuorumConsistencyError(
-                "read quorum {} does not intersect write quorum {}".format(
-                    sorted_processes(r), sorted_processes(w)
-                )
-            )
-        bad_patterns = self.availability_violations()
-        if bad_patterns:
-            raise QuorumAvailabilityError(
-                "no f-available write quorum reachable from a read quorum "
-                "under pattern {!r}".format(bad_patterns[0])
-            )
-
-    def is_valid(self) -> bool:
-        """Return whether the triple satisfies Definition 2."""
-        try:
-            self.check()
-        except InvalidQuorumSystemError:
-            return False
-        return True
 
     # ------------------------------------------------------------------ #
     # Proposition 1: the component U_f

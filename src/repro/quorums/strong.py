@@ -12,20 +12,15 @@ QS+ (experiment E6).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..errors import (
-    InvalidQuorumSystemError,
-    QuorumAvailabilityError,
-    QuorumConsistencyError,
-)
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import component_containing, popcount
-from ..types import ProcessId, ProcessSet, sorted_processes
-from .classical import QuorumFamily, _normalise_family
+from ..types import ProcessSet
+from .classical import QuorumTriple
 
 
-class StrongQuorumSystem:
+class StrongQuorumSystem(QuorumTriple):
     """A quorum system with strongly-connected Availability (the QS+ of §1).
 
     Consistency is as in Definitions 1 and 2.  Availability requires, for every
@@ -34,94 +29,21 @@ class StrongQuorumSystem:
     the residual graph ``G \\ f``.
     """
 
-    def __init__(
-        self,
-        fail_prone: FailProneSystem,
-        read_quorums: Iterable[Iterable[ProcessId]],
-        write_quorums: Iterable[Iterable[ProcessId]],
-        validate: bool = True,
-    ) -> None:
-        self._fail_prone = fail_prone
-        self._read_quorums = _normalise_family(read_quorums, fail_prone.processes)
-        self._write_quorums = _normalise_family(write_quorums, fail_prone.processes)
-        if validate:
-            self.check()
-
-    @property
-    def fail_prone(self) -> FailProneSystem:
-        """The fail-prone system ``F``."""
-        return self._fail_prone
-
-    @property
-    def read_quorums(self) -> QuorumFamily:
-        """The read-quorum family."""
-        return self._read_quorums
-
-    @property
-    def write_quorums(self) -> QuorumFamily:
-        """The write-quorum family."""
-        return self._write_quorums
-
-    def __repr__(self) -> str:
-        return "StrongQuorumSystem(n={}, |R|={}, |W|={})".format(
-            len(self._fail_prone.processes), len(self._read_quorums), len(self._write_quorums)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Predicates
-    # ------------------------------------------------------------------ #
-    def consistency_violations(self) -> List[Tuple[ProcessSet, ProcessSet]]:
-        """Return every ``(R, W)`` pair with an empty intersection."""
-        return [
-            (r, w)
-            for r in self._read_quorums
-            for w in self._write_quorums
-            if not (r & w)
-        ]
+    _UNAVAILABLE = "no strongly connected read/write quorum pair under {!r}"
 
     def available_pair(
         self, pattern: FailurePattern
     ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
         """A ``(read, write)`` pair whose union is correct and strongly connected."""
-        mask_of = self._fail_prone.process_index.mask_of
         components = self._fail_prone.residual_bitset(pattern).scc_masks()
-        read_masks = [mask_of(r) for r in self._read_quorums]
-        for w in self._write_quorums:
-            write_mask = mask_of(w)
+        read_masks, write_masks = self._masks()
+        for w, write_mask in zip(self._write_quorums, write_masks):
             for r, read_mask in zip(self._read_quorums, read_masks):
                 # Crashed processes belong to no component, so containment in
                 # one component also certifies that both quorums are correct.
                 if component_containing(components, read_mask | write_mask) is not None:
                     return r, w
         return None
-
-    def is_available(self, pattern: FailurePattern) -> bool:
-        """Return whether strongly-connected Availability holds for ``pattern``."""
-        return self.available_pair(pattern) is not None
-
-    def check(self) -> None:
-        """Validate the QS+ conditions, raising on violation."""
-        bad_pairs = self.consistency_violations()
-        if bad_pairs:
-            r, w = bad_pairs[0]
-            raise QuorumConsistencyError(
-                "read quorum {} does not intersect write quorum {}".format(
-                    sorted_processes(r), sorted_processes(w)
-                )
-            )
-        for f in self._fail_prone:
-            if not self.is_available(f):
-                raise QuorumAvailabilityError(
-                    "no strongly connected read/write quorum pair under {!r}".format(f)
-                )
-
-    def is_valid(self) -> bool:
-        """Return whether the triple satisfies Consistency and strong Availability."""
-        try:
-            self.check()
-        except InvalidQuorumSystemError:
-            return False
-        return True
 
 
 def strong_choice_exists(components_per_pattern: Sequence[Sequence[int]]) -> bool:

@@ -16,14 +16,9 @@ Checker selection (``--checker``):
 ``wing-gong``
     Force the complete Wing–Gong search for register traces (the slow,
     trusted path — useful to cross-examine the witness checker).
-``dep-graph``
-    The dependency-graph witness path with automatic fallback (explicitly;
-    for registers this is what ``auto`` already does).
-``streaming``
-    The incremental forward-closure checker fed in invocation order.
 
-Non-register protocols have a single decision procedure each, so every
-checker choice routes them through their ``auto`` path.
+Non-register protocols have a single decision procedure each, so both
+choices route them through their ``auto`` path.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.metrics import ResultTable
 from ..engine import ParallelRunner, ProgressCallback
-from ..errors import ReproError
+from ..errors import HistoryError, ReproError
 from ..registry import CHECKERS, register_checker
 from .store import Trace, list_trace_files, load_trace
 
@@ -59,17 +54,6 @@ CHECK_COLUMNS = (
     "explored",
     "checker",
 )
-
-
-def _check_register(trace: Trace, checker: str) -> Dict[str, Any]:
-    """A forced register checker choice (``auto``/``dep-graph`` use the shared
-    dispatch in :func:`_check_auto`)."""
-    from ..checkers import check_register_linearizability
-
-    mode = "streaming" if checker == "streaming" else "batch"
-    outcome = check_register_linearizability(trace.history, initial_value=0, mode=mode)
-    return {"safe": outcome.is_linearizable, "explored": outcome.explored_states,
-            "checker": checker}
 
 
 def _check_auto(trace: Trace) -> Dict[str, Any]:
@@ -96,16 +80,16 @@ def _check_auto(trace: Trace) -> Dict[str, Any]:
     }
 
 
-def _forced_register_checker(mode: str):
-    """A checker that forces a register-specific algorithm; other protocols
-    have a single decision procedure each and route through ``auto``."""
-
-    def judge(trace: Trace) -> Dict[str, Any]:
-        if trace.protocol == "register":
-            return _check_register(trace, mode)
+def _check_wing_gong(trace: Trace) -> Dict[str, Any]:
+    """Force the complete search on register traces; other protocols have a
+    single decision procedure each and route through ``auto``."""
+    if trace.protocol != "register":
         return _check_auto(trace)
+    from ..checkers import check_register_linearizability
 
-    return judge
+    outcome = check_register_linearizability(trace.history, initial_value=0)
+    return {"safe": outcome.is_linearizable, "explored": outcome.explored_states,
+            "checker": "wing-gong"}
 
 
 register_checker(
@@ -115,23 +99,19 @@ register_checker(
 )
 register_checker(
     "wing-gong",
-    judge=_forced_register_checker("wing-gong"),
+    judge=_check_wing_gong,
     doc="force the complete Wing-Gong search for register traces",
 )
-register_checker(
-    "dep-graph",
-    judge=_check_auto,
-    doc="the dependency-graph witness path with automatic fallback (what auto does)",
-)
-register_checker(
-    "streaming",
-    judge=_forced_register_checker("streaming"),
-    doc="the incremental forward-closure register checker, fed in invocation order",
-)
+
 
 def check_trace(trace: Trace, checker: str = "auto") -> Dict[str, Any]:
     """Re-verify one parsed trace; returns a verdict-table row."""
-    outcome = CHECKERS.get(checker).builder(trace)
+    try:
+        outcome = CHECKERS.get(checker).builder(trace)
+    except HistoryError as error:
+        # A history no checker can judge (a foreign operation kind, a search
+        # past its state bound) is reported against the file it came from.
+        raise HistoryError("{}: {}".format(trace.path, error)) from error
     recorded = trace.recorded_safe
     return {
         "trace": os.path.basename(trace.path),

@@ -7,11 +7,13 @@ not installed): the differential batteries in ``tests/`` and the speedup
 benchmarks in ``benchmarks/`` import them via their conftests.
 
 Everything in this package is written on :class:`~repro.graph.DiGraph` and the
-set-based functions of :mod:`repro.graph.connectivity` only.  It must never
+set-based functions of :mod:`oracles.graph` only.  It must never
 import :mod:`repro.graph.bitset`, :mod:`repro.montecarlo.bitsampler` or any
 mask-level helper — an oracle that shares code with what it checks checks
 nothing (``tests/test_surface.py`` enforces this).
 
+* :mod:`oracles.graph` — set-based reachability, Tarjan SCCs, condensation
+  and the mutual-reachability predicates, on ``DiGraph`` vertex sets;
 * :mod:`oracles.predicates` — the two availability predicates of §3, the
   set-based Definition 2 validator and the component ``U_f``;
 * :mod:`oracles.discovery` — Tarjan-based candidate enumeration, the
@@ -19,9 +21,12 @@ nothing (``tests/test_surface.py`` enforces this).
 * :mod:`oracles.montecarlo` — object-per-pattern samplers and shards, run
   through the production spec builders and merge functions.
 
-One oracle belongs to the simulator instead: :mod:`oracles.sim` carries the
-single-heap ``Event`` scheduler and the poll-after-every-delivery
-``Process.deliver`` that :mod:`repro.sim` replaced, with a context manager
-that swaps them in.  Its rule is the same in spirit — it imports nothing from
-:mod:`repro.sim.events`.
+Two oracles belong to other layers.  :mod:`oracles.linearizability` holds
+what the one Wing–Gong search of :mod:`repro.checkers` is compared with — the
+permutation brute-forcers for registers and snapshots and the streaming
+forward-closure register checker — and imports nothing of the search itself.
+:mod:`oracles.sim` carries the single-heap ``Event`` scheduler and the
+poll-after-every-delivery ``Process.deliver`` that :mod:`repro.sim` replaced,
+with a context manager that swaps them in.  Its rule is the same in spirit —
+it imports nothing from :mod:`repro.sim.events`.
 """

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.failures import FailProneSystem, FailurePattern
-from repro.graph.connectivity import can_reach, strongly_connected_components
 from repro.types import ProcessSet, sort_key, sorted_processes
 
 from . import predicates
+from .graph import can_reach, strongly_connected_components
 
 
 @dataclass(frozen=True)

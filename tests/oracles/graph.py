@@ -1,6 +1,7 @@
-"""Connectivity algorithms used by the quorum-system machinery.
+"""Set-based connectivity algorithms: the oracle the bitmask view is tested against.
 
-Everything the paper needs from graph theory is provided here:
+Everything the paper needs from graph theory, written the obvious way on
+:class:`~repro.graph.DiGraph` vertex sets:
 
 * forward/backward reachability (:func:`reachable_from`, :func:`can_reach`);
 * strongly connected components via an iterative Tarjan algorithm
@@ -9,14 +10,19 @@ Everything the paper needs from graph theory is provided here:
 * convenience predicates :func:`is_strongly_connected`,
   :func:`mutually_reachable` and :func:`set_reaches_set` that map directly
   onto the paper's ``f``-availability and ``f``-reachability.
+
+Production code decides on :class:`~repro.graph.BitsetDiGraph` masks and calls
+none of these.  :func:`reachable_from` is this module's own copy (the package
+exports one too), so the oracle shares nothing but the ``DiGraph`` container
+with what ships.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from ..types import ProcessId
-from .digraph import DiGraph
+from repro.graph import DiGraph
+from repro.types import ProcessId
 
 
 def reachable_from(graph: DiGraph, sources: Iterable[ProcessId]) -> FrozenSet[ProcessId]:

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import ExperimentSpec, ParallelRunner, ShardSpec
 from repro.failures import FailProneSystem, FailurePattern
-from repro.graph.connectivity import mutually_reachable
 from repro.montecarlo import (
     AdmissibilityPoint,
     ReliabilityEstimate,
@@ -34,6 +33,7 @@ from repro.montecarlo.reliability import _merge_reliability, _reliability_spec
 from repro.types import ProcessId
 
 from .discovery import discover_naive, strong_system_exists_reference
+from .graph import mutually_reachable
 from .predicates import is_f_available, is_f_reachable
 
 

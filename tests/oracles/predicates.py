@@ -12,12 +12,13 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QuorumAvailabilityError, QuorumConsistencyError
 from repro.failures import FailProneSystem, FailurePattern
-from repro.graph.connectivity import (
+from repro.types import ProcessId, ProcessSet, sorted_processes
+
+from .graph import (
     mutually_reachable,
     set_reaches_set,
     strongly_connected_components,
 )
-from repro.types import ProcessId, ProcessSet, sorted_processes
 
 Family = Sequence[ProcessSet]
 

@@ -1,16 +1,22 @@
-"""Property-based differential tests for the register linearizability checkers.
+"""Property-based differential tests for the linearizability checkers.
 
-Four independent implementations must always agree on small random histories:
+The one Wing–Gong search has two clients, and each gets an oracle.
 
-* the Wing–Gong memoized search (``check_register_linearizability``, batch);
-* the streaming forward-closure checker (``mode="streaming"``);
+Registers — four independent implementations must always agree on small
+random histories:
+
+* the Wing–Gong memoized search (``check_register_linearizability``);
+* the streaming forward-closure checker (``oracles.linearizability``);
 * the exhaustive dependency-graph criterion (Appendix B, Theorem 7): *some*
   permutation of the writes makes the dependency graph acyclic;
 * a brute-force oracle that enumerates every permutation of the operations
   (and every subset of the incomplete writes) and replays register semantics.
 
+Snapshots — ``check_snapshot_linearizability`` against the same kind of
+permutation brute-forcer replaying segment semantics.
+
 Histories are generated with up to 6 operations and unique written values, so
-the oracle's factorial enumeration stays tiny.  ``derandomize=True`` pins the
+the oracles' factorial enumeration stays tiny.  ``derandomize=True`` pins the
 Hypothesis example stream: a failure reproduces identically on every run,
 with no database or external seed involved.
 """
@@ -23,9 +29,16 @@ from repro.checkers import (
     DependencyGraphChecker,
     check_register_linearizability,
     check_register_witness_first,
+    check_snapshot_linearizability,
 )
 from repro.errors import HistoryError
 from repro.history import History, OperationRecord
+
+from oracles.linearizability import (
+    brute_force_linearizable,
+    brute_force_snapshot_linearizable,
+    check_streaming,
+)
 
 INITIAL = 0
 GARBAGE = 999  # never written, never the initial value
@@ -82,35 +95,6 @@ def random_register_history(draw, allow_incomplete=False, allow_initial_write=Fa
 # --------------------------------------------------------------------------- #
 # Reference implementations
 # --------------------------------------------------------------------------- #
-def brute_force_linearizable(history, initial_value=INITIAL):
-    """Enumerate permutations (and incomplete-write subsets) exhaustively."""
-    complete = [r for r in history if r.is_complete]
-    optional = [r for r in history if not r.is_complete and r.kind == "write"]
-    for keep_count in range(len(optional) + 1):
-        for kept in itertools.combinations(optional, keep_count):
-            ops = complete + list(kept)
-            for order in itertools.permutations(ops):
-                # Real-time order must be respected within the permutation.
-                if any(
-                    order[j].precedes(order[i])
-                    for i in range(len(order))
-                    for j in range(i + 1, len(order))
-                ):
-                    continue
-                value = initial_value
-                for op in order:
-                    if op.kind == "write":
-                        value = op.argument
-                    elif op.result != value:
-                        break
-                else:
-                    return True
-    # Note the empty permutation (no complete ops, nothing kept) is generated
-    # by the loops above and accepts, so the vacuous case needs no special
-    # handling here.
-    return False
-
-
 brute_force = brute_force_linearizable
 
 
@@ -139,7 +123,7 @@ def dep_graph_exhaustive(history, initial_value=INITIAL):
 def test_all_checkers_agree_on_complete_histories(history):
     oracle = brute_force(history)
     wing_gong = check_register_linearizability(history, initial_value=INITIAL)
-    streaming = check_register_linearizability(history, initial_value=INITIAL, mode="streaming")
+    streaming = check_streaming(history, initial_value=INITIAL)
     witness_first = check_register_witness_first(history, initial_value=INITIAL)
     graph = dep_graph_exhaustive(history)
     assert wing_gong.is_linearizable == oracle
@@ -156,7 +140,7 @@ def test_checkers_agree_with_oracle_under_incomplete_operations(history):
     checkers and the witness-first path must still match the oracle."""
     oracle = brute_force(history)
     wing_gong = check_register_linearizability(history, initial_value=INITIAL)
-    streaming = check_register_linearizability(history, initial_value=INITIAL, mode="streaming")
+    streaming = check_streaming(history, initial_value=INITIAL)
     witness_first = check_register_witness_first(history, initial_value=INITIAL)
     assert wing_gong.is_linearizable == oracle
     assert streaming.is_linearizable == oracle
@@ -175,7 +159,7 @@ def test_checkers_agree_when_the_initial_value_is_rewritten(history):
     stays exact because a failed witness falls back to the full search)."""
     oracle = brute_force(history)
     wing_gong = check_register_linearizability(history, initial_value=INITIAL)
-    streaming = check_register_linearizability(history, initial_value=INITIAL, mode="streaming")
+    streaming = check_streaming(history, initial_value=INITIAL)
     witness_first = check_register_witness_first(history, initial_value=INITIAL)
     assert wing_gong.is_linearizable == oracle
     assert streaming.is_linearizable == oracle
@@ -195,3 +179,85 @@ def test_accepted_witnesses_replay_sequentially(history):
             value = op.argument
         else:
             assert op.result == value
+
+
+# --------------------------------------------------------------------------- #
+# Snapshots: the search's second client against its own brute-forcer
+# --------------------------------------------------------------------------- #
+SEGMENTS = ("p0", "p1", "p2")
+
+
+@st.composite
+def random_snapshot_history(draw, allow_incomplete=False):
+    """A small SWMR snapshot history over up to three segments.
+
+    Every write carries a value unique to it; a scan's result is drawn per
+    segment from the initial value, the values written to that segment and
+    (rarely) a garbage value, or is malformed outright (a missing segment) —
+    so linearizable and non-linearizable histories both occur.  Operation
+    intervals come from the same coarse grid as the register strategy.
+    """
+    segments = SEGMENTS[: draw(st.integers(min_value=1, max_value=3))]
+    num_ops = draw(st.integers(min_value=1, max_value=6))
+    num_writes = draw(st.integers(min_value=0, max_value=min(4, num_ops)))
+    written = {segment: [] for segment in segments}
+    records = []
+    for index in range(num_ops):
+        start = draw(st.integers(min_value=0, max_value=12)) / 2.0
+        length = draw(st.integers(min_value=1, max_value=8)) / 2.0
+        pid = draw(st.sampled_from(segments))
+        incomplete = allow_incomplete and draw(st.integers(min_value=0, max_value=3)) == 0
+        end = None if incomplete else start + length
+        if index < num_writes:
+            written[pid].append(index + 1)
+            records.append(
+                OperationRecord(
+                    pid, "snapshot_write", index + 1, None if incomplete else "ack",
+                    start, end, op_id=index,
+                )
+            )
+            continue
+        result = None
+        if not incomplete:
+            result = {
+                segment: draw(st.sampled_from([None] + written[segment] + [GARBAGE]))
+                for segment in segments
+            }
+            if draw(st.integers(min_value=0, max_value=9)) == 0:
+                del result[segments[0]]
+        records.append(OperationRecord(pid, "snapshot_scan", None, result, start, end, op_id=index))
+    return segments, History(records)
+
+
+def _assert_snapshot_checker_matches_oracle(segments, history):
+    oracle = brute_force_snapshot_linearizable(history, segments)
+    outcome = check_snapshot_linearizability(history, segment_ids=segments)
+    assert outcome.is_linearizable == oracle
+    if not outcome.is_linearizable:
+        assert outcome.reason == "no valid snapshot linearization exists"
+        return
+    # The witness replays sequentially, respects real time, linearizes every
+    # complete operation and nothing but complete operations or kept writes.
+    contents = {segment: None for segment in segments}
+    for position, op in enumerate(outcome.witness):
+        assert not any(later.precedes(op) for later in outcome.witness[position + 1 :])
+        if op.kind == "snapshot_write":
+            contents[op.process_id] = op.argument
+        else:
+            assert op.is_complete and op.result == contents
+    complete = [record for record in history if record.is_complete]
+    assert all(record in outcome.witness for record in complete)
+
+
+@given(random_snapshot_history(allow_incomplete=False))
+@SETTINGS
+def test_snapshot_checker_agrees_with_oracle_on_complete_histories(case):
+    _assert_snapshot_checker_matches_oracle(*case)
+
+
+@given(random_snapshot_history(allow_incomplete=True))
+@SETTINGS
+def test_snapshot_checker_agrees_with_oracle_under_incomplete_operations(case):
+    """Crashed writers' segments may or may not change; pending scans impose
+    no constraint and never appear in a witness."""
+    _assert_snapshot_checker_matches_oracle(*case)

@@ -2,21 +2,22 @@
 
 Linearizability treats operations that never returned specially: a crashed
 writer's write *may or may not* have taken effect, and a pending read imposes
-no constraint at all.  These tests pin that behaviour in both the batch
-(Wing–Gong) and streaming register paths, in the witness-first path, and in
-the snapshot checker.
+no constraint at all.  These tests pin that behaviour in the Wing–Gong search,
+in the witness-first path, in the snapshot checker, and in the streaming
+reference checker (``oracles.linearizability``) the search is compared with.
 """
 
 import pytest
 
 from repro.checkers import (
-    StreamingRegisterChecker,
     check_register_linearizability,
     check_register_witness_first,
     check_snapshot_linearizability,
 )
 from repro.errors import HistoryError
 from repro.history import History, OperationRecord
+
+from oracles.linearizability import StreamingRegisterChecker, check_streaming
 
 
 def op(pid, kind, arg, result, start, end, op_id=0):
@@ -26,9 +27,7 @@ def op(pid, kind, arg, result, start, end, op_id=0):
 def verdicts(history, initial_value=0):
     """The three register paths' verdicts, asserted equal, returned once."""
     batch = check_register_linearizability(history, initial_value=initial_value)
-    streaming = check_register_linearizability(
-        history, initial_value=initial_value, mode="streaming"
-    )
+    streaming = check_streaming(history, initial_value=initial_value)
     witness = check_register_witness_first(history, initial_value=initial_value)
     assert batch.is_linearizable == streaming.is_linearizable == witness.is_linearizable
     return batch
@@ -164,7 +163,7 @@ def test_streaming_no_false_latch_when_initial_value_is_rewritten():
         op("c", "write", 0, "ack", 3.0, 4.0, op_id=3),
     ])
     assert check_register_linearizability(h, initial_value=0).is_linearizable
-    assert check_register_linearizability(h, initial_value=0, mode="streaming").is_linearizable
+    assert check_streaming(h, initial_value=0).is_linearizable
 
     checker = StreamingRegisterChecker(initial_value=0, distinct_writes=True)
     for record in sorted(h.records, key=lambda r: r.invoked_at):

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.checkers import DependencyGraphChecker, check_register_linearizability
+from repro.checkers import (
+    DependencyGraphChecker,
+    check_register_linearizability,
+    check_register_witness_first,
+)
 from repro.errors import HistoryError
 from repro.history import History, OperationRecord
 
@@ -129,10 +133,38 @@ def test_non_register_operation_rejected():
         check_register_linearizability(h)
 
 
+@pytest.mark.parametrize(
+    "check", [check_register_linearizability, check_register_witness_first]
+)
+def test_foreign_operation_kind_is_rejected_by_every_register_path(check):
+    """Regression: the witness path filters by kind, so it used to certify a
+    history after ignoring every operation it did not understand."""
+    h = history(
+        op("a", "snapshot_write", 1, "ack", 0, 1, op_id=1),
+        op("b", "rea", None, 7, 2, 3, op_id=2),
+    )
+    with pytest.raises(HistoryError) as raised:
+        check(h)
+    assert str(raised.value) == (
+        "register histories may only contain read/write operations, got 'snapshot_write'"
+    )
+
+
 def test_state_bound_guard():
     records = [op("p{}".format(i), "write", i, "ack", 0, 100, op_id=i) for i in range(12)]
-    with pytest.raises(HistoryError):
+    with pytest.raises(HistoryError) as raised:
         check_register_linearizability(History(records), max_states=10)
+    assert str(raised.value) == "linearizability search exceeded 10 states; history too large"
+
+
+def test_the_search_has_no_selector():
+    """One complete search: no ``mode=`` picks a formulation, and the
+    witness-first path takes no caller-supplied write order."""
+    h = history(op("a", "write", 1, "ack", 0, 1))
+    with pytest.raises(TypeError):
+        check_register_linearizability(h, mode="streaming")
+    with pytest.raises(TypeError):
+        check_register_witness_first(h, versions={0: 1})
 
 
 # --------------------------------------------------------------------------- #
@@ -144,7 +176,8 @@ def test_dependency_graph_accepts_correct_write_order():
     r1 = op("c", "read", None, 2, 4, 5, op_id=3)
     checker = DependencyGraphChecker(history(w1, w2, r1), initial_value=0)
     assert checker.check([w1, w2])
-    assert checker.check_with_version_order({1: (1, 1), 2: (2, 2)})
+    versions = {1: (1, 1), 2: (2, 2)}  # the protocol's order, as Figure 4 tags writes
+    assert checker.check(sorted(checker.writes, key=lambda w: versions[w.op_id]))
 
 
 def test_dependency_graph_rejects_wrong_write_order():

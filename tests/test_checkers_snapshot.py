@@ -93,16 +93,25 @@ def test_incomplete_write_optional():
 
 
 def test_write_by_unknown_segment_owner_rejected():
-    with pytest.raises(HistoryError):
+    with pytest.raises(HistoryError, match="^write by unknown segment owner 'z'$"):
         check(write("z", "x", 0, 1), scan("a", {"a": None, "b": None}, 2, 3))
 
 
 def test_wrong_operation_kind_rejected():
-    with pytest.raises(HistoryError):
+    with pytest.raises(HistoryError) as raised:
         check_snapshot_linearizability(
             History([OperationRecord("a", "read", None, None, 0, 1)]),
             segment_ids=SEGMENTS,
         )
+    assert str(raised.value) == (
+        "snapshot histories may only contain snapshot_write/snapshot_scan operations, got 'read'"
+    )
+
+
+def test_state_bound_guard_keeps_the_snapshot_wording():
+    records = [write("a", value, 0, 100) for value in range(6)]
+    with pytest.raises(HistoryError, match="^snapshot linearizability search exceeded 3 states$"):
+        check_snapshot_linearizability(History(records), segment_ids=SEGMENTS, max_states=3)
 
 
 def test_scans_totally_ordered_helper():

@@ -124,8 +124,18 @@ def test_unknown_checker_rejected_by_generated_choices(capsys, tmp_path):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "invalid choice: 'wing-gog'" in err
-    for kind in ("auto", "wing-gong", "dep-graph", "streaming"):
+    for kind in ("auto", "wing-gong"):
         assert kind in err
+    assert "streaming" not in err and "dep-graph" not in err
+
+
+@pytest.mark.parametrize("removed", ["streaming", "dep-graph"])
+def test_removed_checker_names_are_ordinary_usage_errors(capsys, tmp_path, removed):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", str(tmp_path), "--checker", removed])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid choice: '{}'".format(removed) in err
 
 
 def test_unknown_plugin_module_golden_message(capsys):

@@ -26,7 +26,7 @@ BUILTIN_NAMES = {
         "random", "large-threshold", "multi-region",
     ],
     "DELAY_MODELS": ["fixed", "uniform", "partial-synchrony", "schedule-override"],
-    "CHECKERS": ["auto", "wing-gong", "dep-graph", "streaming"],
+    "CHECKERS": ["auto", "wing-gong"],
     "SCENARIOS": [
         "geo-replication", "unidirectional-ring", "adversarial-partition", "churn-at-gst",
         "partial-synchrony-stress", "heavy-contention-register", "lattice-fan-in",

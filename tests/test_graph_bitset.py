@@ -1,7 +1,7 @@
 """Tests for the bitmask graph view (:mod:`repro.graph.bitset`).
 
 The bitmask layer must agree exactly with the set-based algorithms in
-:mod:`repro.graph.connectivity` — it is a faster representation, never a
+:mod:`oracles.graph` — it is a faster representation, never a
 different semantics — so most tests here are differential over random graphs.
 """
 
@@ -15,14 +15,13 @@ from repro.graph import (
     DiGraph,
     MaskReindex,
     ProcessIndex,
-    can_reach,
     closure_mask,
     component_masks,
     iter_bits,
     popcount,
-    reachable_from,
-    strongly_connected_components,
 )
+
+from oracles.graph import can_reach, reachable_from, strongly_connected_components
 
 
 def _random_digraph(rng, n, edge_prob):
@@ -171,7 +170,7 @@ def test_residual_masks_equals_named_residual():
 
 
 def test_set_reaches_set_matches_connectivity():
-    from repro.graph import set_reaches_set as slow_set_reaches_set
+    from oracles.graph import set_reaches_set as slow_set_reaches_set
 
     rng = random.Random(23)
     for _ in range(20):
@@ -333,7 +332,7 @@ def test_reindexed_graph_matches_a_rebuild_and_carries_components():
 @settings(max_examples=200, deadline=None)
 def test_closure_and_component_functions_agree_with_class_and_set_oracle(n, data):
     """``(vertex mask, rows)`` in, the same answers as the graph class and as
-    the set-based ``graph.connectivity`` algorithms out — absent vertices,
+    the set-based ``oracles.graph`` algorithms out — absent vertices,
     empty graphs, complete graphs and everything in between."""
     index = ProcessIndex(range(n))
     vertices = data.draw(st.integers(0, index.full_mask))

@@ -1,7 +1,10 @@
-"""Tests for reachability and SCC algorithms (:mod:`repro.graph.connectivity`)."""
+"""Tests for the set-based reachability and SCC algorithms (:mod:`oracles.graph`),
+and for the one of them the package still exports."""
 
-from repro.graph import (
-    DiGraph,
+from repro import graph as shipped
+from repro.graph import DiGraph
+
+from oracles.graph import (
     can_reach,
     condensation,
     has_path,
@@ -21,13 +24,15 @@ def chain(*vertices):
 
 def test_reachable_from_simple_chain():
     g = chain("a", "b", "c")
-    assert reachable_from(g, ["a"]) == frozenset({"a", "b", "c"})
-    assert reachable_from(g, ["c"]) == frozenset({"c"})
+    for reach in (reachable_from, shipped.reachable_from):
+        assert reach(g, ["a"]) == frozenset({"a", "b", "c"})
+        assert reach(g, ["c"]) == frozenset({"c"})
 
 
 def test_reachable_from_ignores_unknown_sources():
     g = chain("a", "b")
-    assert reachable_from(g, ["z"]) == frozenset()
+    for reach in (reachable_from, shipped.reachable_from):
+        assert reach(g, ["z"]) == frozenset()
 
 
 def test_can_reach_is_reverse_reachability():

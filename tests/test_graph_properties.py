@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import (
-    DiGraph,
+from repro.graph import DiGraph
+
+from oracles.graph import (
     can_reach,
     mutually_reachable,
     reachable_from,

@@ -89,7 +89,7 @@ def test_empty_quorum_rejected():
 def test_available_quorums_returns_correct_pair():
     system = threshold_quorum_system(["a", "b", "c"], 1)
     pattern = FailurePattern.crash_only(["c"])
-    pair = system.available_quorums(pattern)
+    pair = system.available_pair(pattern)
     assert pair is not None
     read, write = pair
     assert "c" not in read and "c" not in write

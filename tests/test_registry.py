@@ -179,7 +179,7 @@ def test_builtin_delay_models_and_checkers():
         "partial-synchrony",
         "schedule-override",
     ]
-    assert CHECKERS.names() == ["auto", "wing-gong", "dep-graph", "streaming"]
+    assert CHECKERS.names() == ["auto", "wing-gong"]
 
 
 def test_scenario_registry_backs_the_catalogue():

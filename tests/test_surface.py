@@ -11,6 +11,9 @@ And every concept has one name: the registries are the only tables,
 The GQS choice problem has one search: the quotient search, orbit transport
 and the declared-symmetry stack that fed them are gone, ``"quotient"`` is an
 accepted name of the forward-checking search and no CLI flag picks a search.
+Linearizability has one complete search too: the streaming formulation, the
+``mode=`` switch and the two checker names that selected nothing are gone, and
+so is the set-based ``graph.connectivity`` module (now ``oracles.graph``).
 """
 
 from __future__ import annotations
@@ -90,6 +93,17 @@ DELETED_QUOTIENT_STACK = (
     r"\bsymmetry\b",
 )
 
+#: The second formulation of the complete linearizability search, the no-caller
+#: version-order entry, and the set-based graph module nothing in ``src/`` read.
+DELETED_SEARCH_FORK = (
+    r"StreamingRegisterChecker",
+    r"_check_streaming",
+    r"check_with_version_order",
+    r"mode\s*=\s*[\"'](batch|streaming)[\"']",
+    r"graph\.connectivity",
+    r"graph/connectivity\.py",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -109,7 +123,9 @@ def _sources(root):
 
 def test_deleted_names_are_gone_from_src():
     for path, text in _sources(SRC_DIR):
-        for pattern in DELETED_FROM_SRC + DELETED_SECOND_NAMES + DELETED_QUOTIENT_STACK:
+        for pattern in (
+            DELETED_FROM_SRC + DELETED_SECOND_NAMES + DELETED_QUOTIENT_STACK + DELETED_SEARCH_FORK
+        ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
 
@@ -265,3 +281,55 @@ def test_sim_oracle_carries_its_own_queue():
     reference.schedule_delivery(1.0, True, lambda sender, target, message: None, "s", "t", "m")
     (queued,) = reference._queue
     assert isinstance(queued, oracles.sim.Event) and callable(queued.callback)
+
+
+# --------------------------------------------------------------------- #
+# One complete linearizability search, and a graph package without twins
+# --------------------------------------------------------------------- #
+def test_linearizability_has_one_search_and_no_selector():
+    import inspect
+
+    from repro import checkers, graph
+    from repro.registry import CHECKERS
+
+    checkers_dir = os.path.dirname(os.path.abspath(checkers.__file__))
+    texts = dict(_sources(checkers_dir))
+    assert sum(text.count("def search(") for text in texts.values()) == 1
+    for path, text in texts.items():
+        assert not re.search(r"\bmode\s*=", text), path
+    assert "mode" not in inspect.signature(checkers.check_register_linearizability).parameters
+    assert "versions" not in inspect.signature(checkers.check_register_witness_first).parameters
+    assert not hasattr(checkers, "StreamingRegisterChecker")
+    assert list(CHECKERS) == ["auto", "wing-gong"]
+
+    assert not os.path.exists(os.path.join(SRC_DIR, "repro", "graph", "connectivity.py"))
+    with pytest.raises(ImportError):
+        import repro.graph.connectivity  # noqa: F401
+    assert callable(graph.reachable_from)
+    for name in ("can_reach", "strongly_connected_components", "mutually_reachable",
+                 "set_reaches_set", "transitive_closure", "condensation", "scc_of"):
+        assert not hasattr(graph, name), name
+    for name in ("to_dot", "subgraph", "reverse", "in_degree", "out_degree"):
+        assert not hasattr(graph.DiGraph, name), name
+
+
+def test_linearizability_oracle_shares_nothing_with_the_search():
+    """``oracles.linearizability`` may reuse the result record, never the kernel;
+    ``oracles.graph`` carries its own ``reachable_from``."""
+    import oracles.graph
+    import oracles.linearizability
+
+    with open(oracles.linearizability.__file__, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    from_checkers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("repro.checkers") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+            assert node.module in (
+                "repro.history", "repro.errors", "repro.checkers.linearizability"
+            ), node.module
+            if node.module == "repro.checkers.linearizability":
+                from_checkers += [alias.name for alias in node.names]
+    assert from_checkers == ["LinearizabilityResult"]
+    assert oracles.graph.reachable_from is not repro.graph.reachable_from
