@@ -20,10 +20,12 @@ After loading, every CLI command treats the extensions as first class:
 The walkthrough in ``docs/extending.md`` explains each step.
 """
 
+import functools
+
 from repro.checkers import check_register_witness_first
 from repro.experiments import alternating_write_read_schedule
 from repro.failures import FailProneSystem, FailurePattern
-from repro.protocols import gqs_register_factory
+from repro.protocols import GQSRegister
 from repro.registry import (
     register_delay_model,
     register_protocol,
@@ -86,10 +88,8 @@ register_delay_model(
 # 3. A protocol: the GQS register pushed aggressively ("chatty").
 # ---------------------------------------------------------------------- #
 def _chatty_register_factory(quorum_system, params):
-    return gqs_register_factory(
-        quorum_system,
-        push_interval=params.get("push_interval", 0.5),
-        relay=True,
+    return functools.partial(
+        GQSRegister, quorum_system=quorum_system, **{"push_interval": 0.5, **params}
     )
 
 

@@ -12,8 +12,10 @@ Run with:  python examples/replicated_kv_store.py
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis import figure1_fail_prone_system
-from repro.protocols import kv_store_factory
+from repro.protocols import ReplicatedKVStore
 from repro.quorums import find_gqs
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
@@ -28,7 +30,7 @@ def main() -> None:
 
     cluster = Cluster(
         sorted_processes(gqs.processes),
-        kv_store_factory(gqs),
+        functools.partial(ReplicatedKVStore, quorum_system=gqs),
         delay_model=UniformDelay(0.4, 1.6, seed=7),
     )
 

@@ -6,6 +6,9 @@ into the module-level ``__getattr__`` / ``__dir__`` pair: a name — or a
 submodule itself — is imported on first access and cached in the package
 namespace, so ``pkg.name``, ``from pkg import name``, ``from pkg import *``
 and ``dir(pkg)`` behave exactly as if ``__init__`` had imported it eagerly.
+``names`` is a tuple, or a ``{exported name: name in the submodule}`` dict
+where the two differ (``repro.api`` re-exports layer functions under its own
+names).
 """
 
 import importlib
@@ -14,11 +17,16 @@ import importlib
 def lazy_exports(namespace, exports):
     """``(__getattr__, __dir__)`` for the module whose ``globals()`` is ``namespace``."""
     package = namespace["__package__"]
-    origin = {name: module for module, names in exports.items() for name in names}
+    origin = {
+        name: (module, names[name] if isinstance(names, dict) else name)
+        for module, names in exports.items()
+        for name in names
+    }
 
     def __getattr__(name):
         if name in origin:
-            value = getattr(importlib.import_module(origin[name], package), name)
+            module, target = origin[name]
+            value = getattr(importlib.import_module(module, package), target)
         elif "." + name in exports:
             value = importlib.import_module("." + name, package)
         else:

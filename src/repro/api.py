@@ -31,15 +31,15 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._lazy import lazy_exports
 from .errors import NoQuorumSystemExistsError, ReproError
-from .registry import CHECKERS, PROTOCOLS, loaded_plugins, plugin_contributions
+from .registry import PROTOCOLS, loaded_plugins, plugin_contributions
 from .types import sorted_channels, sorted_processes
 
 if TYPE_CHECKING:  # annotations only: each function imports the layers it runs
-    from .analysis import ExampleOutcome, ResultTable
+    from .analysis import ResultTable
     from .engine import ProgressCallback
     from .failures import FailProneSystem, FailurePattern
     from .montecarlo import AdmissibilityPoint, ReliabilityEstimate
@@ -51,12 +51,25 @@ if TYPE_CHECKING:  # annotations only: each function imports the layers it runs
         RepairReport,
         WatchOutcome,
     )
-    from .scenarios import ScenarioRunResult, ScenarioSpec
-    from .traces import TraceCheckReport
 
-#: ``HuntReport`` is re-exported for callers of :func:`hunt`; it is imported
-#: from :mod:`repro.nemesis` on first access.
-__getattr__, __dir__ = lazy_exports(globals(), {".nemesis": ("HuntReport",)})
+#: Workflows that are exactly one layer function are that function, under the
+#: facade's name: same object, same signature, same defaults.  Each layer is
+#: imported on the first access to one of its names, like any other workflow's.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".analysis": {"run_examples": "run_all_examples"},
+        ".nemesis": {
+            "HuntReport": "HuntReport",
+            "hunt": "hunt_scenario",
+            "nemesis_corpus": "corpus_rows",
+            "nemesis_corpus_table": "corpus_table",
+            "replay_schedule": "replay_schedule_file",
+        },
+        ".scenarios": ("run_scenario", "sweep_scenarios"),
+        ".traces": ("check_traces",),
+    },
+)
 
 __all__ = [
     "ClassifyReport",
@@ -319,18 +332,20 @@ def _simulate_once(
     protocol: str,
     pattern: Optional[FailurePattern],
     ops: int,
-    seed: int,
-    run_index: int = 0,
-    root_seed: int = 0,
-    record_dir: Optional[str] = None,
+    record_dir: Optional[str],
+    root_seed: int,
+    item: Tuple[int, int],
 ) -> Dict[str, Any]:
     """Run one seeded protocol simulation; returns a picklable summary.
 
-    Module-level so ``simulate(runs=N, jobs=M)`` can fan seeded repetitions
-    out across worker processes; with ``record_dir`` the run's trace is
-    persisted for later ``repro check`` re-verification.
+    Module-level, with ``item = (run_index, seed)`` last, so
+    ``simulate(runs=N, jobs=M)`` can fan seeded repetitions out across worker
+    processes; with ``record_dir`` the run's trace is persisted for later
+    ``repro check`` re-verification.
     """
     from .experiments import run_workload, safety_report
+
+    run_index, seed = item
 
     repeat_ops = PROTOCOLS.get(protocol).extras.get("repeat_ops", False)
     ops_per_process = ops if repeat_ops else 1
@@ -370,15 +385,6 @@ def _simulate_once(
             delay={"kind": "workload-default", "params": {}, "seed": seed},
         )
     return outcome
-
-
-def _simulate_indexed(gqs, protocol, pattern, ops, record_dir, root_seed, item):
-    """Trampoline for the runs>1 fan-out: ``item`` is ``(run_index, seed)``."""
-    run_index, seed = item
-    return _simulate_once(
-        gqs, protocol, pattern, ops, seed,
-        run_index=run_index, root_seed=root_seed, record_dir=record_dir,
-    )
 
 
 @dataclass
@@ -487,66 +493,19 @@ def simulate(
             )
         failure = matches[0]
 
-    if runs == 1:
-        outcomes = [
-            _simulate_once(
-                gqs, protocol, failure, ops, seed, root_seed=seed, record_dir=record_traces
-            )
-        ]
+    task = functools.partial(_simulate_once, gqs, protocol, failure, ops, record_traces, seed)
+    if runs == 1:  # the root seed is the run's seed: nothing is spawned
         return SimulateReport(
             protocol=protocol, pattern=pattern, runs=1, root_seed=seed, jobs=1,
-            outcomes=outcomes,
+            outcomes=[task((0, seed))],
         )
 
     seeds = spawn_seeds(seed, runs, "simulate", protocol)
     runner = ParallelRunner(jobs=jobs)
-    task = functools.partial(
-        _simulate_indexed, gqs, protocol, failure, ops, record_traces, seed
-    )
     outcomes = runner.map(task, list(enumerate(seeds)))
     return SimulateReport(
         protocol=protocol, pattern=pattern, runs=runs, root_seed=seed, jobs=runner.jobs,
         outcomes=outcomes,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Scenarios
-# ---------------------------------------------------------------------- #
-def run_scenario(
-    scenario: Union[str, ScenarioSpec],
-    runs: Optional[int] = None,
-    seed: int = 0,
-    jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
-    record_traces: Optional[str] = None,
-) -> ScenarioRunResult:
-    """Run one scenario's seeded batch through the engine.
-
-    ``scenario`` is a registered name (resolved through the scenario registry,
-    with did-you-mean errors) or a :class:`ScenarioSpec` instance.
-    """
-    from . import scenarios
-
-    spec = scenarios.get_scenario(scenario) if isinstance(scenario, str) else scenario
-    return scenarios.run_scenario(
-        spec, runs=runs, seed=seed, jobs=jobs, progress=progress, record_traces=record_traces
-    )
-
-
-def sweep_scenarios(
-    names: Optional[Sequence[str]] = None,
-    runs: Optional[int] = None,
-    seed: int = 0,
-    jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
-    record_traces: Optional[str] = None,
-) -> List[ScenarioRunResult]:
-    """Run several scenarios (default: the whole catalogue) over one worker pool."""
-    from . import scenarios
-
-    return scenarios.sweep_scenarios(
-        names, runs=runs, seed=seed, jobs=jobs, progress=progress, record_traces=record_traces
     )
 
 
@@ -662,98 +621,6 @@ def sweep(
             progress=progress_factory("reliability") if progress_factory else None,
         )
     return outcome
-
-
-# ---------------------------------------------------------------------- #
-# Guided nemesis (``repro nemesis hunt|replay|corpus``)
-# ---------------------------------------------------------------------- #
-def hunt(
-    scenario: Union[str, ScenarioSpec],
-    strategy: str = "hill-climb",
-    budget: int = 32,
-    seeds: int = 2,
-    batch: int = 4,
-    seed: int = 0,
-    jobs: int = 1,
-    corpus_dir: Optional[str] = None,
-    from_traces: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> HuntReport:
-    """Search ``scenario``'s schedule space for the adversary's best case.
-
-    Seed schedules replay the scenario's own recorded runs (or, with
-    ``from_traces``, runs from an existing trace directory); ``budget``
-    mutants are then derived, evaluated over ``jobs`` workers and admitted
-    by ``strategy`` (a ``nemesis`` registry name).  With ``corpus_dir``
-    every survivor is persisted as an ordinary trace plus a schedule file
-    and an incident report.  The report and corpus bytes depend only on
-    ``(scenario, strategy, budget, seeds, batch, seed)``, never on ``jobs``.
-    The defaults equal :data:`repro.nemesis.DEFAULT_BUDGET`,
-    ``DEFAULT_SEED_SCHEDULES`` and ``DEFAULT_BATCH``.
-    """
-    from .nemesis import hunt_scenario
-
-    return hunt_scenario(
-        scenario,
-        strategy=strategy,
-        budget=budget,
-        seeds=seeds,
-        batch=batch,
-        seed=seed,
-        jobs=jobs,
-        corpus_dir=corpus_dir,
-        from_traces=from_traces,
-        progress=progress,
-    )
-
-
-def replay_schedule(path: str) -> Dict[str, Any]:
-    """Re-evaluate one persisted ``*.schedule.json`` from scratch.
-
-    Returns the fresh verdict row and fitness; when a sibling incident
-    report exists, ``"match"`` says whether the replay reproduced the
-    hunt-time verdict exactly (``None`` when there is nothing to compare).
-    """
-    from .nemesis import replay_schedule_file
-
-    return replay_schedule_file(path)
-
-
-def nemesis_corpus(directory: str) -> List[Dict[str, Any]]:
-    """One summary row per incident report in a hunt corpus directory."""
-    from .nemesis import corpus_rows
-
-    return corpus_rows(directory)
-
-
-def nemesis_corpus_table(directory: str) -> ResultTable:
-    """The ``repro nemesis corpus`` table."""
-    from .nemesis import corpus_table
-
-    return corpus_table(directory)
-
-
-# ---------------------------------------------------------------------- #
-# Trace re-verification and examples
-# ---------------------------------------------------------------------- #
-def check_traces(
-    directory: str,
-    checker: str = "auto",
-    jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
-) -> TraceCheckReport:
-    """Re-verify every recorded trace in ``directory`` (see :mod:`repro.traces`)."""
-    from . import traces
-
-    CHECKERS.get(checker)  # rich unknown-checker error before touching the disk
-    return traces.check_traces(directory, checker=checker, jobs=jobs, progress=progress)
-
-
-def run_examples() -> List[ExampleOutcome]:
-    """Replay the paper's worked examples (Examples 4-9)."""
-    from .analysis import run_all_examples
-
-    return run_all_examples()
 
 
 # ---------------------------------------------------------------------- #

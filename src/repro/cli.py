@@ -83,7 +83,7 @@ import functools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .errors import NoQuorumSystemExistsError, ReproError
@@ -134,21 +134,85 @@ def _probability_value(text: str) -> float:
     return value
 
 
-def _resolve_system(args: argparse.Namespace):
-    from . import api
+def _forward(function, args: argparse.Namespace, *leading):
+    """``function(*leading, **typed)``: what the user typed, under the ``api`` names.
 
-    return api.resolve_system(spec=args.spec, builtin=args.builtin)
+    Every option's ``dest`` is the ``api`` parameter it sets, and argparse
+    leaves an option nobody typed at ``None``: so a default is declared once,
+    in the ``api`` (or layer) signature, and no command restates it.
+    """
+    import inspect  # ``repro.api`` has imported it by now; ``repro --version`` never does
 
+    accepted = inspect.signature(function).parameters
+    typed = {k: v for k, v in vars(args).items() if v is not None and k in accepted}
+    return function(*leading, **typed)
+
+
+#: The options several commands share, each declared once; ``--progress``
+#: takes the callback the ``api`` receives as its ``const``.
+_SHARED_OPTIONS = {
+    "--runs": dict(
+        type=_runs_value,
+        help="seeded repetitions, their seeds spawned deterministically from --seed "
+        "(scenario commands default to each scenario's default_runs)",
+    ),
+    "--seed": dict(type=int, help="root seed: fixes every result, for every --jobs"),
+    "--jobs": dict(
+        type=_jobs_value,
+        help="worker processes sharing the work (1 = serial, 0 = one per CPU); "
+        "the output is byte-identical for every value",
+    ),
+    "--record-traces": dict(
+        metavar="DIR",
+        help="persist every run's trace (history + system + verdict) into DIR "
+        "for later 'repro check DIR' re-verification",
+    ),
+    "--progress": dict(
+        action="store_const",
+        help="report progress (per shard, pattern, run, trace or batch) on stderr",
+    ),
+}
+
+
+def _add_option(parser, owner, flag: str, help: Optional[str] = None, **kwargs) -> None:
+    """Add ``flag`` (a :data:`_SHARED_OPTIONS` entry, or one with its own
+    ``help``): it sets the parameter of ``owner``, an ``api`` function, that
+    its ``dest`` names.
+
+    The default stays in that signature — the help string quotes it, and
+    :func:`_forward` passes the option on only when it was typed.  A ``dest``
+    that ``owner`` does not take is a ``KeyError`` here, when the parser is
+    built, instead of an option :func:`_forward` would silently drop.
+    """
+    import inspect
+
+    kwargs = {**_SHARED_OPTIONS.get(flag, {}), **kwargs}
+    help = kwargs.pop("help", help)
+    dest = kwargs.get("dest") or flag.lstrip("-").replace("-", "_")
+    default = inspect.signature(owner).parameters[dest].default
+    if default is not None:
+        help = "{} (default: {})".format(help, default)
+    parser.add_argument(flag, help=help, **kwargs)
+
+
+def _add_format(parser: argparse.ArgumentParser, *formats: str) -> None:
+    """``--format``, the first of ``formats`` by default: the one default the CLI owns."""
+    formats = formats or ("table", "json")
+    parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
 
 
 def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
+    from . import api
+
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--spec", help="path to a JSON fail-prone system description")
-    group.add_argument(
-        "--builtin",
-        default="figure1",
-        help="name of a built-in fail-prone system (default: figure1)",
-    )
+    option = functools.partial(_add_option, group, api.resolve_system)
+    option("--spec", "path to a JSON fail-prone system description")
+    option("--builtin", "name of a built-in fail-prone system")
+
+
+def _progress_to_stderr(label: str, unit: str = "shards"):
+    """A ``ProgressCallback`` writing ``label: done/total unit`` lines to stderr."""
+    return functools.partial(_stderr_progress, label, unit=unit)
 
 
 def _stderr_progress(label: str, done: int, total: int, unit: str = "shards") -> None:
@@ -166,12 +230,7 @@ def _cmd_check_traces(args: argparse.Namespace) -> int:
     """``repro check DIR``: parallel re-verification of recorded traces."""
     from . import api
 
-    report = api.check_traces(
-        args.target,
-        checker=args.checker,
-        jobs=args.jobs,
-        progress=functools.partial(_stderr_progress, "check") if args.progress else None,
-    )
+    report = _forward(api.check_traces, args, args.target)
     if args.format == "json":
         print(report.to_json())
         return 0 if report.ok else 1
@@ -194,7 +253,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.target is not None:
         return _cmd_check_traces(args)
-    system = _resolve_system(args)
+    system = _forward(api.resolve_system, args)
     print(system.describe())
     print()
     result = api.discover(system)
@@ -205,7 +264,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.suggest_repairs:
             from .types import sorted_channels
 
-            outcome = api.repair(system, max_channels=args.max_repair_channels)
+            outcome = _forward(api.repair, args, system)
             if outcome.report.suggestions:
                 print()
                 print("Hardening any of the following channel sets would make the system tolerable:")
@@ -215,7 +274,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print()
                 print(
                     "No repair found by hardening up to {} channel(s); the problem "
-                    "likely lies in the process failures.".format(args.max_repair_channels)
+                    "likely lies in the process failures.".format(outcome.report.max_channels)
                 )
         return 2
     print("A generalized quorum system exists:")
@@ -230,14 +289,7 @@ def cmd_quorums_discover(args: argparse.Namespace) -> int:
     from . import api
     from .analysis import ResultTable
 
-    report = api.discovery_report(
-        _resolve_system(args),
-        progress=(
-            functools.partial(_stderr_progress, "discover", unit="patterns")
-            if args.progress
-            else None
-        ),
-    )
+    report = _forward(api.discovery_report, args, _forward(api.resolve_system, args))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0 if report.exists else 2
@@ -276,7 +328,7 @@ def cmd_quorums_watch(args: argparse.Namespace) -> int:
     from . import api
     from .analysis import ResultTable
 
-    report = api.watch_quorums(_resolve_system(args), args.deltas)
+    report = _forward(api.watch_quorums, args, _forward(api.resolve_system, args))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0 if report.all_exist else 2
@@ -297,7 +349,7 @@ def cmd_quorums_watch(args: argparse.Namespace) -> int:
 def cmd_quorums_classify(args: argparse.Namespace) -> int:
     from . import api
 
-    report = api.classify(_resolve_system(args))
+    report = api.classify(_forward(api.resolve_system, args))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -312,11 +364,7 @@ def cmd_quorums_classify(args: argparse.Namespace) -> int:
 def cmd_quorums_repair(args: argparse.Namespace) -> int:
     from . import api
 
-    outcome = api.repair(
-        _resolve_system(args),
-        max_channels=args.max_channels,
-        max_suggestions=args.max_suggestions,
-    )
+    outcome = _forward(api.repair, args, _forward(api.resolve_system, args))
     report = outcome.report
     if args.format == "json":
         print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
@@ -348,27 +396,16 @@ def cmd_quorums_repair(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import api
 
-    system = _resolve_system(args)
     try:
-        report = api.simulate(
-            system,
-            protocol=args.object,
-            pattern=args.pattern,
-            ops=args.ops,
-            seed=args.seed,
-            runs=args.runs,
-            jobs=args.jobs,
-            record_traces=args.record_traces,
-        )
+        report = _forward(api.simulate, args, _forward(api.resolve_system, args))
     except NoQuorumSystemExistsError:
         print("The fail-prone system admits no generalized quorum system; nothing to simulate.")
         return 2
 
-    pattern_label = report.pattern if report.pattern is not None else "none"
+    print("object            :", report.protocol)
+    print("failure pattern   :", report.pattern if report.pattern is not None else "none")
     if report.runs == 1:
         outcome = report.outcomes[0]
-        print("object            :", report.protocol)
-        print("failure pattern   :", pattern_label)
         print("invoked at        :", outcome["invokers"])
         print("all ops completed :", outcome["completed"])
         print("safety            :", report.safety_label(outcome["verdict"]))
@@ -377,8 +414,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("messages sent     :", outcome["messages_sent"])
         return 0 if report.exit_ok else 1
 
-    print("object            :", report.protocol)
-    print("failure pattern   :", pattern_label)
     print(
         "runs              : {} (seeds spawned from {}, jobs={})".format(
             report.runs, report.root_seed, report.jobs
@@ -406,18 +441,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import api
 
-    outcome = api.sweep(
-        kind=args.kind,
-        probs=tuple(args.probs),
-        n=args.n,
-        patterns=args.patterns,
-        samples=args.samples,
-        seed=args.seed,
-        jobs=args.jobs,
-        progress_factory=(
-            (lambda label: functools.partial(_stderr_progress, label)) if args.progress else None
-        ),
-    )
+    outcome = _forward(api.sweep, args)
     if args.format == "json":
         print(outcome.to_json())
         return 0
@@ -470,19 +494,12 @@ def cmd_scenario_show(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
-    from . import api, scenarios
+    from . import api
 
-    scenario = scenarios.get_scenario(args.name)
-    result = api.run_scenario(
-        scenario,
-        runs=args.runs,
-        seed=args.seed,
-        jobs=args.jobs,
-        progress=functools.partial(_stderr_progress, "scenario " + scenario.name)
-        if args.progress
-        else None,
-        record_traces=args.record_traces,
-    )
+    if args.progress is not None:  # its label names the scenario, known only now
+        args.progress = args.progress("scenario " + args.scenario)
+    result = _forward(api.run_scenario, args)
+    scenario = result.scenario
     if args.format == "json":
         print(result.to_json())
         return 0 if result.ok else 1
@@ -509,15 +526,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 def cmd_scenario_sweep(args: argparse.Namespace) -> int:
     from . import api, scenarios
 
-    names = args.names if args.names else None
-    results = api.sweep_scenarios(
-        names,
-        runs=args.runs,
-        seed=args.seed,
-        jobs=args.jobs,
-        progress=functools.partial(_stderr_progress, "scenarios") if args.progress else None,
-        record_traces=args.record_traces,
-    )
+    results = _forward(api.sweep_scenarios, args, args.names or None)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], indent=2))
     else:
@@ -531,18 +540,7 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
 def cmd_nemesis_hunt(args: argparse.Namespace) -> int:
     from . import api
 
-    report = api.hunt(
-        args.scenario,
-        strategy=args.strategy,
-        budget=args.budget,
-        seeds=args.seeds,
-        batch=args.batch,
-        seed=args.seed,
-        jobs=args.jobs,
-        corpus_dir=args.corpus,
-        from_traces=args.from_traces,
-        progress=functools.partial(_stderr_progress, "hunt") if args.progress else None,
-    )
+    report = _forward(api.hunt, args)
     # A within-budget safety violation is the only failing outcome: the
     # adversary stayed inside the declared fail-prone system and still broke
     # safety, which falsifies the paper's bound.
@@ -605,7 +603,7 @@ def cmd_nemesis_corpus(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
-        print(api.nemesis_corpus_table(args.directory).to_text())
+        print(api.nemesis_corpus_table(args.directory, rows).to_text())
     violations = sum(1 for row in rows if "violation" in row["flags"].split(","))
     return 1 if violations else 0
 
@@ -657,13 +655,14 @@ def cmd_examples(args: argparse.Namespace) -> int:
 # Parsers (one builder per command) and the entry point
 # ---------------------------------------------------------------------- #
 def _add_check_arguments(check: argparse.ArgumentParser) -> None:
+    from . import api
     from .registry import CHECKERS
 
     check.add_argument(
         "target",
         nargs="?",
-        default=None,
-        help="trace directory to re-verify (omit for the GQS decision procedure)",
+        help="trace directory to re-verify, with --checker / --jobs / --progress "
+        "(omit for the GQS decision procedure on --spec / --builtin)",
     )
     _add_system_arguments(check)
     check.add_argument(
@@ -671,34 +670,30 @@ def _add_check_arguments(check: argparse.ArgumentParser) -> None:
         action="store_true",
         help="when no GQS exists, search for channel hardenings that would restore one",
     )
-    check.add_argument(
+    _add_option(
+        check,
+        api.repair,
         "--max-repair-channels",
+        "largest channel set considered by --suggest-repairs (at least 1)",
+        dest="max_channels",
         type=_at_least_one("max-repair-channels"),
-        default=2,
-        help="largest channel set considered by --suggest-repairs (default 2, at least 1)",
     )
-    check.add_argument(
+    option = functools.partial(_add_option, check, api.check_traces)
+    option(
         "--checker",
+        "which linearizability checker re-judges register traces "
+        "(auto = dependency-graph witness with complete-search fallback)",
         choices=list(CHECKERS),
-        default="auto",
-        help="trace mode: which linearizability checker re-judges register traces "
-        "(default auto = dependency-graph witness with complete-search fallback)",
     )
-    check.add_argument(
-        "--jobs",
-        type=_jobs_value,
-        default=1,
-        help="trace mode: worker processes sharing the trace files (1 = serial, "
-        "0 = one per CPU); the verdict table is identical for every value",
-    )
-    check.add_argument("--format", choices=["table", "json"], default="table")
-    check.add_argument(
-        "--progress", action="store_true", help="trace mode: report per-trace progress on stderr"
-    )
+    option("--jobs")
+    option("--progress", const=_progress_to_stderr("check"))
+    _add_format(check)
     check.set_defaults(func=cmd_check)
 
 
 def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
+    from . import api
+
     quorums_sub = quorums.add_subparsers(dest="quorums_command", required=True)
 
     quorums_discover = quorums_sub.add_parser(
@@ -706,12 +701,9 @@ def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
         help="run the GQS decision procedure and print the per-pattern witness",
     )
     _add_system_arguments(quorums_discover)
-    quorums_discover.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-pattern candidate-enumeration progress on stderr",
-    )
-    quorums_discover.add_argument("--format", choices=["table", "json"], default="table")
+    reporter = _progress_to_stderr("discover", "patterns")
+    _add_option(quorums_discover, api.discovery_report, "--progress", const=reporter)
+    _add_format(quorums_discover)
     quorums_discover.set_defaults(func=cmd_quorums_discover)
 
     quorums_watch = quorums_sub.add_parser(
@@ -725,7 +717,7 @@ def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
         '(one {"op": ..., ...} object per line; ops: join, leave, suspect, '
         "trust, suspect-channel, trust-channel)",
     )
-    quorums_watch.add_argument("--format", choices=["table", "json"], default="table")
+    _add_format(quorums_watch)
     quorums_watch.set_defaults(func=cmd_quorums_watch)
 
     quorums_classify = quorums_sub.add_parser(
@@ -733,7 +725,7 @@ def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
         help="report which quorum conditions (classical/QS+/GQS) the system admits",
     )
     _add_system_arguments(quorums_classify)
-    quorums_classify.add_argument("--format", choices=["table", "json"], default="table")
+    _add_format(quorums_classify)
     quorums_classify.set_defaults(func=cmd_quorums_classify)
 
     quorums_repair = quorums_sub.add_parser(
@@ -741,188 +733,111 @@ def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
         help="search for minimal channel hardenings that make the system tolerable",
     )
     _add_system_arguments(quorums_repair)
-    quorums_repair.add_argument(
+    option = functools.partial(_add_option, quorums_repair, api.repair)
+    option(
         "--max-channels",
+        "largest channel set considered (at least 1)",
         type=_at_least_one("max-channels"),
-        default=2,
-        help="largest channel set considered (default 2, at least 1)",
     )
-    quorums_repair.add_argument(
+    option(
         "--max-suggestions",
+        "stop after this many suggestions (at least 1; default: all minimal ones)",
         type=_at_least_one("max-suggestions"),
-        default=None,
-        help="stop after this many suggestions (at least 1; default: all minimal ones)",
     )
-    quorums_repair.add_argument("--format", choices=["table", "json"], default="table")
+    _add_format(quorums_repair)
     quorums_repair.set_defaults(func=cmd_quorums_repair)
 
 
 def _add_simulate_arguments(simulate: argparse.ArgumentParser) -> None:
+    from . import api
     from .registry import PROTOCOLS
 
     _add_system_arguments(simulate)
-    simulate.add_argument(
+    option = functools.partial(_add_option, simulate, api.simulate)
+    option(
         "--object",
+        "which registered protocol to drive (plugins extend this list)",
+        dest="protocol",
         choices=list(PROTOCOLS),
-        default="register",
-        help="which registered protocol to drive (plugins extend this list)",
     )
-    simulate.add_argument("--pattern", help="name of the failure pattern to inject (default: none)")
-    simulate.add_argument(
-        "--ops", type=_runs_value, default=2, help="operations per invoking process"
-    )
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--runs",
-        type=_runs_value,
-        default=1,
-        help="repeat the simulation under seeds spawned deterministically from "
-        "--seed and aggregate the verdicts (default 1)",
-    )
-    simulate.add_argument(
-        "--jobs",
-        type=_jobs_value,
-        default=1,
-        help="worker processes for --runs > 1 (1 = serial, 0 = one per CPU)",
-    )
-    simulate.add_argument(
-        "--record-traces",
-        metavar="DIR",
-        default=None,
-        help="persist every run's trace (history + system + verdict) into DIR "
-        "for later 'repro check DIR' re-verification",
-    )
+    option("--pattern", "name of the failure pattern to inject (default: none)")
+    option("--ops", "operations per invoking process", type=_runs_value)
+    for shared in ("--seed", "--runs", "--jobs", "--record-traces"):
+        option(shared)
     simulate.set_defaults(func=cmd_simulate)
 
 
 def _add_sweep_arguments(sweep: argparse.ArgumentParser) -> None:
-    sweep.add_argument("kind", choices=["admissibility", "reliability", "all"], default="all", nargs="?")
-    sweep.add_argument(
+    from . import api
+
+    sweep.add_argument("kind", choices=["admissibility", "reliability", "all"], nargs="?")
+    option = functools.partial(_add_option, sweep, api.sweep)
+    option(
         "--probs",
+        "channel-disconnection probabilities to sweep, each in [0, 1]",
         type=_probability_value,
         nargs="+",
-        default=[0.0, 0.1, 0.2, 0.3, 0.5],
-        help="channel-disconnection probabilities to sweep, each in [0, 1]",
     )
-    sweep.add_argument(
-        "--samples",
-        type=_at_least_one("samples"),
-        default=40,
-        help="samples per probability (at least 1)",
-    )
-    sweep.add_argument(
-        "--n",
-        type=_at_least_one("n"),
-        default=5,
-        help="processes per sampled system (at least 1)",
-    )
-    sweep.add_argument(
+    option("--samples", "samples per probability (at least 1)", type=_at_least_one("samples"))
+    option("--n", "processes per sampled system (at least 1)", type=_at_least_one("n"))
+    option(
         "--patterns",
+        "failure patterns per sampled system (at least 1)",
         type=_at_least_one("patterns"),
-        default=3,
-        help="failure patterns per sampled system (at least 1)",
     )
-    sweep.add_argument(
-        "--seed", type=int, default=0, help="root seed; fixes every counter for every --jobs"
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=_jobs_value,
-        default=1,
-        help="worker processes sharing the sweep's shards (1 = serial, 0 = one per CPU); "
-        "results are identical for every value",
-    )
-    sweep.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-shard progress on stderr",
-    )
-    sweep.add_argument(
-        "--format",
-        choices=["table", "json"],
-        default="table",
-        help="output format (json emits raw counters plus derived fractions)",
-    )
+    option("--seed")
+    option("--jobs")
+    # One callback per study: the api asks this factory for each label's.
+    option("--progress", dest="progress_factory", const=_progress_to_stderr)
+    _add_format(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
 
 def _add_scenario_arguments(scenario: argparse.ArgumentParser) -> None:
+    from . import api
+
     scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
 
-    scenario_list = scenario_sub.add_parser("list", help="list the registered scenarios")
-    scenario_list.add_argument(
-        "--format",
-        choices=["table", "json", "markdown"],
-        default="table",
-        help="output format (markdown matches the docs/scenarios.md catalogue table)",
+    scenario_list = scenario_sub.add_parser(
+        "list",
+        help="list the registered scenarios "
+        "(--format markdown is the docs/scenarios.md catalogue table)",
     )
+    _add_format(scenario_list, "table", "json", "markdown")
     scenario_list.set_defaults(func=cmd_scenario_list)
 
     scenario_show = scenario_sub.add_parser(
         "show", help="print one scenario's full declarative specification"
     )
     scenario_show.add_argument("name", help="registered scenario name")
-    scenario_show.add_argument("--format", choices=["text", "json"], default="text")
+    _add_format(scenario_show, "text", "json")
     scenario_show.set_defaults(func=cmd_scenario_show)
 
     scenario_run = scenario_sub.add_parser(
         "run", help="run one scenario's seeded batch through the engine"
     )
-    scenario_run.add_argument("name", help="registered scenario name")
-    scenario_run.add_argument(
-        "--runs",
-        type=_runs_value,
-        default=None,
-        help="seeded repetitions (default: the scenario's default_runs)",
-    )
-    scenario_run.add_argument("--seed", type=int, default=0)
-    scenario_run.add_argument(
-        "--jobs",
-        type=_jobs_value,
-        default=1,
-        help="worker processes sharing the runs (1 = serial, 0 = one per CPU); "
-        "results are identical for every value",
-    )
-    scenario_run.add_argument("--format", choices=["table", "json"], default="table")
-    scenario_run.add_argument(
-        "--progress", action="store_true", help="report per-run progress on stderr"
-    )
-    scenario_run.add_argument(
-        "--record-traces",
-        metavar="DIR",
-        default=None,
-        help="persist every run's trace into DIR for later 'repro check DIR'",
-    )
-    scenario_run.set_defaults(func=cmd_scenario_run)
-
+    scenario_run.add_argument("scenario", metavar="name", help="registered scenario name")
     scenario_sweep = scenario_sub.add_parser(
         "sweep", help="run several scenarios (default: all) over one worker pool"
     )
     scenario_sweep.add_argument(
         "names", nargs="*", help="scenario names (default: the whole registry)"
     )
-    scenario_sweep.add_argument(
-        "--runs",
-        type=_runs_value,
-        default=None,
-        help="seeded repetitions per scenario (default: each scenario's default_runs)",
-    )
-    scenario_sweep.add_argument("--seed", type=int, default=0)
-    scenario_sweep.add_argument("--jobs", type=_jobs_value, default=1)
-    scenario_sweep.add_argument("--format", choices=["table", "json"], default="table")
-    scenario_sweep.add_argument(
-        "--progress", action="store_true", help="report per-run progress on stderr"
-    )
-    scenario_sweep.add_argument(
-        "--record-traces",
-        metavar="DIR",
-        default=None,
-        help="persist every run of every scenario into DIR for later 'repro check DIR'",
-    )
+    # run's progress label names the scenario: cmd_scenario_run asks the factory for it.
+    for parser, owner, reporter in (
+        (scenario_run, api.run_scenario, _progress_to_stderr),
+        (scenario_sweep, api.sweep_scenarios, _progress_to_stderr("scenarios")),
+    ):
+        for shared in ("--runs", "--seed", "--jobs", "--record-traces"):
+            _add_option(parser, owner, shared)
+        _add_option(parser, owner, "--progress", const=reporter)
+        _add_format(parser)
+    scenario_run.set_defaults(func=cmd_scenario_run)
     scenario_sweep.set_defaults(func=cmd_scenario_sweep)
 
 
 def _add_nemesis_arguments(nemesis: argparse.ArgumentParser) -> None:
+    from . import api
     from .registry import NEMESIS
 
     nemesis_sub = nemesis.add_subparsers(dest="nemesis_command", required=True)
@@ -933,58 +848,42 @@ def _add_nemesis_arguments(nemesis: argparse.ArgumentParser) -> None:
         "(exit 1 only on a within-budget safety violation)",
     )
     nemesis_hunt.add_argument("scenario", help="registered scenario name")
-    nemesis_hunt.add_argument(
+    option = functools.partial(_add_option, nemesis_hunt, api.hunt)
+    option(
         "--strategy",
+        "registered search strategy (plugins extend this list)",
         choices=list(NEMESIS),
-        default="hill-climb",
-        help="registered search strategy (plugins extend this list; default hill-climb)",
     )
-    nemesis_hunt.add_argument(
-        "--budget",
-        type=_runs_value,
-        default=32,
-        help="mutant evaluations to spend (default 32; seed baselines come on top)",
-    )
-    nemesis_hunt.add_argument(
+    option("--budget", "mutant evaluations to spend; seed baselines come on top", type=_runs_value)
+    option(
         "--seeds",
+        "identity schedules seeding the corpus; each replays one run of "
+        "'repro scenario run --seed SEED'",
         type=_runs_value,
-        default=2,
-        help="identity schedules seeding the corpus (default 2); "
-        "each replays one run of 'repro scenario run --seed SEED'",
     )
-    nemesis_hunt.add_argument(
+    option(
         "--batch",
+        "candidates per generation; fixed independently of --jobs so the search "
+        "trajectory never depends on the worker count",
         type=_runs_value,
-        default=4,
-        help="candidates per generation (default 4); fixed independently of --jobs "
-        "so the search trajectory never depends on the worker count",
     )
-    nemesis_hunt.add_argument("--seed", type=int, default=0)
-    nemesis_hunt.add_argument(
-        "--jobs",
-        type=_jobs_value,
-        default=1,
-        help="worker processes evaluating each batch (1 = serial, 0 = one per CPU); "
-        "report and corpus are byte-identical for every value",
-    )
-    nemesis_hunt.add_argument(
+    option("--seed")
+    option("--jobs")
+    option(
         "--corpus",
-        metavar="DIR",
-        default=None,
-        help="persist survivors into DIR as traces + schedules + incident reports "
+        "persist survivors into DIR as traces + schedules + incident reports "
         "plus a report.json; the directory re-verifies with 'repro check DIR'",
-    )
-    nemesis_hunt.add_argument(
-        "--from-traces",
+        dest="corpus_dir",
         metavar="DIR",
-        default=None,
-        help="seed the hunt from the runs recorded in an existing trace directory "
+    )
+    option(
+        "--from-traces",
+        "seed the hunt from the runs recorded in an existing trace directory "
         "instead of the scenario's own seed stream",
+        metavar="DIR",
     )
-    nemesis_hunt.add_argument("--format", choices=["table", "json"], default="table")
-    nemesis_hunt.add_argument(
-        "--progress", action="store_true", help="report per-batch progress on stderr"
-    )
+    option("--progress", const=_progress_to_stderr("hunt"))
+    _add_format(nemesis_hunt)
     nemesis_hunt.set_defaults(func=cmd_nemesis_hunt)
 
     nemesis_replay = nemesis_sub.add_parser(
@@ -993,7 +892,7 @@ def _add_nemesis_arguments(nemesis: argparse.ArgumentParser) -> None:
         "against its sibling incident report (exit 1 on divergence)",
     )
     nemesis_replay.add_argument("schedule", help="path to a *.schedule.json file")
-    nemesis_replay.add_argument("--format", choices=["text", "json"], default="text")
+    _add_format(nemesis_replay, "text", "json")
     nemesis_replay.set_defaults(func=cmd_nemesis_replay)
 
     nemesis_corpus = nemesis_sub.add_parser(
@@ -1002,7 +901,7 @@ def _add_nemesis_arguments(nemesis: argparse.ArgumentParser) -> None:
         "(exit 1 if any records a within-budget violation)",
     )
     nemesis_corpus.add_argument("directory", help="hunt corpus directory")
-    nemesis_corpus.add_argument("--format", choices=["table", "json"], default="table")
+    _add_format(nemesis_corpus)
     nemesis_corpus.set_defaults(func=cmd_nemesis_corpus)
 
 
@@ -1011,7 +910,7 @@ def _add_plugins_arguments(plugins: argparse.ArgumentParser) -> None:
     plugins_list = plugins_sub.add_parser(
         "list", help="list loaded plugins and what each registered"
     )
-    plugins_list.add_argument("--format", choices=["table", "json"], default="table")
+    _add_format(plugins_list)
     plugins_list.set_defaults(func=cmd_plugins_list)
 
 
@@ -1051,16 +950,28 @@ _COMMANDS = {
 }
 
 
-def _command_on(argv: List[str]) -> Optional[str]:
-    """The command word on ``argv``: its first token naming one (``--plugin``'s value skipped)."""
+def _scan_argv(argv: List[str]) -> Tuple[List[str], Optional[str]]:
+    """``(--plugin modules, command word)``, read off ``argv`` before any parser exists.
+
+    Plugins must be imported *before* the parser is built, so the choices
+    generated from the registries (``--object``, ``--checker``, …) include
+    plugin-registered names; and only the parser of the command on ``argv`` —
+    its first token naming one, ``--plugin``'s value skipped — is built in full.
+    """
+    modules: List[str] = []
+    command = None
     index = 0
     while index < len(argv):
-        if argv[index] == "--plugin":
+        token = argv[index]
+        if token == "--plugin" and index + 1 < len(argv):
             index += 1
-        elif argv[index] in _COMMANDS:
-            return argv[index]
+            modules.append(argv[index])
+        elif token.startswith("--plugin="):
+            modules.append(token[len("--plugin=") :])
+        elif command is None and token in _COMMANDS:
+            command = token
         index += 1
-    return None
+    return modules, command
 
 
 def build_parser(argv: List[str]) -> argparse.ArgumentParser:
@@ -1081,7 +992,7 @@ def build_parser(argv: List[str]) -> argparse.ArgumentParser:
         "(repeatable; the REPRO_PLUGINS environment variable works too)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    chosen = _command_on(argv)
+    chosen = _scan_argv(argv)[1]
     for name, (help_text, add_arguments) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         if name == chosen:
@@ -1089,30 +1000,9 @@ def build_parser(argv: List[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _plugin_modules_from_argv(argv: List[str]) -> List[str]:
-    """Pre-scan ``argv`` for ``--plugin`` values.
-
-    Plugins must be imported *before* the parser is built so the subcommand
-    choices generated from the registries (``--object``, ``--checker``, …)
-    include plugin-registered names.
-    """
-    modules = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token == "--plugin" and index + 1 < len(argv):
-            modules.append(argv[index + 1])
-            index += 2
-            continue
-        if token.startswith("--plugin="):
-            modules.append(token[len("--plugin=") :])
-        index += 1
-    return modules
-
-
 def _load_plugins(argv: List[str]) -> None:
     """Import the ``REPRO_PLUGINS`` and ``--plugin`` modules, in that order."""
-    modules = _plugin_modules_from_argv(argv)
+    modules = _scan_argv(argv)[0]
     if not modules and not os.environ.get("REPRO_PLUGINS"):
         return  # nothing asked for: do not import the registry on its account
     from .registry import PLUGINS_ENV_VAR, load_env_plugins, load_plugin, loaded_plugins

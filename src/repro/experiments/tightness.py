@@ -18,19 +18,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..analysis.metrics import ResultTable
 from ..engine import ParallelRunner
-from ..checkers import (
-    check_lattice_agreement,
-    check_register_linearizability,
-    check_snapshot_linearizability,
-)
 from ..failures import FailProneSystem, FailurePattern
 from ..quorums import DiscoveryResult, GeneralizedQuorumSystem, discover_gqs
 from ..types import sorted_processes
-from .workloads import run_workload
+from .workloads import judge_history, run_workload
 
 
 @dataclass
@@ -123,30 +118,19 @@ def verify_pattern(
     component = sorted_processes(quorum_system.termination_component(pattern))
     verdict = PatternVerdict(pattern=pattern, termination_component=component)
 
-    register_run = run_workload(
-        "register", quorum_system, pattern=pattern, ops_per_process=ops_per_process, seed=seed
-    )
-    verdict.register_live = register_run.completed
-    verdict.register_linearizable = bool(
-        check_register_linearizability(register_run.history, initial_value=0)
-    )
+    def live_and_safe(kind: str, **workload):
+        run = run_workload(kind, quorum_system, pattern=pattern, seed=seed, **workload)
+        return run.completed, judge_history(kind, run.history, quorum_system, pattern)["safe"]
 
+    verdict.register_live, verdict.register_linearizable = live_and_safe(
+        "register", ops_per_process=ops_per_process
+    )
     if include_snapshot:
-        snapshot_run = run_workload(
-            "snapshot", quorum_system, pattern=pattern, ops_per_process=1, seed=seed
-        )
-        verdict.snapshot_live = snapshot_run.completed
-        verdict.snapshot_linearizable = bool(
-            check_snapshot_linearizability(
-                snapshot_run.history,
-                segment_ids=sorted_processes(quorum_system.processes),
-                initial_value=None,
-            )
+        verdict.snapshot_live, verdict.snapshot_linearizable = live_and_safe(
+            "snapshot", ops_per_process=1
         )
     if include_lattice:
-        lattice_run = run_workload("lattice", quorum_system, pattern=pattern, seed=seed)
-        verdict.lattice_live = lattice_run.completed
-        verdict.lattice_correct = bool(check_lattice_agreement(lattice_run.history))
+        verdict.lattice_live, verdict.lattice_correct = live_and_safe("lattice")
     return verdict
 
 
@@ -176,7 +160,6 @@ def verify_tightness(
     include_lattice: bool = False,
     seed: int = 0,
     jobs: int = 1,
-    runner: Optional[ParallelRunner] = None,
 ) -> TightnessReport:
     """Run the full tightness verification for one fail-prone system.
 
@@ -189,7 +172,7 @@ def verify_tightness(
     report = TightnessReport(fail_prone=fail_prone, discovery=discovery)
     if not discovery.exists or discovery.quorum_system is None:
         return report
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs)
+    runner = ParallelRunner(jobs=jobs)
     task = functools.partial(
         _verify_pattern_task,
         discovery.quorum_system,

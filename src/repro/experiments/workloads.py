@@ -17,6 +17,7 @@ directly (by the benchmarks and examples):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,14 +33,13 @@ from ..errors import HistoryError
 from ..failures import FailurePattern
 from ..history import History
 from ..protocols import (
-    classical_register_factory,
-    consensus_factory,
-    gqs_register_factory,
-    lattice_agreement_factory,
-    paxos_factory,
-    snapshot_factory,
+    ClassicalABDRegister,
+    ConsensusProcess,
+    GQSRegister,
+    LatticeAgreementProcess,
+    PaxosBaselineProcess,
+    SnapshotProcess,
 )
-from ..protocols.lattice_agreement import SetLattice
 from ..quorums import GeneralizedQuorumSystem, QuorumSystem
 from ..registry import PROTOCOLS, register_protocol
 from ..sim import Cluster, DelayModel, OperationHandle, PartialSynchronyDelay, UniformDelay
@@ -92,38 +92,26 @@ def default_invokers(
 # ---------------------------------------------------------------------- #
 # Built-in protocol factories (builders of the protocol registry entries)
 # ---------------------------------------------------------------------- #
+def _process_factory(process_class):
+    """The registry's ``factory(quorum_system, params)`` for a protocol whose
+    constructor takes the validated ``params`` as keywords: what a scenario
+    leaves out is the constructor's own default."""
+
+    def factory(quorum_system: GeneralizedQuorumSystem, params: Mapping[str, Any]):
+        return functools.partial(process_class, quorum_system=quorum_system, **params)
+
+    return factory
+
+
 def _register_protocol_factory(quorum_system: GeneralizedQuorumSystem, params: Mapping[str, Any]):
-    if params.get("classical", False):
-        return classical_register_factory(quorum_system)
-    return gqs_register_factory(
-        quorum_system,
-        push_interval=params.get("push_interval", 1.0),
-        relay=params.get("relay", True),
-    )
-
-
-def _snapshot_protocol_factory(quorum_system: GeneralizedQuorumSystem, params: Mapping[str, Any]):
-    return snapshot_factory(quorum_system, push_interval=params.get("push_interval", 1.0))
-
-
-def _lattice_protocol_factory(quorum_system: GeneralizedQuorumSystem, params: Mapping[str, Any]):
-    lattice = params.get("lattice")
-    return lattice_agreement_factory(
-        quorum_system,
-        lattice=lattice if lattice is not None else SetLattice(),
-        push_interval=params.get("push_interval", 1.0),
-    )
-
-
-def _consensus_protocol_factory(quorum_system: GeneralizedQuorumSystem, params: Mapping[str, Any]):
-    return consensus_factory(quorum_system, view_duration=params.get("view_duration", 5.0))
+    params = dict(params)
+    if params.pop("classical", False):  # the ABD baseline has no push period and no relay
+        return functools.partial(ClassicalABDRegister, quorum_system=quorum_system)
+    return functools.partial(GQSRegister, quorum_system=quorum_system, **params)
 
 
 def _paxos_protocol_factory(quorum_system: GeneralizedQuorumSystem, params: Mapping[str, Any]):
-    return paxos_factory(
-        sorted_processes(quorum_system.processes),
-        retry_timeout=params.get("retry_timeout", 20.0),
-    )
+    return functools.partial(PaxosBaselineProcess, process_ids=quorum_system.processes, **params)
 
 
 # ---------------------------------------------------------------------- #
@@ -322,7 +310,7 @@ register_protocol(
 )
 register_protocol(
     "snapshot",
-    factory=_snapshot_protocol_factory,
+    factory=_process_factory(SnapshotProcess),
     schedule=write_then_scan_schedule,
     judge=judge_snapshot_history,
     defaults={"op_spacing": 15.0, "max_time": 6_000.0},
@@ -333,7 +321,7 @@ register_protocol(
 )
 register_protocol(
     "lattice",
-    factory=_lattice_protocol_factory,
+    factory=_process_factory(LatticeAgreementProcess),
     schedule=singleton_proposal_schedule,
     judge=judge_lattice_history,
     defaults={"op_spacing": 3.0, "max_time": 6_000.0},
@@ -344,7 +332,7 @@ register_protocol(
 )
 register_protocol(
     "consensus",
-    factory=_consensus_protocol_factory,
+    factory=_process_factory(ConsensusProcess),
     schedule=unique_value_proposal_schedule,
     judge=judge_consensus_history,
     defaults={"op_spacing": 1.5, "max_time": 3_000.0},

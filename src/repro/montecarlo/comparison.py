@@ -148,7 +148,6 @@ def admissibility_sweep(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> List[AdmissibilityPoint]:
     """Classify random fail-prone systems across a channel-failure probability sweep.
 
@@ -158,7 +157,7 @@ def admissibility_sweep(
     """
     from .bitsampler import _admissibility_shard_bitset  # imports this module
 
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    runner = ParallelRunner(jobs=jobs, progress=progress)
     specs = _admissibility_specs(
         disconnect_probs, n, num_patterns, crash_prob, samples, max_crashes, seed, chunk_size
     )
@@ -268,7 +267,6 @@ def asymmetric_admissibility_sweep(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> ResultTable:
     """E6 (second series): admissibility under the asymmetric-partition distribution.
 
@@ -281,7 +279,7 @@ def asymmetric_admissibility_sweep(
     """
     from .bitsampler import _asymmetric_shard_bitset  # imports this module
 
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    runner = ParallelRunner(jobs=jobs, progress=progress)
     specs = _asymmetric_specs(n_values, num_patterns, samples, seed, window_size, chunk_size)
     rows = runner.run_sharded(specs, _asymmetric_shard_bitset, _merge_asymmetric)
     table = ResultTable(

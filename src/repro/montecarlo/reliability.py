@@ -111,7 +111,6 @@ def estimate_reliability(
     seed: int = 0,
     jobs: int = 1,
     chunk_size: Optional[int] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> ReliabilityEstimate:
     """Estimate availability of the quorum system's three availability notions.
 
@@ -121,7 +120,7 @@ def estimate_reliability(
     """
     from .bitsampler import _reliability_shard_bitset  # imports this module
 
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs)
+    runner = ParallelRunner(jobs=jobs)
     spec = _reliability_spec(
         quorum_system, crash_prob, disconnect_prob, samples, seed, chunk_size
     )
@@ -137,7 +136,6 @@ def reliability_sweep(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> List[ReliabilityEstimate]:
     """Sweep the disconnection probability, keeping the crash probability fixed.
 
@@ -146,7 +144,7 @@ def reliability_sweep(
     """
     from .bitsampler import _reliability_shard_bitset  # imports this module
 
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    runner = ParallelRunner(jobs=jobs, progress=progress)
     specs = [
         _reliability_spec(
             quorum_system, crash_prob, p, samples, seed + index, chunk_size

@@ -302,14 +302,18 @@ def hunt_scenario(
     corpus_dir: Optional[str] = None,
     from_traces: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> HuntReport:
-    """Search ``scenario``'s schedule space for badness; see the module doc.
+    """Search ``scenario``'s schedule space for the adversary's best case.
 
-    ``budget`` counts mutant evaluations (seed baselines come on top);
-    ``corpus_dir`` persists survivors as traces + schedules + incidents plus
-    a ``report.json``.  The report and corpus bytes depend only on
-    ``(scenario, strategy, budget, seeds, batch, seed)``.
+    This is :func:`repro.api.hunt`; the module doc has the loop.  ``scenario``
+    is a registered name or a spec.  Seed schedules replay the scenario's own
+    recorded runs (or, with ``from_traces``, runs from an existing trace
+    directory); ``budget`` mutants (seed baselines come on top) are then
+    derived, evaluated over ``jobs`` workers and admitted by ``strategy`` (a
+    ``nemesis`` registry name).  ``corpus_dir`` persists survivors as traces
+    + schedules + incidents plus a ``report.json``.  The report and corpus
+    bytes depend only on ``(scenario, strategy, budget, seeds, batch, seed)``,
+    never on ``jobs``.
     """
     if budget < 1:
         raise ReproError("hunt budget must be at least 1 mutant evaluation")
@@ -320,7 +324,7 @@ def hunt_scenario(
     system = build_topology(spec)
     quorum_system = build_quorum_system(spec, system)
     declared = tuple(system.patterns)
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    runner = ParallelRunner(jobs=jobs, progress=progress)
     evaluate = functools.partial(_evaluate_task, quorum_system, declared)
 
     if from_traces is not None:
@@ -472,11 +476,13 @@ def _pattern_or_none(
 def replay_schedule_file(path: str) -> Dict[str, Any]:
     """Replay one persisted schedule and diff it against its incident record.
 
-    The schedule's base scenario is rebuilt from scratch (topology, GQS
-    discovery, simulation) — nothing is taken from the original hunt — and
-    the fresh verdict row is compared field by field against the verdict the
-    sibling ``.incident.json`` recorded at hunt time, when one exists.  A
-    mismatch would mean the hunt-time evaluation and replay have drifted.
+    This is :func:`repro.api.replay_schedule`.  The schedule's base scenario
+    is rebuilt from scratch (topology, GQS discovery, simulation) — nothing
+    is taken from the original hunt — and the fresh verdict row is compared
+    field by field against the verdict the sibling ``.incident.json``
+    recorded at hunt time: ``"match"`` is ``None`` when there is none to
+    compare with, and ``False`` means the hunt-time evaluation and the replay
+    have drifted.
     """
     from .schedule import load_schedule  # local import avoids a cycle at module load
 
@@ -542,7 +548,12 @@ def corpus_rows(directory: str) -> List[Dict[str, Any]]:
             "score",
             explored + STALL_WEIGHT * int(stalled) + VIOLATION_WEIGHT * int(violation),
         )
-        lineage = incident.get("lineage", [])
+        lineage, flags = incident.get("lineage", []), incident.get("flags", [])
+        for key, names in (("lineage", lineage), ("flags", flags)):
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ReproError(
+                    "{}: field {!r} must be a list of strings, got {!r}".format(path, key, names)
+                )
         rows.append(
             {
                 "candidate": incident.get("candidate"),
@@ -552,16 +563,15 @@ def corpus_rows(directory: str) -> List[Dict[str, Any]]:
                 "within-budget": within,
                 "score": int(score),
                 "explored": explored,
-                "flags": ",".join(incident.get("flags", [])) or "-",
+                "flags": ",".join(flags) or "-",
                 "mutation": lineage[-1] if lineage else "-",
             }
         )
     return rows
 
 
-def corpus_table(directory: str) -> ResultTable:
-    """The ``repro nemesis corpus`` summary table."""
-    rows = corpus_rows(directory)
+def corpus_table(directory: str, rows: Sequence[Dict[str, Any]]) -> ResultTable:
+    """The ``repro nemesis corpus`` summary table of ``corpus_rows(directory)``."""
     table = ResultTable(
         title="nemesis corpus: {} incident(s) in {}".format(len(rows), directory),
         columns=CORPUS_COLUMNS,

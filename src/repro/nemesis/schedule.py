@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ReproError
+from ..errors import ReproError, numeric_field
 from ..failures import FailurePattern
 from ..quorums import GeneralizedQuorumSystem
 from ..registry import PROTOCOLS
@@ -147,24 +147,44 @@ class Schedule:
             )
         if "base" not in data:
             raise ReproError("a schedule must carry its 'base' scenario")
-        inject_at = data.get("inject_at")
+        lineage = data.get("lineage", [])
+        if not isinstance(lineage, list) or not all(isinstance(op, str) for op in lineage):
+            raise ReproError(
+                "field 'lineage' must be a list of operator names, got {!r}".format(lineage)
+            )
         return cls(
             base=ScenarioSpec.from_dict(data["base"]),
-            seed=int(data.get("seed", 0)),
+            seed=numeric_field(data, "seed", int, default=0),
             pattern=data.get("pattern"),
-            inject_at=float(inject_at) if inject_at is not None else None,
-            stretches=tuple(
-                (src, dst, float(factor)) for src, dst, factor in data.get("stretches", [])
-            ),
-            nudges=tuple(
-                (src, dst, int(index), float(extra))
-                for src, dst, index, extra in data.get("nudges", [])
-            ),
-            lineage=tuple(data.get("lineage", [])),
+            inject_at=numeric_field(data, "inject_at", float),
+            stretches=_override_rows(data, "stretches", (float,)),
+            nudges=_override_rows(data, "nudges", (int, float)),
+            lineage=tuple(lineage),
         )
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+
+def _override_rows(data: Mapping[str, Any], key: str, kinds: Tuple[type, ...]) -> Tuple:
+    """Field ``key`` as ``(src, dst, *numbers)`` rows, one number per ``kinds`` entry."""
+    rows = data.get(key, [])
+    width = 2 + len(kinds)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == width for row in rows
+    ):
+        raise ReproError(
+            "field {!r} must be a list of {}-element rows, got {!r}".format(key, width, rows)
+        )
+    try:
+        return tuple(
+            (row[0], row[1]) + tuple(kind(value) for kind, value in zip(kinds, row[2:]))
+            for row in rows
+        )
+    except (TypeError, ValueError):
+        raise ReproError(
+            "field {!r} rows must end in {} number(s), got {!r}".format(key, len(kinds), rows)
+        )
 
 
 def identity_schedule(base: ScenarioSpec, seed: int) -> Schedule:
@@ -188,8 +208,12 @@ def save_schedule(schedule: Schedule, path: str) -> None:
 
 
 def load_schedule(path: str) -> Schedule:
-    """Parse one schedule file."""
-    return Schedule.from_dict(_read_json(path))
+    """Parse one schedule file; what is wrong with it is reported against ``path``."""
+    data = _read_json(path)
+    try:
+        return Schedule.from_dict(data)
+    except ReproError as error:
+        raise ReproError("{}: {}".format(path, error)) from error
 
 
 # ---------------------------------------------------------------------- #

@@ -1,15 +1,9 @@
 """Protocol implementations: quorum access functions, registers, snapshots,
 lattice agreement and consensus (paper §5 and §7), plus classical baselines."""
 
-from .consensus import ConsensusProcess, consensus_factory
-from .kv_store import ReplicatedKVStore, kv_store_factory, merge_kv_states
-from .lattice_agreement import (
-    LatticeAgreementProcess,
-    MaxLattice,
-    SemiLattice,
-    SetLattice,
-    lattice_agreement_factory,
-)
+from .consensus import ConsensusProcess
+from .kv_store import ReplicatedKVStore, merge_kv_states
+from .lattice_agreement import LatticeAgreementProcess, MaxLattice, SemiLattice, SetLattice
 from .messages import (
     Accept,
     Accepted,
@@ -28,7 +22,7 @@ from .messages import (
     TwoA,
     TwoB,
 )
-from .paxos_baseline import PaxosBaselineProcess, majority_quorums, paxos_factory
+from .paxos_baseline import PaxosBaselineProcess, majority_quorums
 from .quorum_access import (
     ClassicalQuorumAccessProcess,
     GeneralizedQuorumAccessProcess,
@@ -38,11 +32,9 @@ from .register import (
     ClassicalABDRegister,
     GQSRegister,
     RegisterState,
-    classical_register_factory,
-    gqs_register_factory,
     initial_register_state,
 )
-from .snapshot import Segment, SnapshotProcess, merge_vectors, snapshot_factory
+from .snapshot import Segment, SnapshotProcess, merge_vectors
 
 __all__ = [
     "Accept",
@@ -76,15 +68,8 @@ __all__ = [
     "StatePush",
     "TwoA",
     "TwoB",
-    "classical_register_factory",
-    "consensus_factory",
-    "gqs_register_factory",
     "initial_register_state",
-    "kv_store_factory",
-    "lattice_agreement_factory",
     "majority_quorums",
     "merge_kv_states",
     "merge_vectors",
-    "paxos_factory",
-    "snapshot_factory",
 ]

@@ -204,16 +204,3 @@ class ConsensusProcess(Process):
                 if self.decided_view is None:
                     self.decided_view = self.view
                 return
-
-
-def consensus_factory(
-    quorum_system: AnyQuorumSystem, view_duration: float = 5.0, relay: bool = True
-):
-    """Factory building :class:`ConsensusProcess` instances for a :class:`~repro.sim.Cluster`."""
-
-    def factory(pid: ProcessId, network: Network) -> ConsensusProcess:
-        return ConsensusProcess(
-            pid, network, quorum_system, view_duration=view_duration, relay=relay
-        )
-
-    return factory

@@ -131,16 +131,3 @@ class ReplicatedKVStore(GeneralizedQuorumAccessProcess):
         merged = merge_kv_states(states.values())
         yield from self._quorum_set(_merge_update(merged))
         return sorted(merged)
-
-
-def kv_store_factory(
-    quorum_system: AnyQuorumSystem, push_interval: float = 1.0, relay: bool = True
-):
-    """Factory building :class:`ReplicatedKVStore` processes for a :class:`~repro.sim.Cluster`."""
-
-    def factory(pid: ProcessId, network: Network) -> ReplicatedKVStore:
-        return ReplicatedKVStore(
-            pid, network, quorum_system, push_interval=push_interval, relay=relay
-        )
-
-    return factory

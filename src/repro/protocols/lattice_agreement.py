@@ -122,24 +122,3 @@ class LatticeAgreementProcess(SnapshotProcess):
             if self.lattice.leq(joined, accumulated):
                 return accumulated
             accumulated = joined
-
-
-def lattice_agreement_factory(
-    quorum_system: AnyQuorumSystem,
-    lattice: Optional[SemiLattice] = None,
-    push_interval: float = 1.0,
-    relay: bool = True,
-):
-    """Factory building :class:`LatticeAgreementProcess` instances for a cluster."""
-
-    def factory(pid: ProcessId, network: Network) -> LatticeAgreementProcess:
-        return LatticeAgreementProcess(
-            pid,
-            network,
-            quorum_system,
-            lattice=lattice,
-            push_interval=push_interval,
-            relay=relay,
-        )
-
-    return factory

@@ -173,26 +173,3 @@ class PaxosBaselineProcess(Process):
     def _first_or_not_ready(self, quorums, responses):
         covered = self._covered(quorums, responses)
         return covered if covered is not None else NOT_READY
-
-
-def paxos_factory(
-    process_ids: Sequence[ProcessId],
-    read_quorums: Optional[Sequence[ProcessSet]] = None,
-    write_quorums: Optional[Sequence[ProcessSet]] = None,
-    retry_timeout: float = 20.0,
-    relay: bool = True,
-):
-    """Factory building :class:`PaxosBaselineProcess` instances for a cluster."""
-
-    def factory(pid: ProcessId, network: Network) -> PaxosBaselineProcess:
-        return PaxosBaselineProcess(
-            pid,
-            network,
-            process_ids,
-            read_quorums=read_quorums,
-            write_quorums=write_quorums,
-            retry_timeout=retry_timeout,
-            relay=relay,
-        )
-
-    return factory

@@ -161,33 +161,3 @@ class ClassicalABDRegister(RegisterLogic, ClassicalQuorumAccessProcess):
             initial_state=initial_register_state(initial_value),
         )
         self.writer_rank = _writer_rank(pid, quorum_system)
-
-
-def gqs_register_factory(
-    quorum_system: AnyQuorumSystem,
-    initial_value: Any = 0,
-    push_interval: float = 1.0,
-    relay: bool = True,
-):
-    """Factory suitable for :class:`repro.sim.Cluster` building :class:`GQSRegister` processes."""
-
-    def factory(pid: ProcessId, network: Network) -> GQSRegister:
-        return GQSRegister(
-            pid,
-            network,
-            quorum_system,
-            initial_value=initial_value,
-            push_interval=push_interval,
-            relay=relay,
-        )
-
-    return factory
-
-
-def classical_register_factory(quorum_system: AnyQuorumSystem, initial_value: Any = 0):
-    """Factory building :class:`ClassicalABDRegister` processes for a cluster."""
-
-    def factory(pid: ProcessId, network: Network) -> ClassicalABDRegister:
-        return ClassicalABDRegister(pid, network, quorum_system, initial_value=initial_value)
-
-    return factory

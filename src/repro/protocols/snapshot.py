@@ -183,24 +183,3 @@ class SnapshotProcess(GeneralizedQuorumAccessProcess):
                             for seg in self.segment_ids
                         }
             previous = current
-
-
-def snapshot_factory(
-    quorum_system: AnyQuorumSystem,
-    initial_value: Any = None,
-    push_interval: float = 1.0,
-    relay: bool = True,
-):
-    """Factory building :class:`SnapshotProcess` instances for a :class:`~repro.sim.Cluster`."""
-
-    def factory(pid: ProcessId, network: Network) -> SnapshotProcess:
-        return SnapshotProcess(
-            pid,
-            network,
-            quorum_system,
-            initial_value=initial_value,
-            push_interval=push_interval,
-            relay=relay,
-        )
-
-    return factory

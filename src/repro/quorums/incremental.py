@@ -97,16 +97,21 @@ def parse_delta(obj: Mapping[str, Any]) -> MembershipDelta:
             "unknown delta op {!r}; expected one of {}".format(op, list(DELTA_OPS))
         )
     if op in ("suspect-channel", "trust-channel"):
-        src, dst = obj.get("src"), obj.get("dst")
-        if src is None or dst is None:
-            raise ReproError("delta op {!r} needs 'src' and 'dst'".format(op))
+        src, dst = _process_field(obj, "src", op), _process_field(obj, "dst", op)
         if src == dst:
             raise ReproError("delta op {!r} got a self-loop channel {!r}".format(op, src))
         return MembershipDelta(op=op, src=src, dst=dst)
-    process = obj.get("process")
-    if process is None:
-        raise ReproError("delta op {!r} needs 'process'".format(op))
-    return MembershipDelta(op=op, process=process)
+    return MembershipDelta(op=op, process=_process_field(obj, "process", op))
+
+
+def _process_field(obj: Mapping[str, Any], key: str, op: str) -> ProcessId:
+    """``obj[key]`` as a process id: a JSON string or number, like a spec file's."""
+    process = obj.get(key)
+    if not isinstance(process, (str, int, float)):
+        raise ReproError(
+            "delta op {!r} needs {!r} to name a process, got {!r}".format(op, key, process)
+        )
+    return process
 
 
 def load_deltas(path: str) -> List[MembershipDelta]:
@@ -127,7 +132,10 @@ def load_deltas(path: str) -> List[MembershipDelta]:
                 raise ReproError("{}:{}: invalid JSON: {}".format(path, lineno, error))
             if not isinstance(obj, dict):
                 raise ReproError("{}:{}: delta must be a JSON object".format(path, lineno))
-            deltas.append(parse_delta(obj))
+            try:
+                deltas.append(parse_delta(obj))
+            except ReproError as error:
+                raise ReproError("{}:{}: {}".format(path, lineno, error)) from error
     return deltas
 
 

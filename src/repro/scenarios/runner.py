@@ -199,7 +199,6 @@ def run_scenario(
     seed: int = 0,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
     record_traces: Optional[str] = None,
 ) -> ScenarioRunResult:
     """Run a scenario ``runs`` times with deterministically spawned seeds.
@@ -213,7 +212,7 @@ def run_scenario(
     """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     budget = runs if runs is not None else spec.default_runs
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    runner = ParallelRunner(jobs=jobs, progress=progress)
     return runner.run(
         _scenario_experiment_spec(spec, budget, seed, record_traces=record_traces),
         _scenario_shard,
@@ -227,7 +226,6 @@ def sweep_scenarios(
     seed: int = 0,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
     record_traces: Optional[str] = None,
 ) -> List[ScenarioRunResult]:
     """Run several scenarios (default: the whole registry) over one worker pool.
@@ -242,7 +240,7 @@ def sweep_scenarios(
 
     chosen = scenarios if scenarios is not None else all_scenarios()
     specs = [get_scenario(s) if isinstance(s, str) else s for s in chosen]
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    runner = ParallelRunner(jobs=jobs, progress=progress)
     experiment_specs = [
         _scenario_experiment_spec(
             spec, runs if runs is not None else spec.default_runs, seed, record_traces=record_traces

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..errors import ReproError
+from ..errors import ReproError, numeric_field
 from ..registry import DELAY_MODELS, PROTOCOLS, TOPOLOGIES
 
 __all__ = [
@@ -57,11 +57,37 @@ def _label_params(params: Dict[str, Any]) -> str:
 
 
 @dataclass(frozen=True)
-class TopologySpec:
-    """Which fail-prone system to build: a generator kind plus its parameters."""
+class _KindSpec:
+    """A registry ``kind`` plus its ``params``: the one shape the topology,
+    delay and protocol specs share.  Each subclass adds its validator
+    (``__post_init__``) and says what it is called in error messages."""
 
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
+
+    #: How :meth:`from_dict` names the spec when the description is malformed,
+    #: and the kind of a description that names none (empty: the validator's
+    #: unknown-name error).
+    WHAT = "spec"
+    DEFAULT_KIND = ""
+
+    def label(self) -> str:
+        return "{}({})".format(self.kind, _label_params(self.params))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": self.kind, "params": dict(self.params)}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]):
+        data = _require_mapping(data, cls.WHAT)
+        return cls(kind=data.get("kind", cls.DEFAULT_KIND), params=dict(data.get("params", {})))
+
+
+@dataclass(frozen=True)
+class TopologySpec(_KindSpec):
+    """Which fail-prone system to build: a generator kind plus its parameters."""
+
+    WHAT = "topology spec"
 
     def __post_init__(self) -> None:
         if self.kind != EXPLICIT_TOPOLOGY and self.kind not in TOPOLOGIES:
@@ -76,17 +102,7 @@ class TopologySpec:
             )
 
     def label(self) -> str:
-        if self.kind == EXPLICIT_TOPOLOGY:
-            return "explicit"
-        return "{}({})".format(self.kind, _label_params(self.params))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TopologySpec":
-        data = _require_mapping(data, "topology spec")
-        return cls(kind=data.get("kind", ""), params=dict(data.get("params", {})))
+        return "explicit" if self.kind == EXPLICIT_TOPOLOGY else super().label()
 
 
 @dataclass(frozen=True)
@@ -114,58 +130,33 @@ class FailureSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FailureSpec":
         data = _require_mapping(data, "failure spec")
-        at_time = data.get("at_time")
-        return cls(
-            pattern=data.get("pattern"),
-            at_time=float(at_time) if at_time is not None else None,
-        )
+        return cls(pattern=data.get("pattern"), at_time=numeric_field(data, "at_time", float))
 
 
 @dataclass(frozen=True)
-class DelaySpec:
+class DelaySpec(_KindSpec):
     """Which delay model the network uses (see :data:`repro.registry.DELAY_MODELS`)."""
 
-    kind: str = "uniform"
-    params: Dict[str, Any] = field(default_factory=dict)
+    WHAT = "delay spec"
+    DEFAULT_KIND = "uniform"
+    kind: str = DEFAULT_KIND
 
     def __post_init__(self) -> None:
         if self.kind not in DELAY_MODELS:
             raise DELAY_MODELS.unknown_name_error(self.kind)
 
-    def label(self) -> str:
-        return "{}({})".format(self.kind, _label_params(self.params))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DelaySpec":
-        data = _require_mapping(data, "delay spec")
-        return cls(kind=data.get("kind", "uniform"), params=dict(data.get("params", {})))
-
 
 @dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(_KindSpec):
     """Which protocol to run (see :data:`repro.registry.PROTOCOLS`)."""
 
-    kind: str
-    params: Dict[str, Any] = field(default_factory=dict)
+    WHAT = "protocol spec"
 
     def __post_init__(self) -> None:
         PROTOCOLS.validate_params(self.kind, self.params)
 
     def label(self) -> str:
-        if not self.params:
-            return self.kind
-        return "{}({})".format(self.kind, _label_params(self.params))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ProtocolSpec":
-        data = _require_mapping(data, "protocol spec")
-        return cls(kind=data.get("kind", ""), params=dict(data.get("params", {})))
+        return super().label() if self.params else self.kind
 
 
 @dataclass(frozen=True)
@@ -194,12 +185,10 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "WorkloadSpec":
         data = _require_mapping(data, "workload spec")
-        op_spacing = data.get("op_spacing")
-        max_time = data.get("max_time")
         return cls(
-            ops_per_process=int(data.get("ops_per_process", 2)),
-            op_spacing=float(op_spacing) if op_spacing is not None else None,
-            max_time=float(max_time) if max_time is not None else None,
+            ops_per_process=numeric_field(data, "ops_per_process", int, default=2),
+            op_spacing=numeric_field(data, "op_spacing", float),
+            max_time=numeric_field(data, "max_time", float),
         )
 
 
@@ -254,7 +243,7 @@ class ScenarioSpec:
             delay=DelaySpec.from_dict(data.get("delay", {"kind": "uniform"})),
             protocol=ProtocolSpec.from_dict(data["protocol"]),
             workload=WorkloadSpec.from_dict(data.get("workload", {})),
-            default_runs=int(data.get("default_runs", 4)),
+            default_runs=numeric_field(data, "default_runs", int, default=4),
         )
 
     def to_json(self, indent: int = 2) -> str:

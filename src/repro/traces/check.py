@@ -199,7 +199,6 @@ def check_traces(
     checker: str = "auto",
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[ParallelRunner] = None,
 ) -> TraceCheckReport:
     """Re-verify every trace in ``directory`` across ``jobs`` workers.
 
@@ -210,6 +209,6 @@ def check_traces(
     """
     CHECKERS.get(checker)  # fail fast on an unknown checker, before any work
     paths = list_trace_files(directory)
-    runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
+    runner = ParallelRunner(jobs=jobs, progress=progress)
     rows = runner.map(functools.partial(_check_trace_task, checker), paths)
     return TraceCheckReport(directory=directory, checker=checker, rows=rows)

@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..errors import ReproError
+from ..errors import ReproError, numeric_field
 from ..failures import FailurePattern
 from ..history import History
 from ..quorums import GeneralizedQuorumSystem
@@ -231,13 +231,17 @@ def load_trace(path: str) -> Trace:
         raise ReproError(
             "{}: trace has no 'verdict' record (truncated or corrupt file)".format(path)
         )
+    try:
+        counters = {
+            key: numeric_field(meta, key, int, default=0) for key in ("root_seed", "run", "seed")
+        }
+    except ReproError as error:
+        raise ReproError("{}: 'meta' record {}".format(path, error)) from error
     return Trace(
         schema=meta["schema"],
         name=meta.get("name", ""),
         protocol=meta.get("protocol", ""),
-        root_seed=int(meta.get("root_seed", 0)),
-        run=int(meta.get("run", 0)),
-        seed=int(meta.get("seed", 0)),
+        **counters,
         history=history_from_dicts(operations),
         quorum_system=quorum_system,
         pattern=pattern,

@@ -239,6 +239,84 @@ def test_unreadable_schedule_file_is_one_error_line(capsys, tmp_path, kind):
 
 
 # ---------------------------------------------------------------------- #
+# Field ingress: a well-formed file with a malformed field names file and field
+# ---------------------------------------------------------------------- #
+def _schedule(tmp_path, **fields):
+    """A valid one-run schedule file (as ``nemesis hunt --corpus`` writes them), edited."""
+    import json
+
+    from repro.nemesis import identity_schedule
+    from repro.scenarios import get_scenario
+
+    data = identity_schedule(get_scenario("unidirectional-ring"), 7).to_dict()
+    workload = fields.pop("workload", None)
+    if workload is not None:
+        data["base"]["workload"].update(workload)
+    data.update(fields)
+    path = tmp_path / "edited.schedule.json"
+    path.write_text(json.dumps(data))
+    return ["nemesis", "replay", str(path)], str(path)
+
+
+def _deltas(tmp_path, line):
+    path = tmp_path / "deltas.jsonl"
+    path.write_text("# membership churn\n" + line + "\n")
+    return ["quorums", "watch", "--builtin", "figure1", str(path)], str(path) + ":2"
+
+
+def _trace_with_header(tmp_path, **header):
+    import json
+
+    from repro import api
+
+    api.run_scenario("unidirectional-ring", runs=1, record_traces=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    first, rest = path.read_text().split("\n", 1)
+    path.write_text(json.dumps(dict(json.loads(first), **header)) + "\n" + rest)
+    return ["check", str(tmp_path)], str(path)
+
+
+def _incident(tmp_path, **fields):
+    import json
+
+    from repro.traces import build_incident
+
+    incident = build_incident(scenario="s", candidate=0, seed=1, declared=())
+    path = tmp_path / "s-seed1-run0000.incident.json"
+    path.write_text(json.dumps(dict(incident, **fields)))
+    return ["nemesis", "corpus", str(tmp_path)], str(path)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda tmp: _schedule(tmp, stretches=[["a", "b"]]), "'stretches'"),
+        (lambda tmp: _schedule(tmp, nudges="x"), "'nudges'"),
+        (lambda tmp: _schedule(tmp, seed="zz"), "'seed'"),
+        (lambda tmp: _schedule(tmp, lineage=5), "'lineage'"),
+        (lambda tmp: _schedule(tmp, inject_at="soon"), "'inject_at'"),
+        (lambda tmp: _schedule(tmp, workload={"ops_per_process": "many"}), "'ops_per_process'"),
+        (lambda tmp: _deltas(tmp, '{"op": "suspect", "process": ["a"]}'), "'process'"),
+        (lambda tmp: _deltas(tmp, '{"op": "suspect-channel", "src": {"a": 1}, "dst": "b"}'), "'src'"),
+        (lambda tmp: _trace_with_header(tmp, seed="zz"), "'seed'"),
+        (lambda tmp: _incident(tmp, flags=5), "'flags'"),
+    ],
+    ids=[
+        "schedule-stretches", "schedule-nudges", "schedule-seed", "schedule-lineage",
+        "schedule-inject-at", "schedule-workload-ops", "delta-process", "delta-src",
+        "trace-header-seed", "incident-flags",
+    ],
+)
+def test_malformed_field_is_one_error_line_naming_file_and_field(capsys, tmp_path, build, field):
+    """Each used to die in a bare ``ValueError`` / ``TypeError`` traceback from
+    ``Schedule.from_dict`` / ``WorkloadSpec.from_dict`` / ``parse_delta`` /
+    ``load_trace`` / ``corpus_rows``."""
+    argv, where = build(tmp_path)
+    status = main(argv)
+    _assert_one_error_line(status, capsys.readouterr(), "error: " + where + ": ", field)
+
+
+# ---------------------------------------------------------------------- #
 # Repair budgets: an empty search must not read as "no channel repair exists"
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize(

@@ -203,6 +203,35 @@ print("SURFACE-OK")
     assert "SURFACE-OK" in result.stdout
 
 
+def test_api_reexports_are_the_layer_functions_and_stay_lazy():
+    """``import repro.api`` pays for no layer; the first touch of a re-exported
+    workflow imports exactly its home package and hands back the same object."""
+    code = """
+import sys
+import repro.api as api
+
+LAYERS = ("repro.nemesis", "repro.scenarios", "repro.traces", "repro.analysis.examples", "repro.sim")
+assert not [name for name in LAYERS if name in sys.modules], sorted(sys.modules)
+assert api.check_traces is sys.modules["repro.traces"].check_traces
+assert "repro.nemesis" not in sys.modules and "repro.scenarios" not in sys.modules
+assert api.run_scenario is sys.modules["repro.scenarios"].run_scenario
+assert api.sweep_scenarios is sys.modules["repro.scenarios"].sweep_scenarios
+assert "repro.nemesis" not in sys.modules
+assert api.run_examples is sys.modules["repro.analysis"].run_all_examples
+assert api.hunt is sys.modules["repro.nemesis"].hunt_scenario
+assert api.replay_schedule is sys.modules["repro.nemesis"].replay_schedule_file
+assert api.nemesis_corpus is sys.modules["repro.nemesis"].corpus_rows
+assert api.nemesis_corpus_table is sys.modules["repro.nemesis"].corpus_table
+namespace = {}
+exec("from repro.api import *", namespace)
+assert set(api.__all__) <= set(namespace) and set(api.__all__) <= set(dir(api))
+print("REEXPORTS-OK")
+"""
+    result = _python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert "REEXPORTS-OK" in result.stdout
+
+
 def test_spawn_workers_resolve_names_from_a_cold_registry(tmp_path):
     """A spawn-started worker imports nothing but the task's module: the system
     crosses by pickle and the registries must fill themselves in on first look."""

@@ -3,7 +3,7 @@
 ``"pruned"``, ``"full"`` and ``"quotient"`` are three accepted names of the
 same forward-checking search (the symmetry-quotiented search that used to sit
 behind the third name lost every wall clock and was deleted; see
-``docs/quorums.md``).  What survives of its battery is the inputs: the
+``CHANGES.md``).  What survives of its battery is the inputs: the
 registered builders whose families are symmetric by construction and
 randomized systems whose pattern families are closed under a randomly drawn
 permutation — the only symmetric systems any battery sees.  On each of them

@@ -1,10 +1,12 @@
 """Tests for the partially synchronous consensus protocol (Figure 6)."""
 
+import functools
+
 import pytest
 
 from repro.checkers import check_consensus
 from repro.experiments import run_workload
-from repro.protocols import ConsensusProcess, consensus_factory
+from repro.protocols import ConsensusProcess
 from repro.quorums import GeneralizedQuorumSystem
 from repro.sim import Cluster, PartialSynchronyDelay
 from repro.types import sorted_processes
@@ -13,7 +15,7 @@ from repro.types import sorted_processes
 def make_cluster(quorum_system, gst=20.0, delta=1.0, view_duration=5.0, seed=0):
     return Cluster(
         sorted_processes(quorum_system.processes),
-        consensus_factory(quorum_system, view_duration=view_duration),
+        functools.partial(ConsensusProcess, quorum_system=quorum_system, view_duration=view_duration),
         PartialSynchronyDelay(gst=gst, delta=delta, seed=seed),
     )
 

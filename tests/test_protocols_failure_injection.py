@@ -7,10 +7,12 @@ and check that safety is never violated and that liveness inside ``U_f`` is
 preserved.
 """
 
+import functools
+
 import pytest
 
 from repro.checkers import check_consensus, check_register_linearizability
-from repro.protocols import consensus_factory, gqs_register_factory
+from repro.protocols import ConsensusProcess, GQSRegister
 from repro.sim import Cluster, PartialSynchronyDelay, UniformDelay
 from repro.types import sorted_processes
 
@@ -18,7 +20,7 @@ from repro.types import sorted_processes
 def register_cluster(gqs, seed=0):
     return Cluster(
         sorted_processes(gqs.processes),
-        gqs_register_factory(gqs),
+        functools.partial(GQSRegister, quorum_system=gqs),
         UniformDelay(0.4, 1.6, seed=seed),
     )
 
@@ -85,7 +87,7 @@ def test_consensus_decides_despite_mid_run_pattern_injection(figure1_gqs):
     f3 = figure1_gqs.fail_prone.patterns[2]
     cluster = Cluster(
         sorted_processes(figure1_gqs.processes),
-        consensus_factory(figure1_gqs, view_duration=5.0),
+        functools.partial(ConsensusProcess, quorum_system=figure1_gqs, view_duration=5.0),
         PartialSynchronyDelay(gst=40.0, delta=1.0, seed=4),
     )
     cluster.apply_failure_pattern(f3, at_time=15.0)
@@ -105,7 +107,7 @@ def test_consensus_crash_of_leader_rotates_past_it(figure1_gqs):
     """Crashing the first leader ('a') mid-run only delays the decision."""
     cluster = Cluster(
         sorted_processes(figure1_gqs.processes),
-        consensus_factory(figure1_gqs, view_duration=4.0),
+        functools.partial(ConsensusProcess, quorum_system=figure1_gqs, view_duration=4.0),
         PartialSynchronyDelay(gst=10.0, delta=1.0, seed=5),
     )
     cluster.network.scheduler.schedule(2.0, lambda: cluster.network.crash_process("a"))

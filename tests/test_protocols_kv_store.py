@@ -1,10 +1,12 @@
 """Tests for the replicated key-value store built on the quorum access functions."""
 
+import functools
+
 import pytest
 
 from repro.checkers import check_register_linearizability
 from repro.history import History, OperationRecord
-from repro.protocols import kv_store_factory, merge_kv_states
+from repro.protocols import ReplicatedKVStore, merge_kv_states
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
 
@@ -12,7 +14,7 @@ from repro.types import sorted_processes
 def make_cluster(quorum_system, seed=0):
     return Cluster(
         sorted_processes(quorum_system.processes),
-        kv_store_factory(quorum_system),
+        functools.partial(ReplicatedKVStore, quorum_system=quorum_system),
         UniformDelay(0.4, 1.6, seed=seed),
     )
 

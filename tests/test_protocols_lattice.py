@@ -1,10 +1,12 @@
 """Tests for single-shot lattice agreement and its semi-lattice helpers."""
 
+import functools
+
 import pytest
 
 from repro.checkers import check_lattice_agreement
 from repro.experiments import run_workload
-from repro.protocols import MaxLattice, SetLattice, lattice_agreement_factory
+from repro.protocols import LatticeAgreementProcess, MaxLattice, SetLattice
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
 
@@ -38,7 +40,7 @@ def test_max_lattice_operations():
 def make_cluster(quorum_system, seed=0):
     return Cluster(
         sorted_processes(quorum_system.processes),
-        lattice_agreement_factory(quorum_system),
+        functools.partial(LatticeAgreementProcess, quorum_system=quorum_system),
         UniformDelay(seed=seed),
     )
 

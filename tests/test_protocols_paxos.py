@@ -1,9 +1,11 @@
 """Tests for the classical Paxos baseline and its comparison with the GQS consensus."""
 
+import functools
+
 import pytest
 
 from repro.experiments import run_workload
-from repro.protocols import majority_quorums, paxos_factory
+from repro.protocols import PaxosBaselineProcess, majority_quorums
 from repro.sim import Cluster, PartialSynchronyDelay, UniformDelay
 
 
@@ -19,7 +21,7 @@ def test_majority_quorums_shape():
 def make_cluster(pids, seed=0, retry_timeout=10.0):
     return Cluster(
         list(pids),
-        paxos_factory(list(pids), retry_timeout=retry_timeout),
+        functools.partial(PaxosBaselineProcess, process_ids=list(pids), retry_timeout=retry_timeout),
         PartialSynchronyDelay(gst=5.0, delta=1.0, seed=seed),
     )
 

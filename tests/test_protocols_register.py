@@ -1,14 +1,13 @@
 """Tests for the MWMR atomic register (Figure 4) and the classical ABD baseline."""
 
+import functools
+
 import pytest
 
 from repro.checkers import check_register_linearizability
 from repro.experiments import run_workload
 from repro.history import History
-from repro.protocols import (
-    classical_register_factory,
-    gqs_register_factory,
-)
+from repro.protocols import ClassicalABDRegister, GQSRegister
 from repro.protocols.register import RegisterState, initial_register_state
 from repro.quorums import GeneralizedQuorumSystem
 from repro.sim import Cluster, UniformDelay
@@ -16,10 +15,8 @@ from repro.types import sorted_processes
 
 
 def make_cluster(quorum_system, classical=False, seed=0):
-    factory = (
-        classical_register_factory(quorum_system)
-        if classical
-        else gqs_register_factory(quorum_system)
+    factory = functools.partial(
+        ClassicalABDRegister if classical else GQSRegister, quorum_system=quorum_system
     )
     return Cluster(
         sorted_processes(quorum_system.processes), factory, UniformDelay(seed=seed)

@@ -1,11 +1,12 @@
 """Tests for the SWMR atomic snapshot object."""
 
+import functools
+
 import pytest
 
 from repro.checkers import check_snapshot_linearizability, scans_totally_ordered
 from repro.experiments import run_workload
-from repro.protocols import snapshot_factory
-from repro.protocols.snapshot import Segment, initial_vector, merge_vectors
+from repro.protocols.snapshot import Segment, SnapshotProcess, initial_vector, merge_vectors
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
 
@@ -13,7 +14,7 @@ from repro.types import sorted_processes
 def make_cluster(quorum_system, seed=0):
     return Cluster(
         sorted_processes(quorum_system.processes),
-        snapshot_factory(quorum_system),
+        functools.partial(SnapshotProcess, quorum_system=quorum_system),
         UniformDelay(seed=seed),
     )
 

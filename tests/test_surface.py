@@ -14,6 +14,10 @@ accepted name of the forward-checking search and no CLI flag picks a search.
 Linearizability has one complete search too: the streaming formulation, the
 ``mode=`` switch and the two checker names that selected nothing are gone, and
 so is the set-based ``graph.connectivity`` module (now ``oracles.graph``).
+Pass-through layers are called through: a process factory is
+``functools.partial`` of the protocol class, the engine's ``runner=``
+extension point nobody passed is gone, and a ``repro.api`` workflow that is
+exactly one layer function is that function.
 """
 
 from __future__ import annotations
@@ -333,3 +337,91 @@ def test_linearizability_oracle_shares_nothing_with_the_search():
                 from_checkers += [alias.name for alias in node.names]
     assert from_checkers == ["LinearizabilityResult"]
     assert oracles.graph.reachable_from is not repro.graph.reachable_from
+
+
+# --------------------------------------------------------------------- #
+# Pass-through layers are called through
+# --------------------------------------------------------------------- #
+#: ``repro.api`` name -> the layer function it re-exports (same object).
+API_REEXPORTS = {
+    "run_scenario": ("repro.scenarios", "run_scenario"),
+    "sweep_scenarios": ("repro.scenarios", "sweep_scenarios"),
+    "hunt": ("repro.nemesis", "hunt_scenario"),
+    "replay_schedule": ("repro.nemesis", "replay_schedule_file"),
+    "nemesis_corpus": ("repro.nemesis", "corpus_rows"),
+    "nemesis_corpus_table": ("repro.nemesis", "corpus_table"),
+    "check_traces": ("repro.traces", "check_traces"),
+    "run_examples": ("repro.analysis", "run_all_examples"),
+}
+
+
+def test_process_factories_are_partials_of_the_protocol_classes():
+    import functools
+
+    import repro.protocols
+    from repro.experiments import build_protocol_factory
+    from repro.quorums import find_gqs
+
+    for path, text in _sources(os.path.join(SRC_DIR, "repro", "protocols")):
+        assert not re.search(r"def \w+_factory\(", text), path
+    assert not [name for name in dir(repro.protocols) if name.endswith("_factory")]
+    gqs = find_gqs(builtin_fail_prone_system("figure1"))
+    for kind, process_class, params in (
+        ("register", repro.protocols.GQSRegister, {"relay": False}),
+        ("register", repro.protocols.ClassicalABDRegister, {"classical": True}),
+        ("snapshot", repro.protocols.SnapshotProcess, {}),
+        ("lattice", repro.protocols.LatticeAgreementProcess, {"push_interval": 0.5}),
+        ("consensus", repro.protocols.ConsensusProcess, {"view_duration": 4.0}),
+        ("paxos", repro.protocols.PaxosBaselineProcess, {}),
+    ):
+        factory = build_protocol_factory(kind, gqs, params)
+        assert isinstance(factory, functools.partial) and factory.func is process_class
+        params.pop("classical", None)
+        assert {k: v for k, v in factory.keywords.items() if k in params} == params
+
+
+def test_protocol_defaults_are_written_once():
+    """``push_interval`` defaults to 1.0 in the five constructors that take it,
+    and nowhere else outside the scenario catalogue (which pins its own)."""
+    written = []
+    for path, text in _sources(SRC_DIR):
+        if path.endswith(os.path.join("scenarios", "registry.py")):
+            continue
+        for line in text.splitlines():
+            if re.search(r"push_interval.*\b1\.0\b", line):
+                written.append((os.path.basename(path), line.strip()))
+    assert sorted(written) == [
+        (name, "push_interval: float = 1.0,")
+        for name in ("kv_store.py", "lattice_agreement.py", "quorum_access.py",
+                     "register.py", "snapshot.py")
+    ]
+
+
+def test_runner_extension_point_is_gone_outside_the_engine():
+    import inspect
+
+    from repro import experiments, montecarlo, nemesis, scenarios, traces
+
+    for path, text in _sources(SRC_DIR):
+        if os.sep + "engine" + os.sep not in path:
+            assert not re.search(r"runner\s*:|Optional\[ParallelRunner\]", text), path
+    for function in (
+        traces.check_traces, montecarlo.estimate_reliability, montecarlo.reliability_sweep,
+        montecarlo.admissibility_sweep, montecarlo.asymmetric_admissibility_sweep,
+        scenarios.run_scenario, scenarios.sweep_scenarios, experiments.verify_tightness,
+        nemesis.hunt_scenario,
+    ):
+        assert "runner" not in inspect.signature(function).parameters, function
+
+
+def test_api_workflows_that_are_one_layer_function_are_that_function():
+    import importlib
+
+    from repro import api
+
+    with open(api.__file__, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    for name, (module, target) in API_REEXPORTS.items():
+        assert not re.search(r"^def {}\(".format(name), text, re.MULTILINE), name
+        assert getattr(api, name) is getattr(importlib.import_module(module), target), name
+    assert set(API_REEXPORTS) - {"nemesis_corpus_table"} <= set(api.__all__)
