@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -20,6 +20,11 @@ class ResultTable:
     title: str
     columns: Sequence[str]
     rows: List[Dict[str, Any]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        given, self.rows = self.rows, []
+        for row in given:  # rows given up front are checked and projected like added ones
+            self.add_row(**row)
 
     def add_row(self, **values: Any) -> None:
         """Append a row; every column must be provided."""
@@ -57,6 +62,12 @@ def _format_cell(value: Any) -> str:
             return "nan"
         return "{:.3f}".format(value)
     return str(value)
+
+
+def field_lines(width: int, *fields: Tuple[str, Any]) -> List[str]:
+    """One ``label : value`` line per field, the colon in column ``width`` (or
+    right behind a longer label): the label blocks under the result tables."""
+    return ["{}: {}".format(label.ljust(width), value) for label, value in fields]
 
 
 def mean(values: Iterable[float]) -> float:

@@ -1,8 +1,9 @@
 """High-level typed facade over the library: one call per workflow.
 
 Every workflow the CLI (or a notebook, or a service) needs is a single
-function here, returning a typed result object — the CLI in :mod:`repro.cli`
-is nothing but argument parsing plus printing on top of this module:
+function here, returning a typed result object that renders itself
+(``to_text()`` is what the CLI prints, ``to_json()`` its ``--format json``) —
+the CLI in :mod:`repro.cli` only picks the arguments and the exit status:
 
 * :func:`resolve_system` — a fail-prone system from a JSON file or a
   ``--builtin`` name (both resolved through the topology registry);
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._lazy import lazy_exports
@@ -125,9 +126,20 @@ def _system_summary(system: FailProneSystem) -> Dict[str, Any]:
     }
 
 
-def _pattern_label(pattern: FailurePattern, position: int) -> str:
-    """Stable display label for a pattern: its name, or its position."""
-    return pattern.name if pattern.name is not None else "pattern-{}".format(position)
+class _Result:
+    """What the result types of this module share: one JSON spelling."""
+
+    def to_json(self) -> str:
+        """Canonical JSON of ``to_dict()``: sorted keys, the same bytes for every job count."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+#: The impossibility verdict, as ``check`` and ``quorums discover`` word it.
+_NO_GQS_TEXT = (
+    "NO generalized quorum system exists: by Theorem 2 the failure assumptions\n"
+    "cannot be tolerated by any register/snapshot/lattice-agreement/consensus\n"
+    "implementation (with any non-trivial liveness)."
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -146,7 +158,7 @@ def discover(
 
 
 @dataclass
-class DiscoveryReport:
+class DiscoveryReport(_Result):
     """A :class:`DiscoveryResult` paired with its per-pattern witness rows."""
 
     system: FailProneSystem
@@ -164,7 +176,7 @@ class DiscoveryReport:
             chosen = self.result.choices.get(pattern)
             rows.append(
                 {
-                    "pattern": _pattern_label(pattern, position),
+                    "pattern": pattern.label(position),
                     "candidates": self.result.candidates_per_pattern.get(pattern, 0),
                     "read_quorum": sorted_processes(chosen.read_quorum) if chosen else None,
                     "write_quorum": sorted_processes(chosen.write_quorum) if chosen else None,
@@ -182,6 +194,30 @@ class DiscoveryReport:
             "patterns": self.rows,
         }
 
+    def to_text(self) -> str:
+        """The system, then the per-pattern witness table or the impossibility verdict."""
+        from .analysis.metrics import ResultTable, field_lines
+
+        lines = [self.system.describe(), ""]
+        effort = field_lines(
+            18, ("algorithm", self.result.algorithm), ("nodes explored", self.result.nodes_explored)
+        )
+        if not self.exists:
+            return "\n".join(lines + [_NO_GQS_TEXT, ""] + effort)
+        table = ResultTable(
+            "GQS witness (one candidate per failure pattern)",
+            ["pattern", "candidates", "read quorum", "write quorum"],
+        )
+        for row in self.rows:
+            table.add_row(**{
+                "pattern": row["pattern"],
+                "candidates": row["candidates"],
+                "read quorum": ",".join(str(p) for p in row["read_quorum"]),
+                "write quorum": ",".join(str(p) for p in row["write_quorum"]),
+            })
+        exists = field_lines(18, ("GQS exists", True))
+        return "\n".join(lines + [table.to_text(), ""] + exists + effort)
+
 
 def discovery_report(
     system: FailProneSystem,
@@ -196,7 +232,7 @@ def discovery_report(
 
 
 @dataclass
-class ClassifyReport:
+class ClassifyReport(_Result):
     """Which quorum conditions (classical / QS+ / generalized) a system admits."""
 
     system: FailProneSystem
@@ -204,6 +240,17 @@ class ClassifyReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"system": _system_summary(self.system), "admits": dict(self.admits)}
+
+    def to_text(self) -> str:
+        from .analysis.metrics import field_lines
+
+        conditions = field_lines(
+            39,
+            ("classical quorum system (Definition 1)", self.admits["classical"]),
+            ("strongly connected QS+ (Section 1)", self.admits["strong"]),
+            ("generalized quorum system (Definition 2)", self.admits["generalized"]),
+        )
+        return "\n".join([self.system.describe(), ""] + conditions)
 
 
 def classify(system: FailProneSystem) -> ClassifyReport:
@@ -214,7 +261,7 @@ def classify(system: FailProneSystem) -> ClassifyReport:
 
 
 @dataclass
-class RepairOutcome:
+class RepairOutcome(_Result):
     """A channel-repair search result with its display/JSON projections."""
 
     system: FailProneSystem
@@ -239,6 +286,34 @@ class RepairOutcome:
             "suggestions": self.suggestions,
         }
 
+    def suggestion_lines(self, found: str) -> List[str]:
+        """``found`` and one line per suggested channel set, or why there is none."""
+        if not self.report.suggestions:
+            return [
+                "No repair found by hardening up to {} channel(s); the problem "
+                "likely lies in the process failures.".format(self.report.max_channels)
+            ]
+        return [found] + [
+            "  - {}".format(sorted_channels(s.channels)) for s in self.report.suggestions
+        ]
+
+    def to_text(self) -> str:
+        from .analysis.metrics import field_lines
+
+        report = self.report
+        lines = [self.system.describe(), ""]
+        if report.already_tolerable:
+            return "\n".join(lines + [
+                "The system already admits a generalized quorum system; nothing to repair."
+            ])
+        found = "Hardening any of the following channel sets restores a GQS:"
+        lines += self.suggestion_lines(found)
+        fields = [("hardenings tried", report.candidates_considered)]
+        if report.suggestions:
+            lines.append("")
+            fields.append(("cache entries reused", report.candidates_reused))
+        return "\n".join(lines + field_lines(18, *fields))
+
 
 def repair(
     system: FailProneSystem,
@@ -255,7 +330,29 @@ def repair(
 
 
 @dataclass
-class WatchReport:
+class CheckReport(DiscoveryReport):
+    """``repro check``'s view of a decision: the whole quorum system when one
+    exists; the impossibility verdict — with the channel repairs that were
+    searched for, if any were — when none does."""
+
+    repair: Optional[RepairOutcome] = None
+
+    def to_text(self) -> str:
+        lines = [self.system.describe(), ""]
+        if self.exists:
+            lines += ["A generalized quorum system exists:", self.result.quorum_system.describe()]
+        else:
+            lines.append(_NO_GQS_TEXT)
+            if self.repair is not None:
+                lines.append("")
+                lines += self.repair.suggestion_lines(
+                    "Hardening any of the following channel sets would make the system tolerable:"
+                )
+        return "\n".join(lines)
+
+
+@dataclass
+class WatchReport(_Result):
     """A :class:`~repro.quorums.WatchOutcome` with its display/JSON projections."""
 
     outcome: WatchOutcome
@@ -293,6 +390,19 @@ class WatchReport:
             "final_num_processes": len(self.outcome.final.processes),
             "deltas": [verdict.to_dict() for verdict in self.outcome.verdicts],
         }
+
+    def to_text(self) -> str:
+        from .analysis.metrics import ResultTable
+
+        table = ResultTable(
+            "Recertification under membership churn",
+            ["delta", "exists", "nodes", "reused", "reuse"],
+            self.rows,
+        )
+        return "\n".join([
+            self.outcome.initial.describe(), "", table.to_text(), "",
+            "all deltas tolerable: {}".format(self.all_exist),
+        ])
 
 
 def watch_quorums(
@@ -388,7 +498,7 @@ def _simulate_once(
 
 
 @dataclass
-class SimulateReport:
+class SimulateReport(_Result):
     """The aggregate of one ``simulate`` call (single run or a seeded batch)."""
 
     protocol: str
@@ -447,6 +557,36 @@ class SimulateReport:
     def safety_label(self, verdict: bool) -> str:
         return protocol_safety_label(self.protocol, verdict)
 
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    def to_text(self) -> str:
+        """The aggregates over the batch, each with a note saying over what; a
+        single run is a batch of one printed without the notes."""
+        from .analysis.metrics import field_lines
+
+        def noted(value: Any, note: str) -> str:
+            return str(value) if self.runs == 1 else "{} ({})".format(value, note)
+
+        if self.runs == 1:
+            batch = ("invoked at", self.outcomes[0]["invokers"])
+        else:
+            batch = ("runs", "{} (seeds spawned from {}, jobs={})".format(
+                self.runs, self.root_seed, self.jobs))
+        return "\n".join(field_lines(
+            18,
+            ("object", self.protocol),
+            ("failure pattern", self.pattern if self.pattern is not None else "none"),
+            batch,
+            ("all ops completed",
+             noted(self.all_completed, "{}/{} runs".format(self.completed_runs, self.runs))),
+            ("safety", noted(
+                self.safety_label(self.all_safe), "{}/{} runs".format(self.safe_runs, self.runs))),
+            ("mean latency", noted("{:.2f}".format(self.mean_latency), "avg over runs")),
+            ("max latency", noted("{:.2f}".format(self.max_latency), "max over runs")),
+            ("messages sent", noted(self.total_messages, "total")),
+        ))
+
 
 def simulate(
     system: FailProneSystem,
@@ -467,6 +607,7 @@ def simulate(
     on ``(seed, runs)``, never on the job count.
     """
     from .engine import ParallelRunner, spawn_seeds
+    from .traces import ensure_trace_directory
 
     PROTOCOLS.get(protocol)  # fail fast (rich error) on an unknown protocol
     if ops < 1 or runs < 1:
@@ -482,16 +623,8 @@ def simulate(
         )
     gqs = result.quorum_system
 
-    failure = None
-    if pattern is not None:
-        matches = [f for f in system.patterns if f.name == pattern]
-        if not matches:
-            raise ReproError(
-                "unknown pattern {!r}; available: {}".format(
-                    pattern, [f.name for f in system.patterns]
-                )
-            )
-        failure = matches[0]
+    failure = system.pattern_named(pattern)
+    ensure_trace_directory(record_traces)
 
     task = functools.partial(_simulate_once, gqs, protocol, failure, ops, record_traces, seed)
     if runs == 1:  # the root seed is the run's seed: nothing is spawned
@@ -513,60 +646,47 @@ def simulate(
 # Monte Carlo studies
 # ---------------------------------------------------------------------- #
 @dataclass
-class MonteCarloSweep:
+class MonteCarloSweep(_Result):
     """The outcome of the Monte Carlo studies ``repro sweep`` runs."""
 
     admissibility: Optional[List[AdmissibilityPoint]] = None
     reliability: Optional[List[ReliabilityEstimate]] = None
 
-    def admissibility_text(self) -> str:
-        from .montecarlo import admissibility_table
+    def to_text(self) -> str:
+        """The table of each study that ran, admissibility first."""
+        from .montecarlo import admissibility_table, reliability_table
 
-        return str(admissibility_table(self.admissibility or []))
-
-    def reliability_text(self) -> str:
-        from .montecarlo import reliability_table
-
-        return str(reliability_table(self.reliability or []))
+        lines = []
+        if self.admissibility is not None:  # a blank line follows it, study or no study after
+            lines += [admissibility_table(self.admissibility).to_text(), ""]
+        if self.reliability is not None:
+            lines.append(reliability_table(self.reliability).to_text())
+        return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready view: raw counters plus the derived fractions."""
         data: Dict[str, Any] = {}
         if self.admissibility is not None:
             data["admissibility"] = [
-                {
-                    "disconnect_prob": point.disconnect_prob,
-                    "crash_prob": point.crash_prob,
-                    "samples": point.samples,
-                    "generalized": point.generalized,
-                    "strong": point.strong,
-                    "classical": point.classical,
-                    "generalized_fraction": point.generalized_fraction,
-                    "strong_fraction": point.strong_fraction,
-                    "classical_fraction": point.classical_fraction,
-                }
+                dict(
+                    asdict(point),
+                    generalized_fraction=point.generalized_fraction,
+                    strong_fraction=point.strong_fraction,
+                    classical_fraction=point.classical_fraction,
+                )
                 for point in self.admissibility
             ]
         if self.reliability is not None:
             data["reliability"] = [
-                {
-                    "disconnect_prob": estimate.disconnect_prob,
-                    "crash_prob": estimate.crash_prob,
-                    "samples": estimate.samples,
-                    "gqs_available": estimate.gqs_available,
-                    "strong_available": estimate.strong_available,
-                    "classical_available": estimate.classical_available,
-                    "gqs_availability": estimate.gqs_availability,
-                    "strong_availability": estimate.strong_availability,
-                    "classical_availability": estimate.classical_availability,
-                }
+                dict(
+                    asdict(estimate),
+                    gqs_availability=estimate.gqs_availability,
+                    strong_availability=estimate.strong_availability,
+                    classical_availability=estimate.classical_availability,
+                )
                 for estimate in self.reliability
             ]
         return data
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — byte-stable across job counts."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def sweep(
@@ -651,10 +771,8 @@ def plugin_table() -> ResultTable:
     """The ``repro plugins list`` table."""
     from .analysis import ResultTable
 
-    table = ResultTable(
-        title="loaded plugins: {}".format(len(loaded_plugins())),
-        columns=("plugin", "kind", "name", "description"),
+    return ResultTable(
+        "loaded plugins: {}".format(len(loaded_plugins())),
+        ("plugin", "kind", "name", "description"),
+        plugin_rows(),
     )
-    for row in plugin_rows():
-        table.add_row(**row)
-    return table

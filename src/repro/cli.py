@@ -1,8 +1,9 @@
 """Command-line interface: ``repro <command> ...`` (or ``python -m repro``).
 
 The CLI is a thin argparse shell over the typed facade :mod:`repro.api`:
-every command resolves its arguments, calls one facade function, and prints
-the returned result object.  Subcommand choices, the scenario catalogue and
+every command forwards what was typed to one facade function, emits the
+returned result — which renders itself, ``to_text()`` or ``to_json()`` — and
+picks the exit status.  Subcommand choices, the scenario catalogue and
 the plugin tables are generated from the extension registries
 (:mod:`repro.registry`), so plugin-registered protocols, topologies, delay
 models, checkers and scenarios are first-class citizens of every command.
@@ -25,10 +26,10 @@ Eight commands cover the workflows a practitioner needs:
     quorum system; print the witness or report impossibility (exit 0 when a
     GQS exists, 2 when none does).  With a trace directory
     (``repro check DIR``): re-verify every recorded trace
-    (:mod:`repro.traces`) with the chosen ``--checker``, fanning the files
-    out over ``--jobs`` workers — the verdict table is byte-identical for
-    every job count.  Exit 0 iff every re-checked verdict matches the
-    recorded inline one.
+    (:mod:`repro.traces`) with the chosen ``--checker`` over ``--jobs``
+    workers — the verdict table is byte-identical for every job count.  Exit
+    0 iff every re-checked verdict matches the recorded inline one.  An
+    option that only the other mode reads is a usage error.
 
 ``simulate``
     Run a registered protocol (register, snapshot, lattice agreement,
@@ -223,63 +224,43 @@ def _stderr_progress(label: str, done: int, total: int, unit: str = "shards") ->
     sys.stderr.flush()
 
 
+def _emit(args: argparse.Namespace, result, status: int) -> int:
+    """Print ``result``, a type that renders itself, as ``--format`` asks; hand ``status`` on."""
+    print(result.to_json() if args.format == "json" else result.to_text())
+    return status
+
+
 # ---------------------------------------------------------------------- #
 # check
 # ---------------------------------------------------------------------- #
-def _cmd_check_traces(args: argparse.Namespace) -> int:
-    """``repro check DIR``: parallel re-verification of recorded traces."""
-    from . import api
-
-    report = _forward(api.check_traces, args, args.target)
-    if args.format == "json":
-        print(report.to_json())
-        return 0 if report.ok else 1
-    print(report.table().to_text())
-    print()
-    summary = report.summary()
-    print("traces checked     :", summary["traces"])
-    print("safe               : {}/{}".format(summary["safe_traces"], summary["traces"]))
-    print(
-        "match recorded     : {} ({}/{})".format(
-            summary["all_match"], summary["matching_traces"], summary["traces"]
-        )
-    )
-    print("explored states    : {} (total)".format(summary["explored_states"]))
-    return 0 if report.ok else 1
+def _reject_other_mode_options(args: argparse.Namespace) -> None:
+    """``repro check`` has two modes; an option only the other one reads is a usage error."""
+    if args.target is None:
+        mode = "applies only to 'repro check DIR' (re-verifying a trace directory)"
+        typed = {"--checker": args.checker, "--jobs": args.jobs, "--progress": args.progress,
+                 "--format " + args.format: args.format != "table"}
+    else:
+        mode = "does not apply to 'repro check DIR': it belongs to the GQS decision (no DIR)"
+        typed = {"--spec": args.spec, "--builtin": args.builtin,
+                 "--suggest-repairs": args.suggest_repairs,
+                 "--max-repair-channels": args.max_channels}
+    for flag, value in typed.items():
+        if value is not None and value is not False:
+            args.usage_error("{} {}".format(flag, mode))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     from . import api
 
+    _reject_other_mode_options(args)
     if args.target is not None:
-        return _cmd_check_traces(args)
+        report = _forward(api.check_traces, args, args.target)
+        return _emit(args, report, 0 if report.ok else 1)
     system = _forward(api.resolve_system, args)
-    print(system.describe())
-    print()
-    result = api.discover(system)
-    if not result.exists or result.quorum_system is None:
-        print("NO generalized quorum system exists: by Theorem 2 the failure assumptions")
-        print("cannot be tolerated by any register/snapshot/lattice-agreement/consensus")
-        print("implementation (with any non-trivial liveness).")
-        if args.suggest_repairs:
-            from .types import sorted_channels
-
-            outcome = _forward(api.repair, args, system)
-            if outcome.report.suggestions:
-                print()
-                print("Hardening any of the following channel sets would make the system tolerable:")
-                for suggestion in outcome.report.suggestions:
-                    print("  -", sorted_channels(suggestion.channels))
-            else:
-                print()
-                print(
-                    "No repair found by hardening up to {} channel(s); the problem "
-                    "likely lies in the process failures.".format(outcome.report.max_channels)
-                )
-        return 2
-    print("A generalized quorum system exists:")
-    print(result.quorum_system.describe())
-    return 0
+    report = api.CheckReport(system, api.discover(system))
+    if args.suggest_repairs and not report.exists:
+        report.repair = _forward(api.repair, args, system)
+    return _emit(args, report, 0 if report.exists else 2)
 
 
 # ---------------------------------------------------------------------- #
@@ -287,107 +268,29 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 def cmd_quorums_discover(args: argparse.Namespace) -> int:
     from . import api
-    from .analysis import ResultTable
 
     report = _forward(api.discovery_report, args, _forward(api.resolve_system, args))
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.exists else 2
-    print(report.system.describe())
-    print()
-    if not report.exists:
-        print("NO generalized quorum system exists: by Theorem 2 the failure assumptions")
-        print("cannot be tolerated by any register/snapshot/lattice-agreement/consensus")
-        print("implementation (with any non-trivial liveness).")
-        print()
-        print("algorithm         :", report.result.algorithm)
-        print("nodes explored    :", report.result.nodes_explored)
-        return 2
-    table = ResultTable(
-        title="GQS witness (one candidate per failure pattern)",
-        columns=["pattern", "candidates", "read quorum", "write quorum"],
-    )
-    for row in report.rows:
-        table.add_row(
-            **{
-                "pattern": row["pattern"],
-                "candidates": row["candidates"],
-                "read quorum": ",".join(str(p) for p in row["read_quorum"]),
-                "write quorum": ",".join(str(p) for p in row["write_quorum"]),
-            }
-        )
-    print(table.to_text())
-    print()
-    print("GQS exists        : True")
-    print("algorithm         :", report.result.algorithm)
-    print("nodes explored    :", report.result.nodes_explored)
-    return 0
+    return _emit(args, report, 0 if report.exists else 2)
 
 
 def cmd_quorums_watch(args: argparse.Namespace) -> int:
     from . import api
-    from .analysis import ResultTable
 
     report = _forward(api.watch_quorums, args, _forward(api.resolve_system, args))
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.all_exist else 2
-    print(report.outcome.initial.describe())
-    print()
-    table = ResultTable(
-        title="Recertification under membership churn",
-        columns=["delta", "exists", "nodes", "reused", "reuse"],
-    )
-    for row in report.rows:
-        table.add_row(**row)
-    print(table.to_text())
-    print()
-    print("all deltas tolerable:", report.all_exist)
-    return 0 if report.all_exist else 2
+    return _emit(args, report, 0 if report.all_exist else 2)
 
 
 def cmd_quorums_classify(args: argparse.Namespace) -> int:
     from . import api
 
-    report = api.classify(_forward(api.resolve_system, args))
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(report.system.describe())
-    print()
-    print("classical quorum system (Definition 1) :", report.admits["classical"])
-    print("strongly connected QS+ (Section 1)     :", report.admits["strong"])
-    print("generalized quorum system (Definition 2):", report.admits["generalized"])
-    return 0
+    return _emit(args, api.classify(_forward(api.resolve_system, args)), 0)
 
 
 def cmd_quorums_repair(args: argparse.Namespace) -> int:
     from . import api
 
     outcome = _forward(api.repair, args, _forward(api.resolve_system, args))
-    report = outcome.report
-    if args.format == "json":
-        print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.repairable else 2
-    print(outcome.system.describe())
-    print()
-    if report.already_tolerable:
-        print("The system already admits a generalized quorum system; nothing to repair.")
-        return 0
-    if not report.suggestions:
-        print(
-            "No repair found by hardening up to {} channel(s); the problem "
-            "likely lies in the process failures.".format(report.max_channels)
-        )
-        print("hardenings tried  :", report.candidates_considered)
-        return 2
-    print("Hardening any of the following channel sets restores a GQS:")
-    for channels in outcome.suggestions:
-        print("  -", [tuple(ch) for ch in channels])
-    print()
-    print("hardenings tried  :", report.candidates_considered)
-    print("cache entries reused:", report.candidates_reused)
-    return 0
+    return _emit(args, outcome, 0 if outcome.report.repairable else 2)
 
 
 # ---------------------------------------------------------------------- #
@@ -401,38 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except NoQuorumSystemExistsError:
         print("The fail-prone system admits no generalized quorum system; nothing to simulate.")
         return 2
-
-    print("object            :", report.protocol)
-    print("failure pattern   :", report.pattern if report.pattern is not None else "none")
-    if report.runs == 1:
-        outcome = report.outcomes[0]
-        print("invoked at        :", outcome["invokers"])
-        print("all ops completed :", outcome["completed"])
-        print("safety            :", report.safety_label(outcome["verdict"]))
-        print("mean latency      : {:.2f}".format(outcome["mean_latency"]))
-        print("max latency       : {:.2f}".format(outcome["max_latency"]))
-        print("messages sent     :", outcome["messages_sent"])
-        return 0 if report.exit_ok else 1
-
-    print(
-        "runs              : {} (seeds spawned from {}, jobs={})".format(
-            report.runs, report.root_seed, report.jobs
-        )
-    )
-    print(
-        "all ops completed : {} ({}/{} runs)".format(
-            report.all_completed, report.completed_runs, report.runs
-        )
-    )
-    print(
-        "safety            : {} ({}/{} runs)".format(
-            report.safety_label(report.all_safe), report.safe_runs, report.runs
-        )
-    )
-    print("mean latency      : {:.2f} (avg over runs)".format(report.mean_latency))
-    print("max latency       : {:.2f} (max over runs)".format(report.max_latency))
-    print("messages sent     : {} (total)".format(report.total_messages))
-    return 0 if report.exit_ok else 1
+    return _emit(args, report, 0 if report.exit_ok else 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -441,16 +313,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import api
 
-    outcome = _forward(api.sweep, args)
-    if args.format == "json":
-        print(outcome.to_json())
-        return 0
-    if outcome.admissibility is not None:
-        print(outcome.admissibility_text())
-        print()
-    if outcome.reliability is not None:
-        print(outcome.reliability_text())
-    return 0
+    return _emit(args, _forward(api.sweep, args), 0)
 
 
 # ---------------------------------------------------------------------- #
@@ -471,26 +334,7 @@ def cmd_scenario_list(args: argparse.Namespace) -> int:
 def cmd_scenario_show(args: argparse.Namespace) -> int:
     from . import scenarios
 
-    scenario = scenarios.get_scenario(args.name)
-    if args.format == "json":
-        print(scenario.to_json())
-        return 0
-    print("scenario      :", scenario.name)
-    print("description   :", scenario.description)
-    print("paper section :", scenario.paper_section)
-    print("topology      :", scenario.topology.label())
-    print("failure       :", scenario.failure.label())
-    print("delay         :", scenario.delay.label())
-    print("protocol      :", scenario.protocol.label())
-    print(
-        "workload      : ops_per_process={}, op_spacing={}, max_time={}".format(
-            scenario.workload.ops_per_process,
-            scenario.workload.op_spacing,
-            scenario.workload.max_time,
-        )
-    )
-    print("default runs  :", scenario.default_runs)
-    return 0
+    return _emit(args, scenarios.get_scenario(args.name), 0)
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
@@ -499,28 +343,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     if args.progress is not None:  # its label names the scenario, known only now
         args.progress = args.progress("scenario " + args.scenario)
     result = _forward(api.run_scenario, args)
-    scenario = result.scenario
-    if args.format == "json":
-        print(result.to_json())
-        return 0 if result.ok else 1
-    print("scenario  :", scenario.name)
-    print("topology  :", scenario.topology.label())
-    print("failure   :", scenario.failure.label())
-    print("delay     :", scenario.delay.label())
-    print("protocol  :", scenario.protocol.label())
-    print()
-    print(result.run_table().to_text())
-    print()
-    print(
-        "all runs completed : {} ({}/{})".format(
-            result.all_completed, result.completed_runs, result.runs
-        )
-    )
-    print("safety             : {} ({}/{})".format(result.all_safe, result.safe_runs, result.runs))
-    print("mean latency       : {:.2f} (avg over runs)".format(result.mean_latency))
-    print("max latency        : {:.2f} (max over runs)".format(result.max_latency))
-    print("messages sent      : {} (total)".format(result.total_messages))
-    return 0 if result.ok else 1
+    return _emit(args, result, 0 if result.ok else 1)
 
 
 def cmd_scenario_sweep(args: argparse.Namespace) -> int:
@@ -544,56 +367,37 @@ def cmd_nemesis_hunt(args: argparse.Namespace) -> int:
     # A within-budget safety violation is the only failing outcome: the
     # adversary stayed inside the declared fail-prone system and still broke
     # safety, which falsifies the paper's bound.
-    status = 1 if report.found_violation else 0
-    if args.format == "json":
-        print(report.to_json())
-        return status
-    print(report.table().to_text())
-    print()
-    summary = report.summary()
-    print("evaluations        : {} ({} seed + {} mutant)".format(
-        summary["evaluations"], report.seed_schedules, report.budget
-    ))
-    print("admitted           :", summary["admitted"])
-    print("baseline score     :", summary["baseline_score"])
-    print(
-        "best score         : {} (candidate {}, improved={})".format(
-            summary["best_score"], summary["best_candidate"], summary["improved"]
-        )
-    )
-    print("stalls             :", summary["stalls"])
-    print("violations         : {} (within the fail-prone budget)".format(summary["violations"]))
-    if report.corpus_dir is not None:
-        print("corpus             : {} survivor(s) in {}".format(
-            len(report.corpus), report.corpus_dir
-        ))
-    return status
+    return _emit(args, report, 1 if report.found_violation else 0)
 
 
 def cmd_nemesis_replay(args: argparse.Namespace) -> int:
     from . import api
+    from .analysis.metrics import field_lines
 
     outcome = api.replay_schedule(args.schedule)
-    # Only a demonstrated divergence from the recorded incident fails the
-    # replay; a schedule without a sibling incident has nothing to diff.
-    status = 1 if outcome["match"] is False else 0
     if args.format == "json":
         print(json.dumps(outcome, indent=2, sort_keys=True))
-        return status
-    row = outcome["row"]
-    print("schedule          :", outcome["schedule"])
-    print("scenario          :", outcome["scenario"])
-    print("lineage           :", " | ".join(outcome["lineage"]) or "(identity)")
-    print("completed         :", row["completed"])
-    print("safe              :", row["safe"])
-    print("explored states   :", row["explored_states"])
-    print("score             :", outcome["fitness"]["score"])
-    print("within budget     :", outcome["within_budget"])
-    if outcome["recorded"] is None:
-        print("incident          : none on disk (nothing to compare)")
     else:
-        print("matches incident  :", outcome["match"])
-    return status
+        row = outcome["row"]
+        if outcome["recorded"] is None:
+            incident = ("incident", "none on disk (nothing to compare)")
+        else:
+            incident = ("matches incident", outcome["match"])
+        print("\n".join(field_lines(
+            18,
+            ("schedule", outcome["schedule"]),
+            ("scenario", outcome["scenario"]),
+            ("lineage", " | ".join(outcome["lineage"]) or "(identity)"),
+            ("completed", row["completed"]),
+            ("safe", row["safe"]),
+            ("explored states", row["explored_states"]),
+            ("score", outcome["fitness"]["score"]),
+            ("within budget", outcome["within_budget"]),
+            incident,
+        )))
+    # Only a demonstrated divergence from the recorded incident fails the
+    # replay; a schedule without a sibling incident has nothing to diff.
+    return 1 if outcome["match"] is False else 0
 
 
 def cmd_nemesis_corpus(args: argparse.Namespace) -> int:
@@ -627,11 +431,10 @@ def cmd_plugins_list(args: argparse.Namespace) -> int:
             for module in loaded_plugins()
         ]
         print(json.dumps(payload, indent=2))
-        return 0
-    if not loaded_plugins():
+    elif not loaded_plugins():
         print("no plugins loaded (use --plugin MODULE or REPRO_PLUGINS=mod1,mod2)")
-        return 0
-    print(api.plugin_table().to_text())
+    else:
+        print(api.plugin_table().to_text())
     return 0
 
 
@@ -642,13 +445,10 @@ def cmd_examples(args: argparse.Namespace) -> int:
     from . import api
 
     outcomes = api.run_examples()
-    failures = 0
     for outcome in outcomes:
         status = "ok " if outcome.holds else "FAIL"
         print("[{}] {:30} {}".format(status, outcome.example, outcome.claim))
-        if not outcome.holds:
-            failures += 1
-    return 0 if failures == 0 else 1
+    return 0 if all(outcome.holds for outcome in outcomes) else 1
 
 
 # ---------------------------------------------------------------------- #
@@ -688,7 +488,7 @@ def _add_check_arguments(check: argparse.ArgumentParser) -> None:
     option("--jobs")
     option("--progress", const=_progress_to_stderr("check"))
     _add_format(check)
-    check.set_defaults(func=cmd_check)
+    check.set_defaults(func=cmd_check, usage_error=check.error)
 
 
 def _add_quorums_arguments(quorums: argparse.ArgumentParser) -> None:
@@ -764,7 +564,7 @@ def _add_simulate_arguments(simulate: argparse.ArgumentParser) -> None:
     option("--ops", "operations per invoking process", type=_runs_value)
     for shared in ("--seed", "--runs", "--jobs", "--record-traces"):
         option(shared)
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate, format="table")  # no --format: text only
 
 
 def _add_sweep_arguments(sweep: argparse.ArgumentParser) -> None:
@@ -1028,10 +828,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit hook
+        return status
     except ReproError as error:
         print("error: {}".format(error), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader left (``repro scenario list | head -1``): point stdout at
+        # devnull so the exit-time flush stays quiet, and exit as the shell
+        # reports a utility that SIGPIPE ended (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import InvalidFailurePatternError
+from ..errors import InvalidFailurePatternError, ReproError
 from ..graph import BitsetDiGraph, DiGraph, MaskReindex, ProcessIndex
 from ..types import Channel, ProcessId, ProcessSet, sorted_processes
 from .pattern import FailurePattern
@@ -172,6 +172,17 @@ class FailProneSystem:
     def name(self) -> Optional[str]:
         """Optional label of the system."""
         return self._name
+
+    def pattern_named(self, name: Optional[str]) -> Optional[FailurePattern]:
+        """The declared pattern called ``name`` (``None``, the failure-free run, for ``None``)."""
+        if name is None:
+            return None
+        for pattern in self._patterns:
+            if pattern.name == name:
+                return pattern
+        raise ReproError(
+            "unknown pattern {!r}; available: {}".format(name, [f.name for f in self._patterns])
+        )
 
     def __iter__(self) -> Iterator[FailurePattern]:
         return iter(self._patterns)

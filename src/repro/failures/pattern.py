@@ -83,6 +83,10 @@ class FailurePattern:
         """Optional label for the pattern."""
         return self._name
 
+    def label(self, position: int) -> str:
+        """Stable display label: the name, or the ``position`` among the declared patterns."""
+        return self._name if self._name is not None else "pattern-{}".format(position)
+
     def correct_processes(self, processes: Iterable[ProcessId]) -> ProcessSet:
         """Processes of the system that are correct under this pattern."""
         return frozenset(p for p in processes if p not in self._crash_prone)

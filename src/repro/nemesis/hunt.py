@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.metrics import ResultTable
+from ..analysis.metrics import ResultTable, field_lines
 from ..engine import ExperimentSpec, ParallelRunner, ProgressCallback, derive_seed
 from ..errors import ReproError
 from ..failures import FailurePattern
@@ -44,7 +44,9 @@ from ..scenarios import ScenarioSpec, get_scenario
 from ..scenarios.builders import build_quorum_system, build_topology
 from ..scenarios.runner import SCENARIO_CHUNK_SIZE
 from ..traces import (
+    INCIDENT_SUFFIX,
     build_incident,
+    ensure_trace_directory,
     incident_file_name,
     list_trace_files,
     load_trace,
@@ -188,15 +190,13 @@ class HuntReport:
 
     def table(self) -> ResultTable:
         """The candidate table (byte-identical for every job count)."""
-        table = ResultTable(
-            title="nemesis hunt: {} over {} ({} evaluations)".format(
+        return ResultTable(
+            "nemesis hunt: {} over {} ({} evaluations)".format(
                 self.strategy, self.scenario, self.evaluations
             ),
-            columns=HUNT_COLUMNS,
+            HUNT_COLUMNS,
+            self.rows,
         )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in HUNT_COLUMNS})
-        return table
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -213,6 +213,25 @@ class HuntReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+    def to_text(self) -> str:
+        """The candidate table and the totals under it (``repro nemesis hunt``)."""
+        best = self.best_row
+        fields = [
+            ("evaluations", "{} ({} seed + {} mutant)".format(
+                self.evaluations, self.seed_schedules, self.budget)),
+            ("admitted", self.admitted),
+            ("baseline score", self.baseline_score),
+            ("best score", "{} (candidate {}, improved={})".format(
+                best["score"], best["candidate"], self.improved)),
+            ("stalls", self.stalls),
+            ("violations", "{} (within the fail-prone budget)".format(self.violations)),
+        ]
+        if self.corpus_dir is not None:
+            fields.append(
+                ("corpus", "{} survivor(s) in {}".format(len(self.corpus), self.corpus_dir))
+            )
+        return "\n".join([self.table().to_text(), ""] + field_lines(19, *fields))
 
 
 # ---------------------------------------------------------------------- #
@@ -321,6 +340,7 @@ def hunt_scenario(
         raise ReproError("hunt needs at least 1 seed schedule and a batch of at least 1")
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     search = build_strategy(strategy)
+    ensure_trace_directory(corpus_dir)
     system = build_topology(spec)
     quorum_system = build_quorum_system(spec, system)
     declared = tuple(system.patterns)
@@ -340,14 +360,7 @@ def hunt_scenario(
     survivors: List[Tuple[int, Schedule]] = []
     candidate = 0
     for schedule, outcome in zip(seed_schedules, runner.map(evaluate, seed_schedules)):
-        evaluation = Evaluation(
-            candidate=candidate,
-            schedule=schedule,
-            row=outcome["row"],
-            fitness=outcome["fitness"],
-            within_budget=outcome["within_budget"],
-            budget_witness=outcome["budget_witness"],
-        )
+        evaluation = Evaluation(candidate, schedule, **outcome)  # outcome keys are its fields
         state.add_seed(evaluation)
         rows.append(_evaluation_row(evaluation, admitted=True))
         survivors.append((candidate, schedule))
@@ -375,14 +388,7 @@ def hunt_scenario(
         outcomes = runner.map(evaluate, children)
         for slot, (child, outcome) in enumerate(zip(children, outcomes)):
             evaluation = Evaluation(
-                candidate=candidate,
-                schedule=child,
-                row=outcome["row"],
-                fitness=outcome["fitness"],
-                within_budget=outcome["within_budget"],
-                budget_witness=outcome["budget_witness"],
-                generation=generation,
-                parent=parents[slot].candidate,
+                candidate, child, generation=generation, parent=parents[slot].candidate, **outcome
             )
             admitted = search.admit(state, evaluation)
             state.observe(evaluation, admitted)
@@ -408,9 +414,8 @@ def hunt_scenario(
         record = functools.partial(_record_task, quorum_system, declared, corpus_dir, seed)
         recorded = runner.map(record, survivors)
         for (ordinal, schedule), outcome in zip(survivors, recorded):
-            stem = incident_file_name("nemesis-{}".format(spec.name), seed, ordinal)[
-                : -len(".incident.json")
-            ]
+            incident_name = incident_file_name("nemesis-{}".format(spec.name), seed, ordinal)
+            stem = incident_name[: -len(INCIDENT_SUFFIX)]
             save_schedule(schedule, os.path.join(corpus_dir, stem + SCHEDULE_SUFFIX))
             evaluation = evaluations_by_candidate[ordinal]
             incident = build_incident(
@@ -418,7 +423,7 @@ def hunt_scenario(
                 candidate=ordinal,
                 seed=schedule.seed,
                 declared=declared,
-                pattern=_pattern_or_none(declared, schedule.pattern),
+                pattern=system.pattern_named(schedule.pattern),
                 inject_at=schedule.inject_at,
                 stretches=[list(row) for row in schedule.stretches],
                 nudges=[list(row) for row in schedule.nudges],
@@ -427,11 +432,7 @@ def hunt_scenario(
                 strategy=strategy,
                 fitness=dict(evaluation.fitness),
             )
-            write_incident(
-                corpus_dir,
-                incident_file_name("nemesis-{}".format(spec.name), seed, ordinal),
-                incident,
-            )
+            write_incident(corpus_dir, incident_name, incident)
             report.corpus.append(
                 {
                     "candidate": ordinal,
@@ -457,17 +458,6 @@ def hunt_scenario(
             for ordinal, _ in survivors
         ]
     return report
-
-
-def _pattern_or_none(
-    declared: Sequence[FailurePattern], name: Optional[str]
-) -> Optional[FailurePattern]:
-    if name is None:
-        return None
-    for pattern in declared:
-        if pattern.name == name:
-            return pattern
-    raise ReproError("schedule pattern {!r} is not declared".format(name))
 
 
 # ---------------------------------------------------------------------- #
@@ -572,10 +562,6 @@ def corpus_rows(directory: str) -> List[Dict[str, Any]]:
 
 def corpus_table(directory: str, rows: Sequence[Dict[str, Any]]) -> ResultTable:
     """The ``repro nemesis corpus`` summary table of ``corpus_rows(directory)``."""
-    table = ResultTable(
-        title="nemesis corpus: {} incident(s) in {}".format(len(rows), directory),
-        columns=CORPUS_COLUMNS,
+    return ResultTable(
+        "nemesis corpus: {} incident(s) in {}".format(len(rows), directory), CORPUS_COLUMNS, rows
     )
-    for row in rows:
-        table.add_row(**{column: row[column] for column in CORPUS_COLUMNS})
-    return table

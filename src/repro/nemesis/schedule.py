@@ -51,7 +51,6 @@ __all__ = [
     "fitness_of",
     "identity_schedule",
     "load_schedule",
-    "resolve_schedule_pattern",
     "save_schedule",
 ]
 
@@ -252,22 +251,6 @@ def fitness_of(
     }
 
 
-def resolve_schedule_pattern(
-    schedule: Schedule, declared: Sequence[FailurePattern]
-) -> Optional[FailurePattern]:
-    """The schedule's injected pattern, resolved against the declared tuple."""
-    if schedule.pattern is None:
-        return None
-    for pattern in declared:
-        if pattern.name == schedule.pattern:
-            return pattern
-    raise ReproError(
-        "schedule injects unknown pattern {!r}; declared: {}".format(
-            schedule.pattern, [f.name for f in declared]
-        )
-    )
-
-
 def evaluate_schedule(
     schedule: Schedule,
     quorum_system: GeneralizedQuorumSystem,
@@ -284,7 +267,10 @@ def evaluate_schedule(
     verdicts can never drift from replay-time ones).  With ``record_dir`` the
     run is persisted as an ordinary trace-store file.
     """
-    pattern = resolve_schedule_pattern(schedule, declared)
+    try:
+        pattern = quorum_system.fail_prone.pattern_named(schedule.pattern)
+    except ReproError as error:
+        raise ReproError("schedule injects {}".format(error)) from error
     within_budget, witness = budget_check(declared, pattern)
     row, result = run_built_scenario(
         schedule.derived_spec(),

@@ -68,17 +68,10 @@ def resolve_pattern(
     scenario: ScenarioSpec, system: FailProneSystem
 ) -> Optional[FailurePattern]:
     """Resolve the scenario's failure-pattern name against the built topology."""
-    name = scenario.failure.pattern
-    if name is None:
-        return None
-    matches = [f for f in system.patterns if f.name == name]
-    if not matches:
-        raise ReproError(
-            "scenario {!r} injects unknown pattern {!r}; available: {}".format(
-                scenario.name, name, [f.name for f in system.patterns]
-            )
-        )
-    return matches[0]
+    try:
+        return system.pattern_named(scenario.failure.pattern)
+    except ReproError as error:
+        raise ReproError("scenario {!r} injects {}".format(scenario.name, error)) from error
 
 
 def run_scenario_once(scenario: ScenarioSpec, seed: int) -> Dict[str, Any]:

@@ -74,22 +74,15 @@ def all_scenarios() -> List[ScenarioSpec]:
 # Catalogue rendering
 # ---------------------------------------------------------------------- #
 def _catalogue_row(scenario: ScenarioSpec) -> Dict[str, Any]:
-    return {
-        "scenario": scenario.name,
-        "topology": scenario.topology.label(),
-        "failure": scenario.failure.label(),
-        "delay": scenario.delay.label(),
-        "protocol": scenario.protocol.label(),
-        "paper section": scenario.paper_section,
-    }
+    row = dict(scenario.component_labels(), scenario=scenario.name)
+    row["paper section"] = scenario.paper_section
+    return row
 
 
 def catalogue_table() -> ResultTable:
     """The scenario catalogue as an ASCII :class:`ResultTable`."""
-    table = ResultTable(title="registered scenarios", columns=CATALOGUE_COLUMNS)
-    for scenario in all_scenarios():
-        table.add_row(**_catalogue_row(scenario))
-    return table
+    rows = [_catalogue_row(scenario) for scenario in all_scenarios()]
+    return ResultTable("registered scenarios", CATALOGUE_COLUMNS, rows)
 
 
 def catalogue_markdown() -> str:

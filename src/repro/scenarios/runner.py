@@ -17,9 +17,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..analysis.metrics import ResultTable
+from ..analysis.metrics import ResultTable, field_lines
 from ..engine import ExperimentSpec, ParallelRunner, ProgressCallback, ShardSpec
 from ..errors import ReproError
+from ..traces import ensure_trace_directory
 from .builders import build_quorum_system, build_topology, resolve_pattern, run_built_scenario
 from .registry import get_scenario
 from .spec import ScenarioSpec
@@ -158,15 +159,13 @@ class ScenarioRunResult:
 
     def run_table(self) -> ResultTable:
         """Per-run results as an ASCII table (byte-identical across job counts)."""
-        table = ResultTable(
-            title="scenario {!r}: {} run(s), seeds spawned from {}".format(
+        return ResultTable(
+            "scenario {!r}: {} run(s), seeds spawned from {}".format(
                 self.scenario.name, self.runs, self.seed
             ),
-            columns=RUN_COLUMNS,
+            RUN_COLUMNS,
+            self.rows,
         )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in RUN_COLUMNS})
-        return table
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -192,6 +191,21 @@ class ScenarioRunResult:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
+    def to_text(self) -> str:
+        """What ran, the per-run table and the aggregates (``repro scenario run``)."""
+        scenario, runs = self.scenario, self.runs
+        header = field_lines(10, ("scenario", scenario.name), *scenario.component_labels().items())
+        totals = field_lines(
+            19,
+            ("all runs completed", "{} ({}/{})".format(
+                self.all_completed, self.completed_runs, runs)),
+            ("safety", "{} ({}/{})".format(self.all_safe, self.safe_runs, runs)),
+            ("mean latency", "{:.2f} (avg over runs)".format(self.mean_latency)),
+            ("max latency", "{:.2f} (max over runs)".format(self.max_latency)),
+            ("messages sent", "{} (total)".format(self.total_messages)),
+        )
+        return "\n".join(header + ["", self.run_table().to_text(), ""] + totals)
+
 
 def run_scenario(
     scenario: Union[str, ScenarioSpec],
@@ -212,6 +226,7 @@ def run_scenario(
     """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     budget = runs if runs is not None else spec.default_runs
+    ensure_trace_directory(record_traces)
     runner = ParallelRunner(jobs=jobs, progress=progress)
     return runner.run(
         _scenario_experiment_spec(spec, budget, seed, record_traces=record_traces),
@@ -240,6 +255,7 @@ def sweep_scenarios(
 
     chosen = scenarios if scenarios is not None else all_scenarios()
     specs = [get_scenario(s) if isinstance(s, str) else s for s in chosen]
+    ensure_trace_directory(record_traces)
     runner = ParallelRunner(jobs=jobs, progress=progress)
     experiment_specs = [
         _scenario_experiment_spec(

@@ -249,6 +249,32 @@ class ScenarioSpec:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
+    def component_labels(self) -> Dict[str, str]:
+        """What the catalogue, a run report and :meth:`to_text` tell scenarios apart by."""
+        return {
+            "topology": self.topology.label(),
+            "failure": self.failure.label(),
+            "delay": self.delay.label(),
+            "protocol": self.protocol.label(),
+        }
+
+    def to_text(self) -> str:
+        """The whole specification as labelled lines (``repro scenario show``)."""
+        from ..analysis.metrics import field_lines
+
+        workload = "ops_per_process={}, op_spacing={}, max_time={}".format(
+            self.workload.ops_per_process, self.workload.op_spacing, self.workload.max_time
+        )
+        return "\n".join(field_lines(
+            14,
+            ("scenario", self.name),
+            ("description", self.description),
+            ("paper section", self.paper_section),
+            *self.component_labels().items(),
+            ("workload", workload),
+            ("default runs", self.default_runs),
+        ))
+
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))

@@ -29,8 +29,8 @@ _EXPORTS = {
         "write_incident",
     ),
     ".store": (
-        "TRACE_SCHEMA_VERSION", "TRACE_SUFFIX", "Trace", "list_trace_files", "load_trace",
-        "trace_file_name", "write_run_trace",
+        "TRACE_SCHEMA_VERSION", "TRACE_SUFFIX", "Trace", "ensure_trace_directory",
+        "list_trace_files", "load_trace", "trace_file_name", "write_run_trace",
     ),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

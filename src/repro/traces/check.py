@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..analysis.metrics import ResultTable
+from ..analysis.metrics import ResultTable, field_lines
 from ..engine import ParallelRunner, ProgressCallback
 from ..errors import HistoryError, ReproError
 from ..registry import CHECKERS, register_checker
@@ -165,13 +165,11 @@ class TraceCheckReport:
 
     def table(self) -> ResultTable:
         """The verdict table (byte-identical for every job count)."""
-        table = ResultTable(
-            title="trace check: {} trace(s), checker={}".format(self.traces, self.checker),
-            columns=CHECK_COLUMNS,
+        return ResultTable(
+            "trace check: {} trace(s), checker={}".format(self.traces, self.checker),
+            CHECK_COLUMNS,
+            self.rows,
         )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in CHECK_COLUMNS})
-        return table
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -192,6 +190,18 @@ class TraceCheckReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
+
+    def to_text(self) -> str:
+        """The verdict table and the totals under it, as ``repro check DIR`` prints them."""
+        totals = field_lines(
+            19,
+            ("traces checked", self.traces),
+            ("safe", "{}/{}".format(self.safe_traces, self.traces)),
+            ("match recorded", "{} ({}/{})".format(
+                self.all_match, self.matching_traces, self.traces)),
+            ("explored states", "{} (total)".format(self.summary()["explored_states"])),
+        )
+        return "\n".join([self.table().to_text(), ""] + totals)
 
 
 def check_traces(

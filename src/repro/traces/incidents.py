@@ -75,10 +75,6 @@ INCIDENT_KEYS = (
 )
 
 
-def _pattern_label(pattern: FailurePattern, position: int) -> str:
-    return pattern.name if pattern.name is not None else "pattern-{}".format(position)
-
-
 def budget_check(
     declared: Sequence[FailurePattern], pattern: Optional[FailurePattern]
 ) -> Tuple[bool, Optional[str]]:
@@ -94,7 +90,7 @@ def budget_check(
         return True, None
     for position, candidate in enumerate(declared):
         if pattern.is_subsumed_by(candidate):
-            return True, _pattern_label(candidate, position)
+            return True, candidate.label(position)
     return False, None
 
 

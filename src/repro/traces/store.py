@@ -40,6 +40,7 @@ files to recording serially.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from dataclasses import dataclass, field
@@ -62,6 +63,7 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TRACE_SUFFIX",
     "Trace",
+    "ensure_trace_directory",
     "list_trace_files",
     "load_trace",
     "trace_file_name",
@@ -109,6 +111,24 @@ class Trace:
 def trace_file_name(name: str, root_seed: int, run_index: int) -> str:
     """The canonical trace file name for one run of a seeded batch."""
     return "{}-seed{}-run{:04d}{}".format(name, root_seed, run_index, TRACE_SUFFIX)
+
+
+def ensure_trace_directory(directory: Optional[str]) -> None:
+    """Create ``directory`` (``None``: nothing is recorded), or say why evidence cannot go there.
+
+    Recording entry points call this once, in the parent, before any run starts —
+    not a worker's traceback after the work is done.
+    """
+    if directory is None:
+        return
+    try:
+        os.makedirs(directory, exist_ok=True)
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as error:
+        raise ReproError(
+            "cannot write traces to {!r}: {}".format(directory, error.strerror or error)
+        ) from error
 
 
 def write_run_trace(

@@ -1,5 +1,7 @@
 """Tests for the typed facade (:mod:`repro.api`)."""
 
+import json
+
 import pytest
 
 from repro import api
@@ -148,7 +150,7 @@ def test_sweep_kinds_and_validation():
     outcome = api.sweep(kind="admissibility", probs=(0.0,), n=4, patterns=2, samples=4, seed=1)
     assert outcome.admissibility is not None
     assert outcome.reliability is None
-    assert "generalized (GQS)" in outcome.admissibility_text()
+    assert "generalized (GQS)" in outcome.to_text()
     with pytest.raises(ReproError, match="unknown sweep kind 'both'"):
         api.sweep(kind="both")
 
@@ -201,3 +203,58 @@ def test_protocol_safety_label_dispatch():
     assert api.protocol_safety_label("consensus", False) == "agreement+validity+termination=False"
     with pytest.raises(ReproError, match="unknown protocol kind"):
         api.protocol_safety_label("nope", True)
+
+
+# ---------------------------------------------------------------------- #
+# Results render themselves: what the CLI prints is callable from here
+# ---------------------------------------------------------------------- #
+def test_field_lines_puts_the_colon_in_the_asked_column():
+    from repro.analysis.metrics import field_lines
+
+    for width in (10, 14, 18, 19):
+        lines = field_lines(width, ("safe", True), ("mean latency", "1.50 (avg)"))
+        assert [line.index(":") for line in lines] == [width, max(width, len("mean latency"))]
+        assert lines[0] == "safe" + " " * (width - 4) + ": True"
+    # A label longer than the column keeps its colon right behind it.
+    assert field_lines(18, ("cache entries reused", 3)) == ["cache entries reused: 3"]
+    assert field_lines(18) == []
+
+
+def test_every_result_type_prints_what_the_cli_prints(tmp_path, capsys):
+    from repro.cli import main
+
+    def printed(argv):
+        main(argv)
+        return capsys.readouterr().out
+
+    def same(argv, result, json_too=True):
+        assert printed(argv) == result.to_text() + "\n"
+        if json_too:
+            assert printed(argv + ["--format", "json"]) == result.to_json() + "\n"
+
+    deltas = tmp_path / "deltas.jsonl"
+    deltas.write_text('{"op": "suspect", "process": "a"}\n')
+    traces = str(tmp_path / "traces")
+    system, broken = api.resolve_system(), api.resolve_system(builtin="figure1-modified")
+    same(["quorums", "discover"], api.discovery_report(system))
+    same(["quorums", "discover", "--builtin", "figure1-modified"], api.discovery_report(broken))
+    same(["quorums", "watch", str(deltas)], api.watch_quorums(system, str(deltas)))
+    same(["quorums", "classify"], api.classify(system))
+    same(["quorums", "repair", "--builtin", "figure1-modified"], api.repair(broken))
+    same(["quorums", "repair"], api.repair(system))
+    same(["sweep", "--samples", "4", "--probs", "0.2"], api.sweep(samples=4, probs=(0.2,)))
+    same(["scenario", "show", "churn-at-gst"], get_scenario("churn-at-gst"))
+    ring = api.run_scenario("unidirectional-ring", runs=2, seed=7, record_traces=traces)
+    same(["scenario", "run", "unidirectional-ring", "--runs", "2", "--seed", "7"], ring)
+    same(["check", traces], api.check_traces(traces))
+    hunted = api.hunt("adversarial-partition", budget=2, seeds=1)
+    same(["nemesis", "hunt", "adversarial-partition", "--budget", "2", "--seeds", "1"], hunted)
+    # ``simulate`` has no --format; its report still has both renderings.
+    for runs in (1, 2):
+        report = api.simulate(system, pattern="f1", ops=1, runs=runs)
+        argv = ["simulate", "--pattern", "f1", "--ops", "1", "--runs", str(runs)]
+        same(argv, report, json_too=False)
+        assert json.loads(report.to_json())["outcomes"] == report.outcomes
+    # ``check`` without a directory prints the decision with the repairs searched for.
+    checked = api.CheckReport(broken, api.discover(broken), repair=api.repair(broken))
+    same(["check", "--builtin", "figure1-modified", "--suggest-repairs"], checked, json_too=False)

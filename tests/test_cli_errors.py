@@ -350,3 +350,112 @@ def test_repair_rejects_meaningless_budgets_as_usage_errors(capsys, argv, flag):
     assert "usage:" in captured.err
     assert "argument {}: {} must be at least 1".format(flag, flag[2:]) in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+# ---------------------------------------------------------------------- #
+# ``repro check`` has two modes: an option the chosen one does not read is refused
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "options, flag",
+    [
+        (["--format", "json"], "--format json"),
+        (["--checker", "wing-gong", "--jobs", "2"], "--checker"),
+        (["--jobs", "0"], "--jobs"),
+        (["--progress"], "--progress"),
+        (["--builtin", "ring-5", "--jobs", "1"], "--jobs"),
+    ],
+    ids=["format-json", "checker", "jobs-0", "progress", "jobs-with-builtin"],
+)
+def test_check_without_a_directory_refuses_trace_options(capsys, options, flag):
+    """They used to be dropped: ``check --format json`` printed the text report."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check"] + options)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and captured.out == ""
+    (complaint,) = [line for line in captured.err.splitlines() if "error:" in line]
+    assert complaint == (
+        "repro check: error: {} applies only to 'repro check DIR' "
+        "(re-verifying a trace directory)".format(flag)
+    )
+
+
+@pytest.mark.parametrize(
+    "options, flag",
+    [
+        (["--builtin", "ring-5", "--suggest-repairs"], "--builtin"),
+        (["--spec", "system.json"], "--spec"),
+        (["--suggest-repairs"], "--suggest-repairs"),
+        (["--max-repair-channels", "1", "--jobs", "2"], "--max-repair-channels"),
+    ],
+    ids=["builtin", "spec", "suggest-repairs", "max-repair-channels"],
+)
+def test_check_with_a_directory_refuses_decision_options(capsys, tmp_path, options, flag):
+    """They used to be dropped: the traces were re-checked and the exit status was 0."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", str(tmp_path)] + options)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and captured.out == ""
+    (complaint,) = [line for line in captured.err.splitlines() if "error:" in line]
+    assert complaint == (
+        "repro check: error: {} does not apply to 'repro check DIR': "
+        "it belongs to the GQS decision (no DIR)".format(flag)
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Evidence directories are created (or refused) before any run starts
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--record-traces"],
+        ["simulate", "--runs", "2", "--jobs", "2", "--record-traces"],
+        ["scenario", "run", "unidirectional-ring", "--runs", "1", "--record-traces"],
+        ["scenario", "sweep", "paxos-baseline", "--runs", "1", "--record-traces"],
+        ["nemesis", "hunt", "unidirectional-ring", "--budget", "2", "--corpus"],
+    ],
+    ids=["simulate", "simulate-jobs2", "scenario-run", "scenario-sweep", "nemesis-hunt"],
+)
+@pytest.mark.parametrize("kind", ["a-file", "under-a-file"])
+def test_unwritable_evidence_directory_is_one_error_line(
+    capsys, tmp_path, monkeypatch, argv, kind
+):
+    """It was a worker's ``FileExistsError`` / ``NotADirectoryError`` — for the
+    hunt, after the whole budget was spent."""
+    from repro.engine import ParallelRunner
+
+    def no_run_may_start(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for entry in ("map", "run", "run_sharded"):
+        monkeypatch.setattr(ParallelRunner, entry, no_run_may_start)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    target = str(blocker if kind == "a-file" else blocker / "traces")
+    reason = "File exists" if kind == "a-file" else "Not a directory"
+    assert main(argv + [target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write traces to {!r}: {}\n".format(target, reason)
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    """``repro scenario list | head -1``: the reader leaving is not a traceback."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=source + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "scenario", "list", "--format", "json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, universal_newlines=True,
+    )
+    process.stdout.close()  # gone before the first byte is written
+    stderr = process.stderr.read()
+    assert process.wait(timeout=60) == 141
+    assert stderr == ""

@@ -76,11 +76,9 @@ NOTHING_TYPED = [
 ]
 
 FLAGS_TYPED = [
-    (["check", "{traces}", "--checker", "wing-gong", "--jobs", "2", "--progress",
-      "--max-repair-channels", "1"],
+    (["check", "{traces}", "--checker", "wing-gong", "--jobs", "2", "--progress"],
      [("check_traces", {"directory", "checker", "jobs", "progress"})]),
-    (["check", "--builtin", "figure1-modified", "--suggest-repairs", "--max-repair-channels", "1",
-      "--jobs", "2"],
+    (["check", "--builtin", "figure1-modified", "--suggest-repairs", "--max-repair-channels", "1"],
      [("resolve_system", {"builtin"}), ("discover", {"system"}),
       ("repair", {"system", "max_channels"})]),
     (["quorums", "discover", "--builtin", "ring-5", "--progress", "--format", "json"],

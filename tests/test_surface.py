@@ -18,6 +18,9 @@ Pass-through layers are called through: a process factory is
 ``functools.partial`` of the protocol class, the engine's ``runner=``
 extension point nobody passed is gone, and a ``repro.api`` workflow that is
 exactly one layer function is that function.
+A CLI command is forward -> emit -> status: every result type renders itself
+(``to_text()`` / ``to_json()``), so ``cli.py`` holds one ``_emit`` and no
+label block or typed-result JSON branch of its own.
 """
 
 from __future__ import annotations
@@ -425,3 +428,48 @@ def test_api_workflows_that_are_one_layer_function_are_that_function():
         assert not re.search(r"^def {}\(".format(name), text, re.MULTILINE), name
         assert getattr(api, name) is getattr(importlib.import_module(module), target), name
     assert set(API_REEXPORTS) - {"nemesis_corpus_table"} <= set(api.__all__)
+
+
+# --------------------------------------------------------------------- #
+# A command is forward -> emit: results render themselves
+# --------------------------------------------------------------------- #
+#: The result types the CLI emits, by home module.
+RENDERING_TYPES = {
+    "repro.api": ("DiscoveryReport", "WatchReport", "ClassifyReport", "RepairOutcome",
+                  "SimulateReport", "MonteCarloSweep"),
+    "repro.scenarios": ("ScenarioSpec", "ScenarioRunResult"),
+    "repro.traces": ("TraceCheckReport",),
+    "repro.nemesis": ("HuntReport",),
+}
+
+
+def test_cli_commands_are_forward_emit_status():
+    from repro import cli
+
+    with open(cli.__file__, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    assert text.count("def _emit(") == 1
+    assert text.count('args.format == "json"') <= 6
+    assert text.count("print(") <= 30
+    assert len(text.splitlines()) <= 850
+    commands = [
+        node for node in ast.parse(text).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    ]
+    assert len(commands) >= 16
+    for command in commands:
+        assert command.end_lineno - command.lineno + 1 <= 35, command.name
+    # A typed result is dumped by its own ``to_json()``; only plain lists are dumped here.
+    assert not re.search(r"json\.dumps\(\s*[\w.]+\.to_dict\(\)", text)
+
+
+def test_every_emitted_result_type_renders_itself():
+    import importlib
+
+    for module, names in RENDERING_TYPES.items():
+        for name in names:
+            result_type = getattr(importlib.import_module(module), name)
+            assert callable(result_type.to_text) and callable(result_type.to_json), name
+    # The sentences two commands share are written once.
+    for sentence in ("NO generalized quorum system exists", "No repair found by hardening up to"):
+        assert sum(text.count(sentence) for _, text in _sources(SRC_DIR)) == 1, sentence
