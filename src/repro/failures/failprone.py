@@ -11,11 +11,12 @@ patterns, and offers the threshold constructions used throughout the paper
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import and_
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidFailurePatternError, ReproError
 from ..graph import BitsetDiGraph, DiGraph, MaskReindex, ProcessIndex
-from ..types import Channel, ProcessId, ProcessSet, sorted_processes
+from ..types import ProcessId, ProcessSet, sorted_processes
 from .pattern import FailurePattern
 
 
@@ -72,8 +73,9 @@ class FailProneSystem:
         graph: Optional[DiGraph],
         patterns: Iterable[FailurePattern],
         name: Optional[str],
+        validated: Collection[FailurePattern] = (),
     ) -> None:
-        """Install the network and validate ``patterns`` against it."""
+        """Install the network and validate ``patterns`` (except ``validated``) against it."""
         self._processes = processes
         self._process_index = index = network.index
         self._bitset_graph = network
@@ -82,7 +84,17 @@ class FailProneSystem:
         self._graph = graph
         self._patterns: Tuple[FailurePattern, ...] = tuple(patterns)
         self._name = name
+        # Channel validation *is* the mask encoding: a channel endpoint
+        # without a bit position fails the encoding, and a channel the network
+        # lacks shows up as a row bit outside the network's successor row.
+        # The encoding is kept until the pattern's residual is built from it,
+        # so a channel set is walked once per system; ``validated`` patterns
+        # (a same-network parent's) passed against this network already.
+        self._pattern_masks: Dict[FailurePattern, Tuple[int, Sequence[int], Sequence[int]]] = {}
+        absent = [~network.successor_mask(i) for i in range(len(index))]
         for f in self._patterns:
+            if f in validated:
+                continue
             unknown = f.crash_prone - processes
             if unknown:
                 raise InvalidFailurePatternError(
@@ -90,16 +102,25 @@ class FailProneSystem:
                         f, sorted_processes(unknown)
                     )
                 )
-            for src, dst in f.disconnect_prone:
-                if src not in processes or dst not in processes:
-                    raise InvalidFailurePatternError(
-                        "pattern {!r} references a channel outside the process set".format(f)
+            if not f.disconnect_prone or f in self._pattern_masks:
+                continue  # no channel to walk: the residual encodes the crash set itself
+            try:
+                masks = index.failure_masks(f.crash_prone, f.disconnect_prone)
+            except KeyError:
+                raise InvalidFailurePatternError(
+                    "pattern {!r} references a channel outside the process set".format(f)
+                ) from None
+            missing = list(map(and_, masks[1], absent))
+            if any(missing):
+                i = next(i for i, row in enumerate(missing) if row)
+                j = (missing[i] & -missing[i]).bit_length() - 1
+                raise InvalidFailurePatternError(
+                    "pattern {!r} disconnects channel ({!r}, {!r}) "
+                    "that does not exist in the network graph".format(
+                        f, index.process_at(i), index.process_at(j)
                     )
-                if not network.successor_mask(index.position(src)) >> index.position(dst) & 1:
-                    raise InvalidFailurePatternError(
-                        "pattern {!r} disconnects channel ({!r}, {!r}) "
-                        "that does not exist in the network graph".format(f, src, dst)
-                    )
+                )
+            self._pattern_masks[f] = masks
         # Lazily populated derived state.  The decision procedure re-derives
         # the same residual graphs and candidate structures for every pattern
         # over and over (discovery, repair, classification, availability
@@ -123,14 +144,17 @@ class FailProneSystem:
         process index and both graph views are shared by identity — nothing is
         copied or rebuilt; with it (a join or leave, which re-indexes) the new
         system takes its processes from ``network.index``.  Every constructor
-        check still runs.
+        check still runs on every pattern, except — over the shared network —
+        on the parent's own patterns, which passed them against it already.
         """
+        validated: Collection[FailurePattern] = ()
         if network is None:
             processes, network, graph = self._processes, self._bitset_graph, self._graph
+            validated = set(self._patterns)
         else:
             processes, graph = frozenset(network.index.processes), None
         system = FailProneSystem.__new__(FailProneSystem)
-        system._setup(processes, network, graph, patterns, name)
+        system._setup(processes, network, graph, patterns, name, validated)
         return system
 
     # ------------------------------------------------------------------ #
@@ -226,7 +250,14 @@ class FailProneSystem:
         """The residual graph for ``pattern`` as a memoized bitmask view."""
         cached = self._residual_bitset_cache.get(pattern)
         if cached is None:
-            cached = self.bitset_graph.residual(pattern.crash_prone, pattern.disconnect_prone)
+            # The encoding validation kept is used up here; a pattern without
+            # one (crash-only, inherited from a parent, undeclared) is encoded now.
+            masks = self._pattern_masks.pop(pattern, None)
+            if masks is None:
+                masks = self._process_index.failure_masks(
+                    pattern.crash_prone, pattern.disconnect_prone
+                )
+            cached = self._bitset_graph.residual_masks(*masks)
             self._residual_bitset_cache[pattern] = cached
         return cached
 
@@ -297,6 +328,7 @@ class FailProneSystem:
                     self._residual_bitset_cache[new_pattern] = (
                         bitset if identity else bitset.reindexed(reindex)
                     )
+                    self._pattern_masks.pop(new_pattern, None)
                     adopted += 1
         return adopted
 

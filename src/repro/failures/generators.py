@@ -227,12 +227,8 @@ def _island_channels(
     survivors: Sequence[ProcessId], zone_of: Mapping[ProcessId, int]
 ) -> List[Channel]:
     """Channels among ``survivors`` that cross a zone boundary (the failed fabric)."""
-    return [
-        (p, q)
-        for p in survivors
-        for q in survivors
-        if p != q and zone_of[p] != zone_of[q]
-    ]
+    zoned = [(p, zone_of[p]) for p in survivors]  # one lookup per process, not per pair
+    return [(p, q) for p, zp in zoned for q, zq in zoned if zp != zq]
 
 
 def large_threshold_system(

@@ -26,6 +26,24 @@ from ..types import (
 )
 
 
+def _reject_channel(crash: ProcessSet, channels: ChannelSet) -> None:
+    """Raise for the first ill-formed channel in sorted order.
+
+    Not the first one met in set iteration order: that order follows the
+    string hash seed, and the error text must not.
+    """
+    for src, dst in sorted_channels(channels):
+        if src == dst:
+            raise InvalidFailurePatternError(
+                "channel ({!r}, {!r}) is a self-loop".format(src, dst)
+            )
+        if src in crash or dst in crash:
+            raise InvalidFailurePatternError(
+                "channel ({!r}, {!r}) is incident to a crash-prone process; "
+                "such channels are faulty by default and must not be listed".format(src, dst)
+            )
+
+
 class FailurePattern:
     """An immutable failure pattern ``(P, C)``.
 
@@ -52,15 +70,8 @@ class FailurePattern:
         crash = process_set(crash_prone)
         channels = channel_set(disconnect_prone)
         for src, dst in channels:
-            if src == dst:
-                raise InvalidFailurePatternError(
-                    "channel ({!r}, {!r}) is a self-loop".format(src, dst)
-                )
-            if src in crash or dst in crash:
-                raise InvalidFailurePatternError(
-                    "channel ({!r}, {!r}) is incident to a crash-prone process; "
-                    "such channels are faulty by default and must not be listed".format(src, dst)
-                )
+            if src == dst or src in crash or dst in crash:
+                _reject_channel(crash, channels)
         self._crash_prone = crash
         self._disconnect_prone = channels
         self._name = name

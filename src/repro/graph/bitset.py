@@ -24,7 +24,7 @@ convert between the two.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..types import Channel, ProcessId, ProcessSet, sort_key, sorted_processes
 from .digraph import DiGraph
@@ -171,27 +171,38 @@ class ProcessIndex:
 
     def failure_masks(
         self, crashed: Iterable[ProcessId], channels: Iterable[Channel]
-    ) -> Tuple[int, Dict[int, int]]:
-        """Encode a failure pattern as ``(crash_mask, succ_clear)``.
+    ) -> Tuple[int, Sequence[int], Sequence[int]]:
+        """Encode a failure pattern as ``(crash_mask, succ_clear, pred_clear)``.
 
-        ``crash_mask`` has one bit per crashed process; ``succ_clear`` maps a
-        source bit position to the mask of destination bits whose channels the
-        pattern disconnects.  Together they are the mask form consumed by
+        ``crash_mask`` has one bit per crashed process; ``succ_clear[i]`` is
+        the mask of destinations whose channel from position ``i`` the pattern
+        disconnects and ``pred_clear[j]`` the mask of sources whose channel
+        into ``j`` it disconnects — the same channels, one row per endpoint,
+        filled in one walk of ``channels``.  Both are empty sequences when no
+        channel is listed.  Together they are the mask form consumed by
         :meth:`BitsetDiGraph.residual_masks`, decodable back with
-        :meth:`set_of`/:meth:`channels_of`.
+        :meth:`set_of`/:meth:`channels_of`.  A process without a position
+        raises ``KeyError``.
         """
+        crash_mask = self.mask_of(crashed)
+        if not channels:
+            return crash_mask, (), ()
         positions = self._positions
-        rows: Dict[int, int] = {}
+        bits = [1 << i for i in range(len(self._processes))]  # looked up, not shifted, per channel
+        succ_clear = [0] * len(bits)
+        pred_clear = [0] * len(bits)
         for src, dst in channels:
             i = positions[src]
-            rows[i] = rows.get(i, 0) | (1 << positions[dst])
-        return self.mask_of(crashed), rows
+            j = positions[dst]
+            succ_clear[i] |= bits[j]
+            pred_clear[j] |= bits[i]
+        return crash_mask, succ_clear, pred_clear
 
-    def channels_of(self, succ_clear: Mapping[int, int]) -> FrozenSet[Channel]:
+    def channels_of(self, succ_clear: Sequence[int]) -> FrozenSet[Channel]:
         """Decode per-source destination rows back into a channel set."""
         return frozenset(
             (self._processes[i], self._processes[j])
-            for i, row in succ_clear.items()
+            for i, row in enumerate(succ_clear)
             for j in iter_bits(row)
         )
 
@@ -368,31 +379,29 @@ class BitsetDiGraph:
         """
         return self.residual_masks(*self.index.failure_masks(crashed, disconnected))
 
-    def residual_masks(self, crash_mask: int, succ_clear: Mapping[int, int] = {}) -> "BitsetDiGraph":
+    def residual_masks(
+        self, crash_mask: int, succ_clear: Sequence[int] = (), pred_clear: Sequence[int] = ()
+    ) -> "BitsetDiGraph":
         """The residual graph of a failure pattern already encoded as masks.
 
-        ``crash_mask`` holds the crashed vertices; ``succ_clear`` maps a source
-        bit position to the mask of successor bits to disconnect (the encoding
-        of :meth:`ProcessIndex.failure_masks`).  Batching the dropped channels
-        into one clear-mask per source matters twice over: large patterns
-        disconnect tens of thousands of channels, and the Monte Carlo bitset
-        engine calls this once per sampled pattern.
+        ``crash_mask`` holds the crashed vertices; ``succ_clear`` and
+        ``pred_clear`` are the per-vertex rows of disconnected channels from
+        :meth:`ProcessIndex.failure_masks` (both empty, or both one row per
+        position).  Every row is cleared with one mask operation: large
+        patterns disconnect tens of thousands of channels, and walking them
+        bit by bit here would cost as much as encoding them did.
         """
         keep = ~crash_mask
         vertex_mask = self.vertex_mask & keep
-        succ = [row & keep for row in self._succ]
-        pred = [row & keep for row in self._pred]
+        if succ_clear:
+            succ = [row & keep & ~clear for row, clear in zip(self._succ, succ_clear)]
+            pred = [row & keep & ~clear for row, clear in zip(self._pred, pred_clear)]
+        else:
+            succ = [row & keep for row in self._succ]
+            pred = [row & keep for row in self._pred]
         for i in iter_bits(crash_mask & self.index.full_mask):
             succ[i] = 0
             pred[i] = 0
-        for i, clear in succ_clear.items():
-            dropped = succ[i] & clear
-            if not dropped:
-                continue
-            succ[i] &= ~clear
-            source_bit = ~(1 << i)
-            for j in iter_bits(dropped):
-                pred[j] &= source_bit
         return BitsetDiGraph(self.index, vertex_mask, succ, pred)
 
     # ------------------------------------------------------------------ #

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import random
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..engine import ExperimentSpec, ShardSpec
 from ..graph import BitsetDiGraph, closure_mask, component_masks, iter_bits, popcount
@@ -158,14 +158,12 @@ def _conditions_exist(patterns: Sequence[Residual]) -> Tuple[bool, bool]:
 # ---------------------------------------------------------------------- #
 # Mask-level pattern samplers (stream twins of the object-level ones)
 # ---------------------------------------------------------------------- #
-def _sample_masks(order, rng, crash_prob, disconnect_prob, limit) -> Tuple[int, Dict[int, int]]:
+def _sample_masks(order, rng, crash_prob, disconnect_prob, limit) -> Tuple[int, List[int]]:
     survivors, _, succ, _ = _sample_residual(tuple(order), rng, crash_prob, disconnect_prob, limit)
-    succ_clear: Dict[int, int] = {}
+    succ_clear = [0] * len(order)
     if succ is not None:
         for src in iter_bits(survivors):
-            gone = survivors & ~succ[src] & ~(1 << src)
-            if gone:
-                succ_clear[src] = gone
+            succ_clear[src] = survivors & ~succ[src] & ~(1 << src)
     return ~survivors & ((1 << len(order)) - 1), succ_clear
 
 
@@ -174,12 +172,13 @@ def sample_reliability_masks(
     rng: random.Random,
     crash_prob: float,
     disconnect_prob: float,
-) -> Tuple[int, Dict[int, int]]:
+) -> Tuple[int, List[int]]:
     """Sample one i.i.d. failure pattern, conditioned on at least one survivor.
 
     ``order`` lists bit positions in process iteration order; the returned
-    ``(crash_mask, succ_clear)`` pair feeds
-    :meth:`~repro.graph.BitsetDiGraph.residual_masks`.
+    ``(crash_mask, succ_clear)`` pair (one row per position) decodes with
+    :meth:`~repro.graph.ProcessIndex.set_of` /
+    :meth:`~repro.graph.ProcessIndex.channels_of`.
     """
     return _sample_masks(order, rng, crash_prob, disconnect_prob, len(order))
 
@@ -190,7 +189,7 @@ def sample_admissibility_masks(
     crash_prob: float,
     disconnect_prob: float,
     max_crashes: Optional[int] = None,
-) -> Tuple[int, Dict[int, int]]:
+) -> Tuple[int, List[int]]:
     """Mask-level form of :func:`repro.failures.random_failure_pattern`."""
     limit = len(order) - 1 if max_crashes is None else min(max_crashes, len(order) - 1)
     return _sample_masks(order, rng, crash_prob, disconnect_prob, limit)

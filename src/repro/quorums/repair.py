@@ -72,6 +72,9 @@ def harden_channels(
     hardened = set((src, dst) for src, dst in channels)
     patterns = []
     for pattern in fail_prone.patterns:
+        if pattern.disconnect_prone.isdisjoint(hardened):
+            patterns.append(pattern)  # untouched: not walked, not re-validated
+            continue
         remaining = [ch for ch in pattern.disconnect_prone if ch not in hardened]
         patterns.append(FailurePattern(pattern.crash_prone, remaining, name=pattern.name))
     system = fail_prone._derive(patterns, name=fail_prone.name)

@@ -89,6 +89,44 @@ def test_discovery_output_is_hash_seed_independent():
     assert out_a  # the script actually produced a report
 
 
+#: Ill-formed patterns and systems with several offending channels each: the
+#: error must name the same one (the first in sorted order) under every hash
+#: seed, not the first one a ``frozenset`` happens to yield.
+ERROR_SCRIPT = r"""
+from repro.errors import InvalidFailurePatternError
+from repro.failures import FailProneSystem, FailurePattern
+from repro.graph import DiGraph
+
+procs = ["p{}".format(i) for i in range(8)]
+attempts = [
+    lambda: FailurePattern([], [(p, p) for p in procs]),
+    lambda: FailurePattern(["p0"], [(p, "p0") for p in procs[1:]]),
+    lambda: FailProneSystem(
+        procs,
+        [FailurePattern([], [(p, q) for p in procs for q in procs if p != q])],
+        graph=DiGraph(vertices=procs, edges=[("p0", "p1")]),
+    ),
+]
+for attempt in attempts:
+    try:
+        attempt()
+    except InvalidFailurePatternError as error:
+        print(error)
+"""
+
+
+def test_invalid_pattern_errors_are_hash_seed_independent():
+    argv = [sys.executable, "-c", ERROR_SCRIPT]
+    outputs = {_run_under_hash_seed(seed, argv) for seed in ("0", "1", "2", "3")}
+    assert len(outputs) == 1
+    lines = outputs.pop().decode().splitlines()
+    assert lines[0] == "channel ('p0', 'p0') is a self-loop"
+    assert lines[1].startswith("channel ('p1', 'p0') is incident to a crash-prone process")
+    assert lines[2].endswith(
+        "disconnects channel ('p0', 'p2') that does not exist in the network graph"
+    )
+
+
 def test_cli_discover_json_is_hash_seed_independent():
     """The exact check CI runs: `repro quorums discover --format json` twice."""
     argv = [

@@ -307,3 +307,173 @@ def test_warmed_caches_answer_like_cold_ones():
         warm_bits = new.residual_bitset(pattern)
         cold_bits = cold.residual_bitset(pattern)
         assert warm_bits.vertex_mask == cold_bits.vertex_mask
+
+
+# ---------------------------------------------------------------------- #
+# Validation is the mask encoding, kept for the residuals
+# ---------------------------------------------------------------------- #
+class _CountingChannels(frozenset):
+    """A channel set that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.walks = getattr(self, "walks", 0) + 1
+        return super().__iter__()
+
+
+def _counted_island_system():
+    """A zoned island system whose channel sets count their walks.
+
+    The counting starts after each pattern was built, so what is counted is
+    the system's own work.
+    """
+    source = large_threshold_system(n=12, max_crashes=2, zones=3, catastrophic=True)
+    patterns = []
+    for f in source.patterns:
+        pattern = FailurePattern(f.crash_prone, f.disconnect_prone, name=f.name)
+        pattern._disconnect_prone = _CountingChannels(pattern.disconnect_prone)
+        patterns.append(pattern)
+    assert all(f.disconnect_prone for f in patterns)
+    return FailProneSystem(source.processes, patterns)
+
+
+def test_a_channel_set_is_walked_once_from_construction_to_a_validated_witness():
+    from repro.quorums import discover_gqs
+
+    system = _counted_island_system()
+    result = discover_gqs(system)  # validate=True: the witness is re-checked too
+    assert result.exists and result.quorum_system.is_valid()
+    assert [f.disconnect_prone.walks for f in system.patterns] == [1] * len(system.patterns)
+    # Every kept encoding was used up by its residual: nothing is held twice.
+    assert system._pattern_masks == {}
+
+
+def test_a_hardening_walks_only_the_patterns_it_touches():
+    from repro.quorums import discover_gqs
+    from repro.quorums.repair import harden_channels
+    from repro.types import sorted_channels
+
+    system = _counted_island_system()
+    discover_gqs(system)
+    # An anchor-internal channel: only the blackout pattern lists it.
+    channel = sorted_channels(system.patterns[-1].disconnect_prone)[0]
+    assert [channel in f.disconnect_prone for f in system.patterns].count(True) == 1
+    hardened = harden_channels(system, [channel])
+    result = discover_gqs(hardened)
+    # The untouched patterns are carried over as they are — validated, encoded
+    # and decomposed once, by the parent — and their channels stay unwalked.
+    for pattern, child in zip(system.patterns[:-1], hardened.patterns[:-1]):
+        assert child is pattern
+        assert pattern.disconnect_prone.walks == 1
+    assert channel not in hardened.patterns[-1].disconnect_prone
+    # ... and the verdict is the one a system built from scratch reaches.
+    scratch = FailProneSystem(system.processes, list(hardened.patterns))
+    assert result.exists == discover_gqs(scratch).exists
+
+
+def _random_sparse_system(rng, n):
+    processes = ["p{}".format(i) for i in range(n)]
+    graph = DiGraph(vertices=processes)
+    for src in processes:
+        for dst in processes:
+            if src != dst and rng.random() < 0.6:
+                graph.add_edge(src, dst)
+    patterns = []
+    for k in range(4):
+        crash = [p for p in processes if rng.random() < 0.2][: n - 1]
+        survivors = [p for p in processes if p not in crash]
+        channels = [
+            (src, dst)
+            for src in survivors
+            for dst in survivors
+            if graph.has_edge(src, dst) and rng.random() < 0.3
+        ]
+        patterns.append(FailurePattern(crash, channels, name="f{}".format(k)))
+    return FailProneSystem(processes, patterns, graph=graph)
+
+
+def _assert_residual_matches_the_set_definition(system, pattern):
+    from repro.graph import BitsetDiGraph
+
+    expected = BitsetDiGraph.from_digraph(
+        pattern.residual_graph(system.graph_view), system.process_index
+    )
+    got = system.residual_bitset(pattern)
+    assert got.vertex_mask == expected.vertex_mask
+    for i in range(len(system.process_index)):
+        assert got.successor_mask(i) == expected.successor_mask(i)
+        assert got.predecessor_mask(i) == expected.predecessor_mask(i)
+
+
+def test_kept_encodings_build_the_residuals_of_the_set_definition():
+    import random
+
+    rng = random.Random(3)
+    for _ in range(25):
+        system = _random_sparse_system(rng, rng.randint(3, 9))
+        # Declared patterns (kept encoding), a derived system's patterns and a
+        # pattern the system never declared (encoded on demand) all agree
+        # with G \ f computed on sets.
+        foreign = FailurePattern(sorted(system.processes)[:1])
+        child = system.restrict(system.patterns[1:])
+        for owner, pattern in [(system, f) for f in system.patterns] + [
+            (child, f) for f in child.patterns
+        ] + [(system, foreign)]:
+            _assert_residual_matches_the_set_definition(owner, pattern)
+        assert system._pattern_masks == {}
+
+
+def _set_based_validation_error(processes, graph, patterns):
+    """The constructor's contract, stated on sets: the first error, or ``None``."""
+    from repro.types import sorted_channels, sorted_processes
+
+    for f in patterns:
+        unknown = f.crash_prone - processes
+        if unknown:
+            return "pattern {!r} references unknown processes {}".format(
+                f, sorted_processes(unknown)
+            )
+        if any(src not in processes or dst not in processes for src, dst in f.disconnect_prone):
+            return "pattern {!r} references a channel outside the process set".format(f)
+        for src, dst in sorted_channels(f.disconnect_prone):
+            if not graph.has_edge(src, dst):
+                return (
+                    "pattern {!r} disconnects channel ({!r}, {!r}) "
+                    "that does not exist in the network graph".format(f, src, dst)
+                )
+    return None
+
+
+def test_validation_by_encoding_raises_what_the_set_based_checks_would():
+    import random
+
+    rng = random.Random(11)
+    outsiders = ["x", "y"]
+    kinds = ("unknown processes", "outside the process set", "does not exist")
+    raised = set()
+    for _ in range(200):
+        processes = ["p{}".format(i) for i in range(rng.randint(2, 6))]
+        graph = DiGraph(vertices=processes)
+        for src in processes:
+            for dst in processes:
+                if src != dst and rng.random() < 0.5:
+                    graph.add_edge(src, dst)
+        universe = processes + outsiders
+        patterns = []
+        for _ in range(3):
+            crash = [p for p in universe if rng.random() < 0.15]
+            channels = [
+                (src, dst)
+                for src in universe
+                for dst in universe
+                if src != dst and src not in crash and dst not in crash and rng.random() < 0.2
+            ]
+            patterns.append(FailurePattern(crash, channels))
+        expected = _set_based_validation_error(frozenset(processes), graph, patterns)
+        if expected is None:
+            FailProneSystem(processes, patterns, graph=graph)
+            continue
+        raised.update(kind for kind in kinds if kind in expected)
+        with pytest.raises(InvalidFailurePatternError) as error:
+            FailProneSystem(processes, patterns, graph=graph)
+        assert str(error.value) == expected
+    assert raised == set(kinds)  # the battery reaches every error, not just the happy path

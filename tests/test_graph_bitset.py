@@ -136,13 +136,22 @@ def test_failure_masks_round_trip_on_random_fail_prone_systems():
         )
         index = ProcessIndex(system.processes)
         for pattern in system:
-            crash_mask, succ_clear = index.failure_masks(
+            crash_mask, succ_clear, pred_clear = index.failure_masks(
                 pattern.crash_prone, pattern.disconnect_prone
             )
             assert index.set_of(crash_mask) == pattern.crash_prone
             assert index.channels_of(succ_clear) == pattern.disconnect_prone
-            # Rows never mention a source with nothing to clear.
-            assert all(row for row in succ_clear.values())
+            # Both rows are empty, or one per position and each the other's
+            # transpose: the same channels, read from the other endpoint.
+            if not pattern.disconnect_prone:
+                assert succ_clear == pred_clear == ()
+                continue
+            assert len(succ_clear) == len(pred_clear) == len(index)
+            assert frozenset(
+                (index.process_at(i), index.process_at(j))
+                for j, row in enumerate(pred_clear)
+                for i in iter_bits(row)
+            ) == pattern.disconnect_prone
 
 
 def test_residual_masks_equals_named_residual():
