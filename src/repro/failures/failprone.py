@@ -29,7 +29,8 @@ class FailProneSystem:
         The full process set ``P`` of the system.
     patterns:
         The failure patterns.  Every process referenced by a pattern must be in
-        ``processes``.
+        ``processes``.  No pattern at all means the failure-free pattern alone
+        (a system in which nothing may fail still has to be available).
     graph:
         The network graph.  Defaults to the complete graph on ``processes`` (the
         paper's model has a channel for every ordered pair); a sparser graph can
@@ -82,7 +83,7 @@ class FailProneSystem:
         # The set-based DiGraph is only materialized for callers that ask for
         # it (``graph`` / ``graph_view``); the decision layer never does.
         self._graph = graph
-        self._patterns: Tuple[FailurePattern, ...] = tuple(patterns)
+        self._patterns: Tuple[FailurePattern, ...] = tuple(patterns) or (FailurePattern(),)
         self._name = name
         # Channel validation *is* the mask encoding: a channel endpoint
         # without a bit position fails the encoding, and a channel the network

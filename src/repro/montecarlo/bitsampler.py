@@ -17,10 +17,10 @@ What the masks compute, per sample:
   the backward closure of that SCC;
 * a read/write pair satisfies QS+ availability iff the union mask lies
   inside one SCC;
-* the admissibility existence questions reduce to the per-pattern component /
-  candidate choice problems decided by
-  :func:`~repro.quorums.strong_choice_exists` and
-  :func:`~repro.quorums.gqs_choice_exists`.
+* the admissibility existence questions reduce to the per-pattern candidate
+  choice problem that :func:`~repro.quorums.choose_candidates` decides for
+  discovery too: candidates ``(S, S)`` for QS+ and ``(CanReach(S), S)`` for
+  a GQS.
 
 RNG discipline
 --------------
@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..engine import ExperimentSpec, ShardSpec
 from ..graph import BitsetDiGraph, closure_mask, component_masks, iter_bits, popcount
-from ..quorums import gqs_choice_exists, strong_choice_exists
+from ..quorums import choose_candidates
 from .comparison import AdmissibilityPoint
 from .reliability import ReliabilityEstimate
 
@@ -136,7 +136,8 @@ def _conditions_exist(patterns: Sequence[Residual]) -> Tuple[bool, bool]:
 
     First the greedy choice — the (first) largest component of every pattern:
     if those pairwise intersect, a QS+ and hence a GQS exist — then the exact
-    backtrackers; reader closures are only paid for once both said no.
+    search, for QS+ and then for a GQS; reader closures are only paid for once
+    both said no.
     """
     largest: List[int] = []
     greedy = True
@@ -146,13 +147,15 @@ def _conditions_exist(patterns: Sequence[Residual]) -> Tuple[bool, bool]:
             if not component & other:
                 greedy = False
         largest.append(component)
-    if greedy or strong_choice_exists([components for _, components, _, _ in patterns]):
+    if greedy or choose_candidates(
+        [[(c, c) for c in components] for _, components, _, _ in patterns]
+    )[0] is not None:
         return True, True
     candidates_per_pattern = [
         [(c if pred is None else closure_mask(c, vertices, pred), c) for c in components]
         for vertices, components, _, pred in patterns
     ]
-    return gqs_choice_exists(candidates_per_pattern), False
+    return choose_candidates(candidates_per_pattern)[0] is not None, False
 
 
 # ---------------------------------------------------------------------- #

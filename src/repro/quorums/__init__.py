@@ -3,16 +3,13 @@
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    ".classical": (
-        "QuorumSystem", "grid_quorum_system", "majority_quorum_system", "minimal_quorums",
-        "quorum_load", "threshold_quorum_system",
-    ),
+    ".classical": ("QuorumSystem", "threshold_quorum_system"),
     ".generalized": ("GeneralizedQuorumSystem", "is_f_available", "is_f_reachable"),
     ".repair": ("RepairReport", "RepairSuggestion", "harden_channels", "suggest_channel_repairs"),
-    ".strong": ("StrongQuorumSystem", "strong_choice_exists", "strong_system_exists"),
+    ".strong": ("StrongQuorumSystem", "strong_system_exists"),
     ".discovery": (
         "DISCOVERY_ALGORITHMS", "CandidateQuorumPair", "DiscoveryResult", "candidate_pairs",
-        "classify_fail_prone_system", "discover_gqs", "find_gqs", "gqs_choice_exists", "gqs_exists",
+        "choose_candidates", "classify_fail_prone_system", "discover_gqs", "find_gqs", "gqs_exists",
     ),
     ".incremental": (
         "DELTA_OPS", "DeltaVerdict", "MembershipDelta", "WatchOutcome", "apply_delta",

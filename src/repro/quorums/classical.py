@@ -7,16 +7,15 @@ that disallows channel failures between correct processes and requires
 * **Availability** — for every failure pattern some read quorum and some write
   quorum consist entirely of correct processes.
 
-This module provides the data type, validation, and the standard constructions
-used by the paper's examples: majority quorums, threshold read/write quorums
-(Example 6, the "flexible" trade-off of smaller write quorums for larger read
-quorums) and grid quorums (a classical non-threshold construction).
+This module provides the data type, validation, and the threshold read/write
+construction of the paper's Example 6 (the "flexible" trade-off of smaller
+write quorums for larger read quorums).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..errors import (
     InvalidQuorumSystemError,
@@ -239,25 +238,8 @@ class QuorumSystem(QuorumTriple):
 
 
 # ---------------------------------------------------------------------- #
-# Standard constructions
+# The threshold construction
 # ---------------------------------------------------------------------- #
-def majority_quorum_system(
-    processes: Iterable[ProcessId], fail_prone: Optional[FailProneSystem] = None
-) -> QuorumSystem:
-    """Majority quorums: read and write quorums are all majorities of ``P``.
-
-    This is the special case ``k = ⌊(n−1)/2⌋`` of Example 6, where the read and
-    write families coincide.
-    """
-    procs = sorted_processes(set(processes))
-    n = len(procs)
-    majority = n // 2 + 1
-    quorums = [frozenset(c) for c in itertools.combinations(procs, majority)]
-    if fail_prone is None:
-        fail_prone = FailProneSystem.minority_crashes(procs)
-    return QuorumSystem(fail_prone, quorums, quorums)
-
-
 def threshold_quorum_system(
     processes: Iterable[ProcessId],
     max_crashes: int,
@@ -281,53 +263,3 @@ def threshold_quorum_system(
     if fail_prone is None:
         fail_prone = FailProneSystem.crash_threshold(procs, k)
     return QuorumSystem(fail_prone, read_quorums, write_quorums)
-
-
-def grid_quorum_system(
-    rows: int, cols: int, fail_prone: Optional[FailProneSystem] = None
-) -> QuorumSystem:
-    """A grid quorum system over ``rows × cols`` processes.
-
-    Write quorums are a full row plus one process from every other row (a
-    "row cover"); read quorums are full columns.  Every column intersects every
-    row, giving Consistency.  The default fail-prone system allows no failures
-    (grids are primarily a load/availability construction); callers wanting
-    fault tolerance should pass an explicit ``fail_prone`` compatible with the
-    quorum families.
-    """
-    if rows < 1 or cols < 1:
-        raise InvalidQuorumSystemError("grid dimensions must be positive")
-    processes = ["g{}_{}".format(r, c) for r in range(rows) for c in range(cols)]
-    grid = [[("g{}_{}".format(r, c)) for c in range(cols)] for r in range(rows)]
-    read_quorums = [frozenset(grid[r][c] for r in range(rows)) for c in range(cols)]
-    write_quorums = [frozenset(grid[r]) for r in range(rows)]
-    if fail_prone is None:
-        fail_prone = FailProneSystem(processes, [FailurePattern.failure_free()], name="grid-no-failures")
-    return QuorumSystem(fail_prone, read_quorums, write_quorums)
-
-
-def minimal_quorums(family: Sequence[ProcessSet]) -> List[ProcessSet]:
-    """Return the inclusion-minimal members of a quorum family."""
-    result: List[ProcessSet] = []
-    for q in family:
-        if not any(other < q for other in family if other is not q):
-            if q not in result:
-                result.append(q)
-    return result
-
-
-def quorum_load(system: QuorumSystem) -> float:
-    """The (naive) load of the system: max over processes of quorum membership frequency.
-
-    A classical quality metric from Naor & Wool; included because the paper
-    cites that line of work for quorum-system background.  The load here is
-    computed for the uniform strategy over the union of read and write quorums.
-    """
-    quorums = list(system.read_quorums) + list(system.write_quorums)
-    if not quorums:
-        return 0.0
-    counts = {p: 0 for p in system.processes}
-    for q in quorums:
-        for p in q:
-            counts[p] += 1
-    return max(counts.values()) / len(quorums)

@@ -25,7 +25,10 @@ immediately prunes the viable-candidate domains of every unassigned pattern,
 so a choice that dooms a later pattern fails at the assignment instead of
 after an exponential subtree.  All derived per-pattern structures are cached
 on the :class:`~repro.failures.FailProneSystem` itself, which is what makes
-repeated discovery (repair search, classification sweeps) incremental.
+repeated discovery (repair search, classification sweeps) incremental.  The
+search itself, :func:`choose_candidates`, works on bare masks: it also decides
+QS+ (:func:`~repro.quorums.strong_system_exists`, candidates ``(S, S)``) and
+every sampled system of the Monte Carlo shards.
 
 That is the one strategy: :data:`DISCOVERY_ALGORITHMS` lists three accepted
 *names* (``"pruned"``, ``"full"``, ``"quotient"``) that are echoed in the
@@ -49,7 +52,7 @@ brute-forcer over arbitrary subsets) live with the tests, in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import NoQuorumSystemExistsError
 from ..failures import FailProneSystem, FailurePattern
@@ -83,13 +86,12 @@ class CandidateQuorumPair:
     read_quorum: ProcessSet
 
 
-@dataclass(frozen=True)
-class _MaskedCandidate:
-    """A candidate pair together with its bitmask encodings."""
+class _MaskedCandidate(NamedTuple):
+    """A candidate pair behind its bitmask encodings (a :func:`choose_candidates` entry)."""
 
-    pair: CandidateQuorumPair
     read_mask: int
     write_mask: int
+    pair: CandidateQuorumPair
 
 
 @dataclass
@@ -143,7 +145,7 @@ def _masked_candidates(
                 # A component nobody else reaches is its own reader set.
                 read_quorum=write_quorum if readers == component else index.set_of(readers),
             )
-            entries.append(_MaskedCandidate(pair, readers, component))
+            entries.append(_MaskedCandidate(readers, component, pair))
         entries.sort(key=_candidate_sort_key)
         cached = tuple(entries)
         cache[pattern] = cached
@@ -162,17 +164,42 @@ def candidate_pairs(
     return [entry.pair for entry in _masked_candidates(fail_prone, pattern)]
 
 
-def _compatibility_rows(
-    per_pattern: Sequence[Tuple[_MaskedCandidate, ...]]
-) -> Callable[[int, int, int], int]:
-    """The lazily materialized, memoized compatibility matrix of one search."""
+def choose_candidates(
+    per_pattern: Sequence[Sequence[Tuple[int, int]]]
+) -> Tuple[Optional[List[int]], int]:
+    """Choose one mutually compatible candidate per pattern: ``(choice, nodes_explored)``.
+
+    ``per_pattern`` holds, per failure pattern, ``(read_mask, write_mask)``
+    candidates (longer tuples are read by their first two fields) over one
+    shared :class:`~repro.graph.ProcessIndex`; two candidates are compatible
+    when each one's read mask meets the other's write mask.  The GQS choice
+    of Theorem 2 offers ``(CanReach_f(S), S)`` per residual SCC ``S``, QS+
+    offers ``(S, S)``.  ``choice`` lists the chosen candidate index of every
+    pattern, or is ``None`` when no choice exists (a pattern without
+    candidates included); ``nodes_explored`` counts every candidate tried.
+
+    Backtracking with forward checking: domains are integer bitmasks over
+    candidate indices, and assigning a candidate intersects every unassigned
+    pattern's domain with the candidate's compatibility row; an emptied domain
+    fails the assignment on the spot (arc consistency with respect to the
+    partial assignment), which is what prevents the exponential thrashing of a
+    prefix-only backtracker on systems whose preferred candidates doom a much
+    later pattern.  Patterns are visited fewest-candidates-first (ties by
+    position), candidates in the given order.  Iterative, so a system with
+    more patterns than the recursion limit is searched like any other.
+    """
+    m = len(per_pattern)
+    if m == 0:
+        return [], 0
+    order = sorted(range(m), key=lambda i: len(per_pattern[i]))
     rows: Dict[Tuple[int, int, int], int] = {}
+    nodes = 0
 
     def compatibility_row(i: int, ci: int, j: int) -> int:
         """Bitmask of pattern ``j`` candidates compatible with candidate ``ci`` of ``i``.
 
-        Each row is computed at most once; the matrix is therefore
-        materialized lazily but never re-evaluated in the search inner loop.
+        The compatibility matrix is materialized lazily, a row at a time, and
+        no row is evaluated twice.
         """
         key = (i, ci, j)
         row = rows.get(key)
@@ -180,31 +207,10 @@ def _compatibility_rows(
             a = per_pattern[i][ci]
             row = 0
             for d, b in enumerate(per_pattern[j]):
-                if (a.read_mask & b.write_mask) and (b.read_mask & a.write_mask):
+                if (a[0] & b[1]) and (b[0] & a[1]):
                     row |= 1 << d
             rows[key] = row
         return row
-
-    return compatibility_row
-
-
-def _pruned_search(
-    per_pattern: Sequence[Tuple[_MaskedCandidate, ...]], result: DiscoveryResult
-) -> Optional[List[CandidateQuorumPair]]:
-    """Forward-checking search over the memoized compatibility matrix.
-
-    Domains are integer bitmasks over candidate indices.  Assigning a
-    candidate intersects every unassigned pattern's domain with the
-    candidate's compatibility row; an emptied domain fails the assignment on
-    the spot (arc consistency with respect to the partial assignment), which
-    is what prevents the exponential thrashing of a prefix-only backtracker on
-    systems whose preferred candidates doom a much later pattern.
-    """
-    m = len(per_pattern)
-    if m == 0:
-        return []
-    order = sorted(range(m), key=lambda i: len(per_pattern[i]))
-    compatibility_row = _compatibility_rows(per_pattern)
 
     # domain_stack[d] holds the candidate domains in force while searching at
     # depth d (one bitmask per pattern, original pattern indexing).
@@ -218,7 +224,7 @@ def _pruned_search(
         domains = domain_stack[depth]
         advanced = False
         for ci in iterators[depth]:
-            result.nodes_explored += 1
+            nodes += 1
             new_domains = list(domains)
             new_domains[i] = 1 << ci
             viable = True
@@ -233,7 +239,7 @@ def _pruned_search(
                 continue
             assignment[i] = ci
             if depth + 1 == m:
-                return [per_pattern[k][assignment[k]].pair for k in range(m)]
+                return assignment, nodes
             domain_stack.append(new_domains)
             iterators.append(iter_bits(new_domains[order[depth + 1]]))
             advanced = True
@@ -241,7 +247,7 @@ def _pruned_search(
         if not advanced:
             iterators.pop()
             domain_stack.pop()
-    return None
+    return None, nodes
 
 
 def discover_gqs(
@@ -276,15 +282,12 @@ def discover_gqs(
             progress(done + 1, len(patterns))
     for f, cands in zip(patterns, masked):
         result.candidates_per_pattern[f] = len(cands)
-    if not all(masked):
-        chosen = None
-    else:
-        chosen = _pruned_search(masked, result)
-
-    if chosen is None:
+    choice, result.nodes_explored = choose_candidates(masked)
+    if choice is None:
         return result
 
     result.exists = True
+    chosen = [cands[ci].pair for cands, ci in zip(masked, choice)]
     result.choices = {c.pattern: c for c in chosen}
     read_quorums = [c.read_quorum for c in chosen]
     write_quorums = [c.write_quorum for c in chosen]
@@ -300,43 +303,6 @@ def gqs_exists(fail_prone: FailProneSystem) -> bool:
     A "yes" is a validated witness, like every other answer of this module.
     """
     return discover_gqs(fail_prone).exists
-
-
-def gqs_choice_exists(candidates_per_pattern: Sequence[Sequence[Tuple[int, int]]]) -> bool:
-    """Mask-level existence core of the GQS decision.
-
-    ``candidates_per_pattern`` holds, per failure pattern, the canonical
-    ``(read_mask, write_mask)`` candidates — one per residual SCC, the write
-    mask being the component and the read mask ``CanReach_f(S)`` — encoded
-    over one shared :class:`~repro.graph.ProcessIndex`.  A GQS exists iff one
-    candidate can be chosen per pattern with mutual read/write intersections
-    for every pair, exactly the choice problem :func:`discover_gqs` solves;
-    this entry point skips witness construction and is what the Monte Carlo
-    shards run per sampled system.
-    """
-    if any(not candidates for candidates in candidates_per_pattern):
-        return False
-    order = sorted(
-        range(len(candidates_per_pattern)),
-        key=lambda i: len(candidates_per_pattern[i]),
-    )
-    chosen: List[Tuple[int, int]] = []
-
-    def backtrack(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        for read_mask, write_mask in candidates_per_pattern[order[depth]]:
-            if all(
-                (read_mask & prev_write) and (prev_read & write_mask)
-                for prev_read, prev_write in chosen
-            ):
-                chosen.append((read_mask, write_mask))
-                if backtrack(depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return backtrack(0)
 
 
 def find_gqs(fail_prone: FailProneSystem) -> GeneralizedQuorumSystem:

@@ -289,13 +289,13 @@ def _adopt_candidates(
         else:
             new_cache[new_pattern] = tuple(
                 _MaskedCandidate(
+                    entry.read_mask if identity else reindex.apply(entry.read_mask),
+                    entry.write_mask if identity else reindex.apply(entry.write_mask),
                     CandidateQuorumPair(
                         pattern=new_pattern,
                         write_quorum=entry.pair.write_quorum,
                         read_quorum=entry.pair.read_quorum,
                     ),
-                    entry.read_mask if identity else reindex.apply(entry.read_mask),
-                    entry.write_mask if identity else reindex.apply(entry.write_mask),
                 )
                 for entry in entries
             )

@@ -12,12 +12,13 @@ QS+ (experiment E6).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..failures import FailProneSystem, FailurePattern
-from ..graph import component_containing, popcount
+from ..graph import component_containing
 from ..types import ProcessSet
 from .classical import QuorumTriple
+from .discovery import _masked_candidates, choose_candidates
 
 
 class StrongQuorumSystem(QuorumTriple):
@@ -46,40 +47,6 @@ class StrongQuorumSystem(QuorumTriple):
         return None
 
 
-def strong_choice_exists(components_per_pattern: Sequence[Sequence[int]]) -> bool:
-    """Mask-level core of :func:`strong_system_exists`.
-
-    ``components_per_pattern`` holds, per failure pattern, the strongly
-    connected components of the residual graph as bitmasks over one shared
-    :class:`~repro.graph.ProcessIndex` (e.g.
-    :meth:`~repro.graph.BitsetDiGraph.scc_masks` output).  A QS+ exists iff
-    one component can be chosen per pattern with pairwise non-empty
-    intersections, decided by backtracking over the patterns with the fewest
-    components first; the Monte Carlo shards call this directly on sampled
-    residual masks.
-    """
-    if any(not components for components in components_per_pattern):
-        return False
-    order = sorted(
-        range(len(components_per_pattern)),
-        key=lambda i: len(components_per_pattern[i]),
-    )
-    chosen: List[int] = []
-
-    def backtrack(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        for component in components_per_pattern[order[depth]]:
-            if all(component & prev for prev in chosen):
-                chosen.append(component)
-                if backtrack(depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return backtrack(0)
-
-
 def strong_system_exists(fail_prone: FailProneSystem) -> bool:
     """Decide whether the fail-prone system admits *some* QS+.
 
@@ -90,12 +57,13 @@ def strong_system_exists(fail_prone: FailProneSystem) -> bool:
     loss of generality — any valid QS+ quorums for ``f`` live inside a single
     component, and enlarging quorums can only help Consistency.  A QS+ exists
     iff components ``S_f`` can be chosen so that ``S_f ∩ S_g ≠ ∅`` for every
-    pair of patterns, which :func:`strong_choice_exists` decides; larger
-    components are offered first because they intersect more.
+    pair of patterns: :func:`~repro.quorums.choose_candidates` over the
+    candidates ``(S, S)``, taken from the enumeration (and order)
+    :func:`~repro.quorums.discover_gqs` memoizes on the system, so a
+    classification enumerates each pattern's components once for both answers.
     """
-    return strong_choice_exists(
-        [
-            sorted(fail_prone.residual_bitset(f).scc_masks(), key=popcount, reverse=True)
-            for f in fail_prone
-        ]
-    )
+    per_pattern = [
+        [(c.write_mask, c.write_mask) for c in _masked_candidates(fail_prone, f)]
+        for f in fail_prone
+    ]
+    return choose_candidates(per_pattern)[0] is not None

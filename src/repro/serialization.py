@@ -101,8 +101,6 @@ def fail_prone_system_from_dict(data: Dict[str, Any]) -> FailProneSystem:
     if not isinstance(entries, (list, tuple)):
         raise ReproError("'patterns' must be a list of failure patterns, got {!r}".format(entries))
     patterns = [failure_pattern_from_dict(entry) for entry in entries]
-    if not patterns:
-        patterns = [FailurePattern()]
     return FailProneSystem(processes, patterns, name=data.get("name"))
 
 

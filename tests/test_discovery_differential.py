@@ -9,7 +9,9 @@ Three independent implementations must agree on randomized small systems:
 * ``oracles.discovery.gqs_exists_bruteforce`` — exhaustive enumeration over
   arbitrary subsets.
 
-The battery also pins the candidate enumeration (bitmask vs. Tarjan-based) to
+The same random systems compare :func:`strong_system_exists` — the production
+search over the candidates ``(S, S)`` — with the set-based QS+ reference.  The
+battery also pins the candidate enumeration (bitmask vs. Tarjan-based) to
 byte-equality and checks :func:`suggest_channel_repairs` minimality under the
 incremental candidate cache.
 """
@@ -27,6 +29,7 @@ from repro.quorums import (
     discover_gqs,
     gqs_exists,
     harden_channels,
+    strong_system_exists,
     suggest_channel_repairs,
 )
 
@@ -34,6 +37,7 @@ from oracles.discovery import (
     candidate_pairs_reference,
     discover_naive,
     gqs_exists_bruteforce,
+    strong_system_exists_reference,
 )
 
 #: (n, num_patterns, crash_prob, disconnect_prob) regimes for the random sweep.
@@ -66,6 +70,9 @@ def test_pruned_naive_and_bruteforce_agree_on_random_systems():
         naive = discover_naive(system, validate=False)
         brute = gqs_exists_bruteforce(system)
         assert pruned.exists == naive.exists == brute, system.describe()
+        assert strong_system_exists(system) == strong_system_exists_reference(system), (
+            system.describe()
+        )
         checked += 1
         admitted += int(pruned.exists)
     assert checked == 5 * 8

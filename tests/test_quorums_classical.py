@@ -8,25 +8,11 @@ from repro.errors import (
     QuorumConsistencyError,
 )
 from repro.failures import FailProneSystem, FailurePattern
-from repro.quorums import (
-    QuorumSystem,
-    grid_quorum_system,
-    majority_quorum_system,
-    minimal_quorums,
-    quorum_load,
-    threshold_quorum_system,
-)
+from repro.quorums import QuorumSystem, threshold_quorum_system
 
 
 def crash_only_system(processes, k):
     return FailProneSystem.crash_threshold(processes, k)
-
-
-def test_majority_quorum_system_is_valid():
-    system = majority_quorum_system(["a", "b", "c"])
-    assert system.is_valid()
-    assert all(len(q) == 2 for q in system.read_quorums)
-    assert system.read_quorums == system.write_quorums
 
 
 def test_threshold_quorum_system_example6():
@@ -93,34 +79,6 @@ def test_available_quorums_returns_correct_pair():
     assert pair is not None
     read, write = pair
     assert "c" not in read and "c" not in write
-
-
-def test_grid_quorum_system():
-    system = grid_quorum_system(2, 3)
-    assert system.is_consistent()
-    assert len(system.read_quorums) == 3  # columns
-    assert len(system.write_quorums) == 2  # rows
-    assert system.is_valid()
-
-
-def test_grid_rejects_bad_dimensions():
-    with pytest.raises(InvalidQuorumSystemError):
-        grid_quorum_system(0, 3)
-
-
-def test_minimal_quorums():
-    family = [frozenset({"a"}), frozenset({"a", "b"}), frozenset({"b", "c"})]
-    minimal = minimal_quorums(family)
-    assert frozenset({"a"}) in minimal
-    assert frozenset({"a", "b"}) not in minimal
-    assert frozenset({"b", "c"}) in minimal
-
-
-def test_quorum_load_majorities():
-    system = majority_quorum_system(["a", "b", "c"])
-    load = quorum_load(system)
-    # Each process appears in 2 of the 3 majorities (read and write families equal).
-    assert load == pytest.approx(2.0 / 3.0)
 
 
 def test_duplicate_quorums_are_deduplicated():

@@ -10,6 +10,7 @@ from repro.quorums import (
     discover_gqs,
     find_gqs,
     gqs_exists,
+    strong_system_exists,
 )
 
 from oracles.discovery import gqs_exists_bruteforce
@@ -84,6 +85,20 @@ def test_single_failure_free_pattern_trivially_admits_gqs():
     gqs = result.quorum_system
     f = system.patterns[0]
     assert gqs.termination_component(f) == frozenset({"a", "b"})
+
+
+def test_a_system_without_patterns_is_the_failure_free_system():
+    # No pattern at all is one place's rule (FailProneSystem): the failure-free
+    # pattern alone, so every decision agrees and the witness is {a, b} twice.
+    system = FailProneSystem(["a", "b"], [])
+    assert system.patterns == (FailurePattern(),)
+    result = discover_gqs(system)
+    assert result.exists
+    assert result.quorum_system.read_quorums == (frozenset({"a", "b"}),)
+    assert result.quorum_system.write_quorums == (frozenset({"a", "b"}),)
+    assert strong_system_exists(system)
+    verdict = classify_fail_prone_system(system)
+    assert verdict == {"classical": True, "strong": True, "generalized": True}
 
 
 def test_classify_fail_prone_system_orders_conditions(figure1_system):

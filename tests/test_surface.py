@@ -11,6 +11,8 @@ And every concept has one name: the registries are the only tables,
 The GQS choice problem has one search: the quotient search, orbit transport
 and the declared-symmetry stack that fed them are gone, ``"quotient"`` is an
 accepted name of the forward-checking search and no CLI flag picks a search.
+That search, ``choose_candidates``, also decides QS+ and the Monte Carlo
+samples: the two recursive backtrackers beside it are gone.
 Linearizability has one complete search too: the streaming formulation, the
 ``mode=`` switch and the two checker names that selected nothing are gone, and
 so is the set-based ``graph.connectivity`` module (now ``oracles.graph``).
@@ -111,12 +113,25 @@ DELETED_SEARCH_FORK = (
     r"graph/connectivity\.py",
 )
 
+#: The two recursive prefix-only backtrackers that solved the choice problem
+#: beside the forward-checking search (QS+ and the Monte Carlo shards now call
+#: ``choose_candidates``), and the classical constructions nothing called.
+DELETED_SECOND_SOLVERS = (
+    r"gqs_choice_exists",
+    r"strong_choice_exists",
+    r"def backtrack\(",
+    r"majority_quorum_system",
+    r"grid_quorum_system",
+    r"minimal_quorums",
+    r"quorum_load",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
     "BitsetDiGraph", "ProcessIndex", "component_containing",
     "iter_bits", "popcount", "residual_bitset", "bitset_graph",
-    "process_index", "gqs_choice_exists", "strong_choice_exists",
+    "process_index", "choose_candidates",
 }
 
 
@@ -131,7 +146,11 @@ def _sources(root):
 def test_deleted_names_are_gone_from_src():
     for path, text in _sources(SRC_DIR):
         for pattern in (
-            DELETED_FROM_SRC + DELETED_SECOND_NAMES + DELETED_QUOTIENT_STACK + DELETED_SEARCH_FORK
+            DELETED_FROM_SRC
+            + DELETED_SECOND_NAMES
+            + DELETED_QUOTIENT_STACK
+            + DELETED_SEARCH_FORK
+            + DELETED_SECOND_SOLVERS
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
