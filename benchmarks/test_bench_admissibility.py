@@ -92,11 +92,13 @@ def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
     import time
 
     from oracles.montecarlo import admissibility_sweep_set, estimate_reliability_set
-    from repro.montecarlo import estimate_reliability
+
+    def reliability_point(quorum_system, disconnect_prob, **config):
+        return reliability_sweep(quorum_system, (disconnect_prob,), **config)[0]
 
     ENGINES = {
         "set": (estimate_reliability_set, admissibility_sweep_set),
-        "bitset": (estimate_reliability, admissibility_sweep),
+        "bitset": (reliability_point, admissibility_sweep),
     }
     REL_SAMPLES = 3000
     ADM_SAMPLES = 1200

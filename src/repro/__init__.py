@@ -60,7 +60,7 @@ _EXPORTS = {
     ),
     ".failures": ("FailProneSystem", "FailurePattern"),
     ".history": ("History", "OperationRecord"),
-    ".quorums": ("GeneralizedQuorumSystem", "QuorumSystem", "discover_gqs", "find_gqs", "gqs_exists"),
+    ".quorums": ("GeneralizedQuorumSystem", "QuorumSystem", "discover_gqs", "gqs_exists"),
     **dict.fromkeys(
         (".analysis", ".api", ".checkers", ".engine", ".experiments", ".graph", ".montecarlo",
          ".nemesis", ".protocols", ".registry", ".scenarios", ".serialization", ".sim",
@@ -89,7 +89,6 @@ __all__ = [
     "engine",
     "experiments",
     "failures",
-    "find_gqs",
     "gqs_exists",
     "graph",
     "montecarlo",

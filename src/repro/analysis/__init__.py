@@ -12,7 +12,7 @@ _EXPORTS = {
     ".figure1": (
         "FIGURE1_PROCESSES", "figure1_fail_prone_system", "figure1_modified_fail_prone_system",
         "figure1_patterns", "figure1_quorum_system", "figure1_read_quorums",
-        "figure1_termination_components", "figure1_write_quorums",
+        "figure1_write_quorums",
     ),
     ".metrics": ("OperationMetrics", "ResultTable", "mean", "percentile"),
 }

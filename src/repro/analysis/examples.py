@@ -20,11 +20,7 @@ from ..quorums import (
     threshold_quorum_system,
 )
 from ..types import ProcessSet, sorted_processes
-from .figure1 import (
-    figure1_fail_prone_system,
-    figure1_modified_fail_prone_system,
-    figure1_quorum_system,
-)
+from .figure1 import figure1_modified_fail_prone_system, figure1_quorum_system
 
 
 @dataclass

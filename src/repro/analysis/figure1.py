@@ -16,11 +16,11 @@ implementable under it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..failures import FailProneSystem, FailurePattern
 from ..quorums import GeneralizedQuorumSystem
-from ..types import Channel, ProcessId, ProcessSet
+from ..types import ProcessId, ProcessSet
 
 FIGURE1_PROCESSES: Tuple[ProcessId, ...] = ("a", "b", "c", "d")
 
@@ -79,15 +79,6 @@ def figure1_quorum_system() -> GeneralizedQuorumSystem:
     return GeneralizedQuorumSystem(
         figure1_fail_prone_system(), figure1_read_quorums(), figure1_write_quorums()
     )
-
-
-def figure1_termination_components() -> Dict[str, ProcessSet]:
-    """The components ``U_{f_i}`` of Example 9, keyed by pattern name."""
-    gqs = figure1_quorum_system()
-    return {
-        pattern.name or repr(pattern): gqs.termination_component(pattern)
-        for pattern in gqs.fail_prone
-    }
 
 
 def figure1_modified_fail_prone_system() -> FailProneSystem:

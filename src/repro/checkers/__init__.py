@@ -8,7 +8,7 @@ from .linearizability import (
     check_register_linearizability,
     check_register_witness_first,
 )
-from .snapshot_checker import check_snapshot_linearizability, scans_totally_ordered
+from .snapshot_checker import check_snapshot_linearizability
 
 __all__ = [
     "ConsensusCheckResult",
@@ -20,5 +20,4 @@ __all__ = [
     "check_register_linearizability",
     "check_register_witness_first",
     "check_snapshot_linearizability",
-    "scans_totally_ordered",
 ]

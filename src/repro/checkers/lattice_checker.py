@@ -14,7 +14,7 @@ direct conditions on the inputs and outputs of ``propose`` invocations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from ..errors import HistoryError
 from ..history import History

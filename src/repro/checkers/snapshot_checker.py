@@ -12,7 +12,7 @@ abstract state being the whole segment vector.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from ..errors import HistoryError
 from ..history import History, OperationRecord
@@ -74,28 +74,3 @@ def check_snapshot_linearizability(
         apply,
         max_states,
     )
-
-
-def scans_totally_ordered(history: History, lattice_leq=None) -> bool:
-    """Quick necessary condition: completed scans must be ordered by containment.
-
-    For snapshots over values where "newer" can be detected per segment (e.g.
-    distinct values per writer), any pair of completed scans must be
-    per-segment comparable.  ``lattice_leq(a, b)`` compares two scan results;
-    the default treats ``None`` (unwritten) as the least element and requires
-    per-segment equality otherwise, which is only meaningful when each writer
-    writes at most once — the common shape in the experiments.
-    """
-
-    def default_leq(first: Dict[ProcessId, Any], second: Dict[ProcessId, Any]) -> bool:
-        return all(
-            first[segment] == second[segment] or first[segment] is None for segment in first
-        )
-
-    leq = lattice_leq if lattice_leq is not None else default_leq
-    scans = [r.result for r in history.complete_records() if r.kind == SCAN_KIND]
-    for i, first in enumerate(scans):
-        for second in scans[i + 1 :]:
-            if not (leq(first, second) or leq(second, first)):
-                return False
-    return True

@@ -12,7 +12,7 @@ seed.  The decomposition depends only on ``(name, seed, samples, chunk_size)``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from .seeding import spawn_seeds
 

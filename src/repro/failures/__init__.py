@@ -4,7 +4,6 @@ from .pattern import NO_FAILURES, FailurePattern
 from .failprone import FailProneSystem
 from .generators import (
     adversarial_partition_system,
-    all_crash_patterns,
     build_fail_prone_system,
     builtin_fail_prone_system,
     geo_replicated_system,
@@ -20,7 +19,6 @@ __all__ = [
     "FailurePattern",
     "FailProneSystem",
     "adversarial_partition_system",
-    "all_crash_patterns",
     "build_fail_prone_system",
     "builtin_fail_prone_system",
     "geo_replicated_system",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from operator import and_
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..errors import InvalidFailurePatternError, ReproError
 from ..graph import BitsetDiGraph, DiGraph, MaskReindex, ProcessIndex
@@ -340,21 +340,6 @@ class FailProneSystem:
     def allows_channel_failures(self) -> bool:
         """Return whether any pattern allows a channel between correct processes to fail."""
         return any(f.disconnect_prone for f in self._patterns)
-
-    def maximal_patterns(self) -> Tuple[FailurePattern, ...]:
-        """Return the patterns not subsumed by any other pattern.
-
-        Tolerating the maximal patterns is equivalent to tolerating the whole
-        system, so analyses may restrict attention to them.
-        """
-        maximal: List[FailurePattern] = []
-        for f in self._patterns:
-            strictly_subsumed = any(
-                f is not g and f.is_subsumed_by(g) and f != g for g in self._patterns
-            )
-            if not strictly_subsumed and f not in maximal:
-                maximal.append(f)
-        return tuple(maximal)
 
     def with_pattern(self, pattern: FailurePattern, name: Optional[str] = None) -> "FailProneSystem":
         """Return a new system with ``pattern`` appended."""

@@ -16,14 +16,12 @@ threshold ones, so the experiments sample widely:
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from ..graph import DiGraph
 from ..registry import TOPOLOGIES, register_topology
-from ..types import Channel, ProcessId, sorted_processes
+from ..types import Channel, ProcessId
 from .failprone import FailProneSystem
 from .pattern import FailurePattern
 
@@ -152,7 +150,6 @@ def ring_unidirectional_system(n: int = 4, name: Optional[str] = None) -> FailPr
     if n < 3:
         raise ValueError("ring construction needs at least 3 processes")
     processes = ["p{}".format(i) for i in range(n)]
-    graph = DiGraph.complete(processes)
     window_size = n // 2 + 1
     patterns = []
     for i in range(n):
@@ -173,9 +170,7 @@ def ring_unidirectional_system(n: int = 4, name: Optional[str] = None) -> FailPr
             if src != dst and (src, dst) not in correct_channels
         ]
         patterns.append(FailurePattern(crash, channels, name="f{}".format(i + 1)))
-    return FailProneSystem(
-        processes, patterns, graph=graph, name=name or "ring(n={})".format(n)
-    )
+    return FailProneSystem(processes, patterns, name=name or "ring(n={})".format(n))
 
 
 def adversarial_partition_system(
@@ -402,14 +397,6 @@ def multi_region_system(
             regions, replicas_per_region, primary, ", catastrophic" if catastrophic else ""
         ),
     )
-
-
-def all_crash_patterns(processes: Sequence[ProcessId], k: int) -> List[FailurePattern]:
-    """All crash-only patterns with exactly ``k`` crashed processes."""
-    return [
-        FailurePattern.crash_only(combo)
-        for combo in itertools.combinations(sorted_processes(set(processes)), k)
-    ]
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from the paper's system model (§2).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..errors import InvalidFailurePatternError
 from ..graph import DiGraph
@@ -112,14 +112,6 @@ class FailurePattern:
         if src in self._crash_prone or dst in self._crash_prone:
             return True
         return (src, dst) in self._disconnect_prone
-
-    def faulty_channels(self, graph: DiGraph) -> ChannelSet:
-        """All channels of ``graph`` that may fail under this pattern."""
-        return frozenset(ch for ch in graph.edges() if self.is_faulty_channel(ch))
-
-    def correct_channels(self, graph: DiGraph) -> ChannelSet:
-        """All channels of ``graph`` guaranteed correct under this pattern."""
-        return frozenset(ch for ch in graph.edges() if not self.is_faulty_channel(ch))
 
     # ------------------------------------------------------------------ #
     # Residual graph

@@ -11,8 +11,8 @@ by hand in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import HistoryError
 from .types import ProcessId

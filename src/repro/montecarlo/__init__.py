@@ -7,11 +7,9 @@ from .comparison import (
     asymmetric_admissibility_sweep,
     gqs_strictly_weaker_examples,
     sample_asymmetric_partition_system,
-    sample_fail_prone_system,
 )
 from .reliability import (
     ReliabilityEstimate,
-    estimate_reliability,
     reliability_sweep,
     reliability_table,
 )
@@ -22,10 +20,8 @@ __all__ = [
     "admissibility_sweep",
     "admissibility_table",
     "asymmetric_admissibility_sweep",
-    "estimate_reliability",
     "gqs_strictly_weaker_examples",
     "reliability_sweep",
     "reliability_table",
     "sample_asymmetric_partition_system",
-    "sample_fail_prone_system",
 ]

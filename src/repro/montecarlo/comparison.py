@@ -14,14 +14,14 @@ more likely.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import ResultTable
 from ..engine import DEFAULT_CHUNK_SIZE, ExperimentSpec, ParallelRunner, derive_seed
 from ..engine.runner import ProgressCallback
 from ..errors import ReproError
-from ..failures import FailProneSystem, FailurePattern, random_failure_pattern
+from ..failures import FailProneSystem, FailurePattern
 from ..quorums import gqs_exists, strong_system_exists
 
 
@@ -47,30 +47,6 @@ class AdmissibilityPoint:
     @property
     def classical_fraction(self) -> float:
         return self.classical / self.samples if self.samples else 0.0
-
-
-def sample_fail_prone_system(
-    rng: random.Random,
-    n: int,
-    num_patterns: int,
-    crash_prob: float,
-    disconnect_prob: float,
-    max_crashes: Optional[int] = None,
-) -> FailProneSystem:
-    """Sample one random fail-prone system (helper shared by the sweeps)."""
-    processes = ["p{}".format(i) for i in range(n)]
-    patterns = [
-        random_failure_pattern(
-            processes,
-            rng,
-            crash_prob=crash_prob,
-            disconnect_prob=disconnect_prob,
-            max_crashes=max_crashes,
-            name="f{}".format(i),
-        )
-        for i in range(num_patterns)
-    ]
-    return FailProneSystem(processes, patterns)
 
 
 def _merge_admissibility(

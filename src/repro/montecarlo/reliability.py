@@ -103,30 +103,6 @@ def _merge_reliability(
     return merged
 
 
-def estimate_reliability(
-    quorum_system: GeneralizedQuorumSystem,
-    crash_prob: float = 0.1,
-    disconnect_prob: float = 0.2,
-    samples: int = 200,
-    seed: int = 0,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> ReliabilityEstimate:
-    """Estimate availability of the quorum system's three availability notions.
-
-    The sample budget is sharded with deterministic per-shard seeds, so the
-    estimate depends only on ``(samples, seed, chunk_size)`` — never on
-    ``jobs``.
-    """
-    from .bitsampler import _reliability_shard_bitset  # imports this module
-
-    runner = ParallelRunner(jobs=jobs)
-    spec = _reliability_spec(
-        quorum_system, crash_prob, disconnect_prob, samples, seed, chunk_size
-    )
-    return runner.run(spec, _reliability_shard_bitset, _merge_reliability)
-
-
 def reliability_sweep(
     quorum_system: GeneralizedQuorumSystem,
     disconnect_probs: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),

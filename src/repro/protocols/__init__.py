@@ -2,8 +2,7 @@
 lattice agreement and consensus (paper §5 and §7), plus classical baselines."""
 
 from .consensus import ConsensusProcess
-from .kv_store import ReplicatedKVStore, merge_kv_states
-from .lattice_agreement import LatticeAgreementProcess, MaxLattice, SemiLattice, SetLattice
+from .lattice_agreement import LatticeAgreementProcess, SemiLattice, SetLattice
 from .messages import (
     Accept,
     Accepted,
@@ -50,12 +49,10 @@ __all__ = [
     "GetReq",
     "GetRespSeq",
     "LatticeAgreementProcess",
-    "MaxLattice",
     "OneB",
     "PaxosBaselineProcess",
     "Prepare",
     "Promise",
-    "ReplicatedKVStore",
     "QuorumAccessProcess",
     "RegisterState",
     "Segment",
@@ -70,6 +67,5 @@ __all__ = [
     "TwoB",
     "initial_register_state",
     "majority_quorums",
-    "merge_kv_states",
     "merge_vectors",
 ]

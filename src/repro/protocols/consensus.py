@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..quorums import GeneralizedQuorumSystem, QuorumSystem
 from ..sim.network import Network
 from ..sim.process import OperationHandle, Process
 from ..types import ProcessId, ProcessSet, sorted_processes

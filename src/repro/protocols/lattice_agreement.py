@@ -14,7 +14,7 @@ containment), decided values are joins of comparable sets and hence comparable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Generator, Iterable, Optional
+from typing import Any, Dict, FrozenSet, Generator, Iterable, Optional
 
 from ..sim.network import Network
 from ..sim.process import OperationHandle
@@ -61,23 +61,6 @@ class SetLattice(SemiLattice):
 
     def leq(self, first: Any, second: Any) -> bool:
         return frozenset(first) <= frozenset(second)
-
-
-class MaxLattice(SemiLattice):
-    """A totally ordered lattice over numbers: join is max.
-
-    Useful as a degenerate case in tests — with a total order, Comparability is
-    trivial and the interesting properties are the validity conditions.
-    """
-
-    def bottom(self) -> float:
-        return float("-inf")
-
-    def join(self, first: Any, second: Any) -> Any:
-        return max(first, second)
-
-    def leq(self, first: Any, second: Any) -> bool:
-        return first <= second
 
 
 class LatticeAgreementProcess(SnapshotProcess):

@@ -16,7 +16,7 @@ read/write quorum families can be supplied.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Optional, Sequence, Tuple
 
 from ..sim.network import Network
 from ..sim.process import NOT_READY, OperationHandle, Process

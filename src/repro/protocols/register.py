@@ -23,11 +23,11 @@ register classes are exposed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 from ..sim.network import Network
 from ..sim.process import OperationHandle
-from ..types import ProcessId, sort_key, sorted_processes
+from ..types import ProcessId, sorted_processes
 from .quorum_access import (
     AnyQuorumSystem,
     ClassicalQuorumAccessProcess,

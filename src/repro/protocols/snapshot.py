@@ -24,7 +24,7 @@ of the embedded-scan construction applies unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Mapping, Optional, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 from ..sim.network import Network
 from ..sim.process import OperationHandle

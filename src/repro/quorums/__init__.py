@@ -4,12 +4,12 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     ".classical": ("QuorumSystem", "threshold_quorum_system"),
-    ".generalized": ("GeneralizedQuorumSystem", "is_f_available", "is_f_reachable"),
+    ".generalized": ("GeneralizedQuorumSystem", "is_f_available"),
     ".repair": ("RepairReport", "RepairSuggestion", "harden_channels", "suggest_channel_repairs"),
-    ".strong": ("StrongQuorumSystem", "strong_system_exists"),
+    ".strong": ("strong_system_exists",),
     ".discovery": (
         "DISCOVERY_ALGORITHMS", "CandidateQuorumPair", "DiscoveryResult", "candidate_pairs",
-        "choose_candidates", "classify_fail_prone_system", "discover_gqs", "find_gqs", "gqs_exists",
+        "choose_candidates", "classify_fail_prone_system", "discover_gqs", "gqs_exists",
     ),
     ".incremental": (
         "DELTA_OPS", "DeltaVerdict", "MembershipDelta", "WatchOutcome", "apply_delta",

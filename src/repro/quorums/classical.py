@@ -58,9 +58,9 @@ def _normalise_family(
 
 
 class QuorumTriple:
-    """A triple ``(F, R, W)``: what Definition 1, Definition 2 and QS+ share.
+    """A triple ``(F, R, W)``: what Definition 1 and Definition 2 share.
 
-    The three notions of quorum system state **Consistency** identically —
+    Both notions of quorum system state **Consistency** identically —
     every read quorum intersects every write quorum — and differ only in
     **Availability**.  This base holds the families, Consistency and the
     validation driver; a subclass supplies :meth:`available_pair` and the
@@ -163,7 +163,7 @@ class QuorumTriple:
         """Return a ``(read, write)`` pair validating Availability under ``pattern``.
 
         ``None`` when no such pair exists.  This is the one method in which
-        the three definitions differ.
+        the two definitions differ.
         """
         raise NotImplementedError
 

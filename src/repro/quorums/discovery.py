@@ -54,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import NoQuorumSystemExistsError
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import iter_bits, popcount
 from ..types import ProcessSet
@@ -303,16 +302,6 @@ def gqs_exists(fail_prone: FailProneSystem) -> bool:
     A "yes" is a validated witness, like every other answer of this module.
     """
     return discover_gqs(fail_prone).exists
-
-
-def find_gqs(fail_prone: FailProneSystem) -> GeneralizedQuorumSystem:
-    """Return a GQS for ``fail_prone`` or raise :class:`NoQuorumSystemExistsError`."""
-    result = discover_gqs(fail_prone)
-    if not result.exists or result.quorum_system is None:
-        raise NoQuorumSystemExistsError(
-            "the fail-prone system {!r} admits no generalized quorum system".format(fail_prone)
-        )
-    return result.quorum_system
 
 
 def classify_fail_prone_system(fail_prone: FailProneSystem) -> Dict[str, bool]:

@@ -37,7 +37,7 @@ from .classical import QuorumSystem, QuorumTriple
 
 
 # ---------------------------------------------------------------------- #
-# The two availability predicates of §3
+# Availability under one pattern (§3)
 # ---------------------------------------------------------------------- #
 def _quorum_mask(fail_prone: FailProneSystem, quorum: Iterable[ProcessId]) -> int:
     """``quorum`` over the system's process index; 0 if it cannot be correct.
@@ -88,27 +88,6 @@ def is_f_available(
     """
     components = fail_prone.residual_bitset(pattern).scc_masks()
     return component_containing(components, _quorum_mask(fail_prone, quorum)) is not None
-
-
-def is_f_reachable(
-    fail_prone: FailProneSystem,
-    pattern: FailurePattern,
-    write_quorum: Iterable[ProcessId],
-    read_quorum: Iterable[ProcessId],
-) -> bool:
-    """Return whether ``write_quorum`` is ``f``-reachable from ``read_quorum``.
-
-    Both quorums must contain only correct processes, and every member of the
-    write quorum must be reachable from every member of the read quorum via a
-    directed path in the residual graph.  The write quorum need not be
-    ``f``-available, so this asks the residual graph directly instead of going
-    through one component's closure.
-    """
-    write_mask = _quorum_mask(fail_prone, write_quorum)
-    read_mask = _quorum_mask(fail_prone, read_quorum)
-    if not write_mask or not read_mask:
-        return False
-    return fail_prone.residual_bitset(pattern).set_reaches_set(read_mask, write_mask)
 
 
 class GeneralizedQuorumSystem(QuorumTriple):

@@ -5,46 +5,16 @@ process/channel failures requires a quorum system in which, for every failure
 pattern, the available read and write quorums are *strongly connected* by
 correct channels (so that some process can run an ABD/Paxos-style
 request/response exchange with both).  That condition — called QS+ in the paper
-— is sufficient but, as the paper shows, **not necessary**.  We implement it so
+— is sufficient but, as the paper shows, **not necessary**.  We decide it so
 the experiments can measure how many fail-prone systems admit a GQS but not a
-QS+ (experiment E6).
+QS+ (experiment E6); the set-form validator of a given QS+ lives with the tests
+(``tests/oracles/predicates.py``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from ..failures import FailProneSystem, FailurePattern
-from ..graph import component_containing
-from ..types import ProcessSet
-from .classical import QuorumTriple
+from ..failures import FailProneSystem
 from .discovery import _masked_candidates, choose_candidates
-
-
-class StrongQuorumSystem(QuorumTriple):
-    """A quorum system with strongly-connected Availability (the QS+ of §1).
-
-    Consistency is as in Definitions 1 and 2.  Availability requires, for every
-    failure pattern ``f``, a read quorum ``R`` and a write quorum ``W`` of
-    correct processes such that **all of ``R ∪ W`` is strongly connected** in
-    the residual graph ``G \\ f``.
-    """
-
-    _UNAVAILABLE = "no strongly connected read/write quorum pair under {!r}"
-
-    def available_pair(
-        self, pattern: FailurePattern
-    ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
-        """A ``(read, write)`` pair whose union is correct and strongly connected."""
-        components = self._fail_prone.residual_bitset(pattern).scc_masks()
-        read_masks, write_masks = self._masks()
-        for w, write_mask in zip(self._write_quorums, write_masks):
-            for r, read_mask in zip(self._read_quorums, read_masks):
-                # Crashed processes belong to no component, so containment in
-                # one component also certifies that both quorums are correct.
-                if component_containing(components, read_mask | write_mask) is not None:
-                    return r, w
-        return None
 
 
 def strong_system_exists(fail_prone: FailProneSystem) -> bool:

@@ -18,8 +18,6 @@ from .spec import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    load_scenario,
-    save_scenario,
 )
 from .builders import (
     build_quorum_system,
@@ -57,13 +55,11 @@ __all__ = [
     "catalogue_markdown",
     "catalogue_table",
     "get_scenario",
-    "load_scenario",
     "register_scenario",
     "resolve_pattern",
     "run_built_scenario",
     "run_scenario",
     "run_scenario_once",
-    "save_scenario",
     "scenario_names",
     "sweep_scenarios",
     "sweep_table",

@@ -35,8 +35,6 @@ __all__ = [
     "ScenarioSpec",
     "TopologySpec",
     "WorkloadSpec",
-    "load_scenario",
-    "save_scenario",
 ]
 
 #: Topology kind for an inline fail-prone system description (see
@@ -278,16 +276,3 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
-
-
-def load_scenario(path: str) -> ScenarioSpec:
-    """Load a scenario specification from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return ScenarioSpec.from_dict(json.load(handle))
-
-
-def save_scenario(scenario: ScenarioSpec, path: str) -> None:
-    """Write a scenario specification to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scenario.to_dict(), handle, indent=2)
-        handle.write("\n")

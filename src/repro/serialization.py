@@ -16,7 +16,9 @@ procedure and store the witness.  The format is deliberately plain JSON:
       ]
     }
 
-Channels are ``[sender, receiver]`` pairs.  Quorum systems serialize to
+Channels are ``[sender, receiver]`` pairs.  A network graph sparser than the
+complete one (the default) adds a top-level ``"channels"`` list of the channels
+it has.  Quorum systems serialize to
 ``{"read_quorums": [...], "write_quorums": [...]}`` plus the fail-prone system.
 
 Operation histories (:mod:`repro.history`) round-trip as well, which is what
@@ -31,10 +33,11 @@ exact Python value through a JSON round-trip.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Tuple
 
 from .errors import ReproError
 from .failures import FailProneSystem, FailurePattern
+from .graph import BitsetDiGraph, DiGraph
 from .history import History, OperationRecord
 from .quorums import GeneralizedQuorumSystem
 from .types import sorted_channels, sorted_processes
@@ -63,31 +66,44 @@ def _process_ids(value: Any, what: str) -> List[Any]:
     return value
 
 
+def _channels(value: Any, what: str) -> List[Tuple[Any, Any]]:
+    """``value`` checked to be a list of ``[sender, receiver]`` process-id pairs."""
+    if not isinstance(value, (list, tuple)):
+        raise ReproError("{} must be a list of channels, got {!r}".format(what, value))
+    channels = []
+    for channel in value:
+        if len(_process_ids(channel, "a channel")) != 2:
+            raise ReproError(
+                "a channel must be a [sender, receiver] pair, got {!r}".format(channel)
+            )
+        channels.append(tuple(channel))
+    return channels
+
+
 def failure_pattern_from_dict(data: Dict[str, Any]) -> FailurePattern:
     """Deserialize a failure pattern from a dictionary."""
     if not isinstance(data, dict):
         raise ReproError("failure pattern must be an object, got {!r}".format(data))
     crash = _process_ids(data.get("crash", []), "'crash'")
-    channels = data.get("disconnect", [])
-    if not isinstance(channels, (list, tuple)):
-        raise ReproError("'disconnect' must be a list of channels, got {!r}".format(channels))
-    disconnect = []
-    for channel in channels:
-        if len(_process_ids(channel, "a channel")) != 2:
-            raise ReproError(
-                "a channel must be a [sender, receiver] pair, got {!r}".format(channel)
-            )
-        disconnect.append(tuple(channel))
+    disconnect = _channels(data.get("disconnect", []), "'disconnect'")
     return FailurePattern(crash, disconnect, name=data.get("name"))
 
 
 def fail_prone_system_to_dict(system: FailProneSystem) -> Dict[str, Any]:
-    """Serialize a fail-prone system (complete network graph assumed)."""
-    return {
+    """Serialize a fail-prone system.
+
+    The network graph is written as a ``"channels"`` list only when it is not
+    the complete graph (the paper's default, which needs no listing).
+    """
+    data: Dict[str, Any] = {
         "name": system.name,
         "processes": sorted_processes(system.processes),
-        "patterns": [failure_pattern_to_dict(pattern) for pattern in system.patterns],
     }
+    if system.bitset_graph != BitsetDiGraph.complete(system.process_index):
+        channels = sorted_channels(system.graph_view.edges())
+        data["channels"] = [list(channel) for channel in channels]
+    data["patterns"] = [failure_pattern_to_dict(pattern) for pattern in system.patterns]
+    return data
 
 
 def fail_prone_system_from_dict(data: Dict[str, Any]) -> FailProneSystem:
@@ -101,7 +117,10 @@ def fail_prone_system_from_dict(data: Dict[str, Any]) -> FailProneSystem:
     if not isinstance(entries, (list, tuple)):
         raise ReproError("'patterns' must be a list of failure patterns, got {!r}".format(entries))
     patterns = [failure_pattern_from_dict(entry) for entry in entries]
-    return FailProneSystem(processes, patterns, name=data.get("name"))
+    graph = None
+    if "channels" in data:
+        graph = DiGraph(processes, _channels(data["channels"], "'channels'"))
+    return FailProneSystem(processes, patterns, graph=graph, name=data.get("name"))
 
 
 # ---------------------------------------------------------------------- #
@@ -246,22 +265,3 @@ def _read_json(path: str) -> Any:
 def load_fail_prone_system(path: str) -> FailProneSystem:
     """Load a fail-prone system from a JSON file."""
     return fail_prone_system_from_dict(_read_json(path))
-
-
-def save_fail_prone_system(system: FailProneSystem, path: str) -> None:
-    """Write a fail-prone system to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(fail_prone_system_to_dict(system), handle, indent=2, default=str)
-        handle.write("\n")
-
-
-def load_quorum_system(path: str, validate: bool = True) -> GeneralizedQuorumSystem:
-    """Load a generalized quorum system from a JSON file."""
-    return quorum_system_from_dict(_read_json(path), validate=validate)
-
-
-def save_quorum_system(quorum_system: GeneralizedQuorumSystem, path: str) -> None:
-    """Write a generalized quorum system to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(quorum_system_to_dict(quorum_system), handle, indent=2, default=str)
-        handle.write("\n")

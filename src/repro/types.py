@@ -37,16 +37,6 @@ def channel_set(channels: Iterable[Channel]) -> ChannelSet:
     return frozenset((src, dst) for src, dst in channels)
 
 
-def all_channels(processes: Iterable[ProcessId]) -> ChannelSet:
-    """Return the complete channel set: one channel per ordered pair.
-
-    This mirrors the paper's system model, where *every* ordered pair of
-    distinct processes is connected by a unidirectional channel.
-    """
-    procs = list(processes)
-    return frozenset((p, q) for p in procs for q in procs if p != q)
-
-
 def sort_key(value: ProcessId):
     """Deterministic ordering key for heterogeneous process identifiers.
 

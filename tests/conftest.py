@@ -10,6 +10,7 @@ from repro.analysis import (
     figure1_quorum_system,
 )
 from repro.failures import FailProneSystem, FailurePattern
+from repro.protocols import SemiLattice
 from repro.quorums import GeneralizedQuorumSystem, threshold_quorum_system
 
 
@@ -47,3 +48,26 @@ def threshold_3_1_gqs(threshold_3_1) -> GeneralizedQuorumSystem:
 def crash_only_pattern() -> FailurePattern:
     """A simple crash-only failure pattern over {a, b, c}."""
     return FailurePattern.crash_only(["c"], name="crash-c")
+
+
+class MaxLattice(SemiLattice):
+    """A totally ordered lattice over numbers: join is max.
+
+    A degenerate case for the lattice tests — with a total order, Comparability
+    is trivial and the interesting properties are the validity conditions.
+    """
+
+    def bottom(self) -> float:
+        return float("-inf")
+
+    def join(self, first, second):
+        return max(first, second)
+
+    def leq(self, first, second) -> bool:
+        return first <= second
+
+
+@pytest.fixture()
+def max_lattice() -> MaxLattice:
+    """A fresh :class:`MaxLattice`."""
+    return MaxLattice()

@@ -15,16 +15,19 @@ nothing (``tests/test_surface.py`` enforces this).
 * :mod:`oracles.graph` — set-based reachability, Tarjan SCCs, condensation
   and the mutual-reachability predicates, on ``DiGraph`` vertex sets;
 * :mod:`oracles.predicates` — the two availability predicates of §3, the
-  set-based Definition 2 validator and the component ``U_f``;
+  set-based Definition 2 validator, the QS+ validator of §1 and the
+  component ``U_f``;
 * :mod:`oracles.discovery` — Tarjan-based candidate enumeration, the
   prefix-only backtracker and the exponential brute-forcer;
-* :mod:`oracles.montecarlo` — object-per-pattern samplers and shards, run
-  through the production spec builders and merge functions.
+* :mod:`oracles.montecarlo` — object-per-pattern samplers (the admissibility
+  sweep's ``sample_fail_prone_system`` among them) and shards, run through the
+  production spec builders and merge functions.
 
 Two oracles belong to other layers.  :mod:`oracles.linearizability` holds
 what the one Wing–Gong search of :mod:`repro.checkers` is compared with — the
-permutation brute-forcers for registers and snapshots and the streaming
-forward-closure register checker — and imports nothing of the search itself.
+permutation brute-forcers for registers and snapshots, the scan-ordering
+check ``scans_totally_ordered`` and the streaming forward-closure register
+checker — and imports nothing of the search itself.
 :mod:`oracles.sim` carries the single-heap ``Event`` scheduler and the
 poll-after-every-delivery ``Process.deliver`` that :mod:`repro.sim` replaced,
 with a context manager that swaps them in.  Its rule is the same in spirit —

@@ -9,6 +9,8 @@ kernel (``tests/test_surface.py`` enforces this):
 * :func:`brute_force_linearizable` / :func:`brute_force_snapshot_linearizable`
   — enumerate every permutation of the operations (and every subset of the
   incomplete updates) and replay the sequential specification;
+* :func:`scans_totally_ordered` — a quick necessary condition on snapshot
+  histories: completed scans are ordered by containment;
 * :class:`StreamingRegisterChecker` / :func:`check_streaming` — the
   incremental forward-closure formulation of the register search: the same
   verdicts reached by a different traversal (about 18x slower than the
@@ -82,6 +84,31 @@ def brute_force_snapshot_linearizable(history, segment_ids, initial_value=None):
                 else:
                     return True
     return False
+
+
+def scans_totally_ordered(history: History, lattice_leq=None) -> bool:
+    """Quick necessary condition: completed scans must be ordered by containment.
+
+    For snapshots over values where "newer" can be detected per segment (e.g.
+    distinct values per writer), any pair of completed scans must be
+    per-segment comparable.  ``lattice_leq(a, b)`` compares two scan results;
+    the default treats ``None`` (unwritten) as the least element and requires
+    per-segment equality otherwise, which is only meaningful when each writer
+    writes at most once — the common shape in the experiments.
+    """
+
+    def default_leq(first: Dict[Hashable, Any], second: Dict[Hashable, Any]) -> bool:
+        return all(
+            first[segment] == second[segment] or first[segment] is None for segment in first
+        )
+
+    leq = lattice_leq if lattice_leq is not None else default_leq
+    scans = [r.result for r in history.complete_records() if r.kind == "snapshot_scan"]
+    for i, first in enumerate(scans):
+        for second in scans[i + 1 :]:
+            if not (leq(first, second) or leq(second, first)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------- #

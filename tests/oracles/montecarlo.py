@@ -16,12 +16,11 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import ExperimentSpec, ParallelRunner, ShardSpec
-from repro.failures import FailProneSystem, FailurePattern
+from repro.failures import FailProneSystem, FailurePattern, random_failure_pattern
 from repro.montecarlo import (
     AdmissibilityPoint,
     ReliabilityEstimate,
     sample_asymmetric_partition_system,
-    sample_fail_prone_system,
 )
 from repro.montecarlo.comparison import (
     _admissibility_specs,
@@ -59,6 +58,34 @@ def sample_pattern(
         if src != dst and rng.random() < disconnect_prob
     ]
     return FailurePattern(crashed, channels)
+
+
+def sample_fail_prone_system(
+    rng: random.Random,
+    n: int,
+    num_patterns: int,
+    crash_prob: float,
+    disconnect_prob: float,
+    max_crashes: Optional[int] = None,
+) -> FailProneSystem:
+    """Sample one random fail-prone system: ``num_patterns`` i.i.d. patterns over ``p0..p{n-1}``.
+
+    The admissibility sweep's distribution; ``bitsampler`` replays its draws
+    at mask level.
+    """
+    processes = ["p{}".format(i) for i in range(n)]
+    patterns = [
+        random_failure_pattern(
+            processes,
+            rng,
+            crash_prob=crash_prob,
+            disconnect_prob=disconnect_prob,
+            max_crashes=max_crashes,
+            name="f{}".format(i),
+        )
+        for i in range(num_patterns)
+    ]
+    return FailProneSystem(processes, patterns)
 
 
 def availability_under(quorum_system, pattern: FailurePattern) -> Tuple[bool, bool, bool]:

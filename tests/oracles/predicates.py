@@ -1,9 +1,11 @@
-"""Set-based Definition 2: availability predicates, validator and ``U_f``.
+"""Set-based Definition 2 and QS+: availability predicates, validators and ``U_f``.
 
 The pre-bitmask validator of :class:`~repro.quorums.GeneralizedQuorumSystem`,
 kept word for word in what it accepts, what it raises and which offending
 pair or pattern it names, so the production ``check`` can be compared against
-it on accept/reject, exception class and message.
+it on accept/reject, exception class and message.  Beside it, the validator of
+Section 1's QS+ (strongly connected read/write pairs), which the library only
+decides (:func:`repro.quorums.strong_system_exists`) and never builds.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from repro.failures import FailProneSystem, FailurePattern
 from repro.types import ProcessId, ProcessSet, sorted_processes
 
 from .graph import (
+    is_strongly_connected,
     mutually_reachable,
     set_reaches_set,
     strongly_connected_components,
@@ -76,12 +79,29 @@ def available_pair(
     return None
 
 
-def check(fail_prone: FailProneSystem, read_quorums: Family, write_quorums: Family) -> None:
-    """Validate Definition 2 the set-based way, raising as the library does.
+def strong_available_pair(
+    fail_prone: FailProneSystem,
+    pattern: FailurePattern,
+    read_quorums: Family,
+    write_quorums: Family,
+) -> Optional[Tuple[ProcessSet, ProcessSet]]:
+    """The first ``(read, write)`` pair whose union is correct and strongly connected.
 
-    Consistency first (the first non-intersecting pair in family order), then
-    Availability (the first unavailable pattern in system order).
+    QS+ Availability (Section 1): all of ``R ∪ W`` is mutually reachable in
+    ``G \\ f``.
     """
+    correct = pattern.correct_processes(fail_prone.processes)
+    residual = fail_prone.residual_graph(pattern)
+    for w in write_quorums:
+        for r in read_quorums:
+            if r | w <= correct and is_strongly_connected(residual, r | w):
+                return r, w
+    return None
+
+
+def _check(fail_prone, read_quorums, write_quorums, pair_under, unavailable) -> None:
+    """Consistency first (the first non-intersecting pair in family order), then
+    Availability (the first pattern in system order ``pair_under`` finds no pair for)."""
     bad_pairs = consistency_violations(read_quorums, write_quorums)
     if bad_pairs:
         r, w = bad_pairs[0]
@@ -91,15 +111,26 @@ def check(fail_prone: FailProneSystem, read_quorums: Family, write_quorums: Fami
             )
         )
     bad_patterns = [
-        f
-        for f in fail_prone
-        if available_pair(fail_prone, f, read_quorums, write_quorums) is None
+        f for f in fail_prone if pair_under(fail_prone, f, read_quorums, write_quorums) is None
     ]
     if bad_patterns:
-        raise QuorumAvailabilityError(
-            "no f-available write quorum reachable from a read quorum "
-            "under pattern {!r}".format(bad_patterns[0])
-        )
+        raise QuorumAvailabilityError(unavailable.format(bad_patterns[0]))
+
+
+def check(fail_prone: FailProneSystem, read_quorums: Family, write_quorums: Family) -> None:
+    """Validate Definition 2 the set-based way, raising as the library does."""
+    _check(
+        fail_prone, read_quorums, write_quorums, available_pair,
+        "no f-available write quorum reachable from a read quorum under pattern {!r}",
+    )
+
+
+def check_strong(fail_prone: FailProneSystem, read_quorums: Family, write_quorums: Family) -> None:
+    """Validate QS+ (Consistency, then strongly connected Availability)."""
+    _check(
+        fail_prone, read_quorums, write_quorums, strong_available_pair,
+        "no strongly connected read/write quorum pair under {!r}",
+    )
 
 
 def validating_write_quorums(

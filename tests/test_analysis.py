@@ -11,7 +11,6 @@ from repro.analysis import (
     figure1_patterns,
     figure1_quorum_system,
     figure1_read_quorums,
-    figure1_termination_components,
     figure1_write_quorums,
     mean,
     percentile,
@@ -56,9 +55,9 @@ def test_figure1_quorums_match_paper():
 def test_figure1_quorum_system_valid_and_components():
     gqs = figure1_quorum_system()
     assert gqs.is_valid()
-    components = figure1_termination_components()
-    assert components["f1"] == frozenset({"a", "b"})
-    assert components["f3"] == frozenset({"c", "d"})
+    f1, _, f3, _ = gqs.fail_prone.patterns
+    assert gqs.termination_component(f1) == frozenset({"a", "b"})
+    assert gqs.termination_component(f3) == frozenset({"c", "d"})
 
 
 def test_figure1_modified_system_admits_no_gqs():

@@ -5,7 +5,7 @@ import pytest
 from repro.checkers import check_consensus, check_lattice_agreement
 from repro.errors import HistoryError
 from repro.history import History, OperationRecord
-from repro.protocols import MaxLattice, SetLattice
+from repro.protocols import SetLattice
 
 
 def propose(pid, value, result, start=0.0, end=1.0):
@@ -70,11 +70,11 @@ def test_lattice_incomplete_proposals_count_as_inputs():
     assert check_lattice_agreement(h).ok
 
 
-def test_lattice_custom_lattice():
+def test_lattice_custom_lattice(max_lattice):
     h = History([propose("a", 3, 5), propose("b", 5, 5)])
-    assert check_lattice_agreement(h, lattice=MaxLattice()).ok
+    assert check_lattice_agreement(h, lattice=max_lattice).ok
     bad = History([propose("a", 3, 2)])
-    assert not check_lattice_agreement(bad, lattice=MaxLattice()).downward_validity
+    assert not check_lattice_agreement(bad, lattice=max_lattice).downward_validity
 
 
 def test_lattice_rejects_foreign_operations():

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.checkers import check_snapshot_linearizability, scans_totally_ordered
+from repro.checkers import check_snapshot_linearizability
 from repro.errors import HistoryError
 from repro.history import History, OperationRecord
+
+from oracles.linearizability import scans_totally_ordered
 
 SEGMENTS = ("a", "b")
 

@@ -208,10 +208,10 @@ def test_run_single_spec():
 # End-to-end: the experiments that run on the engine
 # ---------------------------------------------------------------------- #
 def test_reliability_identical_across_jobs(figure1_gqs):
-    from repro.montecarlo import estimate_reliability, reliability_sweep, reliability_table
+    from repro.montecarlo import reliability_sweep, reliability_table
 
-    serial = estimate_reliability(figure1_gqs, samples=48, seed=11, jobs=1)
-    parallel = estimate_reliability(figure1_gqs, samples=48, seed=11, jobs=3)
+    (serial,) = reliability_sweep(figure1_gqs, (0.2,), samples=48, seed=11, jobs=1)
+    (parallel,) = reliability_sweep(figure1_gqs, (0.2,), samples=48, seed=11, jobs=3)
     assert serial.samples == parallel.samples == 48
     assert serial.gqs_available == parallel.gqs_available
     assert serial.strong_available == parallel.strong_available

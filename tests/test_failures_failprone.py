@@ -81,17 +81,6 @@ def test_minority_crashes():
     assert len(system) == 10
 
 
-def test_maximal_patterns_filters_subsumed():
-    small = FailurePattern(["a"], name="small")
-    big = FailurePattern(["a", "b"], name="big")
-    system = FailProneSystem(["a", "b", "c"], [small, big])
-    maximal = system.maximal_patterns()
-    assert maximal == (big,)
-    # Rotating crash windows of equal size: none subsumes another.
-    windows = large_threshold_system(n=252, max_crashes=12)
-    assert windows.maximal_patterns() == windows.patterns
-
-
 def test_with_pattern_and_restrict():
     f1 = FailurePattern(["a"], name="f1")
     f2 = FailurePattern(["b"], name="f2")

@@ -6,7 +6,6 @@ import pytest
 
 from repro.failures import (
     adversarial_partition_system,
-    all_crash_patterns,
     builtin_fail_prone_system,
     geo_replicated_system,
     large_threshold_system,
@@ -93,12 +92,6 @@ def test_adversarial_partition_system_admits_gqs():
 def test_adversarial_partition_rejects_single_process():
     with pytest.raises(ValueError):
         adversarial_partition_system(1)
-
-
-def test_all_crash_patterns():
-    patterns = all_crash_patterns(["a", "b", "c"], 2)
-    assert len(patterns) == 3
-    assert all(len(p.crash_prone) == 2 for p in patterns)
 
 
 # ---------------------------------------------------------------------- #

@@ -48,16 +48,6 @@ def test_residual_graph_removes_failures():
     assert residual.has_edge("c", "a")
 
 
-def test_faulty_and_correct_channels_partition_edges():
-    graph = DiGraph.complete(["a", "b", "c"])
-    f = FailurePattern(["c"], [("a", "b")])
-    faulty = f.faulty_channels(graph)
-    correct = f.correct_channels(graph)
-    assert faulty | correct == graph.edge_set()
-    assert not (faulty & correct)
-    assert ("b", "a") in correct
-
-
 def test_subsumption():
     small = FailurePattern(["a"])
     bigger = FailurePattern(["a", "b"])

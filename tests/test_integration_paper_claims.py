@@ -18,7 +18,7 @@ from repro.checkers import (
 )
 from repro.experiments import run_workload
 from repro.failures import ring_unidirectional_system
-from repro.quorums import discover_gqs, find_gqs, gqs_exists, strong_system_exists
+from repro.quorums import discover_gqs, gqs_exists, strong_system_exists
 from repro.sim import PartialSynchronyDelay
 
 
@@ -96,7 +96,7 @@ def test_discovered_gqs_supports_protocols_on_random_admitting_system():
     from repro.failures import adversarial_partition_system
 
     system = adversarial_partition_system(4)
-    gqs = find_gqs(system)
+    gqs = discover_gqs(system).quorum_system
     pattern = system.patterns[1]
     run = run_workload("register", gqs, pattern=pattern, ops_per_process=1, seed=21)
     assert run.completed

@@ -5,13 +5,13 @@ import pytest
 from repro.montecarlo import (
     admissibility_sweep,
     admissibility_table,
-    estimate_reliability,
     gqs_strictly_weaker_examples,
     reliability_sweep,
     reliability_table,
-    sample_fail_prone_system,
 )
 from repro.quorums import gqs_exists, strong_system_exists
+
+from oracles.montecarlo import sample_fail_prone_system
 
 import random
 
@@ -136,7 +136,7 @@ def test_sample_pattern_non_degenerate_stream_unchanged():
 
 
 def test_reliability_estimates_ordering(figure1_gqs):
-    estimate = estimate_reliability(figure1_gqs, crash_prob=0.1, disconnect_prob=0.3, samples=80, seed=6)
+    (estimate,) = reliability_sweep(figure1_gqs, (0.3,), crash_prob=0.1, samples=80, seed=6)
     assert 0.0 <= estimate.gqs_availability <= estimate.classical_availability <= 1.0
     assert estimate.strong_availability <= estimate.gqs_availability
 
@@ -207,9 +207,7 @@ def test_merge_admissibility_rejects_misrouted_shard():
 # this suite was written.  The production shards must keep reproducing them.
 # --------------------------------------------------------------------- #
 def test_pinned_reliability_counters(figure1_gqs):
-    estimate = estimate_reliability(
-        figure1_gqs, crash_prob=0.1, disconnect_prob=0.3, samples=2000, seed=5
-    )
+    (estimate,) = reliability_sweep(figure1_gqs, (0.3,), crash_prob=0.1, samples=2000, seed=5)
     assert estimate.gqs_available == 1682
     assert estimate.strong_available == 1611
     assert estimate.classical_available == 1891

@@ -25,7 +25,6 @@ from repro.graph import DiGraph, ProcessIndex, popcount
 from repro.montecarlo import (
     admissibility_sweep,
     asymmetric_admissibility_sweep,
-    estimate_reliability,
     reliability_sweep,
 )
 from repro.montecarlo.bitsampler import (
@@ -50,6 +49,12 @@ from oracles.montecarlo import (
     reliability_sweep_set,
     sample_pattern,
 )
+
+
+def reliability_point(quorum_system, disconnect_prob, **config):
+    """One ``(crash, disconnect)`` point of the production sweep, compared with
+    the oracle's single-spec ``estimate_reliability_set``."""
+    return reliability_sweep(quorum_system, (disconnect_prob,), **config)[0]
 
 
 def _random_quorum_system(rng, n, processes=None, graph=None):
@@ -167,7 +172,7 @@ def test_reliability_counters_equal_on_random_systems():
         config = dict(
             crash_prob=crash_prob, disconnect_prob=disconnect_prob, samples=60, seed=seed
         )
-        assert estimate_reliability(quorum_system, **config) == estimate_reliability_set(
+        assert reliability_point(quorum_system, **config) == estimate_reliability_set(
             quorum_system, **config
         ), (case, crash_prob, disconnect_prob, seed)
 
@@ -189,7 +194,7 @@ def test_reliability_counters_equal_on_kernel_branches(n, crash_prob, disconnect
     config = dict(
         crash_prob=crash_prob, disconnect_prob=disconnect_prob, samples=48, seed=100 + n
     )
-    assert estimate_reliability(quorum_system, **config) == estimate_reliability_set(
+    assert reliability_point(quorum_system, **config) == estimate_reliability_set(
         quorum_system, **config
     )
 
@@ -255,7 +260,7 @@ def test_reliability_counters_equal_on_sparse_networks(n, hops, disconnect_prob)
         config = dict(
             crash_prob=crash_prob, disconnect_prob=disconnect_prob, samples=60, seed=n
         )
-        assert estimate_reliability(quorum_system, **config) == estimate_reliability_set(
+        assert reliability_point(quorum_system, **config) == estimate_reliability_set(
             quorum_system, **config
         ), crash_prob
 
@@ -271,7 +276,7 @@ def test_reliability_counters_equal_on_mixed_type_ids(graph_hops):
     quorum_system = _random_quorum_system(random.Random(5), 5, processes, graph)
     for disconnect_prob in (0.0, 0.3, 0.6):
         config = dict(crash_prob=0.3, disconnect_prob=disconnect_prob, samples=80, seed=21)
-        assert estimate_reliability(quorum_system, **config) == estimate_reliability_set(
+        assert reliability_point(quorum_system, **config) == estimate_reliability_set(
             quorum_system, **config
         ), disconnect_prob
 
@@ -322,9 +327,9 @@ def test_asymmetric_sweep_equal_across_engines():
 
 def test_reliability_counters_independent_of_jobs(figure1_gqs):
     config = dict(crash_prob=0.2, disconnect_prob=0.3, samples=96, seed=11)
-    reference = estimate_reliability(figure1_gqs, jobs=1, **config)
+    reference = reliability_point(figure1_gqs, jobs=1, **config)
     for jobs in (2, 4):
-        assert estimate_reliability(figure1_gqs, jobs=jobs, **config) == reference
+        assert reliability_point(figure1_gqs, jobs=jobs, **config) == reference
         assert estimate_reliability_set(figure1_gqs, jobs=jobs, **config) == reference
 
 

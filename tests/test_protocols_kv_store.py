@@ -1,14 +1,23 @@
-"""Tests for the replicated key-value store built on the quorum access functions."""
+"""Tests for the replicated key-value store of ``examples/replicated_kv_store.py``.
+
+The store is an application written on the quorum access functions, so it
+lives with its example script; the tests import it from there.
+"""
 
 import functools
+import os
+import sys
 
 import pytest
 
 from repro.checkers import check_register_linearizability
 from repro.history import History, OperationRecord
-from repro.protocols import ReplicatedKVStore, merge_kv_states
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
+
+EXAMPLES_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples")
+sys.path.insert(0, EXAMPLES_DIR)
+from replicated_kv_store import ReplicatedKVStore, merge_kv_states  # noqa: E402
 
 
 def make_cluster(quorum_system, seed=0):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.checkers import check_lattice_agreement
 from repro.experiments import run_workload
-from repro.protocols import LatticeAgreementProcess, MaxLattice, SetLattice
+from repro.protocols import LatticeAgreementProcess, SetLattice
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
 
@@ -26,12 +26,11 @@ def test_set_lattice_operations():
     assert lattice.join_all([]) == frozenset()
 
 
-def test_max_lattice_operations():
-    lattice = MaxLattice()
-    assert lattice.join(3, 5) == 5
-    assert lattice.leq(3, 5)
-    assert lattice.comparable(3, 5)
-    assert lattice.join_all([1, 7, 4]) == 7
+def test_max_lattice_operations(max_lattice):
+    assert max_lattice.join(3, 5) == 5
+    assert max_lattice.leq(3, 5)
+    assert max_lattice.comparable(3, 5)
+    assert max_lattice.join_all([1, 7, 4]) == 7
 
 
 # --------------------------------------------------------------------------- #

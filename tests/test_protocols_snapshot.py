@@ -4,11 +4,13 @@ import functools
 
 import pytest
 
-from repro.checkers import check_snapshot_linearizability, scans_totally_ordered
+from repro.checkers import check_snapshot_linearizability
 from repro.experiments import run_workload
 from repro.protocols.snapshot import Segment, SnapshotProcess, initial_vector, merge_vectors
 from repro.sim import Cluster, UniformDelay
 from repro.types import sorted_processes
+
+from oracles.linearizability import scans_totally_ordered
 
 
 def make_cluster(quorum_system, seed=0):

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.errors import NoQuorumSystemExistsError
 from repro.failures import FailProneSystem, FailurePattern
 from repro.quorums import (
     candidate_pairs,
     classify_fail_prone_system,
     discover_gqs,
-    find_gqs,
     gqs_exists,
     strong_system_exists,
 )
@@ -30,16 +28,6 @@ def test_modified_figure1_has_no_gqs(figure1_modified_system):
     assert not result.exists
     assert result.quorum_system is None
     assert not gqs_exists(figure1_modified_system)
-
-
-def test_find_gqs_raises_when_none_exists(figure1_modified_system):
-    with pytest.raises(NoQuorumSystemExistsError):
-        find_gqs(figure1_modified_system)
-
-
-def test_find_gqs_returns_valid_witness(figure1_system):
-    gqs = find_gqs(figure1_system)
-    assert gqs.is_valid()
 
 
 def test_candidate_pairs_are_sccs_with_maximal_readers(figure1_system):

@@ -7,9 +7,10 @@ from repro.failures import FailProneSystem, FailurePattern
 from repro.quorums import (
     GeneralizedQuorumSystem,
     is_f_available,
-    is_f_reachable,
     threshold_quorum_system,
 )
+
+from oracles.predicates import is_f_reachable
 
 
 def one_way_system():

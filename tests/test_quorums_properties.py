@@ -10,11 +10,11 @@ from repro.quorums import (
     discover_gqs,
     gqs_exists,
     is_f_available,
-    is_f_reachable,
     strong_system_exists,
 )
 
 from oracles.discovery import gqs_exists_bruteforce
+from oracles.predicates import is_f_reachable
 
 PROCESSES = ["p0", "p1", "p2", "p3"]
 

@@ -1,10 +1,13 @@
-"""Tests for the QS+ baseline (:mod:`repro.quorums.strong`)."""
+"""Tests for the QS+ baseline: the decision (:mod:`repro.quorums.strong`) and the
+set-form validator of a given QS+ (``oracles.predicates.check_strong``)."""
 
 import pytest
 
 from repro.errors import QuorumAvailabilityError, QuorumConsistencyError
 from repro.failures import FailProneSystem, FailurePattern
-from repro.quorums import StrongQuorumSystem, strong_system_exists, threshold_quorum_system
+from repro.quorums import strong_system_exists, threshold_quorum_system
+
+from oracles.predicates import check_strong, strong_available_pair
 
 
 def test_crash_only_threshold_admits_strong_system():
@@ -23,33 +26,32 @@ def test_modified_figure1_admits_no_strong_system(figure1_modified_system):
 
 def test_strong_system_validation_happy_path():
     classical = threshold_quorum_system(["a", "b", "c"], 1)
-    strong = StrongQuorumSystem(
-        classical.fail_prone, classical.read_quorums, classical.write_quorums
-    )
-    assert strong.is_valid()
+    check_strong(classical.fail_prone, classical.read_quorums, classical.write_quorums)
 
 
 def test_strong_system_consistency_violation():
     system = FailProneSystem(["a", "b", "c", "d"], [FailurePattern()])
     with pytest.raises(QuorumConsistencyError):
-        StrongQuorumSystem(system, [{"a", "b"}], [{"c", "d"}])
+        check_strong(system, [frozenset("ab")], [frozenset("cd")])
 
 
 def test_strong_system_availability_requires_strong_connectivity(figure1_system):
     """The Figure 1 quorums are a valid GQS but fail strong Availability under f1."""
-    read_quorums = [{"a", "c"}, {"b", "d"}]
-    write_quorums = [{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "a"}]
-    with pytest.raises(QuorumAvailabilityError):
-        StrongQuorumSystem(figure1_system, read_quorums, write_quorums)
+    read_quorums = [frozenset("ac"), frozenset("bd")]
+    write_quorums = [frozenset("ab"), frozenset("bc"), frozenset("cd"), frozenset("da")]
+    with pytest.raises(QuorumAvailabilityError, match=r"pair under f1\("):
+        check_strong(figure1_system, read_quorums, write_quorums)
 
 
 def test_strong_availability_per_pattern():
     pattern = FailurePattern([], [("a", "b")], name="a-to-b-down")
     system = FailProneSystem(["a", "b"], [pattern])
-    strong = StrongQuorumSystem(system, [{"a"}, {"b"}], [{"a"}, {"b"}], validate=False)
+    singletons = [frozenset("a"), frozenset("b")]
     # Individually {a} and {b} are fine but {a} ∪ {b} spanning pairs are not needed:
     # Availability holds because the pair ({a}, {a}) is strongly connected.
-    assert strong.is_available(pattern)
+    assert strong_available_pair(system, pattern, singletons, singletons) == (
+        frozenset("a"), frozenset("a")
+    )
 
 
 def test_strong_system_exists_requires_some_component():

@@ -19,12 +19,10 @@ from repro.scenarios import (
     build_topology,
     catalogue_markdown,
     get_scenario,
-    load_scenario,
     register_scenario,
     resolve_pattern,
     run_scenario,
     run_scenario_once,
-    save_scenario,
     scenario_names,
     sweep_scenarios,
     sweep_table,
@@ -58,9 +56,9 @@ def test_every_registered_scenario_round_trips_through_json():
 
 def test_scenario_file_round_trip(tmp_path):
     scenario = get_scenario("unidirectional-ring")
-    path = str(tmp_path / "scenario.json")
-    save_scenario(scenario, path)
-    assert load_scenario(path) == scenario
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario.to_dict(), indent=2))
+    assert ScenarioSpec.from_dict(json.loads(path.read_text())) == scenario
 
 
 def test_explicit_topology_round_trips_and_builds():

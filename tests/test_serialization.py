@@ -11,14 +11,12 @@ from repro.serialization import (
     failure_pattern_from_dict,
     failure_pattern_to_dict,
     load_fail_prone_system,
-    load_quorum_system,
     quorum_system_from_dict,
     quorum_system_to_dict,
-    save_fail_prone_system,
-    save_quorum_system,
 )
-from repro.failures import FailurePattern
-from repro.quorums import gqs_exists
+from repro.failures import FailProneSystem, FailurePattern
+from repro.graph import DiGraph
+from repro.quorums import discover_gqs, gqs_exists
 
 
 def test_failure_pattern_round_trip():
@@ -75,17 +73,14 @@ def test_quorum_system_from_dict_missing_keys():
 def test_json_file_round_trip(tmp_path, figure1_system, figure1_gqs):
     system_path = str(tmp_path / "system.json")
     quorums_path = str(tmp_path / "quorums.json")
-    save_fail_prone_system(figure1_system, system_path)
-    save_quorum_system(figure1_gqs, quorums_path)
-
-    # Files are valid JSON.
-    with open(system_path) as handle:
-        json.load(handle)
-    with open(quorums_path) as handle:
-        json.load(handle)
+    with open(system_path, "w") as handle:
+        json.dump(fail_prone_system_to_dict(figure1_system), handle)
+    with open(quorums_path, "w") as handle:
+        json.dump(quorum_system_to_dict(figure1_gqs), handle)
 
     restored_system = load_fail_prone_system(system_path)
-    restored_quorums = load_quorum_system(quorums_path)
+    with open(quorums_path) as handle:
+        restored_quorums = quorum_system_from_dict(json.load(handle))
     assert restored_system.patterns == figure1_system.patterns
     assert restored_quorums.is_valid()
 
@@ -103,6 +98,9 @@ def test_json_file_round_trip(tmp_path, figure1_system, figure1_gqs):
         {"processes": ["a", "b"], "patterns": [{"disconnect": [["a"]]}]},
         {"processes": ["a", "b"], "patterns": [{"disconnect": [["a", "b", "a"]]}]},
         {"processes": ["a", "b"], "patterns": [{"disconnect": [[["a"], "b"]]}]},
+        {"processes": ["a", "b"], "channels": "ab"},
+        {"processes": ["a", "b"], "channels": [["a"]]},
+        {"processes": ["a", "b"], "channels": [[["a"], "b"]]},
     ],
 )
 def test_wrong_shaped_descriptions_raise_repro_error(data):
@@ -117,12 +115,47 @@ def test_unreadable_or_malformed_files_raise_repro_error_naming_the_path(tmp_pat
     garbage.write_text("{nope")
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
-    for load in (load_fail_prone_system, load_quorum_system):
-        with pytest.raises(ReproError, match="missing.json: No such file"):
-            load(missing)
-        with pytest.raises(ReproError, match="Is a directory"):
-            load(str(tmp_path))
-        with pytest.raises(ReproError, match="garbage.json: invalid JSON"):
-            load(str(garbage))
-        with pytest.raises(ReproError, match="binary.json: invalid JSON"):
-            load(str(binary))
+    with pytest.raises(ReproError, match="missing.json: No such file"):
+        load_fail_prone_system(missing)
+    with pytest.raises(ReproError, match="Is a directory"):
+        load_fail_prone_system(str(tmp_path))
+    with pytest.raises(ReproError, match="garbage.json: invalid JSON"):
+        load_fail_prone_system(str(garbage))
+    with pytest.raises(ReproError, match="binary.json: invalid JSON"):
+        load_fail_prone_system(str(binary))
+
+
+def _crash_one_system(edges):
+    """``p0..p2``, one crash-only pattern per process, on the network ``edges``."""
+    processes = ["p0", "p1", "p2"]
+    patterns = [FailurePattern.crash_only([p], name="crash-" + p) for p in ("p2", "p1", "p0")]
+    return FailProneSystem(processes, patterns, graph=DiGraph(vertices=processes, edges=edges))
+
+
+def _through_json(data):
+    return json.loads(json.dumps(data))
+
+
+def test_sparse_network_graph_survives_the_round_trip():
+    """Three processes without a channel between them admit no GQS; loaded back
+    on the complete graph (the channels unwritten) they would admit one."""
+    system = _crash_one_system([])
+    data = _through_json(fail_prone_system_to_dict(system))
+    assert data["channels"] == []
+    restored = fail_prone_system_from_dict(data)
+    assert restored.bitset_graph == system.bitset_graph
+    assert not discover_gqs(system).exists
+    assert not discover_gqs(restored).exists
+
+
+def test_quorum_system_on_a_sparse_network_round_trips():
+    """A recorded trace stores its quorum system, and with it the network graph."""
+    processes = ["p0", "p1", "p2"]
+    ring = DiGraph(vertices=processes, edges=[("p0", "p1"), ("p1", "p2"), ("p2", "p0")])
+    gqs = discover_gqs(FailProneSystem(processes, [FailurePattern()], graph=ring)).quorum_system
+    data = _through_json(quorum_system_to_dict(gqs))
+    assert data["fail_prone"]["channels"] == [["p0", "p1"], ["p1", "p2"], ["p2", "p0"]]
+    restored = quorum_system_from_dict(data)
+    assert restored.fail_prone.bitset_graph == gqs.fail_prone.bitset_graph
+    complete = DiGraph.complete(processes)
+    assert "channels" not in fail_prone_system_to_dict(_crash_one_system(complete.edges()))

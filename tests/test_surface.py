@@ -23,12 +23,16 @@ exactly one layer function is that function.
 A CLI command is forward -> emit -> status: every result type renders itself
 (``to_text()`` / ``to_json()``), so ``cli.py`` holds one ``_emit`` and no
 label block or typed-result JSON branch of its own.
+And ``src/`` ships only what something reaches: every module-level name is
+used by another ``src/`` module, a command or the e2e harness, six exempt
+names aside; what only tests read lives in ``tests/`` or ``examples/``.
 """
 
 from __future__ import annotations
 
 import ast
 import glob
+import itertools
 import os
 import re
 import subprocess
@@ -126,6 +130,24 @@ DELETED_SECOND_SOLVERS = (
     r"quorum_load",
 )
 
+#: Names no command, no other ``src/`` module and no e2e harness reached: second
+#: names for an operation that stays (``find_gqs``, ``estimate_reliability``, the
+#: bitset ``is_f_reachable``, the JSON file wrappers), test-only leftovers, the
+#: set-form definitions now in ``tests/oracles`` (QS+ as ``StrongQuorumSystem``,
+#: ``scans_totally_ordered``, ``sample_fail_prone_system``), the test lattice
+#: ``MaxLattice`` (``tests/conftest.py``) and the key-value store, which is
+#: ``examples/replicated_kv_store.py`` now.
+DELETED_UNREACHED = tuple(
+    r"\b{}\b".format(name)
+    for name in (
+        "find_gqs", "estimate_reliability", "is_f_reachable", "figure1_termination_components",
+        "all_channels", "all_crash_patterns", "save_fail_prone_system", "save_quorum_system",
+        "load_quorum_system", "load_scenario", "save_scenario", "ReplicatedKVStore",
+        "merge_kv_states", "scans_totally_ordered", "StrongQuorumSystem",
+        "sample_fail_prone_system", "MaxLattice",
+    )
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -151,8 +173,67 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_QUOTIENT_STACK
             + DELETED_SEARCH_FORK
             + DELETED_SECOND_SOLVERS
+            + DELETED_UNREACHED
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
+
+
+#: The only module-level names of ``src/repro`` nothing reaches: the four paper
+#: experiments that wait for a ``repro sweep`` kind of their own, and the two
+#: mask samplers the Monte Carlo differential battery races against the oracle.
+UNREACHED_BY_DESIGN = {
+    "asymmetric_admissibility_sweep", "gqs_strictly_weaker_examples", "verify_tightness",
+    "compare_register_overhead", "sample_reliability_masks", "sample_admissibility_masks",
+}
+
+
+def _export_table_lines(path, tree):
+    """Lines of ``tree`` that only re-export: ``__all__``, ``_EXPORTS``, a
+    ``lazy_exports(...)`` table and a package ``__init__``'s relative imports."""
+    package = os.path.basename(path) == "__init__.py"
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            table = any(getattr(t, "id", None) in ("__all__", "_EXPORTS") for t in node.targets)
+        elif isinstance(node, ast.Call):
+            table = getattr(node.func, "id", None) == "lazy_exports"
+        else:
+            table = package and isinstance(node, ast.ImportFrom) and node.level > 0
+        if table:
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def test_every_src_name_is_reached_from_outside_its_definition():
+    """A module-level ``def``/``class`` of ``src/repro`` is named somewhere besides
+    its own definition and the export tables — in ``src/`` (which holds every
+    command) or in the pinned ``benchmarks/e2e`` harness.  A facade alias
+    (``api.hunt`` for ``hunt_scenario``) counts as a use of its target."""
+    e2e = os.path.join(os.path.dirname(SRC_DIR), "benchmarks", "e2e")
+    definitions, aliases, uses = {}, {}, {}
+    for path, text in itertools.chain(_sources(SRC_DIR), _sources(e2e)):
+        tree = ast.parse(text)
+        exports = _export_table_lines(path, tree)
+        for number, line in enumerate(text.splitlines(), start=1):
+            if number not in exports:
+                for word in re.findall(r"\w+", line):
+                    uses.setdefault(word, set()).add((path, number))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and node.lineno in exports:
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and isinstance(value, ast.Constant):
+                        aliases.setdefault(value.value, set()).add(key.value)
+        if path.startswith(os.path.join(SRC_DIR, "repro")):
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    span = range(node.lineno, node.end_lineno + 1)
+                    definitions.setdefault(node.name, set()).update((path, n) for n in span)
+    unreached = {
+        name
+        for name, own in definitions.items()
+        if not any(uses.get(word, set()) - own for word in {name} | aliases.get(name, set()))
+    }
+    assert unreached == UNREACHED_BY_DESIGN
 
 
 def test_decision_layer_has_one_graph_currency():
@@ -196,7 +277,6 @@ def test_removed_selectors_are_gone_from_the_api():
 
     assert DISCOVERY_ALGORITHMS == ("pruned", "full", "quotient")
     for function in (
-        montecarlo.estimate_reliability,
         montecarlo.reliability_sweep,
         montecarlo.admissibility_sweep,
         montecarlo.asymmetric_admissibility_sweep,
@@ -382,12 +462,11 @@ def test_process_factories_are_partials_of_the_protocol_classes():
 
     import repro.protocols
     from repro.experiments import build_protocol_factory
-    from repro.quorums import find_gqs
 
     for path, text in _sources(os.path.join(SRC_DIR, "repro", "protocols")):
         assert not re.search(r"def \w+_factory\(", text), path
     assert not [name for name in dir(repro.protocols) if name.endswith("_factory")]
-    gqs = find_gqs(builtin_fail_prone_system("figure1"))
+    gqs = discover_gqs(builtin_fail_prone_system("figure1")).quorum_system
     for kind, process_class, params in (
         ("register", repro.protocols.GQSRegister, {"relay": False}),
         ("register", repro.protocols.ClassicalABDRegister, {"classical": True}),
@@ -403,7 +482,7 @@ def test_process_factories_are_partials_of_the_protocol_classes():
 
 
 def test_protocol_defaults_are_written_once():
-    """``push_interval`` defaults to 1.0 in the five constructors that take it,
+    """``push_interval`` defaults to 1.0 in the four constructors that take it,
     and nowhere else outside the scenario catalogue (which pins its own)."""
     written = []
     for path, text in _sources(SRC_DIR):
@@ -414,8 +493,7 @@ def test_protocol_defaults_are_written_once():
                 written.append((os.path.basename(path), line.strip()))
     assert sorted(written) == [
         (name, "push_interval: float = 1.0,")
-        for name in ("kv_store.py", "lattice_agreement.py", "quorum_access.py",
-                     "register.py", "snapshot.py")
+        for name in ("lattice_agreement.py", "quorum_access.py", "register.py", "snapshot.py")
     ]
 
 
@@ -428,8 +506,8 @@ def test_runner_extension_point_is_gone_outside_the_engine():
         if os.sep + "engine" + os.sep not in path:
             assert not re.search(r"runner\s*:|Optional\[ParallelRunner\]", text), path
     for function in (
-        traces.check_traces, montecarlo.estimate_reliability, montecarlo.reliability_sweep,
-        montecarlo.admissibility_sweep, montecarlo.asymmetric_admissibility_sweep,
+        traces.check_traces, montecarlo.reliability_sweep, montecarlo.admissibility_sweep,
+        montecarlo.asymmetric_admissibility_sweep,
         scenarios.run_scenario, scenarios.sweep_scenarios, experiments.verify_tightness,
         nemesis.hunt_scenario,
     ):

@@ -1,7 +1,6 @@
 """Tests for the basic value types in :mod:`repro.types`."""
 
 from repro.types import (
-    all_channels,
     channel_set,
     process_set,
     sort_key,
@@ -21,17 +20,6 @@ def test_channel_set_normalises_pairs():
     assert ("a", "b") in cs
     assert ("b", "c") in cs
     assert len(cs) == 2
-
-
-def test_all_channels_complete_graph():
-    cs = all_channels(["a", "b", "c"])
-    assert len(cs) == 6
-    assert ("a", "a") not in cs
-    assert ("a", "b") in cs and ("b", "a") in cs
-
-
-def test_all_channels_single_process_empty():
-    assert all_channels(["a"]) == frozenset()
 
 
 def test_sorted_processes_deterministic_with_mixed_types():
