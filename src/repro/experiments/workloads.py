@@ -31,6 +31,7 @@ from ..checkers import (
 )
 from ..errors import HistoryError
 from ..failures import FailurePattern
+from ..graph import BitsetDiGraph
 from ..history import History
 from ..protocols import (
     ClassicalABDRegister,
@@ -412,8 +413,15 @@ def execute_workload(
     of time zero — churn scenarios use it to let failures arrive mid-run (for
     example exactly at GST).
     """
+    system = quorum_system.fail_prone
+    # A sparse network is simulated as it is; a complete one keeps the
+    # graph-free send path (every pair of processes has a channel).
+    complete = system.bitset_graph == BitsetDiGraph.complete(system.process_index)
     cluster = Cluster(
-        sorted_processes(quorum_system.processes), factory, delay_model=delay_model
+        sorted_processes(quorum_system.processes),
+        factory,
+        delay_model=delay_model,
+        graph=None if complete else system.graph_view,
     )
     if pattern is not None:
         cluster.apply_failure_pattern(pattern, at_time=inject_at)

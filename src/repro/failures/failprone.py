@@ -122,15 +122,14 @@ class FailProneSystem:
                     )
                 )
             self._pattern_masks[f] = masks
-        # Lazily populated derived state.  The decision procedure re-derives
-        # the same residual graphs and candidate structures for every pattern
-        # over and over (discovery, repair, classification, availability
-        # checks), so they are memoized here, keyed by (value-hashable)
-        # FailurePattern.  All memoized objects are shared: callers must treat
-        # them as immutable.
+        # Lazily populated derived state, keyed by (value-hashable)
+        # FailurePattern and shared: callers must treat it as immutable.  The
+        # bitmask residuals are the decision layer's one per-pattern memo (each
+        # memoizes its components and their reader closures) and the only
+        # state :meth:`adopt_residuals` hands to a derived system; the
+        # set-based residual graphs are a plain memo for set-level readers.
         self._residual_cache: Dict[FailurePattern, DiGraph] = {}
         self._residual_bitset_cache: Dict[FailurePattern, BitsetDiGraph] = {}
-        self._analysis_caches: Dict[str, Dict] = {}
 
     def _derive(
         self,
@@ -181,8 +180,8 @@ class FailProneSystem:
         """The network graph as a shared read-only view (never mutate it).
 
         Mutating the returned graph would silently invalidate every memoized
-        residual graph and candidate structure; use :attr:`graph` when a
-        mutable copy is needed.  Materialized on first access.
+        residual graph; use :attr:`graph` when a mutable copy is needed.
+        Materialized on first access.
         """
         if self._graph is None:
             self._graph = self._bitset_graph.to_digraph()
@@ -262,75 +261,32 @@ class FailProneSystem:
             self._residual_bitset_cache[pattern] = cached
         return cached
 
-    def analysis_cache(self, namespace: str) -> Dict:
-        """A per-system memo dictionary for derived analyses.
-
-        The quorum-discovery layer stores per-pattern candidate structures
-        here (keyed by :class:`FailurePattern`), so repeated discovery calls
-        and the incremental repair search never recompute them.
-        """
-        return self._analysis_caches.setdefault(namespace, {})
-
-    def warm_caches_from(self, other: "FailProneSystem") -> int:
-        """Adopt ``other``'s memoized per-pattern state for shared patterns.
-
-        Copies residual graphs, residual bitmask views and analysis-cache
-        entries for every pattern of ``self`` that ``other`` has already
-        analysed (patterns compare by value).  Only valid — and only applied —
-        when both systems have the same process set and network graph, which
-        is exactly the situation created by
-        :func:`repro.quorums.repair.harden_channels`.  Returns the number of
-        adopted cache entries.
-        """
-        if self._bitset_graph != other._bitset_graph:
-            return 0
-        own_patterns = set(self._patterns)
-        adopted = self.adopt_pattern_caches(other, {f: f for f in own_patterns})
-        for namespace, entries in other._analysis_caches.items():
-            own = self.analysis_cache(namespace)
-            for key, value in entries.items():
-                if key in own_patterns and key not in own:
-                    own[key] = value
-                    adopted += 1
-        return adopted
-
-    def adopt_pattern_caches(
+    def adopt_residuals(
         self,
         other: "FailProneSystem",
         pattern_map: Dict[FailurePattern, FailurePattern],
         reindex: Optional[MaskReindex] = None,
     ) -> int:
-        """Adopt ``other``'s memoized residual structures under remapped keys.
+        """Take over ``other``'s residual bitmask views, memos included, under remapped keys.
 
-        ``pattern_map`` sends a pattern of ``self`` to the pattern of
-        ``other`` whose residual structure it shares (the *caller* guarantees
-        that equality); ``reindex`` carries ``other``'s bit positions onto this
-        system's when the process sets differ.  This is the delta-aware core
-        of :meth:`warm_caches_from`, used by :mod:`repro.quorums.incremental`
-        where "same processes, same graph" no longer holds.
-
-        Residual :class:`~repro.graph.DiGraph` objects are process-id based
-        and shared as they are; bitmask views are shared when ``reindex`` is
-        absent or the identity and re-keyed through it otherwise
-        (``ValueError`` if a residual still holds a process without a
-        position here).  Returns the number of adopted entries.
+        A residual's memo (components and reader closures) is its pattern's
+        discovery candidates.  ``pattern_map`` sends a pattern of ``self`` to the
+        pattern of ``other`` whose residual it shares (the caller guarantees
+        that); ``reindex`` re-keys bit positions when the process sets differ
+        (``ValueError`` for a residual naming a process without a position
+        here).  Entries already held are kept.  Returns the number adopted.
         """
         identity = reindex is None or reindex.is_identity()
         adopted = 0
         for new_pattern, old_pattern in pattern_map.items():
-            if new_pattern not in self._residual_cache:
-                residual = other._residual_cache.get(old_pattern)
-                if residual is not None:
-                    self._residual_cache[new_pattern] = residual
-                    adopted += 1
-            if new_pattern not in self._residual_bitset_cache:
-                bitset = other._residual_bitset_cache.get(old_pattern)
-                if bitset is not None:
-                    self._residual_bitset_cache[new_pattern] = (
-                        bitset if identity else bitset.reindexed(reindex)
-                    )
-                    self._pattern_masks.pop(new_pattern, None)
-                    adopted += 1
+            residual = other._residual_bitset_cache.get(old_pattern)
+            if residual is None or new_pattern in self._residual_bitset_cache:
+                continue
+            self._residual_bitset_cache[new_pattern] = (
+                residual if identity else residual.reindexed(reindex)
+            )
+            self._pattern_masks.pop(new_pattern, None)
+            adopted += 1
         return adopted
 
     def correct_processes(self, pattern: FailurePattern) -> ProcessSet:

@@ -276,10 +276,10 @@ class BitsetDiGraph:
     graphs drop crashed processes without re-indexing; the rows of present
     vertices only ever mention present vertices.  Instances are shared
     between caches and never edited after construction, so the component list
-    is memoized on first use.
+    and the components' reader closures are memoized on first use.
     """
 
-    __slots__ = ("index", "vertex_mask", "_succ", "_pred", "_sccs")
+    __slots__ = ("index", "vertex_mask", "_succ", "_pred", "_sccs", "_readers")
 
     def __init__(
         self,
@@ -293,6 +293,7 @@ class BitsetDiGraph:
         self._succ = succ
         self._pred = pred
         self._sccs: Optional[List[int]] = None
+        self._readers: Optional[List[int]] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitsetDiGraph):
@@ -342,8 +343,8 @@ class BitsetDiGraph:
         """The same graph over ``reindex.target``.
 
         Raises ``ValueError`` if a present vertex has no position there.  The
-        memoized components are carried along (a monotone re-index keeps their
-        lowest-bit order).
+        memoized components and reader closures are carried along (a monotone
+        re-index keeps their lowest-bit order).
         """
         # Only absent vertices may lack a position, and their rows are empty.
         vertex_mask = reindex.apply(self.vertex_mask)
@@ -356,6 +357,8 @@ class BitsetDiGraph:
         graph = BitsetDiGraph(reindex.target, vertex_mask, succ, pred)
         if self._sccs is not None:
             graph._sccs = reindex.apply_all(self._sccs)
+        if self._readers is not None:
+            graph._readers = reindex.apply_all(self._readers)
         return graph
 
     def with_hub(self, position: int) -> "BitsetDiGraph":
@@ -430,21 +433,6 @@ class BitsetDiGraph:
         """Every vertex from which some target bit is reachable (targets included)."""
         return closure_mask(targets, self.vertex_mask, self._pred)
 
-    def set_reaches_set(self, sources: int, targets: int) -> bool:
-        """Whether every target bit is reachable from every source bit.
-
-        All named vertices must be present, and each source needs its own
-        forward closure (sources included as trivially self-reaching).
-        """
-        sources &= self.index.full_mask
-        targets &= self.index.full_mask
-        if (sources | targets) & ~self.vertex_mask:
-            return False
-        for i in iter_bits(sources):
-            if targets & ~self.reachable_mask(1 << i):
-                return False
-        return True
-
     def scc_masks(self) -> List[int]:
         """Strongly connected components as masks, ordered by lowest member bit.
 
@@ -455,6 +443,17 @@ class BitsetDiGraph:
         if self._sccs is None:
             self._sccs = component_masks(self.vertex_mask, self._succ, self._pred)
         return self._sccs
+
+    def reader_masks(self) -> List[int]:
+        """``can_reach_mask`` of every component, in :meth:`scc_masks` order.
+
+        Memoized and shared like the component list: ``(reader_masks()[k],
+        scc_masks()[k])`` is the candidate quorum pair ``(CanReach(S), S)`` of
+        Theorem 2 for the ``k``-th component.
+        """
+        if self._readers is None:
+            self._readers = [self.can_reach_mask(c) for c in self.scc_masks()]
+        return self._readers
 
 
 __all__ = [

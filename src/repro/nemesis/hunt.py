@@ -52,6 +52,7 @@ from ..traces import (
     load_trace,
     write_incident,
 )
+from ..traces.store import write_evidence
 from .mutate import mutate_schedule
 from .schedule import (
     SCHEDULE_SUFFIX,
@@ -441,12 +442,7 @@ def hunt_scenario(
                     "flags": incident["flags"],
                 }
             )
-        report_path = os.path.join(corpus_dir, "report.json")
-        partial = "{}.tmp".format(report_path)
-        with open(partial, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        os.replace(partial, report_path)
+        write_evidence(os.path.join(corpus_dir, "report.json"), report.to_json())
     else:
         report.corpus = [
             {

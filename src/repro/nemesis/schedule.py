@@ -27,7 +27,6 @@ so strategies can compare candidates with plain ``>``.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -40,6 +39,7 @@ from ..scenarios.builders import run_built_scenario
 from ..scenarios.spec import DelaySpec, FailureSpec
 from ..serialization import _read_json
 from ..traces import budget_check
+from ..traces.store import write_evidence
 
 __all__ = [
     "SCHEDULE_SCHEMA_VERSION",
@@ -198,12 +198,7 @@ def identity_schedule(base: ScenarioSpec, seed: int) -> Schedule:
 
 def save_schedule(schedule: Schedule, path: str) -> None:
     """Write one schedule as canonical JSON (atomically, like all evidence)."""
-    payload = schedule.to_json()
-    partial = "{}.tmp".format(path)
-    with open(partial, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-        handle.write("\n")
-    os.replace(partial, path)
+    write_evidence(path, schedule.to_json())
 
 
 def load_schedule(path: str) -> Schedule:

@@ -16,19 +16,20 @@ Enlarging quorums only helps Consistency, so a GQS exists **iff** one SCC
 every ordered pair of patterns ``(f, g)``.
 
 That choice problem is a binary constraint-satisfaction problem over the
-per-pattern candidate lists.  Candidates are enumerated on the memoized
-bitmask view of each residual graph
-(:meth:`repro.failures.FailProneSystem.residual_bitset`), pairwise
-compatibility is evaluated with integer masks and memoized row-by-row, and the
-search runs backtracking with *forward checking* — assigning a candidate
-immediately prunes the viable-candidate domains of every unassigned pattern,
-so a choice that dooms a later pattern fails at the assignment instead of
-after an exponential subtree.  All derived per-pattern structures are cached
-on the :class:`~repro.failures.FailProneSystem` itself, which is what makes
-repeated discovery (repair search, classification sweeps) incremental.  The
-search itself, :func:`choose_candidates`, works on bare masks: it also decides
-QS+ (:func:`~repro.quorums.strong_system_exists`, candidates ``(S, S)``) and
-every sampled system of the Monte Carlo shards.
+per-pattern candidate lists.  A pattern's candidates are ``(CanReach(S), S)``
+mask pairs read off the memoized bitmask view of its residual graph
+(:meth:`repro.failures.FailProneSystem.residual_bitset`), which memoizes its
+components and their reader closures; that residual is the one per-pattern
+memo, a derived system (channel hardening, a membership delta) adopts it with
+:meth:`~repro.failures.FailProneSystem.adopt_residuals`, and only the chosen
+candidates are decoded into process sets.  Pairwise compatibility is
+evaluated with integer masks and memoized row-by-row, and the search runs
+backtracking with *forward checking* — assigning a candidate immediately
+prunes the viable-candidate domains of every unassigned pattern, so a choice
+that dooms a later pattern fails at the assignment instead of after an
+exponential subtree.  The search itself, :func:`choose_candidates`, works on
+bare masks: it also decides QS+ (:func:`~repro.quorums.strong_system_exists`,
+candidates ``(S, S)``) and every sampled system of the Monte Carlo shards.
 
 That is the one strategy: :data:`DISCOVERY_ALGORITHMS` lists three accepted
 *names* (``"pruned"``, ``"full"``, ``"quotient"``) that are echoed in the
@@ -52,7 +53,7 @@ brute-forcer over arbitrary subsets) live with the tests, in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import iter_bits, popcount
@@ -61,10 +62,6 @@ from .generalized import GeneralizedQuorumSystem
 
 if TYPE_CHECKING:  # the decision layer runs without the engine
     from ..engine import ProgressCallback
-
-#: Namespace under which per-pattern candidate structures are memoized on a
-#: :class:`FailProneSystem` (see :meth:`FailProneSystem.analysis_cache`).
-CANDIDATE_CACHE_NAMESPACE = "gqs-candidates"
 
 #: The accepted ``algorithm`` names of :func:`discover_gqs`.  ``"full"`` and
 #: ``"quotient"`` are aliases of ``"pruned"`` (the default): the name is
@@ -85,14 +82,6 @@ class CandidateQuorumPair:
     read_quorum: ProcessSet
 
 
-class _MaskedCandidate(NamedTuple):
-    """A candidate pair behind its bitmask encodings (a :func:`choose_candidates` entry)."""
-
-    read_mask: int
-    write_mask: int
-    pair: CandidateQuorumPair
-
-
 @dataclass
 class DiscoveryResult:
     """Outcome of a GQS search over a fail-prone system."""
@@ -109,8 +98,8 @@ class DiscoveryResult:
         return self.exists
 
 
-def _candidate_sort_key(entry: _MaskedCandidate):
-    """Total order on one pattern's candidates: no tie is left to traversal order.
+def _candidate_sort_key(candidate: Tuple[int, int]):
+    """Total order on one pattern's ``(readers, S)`` candidates: no tie left to traversal.
 
     Larger read quorums intersect more write quorums, so they are tried first,
     then larger write quorums; remaining ties are broken by the sorted process
@@ -121,34 +110,30 @@ def _candidate_sort_key(entry: _MaskedCandidate):
     witness and ``nodes_explored`` — is fully specified; the ``repr``-based
     key in ``tests/oracles/discovery.py`` pins the equivalence.
     """
-    write = entry.write_mask
-    return (-popcount(entry.read_mask), -popcount(write), write & -write)
+    readers, write = candidate
+    return (-popcount(readers), -popcount(write), write & -write)
 
 
-def _masked_candidates(
-    fail_prone: FailProneSystem, pattern: FailurePattern
-) -> Tuple[_MaskedCandidate, ...]:
-    """Candidates for ``pattern`` with bitmasks, memoized on the system."""
-    cache = fail_prone.analysis_cache(CANDIDATE_CACHE_NAMESPACE)
-    cached = cache.get(pattern)
-    if cached is None:
-        index = fail_prone.process_index
-        residual = fail_prone.residual_bitset(pattern)
-        entries: List[_MaskedCandidate] = []
-        for component in residual.scc_masks():
-            readers = residual.can_reach_mask(component)
-            write_quorum = index.set_of(component)
-            pair = CandidateQuorumPair(
-                pattern=pattern,
-                write_quorum=write_quorum,
-                # A component nobody else reaches is its own reader set.
-                read_quorum=write_quorum if readers == component else index.set_of(readers),
-            )
-            entries.append(_MaskedCandidate(readers, component, pair))
-        entries.sort(key=_candidate_sort_key)
-        cached = tuple(entries)
-        cache[pattern] = cached
-    return cached
+def _candidates(fail_prone: FailProneSystem, pattern: FailurePattern) -> List[Tuple[int, int]]:
+    """``(CanReach(S), S)`` per SCC ``S`` of the residual graph, in candidate order.
+
+    Read off the memo of ``fail_prone.residual_bitset(pattern)``, which a
+    derived system adopts together with the residual itself.
+    """
+    residual = fail_prone.residual_bitset(pattern)
+    return sorted(zip(residual.reader_masks(), residual.scc_masks()), key=_candidate_sort_key)
+
+
+def _pair(
+    fail_prone: FailProneSystem, pattern: FailurePattern, candidate: Tuple[int, int]
+) -> CandidateQuorumPair:
+    """One ``(readers, S)`` candidate decoded into process sets."""
+    index = fail_prone.process_index
+    readers, component = candidate
+    write_quorum = index.set_of(component)
+    # A component nobody else reaches is its own reader set.
+    read_quorum = write_quorum if readers == component else index.set_of(readers)
+    return CandidateQuorumPair(pattern, write_quorum, read_quorum)
 
 
 def candidate_pairs(
@@ -157,10 +142,10 @@ def candidate_pairs(
     """Enumerate the canonical candidate quorum pairs for ``pattern``.
 
     One candidate per strongly connected component of the residual graph, in
-    the fully specified order of :func:`_candidate_sort_key`.  Results are
-    memoized on ``fail_prone`` and computed on its bitmask residual view.
+    the fully specified order of :func:`_candidate_sort_key`, computed on the
+    memoized bitmask residual view of ``fail_prone``.
     """
-    return [entry.pair for entry in _masked_candidates(fail_prone, pattern)]
+    return [_pair(fail_prone, pattern, c) for c in _candidates(fail_prone, pattern)]
 
 
 def choose_candidates(
@@ -169,13 +154,13 @@ def choose_candidates(
     """Choose one mutually compatible candidate per pattern: ``(choice, nodes_explored)``.
 
     ``per_pattern`` holds, per failure pattern, ``(read_mask, write_mask)``
-    candidates (longer tuples are read by their first two fields) over one
-    shared :class:`~repro.graph.ProcessIndex`; two candidates are compatible
-    when each one's read mask meets the other's write mask.  The GQS choice
-    of Theorem 2 offers ``(CanReach_f(S), S)`` per residual SCC ``S``, QS+
-    offers ``(S, S)``.  ``choice`` lists the chosen candidate index of every
-    pattern, or is ``None`` when no choice exists (a pattern without
-    candidates included); ``nodes_explored`` counts every candidate tried.
+    candidates over one shared :class:`~repro.graph.ProcessIndex`; two
+    candidates are compatible when each one's read mask meets the other's
+    write mask.  The GQS choice of Theorem 2 offers ``(CanReach_f(S), S)``
+    per residual SCC ``S``, QS+ offers ``(S, S)``.  ``choice`` lists the
+    chosen candidate index of every pattern, or is ``None`` when no choice
+    exists (a pattern without candidates included); ``nodes_explored`` counts
+    every candidate tried.
 
     Backtracking with forward checking: domains are integer bitmasks over
     candidate indices, and assigning a candidate intersects every unassigned
@@ -276,7 +261,7 @@ def discover_gqs(
 
     masked = []
     for done, f in enumerate(patterns):
-        masked.append(_masked_candidates(fail_prone, f))
+        masked.append(_candidates(fail_prone, f))
         if progress is not None:
             progress(done + 1, len(patterns))
     for f, cands in zip(patterns, masked):
@@ -286,7 +271,7 @@ def discover_gqs(
         return result
 
     result.exists = True
-    chosen = [cands[ci].pair for cands, ci in zip(masked, choice)]
+    chosen = [_pair(fail_prone, f, cands[ci]) for f, cands, ci in zip(patterns, masked, choice)]
     result.choices = {c.pattern: c for c in chosen}
     read_quorums = [c.read_quorum for c in chosen]
     write_quorums = [c.write_quorum for c in chosen]

@@ -21,8 +21,9 @@ Every predicate here is evaluated on the bitmask view of the residual graph
 ``f``-available iff one strongly connected component of ``G \\ f`` contains
 it, the read quorums it is ``f``-reachable from are those inside the
 ``CanReach`` closure of that component, and Consistency is ``r_mask & w_mask``.
-Nothing is read from the discovery search's candidate caches, so validating a
-discovered witness re-derives it from the residual graphs alone.
+Components and closures come from the residual's memo, the one discovery reads
+its candidates from; the search's choice is not read, so validating a
+discovered witness re-checks its quorum families against the residual graphs.
 """
 
 from __future__ import annotations
@@ -62,20 +63,15 @@ def _available_write_quorums(
     processes belong to no component, so its members are then all correct);
     ``readers`` is the ``CanReach`` closure of ``home``, and a read quorum
     reaches every member of the write quorum from every one of its own members
-    iff it lies inside ``readers``.  Positions are yielded in the order of
-    ``write_masks``.
+    iff it lies inside ``readers``, which the residual memoizes beside its
+    components.  Positions are yielded in the order of ``write_masks``.
     """
     residual = fail_prone.residual_bitset(pattern)
     components = residual.scc_masks()
-    readers_of: Dict[int, int] = {}
     for position, write_mask in enumerate(write_masks):
         home = component_containing(components, write_mask)
-        if home is None:
-            continue
-        readers = readers_of.get(home)
-        if readers is None:
-            readers = readers_of[home] = residual.can_reach_mask(home)
-        yield position, home, readers
+        if home is not None:
+            yield position, home, residual.reader_masks()[components.index(home)]
 
 
 def is_f_available(

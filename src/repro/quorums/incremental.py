@@ -8,10 +8,11 @@ every such *membership delta* wastes exactly the work the
 graphs and candidate structures are untouched by a single delta.
 
 This module applies a stream of deltas to a fail-prone system, carrying the
-memoized per-pattern structures across each step via
-:meth:`~repro.failures.FailProneSystem.adopt_pattern_caches` (re-keying the
-bitmask views through an order-preserving :class:`~repro.graph.MaskReindex`
-when the process set changes), recertifies after each delta with
+memoized residual bitmask views — and with them each pattern's discovery
+candidates — across each step via
+:meth:`~repro.failures.FailProneSystem.adopt_residuals` (re-keying them
+through an order-preserving :class:`~repro.graph.MaskReindex` when the
+process set changes), recertifies after each delta with
 :func:`discover_gqs` — witness validation included — and reports per-delta
 verdicts with reuse accounting.  A delta never copies the network graph:
 suspect/trust ops share it with the previous system, join/leave derive the
@@ -52,13 +53,7 @@ from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import MaskReindex, ProcessIndex
 from ..types import ProcessId
-from .discovery import (
-    CANDIDATE_CACHE_NAMESPACE,
-    CandidateQuorumPair,
-    DiscoveryResult,
-    _MaskedCandidate,
-    discover_gqs,
-)
+from .discovery import DiscoveryResult, discover_gqs
 
 #: The membership-delta operations understood by :func:`apply_delta`.
 DELTA_OPS = ("join", "leave", "suspect", "trust", "suspect-channel", "trust-channel")
@@ -259,50 +254,6 @@ def apply_delta(
     return system._derive(new_patterns, system.name, network), pattern_map, reindex
 
 
-def _adopt_candidates(
-    new_system: FailProneSystem,
-    old_system: FailProneSystem,
-    pattern_map: Dict[FailurePattern, FailurePattern],
-    reindex: Optional[MaskReindex],
-) -> int:
-    """Carry memoized ``gqs-candidates`` entries across a delta.
-
-    Value-identical patterns share the entry object; re-indexed patterns get
-    their masks re-keyed through ``reindex`` and their pairs re-keyed to
-    the new pattern.  The quorum *sets* never change — a structure-preserving
-    delta only moves processes that are absent from the residual — so the
-    candidate sort order is preserved and no re-sort is needed.  Returns the
-    number of patterns whose candidate structures were adopted.
-    """
-    old_cache = old_system.analysis_cache(CANDIDATE_CACHE_NAMESPACE)
-    new_cache = new_system.analysis_cache(CANDIDATE_CACHE_NAMESPACE)
-    identity = reindex is None or reindex.is_identity()
-    adopted = 0
-    for new_pattern, old_pattern in pattern_map.items():
-        if new_pattern in new_cache:
-            continue
-        entries = old_cache.get(old_pattern)
-        if entries is None:
-            continue
-        if identity and new_pattern == old_pattern:
-            new_cache[new_pattern] = entries
-        else:
-            new_cache[new_pattern] = tuple(
-                _MaskedCandidate(
-                    entry.read_mask if identity else reindex.apply(entry.read_mask),
-                    entry.write_mask if identity else reindex.apply(entry.write_mask),
-                    CandidateQuorumPair(
-                        pattern=new_pattern,
-                        write_quorum=entry.pair.write_quorum,
-                        read_quorum=entry.pair.read_quorum,
-                    ),
-                )
-                for entry in entries
-            )
-        adopted += 1
-    return adopted
-
-
 @dataclass
 class DeltaVerdict:
     """Recertification outcome for one membership delta."""
@@ -319,7 +270,7 @@ class DeltaVerdict:
     #: Distinct patterns whose memoized candidate structures were adopted instead
     #: of recomputed (the watch-mode analogue of ``RepairReport.candidates_reused``).
     candidates_reused: int = 0
-    #: Residual graph / bitset cache entries adopted across the delta.
+    #: Residual bitmask views adopted across the delta.
     caches_adopted: int = 0
 
     @property
@@ -370,8 +321,9 @@ def recertify_delta(
 ) -> DeltaVerdict:
     """Apply one delta and recertify, reusing every structure the delta preserved."""
     new_system, pattern_map, reindex = apply_delta(system, delta)
-    caches = new_system.adopt_pattern_caches(system, pattern_map, reindex)
-    candidates = _adopt_candidates(new_system, system, pattern_map, reindex)
+    # A certified system's residuals carry their candidates, so each adopted
+    # residual is one reused candidate structure.
+    adopted = new_system.adopt_residuals(system, pattern_map, reindex)
     result = discover_gqs(new_system, algorithm=algorithm)
     return DeltaVerdict(
         index=index,
@@ -380,8 +332,8 @@ def recertify_delta(
         result=result,
         patterns_total=len(set(new_system.patterns)),
         patterns_reused=len(pattern_map),
-        candidates_reused=candidates,
-        caches_adopted=caches,
+        candidates_reused=adopted,
+        caches_adopted=adopted,
     )
 
 

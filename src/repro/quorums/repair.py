@@ -21,7 +21,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern
 from ..types import Channel, sorted_channels
-from .discovery import CANDIDATE_CACHE_NAMESPACE, gqs_exists
+from .discovery import gqs_exists
 
 
 @dataclass
@@ -43,9 +43,9 @@ class RepairReport:
     suggestions: List[RepairSuggestion] = field(default_factory=list)
     candidates_considered: int = 0
     max_channels: int = 0
-    #: Per-pattern candidate-cache entries adopted from the base system across
-    #: all hardened variants instead of being recomputed (patterns untouched by
-    #: a hardening keep their residual graphs and candidate pairs).
+    #: Patterns, summed over all hardened variants, whose residual (and with it
+    #: the memoized candidates) was adopted from the base system instead of
+    #: being recomputed (patterns untouched by a hardening keep theirs).
     candidates_reused: int = 0
 
     @property
@@ -64,10 +64,10 @@ def harden_channels(
     hardening a channel does not make its endpoints reliable.
 
     Patterns that list none of the hardened channels are value-identical in
-    the returned system, so its caches are warmed from ``fail_prone``: any
-    residual graph or discovery candidates already computed for an untouched
-    pattern are adopted instead of re-derived (see
-    :meth:`FailProneSystem.warm_caches_from`).
+    the returned system, which shares ``fail_prone``'s network, so every
+    residual ``fail_prone`` already built for such a pattern — discovery
+    candidates included — is adopted instead of re-derived (see
+    :meth:`FailProneSystem.adopt_residuals`).
     """
     hardened = set((src, dst) for src, dst in channels)
     patterns = []
@@ -78,7 +78,7 @@ def harden_channels(
         remaining = [ch for ch in pattern.disconnect_prone if ch not in hardened]
         patterns.append(FailurePattern(pattern.crash_prone, remaining, name=pattern.name))
     system = fail_prone._derive(patterns, name=fail_prone.name)
-    system.warm_caches_from(fail_prone)
+    system.adopt_residuals(fail_prone, {f: f for f in patterns})
     return system
 
 
@@ -106,6 +106,9 @@ def suggest_channel_repairs(
     )
     if report.already_tolerable:
         return report
+    # Deciding the base built every base residual, so a hardened pattern the
+    # base also has is exactly one whose candidates harden_channels carried.
+    base_patterns = set(fail_prone.patterns)
 
     candidate_channels: Tuple[Channel, ...] = tuple(
         sorted_channels({ch for pattern in fail_prone for ch in pattern.disconnect_prone})
@@ -118,11 +121,7 @@ def suggest_channel_repairs(
                 continue  # a smaller repair already covers this one
             report.candidates_considered += 1
             hardened = harden_channels(fail_prone, combo)
-            report.candidates_reused += sum(
-                1
-                for pattern in hardened.patterns
-                if pattern in hardened.analysis_cache(CANDIDATE_CACHE_NAMESPACE)
-            )
+            report.candidates_reused += sum(1 for f in hardened.patterns if f in base_patterns)
             if gqs_exists(hardened):
                 found.append(subset)
                 report.suggestions.append(RepairSuggestion(subset))

@@ -14,7 +14,7 @@ QS+ (experiment E6); the set-form validator of a given QS+ lives with the tests
 from __future__ import annotations
 
 from ..failures import FailProneSystem
-from .discovery import _masked_candidates, choose_candidates
+from .discovery import _candidates, choose_candidates
 
 
 def strong_system_exists(fail_prone: FailProneSystem) -> bool:
@@ -28,12 +28,9 @@ def strong_system_exists(fail_prone: FailProneSystem) -> bool:
     component, and enlarging quorums can only help Consistency.  A QS+ exists
     iff components ``S_f`` can be chosen so that ``S_f ∩ S_g ≠ ∅`` for every
     pair of patterns: :func:`~repro.quorums.choose_candidates` over the
-    candidates ``(S, S)``, taken from the enumeration (and order)
-    :func:`~repro.quorums.discover_gqs` memoizes on the system, so a
-    classification enumerates each pattern's components once for both answers.
+    candidates ``(S, S)``, taken in discovery's order from the components the
+    residual graph memoizes, so a classification enumerates each pattern's
+    components once for both answers.
     """
-    per_pattern = [
-        [(c.write_mask, c.write_mask) for c in _masked_candidates(fail_prone, f)]
-        for f in fail_prone
-    ]
+    per_pattern = [[(s, s) for _, s in _candidates(fail_prone, f)] for f in fail_prone]
     return choose_candidates(per_pattern)[0] is not None

@@ -24,7 +24,6 @@ from .builders import (
     build_topology,
     resolve_pattern,
     run_built_scenario,
-    run_scenario_once,
 )
 from .registry import (
     all_scenarios,
@@ -59,7 +58,6 @@ __all__ = [
     "resolve_pattern",
     "run_built_scenario",
     "run_scenario",
-    "run_scenario_once",
     "scenario_names",
     "sweep_scenarios",
     "sweep_table",

@@ -4,19 +4,19 @@ The builders bridge :class:`~repro.scenarios.spec.ScenarioSpec` and the
 concrete layers below it: the topology spec becomes a
 :class:`~repro.failures.FailProneSystem` (via the generator registry or an
 inline description), the GQS decision procedure supplies the quorum system the
-protocols run over, and :func:`run_scenario_once` executes one seeded
+protocols run over, and :func:`run_built_scenario` executes one seeded
 simulation through the spec-driven workload layer
 (:mod:`repro.experiments.workloads`).
 
-``run_scenario_once`` is a module-level function of picklable arguments on
-purpose: the engine fans scenario runs out across worker processes, and each
-worker rebuilds the simulation from the spec — nothing runtime-dependent
-crosses the process boundary.
+``run_built_scenario`` is a module-level function of picklable arguments on
+purpose: the engine builds a scenario once, fans its runs out across worker
+processes and ships each worker only picklable inputs — nothing
+runtime-dependent crosses the process boundary.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from ..errors import ReproError
 from ..experiments import run_workload, safety_report
@@ -32,7 +32,6 @@ __all__ = [
     "build_topology",
     "resolve_pattern",
     "run_built_scenario",
-    "run_scenario_once",
 ]
 
 
@@ -72,14 +71,6 @@ def resolve_pattern(
         return system.pattern_named(scenario.failure.pattern)
     except ReproError as error:
         raise ReproError("scenario {!r} injects {}".format(scenario.name, error)) from error
-
-
-def run_scenario_once(scenario: ScenarioSpec, seed: int) -> Dict[str, Any]:
-    """Build a scenario from scratch and execute one seeded run."""
-    system = build_topology(scenario)
-    quorum_system = build_quorum_system(scenario, system)
-    pattern = resolve_pattern(scenario, system)
-    return run_built_scenario(scenario, quorum_system, pattern, seed)
 
 
 def run_built_scenario(

@@ -42,28 +42,12 @@ __all__ = [
     "ScheduleOverride",
     "build_schedule_override",
     "nudges_from_lists",
-    "nudges_to_lists",
     "stretches_from_lists",
-    "stretches_to_lists",
 ]
 
 
-def stretches_to_lists(stretches: Mapping[Channel, float]) -> Sequence[Sequence[Any]]:
-    """Channel stretches as canonical JSON rows ``[src, dst, factor]``.
-
-    Rows are sorted by channel (as strings, so mixed process-id types stay
-    orderable), making the encoding a pure function of the mapping's contents.
-    """
-    return [
-        [src, dst, float(factor)]
-        for (src, dst), factor in sorted(
-            stretches.items(), key=lambda item: (str(item[0][0]), str(item[0][1]))
-        )
-    ]
-
-
 def stretches_from_lists(rows: Optional[Iterable[Sequence[Any]]]) -> Dict[Channel, float]:
-    """Parse ``[src, dst, factor]`` rows (inverse of :func:`stretches_to_lists`)."""
+    """Parse ``[src, dst, factor]`` channel-stretch rows."""
     stretches: Dict[Channel, float] = {}
     for row in rows or ():
         if len(row) != 3:
@@ -73,18 +57,8 @@ def stretches_from_lists(rows: Optional[Iterable[Sequence[Any]]]) -> Dict[Channe
     return stretches
 
 
-def nudges_to_lists(nudges: Mapping[Tuple[Channel, int], float]) -> Sequence[Sequence[Any]]:
-    """Delivery nudges as canonical JSON rows ``[src, dst, index, extra]``."""
-    return [
-        [src, dst, int(index), float(extra)]
-        for ((src, dst), index), extra in sorted(
-            nudges.items(), key=lambda item: (str(item[0][0][0]), str(item[0][0][1]), item[0][1])
-        )
-    ]
-
-
 def nudges_from_lists(rows: Optional[Iterable[Sequence[Any]]]) -> Dict[Tuple[Channel, int], float]:
-    """Parse ``[src, dst, index, extra]`` rows (inverse of :func:`nudges_to_lists`)."""
+    """Parse ``[src, dst, index, extra]`` delivery-nudge rows."""
     nudges: Dict[Tuple[Channel, int], float] = {}
     for row in rows or ():
         if len(row) != 4:

@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 from ..failures import FailurePattern
 from ..types import sorted_channels, sorted_processes
+from .store import run_stem, write_evidence
 
 __all__ = [
     "INCIDENT_KEYS",
@@ -156,23 +157,17 @@ def build_incident(
 
 def incident_file_name(name: str, root_seed: int, run_index: int) -> str:
     """The canonical incident file name, mirroring its trace's stem."""
-    return "{}-seed{}-run{:04d}{}".format(name, root_seed, run_index, INCIDENT_SUFFIX)
+    return run_stem(name, root_seed, run_index) + INCIDENT_SUFFIX
 
 
 def write_incident(directory: str, file_name: str, incident: Dict[str, Any]) -> str:
     """Write one incident report as canonical JSON; returns its path.
 
-    Same atomicity discipline as trace files (write-then-rename): incident
-    reports are evidence and must be all-or-nothing.
+    Written like every piece of evidence (:func:`~repro.traces.store.write_evidence`).
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, file_name)
-    payload = json.dumps(incident, sort_keys=True, indent=2)
-    partial = "{}.tmp".format(path)
-    with open(partial, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-        handle.write("\n")
-    os.replace(partial, path)
+    write_evidence(path, json.dumps(incident, sort_keys=True, indent=2))
     return path
 
 

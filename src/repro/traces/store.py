@@ -108,9 +108,28 @@ class Trace:
         return bool(value) if value is not None else None
 
 
+def run_stem(name: str, root_seed: int, run_index: int) -> str:
+    """``<name>-seed<S>-run<NNNN>``: the file stem all evidence of one run shares."""
+    return "{}-seed{}-run{:04d}".format(name, root_seed, run_index)
+
+
 def trace_file_name(name: str, root_seed: int, run_index: int) -> str:
     """The canonical trace file name for one run of a seeded batch."""
-    return "{}-seed{}-run{:04d}{}".format(name, root_seed, run_index, TRACE_SUFFIX)
+    return run_stem(name, root_seed, run_index) + TRACE_SUFFIX
+
+
+def write_evidence(path: str, text: str) -> None:
+    """Write ``text`` and a final newline to ``path``, all or nothing.
+
+    Write-then-rename, so a killed worker (or a full disk) can never leave a
+    partial file behind that would later parse as a valid shorter trace,
+    incident, schedule or report: evidence must be all-or-nothing.
+    """
+    partial = "{}.tmp".format(path)
+    with open(partial, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.write("\n")
+    os.replace(partial, path)
 
 
 def ensure_trace_directory(directory: Optional[str]) -> None:
@@ -183,14 +202,7 @@ def write_run_trace(
     for record in history_to_dicts(history):
         lines.append(_dumps(dict({"type": "op"}, **record)))
     lines.append(_dumps(dict({"type": "verdict"}, **verdict)))
-    # Write-then-rename so a killed worker (or a full disk) can never leave a
-    # partial file behind that would later parse as a valid shorter trace:
-    # trace files are evidence, and evidence must be all-or-nothing.
-    partial = "{}.tmp".format(path)
-    with open(partial, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
-        handle.write("\n")
-    os.replace(partial, path)
+    write_evidence(path, "\n".join(lines))
     return path
 
 

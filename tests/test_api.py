@@ -70,7 +70,7 @@ def test_repair_rejects_meaningless_budgets_before_searching(kwargs, complaint):
     system = api.resolve_system(builtin="figure1-modified")
     with pytest.raises(ReproError, match=complaint):
         api.repair(system, **kwargs)
-    assert not system.analysis_cache("gqs-candidates")  # rejected before any search
+    assert not system._residual_bitset_cache  # rejected before any search
 
 
 # ---------------------------------------------------------------------- #

@@ -9,8 +9,9 @@ from repro.experiments import (
     verify_pattern,
     verify_tightness,
 )
-from repro.failures import FailProneSystem
-from repro.quorums import threshold_quorum_system
+from repro.failures import FailProneSystem, FailurePattern
+from repro.graph import DiGraph
+from repro.quorums import discover_gqs, threshold_quorum_system
 from repro.sim import PartialSynchronyDelay
 
 
@@ -22,6 +23,23 @@ def test_register_workload_reports_metrics(figure1_gqs):
     assert result.metrics.mean_latency > 0
     assert result.metrics.messages_sent > 0
     assert result.metrics.completion_ratio == 1.0
+
+
+def test_workload_runs_on_the_systems_sparse_network():
+    """A channel the network graph lacks carries no message, failure or not."""
+    ring = DiGraph(vertices="abcd", edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    system = FailProneSystem(
+        "abcd",
+        [FailurePattern(name="ok"), FailurePattern([], [("c", "d")], name="cut")],
+        graph=ring,
+    )
+    gqs = discover_gqs(system).quorum_system
+    result = run_workload("register", gqs, seed=3)
+    network = result.cluster.network
+    assert network.graph() == ring
+    assert network.stats.messages_dropped_channel > 0  # every send off the ring
+    assert result.completed
+    assert check_register_linearizability(result.history).is_linearizable
 
 
 def test_register_workload_restricts_invokers_to_component(figure1_gqs):

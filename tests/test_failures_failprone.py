@@ -201,101 +201,98 @@ def test_graph_copies_do_not_leak_into_parent_or_child():
 
 
 # ---------------------------------------------------------------------- #
-# warm_caches_from: the repair-path cache hand-off
+# adopt_residuals: the one hand-off of memoized residuals
 # ---------------------------------------------------------------------- #
-def _warmable_pair(shared, only_old, only_new):
-    """Two systems over the same processes/graph with the given pattern split."""
-    processes = ["a", "b", "c", "d"]
-    old = FailProneSystem(processes, shared + only_old, name="old")
-    new = FailProneSystem(processes, shared + only_new, name="new")
-    return old, new
+PROCESSES = ["a", "b", "c", "d"]
 
 
-def test_warm_caches_from_rejects_mismatched_process_sets():
-    old = FailProneSystem(["a", "b", "c"], [FailurePattern(["a"])])
-    new = FailProneSystem(["a", "b"], [FailurePattern(["a"])])
-    old.residual_graph(old.patterns[0])
-    old.residual_bitset(old.patterns[0])
-    assert new.warm_caches_from(old) == 0
-    assert new._residual_cache == {}
+def _certified(system):
+    """``system`` with every pattern's candidates memoized, as discovery leaves it."""
+    for pattern in system.patterns:
+        system.residual_bitset(pattern).reader_masks()
+    return system
+
+
+def test_harden_channels_adopts_exactly_the_untouched_patterns():
+    from repro.quorums import harden_channels
+
+    untouched = [FailurePattern(["a"], name="fa"), FailurePattern(["b"], [("c", "d")], name="fb")]
+    touched = FailurePattern(["d"], [("a", "b"), ("b", "c")], name="fd")
+    base = _certified(FailProneSystem(PROCESSES, untouched + [touched]))
+    hardened = harden_channels(base, [("a", "b")])
+    assert set(hardened._residual_bitset_cache) == set(untouched)
+    for pattern in untouched:
+        assert hardened.residual_bitset(pattern) is base.residual_bitset(pattern)
+
+
+def test_adopt_residuals_shares_the_residual_and_its_memos():
+    pattern = FailurePattern(["a"], [("c", "d")], name="fa")
+    old = _certified(FailProneSystem(PROCESSES, [pattern]))
+    old.residual_graph(pattern)
+    new = FailProneSystem(PROCESSES, [pattern])
+    assert new.adopt_residuals(old, {pattern: pattern}) == 1
+    residual = new.residual_bitset(pattern)
+    assert residual is old.residual_bitset(pattern)
+    assert residual.reader_masks() is old.residual_bitset(pattern).reader_masks()
+    assert new._residual_cache == {}  # the set-based memo is never handed over
+
+
+def test_reindexed_residual_memo_equals_the_memo_built_from_scratch():
+    from repro.quorums import MembershipDelta, apply_delta
+
+    system = _certified(
+        FailProneSystem(
+            ["b", "c", "d", "e"],
+            [
+                FailurePattern(["c"], [("d", "e")], name="f1"),
+                FailurePattern(["c", "e"], name="f2"),
+                FailurePattern(["b"], [("c", "d"), ("e", "c")], name="f3"),
+            ],
+        )
+    )
+    # The joiner sorts first, so every bit moves; the leaver moves every bit above it.
+    for delta in (MembershipDelta("join", process="a"), MembershipDelta("leave", process="c")):
+        new, pattern_map, reindex = apply_delta(system, delta)
+        assert not reindex.is_identity()
+        assert new.adopt_residuals(system, pattern_map, reindex) == len(pattern_map) >= 2
+        scratch = apply_delta(system, delta)[0]  # the same system, nothing carried
+        for pattern in pattern_map:
+            carried = new.residual_bitset(pattern)
+            assert carried._sccs is not None and carried._readers is not None
+            fresh = scratch.residual_bitset(pattern)
+            assert carried == fresh
+            assert carried.scc_masks() == fresh.scc_masks()
+            assert carried.reader_masks() == fresh.reader_masks()
+
+
+def test_adopt_residuals_never_overwrites_an_existing_entry():
+    pattern = FailurePattern(["a"], name="fa")
+    old = _certified(FailProneSystem(PROCESSES, [pattern]))
+    new = FailProneSystem(PROCESSES, [pattern])
+    mine = new.residual_bitset(pattern)  # built before the hand-off
+    assert new.adopt_residuals(old, {pattern: pattern}) == 0
+    assert new.residual_bitset(pattern) is mine
+
+
+def test_adopt_residuals_from_a_cold_system_hands_nothing_over():
+    pattern = FailurePattern(["a"], name="fa")
+    old = FailProneSystem(PROCESSES, [pattern])
+    new = FailProneSystem(PROCESSES, [pattern])
+    assert new.adopt_residuals(old, {pattern: pattern}) == 0
     assert new._residual_bitset_cache == {}
 
 
-def test_warm_caches_from_rejects_mismatched_graphs():
-    graph = DiGraph()
-    for p in ("a", "b"):
-        graph.add_vertex(p)
-    graph.add_edge("a", "b")  # one-way only: differs from the complete default
-    old = FailProneSystem(["a", "b"], [FailurePattern()])
-    new = FailProneSystem(["a", "b"], [FailurePattern()], graph=graph)
-    old.residual_graph(old.patterns[0])
-    assert new.warm_caches_from(old) == 0
-    assert new._residual_cache == {}
+def test_adopt_residuals_refuses_a_residual_naming_a_process_without_a_position():
+    from repro.graph import MaskReindex
 
-
-def test_warm_caches_from_adopts_exactly_the_shared_patterns():
-    shared = [FailurePattern(["a"], name="fa"), FailurePattern(["b"], name="fb")]
-    old, new = _warmable_pair(
-        shared,
-        only_old=[FailurePattern(["c"], name="old-only")],
-        only_new=[FailurePattern(["d"], name="new-only")],
-    )
-    for pattern in old.patterns:
-        old.residual_graph(pattern)
-        old.residual_bitset(pattern)
-    # 2 shared patterns x (residual graph + residual bitset) = 4 entries;
-    # 'old-only' is not a pattern of `new` and must not leak across.
-    assert new.warm_caches_from(old) == 4
-    assert set(new._residual_cache) == set(shared)
-    assert set(new._residual_bitset_cache) == set(shared)
-
-
-def test_warm_caches_from_adopts_identical_objects():
-    shared = [FailurePattern(["a"], name="fa")]
-    old, new = _warmable_pair(shared, only_old=[], only_new=[])
-    old.residual_graph(shared[0])
-    old.residual_bitset(shared[0])
-    old.analysis_cache("demo")[shared[0]] = ("payload",)
-    adopted = new.warm_caches_from(old)
-    assert adopted == 3  # residual graph + bitset + one analysis-cache entry
-    assert new.residual_graph(shared[0]) is old.residual_graph(shared[0])
-    assert new.residual_bitset(shared[0]) is old.residual_bitset(shared[0])
-    assert new.analysis_cache("demo")[shared[0]] is old.analysis_cache("demo")[shared[0]]
-
-
-def test_warm_caches_from_never_overwrites_existing_entries():
-    shared = [FailurePattern(["a"], name="fa")]
-    old, new = _warmable_pair(shared, only_old=[], only_new=[])
-    old.residual_graph(shared[0])
-    old.residual_bitset(shared[0])
-    mine = new.residual_graph(shared[0])  # computed before warming
-    assert new.warm_caches_from(old) == 1  # only the bitset view is missing
-    assert new.residual_graph(shared[0]) is mine
-    assert new.residual_bitset(shared[0]) is old.residual_bitset(shared[0])
-
-
-def test_warm_caches_from_adopts_nothing_from_a_cold_system():
-    shared = [FailurePattern(["a"], name="fa")]
-    old, new = _warmable_pair(shared, only_old=[], only_new=[])
-    assert new.warm_caches_from(old) == 0
-
-
-def test_warmed_caches_answer_like_cold_ones():
-    shared = [
-        FailurePattern(["a"], [("c", "d")], name="fa"),
-        FailurePattern(["b"], name="fb"),
-    ]
-    old, new = _warmable_pair(shared, only_old=[], only_new=[])
-    for pattern in old.patterns:
-        old.residual_graph(pattern)
-        old.residual_bitset(pattern)
-    new.warm_caches_from(old)
-    cold = FailProneSystem(["a", "b", "c", "d"], shared)
-    for pattern in shared:
-        assert new.residual_graph(pattern) == cold.residual_graph(pattern)
-        warm_bits = new.residual_bitset(pattern)
-        cold_bits = cold.residual_bitset(pattern)
-        assert warm_bits.vertex_mask == cold_bits.vertex_mask
+    pattern = FailurePattern(["a"])
+    old = _certified(FailProneSystem(["a", "b", "c"], [pattern]))
+    new = FailProneSystem(["a", "b"], [pattern])
+    with pytest.raises(ValueError):
+        new.adopt_residuals(
+            old, {pattern: pattern}, MaskReindex(old.process_index, new.process_index)
+        )
+    assert new._residual_bitset_cache == {}
 
 
 # ---------------------------------------------------------------------- #

@@ -85,6 +85,17 @@ def test_scc_masks_match_tarjan_partition():
         assert fast == slow
 
 
+def test_reader_masks_are_the_can_reach_closures_of_the_components():
+    rng = random.Random(13)
+    for _ in range(25):
+        graph = _random_digraph(rng, rng.randint(2, 9), rng.choice([0.15, 0.3, 0.6]))
+        view = BitsetDiGraph.from_digraph(graph)
+        index = view.index
+        assert len(view.reader_masks()) == len(view.scc_masks())
+        for component, readers in zip(view.scc_masks(), view.reader_masks()):
+            assert index.set_of(readers) == can_reach(graph, index.set_of(component))
+
+
 def test_scc_masks_order_is_canonical():
     graph = DiGraph(edges=[("d", "c"), ("c", "d"), ("a", "b"), ("b", "a"), ("b", "c")])
     view = BitsetDiGraph.from_digraph(graph)
@@ -176,22 +187,6 @@ def test_residual_masks_equals_named_residual():
             assert by_mask.predecessor_mask(position) == by_name.predecessor_mask(
                 position
             )
-
-
-def test_set_reaches_set_matches_connectivity():
-    from oracles.graph import set_reaches_set as slow_set_reaches_set
-
-    rng = random.Random(23)
-    for _ in range(20):
-        graph = _random_digraph(rng, rng.randint(2, 8), 0.35)
-        view = BitsetDiGraph.from_digraph(graph)
-        index = view.index
-        for _ in range(6):
-            sources = rng.sample(graph.vertices, rng.randint(0, len(graph.vertices)))
-            targets = rng.sample(graph.vertices, rng.randint(0, len(graph.vertices)))
-            assert view.set_reaches_set(
-                index.mask_of(sources), index.mask_of(targets)
-            ) == slow_set_reaches_set(graph, sources, targets)
 
 
 def test_component_containing_picks_unique_component():
@@ -320,9 +315,13 @@ def test_reindexed_graph_matches_a_rebuild_and_carries_components():
     with pytest.raises(ValueError):
         view.reindexed(reindex)  # v5 is still a vertex: nothing to map it to
     residual = view.residual(["v5"], [])
+    residual.reader_masks()  # memoize components and readers before the move
     moved = residual.reindexed(reindex)
     rebuilt = BitsetDiGraph.from_digraph(graph.without(vertices=["v5"]), new)
     assert moved == rebuilt
+    assert moved._sccs is not None and moved._readers is not None  # carried, not recomputed
+    assert moved.scc_masks() == rebuilt.scc_masks()
+    assert moved.reader_masks() == rebuilt.reader_masks()
     assert {new.set_of(c) for c in moved.scc_masks()} == {
         old.set_of(c) for c in residual.scc_masks()
     }

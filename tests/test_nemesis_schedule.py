@@ -31,12 +31,7 @@ from repro.registry import NEMESIS
 from repro.scenarios import get_scenario
 from repro.scenarios.builders import build_topology
 from repro.sim import FixedDelay, ScheduleOverride, build_delay_model
-from repro.sim.override import (
-    nudges_from_lists,
-    nudges_to_lists,
-    stretches_from_lists,
-    stretches_to_lists,
-)
+from repro.sim.override import nudges_from_lists, stretches_from_lists
 
 
 # ---------------------------------------------------------------------- #
@@ -110,6 +105,26 @@ def test_override_equals_the_formula_message_for_message_on_a_mixed_stream():
 def test_override_rejects_negative_stretch():
     with pytest.raises(ReproError):
         ScheduleOverride(FixedDelay(1.0), stretches={("a", "b"): -1.0})
+
+
+def stretches_to_lists(stretches):
+    """Channel stretches as canonical JSON rows ``[src, dst, factor]``, sorted by channel."""
+    return [
+        [src, dst, float(factor)]
+        for (src, dst), factor in sorted(
+            stretches.items(), key=lambda item: (str(item[0][0]), str(item[0][1]))
+        )
+    ]
+
+
+def nudges_to_lists(nudges):
+    """Delivery nudges as canonical JSON rows ``[src, dst, index, extra]``."""
+    return [
+        [src, dst, int(index), float(extra)]
+        for ((src, dst), index), extra in sorted(
+            nudges.items(), key=lambda item: (str(item[0][0][0]), str(item[0][0][1]), item[0][1])
+        )
+    ]
 
 
 def test_override_list_encodings_round_trip_with_types():

@@ -21,14 +21,21 @@ from repro.scenarios import (
     get_scenario,
     register_scenario,
     resolve_pattern,
+    run_built_scenario,
     run_scenario,
-    run_scenario_once,
     scenario_names,
     sweep_scenarios,
     sweep_table,
 )
 from repro.serialization import fail_prone_system_to_dict
 from repro.failures import ring_unidirectional_system
+
+
+def run_scenario_once(scenario, seed):
+    """Build ``scenario`` from scratch and execute one seeded run."""
+    system = build_topology(scenario)
+    quorum_system = build_quorum_system(scenario, system)
+    return run_built_scenario(scenario, quorum_system, resolve_pattern(scenario, system), seed)
 
 
 EXPECTED_NAMES = [

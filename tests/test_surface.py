@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import ast
 import glob
+import io
 import itertools
 import os
 import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 from setuptools import find_packages
@@ -205,19 +207,20 @@ def _export_table_lines(path, tree):
 
 
 def test_every_src_name_is_reached_from_outside_its_definition():
-    """A module-level ``def``/``class`` of ``src/repro`` is named somewhere besides
-    its own definition and the export tables — in ``src/`` (which holds every
-    command) or in the pinned ``benchmarks/e2e`` harness.  A facade alias
-    (``api.hunt`` for ``hunt_scenario``) counts as a use of its target."""
+    """A module-level ``def``/``class`` of ``src/repro`` is named, as an identifier,
+    somewhere besides its own definition and the export tables — in ``src/``
+    (which holds every command) or in the pinned ``benchmarks/e2e`` harness.
+    A facade alias (``api.hunt`` for ``hunt_scenario``) counts as a use of its
+    target."""
     e2e = os.path.join(os.path.dirname(SRC_DIR), "benchmarks", "e2e")
     definitions, aliases, uses = {}, {}, {}
     for path, text in itertools.chain(_sources(SRC_DIR), _sources(e2e)):
         tree = ast.parse(text)
         exports = _export_table_lines(path, tree)
-        for number, line in enumerate(text.splitlines(), start=1):
-            if number not in exports:
-                for word in re.findall(r"\w+", line):
-                    uses.setdefault(word, set()).add((path, number))
+        # Identifiers only: a name in a docstring, comment or string is no use.
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NAME and token.start[0] not in exports:
+                uses.setdefault(token.string, set()).add((path, token.start[0]))
         for node in ast.walk(tree):
             if isinstance(node, ast.Dict) and node.lineno in exports:
                 for key, value in zip(node.keys, node.values):
@@ -238,9 +241,8 @@ def test_every_src_name_is_reached_from_outside_its_definition():
 
 def test_decision_layer_has_one_graph_currency():
     """``repro.quorums`` and ``repro.montecarlo`` never touch set-based reachability."""
-    # ``.set_reaches_set(`` as a method call is the BitsetDiGraph mask form.
     set_based = re.compile(
-        r"residual_graph|mutually_reachable|(?<!\.)\bset_reaches_set\(|reachable_from"
+        r"residual_graph|mutually_reachable|\bset_reaches_set\(|reachable_from"
         r"|\bcan_reach\(|strongly_connected_components"
     )
     for package in ("quorums", "montecarlo"):
@@ -417,6 +419,7 @@ def test_linearizability_has_one_search_and_no_selector():
         assert not hasattr(graph, name), name
     for name in ("to_dot", "subgraph", "reverse", "in_degree", "out_degree"):
         assert not hasattr(graph.DiGraph, name), name
+    assert not hasattr(graph.BitsetDiGraph, "set_reaches_set")
 
 
 def test_linearizability_oracle_shares_nothing_with_the_search():
