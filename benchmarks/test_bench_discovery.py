@@ -393,7 +393,7 @@ def test_e7_churn_recertification_reuse(benchmark, bench_numbers):
     assert verdict.reuse_fraction >= 0.9
     assert verdict.system.process_index.position("a-new") == 0
     scratch = apply_delta(outcome.initial, delta)[0]  # same system, nothing carried
-    assert verdict.caches_adopted == len(scratch.patterns)
+    assert verdict.candidates_reused == len(scratch.patterns)
     for pattern in scratch.patterns:
         assert verdict.system.residual_bitset(pattern) == scratch.residual_bitset(pattern)
     bench_numbers(

@@ -229,8 +229,8 @@ def _reliability_setup(quorum_system):
         setup = (
             order,
             network,
-            [index.mask_of(r) for r in quorum_system.read_quorums],
-            [index.mask_of(w) for w in quorum_system.write_quorums],
+            quorum_system._read_masks,
+            quorum_system._write_masks,
         )
         _RELIABILITY_SETUP_CACHE[quorum_system] = setup
     return setup

@@ -15,7 +15,8 @@ write quorums for larger read quorums).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Tuple
+from operator import not_
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
     InvalidQuorumSystemError,
@@ -28,33 +29,46 @@ from ..types import ProcessId, ProcessSet, sorted_processes
 QuorumFamily = Tuple[ProcessSet, ...]
 
 
-def _normalise_family(
-    quorums: Iterable[Iterable[ProcessId]], processes: ProcessSet
-) -> QuorumFamily:
-    """Deduplicate and freeze a family of quorums over ``processes``.
+def _encode_family(
+    quorums: Iterable[Iterable[ProcessId]], fail_prone: FailProneSystem
+) -> Dict[int, ProcessSet]:
+    """Deduplicate a family of quorums over ``fail_prone``: ``{mask: quorum}``.
 
-    First-seen order is preserved.  Every quorum must be non-empty and name
-    only members of ``processes``; the mask-level predicates encode quorums
-    over the system's process index and rely on this having been checked.
+    First-seen order is preserved; duplicates are found on the masks.  Every
+    quorum must be non-empty and name only processes of the system (the
+    first offender in first-seen order is reported), so no family mask is 0.
     """
-    seen: List[ProcessSet] = []
+    processes = fail_prone.processes
+    mask_of = fail_prone.process_index.mask_of
+    family: Dict[int, ProcessSet] = {}
+    foreign: Optional[ProcessSet] = None  # the first quorum naming an outsider
     for q in quorums:
         fq = frozenset(q)
         if not fq:
             raise InvalidQuorumSystemError("quorums must be non-empty")
-        if fq not in seen:
-            seen.append(fq)
-    if not seen:
-        raise InvalidQuorumSystemError("a quorum family must contain at least one quorum")
-    for fq in seen:
-        unknown = fq - processes
-        if unknown:
-            raise InvalidQuorumSystemError(
-                "quorum {} references unknown processes {}".format(
-                    sorted_processes(fq), sorted_processes(unknown)
-                )
+        if fq <= processes:
+            family.setdefault(mask_of(fq), fq)
+        elif foreign is None:
+            foreign = fq
+    if foreign is not None:
+        raise InvalidQuorumSystemError(
+            "quorum {} references unknown processes {}".format(
+                sorted_processes(foreign), sorted_processes(foreign - processes)
             )
-    return tuple(seen)
+        )
+    if not family:
+        raise InvalidQuorumSystemError("a quorum family must contain at least one quorum")
+    return family
+
+
+def _first_inside(masks: Sequence[int], outer: int) -> Optional[int]:
+    """Position of the first of ``masks`` with no bit outside ``outer``, or ``None``.
+
+    One scan of the whole family per call, run by ``map``/``compress``; a
+    family mask is never 0, so a hit is a quorum inside ``outer``.
+    """
+    hits = map(not_, map((~outer).__and__, masks))
+    return next(itertools.compress(itertools.count(), hits), None)
 
 
 class QuorumTriple:
@@ -63,8 +77,12 @@ class QuorumTriple:
     Both notions of quorum system state **Consistency** identically —
     every read quorum intersects every write quorum — and differ only in
     **Availability**.  This base holds the families, Consistency and the
-    validation driver; a subclass supplies :meth:`available_pair` and the
-    wording of its :class:`~repro.errors.QuorumAvailabilityError`.
+    validation driver; a subclass supplies :meth:`_available_positions` and
+    the wording of its :class:`~repro.errors.QuorumAvailabilityError`.
+
+    The families are stored as masks over the system's process index and
+    validated as masks; ``read_quorums`` / ``write_quorums`` decode them into
+    process sets once, when first read.
 
     Parameters
     ----------
@@ -88,10 +106,34 @@ class QuorumTriple:
         write_quorums: Iterable[Iterable[ProcessId]],
         validate: bool = True,
     ) -> None:
+        reads = _encode_family(read_quorums, fail_prone)
+        writes = _encode_family(write_quorums, fail_prone)
+        families = (tuple(reads.values()), tuple(writes.values()))
+        self._init(fail_prone, list(reads), list(writes), families, validate)
+
+    @classmethod
+    def _from_masks(
+        cls, fail_prone: FailProneSystem, read_masks: Iterable[int], write_masks: Iterable[int],
+        validate: bool = True,
+    ) -> "QuorumTriple":
+        """Discovery's hand-off: families already encoded over ``fail_prone``'s index.
+
+        Deduplicated in first-seen order, as the constructor would; nothing
+        is decoded until a caller reads a family.
+        """
+        triple = cls.__new__(cls)
+        reads, writes = list(dict.fromkeys(read_masks)), list(dict.fromkeys(write_masks))
+        triple._init(fail_prone, reads, writes, None, validate)
+        return triple
+
+    def _init(
+        self, fail_prone: FailProneSystem, read_masks: List[int], write_masks: List[int],
+        families: Optional[Tuple[QuorumFamily, QuorumFamily]], validate: bool,
+    ) -> None:
         self._fail_prone = fail_prone
-        self._read_quorums = _normalise_family(read_quorums, fail_prone.processes)
-        self._write_quorums = _normalise_family(write_quorums, fail_prone.processes)
-        self._family_masks: Optional[Tuple[List[int], List[int]]] = None
+        self._read_masks = read_masks
+        self._write_masks = write_masks
+        self._families = families
         if validate:
             self.check()
 
@@ -103,15 +145,23 @@ class QuorumTriple:
         """The fail-prone system ``F``."""
         return self._fail_prone
 
+    def _decoded(self) -> Tuple[QuorumFamily, QuorumFamily]:
+        """Both families as process sets, decoded on first use."""
+        if self._families is None:
+            set_of = self._fail_prone.process_index.set_of
+            reads, writes = map(set_of, self._read_masks), map(set_of, self._write_masks)
+            self._families = tuple(reads), tuple(writes)
+        return self._families
+
     @property
     def read_quorums(self) -> QuorumFamily:
         """The read-quorum family ``R``."""
-        return self._read_quorums
+        return self._decoded()[0]
 
     @property
     def write_quorums(self) -> QuorumFamily:
         """The write-quorum family ``W``."""
-        return self._write_quorums
+        return self._decoded()[1]
 
     @property
     def processes(self) -> ProcessSet:
@@ -120,74 +170,75 @@ class QuorumTriple:
 
     def __repr__(self) -> str:
         return "{}(n={}, |R|={}, |W|={})".format(
-            type(self).__name__,
-            len(self.processes),
-            len(self._read_quorums),
-            len(self._write_quorums),
+            type(self).__name__, len(self.processes), len(self._read_masks), len(self._write_masks)
         )
-
-    def _masks(self) -> Tuple[List[int], List[int]]:
-        """``(read masks, write masks)`` over the system's process index.
-
-        Encoded on first use, so a system built with ``validate=False`` and
-        never queried does not pay for it.
-        """
-        if self._family_masks is None:
-            mask_of = self._fail_prone.process_index.mask_of
-            self._family_masks = (
-                [mask_of(r) for r in self._read_quorums],
-                [mask_of(w) for w in self._write_quorums],
-            )
-        return self._family_masks
 
     # ------------------------------------------------------------------ #
     # Consistency (shared) and Availability (per definition)
     # ------------------------------------------------------------------ #
+    def _inconsistent_positions(self) -> Iterator[Tuple[int, int]]:
+        """``(read, write)`` family positions of every non-intersecting pair, in order.
+
+        One ``all`` over the write masks per read mask; the pairs are listed
+        only for a read quorum that misses some write quorum.
+        """
+        write_masks = self._write_masks
+        for i, read_mask in enumerate(self._read_masks):
+            if not all(map(read_mask.__and__, write_masks)):
+                for j, write_mask in enumerate(write_masks):
+                    if not read_mask & write_mask:
+                        yield i, j
+
     def consistency_violations(self) -> List[Tuple[ProcessSet, ProcessSet]]:
         """Return every ``(R, W)`` pair with an empty intersection."""
-        read_masks, write_masks = self._masks()
-        return [
-            (self._read_quorums[i], self._write_quorums[j])
-            for i, read_mask in enumerate(read_masks)
-            for j, write_mask in enumerate(write_masks)
-            if not read_mask & write_mask
-        ]
+        reads, writes = self._decoded()
+        return [(reads[i], writes[j]) for i, j in self._inconsistent_positions()]
 
     def is_consistent(self) -> bool:
         """Return whether every read quorum intersects every write quorum."""
-        return not self.consistency_violations()
+        return next(self._inconsistent_positions(), None) is None
 
-    def available_pair(
-        self, pattern: FailurePattern
-    ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
-        """Return a ``(read, write)`` pair validating Availability under ``pattern``.
+    def _available_positions(self, pattern: FailurePattern) -> Optional[Tuple[int, int]]:
+        """Family positions of a ``(read, write)`` pair validating ``pattern``, or ``None``.
 
-        ``None`` when no such pair exists.  This is the one method in which
-        the two definitions differ.
+        This is the one method in which the two definitions differ.
         """
         raise NotImplementedError
 
+    def available_pair(self, pattern: FailurePattern) -> Optional[Tuple[ProcessSet, ProcessSet]]:
+        """Return a ``(read, write)`` pair validating Availability under ``pattern``, if any."""
+        positions = self._available_positions(pattern)
+        if positions is None:
+            return None
+        reads, writes = self._decoded()
+        return reads[positions[0]], writes[positions[1]]
+
     def is_available(self, pattern: FailurePattern) -> bool:
         """Return whether Availability holds for ``pattern``."""
-        return self.available_pair(pattern) is not None
+        return self._available_positions(pattern) is not None
 
     def availability_violations(self) -> List[FailurePattern]:
         """Return the failure patterns for which Availability fails."""
         return [f for f in self._fail_prone if not self.is_available(f)]
 
     def check(self) -> None:
-        """Validate Consistency and Availability, raising a descriptive error."""
-        bad_pairs = self.consistency_violations()
-        if bad_pairs:
-            r, w = bad_pairs[0]
+        """Validate Consistency and Availability, raising a descriptive error.
+
+        Runs on the masks: the offending quorums are listed in process order
+        straight from the index, with nothing decoded.
+        """
+        bad_pair = next(self._inconsistent_positions(), None)
+        if bad_pair is not None:
+            sorted_list = self._fail_prone.process_index.sorted_list
             raise QuorumConsistencyError(
                 "read quorum {} does not intersect write quorum {}".format(
-                    sorted_processes(r), sorted_processes(w)
+                    sorted_list(self._read_masks[bad_pair[0]]),
+                    sorted_list(self._write_masks[bad_pair[1]]),
                 )
             )
-        bad_patterns = self.availability_violations()
-        if bad_patterns:
-            raise QuorumAvailabilityError(self._UNAVAILABLE.format(bad_patterns[0]))
+        bad_pattern = next((f for f in self._fail_prone if not self.is_available(f)), None)
+        if bad_pattern is not None:
+            raise QuorumAvailabilityError(self._UNAVAILABLE.format(bad_pattern))
 
     def is_valid(self) -> bool:
         """Return whether the triple satisfies its definition."""
@@ -225,13 +276,11 @@ class QuorumSystem(QuorumTriple):
             )
         super().__init__(fail_prone, read_quorums, write_quorums, validate=validate)
 
-    def available_pair(
-        self, pattern: FailurePattern
-    ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
-        """Return a ``(read, write)`` pair of all-correct quorums under ``pattern``."""
-        correct = pattern.correct_processes(self.processes)
-        read = next((r for r in self._read_quorums if r <= correct), None)
-        write = next((w for w in self._write_quorums if w <= correct), None)
+    def _available_positions(self, pattern: FailurePattern) -> Optional[Tuple[int, int]]:
+        """The first all-correct read quorum and the first all-correct write quorum."""
+        correct = self._fail_prone.process_index.mask_of(pattern.correct_processes(self.processes))
+        read = _first_inside(self._read_masks, correct)
+        write = _first_inside(self._write_masks, correct)
         if read is None or write is None:
             return None
         return read, write

@@ -21,15 +21,18 @@ mask pairs read off the memoized bitmask view of its residual graph
 (:meth:`repro.failures.FailProneSystem.residual_bitset`), which memoizes its
 components and their reader closures; that residual is the one per-pattern
 memo, a derived system (channel hardening, a membership delta) adopts it with
-:meth:`~repro.failures.FailProneSystem.adopt_residuals`, and only the chosen
-candidates are decoded into process sets.  Pairwise compatibility is
-evaluated with integer masks and memoized row-by-row, and the search runs
-backtracking with *forward checking* — assigning a candidate immediately
-prunes the viable-candidate domains of every unassigned pattern, so a choice
-that dooms a later pattern fails at the assignment instead of after an
-exponential subtree.  The search itself, :func:`choose_candidates`, works on
-bare masks: it also decides QS+ (:func:`~repro.quorums.strong_system_exists`,
-candidates ``(S, S)``) and every sampled system of the Monte Carlo shards.
+:meth:`~repro.failures.FailProneSystem.adopt_residuals`.  Nothing is decoded
+into process sets on the way: the chosen ``(readers, S)`` masks are handed
+straight to the witness quorum system, which validates them as masks, and
+the witness and ``choices`` decode a quorum only when a caller reads it.
+Pairwise compatibility is evaluated with integer masks and memoized one
+vector per candidate, and the search runs backtracking with *forward
+checking* — assigning a candidate immediately prunes the viable-candidate
+domains of every unassigned pattern, so a choice that dooms a later pattern
+fails at the assignment instead of after an exponential subtree.  The
+search itself, :func:`choose_candidates`, works on bare masks: it also
+decides QS+ (:func:`~repro.quorums.strong_system_exists`, candidates
+``(S, S)``) and every sampled system of the Monte Carlo shards.
 
 That is the one strategy: :data:`DISCOVERY_ALGORITHMS` lists three accepted
 *names* (``"pruned"``, ``"full"``, ``"quotient"``) that are echoed in the
@@ -53,10 +56,12 @@ brute-forcer over arbitrary subsets) live with the tests, in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import and_
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..failures import FailProneSystem, FailurePattern
-from ..graph import iter_bits, popcount
+from ..graph import ProcessIndex, iter_bits, popcount
 from ..types import ProcessSet
 from .generalized import GeneralizedQuorumSystem
 
@@ -74,12 +79,26 @@ class CandidateQuorumPair:
     """A candidate (read, write) quorum pair for one failure pattern.
 
     ``write_quorum`` is a whole SCC of the residual graph; ``read_quorum`` is
-    the maximal set of residual-graph vertices that can reach it.
+    the maximal set of residual-graph vertices that can reach it.  The pair is
+    held as its ``(readers, S)`` masks; each field is decoded into a process
+    set when first read.
     """
 
     pattern: FailurePattern
-    write_quorum: ProcessSet
-    read_quorum: ProcessSet
+    _index: ProcessIndex = field(repr=False, compare=False)
+    _readers: int
+    _component: int
+
+    @cached_property
+    def write_quorum(self) -> ProcessSet:
+        return self._index.set_of(self._component)
+
+    @cached_property
+    def read_quorum(self) -> ProcessSet:
+        # A component nobody else reaches is its own reader set.
+        if self._readers == self._component:
+            return self.write_quorum
+        return self._index.set_of(self._readers)
 
 
 @dataclass
@@ -124,18 +143,6 @@ def _candidates(fail_prone: FailProneSystem, pattern: FailurePattern) -> List[Tu
     return sorted(zip(residual.reader_masks(), residual.scc_masks()), key=_candidate_sort_key)
 
 
-def _pair(
-    fail_prone: FailProneSystem, pattern: FailurePattern, candidate: Tuple[int, int]
-) -> CandidateQuorumPair:
-    """One ``(readers, S)`` candidate decoded into process sets."""
-    index = fail_prone.process_index
-    readers, component = candidate
-    write_quorum = index.set_of(component)
-    # A component nobody else reaches is its own reader set.
-    read_quorum = write_quorum if readers == component else index.set_of(readers)
-    return CandidateQuorumPair(pattern, write_quorum, read_quorum)
-
-
 def candidate_pairs(
     fail_prone: FailProneSystem, pattern: FailurePattern
 ) -> List[CandidateQuorumPair]:
@@ -145,7 +152,8 @@ def candidate_pairs(
     the fully specified order of :func:`_candidate_sort_key`, computed on the
     memoized bitmask residual view of ``fail_prone``.
     """
-    return [_pair(fail_prone, pattern, c) for c in _candidates(fail_prone, pattern)]
+    index = fail_prone.process_index
+    return [CandidateQuorumPair(pattern, index, *c) for c in _candidates(fail_prone, pattern)]
 
 
 def choose_candidates(
@@ -164,11 +172,11 @@ def choose_candidates(
 
     Backtracking with forward checking: domains are integer bitmasks over
     candidate indices, and assigning a candidate intersects every unassigned
-    pattern's domain with the candidate's compatibility row; an emptied domain
-    fails the assignment on the spot (arc consistency with respect to the
-    partial assignment), which is what prevents the exponential thrashing of a
-    prefix-only backtracker on systems whose preferred candidates doom a much
-    later pattern.  Patterns are visited fewest-candidates-first (ties by
+    pattern's domain with its entry of the candidate's compatibility row (one
+    bitmask per later pattern); an emptied domain fails the assignment on the
+    spot (arc consistency with respect to the partial assignment), which is
+    what prevents the exponential thrashing of a prefix-only backtracker on
+    systems whose preferred candidates doom a much later pattern.  Patterns are visited fewest-candidates-first (ties by
     position), candidates in the given order.  Iterative, so a system with
     more patterns than the recursion limit is searched like any other.
     """
@@ -176,59 +184,51 @@ def choose_candidates(
     if m == 0:
         return [], 0
     order = sorted(range(m), key=lambda i: len(per_pattern[i]))
-    rows: Dict[Tuple[int, int, int], int] = {}
+    visited = [per_pattern[i] for i in order]
+    rows: Dict[Tuple[int, int], List[int]] = {}
     nodes = 0
 
-    def compatibility_row(i: int, ci: int, j: int) -> int:
-        """Bitmask of pattern ``j`` candidates compatible with candidate ``ci`` of ``i``.
+    def compatibility_row(depth: int, ci: int) -> List[int]:
+        """Candidates compatible with candidate ``ci`` of the pattern visited at ``depth``.
 
-        The compatibility matrix is materialized lazily, a row at a time, and
-        no row is evaluated twice.
+        One bitmask per pattern visited after ``depth``, in visiting order.
+        The order is static, so those patterns are fixed and one vector per
+        candidate covers them all: the compatibility matrix is materialized
+        lazily, a candidate at a time, and no vector is evaluated twice.
         """
-        key = (i, ci, j)
-        row = rows.get(key)
+        row = rows.get((depth, ci))
         if row is None:
-            a = per_pattern[i][ci]
-            row = 0
-            for d, b in enumerate(per_pattern[j]):
-                if (a[0] & b[1]) and (b[0] & a[1]):
-                    row |= 1 << d
-            rows[key] = row
+            read, write = visited[depth][ci]
+            row = rows[depth, ci] = []
+            for cands in visited[depth + 1:]:
+                bits = 0
+                for d, (r, w) in enumerate(cands):
+                    if read & w and r & write:
+                        bits |= 1 << d
+                row.append(bits)
         return row
 
     # domain_stack[d] holds the candidate domains in force while searching at
-    # depth d (one bitmask per pattern, original pattern indexing).
-    domain_stack: List[List[int]] = [[(1 << len(cands)) - 1 for cands in per_pattern]]
-    iterators = [iter_bits(domain_stack[0][order[0]])]
+    # depth d: one bitmask per pattern visited at depth d or later.
+    domain_stack: List[List[int]] = [[(1 << len(cands)) - 1 for cands in visited]]
+    iterators = [iter_bits(domain_stack[0][0])]
     assignment: List[int] = [-1] * m
 
     while iterators:
         depth = len(iterators) - 1
-        i = order[depth]
-        domains = domain_stack[depth]
-        advanced = False
+        later = domain_stack[depth][1:]
         for ci in iterators[depth]:
             nodes += 1
-            new_domains = list(domains)
-            new_domains[i] = 1 << ci
-            viable = True
-            for later in range(depth + 1, m):
-                j = order[later]
-                pruned = domains[j] & compatibility_row(i, ci, j)
-                if pruned == 0:
-                    viable = False
-                    break
-                new_domains[j] = pruned
-            if not viable:
+            pruned = list(map(and_, later, compatibility_row(depth, ci)))
+            if 0 in pruned:
                 continue
-            assignment[i] = ci
-            if depth + 1 == m:
+            assignment[order[depth]] = ci
+            if not pruned:
                 return assignment, nodes
-            domain_stack.append(new_domains)
-            iterators.append(iter_bits(new_domains[order[depth + 1]]))
-            advanced = True
+            domain_stack.append(pruned)
+            iterators.append(iter_bits(pruned[0]))
             break
-        if not advanced:
+        else:
             iterators.pop()
             domain_stack.pop()
     return None, nodes
@@ -271,12 +271,13 @@ def discover_gqs(
         return result
 
     result.exists = True
-    chosen = [_pair(fail_prone, f, cands[ci]) for f, cands, ci in zip(patterns, masked, choice)]
-    result.choices = {c.pattern: c for c in chosen}
-    read_quorums = [c.read_quorum for c in chosen]
-    write_quorums = [c.write_quorum for c in chosen]
-    result.quorum_system = GeneralizedQuorumSystem(
-        fail_prone, read_quorums, write_quorums, validate=validate
+    index = fail_prone.process_index
+    chosen = [cands[ci] for cands, ci in zip(masked, choice)]
+    result.choices = {
+        f: CandidateQuorumPair(f, index, *candidate) for f, candidate in zip(patterns, chosen)
+    }
+    result.quorum_system = GeneralizedQuorumSystem._from_masks(
+        fail_prone, [r for r, _ in chosen], [w for _, w in chosen], validate=validate
     )
     return result
 

@@ -21,69 +21,45 @@ Every predicate here is evaluated on the bitmask view of the residual graph
 ``f``-available iff one strongly connected component of ``G \\ f`` contains
 it, the read quorums it is ``f``-reachable from are those inside the
 ``CanReach`` closure of that component, and Consistency is ``r_mask & w_mask``.
-Components and closures come from the residual's memo, the one discovery reads
-its candidates from; the search's choice is not read, so validating a
-discovered witness re-checks its quorum families against the residual graphs.
+Availability is decided component first: per component, one scan of the write
+masks finds the first write quorum inside it and one scan of the read masks
+the first read quorum inside its closure.  Components and closures come from
+the residual's memo, the one discovery reads its candidates from; the
+search's choice is not read, so validating a discovered witness re-checks its
+quorum families — the masks discovery handed over, never decoded — against
+the residual graphs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import InvalidQuorumSystemError
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import component_containing
 from ..types import ProcessId, ProcessSet, sorted_processes
-from .classical import QuorumSystem, QuorumTriple
+from .classical import QuorumSystem, QuorumTriple, _first_inside
 
 
 # ---------------------------------------------------------------------- #
 # Availability under one pattern (§3)
 # ---------------------------------------------------------------------- #
-def _quorum_mask(fail_prone: FailProneSystem, quorum: Iterable[ProcessId]) -> int:
-    """``quorum`` over the system's process index; 0 if it cannot be correct.
-
-    An empty quorum, or one naming a process outside the system, is correct
-    under no pattern — both encode as the empty mask, which every predicate
-    below rejects.
-    """
-    q = frozenset(quorum)
-    if not q <= fail_prone.processes:
-        return 0
-    return fail_prone.process_index.mask_of(q)
-
-
-def _available_write_quorums(
-    fail_prone: FailProneSystem, pattern: FailurePattern, write_masks: Sequence[int]
-) -> Iterator[Tuple[int, int, int]]:
-    """The availability kernel: ``(position, home, readers)`` per ``f``-available write quorum.
-
-    A write quorum is ``pattern``-available iff one strongly connected
-    component of the residual graph — its ``home`` — contains it (crashed
-    processes belong to no component, so its members are then all correct);
-    ``readers`` is the ``CanReach`` closure of ``home``, and a read quorum
-    reaches every member of the write quorum from every one of its own members
-    iff it lies inside ``readers``, which the residual memoizes beside its
-    components.  Positions are yielded in the order of ``write_masks``.
-    """
-    residual = fail_prone.residual_bitset(pattern)
-    components = residual.scc_masks()
-    for position, write_mask in enumerate(write_masks):
-        home = component_containing(components, write_mask)
-        if home is not None:
-            yield position, home, residual.reader_masks()[components.index(home)]
-
-
 def is_f_available(
     fail_prone: FailProneSystem, pattern: FailurePattern, quorum: Iterable[ProcessId]
 ) -> bool:
     """Return whether ``quorum`` is ``f``-available under ``pattern``.
 
     The quorum must contain only processes correct according to ``pattern`` and
-    be strongly connected (mutually reachable) in the residual graph.
+    be strongly connected (mutually reachable) in the residual graph.  An empty
+    quorum, or one naming a process outside the system, is available under no
+    pattern.
     """
+    q = frozenset(quorum)
+    if not q or not q <= fail_prone.processes:
+        return False
     components = fail_prone.residual_bitset(pattern).scc_masks()
-    return component_containing(components, _quorum_mask(fail_prone, quorum)) is not None
+    mask = fail_prone.process_index.mask_of(q)
+    return component_containing(components, mask) is not None
 
 
 class GeneralizedQuorumSystem(QuorumTriple):
@@ -99,60 +75,58 @@ class GeneralizedQuorumSystem(QuorumTriple):
         "no f-available write quorum reachable from a read quorum under pattern {!r}"
     )
 
-    def __init__(
-        self,
-        fail_prone: FailProneSystem,
-        read_quorums: Iterable[Iterable[ProcessId]],
-        write_quorums: Iterable[Iterable[ProcessId]],
-        validate: bool = True,
-    ) -> None:
-        super().__init__(fail_prone, read_quorums, write_quorums, validate=validate)
+    def _init(self, *args) -> None:
         self._u_cache: Dict[FailurePattern, ProcessSet] = {}
+        super()._init(*args)
 
     def __repr__(self) -> str:
         return "GeneralizedQuorumSystem(n={}, |F|={}, |R|={}, |W|={})".format(
-            len(self.processes),
-            len(self._fail_prone),
-            len(self._read_quorums),
-            len(self._write_quorums),
+            len(self.processes), len(self._fail_prone), len(self._read_masks),
+            len(self._write_masks),
         )
 
-    def available_pair(
-        self, pattern: FailurePattern
-    ) -> Optional[Tuple[ProcessSet, ProcessSet]]:
-        """Return a ``(read, write)`` pair validating Availability under ``pattern``.
+    def _validating(self, pattern: FailurePattern) -> List[Tuple[int, int, int]]:
+        """The availability kernel: ``(write, read, home)`` per component validating ``pattern``.
 
-        The returned write quorum is ``pattern``-available and reachable from
-        the returned read quorum; ``None`` when no such pair exists.
+        Per strongly connected component ``home`` of the residual graph (no
+        crashed process is in one), one scan of each family: ``write`` is the
+        first write position inside ``home`` — an available quorum — and
+        ``read`` the first read position inside its ``CanReach`` closure.
         """
-        read_masks, write_masks = self._masks()
-        for j, _, readers in _available_write_quorums(self._fail_prone, pattern, write_masks):
-            for i, read_mask in enumerate(read_masks):
-                if not read_mask & ~readers:
-                    return self._read_quorums[i], self._write_quorums[j]
-        return None
+        residual = self._fail_prone.residual_bitset(pattern)
+        validating = []
+        for k, home in enumerate(residual.scc_masks()):
+            write = _first_inside(self._write_masks, home)
+            if write is not None:
+                read = _first_inside(self._read_masks, residual.reader_masks()[k])
+                if read is not None:
+                    validating.append((write, read, home))
+        return validating
+
+    def _available_positions(self, pattern: FailurePattern) -> Optional[Tuple[int, int]]:
+        """The lowest write position whose home has a reader, with the first such reader."""
+        validating = self._validating(pattern)
+        if not validating:
+            return None
+        write, read, _ = min(validating)
+        return read, write
 
     # ------------------------------------------------------------------ #
     # Proposition 1: the component U_f
     # ------------------------------------------------------------------ #
-    def _validating(self, pattern: FailurePattern) -> List[Tuple[int, int]]:
-        """``(family position, home component)`` per write quorum validating ``pattern``."""
-        read_masks, write_masks = self._masks()
-        return [
-            (j, home)
-            for j, home, readers in _available_write_quorums(
-                self._fail_prone, pattern, write_masks
-            )
-            if any(not read_mask & ~readers for read_mask in read_masks)
-        ]
-
     def validating_write_quorums(self, pattern: FailurePattern) -> List[ProcessSet]:
         """Write quorums that validate Availability with respect to ``pattern``.
 
         These are the write quorums that are ``pattern``-available and
-        reachable from at least one read quorum.
+        reachable from at least one read quorum, in family order.
         """
-        return [self._write_quorums[j] for j, _ in self._validating(pattern)]
+        homes = [home for _, _, home in self._validating(pattern)]
+        writes = self._decoded()[1]
+        return [
+            writes[j]
+            for j, write_mask in enumerate(self._write_masks)
+            if any(not write_mask & ~home for home in homes)
+        ]
 
     def termination_component(self, pattern: FailurePattern) -> ProcessSet:
         """The component ``U_f`` of Proposition 1 for ``pattern``.
@@ -166,7 +140,7 @@ class GeneralizedQuorumSystem(QuorumTriple):
         """
         if pattern in self._u_cache:
             return self._u_cache[pattern]
-        homes = {home for _, home in self._validating(pattern)}
+        homes = [home for _, _, home in self._validating(pattern)]
         # Sanity: Proposition 1 guarantees the union is inside one component.
         if len(homes) > 1:
             raise InvalidQuorumSystemError(

@@ -270,8 +270,6 @@ class DeltaVerdict:
     #: Distinct patterns whose memoized candidate structures were adopted instead
     #: of recomputed (the watch-mode analogue of ``RepairReport.candidates_reused``).
     candidates_reused: int = 0
-    #: Residual bitmask views adopted across the delta.
-    caches_adopted: int = 0
 
     @property
     def reuse_fraction(self) -> float:
@@ -333,7 +331,6 @@ def recertify_delta(
         patterns_total=len(set(new_system.patterns)),
         patterns_reused=len(pattern_map),
         candidates_reused=adopted,
-        caches_adopted=adopted,
     )
 
 

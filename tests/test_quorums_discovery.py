@@ -111,3 +111,47 @@ def test_discovery_counts_candidates_and_nodes(figure1_system):
 def test_discovery_result_bool(figure1_system, figure1_modified_system):
     assert bool(discover_gqs(figure1_system))
     assert not bool(discover_gqs(figure1_modified_system))
+
+
+def test_a_witness_is_decoded_only_when_a_caller_reads_it(monkeypatch):
+    """Discovery hands its chosen masks to the quorum system and validation runs
+    on them: neither a validated watch nor a validated discovery decodes a
+    process set until a caller reads the witness, and what it then reads is
+    the golden witness, byte for byte."""
+    import os
+
+    from repro import api
+    from repro.graph import ProcessIndex
+    from repro.quorums import MembershipDelta
+
+    decoded = []
+    set_of = ProcessIndex.set_of
+
+    def counting_set_of(index, mask):
+        decoded.append(mask)
+        return set_of(index, mask)
+
+    monkeypatch.setattr(ProcessIndex, "set_of", counting_set_of)
+    system = api.resolve_system(builtin="large-threshold-24x2")
+    ring = sorted(system.processes)
+    watch = api.watch_quorums(system, [
+        MembershipDelta("join", process="joiner"),
+        MembershipDelta("suspect", process=ring[0]),
+        MembershipDelta("trust", process=ring[0]),
+        MembershipDelta("suspect-channel", src=ring[1], dst=ring[5]),
+        MembershipDelta("trust-channel", src=ring[1], dst=ring[5]),
+        MembershipDelta("leave", process="joiner"),
+    ])
+    assert watch.all_exist and watch.to_json()
+    figure1 = api.resolve_system(builtin="figure1")
+    result = api.discover(figure1)
+    assert result.exists and result.quorum_system.is_valid()
+    assert decoded == []
+
+    assert result.choices[figure1.patterns[0]].read_quorum == {"a", "b", "c"}
+    assert len(decoded) == 1  # that one field, nothing else
+    families = result.quorum_system.read_quorums, result.quorum_system.write_quorums
+    assert len(decoded) == 1 + sum(map(len, families))
+    golden = os.path.join(os.path.dirname(__file__), "golden", "quorums_discover_figure1.json")
+    with open(golden, "r", encoding="utf-8") as handle:
+        assert api.DiscoveryReport(figure1, result).to_json() + "\n" == handle.read()

@@ -7,6 +7,9 @@ On the systems the discovery batteries already generate — plus a sweep of
 larger random ones — both must agree on the discovered witness **and** on
 mutated witnesses: accept or reject, exception class, and the offending pair
 or pattern named in the message.  ``U_f`` must equal the Tarjan component.
+Every witness is also built through discovery's mask hand-off
+(``GeneralizedQuorumSystem._from_masks``), which must give the constructor's
+families, per-pattern answers and verdicts.
 """
 
 from __future__ import annotations
@@ -44,12 +47,35 @@ def _verdict(check, *args):
     return None
 
 
+def _handed_off(system, reads, writes, validate=False):
+    """``(R, W)`` through discovery's hand-off: encoded masks, nothing decoded."""
+    mask_of = system.process_index.mask_of
+    return GeneralizedQuorumSystem._from_masks(
+        system, map(mask_of, reads), map(mask_of, writes), validate=validate
+    )
+
+
 def _assert_validators_agree(system, reads, writes):
-    """Both validators on one ``(R, W)``; returns the shared verdict."""
-    library = GeneralizedQuorumSystem(system, reads, writes, validate=False)
+    """Both validators on one ``(R, W)``, built by the constructor and by the
+    mask hand-off; returns the shared verdict."""
     expected = _verdict(predicates.check, system, reads, writes)
-    assert _verdict(library.check) == expected, (system.describe(), reads, writes)
-    assert library.is_valid() == (expected is None)
+    for library in (
+        GeneralizedQuorumSystem(system, reads, writes, validate=False),
+        _handed_off(system, reads, writes),
+    ):
+        assert _verdict(library.check) == expected, (system.describe(), reads, writes)
+        assert library.is_valid() == (expected is None)
+        # Several components may validate a pattern once Consistency is gone;
+        # the library's families hold each quorum once, in first-seen order.
+        unique_reads, unique_writes = list(dict.fromkeys(reads)), list(dict.fromkeys(writes))
+        for pattern in system.patterns:
+            assert library.available_pair(pattern) == predicates.available_pair(
+                system, pattern, unique_reads, unique_writes
+            )
+            assert library.validating_write_quorums(pattern) == (
+                predicates.validating_write_quorums(system, pattern, unique_reads, unique_writes)
+            )
+    assert _verdict(_handed_off, system, reads, writes, True) == expected
     return expected
 
 
@@ -157,3 +183,31 @@ def test_set_level_predicates_match_the_oracle_on_arbitrary_subsets():
                 assert is_f_available(system, pattern, w) == predicates.is_f_available(
                     system, pattern, w
                 ), (pattern, w)
+
+
+def test_the_mask_hand_off_builds_the_constructor_witness():
+    """``discover_gqs`` hands its chosen masks to the quorum system; the result
+    must be the system the public constructor builds from the decoded quorums,
+    family by family and in order, answering every per-pattern query alike."""
+    witnesses = 0
+    for system in _systems():
+        result = discover_gqs(system)
+        if not result.exists:
+            continue
+        witnesses += 1
+        handed = result.quorum_system
+        built = GeneralizedQuorumSystem(
+            system,
+            [result.choices[f].read_quorum for f in system.patterns],
+            [result.choices[f].write_quorum for f in system.patterns],
+        )
+        for pattern in system.patterns:
+            assert handed.available_pair(pattern) == built.available_pair(pattern)
+            assert handed.validating_write_quorums(pattern) == built.validating_write_quorums(
+                pattern
+            )
+            assert handed.termination_component(pattern) == built.termination_component(pattern)
+        assert handed.read_quorums == built.read_quorums
+        assert handed.write_quorums == built.write_quorums
+        assert repr(handed) == repr(built)
+    assert witnesses >= 100
