@@ -106,3 +106,55 @@ class OperationMetrics:
     def messages_per_operation(self) -> float:
         """Messages sent per completed operation (the whole run's traffic)."""
         return self.messages_sent / self.completed if self.completed else float("nan")
+
+
+class RunAggregates:
+    """The aggregates of a batch of seeded runs over its per-run ``rows``, as
+    :func:`repro.scenarios.run_built_scenario` returns them: what
+    ``repro simulate`` and ``repro scenario run`` both report."""
+
+    rows: List[Dict[str, Any]]
+
+    @property
+    def runs(self) -> int:
+        return len(self.rows)
+
+    @property
+    def completed_runs(self) -> int:
+        return sum(1 for row in self.rows if row["completed"])
+
+    @property
+    def safe_runs(self) -> int:
+        return sum(1 for row in self.rows if row["safe"])
+
+    @property
+    def all_completed(self) -> bool:
+        return self.completed_runs == self.runs
+
+    @property
+    def all_safe(self) -> bool:
+        return self.safe_runs == self.runs
+
+    @property
+    def ok(self) -> bool:
+        """Liveness + safety across all runs (the Paxos baseline is exempt
+        from the safety claim, see :func:`repro.experiments.judge_baseline_history`)."""
+        return self.all_completed and self.all_safe
+
+    @property
+    def mean_latency(self) -> float:
+        """Average of the per-run mean latencies."""
+        return mean(row["mean_latency"] for row in self.rows)
+
+    @property
+    def max_latency(self) -> float:
+        return max((row["max_latency"] for row in self.rows), default=0.0)
+
+    @property
+    def total_messages(self) -> int:
+        return sum(row["messages"] for row in self.rows)
+
+    @property
+    def explored_states(self) -> int:
+        """Total states the safety checkers explored across all runs."""
+        return sum(row["explored_states"] for row in self.rows)

@@ -35,9 +35,10 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._lazy import lazy_exports
+from .analysis.metrics import RunAggregates
 from .errors import NoQuorumSystemExistsError, ReproError
 from .registry import PROTOCOLS, loaded_plugins, plugin_contributions
-from .types import sorted_channels, sorted_processes
+from .types import ProcessId, sorted_channels, sorted_processes
 
 if TYPE_CHECKING:  # annotations only: each function imports the layers it runs
     from .analysis import ResultTable
@@ -52,6 +53,7 @@ if TYPE_CHECKING:  # annotations only: each function imports the layers it runs
         RepairReport,
         WatchOutcome,
     )
+    from .scenarios import ScenarioSpec
 
 #: Workflows that are exactly one layer function are that function, under the
 #: facade's name: same object, same signature, same defaults.  Each layer is
@@ -437,109 +439,35 @@ def protocol_safety_label(kind: str, verdict: bool) -> str:
     return label(verdict)
 
 
-def _simulate_once(
+def _simulate_run(
+    scenario: ScenarioSpec,
     gqs: GeneralizedQuorumSystem,
-    protocol: str,
     pattern: Optional[FailurePattern],
-    ops: int,
-    record_dir: Optional[str],
     root_seed: int,
+    record_dir: Optional[str],
     item: Tuple[int, int],
 ) -> Dict[str, Any]:
-    """Run one seeded protocol simulation; returns a picklable summary.
-
-    Module-level, with ``item = (run_index, seed)`` last, so
-    ``simulate(runs=N, jobs=M)`` can fan seeded repetitions out across worker
-    processes; with ``record_dir`` the run's trace is persisted for later
-    ``repro check`` re-verification.
-    """
-    from .experiments import run_workload, safety_report
+    """:func:`~repro.scenarios.run_built_scenario` on ``item = (run_index, seed)``,
+    last so ``simulate(runs=N, jobs=M)`` can map seeded runs over workers."""
+    from .scenarios import run_built_scenario
 
     run_index, seed = item
-
-    repeat_ops = PROTOCOLS.get(protocol).extras.get("repeat_ops", False)
-    ops_per_process = ops if repeat_ops else 1
-    run = run_workload(protocol, gqs, pattern=pattern, ops_per_process=ops_per_process, seed=seed)
-    safety = safety_report(protocol, gqs, pattern, run)
-    outcome = {
-        "completed": run.completed,
-        "verdict": safety["safe"],
-        "invokers": run.extra.get("invokers"),
-        "mean_latency": run.metrics.mean_latency,
-        "max_latency": run.metrics.max_latency,
-        "messages_sent": run.metrics.messages_sent,
-    }
-    if record_dir is not None:
-        from .traces import write_run_trace
-
-        write_run_trace(
-            record_dir,
-            name="simulate-{}".format(protocol),
-            protocol=protocol,
-            root_seed=root_seed,
-            run_index=run_index,
-            seed=seed,
-            history=run.history,
-            verdict={
-                "completed": run.completed,
-                "safe": safety["safe"],
-                "checker": safety["checker"],
-                "explored_states": safety["explored_states"],
-                "operations": run.metrics.operations,
-                "mean_latency": run.metrics.mean_latency,
-                "max_latency": run.metrics.max_latency,
-                "messages": run.metrics.messages_sent,
-            },
-            quorum_system=gqs,
-            pattern=pattern,
-            delay={"kind": "workload-default", "params": {}, "seed": seed},
-        )
-    return outcome
+    return run_built_scenario(
+        scenario, gqs, pattern, seed, run_index=run_index, root_seed=root_seed, record_dir=record_dir
+    )
 
 
 @dataclass
-class SimulateReport(_Result):
-    """The aggregate of one ``simulate`` call (single run or a seeded batch)."""
+class SimulateReport(RunAggregates, _Result):
+    """The aggregate of one ``simulate`` call (single run or a seeded batch):
+    one :func:`~repro.scenarios.run_built_scenario` row per run."""
 
     protocol: str
     pattern: Optional[str]
-    runs: int
     root_seed: int
     jobs: int
-    outcomes: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def completed_runs(self) -> int:
-        return sum(1 for o in self.outcomes if o["completed"])
-
-    @property
-    def safe_runs(self) -> int:
-        return sum(1 for o in self.outcomes if o["verdict"])
-
-    @property
-    def all_completed(self) -> bool:
-        return self.completed_runs == self.runs
-
-    @property
-    def all_safe(self) -> bool:
-        return self.safe_runs == self.runs
-
-    @property
-    def mean_latency(self) -> float:
-        """Average of the per-run mean latencies."""
-        return sum(o["mean_latency"] for o in self.outcomes) / self.runs
-
-    @property
-    def max_latency(self) -> float:
-        return max(o["max_latency"] for o in self.outcomes)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(o["messages_sent"] for o in self.outcomes)
-
-    @property
-    def ok(self) -> bool:
-        return self.all_completed and self.all_safe
+    invokers: List[ProcessId]
+    rows: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def gates_on_safety(self) -> bool:
@@ -558,7 +486,7 @@ class SimulateReport(_Result):
         return protocol_safety_label(self.protocol, verdict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return dict(asdict(self), runs=self.runs)
 
     def to_text(self) -> str:
         """The aggregates over the batch, each with a note saying over what; a
@@ -569,7 +497,7 @@ class SimulateReport(_Result):
             return str(value) if self.runs == 1 else "{} ({})".format(value, note)
 
         if self.runs == 1:
-            batch = ("invoked at", self.outcomes[0]["invokers"])
+            batch = ("invoked at", self.invokers)
         else:
             batch = ("runs", "{} (seeds spawned from {}, jobs={})".format(
                 self.runs, self.root_seed, self.jobs))
@@ -601,12 +529,16 @@ def simulate(
     """Run a registered protocol on the simulated network under a failure pattern.
 
     The GQS the protocol runs over is discovered from ``system`` first; a
-    system admitting none raises :class:`NoQuorumSystemExistsError`.  With
-    ``runs > 1`` the seeded repetitions are spawned deterministically from
-    ``seed`` and fanned out over ``jobs`` workers — the aggregate depends only
-    on ``(seed, runs)``, never on the job count.
+    system admitting none raises :class:`NoQuorumSystemExistsError`.  Each run
+    is :func:`~repro.scenarios.run_built_scenario` on the protocol's
+    :func:`~repro.scenarios.workload_scenario`.  With ``runs > 1`` the seeded
+    repetitions are spawned deterministically from ``seed`` and fanned out
+    over ``jobs`` workers — the aggregate depends only on ``(seed, runs)``,
+    never on the job count.
     """
     from .engine import ParallelRunner, spawn_seeds
+    from .experiments import default_invokers
+    from .scenarios import workload_scenario
     from .traces import ensure_trace_directory
 
     PROTOCOLS.get(protocol)  # fail fast (rich error) on an unknown protocol
@@ -616,29 +548,23 @@ def simulate(
             "(got ops={}, runs={}); an empty run would report vacuous "
             "liveness/safety".format(ops, runs)
         )
+    failure = system.pattern_named(pattern)  # a misnamed pattern fails before discovery
     result = discover(system)
     if not result.exists or result.quorum_system is None:
         raise NoQuorumSystemExistsError(
             "the fail-prone system admits no generalized quorum system; nothing to simulate"
         )
     gqs = result.quorum_system
-
-    failure = system.pattern_named(pattern)
     ensure_trace_directory(record_traces)
 
-    task = functools.partial(_simulate_once, gqs, protocol, failure, ops, record_traces, seed)
-    if runs == 1:  # the root seed is the run's seed: nothing is spawned
-        return SimulateReport(
-            protocol=protocol, pattern=pattern, runs=1, root_seed=seed, jobs=1,
-            outcomes=[task((0, seed))],
-        )
-
-    seeds = spawn_seeds(seed, runs, "simulate", protocol)
-    runner = ParallelRunner(jobs=jobs)
-    outcomes = runner.map(task, list(enumerate(seeds)))
+    scenario = workload_scenario(system, protocol, pattern, ops)
+    task = functools.partial(_simulate_run, scenario, gqs, failure, seed, record_traces)
+    # One run's seed is the root seed itself: nothing is spawned.
+    seeds = [seed] if runs == 1 else spawn_seeds(seed, runs, "simulate", protocol)
+    runner = ParallelRunner(jobs=jobs if runs > 1 else 1)
     return SimulateReport(
-        protocol=protocol, pattern=pattern, runs=runs, root_seed=seed, jobs=runner.jobs,
-        outcomes=outcomes,
+        protocol=protocol, pattern=pattern, root_seed=seed, jobs=runner.jobs,
+        invokers=default_invokers(gqs, failure), rows=runner.map(task, enumerate(seeds)),
     )
 
 

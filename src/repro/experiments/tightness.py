@@ -24,8 +24,8 @@ from ..analysis.metrics import ResultTable
 from ..engine import ParallelRunner
 from ..failures import FailProneSystem, FailurePattern
 from ..quorums import DiscoveryResult, GeneralizedQuorumSystem, discover_gqs
+from ..scenarios import run_built_scenario, workload_scenario
 from ..types import sorted_processes
-from .workloads import judge_history, run_workload
 
 
 @dataclass
@@ -114,43 +114,26 @@ def verify_pattern(
     include_lattice: bool = False,
     seed: int = 0,
 ) -> PatternVerdict:
-    """Verify liveness inside ``U_f`` and safety of the protocols under one pattern."""
+    """Verify liveness inside ``U_f`` and safety of the protocols under one pattern.
+
+    Each protocol runs once, seeded with ``seed``, through
+    :func:`~repro.scenarios.run_built_scenario` on the same
+    :func:`~repro.scenarios.workload_scenario` ``repro simulate`` runs.
+    """
     component = sorted_processes(quorum_system.termination_component(pattern))
     verdict = PatternVerdict(pattern=pattern, termination_component=component)
 
-    def live_and_safe(kind: str, **workload):
-        run = run_workload(kind, quorum_system, pattern=pattern, seed=seed, **workload)
-        return run.completed, judge_history(kind, run.history, quorum_system, pattern)["safe"]
+    def live_and_safe(kind: str):
+        scenario = workload_scenario(quorum_system.fail_prone, kind, pattern.name, ops_per_process)
+        row = run_built_scenario(scenario, quorum_system, pattern, seed)
+        return row["completed"], row["safe"]
 
-    verdict.register_live, verdict.register_linearizable = live_and_safe(
-        "register", ops_per_process=ops_per_process
-    )
+    verdict.register_live, verdict.register_linearizable = live_and_safe("register")
     if include_snapshot:
-        verdict.snapshot_live, verdict.snapshot_linearizable = live_and_safe(
-            "snapshot", ops_per_process=1
-        )
+        verdict.snapshot_live, verdict.snapshot_linearizable = live_and_safe("snapshot")
     if include_lattice:
         verdict.lattice_live, verdict.lattice_correct = live_and_safe("lattice")
     return verdict
-
-
-def _verify_pattern_task(
-    quorum_system: GeneralizedQuorumSystem,
-    ops_per_process: int,
-    include_snapshot: bool,
-    include_lattice: bool,
-    seed: int,
-    pattern: FailurePattern,
-) -> PatternVerdict:
-    """Module-level task so per-pattern verification can run in worker processes."""
-    return verify_pattern(
-        quorum_system,
-        pattern,
-        ops_per_process=ops_per_process,
-        include_snapshot=include_snapshot,
-        include_lattice=include_lattice,
-        seed=seed,
-    )
 
 
 def verify_tightness(
@@ -174,12 +157,12 @@ def verify_tightness(
         return report
     runner = ParallelRunner(jobs=jobs)
     task = functools.partial(
-        _verify_pattern_task,
+        verify_pattern,
         discovery.quorum_system,
-        ops_per_process,
-        include_snapshot,
-        include_lattice,
-        seed,
+        ops_per_process=ops_per_process,
+        include_snapshot=include_snapshot,
+        include_lattice=include_lattice,
+        seed=seed,
     )
     report.verdicts = runner.map(task, fail_prone.patterns)
     return report

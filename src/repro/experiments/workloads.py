@@ -43,7 +43,7 @@ from ..protocols import (
 )
 from ..quorums import GeneralizedQuorumSystem, QuorumSystem
 from ..registry import PROTOCOLS, register_protocol
-from ..sim import Cluster, DelayModel, OperationHandle, PartialSynchronyDelay, UniformDelay
+from ..sim import Cluster, DelayModel, OperationHandle, build_delay_model
 from ..types import ProcessId, sorted_processes
 
 
@@ -285,12 +285,9 @@ def _finalize_consensus(result: "WorkloadResult") -> None:
     )
 
 
-def _uniform_default_delay(seed: int) -> DelayModel:
-    return UniformDelay(0.4, 1.6, seed=seed)
-
-
-def _partial_synchrony_default_delay(seed: int) -> DelayModel:
-    return PartialSynchronyDelay(gst=30.0, delta=1.0, seed=seed)
+#: The delay spec of consensus and the Paxos baseline: GST 30, delta 1.  The
+#: asynchronous objects keep the registry's uniform default.
+_PARTIAL_SYNCHRONY = ("partial-synchrony", {"gst": 30.0, "delta": 1.0})
 
 
 # ---------------------------------------------------------------------- #
@@ -303,7 +300,6 @@ register_protocol(
     judge=judge_register_history,
     defaults={"op_spacing": 8.0, "max_time": 4_000.0},
     params=("classical", "push_interval", "relay"),
-    default_delay=_uniform_default_delay,
     safety_label="linearizable={}".format,
     effort_probe=register_search_effort,
     repeat_ops=True,
@@ -316,7 +312,6 @@ register_protocol(
     judge=judge_snapshot_history,
     defaults={"op_spacing": 15.0, "max_time": 6_000.0},
     params=("push_interval",),
-    default_delay=_uniform_default_delay,
     safety_label="linearizable={}".format,
     doc="atomic snapshots: per-process segments written and scanned atomically",
 )
@@ -327,7 +322,6 @@ register_protocol(
     judge=judge_lattice_history,
     defaults={"op_spacing": 3.0, "max_time": 6_000.0},
     params=("push_interval", "lattice"),
-    default_delay=_uniform_default_delay,
     safety_label="lattice-agreement-properties={}".format,
     doc="generalized lattice agreement: learned values are comparable joins",
 )
@@ -338,7 +332,7 @@ register_protocol(
     judge=judge_consensus_history,
     defaults={"op_spacing": 1.5, "max_time": 3_000.0},
     params=("view_duration",),
-    default_delay=_partial_synchrony_default_delay,
+    default_delay=_PARTIAL_SYNCHRONY,
     safety_label="agreement+validity+termination={}".format,
     finalize=_finalize_consensus,
     doc="the view-based consensus protocol of Figure 6 under partial synchrony",
@@ -350,7 +344,7 @@ register_protocol(
     judge=judge_baseline_history,
     defaults={"op_spacing": 1.5, "max_time": 1_500.0},
     params=("retry_timeout",),
-    default_delay=_partial_synchrony_default_delay,
+    default_delay=_PARTIAL_SYNCHRONY,
     safety_label=lambda verdict: "baseline (no safety check applied)",
     tags=("baseline", "no-safety-claim"),
     doc="the classical request/response Paxos baseline (no channel-failure safety claim)",
@@ -471,17 +465,15 @@ def run_workload(
 
     Defaults follow the paper's evaluation set-up: operations are invoked at
     the termination component ``U_f`` of ``pattern`` (all processes when
-    failure-free), delays are uniform for the asynchronous objects and
-    partially synchronous (GST 30, delta 1) for consensus and the Paxos
-    baseline, and the liveness horizon is protocol-specific
+    failure-free), delays follow the protocol's registered delay spec
+    (``PROTOCOLS[kind].extras["default_delay"]``: uniform for the asynchronous
+    objects, partially synchronous with GST 30 and delta 1 for consensus and
+    the Paxos baseline), and the liveness horizon is protocol-specific
     (``PROTOCOLS[kind].extras["defaults"]``).
     """
     descriptor = PROTOCOLS.get(kind)
     if delay_model is None:
-        default_delay = descriptor.extras.get("default_delay")
-        delay_model = (
-            default_delay(seed) if default_delay is not None else _uniform_default_delay(seed)
-        )
+        delay_model = build_delay_model(*descriptor.extras["default_delay"], seed=seed)
     factory = build_protocol_factory(kind, quorum_system, protocol_params)
     invoking = (
         list(invokers) if invokers is not None else default_invokers(quorum_system, pattern)

@@ -114,7 +114,7 @@ def register_protocol(
     judge: Callable[..., Dict[str, Any]],
     defaults: Mapping[str, float],
     params: Optional[Tuple[str, ...]] = (),
-    default_delay: Optional[Callable[[int], Any]] = None,
+    default_delay: Optional[Tuple[str, Mapping[str, Any]]] = None,
     safety_label: Optional[Callable[[bool], str]] = None,
     finalize: Optional[Callable[[Any], None]] = None,
     effort_probe: Optional[Callable[..., int]] = None,
@@ -135,8 +135,10 @@ def register_protocol(
       and trace re-verification, so the two can never drift;
     * ``defaults`` → ``{"op_spacing": …, "max_time": …}`` canonical workload
       values;
-    * ``default_delay(seed)`` → the delay model used when a workload does not
-      pick one (default: the asynchronous uniform model);
+    * ``default_delay`` → the ``(kind, params)`` pair naming the
+      :data:`DELAY_MODELS` entry a workload uses when it picks none (default:
+      the asynchronous ``("uniform", {"min_delay": 0.4, "max_delay": 1.6})``),
+      so a run's recorded delay always says how to rebuild it;
     * ``safety_label(verdict)`` → the human-readable CLI verdict line;
     * ``finalize(result)`` → optional post-processing of a finished
       :class:`~repro.experiments.WorkloadResult`;
@@ -169,7 +171,8 @@ def register_protocol(
                 "schedule": schedule,
                 "judge": judge,
                 "defaults": dict(defaults),
-                "default_delay": default_delay,
+                "default_delay": default_delay
+                or ("uniform", {"min_delay": 0.4, "max_delay": 1.6}),
                 "safety_label": safety_label,
                 "finalize": finalize,
                 "effort_probe": effort_probe,

@@ -24,6 +24,7 @@ from .builders import (
     build_topology,
     resolve_pattern,
     run_built_scenario,
+    workload_scenario,
 )
 from .registry import (
     all_scenarios,
@@ -61,4 +62,5 @@ __all__ = [
     "scenario_names",
     "sweep_scenarios",
     "sweep_table",
+    "workload_scenario",
 ]

@@ -22,16 +22,26 @@ from ..errors import ReproError
 from ..experiments import run_workload, safety_report
 from ..failures import FailProneSystem, FailurePattern, build_fail_prone_system
 from ..quorums import GeneralizedQuorumSystem, discover_gqs
-from ..serialization import fail_prone_system_from_dict
+from ..registry import PROTOCOLS
+from ..serialization import fail_prone_system_from_dict, fail_prone_system_to_dict
 from ..sim import build_delay_model
 from ..traces import write_run_trace
-from .spec import EXPLICIT_TOPOLOGY, ScenarioSpec
+from .spec import (
+    EXPLICIT_TOPOLOGY,
+    DelaySpec,
+    FailureSpec,
+    ProtocolSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 
 __all__ = [
     "build_quorum_system",
     "build_topology",
     "resolve_pattern",
     "run_built_scenario",
+    "workload_scenario",
 ]
 
 
@@ -71,6 +81,31 @@ def resolve_pattern(
         return system.pattern_named(scenario.failure.pattern)
     except ReproError as error:
         raise ReproError("scenario {!r} injects {}".format(scenario.name, error)) from error
+
+
+def workload_scenario(
+    system: FailProneSystem, protocol: str, pattern: Optional[str], ops: int
+) -> ScenarioSpec:
+    """The scenario of ``protocol``'s canonical workload on ``system``: what
+    ``repro simulate`` and E8 (:func:`repro.experiments.verify_pattern`) run.
+
+    The topology is ``system`` itself, ``pattern`` (a name) is injected at
+    time zero, the delay is the protocol's registered delay spec, and each
+    invoker issues ``ops`` operations if the protocol repeats them, else one.
+    """
+    descriptor = PROTOCOLS.get(protocol)
+    kind, params = descriptor.extras["default_delay"]
+    return ScenarioSpec(
+        name="simulate-{}".format(protocol),
+        description="the canonical {} workload".format(protocol),
+        paper_section="",
+        topology=TopologySpec(EXPLICIT_TOPOLOGY, {"system": fail_prone_system_to_dict(system)}),
+        failure=FailureSpec(pattern),
+        delay=DelaySpec(kind, dict(params)),
+        protocol=ProtocolSpec(protocol),
+        workload=WorkloadSpec(ops if descriptor.extras["repeat_ops"] else 1),
+        default_runs=1,
+    )
 
 
 def run_built_scenario(

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..analysis.metrics import ResultTable, field_lines
+from ..analysis.metrics import ResultTable, RunAggregates, field_lines
 from ..engine import ExperimentSpec, ParallelRunner, ProgressCallback, ShardSpec
 from ..errors import ReproError
 from ..traces import ensure_trace_directory
@@ -55,11 +55,11 @@ def _scenario_experiment_spec(
 ) -> ExperimentSpec:
     """The engine spec for ``runs`` seeded executions of ``scenario``.
 
-    Topology construction, GQS discovery and pattern resolution happen here,
-    once per scenario in the parent process; workers receive the materialized
-    (picklable) quorum system and pattern, so an N-run batch performs one
-    discovery, not N — and an intolerable or misdeclared scenario fails before
-    any run starts.
+    Topology construction, pattern resolution and GQS discovery happen here,
+    in that order, once per scenario in the parent process; workers receive
+    the materialized (picklable) quorum system and pattern, so an N-run batch
+    performs one discovery, not N — and an intolerable or misdeclared scenario
+    fails before any run starts (a misnamed pattern before any discovery).
     """
     if runs < 1:
         raise ReproError(
@@ -67,6 +67,7 @@ def _scenario_experiment_spec(
             "would report vacuous liveness/safety".format(runs)
         )
     system = build_topology(scenario)
+    pattern = resolve_pattern(scenario, system)
     return ExperimentSpec(
         name="scenario/{}".format(scenario.name),
         samples=runs,
@@ -74,7 +75,7 @@ def _scenario_experiment_spec(
         params={
             "scenario": scenario,
             "quorum_system": build_quorum_system(scenario, system),
-            "pattern": resolve_pattern(scenario, system),
+            "pattern": pattern,
             "record_traces": record_traces,
         },
         chunk_size=SCENARIO_CHUNK_SIZE,
@@ -105,57 +106,12 @@ def _merge_rows(spec: ExperimentSpec, rows: List[Dict[str, Any]]) -> "ScenarioRu
 
 
 @dataclass
-class ScenarioRunResult:
+class ScenarioRunResult(RunAggregates):
     """All per-run rows of one scenario execution, plus aggregates."""
 
     scenario: ScenarioSpec
     seed: int
     rows: List[Dict[str, Any]]
-
-    @property
-    def runs(self) -> int:
-        return len(self.rows)
-
-    @property
-    def completed_runs(self) -> int:
-        return sum(1 for row in self.rows if row["completed"])
-
-    @property
-    def safe_runs(self) -> int:
-        return sum(1 for row in self.rows if row["safe"])
-
-    @property
-    def all_completed(self) -> bool:
-        return self.completed_runs == self.runs
-
-    @property
-    def all_safe(self) -> bool:
-        return self.safe_runs == self.runs
-
-    @property
-    def ok(self) -> bool:
-        """Liveness + safety across all runs (the Paxos baseline is exempt
-        from the safety claim, see :func:`repro.experiments.judge_baseline_history`)."""
-        return self.all_completed and self.all_safe
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(row["mean_latency"] for row in self.rows) / len(self.rows)
-
-    @property
-    def max_latency(self) -> float:
-        return max((row["max_latency"] for row in self.rows), default=0.0)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(row["messages"] for row in self.rows)
-
-    @property
-    def explored_states(self) -> int:
-        """Total states the safety checkers explored across all runs."""
-        return sum(row["explored_states"] for row in self.rows)
 
     def run_table(self) -> ResultTable:
         """Per-run results as an ASCII table (byte-identical across job counts)."""

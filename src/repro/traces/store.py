@@ -22,8 +22,8 @@ File format (one JSON object per line, first field ``"type"``):
     The injected failure pattern and its injection time (absent on
     failure-free runs).
 ``delay``
-    The delay-model description (kind + parameters for declarative runs, a
-    ``repr`` otherwise).
+    The delay-model description: the registered kind, its parameters and the
+    run's seed.
 ``op``
     One operation record (see :func:`repro.serialization.operation_record_to_dict`);
     arguments/results use the tagged value codec so non-JSON values such as

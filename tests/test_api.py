@@ -1,5 +1,6 @@
 """Tests for the typed facade (:mod:`repro.api`)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -82,14 +83,14 @@ def test_simulate_single_run_report():
     assert report.runs == 1
     assert report.ok and report.exit_ok
     assert report.safety_label(True) == "linearizable=True"
-    assert report.outcomes[0]["invokers"]
+    assert report.invokers == ["a", "b"]
 
 
 def test_simulate_batch_independent_of_jobs():
     system = api.resolve_system(builtin="figure1")
     serial = api.simulate(system, protocol="register", pattern="f1", ops=1, seed=3, runs=3, jobs=1)
     parallel = api.simulate(system, protocol="register", pattern="f1", ops=1, seed=3, runs=3, jobs=2)
-    assert serial.outcomes == parallel.outcomes
+    assert serial.rows == parallel.rows
     assert serial.total_messages == parallel.total_messages
     assert serial.runs == parallel.runs == 3
 
@@ -100,6 +101,24 @@ def test_simulate_paxos_never_gates_on_safety():
     assert report.gates_on_safety is False
     assert report.exit_ok is True
     assert report.safety_label(False) == "baseline (no safety check applied)"
+
+
+def test_unknown_pattern_fails_before_discovery(monkeypatch):
+    """A misnamed pattern is reported before the (possibly long) GQS discovery runs."""
+    import repro.quorums
+    import repro.scenarios.builders
+    from repro.scenarios import FailureSpec
+
+    def no_discovery(*args, **kwargs):
+        raise AssertionError("discovery ran before the pattern was resolved")
+
+    monkeypatch.setattr(repro.quorums, "discover_gqs", no_discovery)
+    monkeypatch.setattr(repro.scenarios.builders, "discover_gqs", no_discovery)
+    with pytest.raises(ReproError, match="unknown pattern 'nope'"):
+        api.simulate(api.resolve_system(builtin="figure1"), pattern="nope")
+    scenario = dataclasses.replace(get_scenario("geo-replication"), failure=FailureSpec("nope"))
+    with pytest.raises(ReproError, match="injects unknown pattern 'nope'"):
+        api.run_scenario(scenario, runs=1)
 
 
 def test_simulate_rejects_unknown_pattern_and_protocol():
@@ -254,7 +273,7 @@ def test_every_result_type_prints_what_the_cli_prints(tmp_path, capsys):
         report = api.simulate(system, pattern="f1", ops=1, runs=runs)
         argv = ["simulate", "--pattern", "f1", "--ops", "1", "--runs", str(runs)]
         same(argv, report, json_too=False)
-        assert json.loads(report.to_json())["outcomes"] == report.outcomes
+        assert json.loads(report.to_json())["rows"] == report.rows
     # ``check`` without a directory prints the decision with the repairs searched for.
     checked = api.CheckReport(broken, api.discover(broken), repair=api.repair(broken))
     same(["check", "--builtin", "figure1-modified", "--suggest-repairs"], checked, json_too=False)

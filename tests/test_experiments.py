@@ -108,6 +108,31 @@ def test_verify_tightness_for_figure1(figure1_system):
     assert len(table.rows) == 4
 
 
+#: E8 on Figure 1 with every object, seed 9, pinned from the commit before E8
+#: ran through ``run_built_scenario`` (trailing blanks of the table stripped).
+E8_FIGURE1_SEED9 = """\
+E8: tightness verification for figure1
+--------------------------------------
+pattern  U_f  register live  register linearizable  snapshot ok  lattice ok
+-------  ---  -------------  ---------------------  -----------  ----------
+f1       a,b  True           True                   True         True
+f2       b,c  True           True                   True         True
+f3       c,d  True           True                   True         True
+f4       a,d  True           True                   True         True"""
+
+
+def test_verify_tightness_pins_every_object_on_figure1(figure1_system):
+    report = verify_tightness(figure1_system, include_snapshot=True, include_lattice=True, seed=9)
+    lines = [line.rstrip() for line in report.to_table().to_text().splitlines()]
+    assert "\n".join(lines) == E8_FIGURE1_SEED9
+    flags = [
+        (v.register_live, v.register_linearizable, v.snapshot_live, v.snapshot_linearizable,
+         v.lattice_live, v.lattice_correct)
+        for v in report.verdicts
+    ]
+    assert flags == [(True,) * 6] * 4
+
+
 def test_verify_tightness_reports_non_existence(figure1_modified_system):
     report = verify_tightness(figure1_modified_system)
     assert not report.gqs_exists

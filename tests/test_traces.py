@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.errors import ReproError
+from repro.experiments import run_workload
 from repro.history import History, OperationRecord
-from repro.scenarios import get_scenario, run_scenario, sweep_scenarios
+from repro.scenarios import ScenarioSpec, get_scenario, run_scenario, sweep_scenarios
 from repro.serialization import (
     history_from_dicts,
     history_to_dicts,
@@ -18,6 +19,7 @@ from repro.serialization import (
     value_from_jsonable,
     value_to_jsonable,
 )
+from repro.sim import build_delay_model
 from repro.traces import (
     TRACE_SCHEMA_VERSION,
     check_trace,
@@ -246,6 +248,42 @@ def test_cli_record_then_check_round_trip(tmp_path, capsys):
     assert main(["check", directory]) == 0
     output = capsys.readouterr().out
     assert "match recorded     : True (2/2)" in output
+
+
+@pytest.mark.parametrize("protocol", ["register", "snapshot", "lattice", "consensus", "paxos"])
+def test_simulate_traces_say_how_to_rebuild_their_runs(tmp_path, capsys, protocol):
+    """A ``simulate`` trace's system, failure and delay records (plus the
+    workload its ``scenario`` names) rerun to the very operations it recorded."""
+    directory = str(tmp_path / "traces")
+    assert main(["simulate", "--object", protocol, "--pattern", "f1", "--runs", "2",
+                 "--record-traces", directory]) == 0
+    for path in list_trace_files(directory):
+        trace = load_trace(path)
+        delay_model = build_delay_model(
+            trace.delay["kind"], trace.delay["params"], trace.delay["seed"]
+        )
+        scenario = ScenarioSpec.from_dict(trace.scenario)
+        rebuilt = run_workload(
+            trace.protocol,
+            trace.quorum_system,
+            pattern=trace.pattern,
+            inject_at=trace.inject_at,
+            delay_model=delay_model,
+            protocol_params=scenario.protocol.params,
+            ops_per_process=scenario.workload.ops_per_process,
+            seed=trace.seed,
+        )
+        with open(path, "r", encoding="utf-8") as handle:
+            recorded = [json.loads(line) for line in handle]
+        operations = [
+            {key: value for key, value in record.items() if key != "type"}
+            for record in recorded
+            if record["type"] == "op"
+        ]
+        assert json.loads(json.dumps(history_to_dicts(rebuilt.history))) == operations
+    capsys.readouterr()
+    assert main(["check", directory]) == 0
+    assert "match recorded     : True (2/2)" in capsys.readouterr().out
 
 
 def test_cli_check_jobs_do_not_change_results(tmp_path, capsys):
