@@ -89,8 +89,10 @@ class FailProneSystem:
         # without a bit position fails the encoding, and a channel the network
         # lacks shows up as a row bit outside the network's successor row.
         # The encoding is kept until the pattern's residual is built from it,
-        # so a channel set is walked once per system; ``validated`` patterns
-        # (a same-network parent's) passed against this network already.
+        # so a channel set is walked once per system (and a pattern born in
+        # masks over these processes hands over its rows without a walk);
+        # ``validated`` patterns (a same-network parent's) passed against this
+        # network already.
         self._pattern_masks: Dict[FailurePattern, Tuple[int, Sequence[int], Sequence[int]]] = {}
         absent = [~network.successor_mask(i) for i in range(len(index))]
         for f in self._patterns:
@@ -103,10 +105,10 @@ class FailProneSystem:
                         f, sorted_processes(unknown)
                     )
                 )
-            if not f.disconnect_prone or f in self._pattern_masks:
+            if not f.channel_count or f in self._pattern_masks:
                 continue  # no channel to walk: the residual encodes the crash set itself
             try:
-                masks = index.failure_masks(f.crash_prone, f.disconnect_prone)
+                masks = f.masks(index)
             except KeyError:
                 raise InvalidFailurePatternError(
                     "pattern {!r} references a channel outside the process set".format(f)
@@ -254,9 +256,7 @@ class FailProneSystem:
             # one (crash-only, inherited from a parent, undeclared) is encoded now.
             masks = self._pattern_masks.pop(pattern, None)
             if masks is None:
-                masks = self._process_index.failure_masks(
-                    pattern.crash_prone, pattern.disconnect_prone
-                )
+                masks = pattern.masks(self._process_index)
             cached = self._bitset_graph.residual_masks(*masks)
             self._residual_bitset_cache[pattern] = cached
         return cached
@@ -295,7 +295,7 @@ class FailProneSystem:
 
     def allows_channel_failures(self) -> bool:
         """Return whether any pattern allows a channel between correct processes to fail."""
-        return any(f.disconnect_prone for f in self._patterns)
+        return any(f.channel_count for f in self._patterns)
 
     def with_pattern(self, pattern: FailurePattern, name: Optional[str] = None) -> "FailProneSystem":
         """Return a new system with ``pattern`` appended."""

@@ -20,6 +20,7 @@ import random
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
+from ..graph import ProcessIndex
 from ..registry import TOPOLOGIES, register_topology
 from ..types import Channel, ProcessId
 from .failprone import FailProneSystem
@@ -218,14 +219,6 @@ def _zone_blocks(ordered: Sequence[ProcessId], anchor_size: int, zones: int) -> 
     return blocks
 
 
-def _island_channels(
-    survivors: Sequence[ProcessId], zone_of: Mapping[ProcessId, int]
-) -> List[Channel]:
-    """Channels among ``survivors`` that cross a zone boundary (the failed fabric)."""
-    zoned = [(p, zone_of[p]) for p in survivors]  # one lookup per process, not per pair
-    return [(p, q) for p, zp in zoned for q, zq in zoned if zp != zq]
-
-
 def large_threshold_system(
     n: int = 60,
     max_crashes: int = 3,
@@ -278,22 +271,23 @@ def large_threshold_system(
         crashable = [p for p in processes if p not in set(anchor)]
     if not 0 <= max_crashes < len(crashable):
         raise ValueError("max_crashes must be in [0, {})".format(len(crashable)))
-    zone_of: Dict[ProcessId, int] = {}
-    for z, block in enumerate(blocks):
-        for p in block:
-            zone_of[p] = z
-
     count = len(crashable) if num_patterns is None else num_patterns
     if count < 1:
         raise ValueError("num_patterns must be at least 1")
     stride = max(1, len(crashable) // count)
+    index = ProcessIndex(processes)
+    zone_masks = [index.mask_of(block) for block in blocks]
     patterns = []
     for i in range(count):
         start = (i * stride) % len(crashable)
         window = {crashable[(start + j) % len(crashable)] for j in range(max_crashes)}
-        survivors = [p for p in processes if p not in window]
-        channels = _island_channels(survivors, zone_of) if zones > 1 else []
-        patterns.append(FailurePattern(window, channels, name="window-{}".format(i)))
+        label = "window-{}".format(i)
+        if zones == 1:
+            patterns.append(FailurePattern(window, (), name=label))
+            continue
+        crash_mask = index.mask_of(window)
+        islands = [zone & ~crash_mask for zone in zone_masks]
+        patterns.append(FailurePattern.islands(index, crash_mask, islands, name=label))
     if catastrophic:
         chain = {(anchor[j], anchor[j + 1]) for j in range(len(anchor) - 1)}
         broken = [
@@ -371,12 +365,17 @@ def multi_region_system(
             region_of[p] = r
             processes.append(p)
 
+    index = ProcessIndex(processes)
+    region_masks = [index.mask_of(primary_procs)] + [
+        index.mask_of(pid(r, j) for j in range(replicas_per_region)) for r in range(1, regions)
+    ]
     patterns = []
     for i in range(count):
-        crashed = {pid(r, i % replicas_per_region) for r in range(1, regions)}
-        survivors = [p for p in processes if p not in crashed]
-        channels = _island_channels(survivors, region_of)
-        patterns.append(FailurePattern(crashed, channels, name="wan-{}".format(i)))
+        crash_mask = index.mask_of(pid(r, i % replicas_per_region) for r in range(1, regions))
+        islands = [region & ~crash_mask for region in region_masks]
+        patterns.append(
+            FailurePattern.islands(index, crash_mask, islands, name="wan-{}".format(i))
+        )
     if catastrophic:
         crashed_all = [p for p in processes if region_of[p] != 0]
         chain = {
@@ -429,49 +428,61 @@ def _exact_builtin(expected: str, build: Any) -> Any:
     return matcher
 
 
-def _ring_builtin(text: str) -> Optional[FailProneSystem]:
-    if not text.startswith("ring-"):
+def _builtin_numbers(text: str, prefix: str, *arities: int) -> Optional[List[int]]:
+    """The integers of ``<prefix><int>[x<int>...]``, or ``None`` if ``text`` is not that form.
+
+    A ``--builtin`` matcher parses its name with this before it builds: text
+    that is not the form is no match, while a builder's ``ValueError`` escapes
+    the matcher, so an invalid parameter is reported as one, not as an unknown
+    name.
+    """
+    if not text.startswith(prefix):
         return None
-    return ring_unidirectional_system(int(text.split("-", 1)[1]))
+    try:
+        numbers = [int(part) for part in text[len(prefix) :].split("x")]
+    except ValueError:
+        return None
+    return numbers if len(numbers) in arities else None
+
+
+def _ring_builtin(text: str) -> Optional[FailProneSystem]:
+    numbers = _builtin_numbers(text, "ring-", 1)
+    return None if numbers is None else ring_unidirectional_system(*numbers)
 
 
 def _geo_builtin(text: str) -> Optional[FailProneSystem]:
-    if not text.startswith("geo-"):
+    numbers = _builtin_numbers(text, "geo-", 2)
+    if numbers is None:
         return None
-    sites, replicas = text.split("-", 1)[1].split("x")
-    return geo_replicated_system(sites=int(sites), replicas_per_site=int(replicas))
+    return geo_replicated_system(sites=numbers[0], replicas_per_site=numbers[1])
 
 
 def _minority_builtin(text: str) -> Optional[FailProneSystem]:
-    if not text.startswith("minority-"):
-        return None
-    return _minority_topology(int(text.split("-", 1)[1]))
+    numbers = _builtin_numbers(text, "minority-", 1)
+    return None if numbers is None else _minority_topology(*numbers)
 
 
 def _adversarial_builtin(text: str) -> Optional[FailProneSystem]:
-    if not text.startswith("adversarial-"):
-        return None
-    return adversarial_partition_system(int(text.split("-", 1)[1]))
+    numbers = _builtin_numbers(text, "adversarial-", 1)
+    return None if numbers is None else adversarial_partition_system(*numbers)
 
 
 def _large_threshold_builtin(text: str) -> Optional[FailProneSystem]:
-    if not text.startswith("large-threshold-"):
+    numbers = _builtin_numbers(text, "large-threshold-", 2, 3)
+    if numbers is None:
         return None
-    parts = text[len("large-threshold-") :].split("x")
-    if len(parts) == 2:
-        return large_threshold_system(n=int(parts[0]), max_crashes=int(parts[1]))
-    if len(parts) == 3:
-        return large_threshold_system(
-            n=int(parts[0]), max_crashes=int(parts[1]), zones=int(parts[2]), catastrophic=True
-        )
-    return None
+    if len(numbers) == 2:
+        return large_threshold_system(n=numbers[0], max_crashes=numbers[1])
+    return large_threshold_system(
+        n=numbers[0], max_crashes=numbers[1], zones=numbers[2], catastrophic=True
+    )
 
 
 def _multiregion_builtin(text: str) -> Optional[FailProneSystem]:
-    if not text.startswith("multiregion-"):
+    numbers = _builtin_numbers(text, "multiregion-", 2)
+    if numbers is None:
         return None
-    regions, replicas = text.split("-", 1)[1].split("x")
-    return multi_region_system(regions=int(regions), replicas_per_region=int(replicas))
+    return multi_region_system(regions=numbers[0], replicas_per_region=numbers[1])
 
 
 # Every builder takes only JSON-representable keyword parameters, so a
@@ -560,8 +571,8 @@ def builtin_fail_prone_system(name: str) -> FailProneSystem:
         forms.append(form)
         try:
             system = matcher(name)
-        except ValueError:
-            continue
+        except ValueError as error:  # the name has the form; its parameters are invalid
+            raise ReproError("built-in system {!r}: {}".format(name, error)) from None
         if system is not None:
             return system
     raise ReproError(

@@ -6,14 +6,19 @@ in ``P``) that are allowed to disconnect during a single execution.  Channels
 incident to a crash-prone process are faulty by definition and therefore must
 not appear in ``C`` — the constructor enforces this well-formedness condition
 from the paper's system model (§2).
+
+A pattern is built either from a channel list (the constructor) or, for the
+"every channel between different islands" patterns of partitioned
+production families, directly as bitmask rows (:meth:`FailurePattern.islands`):
+such a pattern decodes its channel set only when someone reads it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..errors import InvalidFailurePatternError
-from ..graph import DiGraph
+from ..graph import DiGraph, ProcessIndex, iter_bits, popcount
 from ..types import (
     Channel,
     ChannelSet,
@@ -59,7 +64,7 @@ class FailurePattern:
         Optional human-readable label (e.g. ``"f1"``), used in reports.
     """
 
-    __slots__ = ("_crash_prone", "_disconnect_prone", "_name")
+    __slots__ = ("_crash_prone", "_disconnect_prone", "_name", "_count", "_encoding")
 
     def __init__(
         self,
@@ -73,8 +78,12 @@ class FailurePattern:
             if src == dst or src in crash or dst in crash:
                 _reject_channel(crash, channels)
         self._crash_prone = crash
-        self._disconnect_prone = channels
+        self._disconnect_prone: Optional[ChannelSet] = channels
         self._name = name
+        self._count = len(channels)
+        # ``(index, crash_mask, rows)`` for a pattern born in masks (see
+        # :meth:`islands`); a channel-list pattern has none.
+        self._encoding: Optional[Tuple[ProcessIndex, int, Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -86,8 +95,29 @@ class FailurePattern:
 
     @property
     def disconnect_prone(self) -> ChannelSet:
-        """Channels allowed to disconnect under this pattern."""
+        """Channels allowed to disconnect under this pattern (decoded on first read)."""
+        if self._disconnect_prone is None:
+            index, _crash_mask, rows = self._encoding
+            self._disconnect_prone = index.channels_of(rows)
         return self._disconnect_prone
+
+    @property
+    def channel_count(self) -> int:
+        """``len(disconnect_prone)``, known without decoding the channel set."""
+        return self._count
+
+    def masks(self, index: ProcessIndex) -> Tuple[int, Sequence[int], Sequence[int]]:
+        """This pattern over ``index`` as ``(crash_mask, succ_clear, pred_clear)``.
+
+        The form :meth:`ProcessIndex.failure_masks` returns: a pattern born in
+        masks over an index of the same processes hands over its own rows,
+        anything else is encoded from its sets (``KeyError`` for a process
+        ``index`` lacks).
+        """
+        encoding = self._encoding
+        if encoding is not None and encoding[0].processes == index.processes:
+            return encoding[1], encoding[2], encoding[2]
+        return index.failure_masks(self._crash_prone, self.disconnect_prone)
 
     @property
     def name(self) -> Optional[str]:
@@ -111,7 +141,7 @@ class FailurePattern:
         src, dst = channel
         if src in self._crash_prone or dst in self._crash_prone:
             return True
-        return (src, dst) in self._disconnect_prone
+        return (src, dst) in self.disconnect_prone
 
     # ------------------------------------------------------------------ #
     # Residual graph
@@ -122,7 +152,7 @@ class FailurePattern:
         All crash-prone processes, their incident channels, and all
         disconnect-prone channels are removed from ``graph``.
         """
-        return graph.without(vertices=self._crash_prone, edges=self._disconnect_prone)
+        return graph.without(vertices=self._crash_prone, edges=self.disconnect_prone)
 
     # ------------------------------------------------------------------ #
     # Ordering / comparison
@@ -136,7 +166,7 @@ class FailurePattern:
         """
         if not self._crash_prone <= other._crash_prone:
             return False
-        for channel in self._disconnect_prone:
+        for channel in self.disconnect_prone:
             if not other.is_faulty_channel(channel):
                 return False
         return True
@@ -150,7 +180,7 @@ class FailurePattern:
         crash = self._crash_prone | other._crash_prone
         channels = {
             ch
-            for ch in (self._disconnect_prone | other._disconnect_prone)
+            for ch in (self.disconnect_prone | other.disconnect_prone)
             if ch[0] not in crash and ch[1] not in crash
         }
         return FailurePattern(crash, channels, name=name)
@@ -161,20 +191,26 @@ class FailurePattern:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FailurePattern):
             return NotImplemented
-        return (
-            self._crash_prone == other._crash_prone
-            and self._disconnect_prone == other._disconnect_prone
-        )
+        if self is other:
+            return True
+        if self._crash_prone != other._crash_prone or self._count != other._count:
+            return False
+        mine, theirs = self._encoding, other._encoding
+        if mine is not None and theirs is not None and mine[0].processes == theirs[0].processes:
+            return mine[2] == theirs[2]
+        return self.disconnect_prone == other.disconnect_prone
 
     def __hash__(self) -> int:
-        return hash((self._crash_prone, self._disconnect_prone))
+        # The channel count, not the channel set: equal patterns have equal
+        # counts, and a pattern born in masks knows its count undecoded.
+        return hash((self._crash_prone, self._count))
 
     def __repr__(self) -> str:
         label = self._name or "FailurePattern"
         return "{}(crash={}, disconnect={})".format(
             label,
             sorted_processes(self._crash_prone),
-            sorted_channels(self._disconnect_prone),
+            sorted_channels(self.disconnect_prone),
         )
 
     # ------------------------------------------------------------------ #
@@ -191,6 +227,61 @@ class FailurePattern:
     def failure_free(cls, name: Optional[str] = None) -> "FailurePattern":
         """The pattern that allows no failures at all."""
         return cls((), (), name=name)
+
+    @classmethod
+    def islands(
+        cls,
+        index: ProcessIndex,
+        crash_mask: int,
+        island_masks: Iterable[int],
+        name: Optional[str] = None,
+    ) -> "FailurePattern":
+        """The pattern crashing ``crash_mask`` and cutting survivors into islands.
+
+        Every channel between survivors of different islands may disconnect;
+        channels inside an island stay.  The islands (masks over ``index``)
+        must be pairwise disjoint and cover exactly the survivors
+        ``index.full_mask & ~crash_mask``, else
+        :class:`~repro.errors.InvalidFailurePatternError` is raised.  The
+        pattern is stored as the per-process rows of its disconnected
+        channels — row ``i`` is every survivor outside ``i``'s island, which
+        serves as both the successor and the predecessor row, since the
+        relation is symmetric — in O(n) mask operations; its channel set is
+        decoded once, on first read of :attr:`disconnect_prone`.
+        """
+        full = index.full_mask
+        survivors = full & ~crash_mask
+        islands = list(island_masks)
+        covered = 0
+        for island in islands:
+            if island & covered:
+                raise InvalidFailurePatternError(
+                    "islands overlap at {}".format(index.sorted_list(island & covered & full))
+                )
+            covered |= island
+        if covered != survivors or crash_mask & ~full:
+            raise InvalidFailurePatternError(
+                "islands must cover exactly the survivors of the {} indexed processes: "
+                "missing {}, extra {}".format(
+                    len(index),
+                    index.sorted_list(survivors & ~covered),
+                    index.sorted_list(covered & ~survivors & full),
+                )
+            )
+        rows = [0] * len(index)
+        count = 0
+        for island in islands:
+            row = survivors & ~island
+            for i in iter_bits(island):
+                rows[i] = row
+            count += popcount(island) * popcount(row)
+        pattern = cls.__new__(cls)
+        pattern._crash_prone = index.set_of(crash_mask)
+        pattern._disconnect_prone = None
+        pattern._name = name
+        pattern._count = count
+        pattern._encoding = (index, crash_mask, tuple(rows))
+        return pattern
 
 
 NO_FAILURES = FailurePattern.failure_free(name="no-failures")

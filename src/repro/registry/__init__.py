@@ -200,7 +200,9 @@ def register_topology(
     in declarative scenario files.  ``builtin`` optionally exposes the
     topology to ``--builtin`` name parsing as a ``(form, matcher)`` pair: the
     ``form`` is the help text (e.g. ``"ring-<n>"``) and ``matcher(text)``
-    returns a built system when the name matches, else ``None``.
+    returns a built system when the name matches, else ``None``; a
+    ``ValueError`` it raises reports a name of the form with invalid
+    parameters (``built-in system 'NAME': <reason>``).
     """
     extras: Dict[str, Any] = {}
     if builtin is not None:

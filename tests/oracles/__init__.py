@@ -19,6 +19,8 @@ nothing (``tests/test_surface.py`` enforces this).
   component ``U_f``;
 * :mod:`oracles.discovery` — Tarjan-based candidate enumeration, the
   prefix-only backtracker and the exponential brute-forcer;
+* :mod:`oracles.failures` — the island patterns of the zoned and multi-region
+  families as channel lists, against the rows they are born as;
 * :mod:`oracles.montecarlo` — object-per-pattern samplers (the admissibility
   sweep's ``sample_fail_prone_system`` among them) and shards, run through the
   production spec builders and merge functions.

@@ -53,6 +53,24 @@ def test_unknown_builtin_topology_golden_message(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("large-threshold-60x3x1", "a catastrophic blackout pattern requires zones >= 2"),
+        ("large-threshold-5x10", "max_crashes must be in [0, 5)"),
+        ("multiregion-1x3", "need at least 2 regions"),
+    ],
+)
+@pytest.mark.parametrize("command", [["check"], ["quorums", "discover"]])
+def test_builtin_name_with_invalid_parameters_reports_the_reason(capsys, command, name, reason):
+    """A name of a built-in form is parsed, then built: a bad parameter is not an unknown name."""
+    status = main(command + ["--builtin", name])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err == "error: built-in system '{}': {}\n".format(name, reason)
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_unknown_protocol_object_rejected_by_generated_choices(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--object", "registr"])
