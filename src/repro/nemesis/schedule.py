@@ -38,6 +38,7 @@ from ..scenarios import ScenarioSpec
 from ..scenarios.builders import run_built_scenario
 from ..scenarios.spec import DelaySpec, FailureSpec
 from ..serialization import _read_json
+from ..sim import build_delay_model
 from ..traces import budget_check
 from ..traces.store import write_evidence
 
@@ -151,7 +152,7 @@ class Schedule:
             raise ReproError(
                 "field 'lineage' must be a list of operator names, got {!r}".format(lineage)
             )
-        return cls(
+        schedule = cls(
             base=ScenarioSpec.from_dict(data["base"]),
             seed=numeric_field(data, "seed", int, default=0),
             pattern=data.get("pattern"),
@@ -160,6 +161,12 @@ class Schedule:
             nudges=_override_rows(data, "nudges", (int, float)),
             lineage=tuple(lineage),
         )
+        # Build the mutant's delay model once: a delay, stretch or nudge the
+        # model refuses (NaN, negative) is refused here, where the file is
+        # still named, instead of corrupting the replayed run.
+        delay = schedule.derived_spec().delay
+        build_delay_model(delay.kind, delay.params, seed=schedule.seed)
+        return schedule
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)

@@ -16,11 +16,33 @@ decided here.  Three models cover the paper's needs:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Mapping, Optional
 
+from ..errors import ReproError
 from ..registry import DELAY_MODELS, register_delay_model
 from ..types import Channel
+
+
+def _check_time(name: str, value: Any, positive: bool = False) -> float:
+    """``value`` if it is a finite number ``>= 0`` (``> 0`` when ``positive``).
+
+    Anything else — ``NaN`` and infinities included, which would otherwise
+    corrupt the event queue's ordering — is a :class:`ValueError` naming
+    ``name``.
+    """
+    try:
+        valid = math.isfinite(value) and (value > 0 if positive else value >= 0)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(
+            "{} must be a finite {} number, got {!r}".format(
+                name, "positive" if positive else "non-negative", value
+            )
+        )
+    return value
 
 
 class DelayModel:
@@ -61,9 +83,7 @@ class FixedDelay(DelayModel):
     preserves_fifo = True
 
     def __init__(self, latency: float = 1.0) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self.latency = latency
+        self.latency = _check_time("latency", latency)
 
     def delay(self, channel: Channel, send_time: float) -> float:
         return self.latency
@@ -75,10 +95,12 @@ class UniformDelay(DelayModel):
     def __init__(
         self, min_delay: float = 0.5, max_delay: float = 2.0, seed: Optional[int] = 0
     ) -> None:
-        if min_delay < 0 or max_delay < min_delay:
-            raise ValueError("need 0 <= min_delay <= max_delay")
-        self.min_delay = min_delay
-        self.max_delay = max_delay
+        self.min_delay = _check_time("min_delay", min_delay)
+        self.max_delay = _check_time("max_delay", max_delay)
+        if max_delay < min_delay:
+            raise ValueError(
+                "need min_delay <= max_delay, got {!r} > {!r}".format(min_delay, max_delay)
+            )
         self._seed = seed
         self._rng = random.Random(seed)
 
@@ -106,15 +128,11 @@ class PartialSynchronyDelay(DelayModel):
         pre_gst_max: float = 20.0,
         seed: Optional[int] = 0,
     ) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        self.gst = _check_time("gst", gst)
+        self.delta = _check_time("delta", delta, positive=True)
+        self.pre_gst_max = _check_time("pre_gst_max", pre_gst_max)
         if pre_gst_max < delta:
             raise ValueError("pre_gst_max must be at least delta")
-        if gst < 0:
-            raise ValueError("gst must be non-negative")
-        self.gst = gst
-        self.delta = delta
-        self.pre_gst_max = pre_gst_max
         self._seed = seed
         self._rng = random.Random(seed)
 
@@ -176,8 +194,12 @@ def build_delay_model(
     against the descriptor's schema, so a typo in a scenario file fails loudly
     instead of silently using a default).  ``seed`` feeds the model's RNG and
     is supplied per run, which keeps the description itself free of
-    run-specific state.
+    run-specific state.  A value the model refuses is a :class:`ReproError`
+    naming the kind and the parameter.
     """
     params = dict(params or {})
     descriptor = DELAY_MODELS.validate_params(kind, params)
-    return descriptor.builder(seed, **params)
+    try:
+        return descriptor.builder(seed, **params)
+    except ValueError as error:
+        raise ReproError("delay model {!r}: {}".format(kind, error)) from error

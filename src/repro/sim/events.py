@@ -8,9 +8,12 @@ synchrony bound ``δ``, never on wall-clock meaning.
 
 Hot path
 --------
-Message-heavy simulations execute one event per delivered message, so the
+Message-heavy simulations execute one event per queued message, so the
 per-event constant factor of the scheduler dominates whole protocol workloads.
-The queue is built to keep that constant small:
+(The network queues no relay copy whose receiver has already seen the
+envelope — see :meth:`repro.sim.Network.broadcast` — which removes about half
+of a relaying run's events before they reach this queue.)  The queue is built
+to keep that constant small:
 
 * **tuple entries** — a queued event is a ``(time, seq, callback, handle)``
   tuple.  ``seq`` is unique, so ``heapq`` and the lane merge order entries by
@@ -33,10 +36,12 @@ The queue is built to keep that constant small:
   until their scheduled time.
 
 The scheduler this one replaced — a single heap of ``Event`` objects with a
-Python-level ordering method — lives on as ``tests/oracles/sim.py``; the
-differential battery in ``tests/`` pins histories, network statistics,
-``events_processed`` and recorded trace bytes equal between the two across
-the scenario catalogue.
+Python-level ordering method — lives on as ``tests/oracles/sim.py``, queueing
+every relay copy; the differential battery in ``tests/`` pins histories,
+recorded trace bytes and the send-side network statistics equal between the
+two across the scenario catalogue, and the delivery-side statistics,
+``events_processed``, ``pending()`` and ``now`` as exact identities of the
+reference run minus the copies production never queues.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ class EventScheduler:
 
     def schedule_at(self, time: float, callback: EventCallback) -> Event:
         """Schedule ``callback`` to run at absolute simulated time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN, which compares false with anything
             raise SimulationError(
                 "cannot schedule an event in the past (now={}, requested={})".format(
                     self._now, time
@@ -120,7 +125,7 @@ class EventScheduler:
 
     def schedule(self, delay: float, callback: EventCallback) -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
         return self.schedule_at(self._now + delay, callback)
 
@@ -138,7 +143,7 @@ class EventScheduler:
         time falls back to the heap, so a misdeclared delay model stays correct.
         """
         time = self._now + delay
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
         entry = (time, next(self._counter), callback, None, sender, target, message)
         if fifo and not (self._fifo and time < self._fifo[-1][0]):

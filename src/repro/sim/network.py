@@ -16,13 +16,19 @@ Failure injection (:meth:`Network.disconnect_channel`,
 :meth:`Network.crash_process`, :meth:`Network.apply_failure_pattern`) may
 happen at any simulated time, so experiments can explore failures at start-up
 as well as mid-execution.
+
+A broadcast walks the sender's cached fan-out (its live channels in
+registration order, plus a count of the dropped ones).  Relay forwarding goes
+through it with the envelope's key, and a copy to a receiver that has already
+seen that key is counted and given a delay like any other but never queued:
+it could only be discarded on arrival (see :meth:`Network._fan_out`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..errors import SimulationError
 from ..failures import FailurePattern
@@ -37,12 +43,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class NetworkStats:
-    """Counters describing the traffic seen by the network."""
+    """Counters describing the traffic seen by the network.
+
+    ``messages_sent`` counts every copy a live sender sends, self-copies
+    included; of those, ``messages_dropped_channel`` went over a disconnected
+    channel or one off the graph, ``relay_duplicates_elided`` were relay
+    copies to a receiver that had already seen the envelope (counted and
+    given a delay, never queued), and the rest were queued.  A queued copy
+    ends up in ``messages_delivered`` or, when its receiver crashed
+    meanwhile, ``messages_dropped_crashed`` — which also counts every copy
+    sent by a crashed process.  ``per_process_sent`` is keyed by sender and
+    ``per_process_delivered`` by receiver, each in first-message order.
+    """
 
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped_channel: int = 0
     messages_dropped_crashed: int = 0
+    relay_duplicates_elided: int = 0
     per_process_sent: Dict[ProcessId, int] = field(default_factory=dict)
     per_process_delivered: Dict[ProcessId, int] = field(default_factory=dict)
 
@@ -73,6 +91,8 @@ class Network:
         self._processes: Dict[ProcessId, "Process"] = {}
         self._disconnected: Set[Channel] = set()
         self._crashed: Set[ProcessId] = set()
+        # Per sender: its cached fan-out (see _build_fanout).
+        self._fanouts: Dict[ProcessId, tuple] = {}
         self.stats = NetworkStats()
         self._op_ids = count()
 
@@ -93,6 +113,7 @@ class Network:
         if process.pid in self._processes:
             raise SimulationError("process {!r} already registered".format(process.pid))
         self._processes[process.pid] = process
+        self._fanouts.clear()
 
     @property
     def processes(self) -> Dict[ProcessId, "Process"]:
@@ -120,14 +141,7 @@ class Network:
     def disconnect_channel(self, channel: Channel) -> None:
         """Disconnect ``channel``: every message sent through it from now on is dropped."""
         self._disconnected.add((channel[0], channel[1]))
-
-    def reconnect_channel(self, channel: Channel) -> None:
-        """Undo a disconnection (used by exploratory experiments only)."""
-        self._disconnected.discard((channel[0], channel[1]))
-
-    def is_disconnected(self, channel: Channel) -> bool:
-        """Return whether ``channel`` is currently disconnected."""
-        return (channel[0], channel[1]) in self._disconnected
+        self._fanouts.pop(channel[0], None)
 
     def crash_process(self, pid: ProcessId) -> None:
         """Crash process ``pid``: it takes no further steps."""
@@ -139,10 +153,6 @@ class Network:
     def is_crashed(self, pid: ProcessId) -> bool:
         """Return whether process ``pid`` has crashed."""
         return pid in self._crashed
-
-    def correct_process_ids(self) -> List[ProcessId]:
-        """Identifiers of processes that have not crashed."""
-        return [p for p in self._processes if p not in self._crashed]
 
     def apply_failure_pattern(
         self,
@@ -213,50 +223,114 @@ class Network:
                 self._deliver, sender, target, message,
             )
 
-    def broadcast(self, sender: ProcessId, message: Any, include_self: bool = True) -> None:
+    def broadcast(
+        self, sender: ProcessId, message: Any, include_self: bool = True, seen_key: Any = None
+    ) -> None:
         """Send ``message`` from ``sender`` to every process (optionally itself).
 
         Message for message this is :meth:`send` per receiver in registration
         order — the self-copy delivered synchronously at the sender's position
         (its handler may send, drawing delays), no delay drawn for a dropped
-        message — with what cannot change inside the loop looked up once, and
-        nothing on the path building a closure (relay forwarding goes through it).
+        message — over the sender's cached fan-out, counters added once per
+        segment.  Relay forwarding passes the envelope's key as ``seen_key``:
+        a copy to a receiver whose ``_relay_seen`` already holds it is counted
+        and draws its delay but is not queued (see :meth:`_fan_out`).
         """
-        processes = self._processes
-        own = processes.get(sender)
-        if own is None:
-            for receiver in processes:
-                self.send(sender, receiver, message)  # raises: unknown sender
+        fanout = self._fanouts.get(sender)
+        if fanout is None:
+            if sender not in self._processes:
+                for receiver in self._processes:
+                    self.send(sender, receiver, message)  # raises: unknown sender
+                return
+            fanout = self._build_fanout(sender)
+        if sender in self._crashed:
+            # A crashed process takes no steps; every copy is ignored.
+            self.stats.messages_dropped_crashed += len(self._processes) - (not include_self)
             return
-        stats = self.stats
-        per_sent = stats.per_process_sent
+        copies, dropped, split, dropped_before = fanout
+        if not include_self:
+            self._fan_out(sender, message, copies, dropped, seen_key)
+            return
+        # The self-copy counts as sent at its position, before its handler runs.
+        self._fan_out(sender, message, copies[:split], dropped_before, seen_key, self_copy=True)
+        self._deliver(sender, self._processes[sender], message)
+        # Protocol code just ran: it may have crashed its own process or cut
+        # one of its channels.
+        copies, dropped, split, dropped_before = (
+            self._fanouts.get(sender) or self._build_fanout(sender)
+        )
+        if sender in self._crashed:
+            self.stats.messages_dropped_crashed += len(copies) - split + dropped - dropped_before
+        else:
+            self._fan_out(sender, message, copies[split:], dropped - dropped_before, seen_key)
+
+    def _build_fanout(self, sender: ProcessId) -> tuple:
+        """Build and cache ``sender``'s fan-out ``(copies, dropped, split,
+        dropped_before)``.
+
+        ``copies`` are the ``(target, channel)`` pairs of every other receiver
+        whose channel passes the graph and disconnection tests, in
+        registration order; ``dropped`` counts the receivers whose channel does
+        not.  The first ``split`` copies and ``dropped_before`` drops are of
+        receivers registered before the sender.  :meth:`register` and
+        :meth:`disconnect_channel` on one of the sender's channels invalidate
+        the cache.
+        """
         graph = self._graph
         disconnected = self._disconnected
+        copies: List[Tuple["Process", Channel]] = []
+        dropped = split = dropped_before = 0
+        for receiver, target in self._processes.items():
+            if receiver == sender:
+                split, dropped_before = len(copies), dropped
+                continue
+            channel = (sender, receiver)
+            if channel in disconnected or (
+                graph is not None and not graph.has_edge(sender, receiver)
+            ):
+                dropped += 1
+            else:
+                copies.append((target, channel))
+        fanout = self._fanouts[sender] = (tuple(copies), dropped, split, dropped_before)
+        return fanout
+
+    def _fan_out(
+        self, sender: ProcessId, message: Any, copies: tuple, dropped: int, seen_key: Any,
+        self_copy: bool = False,
+    ) -> None:
+        """Count the copies, the ``dropped`` ones and the self-copy as sent, and
+        draw one delay per copy, queueing it unless its receiver has already
+        seen ``seen_key``.
+
+        Such a copy could only ever be discarded on arrival: ``_relay_seen``
+        only grows, a receiver that crashes meanwhile drops it anyway, and
+        :meth:`Process.deliver` returns on a seen key before any protocol code
+        or wait polling runs.  Its delay is still drawn, so the delay model's
+        draws (and a :class:`~repro.sim.ScheduleOverride`'s per-channel send
+        indices) are those of a run that queues it.
+        """
+        sent = len(copies) + dropped + self_copy
+        stats = self.stats
+        if sent:
+            stats.messages_sent += sent
+            per_sent = stats.per_process_sent
+            per_sent[sender] = per_sent.get(sender, 0) + sent
+        stats.messages_dropped_channel += dropped
+        if not copies:
+            return
         schedule_delivery = self.scheduler.schedule_delivery
         now = self.scheduler.now
         delay = self.delay_model.delay
         fifo = self.delay_model.preserves_fifo
         deliver = self._deliver
-        crashed = sender in self._crashed
-        for receiver, target in processes.items():
-            if target is own and not include_self:
-                continue
-            if crashed:
-                stats.messages_dropped_crashed += 1
-                continue
-            stats.messages_sent += 1
-            per_sent[sender] = per_sent.get(sender, 0) + 1
-            channel = (sender, receiver)
-            if target is own:
-                deliver(sender, target, message)
-                # Protocol code just ran: it may have crashed its own process.
-                crashed = sender in self._crashed
-            elif channel in disconnected or (
-                graph is not None and not graph.has_edge(sender, receiver)
-            ):
-                stats.messages_dropped_channel += 1
+        elided = 0
+        for target, channel in copies:
+            latency = delay(channel, now)
+            if seen_key in target._relay_seen:
+                elided += 1
             else:
-                schedule_delivery(delay(channel, now), fifo, deliver, sender, target, message)
+                schedule_delivery(latency, fifo, deliver, sender, target, message)
+        stats.relay_duplicates_elided += elided
 
     def _deliver(self, sender: ProcessId, target: "Process", message: Any) -> None:
         """Delivery callback: hand ``message`` to ``target`` unless it crashed meanwhile."""

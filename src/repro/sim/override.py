@@ -32,6 +32,7 @@ through scenario running, trace recording and ``repro check`` unchanged.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
@@ -93,11 +94,17 @@ class ScheduleOverride(DelayModel):
         nudges: Optional[Mapping[Tuple[Channel, int], float]] = None,
     ) -> None:
         for channel, factor in (stretches or {}).items():
-            if factor < 0:
+            if not (math.isfinite(factor) and factor >= 0):
                 raise ReproError(
-                    "stretch factor for channel {!r} must be non-negative, got {}".format(
-                        channel, factor
-                    )
+                    "stretches: factor for channel {!r} must be a finite non-negative number, "
+                    "got {!r}".format(channel, factor)
+                )
+        for (channel, index), extra in (nudges or {}).items():
+            # A negative nudge is allowed: the latency is clamped at zero.
+            if not math.isfinite(extra):
+                raise ReproError(
+                    "nudges: extra latency of message {} on channel {!r} must be finite, "
+                    "got {!r}".format(index, channel, extra)
                 )
         self.base = base
         self.stretches = dict(stretches or {})

@@ -240,8 +240,9 @@ class Process:
         """Forward a first-seen envelope; returns whether :meth:`on_message` ran."""
         self._relay_seen.add(envelope.key)
         # Forward to every other process; the network drops the copies sent
-        # over disconnected channels.
-        self.network.broadcast(self.pid, envelope, include_self=False)
+        # over disconnected channels and queues none to a process that has
+        # already seen the envelope.
+        self.network.broadcast(self.pid, envelope, include_self=False, seen_key=envelope.key)
         targeted_here = envelope.destination is None or envelope.destination == self.pid
         if targeted_here and deliver_to_self:
             self.on_message(envelope.origin, envelope.payload)
@@ -251,7 +252,9 @@ class Process:
     def deliver(self, sender: ProcessId, message: Any) -> None:
         """Entry point used by the network to hand a message to this process.
 
-        A duplicate relay envelope — most of a flood — is recognised first.
+        A duplicate relay envelope is recognised first: the network queues
+        none whose receiver had seen it at send time, so those left learnt it
+        while the copy was in flight.
         Wait probes are re-evaluated only when the delivery ran protocol code:
         a duplicate envelope, or one merely passed on towards another
         destination, changes nothing a probe may read and wakes nothing.

@@ -14,7 +14,15 @@ Three pieces, lifted from the commits that preceded the production hot path
 * :func:`reference_broadcast` — ``Network.broadcast`` as one
   :meth:`~repro.sim.Network.send` per receiver, every membership, crash, graph
   and disconnection test and the lane choice repeated per message (relay
-  forwarding goes through it too).
+  forwarding goes through it too), and every copy queued — including those to
+  a receiver that has already seen the envelope, which production elides.
+
+Those copies are *counted*: each reference scheduler keeps an
+:class:`ElisionLedger` of what they did (how many were queued, popped,
+delivered or dropped, the order in which receivers got their first other
+delivery, and the time a run without them would show), and
+:func:`production_view` subtracts them, so the differential battery can pin
+production's counters as exact identities of the reference run.
 
 The interface mirrored is what :mod:`repro.sim.network`, :mod:`repro.sim.process`
 and :mod:`repro.sim.runtime` call on a scheduler: ``now``, ``events_processed``,
@@ -33,7 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import repro.sim.network
 import repro.sim.runtime
@@ -47,7 +55,7 @@ EventCallback = Callable[[], None]
 class Event:
     """A scheduled callback.  ``cancel()`` prevents it from firing."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "_scheduler")
+    __slots__ = ("time", "seq", "callback", "cancelled", "counted", "_scheduler")
 
     def __init__(
         self,
@@ -60,6 +68,7 @@ class Event:
         self.seq = seq
         self.callback = callback
         self.cancelled = False
+        self.counted = False
         self._scheduler = scheduler
 
     def cancel(self) -> None:
@@ -74,6 +83,30 @@ class Event:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
+class ElisionLedger:
+    """The counted copies of one reference run: relay copies queued to a
+    receiver whose ``_relay_seen`` already held the envelope's key."""
+
+    def __init__(self) -> None:
+        #: Set by :func:`reference_broadcast` while it sends a counted copy.
+        self.marking = False
+        #: Set by the scheduler while a counted copy's delivery runs.
+        self.firing = False
+        self.queued = 0
+        self.popped = 0
+        self.delivered: Dict[Any, int] = {}
+        self.dropped_crashed = 0
+        #: Receivers in the order of their first delivery of an uncounted message.
+        self.first_delivered: List[Any] = []
+        #: Simulated time as a run that never queued the counted copies shows it.
+        self.now = 0.0
+
+    @property
+    def held(self) -> int:
+        """Counted copies still queued."""
+        return self.queued - self.popped
+
+
 class EventScheduler:
     """The single-heap reference scheduler (same interface as production)."""
 
@@ -83,6 +116,7 @@ class EventScheduler:
         self._counter = itertools.count()
         self._events_processed = 0
         self._live = 0
+        self.ledger = ElisionLedger()
 
     @property
     def now(self) -> float:
@@ -111,7 +145,10 @@ class EventScheduler:
 
     def schedule_delivery(self, delay, fifo, callback, sender, target, message) -> None:
         # One lane, one entry kind: the arguments ride in a closure on the heap.
-        self.schedule(delay, lambda: callback(sender, target, message))
+        event = self.schedule(delay, lambda: callback(sender, target, message))
+        if self.ledger.marking:
+            event.counted = True
+            self.ledger.queued += 1
 
     def pending(self) -> int:
         return self._live
@@ -129,9 +166,16 @@ class EventScheduler:
         self._now = event.time
         self._events_processed += 1
         self._live -= 1
+        ledger = self.ledger
+        if event.counted:
+            ledger.popped += 1
+        else:
+            ledger.now = event.time
         callback = event.callback
         event.callback = None
+        ledger.firing = event.counted
         callback()
+        ledger.firing = False
 
     def step(self) -> bool:
         event = self._peek()
@@ -158,6 +202,8 @@ class EventScheduler:
                 return
             if max_time is not None and event.time > max_time:
                 self._now = max_time
+                if self._live > self.ledger.held:
+                    self.ledger.now = max_time
                 return
             heapq.heappop(self._queue)
             self._fire(event)
@@ -169,6 +215,8 @@ class EventScheduler:
         self.run(max_time=time)
         if self._now < time:
             self._now = time
+        if self.ledger.now < time:
+            self.ledger.now = time
 
 
 def reference_deliver(self, sender, message) -> None:
@@ -186,12 +234,78 @@ def reference_deliver(self, sender, message) -> None:
     self._check_waits()
 
 
-def reference_broadcast(self, sender, message, include_self=True) -> None:
-    """``Network.broadcast`` as one independent ``send`` per receiver."""
+def reference_broadcast(self, sender, message, include_self=True, seen_key=None) -> None:
+    """``Network.broadcast`` as one independent ``send`` per receiver.
+
+    ``seen_key`` is ignored: every copy is queued.  A relay copy whose receiver
+    has already seen the envelope is sent with the ledger marking, so the
+    scheduler counts it if it is queued at all.
+    """
+    ledger = self.scheduler.ledger
     for receiver in list(self._processes):
         if receiver == sender and not include_self:
             continue
+        target = self._processes.get(receiver)
+        ledger.marking = isinstance(message, RelayEnvelope) and (
+            (message.origin, message.seq) in target._relay_seen
+        )
         self.send(sender, receiver, message)
+        ledger.marking = False
+
+
+def reference_network_deliver(self, sender, target, message) -> None:
+    """``Network._deliver``, telling the ledger what a counted copy did."""
+    ledger = self.scheduler.ledger
+    if ledger.firing:
+        if target.crashed:
+            ledger.dropped_crashed += 1
+        else:
+            ledger.delivered[target.pid] = ledger.delivered.get(target.pid, 0) + 1
+    elif not target.crashed and target.pid not in ledger.first_delivered:
+        ledger.first_delivered.append(target.pid)
+    _production_deliver(self, sender, target, message)
+
+
+_production_deliver = Network._deliver
+
+
+def production_view(network) -> Dict[str, Any]:
+    """``NetworkStats``, ``events_processed``, ``pending()`` and ``now`` as
+    production reports them for the run made on ``network``.
+
+    A production run reports itself.  For a reference run everything the
+    counted copies did is subtracted: the relay copies the reference queued to
+    a receiver that had already seen the envelope, which production counts in
+    ``relay_duplicates_elided`` and never queues.  The rest of
+    ``NetworkStats`` — ``messages_sent``, ``messages_dropped_channel`` and
+    ``per_process_sent`` above all — is the reference's own.
+    """
+    scheduler = network.scheduler
+    stats = dict(vars(network.stats))
+    if not isinstance(scheduler, EventScheduler):
+        return {
+            "stats": stats,
+            "events_processed": scheduler.events_processed,
+            "pending": scheduler.pending(),
+            "now": network.now,
+        }
+    ledger = scheduler.ledger
+    assert stats["relay_duplicates_elided"] == 0  # the reference elides nothing
+    per_delivered = stats["per_process_delivered"]
+    left = {pid: count - ledger.delivered.get(pid, 0) for pid, count in per_delivered.items()}
+    assert {pid for pid, count in left.items() if count} == set(ledger.first_delivered)
+    stats.update(
+        messages_delivered=stats["messages_delivered"] - sum(ledger.delivered.values()),
+        messages_dropped_crashed=stats["messages_dropped_crashed"] - ledger.dropped_crashed,
+        relay_duplicates_elided=ledger.queued,
+        per_process_delivered={pid: left[pid] for pid in ledger.first_delivered},
+    )
+    return {
+        "stats": stats,
+        "events_processed": scheduler.events_processed - ledger.popped,
+        "pending": scheduler.pending() - ledger.held,
+        "now": ledger.now,
+    }
 
 
 @contextmanager
@@ -212,6 +326,7 @@ def reference_simulator() -> Iterator[None]:
         setattr(module, name, EventScheduler)
     Process.deliver = reference_deliver
     Network.broadcast = reference_broadcast
+    Network._deliver = reference_network_deliver
     try:
         yield
     finally:
@@ -219,3 +334,4 @@ def reference_simulator() -> Iterator[None]:
             setattr(module, name, original)
         Process.deliver = saved_deliver
         Network.broadcast = saved_broadcast
+        Network._deliver = _production_deliver

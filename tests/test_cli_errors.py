@@ -267,9 +267,11 @@ def _schedule(tmp_path, **fields):
     from repro.scenarios import get_scenario
 
     data = identity_schedule(get_scenario("unidirectional-ring"), 7).to_dict()
-    workload = fields.pop("workload", None)
-    if workload is not None:
-        data["base"]["workload"].update(workload)
+    for part in ("workload", "delay"):
+        edits = fields.pop(part, None)
+        if edits is not None:
+            target = data["base"][part]
+            (target["params"] if part == "delay" else target).update(edits)
     data.update(fields)
     path = tmp_path / "edited.schedule.json"
     path.write_text(json.dumps(data))
@@ -330,6 +332,27 @@ def test_malformed_field_is_one_error_line_naming_file_and_field(capsys, tmp_pat
     ``Schedule.from_dict`` / ``WorkloadSpec.from_dict`` / ``parse_delta`` /
     ``load_trace`` / ``corpus_rows``."""
     argv, where = build(tmp_path)
+    status = main(argv)
+    _assert_one_error_line(status, capsys.readouterr(), "error: " + where + ": ", field)
+
+
+@pytest.mark.parametrize(
+    "edits, field",
+    [
+        (
+            {"delay": {"min_delay": float("nan")}},
+            "min_delay must be a finite non-negative number, got nan",
+        ),
+        ({"delay": {"min_delay": -1}}, "min_delay must be a finite non-negative number, got -1"),
+        ({"stretches": [["p0", "p1", float("nan")]]}, "stretches: factor for channel ('p0', 'p1')"),
+    ],
+    ids=["nan-min-delay", "negative-min-delay", "nan-stretch"],
+)
+def test_invalid_delay_in_a_schedule_is_one_error_line(capsys, tmp_path, edits, field):
+    """A NaN ``min_delay`` used to replay as a stall (``score`` 1000001, exit
+    0), a NaN stretch as zero latency, and ``min_delay: -1`` ended in a bare
+    ``ValueError`` traceback."""
+    argv, where = _schedule(tmp_path, **edits)
     status = main(argv)
     _assert_one_error_line(status, capsys.readouterr(), "error: " + where + ": ", field)
 

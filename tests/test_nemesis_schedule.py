@@ -107,6 +107,22 @@ def test_override_rejects_negative_stretch():
         ScheduleOverride(FixedDelay(1.0), stretches={("a", "b"): -1.0})
 
 
+@pytest.mark.parametrize(
+    "perturbation, complaint",
+    [
+        ({"stretches": {("a", "b"): float("nan")}}, r"stretches: factor for channel \('a', 'b'\)"),
+        ({"stretches": {("a", "b"): float("inf")}}, r"stretches: factor for channel \('a', 'b'\)"),
+        ({"nudges": {(("a", "b"), 3): float("nan")}}, r"nudges: extra latency of message 3 on"),
+        ({"nudges": {(("a", "b"), 3): float("-inf")}}, r"nudges: extra latency of message 3 on"),
+    ],
+    ids=["nan-stretch", "inf-stretch", "nan-nudge", "minus-inf-nudge"],
+)
+def test_override_rejects_non_finite_perturbations(perturbation, complaint):
+    """A NaN stretch used to turn into zero latency (``latency > 0.0`` is false)."""
+    with pytest.raises(ReproError, match=complaint):
+        ScheduleOverride(FixedDelay(1.0), **perturbation)
+
+
 def stretches_to_lists(stretches):
     """Channel stretches as canonical JSON rows ``[src, dst, factor]``, sorted by channel."""
     return [

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.sim import FixedDelay, PartialSynchronyDelay, UniformDelay
+from repro.errors import ReproError
+from repro.sim import FixedDelay, PartialSynchronyDelay, UniformDelay, build_delay_model
 
 
 def test_fixed_delay_constant():
@@ -83,3 +84,28 @@ def test_delay_streams_equal_random_uniform_float_for_float():
         assert model.delay(("a", "b"), send_time) == expected
     model.reset()
     assert model.delay(("a", "b"), 0.0) == random.Random(5).uniform(0.7, 13.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, "1.0"])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: FixedDelay(v), "latency"),
+        (lambda v: UniformDelay(v, 2.0), "min_delay"),
+        (lambda v: UniformDelay(0.5, v), "max_delay"),
+        (lambda v: PartialSynchronyDelay(gst=v), "gst"),
+        (lambda v: PartialSynchronyDelay(delta=v), "delta"),
+        (lambda v: PartialSynchronyDelay(pre_gst_max=v), "pre_gst_max"),
+    ],
+    ids=["fixed-latency", "uniform-min", "uniform-max", "ps-gst", "ps-delta", "ps-pre-gst-max"],
+)
+def test_non_finite_and_negative_parameters_are_refused_by_name(build, name, value):
+    """A NaN delay used to reach the event queue, where it compares false with
+    every time and corrupts the heap order."""
+    with pytest.raises(ValueError, match="^{} must be a finite".format(name)):
+        build(value)
+
+
+def test_declarative_construction_names_the_kind_and_the_parameter():
+    with pytest.raises(ReproError, match="^delay model 'uniform': min_delay must be a finite"):
+        build_delay_model("uniform", {"min_delay": float("nan")})

@@ -3,21 +3,26 @@
 The production per-message path (:mod:`repro.sim.events`: tuple-keyed queue
 whose delivery entries carry their arguments, the FIFO short-circuit lane for
 :attr:`~repro.sim.DelayModel.preserves_fifo` models, lazy-deletion heap
-compaction; :meth:`repro.sim.Network.broadcast` as one hoisted fan-out;
+compaction; :meth:`repro.sim.Network.broadcast` over a cached fan-out that
+queues no relay copy whose receiver has already seen the envelope;
 ``Process.deliver`` recognising a duplicate envelope first and polling wait
 probes only after a protocol step) is a faster implementation of the same
-simulator, never a different simulator.  The reference — one heap of ``Event`` objects,
-probes polled after every delivery — lives in :mod:`oracles.sim`.  These tests
-pin the strongest form of the claim: every catalogue scenario is recorded on
-both and the trace directories are compared **byte for byte** (jobs 1 and 2
-included), per-workload histories / ``NetworkStats`` / ``events_processed`` are
-asserted equal, and property tests cover the tuple queue (no callback fires
-twice, nothing stale survives a round) and the FIFO lane's ``(time, seq)``
-tie-break equivalence against the reference scheduler fed the same schedule.
-The last section pins what hoisting the fan-out could break: a relaying
-cluster on a graph-restricted network, failures injected on a push tick and
-between two hops of a flood, a sender whose own handler sends from inside its
-broadcast, and a broadcast from a crashed sender.
+simulator, never a different simulator.  The reference — one heap of ``Event``
+objects, every copy queued, probes polled after every delivery — lives in
+:mod:`oracles.sim`.  These tests pin the strongest form of the claim: every
+catalogue scenario is recorded on both and the trace directories are compared
+**byte for byte** (jobs 1 and 2 included); per workload, histories and the
+send-side ``NetworkStats`` are asserted equal as they stand, and the
+delivery-side counters, ``events_processed``, ``pending()`` and ``now`` as
+exact identities of the reference run minus the copies production never
+queues (:func:`oracles.sim.production_view`); property tests cover the tuple
+queue (no callback fires twice, nothing stale survives a round) and the FIFO
+lane's ``(time, seq)`` tie-break equivalence against the reference scheduler
+fed the same schedule.  The last section pins what the fan-out could break: a
+relaying cluster on a graph-restricted network, failures injected on a push
+tick and between two hops of a flood, a sender whose own handler sends (and
+crashes itself or cuts a channel) from inside its broadcast, and a broadcast
+from a crashed sender.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from contextlib import nullcontext
 import pytest
 
 from oracles.sim import EventScheduler as ReferenceScheduler
-from oracles.sim import reference_simulator
+from oracles.sim import production_view, reference_simulator
 from repro.errors import SimulationError
 from repro.experiments import build_protocol_factory, run_workload
 from repro.graph import DiGraph
@@ -48,17 +53,29 @@ from repro.sim import (
 from repro.traces import write_run_trace
 
 
+def _counters(network):
+    """``NetworkStats`` (with the key order of both per-process tables),
+    ``events_processed``, ``pending()`` and ``now`` as production reports them.
+
+    A reference run goes through :func:`oracles.sim.production_view`: the
+    relay copies it queued to a receiver that had already seen the envelope —
+    copies production counts in ``relay_duplicates_elided`` and never queues —
+    are subtracted from what they delivered, dropped, popped or still hold.
+    Everything else must be equal as it stands.
+    """
+    counters = production_view(network)
+    counters["sent_order"] = list(counters["stats"]["per_process_sent"])
+    counters["delivered_order"] = list(counters["stats"]["per_process_delivered"])
+    return counters
+
+
 def _workload_fingerprint(kind, quorum_system, seed, delay_model=None):
     result = run_workload(kind, quorum_system, seed=seed, delay_model=delay_model)
-    cluster = result.cluster
-    return {
-        "records": result.history.records,
-        "completed": result.completed,
-        "stats": vars(cluster.network.stats),
-        "events_processed": cluster.network.scheduler.events_processed,
-        "pending": cluster.network.scheduler.pending(),
-        "now": cluster.now,
-    }
+    return dict(
+        _counters(result.cluster.network),
+        records=result.history.records,
+        completed=result.completed,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -71,6 +88,8 @@ def test_workload_histories_stats_and_event_counts_equal(kind, figure1_gqs):
             reference = _workload_fingerprint(kind, figure1_gqs, seed)
         fast = _workload_fingerprint(kind, figure1_gqs, seed)
         assert fast == reference, (kind, seed)
+        # Every kind relays on figure 1, so the identities are exercised.
+        assert fast["stats"]["relay_duplicates_elided"] > 0, (kind, seed)
 
 
 def test_fixed_delay_workload_exercises_the_fifo_lane_and_stays_equal(figure1_gqs):
@@ -251,20 +270,9 @@ def _fingerprint(network, history, directory, extra=None):
         directory, name="case", protocol="register", root_seed=0, run_index=0, seed=0,
         history=history, verdict={},
     )
-    stats = network.stats
     with open(path, "rb") as handle:
         trace = handle.read()
-    return {
-        "records": history.records,
-        "stats": dict(vars(stats)),
-        "sent_order": list(stats.per_process_sent),
-        "delivered_order": list(stats.per_process_delivered),
-        "events_processed": network.scheduler.events_processed,
-        "pending": network.scheduler.pending(),
-        "now": network.now,
-        "trace": trace,
-        "extra": extra,
-    }
+    return dict(_counters(network), records=history.records, trace=trace, extra=extra)
 
 
 def _both_sides(run, tmp_path):
@@ -334,36 +342,41 @@ def test_failures_injected_mid_flood_stay_equal(inject_at, delay, figure1_gqs, t
 
 class _Chatty(Process):
     """Logs every message; on its own copy of ``"go"`` it sends from inside the
-    broadcast (and can crash itself there)."""
+    broadcast, then crashes itself or cuts its channel to ``d`` there."""
 
-    def __init__(self, pid, network, log, relay, crash_on_go):
+    def __init__(self, pid, network, log, relay, after_go):
         super().__init__(pid, network)
         if relay:
             self.enable_relay()
         self.log = log
-        self.crash_on_go = crash_on_go
+        self.after_go = after_go
 
     def on_message(self, sender, message):
         self.log.append((self.now, self.pid, sender, message))
         if message == "go" and sender == self.pid:
             self.broadcast("echo", include_self=False)
             self.send("a", "direct")
-            if self.crash_on_go:
+            if self.after_go == "crash":
                 self.network.crash_process(self.pid)
+            elif self.after_go == "cut":
+                self.network.disconnect_channel((self.pid, "d"))
 
 
-@pytest.mark.parametrize("crash_on_go", [False, True], ids=["sends", "sends-then-crashes"])
+@pytest.mark.parametrize(
+    "after_go", [None, "crash", "cut"], ids=["sends", "sends-then-crashes", "sends-then-cuts"]
+)
 @pytest.mark.parametrize("relay", [False, True], ids=["plain", "relay"])
-def test_sender_whose_own_handler_sends_keeps_the_draw_order(relay, crash_on_go, tmp_path):
+def test_sender_whose_own_handler_sends_keeps_the_draw_order(relay, after_go, tmp_path):
     """``c`` sits in the middle of the registration order: the delay of its copy
     to ``a``/``b`` is drawn before its handler's sends, those to ``d``/``e``
-    after — and a handler that crashes its own process stops the fan-out there."""
+    after — and a handler that crashes its own process stops the fan-out
+    there, one that cuts ``c -> d`` drops the copy to ``d``."""
 
     def run(directory):
         network = Network(delay_model=UniformDelay(0.5, 2.0, seed=12))
         log = []
         procs = {
-            pid: _Chatty(pid, network, log, relay, crash_on_go) for pid in "abcde"
+            pid: _Chatty(pid, network, log, relay, after_go) for pid in "abcde"
         }
         network.disconnect_channel(("c", "b"))
         procs["c"].broadcast("go")
@@ -372,11 +385,14 @@ def test_sender_whose_own_handler_sends_keeps_the_draw_order(relay, crash_on_go,
 
     outcome = _both_sides(run, tmp_path)
     heard_go = sorted(pid for _time, pid, _sender, message in outcome["extra"] if message == "go")
-    if crash_on_go and not relay:
+    if after_go == "crash" and not relay:
         # a and b were sent their copy before c's handler crashed c; b's was
         # dropped by the channel; d's and e's count as dropped by the crash.
         assert heard_go == ["a", "c"]
         assert outcome["stats"]["messages_dropped_crashed"] >= 2
+    elif after_go == "cut" and not relay:
+        assert heard_go == ["a", "c", "e"]
+        assert outcome["stats"]["messages_dropped_channel"] == 3  # c->b twice, c->d once
     elif not relay:
         assert heard_go == ["a", "c", "d", "e"]
     else:

@@ -41,6 +41,19 @@ def test_negative_delay_rejected():
         scheduler.schedule(-1.0, lambda: None)
 
 
+def test_nan_times_rejected():
+    """NaN compares false with everything: ``time < now`` let it into the heap."""
+    scheduler = EventScheduler()
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        scheduler.schedule(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        scheduler.schedule_at(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        scheduler.schedule_delivery(nan, False, lambda *args: None, "a", "b", "m")
+    assert scheduler.pending() == 0
+
+
 def test_schedule_in_the_past_rejected():
     scheduler = EventScheduler()
     scheduler.schedule(5.0, lambda: None)
