@@ -63,8 +63,8 @@ class FailProneSystem:
                         sorted_processes(strangers)
                     )
                 )
-            network = BitsetDiGraph.from_digraph(graph, index)
-            network.vertex_mask = index.full_mask  # a process without channels is still a vertex
+            # A process without channels is still a vertex.
+            network = BitsetDiGraph.from_digraph(graph, index, vertex_mask=index.full_mask)
         self._setup(members, network, None, patterns, name)
 
     def _setup(

@@ -14,7 +14,8 @@ Two types are provided:
   the mapping never depends on ``PYTHONHASHSEED``);
 * :class:`BitsetDiGraph` — a directed graph whose adjacency is one successor
   mask and one predecessor mask per vertex, with reachability, backward
-  reachability, and strongly connected components over masks.
+  reachability, and strongly connected components over masks; a graph
+  complete on its vertices holds no rows, only its vertex mask.
 
 The bitmask layer is a *view*: :class:`~repro.graph.digraph.DiGraph` remains
 the construction-friendly representation;
@@ -276,7 +277,9 @@ class BitsetDiGraph:
     graphs drop crashed processes without re-indexing; the rows of present
     vertices only ever mention present vertices.  Instances are shared
     between caches and never edited after construction, so the component list
-    and the components' reader closures are memoized on first use.
+    and the components' reader closures are memoized on first use.  Rows of
+    ``None`` mean complete on :attr:`vertex_mask`: the one component and its
+    readers are born memoized, and a reader that needs rows builds its own.
     """
 
     __slots__ = ("index", "vertex_mask", "_succ", "_pred", "_sccs", "_readers")
@@ -285,8 +288,8 @@ class BitsetDiGraph:
         self,
         index: ProcessIndex,
         vertex_mask: int,
-        succ: List[int],
-        pred: List[int],
+        succ: Optional[List[int]],
+        pred: Optional[List[int]],
     ) -> None:
         self.index = index
         self.vertex_mask = vertex_mask
@@ -294,6 +297,8 @@ class BitsetDiGraph:
         self._pred = pred
         self._sccs: Optional[List[int]] = None
         self._readers: Optional[List[int]] = None
+        if succ is None:  # complete: one component (none without vertices), its own readers
+            self._sccs, self._readers = ([vertex_mask], [vertex_mask]) if vertex_mask else ([], [])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitsetDiGraph):
@@ -301,7 +306,9 @@ class BitsetDiGraph:
         return self is other or (
             self.index.processes == other.index.processes
             and self.vertex_mask == other.vertex_mask
-            and self._succ == other._succ
+            and (self._succ is other._succ or all(
+                self.successor_mask(i) == other.successor_mask(i) for i in range(len(self.index))
+            ))
         )
 
     # ------------------------------------------------------------------ #
@@ -310,24 +317,27 @@ class BitsetDiGraph:
     @classmethod
     def complete(cls, index: ProcessIndex) -> "BitsetDiGraph":
         """The complete graph on ``index``: a channel per ordered pair of processes."""
-        full = index.full_mask
-        rows = [full ^ (1 << i) for i in range(len(index))]
-        return cls(index, full, rows, list(rows))
+        return cls(index, index.full_mask, None, None)
 
     @classmethod
-    def from_digraph(cls, graph: DiGraph, index: Optional[ProcessIndex] = None) -> "BitsetDiGraph":
-        """Convert a :class:`DiGraph` into its bitmask view."""
+    def from_digraph(
+        cls, graph: DiGraph, index: Optional[ProcessIndex] = None, vertex_mask: Optional[int] = None
+    ) -> "BitsetDiGraph":
+        """A :class:`DiGraph`'s bitmask view over ``vertex_mask`` (default: its vertices)."""
         if index is None:
             index = ProcessIndex(graph.vertices)
+        if vertex_mask is None:
+            vertex_mask = index.mask_of(graph.vertices)
         n = len(index)
         succ = [0] * n
         pred = [0] * n
-        vertex_mask = index.mask_of(graph.vertices)
         for src, dst in graph.edges():
             i, j = index.position(src), index.position(dst)
             succ[i] |= 1 << j
             pred[j] |= 1 << i
-        return cls(index, vertex_mask, succ, pred)
+        complete = cls(index, vertex_mask, None, None)
+        is_complete = all(row == complete.successor_mask(i) for i, row in enumerate(succ))
+        return complete if is_complete else cls(index, vertex_mask, succ, pred)
 
     def to_digraph(self) -> DiGraph:
         """A fresh :class:`DiGraph` with the same vertices and edges, in position order."""
@@ -335,7 +345,7 @@ class BitsetDiGraph:
         present = list(iter_bits(self.vertex_mask))
         graph = DiGraph(vertices=[processes[i] for i in present])
         for i in present:
-            for j in iter_bits(self._succ[i]):
+            for j in iter_bits(self.successor_mask(i)):
                 graph.add_edge(processes[i], processes[j])
         return graph
 
@@ -348,6 +358,8 @@ class BitsetDiGraph:
         """
         # Only absent vertices may lack a position, and their rows are empty.
         vertex_mask = reindex.apply(self.vertex_mask)
+        if self._succ is None:
+            return BitsetDiGraph(reindex.target, vertex_mask, None, None)
         n = len(reindex.target)
         succ, pred = [0] * n, [0] * n
         rows = zip(reindex.images, reindex.apply_all(self._succ), reindex.apply_all(self._pred))
@@ -364,6 +376,8 @@ class BitsetDiGraph:
     def with_hub(self, position: int) -> "BitsetDiGraph":
         """This graph plus the absent vertex ``position``, linked to and from every vertex."""
         bit = 1 << position
+        if self._succ is None:
+            return BitsetDiGraph(self.index, self.vertex_mask | bit, None, None)
         succ = list(self._succ)
         pred = list(self._pred)
         for i in iter_bits(self.vertex_mask):
@@ -396,6 +410,15 @@ class BitsetDiGraph:
         """
         keep = ~crash_mask
         vertex_mask = self.vertex_mask & keep
+        if self._succ is None:
+            if not any(vertex_mask >> i & 1 for i, row in enumerate(succ_clear) if row & vertex_mask):
+                # No cleared channel joins two survivors: still complete.
+                return BitsetDiGraph(self.index, vertex_mask, None, None)
+            bits = map((1).__lshift__, range(len(self.index)))
+            rows = [vertex_mask ^ bit if vertex_mask & bit else 0 for bit in bits]
+            succ = [row & ~clear if clear else row for row, clear in zip(rows, succ_clear)]
+            pred = [row & ~clear if clear else row for row, clear in zip(rows, pred_clear)]
+            return BitsetDiGraph(self.index, vertex_mask, succ, pred)
         if succ_clear:
             succ = [row & keep & ~clear for row, clear in zip(self._succ, succ_clear)]
             pred = [row & keep & ~clear for row, clear in zip(self._pred, pred_clear)]
@@ -416,21 +439,27 @@ class BitsetDiGraph:
 
     def successor_mask(self, position: int) -> int:
         """Successors of the vertex at ``position`` as a mask."""
+        if self._succ is None:
+            return self.vertex_mask & ~(1 << position) if self.vertex_mask >> position & 1 else 0
         return self._succ[position]
 
     def predecessor_mask(self, position: int) -> int:
         """Predecessors of the vertex at ``position`` as a mask."""
-        return self._pred[position]
+        return self.successor_mask(position) if self._pred is None else self._pred[position]
 
     # ------------------------------------------------------------------ #
     # Reachability
     # ------------------------------------------------------------------ #
     def reachable_mask(self, sources: int) -> int:
         """Every vertex reachable from any source bit (sources included)."""
+        if self._succ is None:
+            return self.vertex_mask if sources & self.vertex_mask else 0
         return closure_mask(sources, self.vertex_mask, self._succ)
 
     def can_reach_mask(self, targets: int) -> int:
         """Every vertex from which some target bit is reachable (targets included)."""
+        if self._pred is None:
+            return self.reachable_mask(targets)
         return closure_mask(targets, self.vertex_mask, self._pred)
 
     def scc_masks(self) -> List[int]:

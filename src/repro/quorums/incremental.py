@@ -46,13 +46,13 @@ handled in sorted order and no output depends on ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import MaskReindex, ProcessIndex
-from ..types import ProcessId
+from ..types import ProcessId, is_process_id
 from .discovery import DiscoveryResult, discover_gqs
 
 #: The membership-delta operations understood by :func:`apply_delta`.
@@ -67,6 +67,8 @@ class MembershipDelta:
     process: Optional[ProcessId] = None
     src: Optional[ProcessId] = None
     dst: Optional[ProcessId] = None
+    #: ``path:line`` of the stream line it was read from, named in its errors.
+    origin: Optional[str] = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
         """Compact human-readable form, e.g. ``join(p9)`` or ``suspect-channel(a->b)``."""
@@ -102,7 +104,7 @@ def parse_delta(obj: Mapping[str, Any]) -> MembershipDelta:
 def _process_field(obj: Mapping[str, Any], key: str, op: str) -> ProcessId:
     """``obj[key]`` as a process id: a JSON string or number, like a spec file's."""
     process = obj.get(key)
-    if not isinstance(process, (str, int, float)):
+    if not is_process_id(process):
         raise ReproError(
             "delta op {!r} needs {!r} to name a process, got {!r}".format(op, key, process)
         )
@@ -128,17 +130,15 @@ def load_deltas(path: str) -> List[MembershipDelta]:
             if not isinstance(obj, dict):
                 raise ReproError("{}:{}: delta must be a JSON object".format(path, lineno))
             try:
-                deltas.append(parse_delta(obj))
+                deltas.append(replace(parse_delta(obj), origin="{}:{}".format(path, lineno)))
             except ReproError as error:
                 raise ReproError("{}:{}: {}".format(path, lineno, error)) from error
     return deltas
 
 
-def _require_known(system: FailProneSystem, process: ProcessId, op: str) -> None:
+def _require_known(system: FailProneSystem, process: ProcessId) -> None:
     if process not in system.processes:
-        raise ReproError(
-            "delta {}({}) references a process not in the system".format(op, process)
-        )
+        raise ReproError("{!r} is not in the system".format(process))
 
 
 def apply_delta(
@@ -162,7 +162,7 @@ def apply_delta(
     if op == "join":
         p = delta.process
         if p in system.processes:
-            raise ReproError("delta join({}) duplicates an existing process".format(p))
+            raise ReproError("{!r} duplicates an existing process".format(p))
         index = ProcessIndex(system.processes | {p})
         reindex = MaskReindex(system.process_index, index)
         network = system.bitset_graph.reindexed(reindex).with_hub(index.position(p))
@@ -175,9 +175,9 @@ def apply_delta(
 
     elif op == "leave":
         p = delta.process
-        _require_known(system, p, op)
+        _require_known(system, p)
         if len(system.processes) == 1:
-            raise ReproError("delta leave({}) would empty the system".format(p))
+            raise ReproError("removing {!r} would empty the system".format(p))
         reindex = MaskReindex(system.process_index, ProcessIndex(system.processes - {p}))
         departed = 1 << system.process_index.position(p)
         network = system.bitset_graph.residual_masks(departed).reindexed(reindex)
@@ -197,7 +197,7 @@ def apply_delta(
 
     elif op == "suspect":
         p = delta.process
-        _require_known(system, p, op)
+        _require_known(system, p)
         for f in patterns:
             if p in f.crash_prone:
                 new_patterns.append(f)
@@ -213,7 +213,7 @@ def apply_delta(
 
     elif op == "trust":
         p = delta.process
-        _require_known(system, p, op)
+        _require_known(system, p)
         for f in patterns:
             if p in f.crash_prone:
                 new_patterns.append(
@@ -225,8 +225,8 @@ def apply_delta(
 
     else:  # suspect-channel / trust-channel
         src, dst = delta.src, delta.dst
-        _require_known(system, src, op)
-        _require_known(system, dst, op)
+        _require_known(system, src)
+        _require_known(system, dst)
         channel = (src, dst)
         for f in patterns:
             crashed_endpoint = src in f.crash_prone or dst in f.crash_prone
@@ -317,8 +317,12 @@ def recertify_delta(
     index: int = 0,
     algorithm: str = "pruned",
 ) -> DeltaVerdict:
-    """Apply one delta and recertify, reusing every structure the delta preserved."""
-    new_system, pattern_map, reindex = apply_delta(system, delta)
+    """Apply one delta and recertify, reusing what it preserved; an error names it and its line."""
+    try:
+        new_system, pattern_map, reindex = apply_delta(system, delta)
+    except ReproError as error:
+        where = "{}: ".format(delta.origin) if delta.origin else ""
+        raise type(error)("{}delta {}: {}".format(where, delta.describe(), error)) from error
     # A certified system's residuals carry their candidates, so each adopted
     # residual is one reused candidate structure.
     adopted = new_system.adopt_residuals(system, pattern_map, reindex)

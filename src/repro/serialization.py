@@ -40,7 +40,7 @@ from .failures import FailProneSystem, FailurePattern
 from .graph import BitsetDiGraph, DiGraph
 from .history import History, OperationRecord
 from .quorums import GeneralizedQuorumSystem
-from .types import sorted_channels, sorted_processes
+from .types import is_process_id, sorted_channels, sorted_processes
 
 
 # ---------------------------------------------------------------------- #
@@ -57,9 +57,7 @@ def failure_pattern_to_dict(pattern: FailurePattern) -> Dict[str, Any]:
 
 def _process_ids(value: Any, what: str) -> List[Any]:
     """``value`` checked to be a list of scalar (JSON string or number) process ids."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(process, (str, int, float)) for process in value
-    ):
+    if not isinstance(value, (list, tuple)) or not all(map(is_process_id, value)):
         raise ReproError(
             "{} must be a list of process ids (strings or numbers), got {!r}".format(what, value)
         )

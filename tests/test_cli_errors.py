@@ -337,6 +337,52 @@ def test_malformed_field_is_one_error_line_naming_file_and_field(capsys, tmp_pat
 
 
 @pytest.mark.parametrize(
+    "spec, stream, complaint",
+    [
+        ({"processes": [0, 1, 2]}, '{"op": "suspect", "process": true}', "needs 'process'"),
+        ({"processes": [0, True, 2]}, None, "'processes' must be a list of process ids"),
+        ({"processes": [0, 1, 2], "patterns": [{"crash": [False]}]}, None, "'crash' must be"),
+    ],
+    ids=["delta-process", "spec-processes", "spec-crash"],
+)
+def test_boolean_process_ids_are_refused(capsys, tmp_path, spec, stream, complaint):
+    """``True == 1``: a JSON ``true`` used to pass as process 1 (the delta
+    suspected process 1 and printed ``suspect(True)``; ``[0, true, 2]`` printed
+    process 0 as ``False``)."""
+    import json
+
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(spec))
+    argv = ["quorums", "discover", "--spec", str(path)]
+    fragments = [complaint]
+    if stream is not None:
+        deltas = tmp_path / "deltas.jsonl"
+        deltas.write_text(stream + "\n")
+        argv = ["quorums", "watch", "--spec", str(path), str(deltas)]
+        fragments.append("error: {}:1: ".format(deltas))
+    _assert_one_error_line(main(argv), capsys.readouterr(), *fragments)
+
+
+def test_a_delta_that_cannot_apply_names_its_line_and_itself(capsys, tmp_path):
+    """Only the pattern and the channel used to be named, not the file, line or delta."""
+    import json
+
+    spec = tmp_path / "system.json"
+    spec.write_text(json.dumps({
+        "processes": ["a", "b", "c"],
+        "channels": [["a", "b"], ["b", "a"], ["b", "c"], ["c", "b"]],
+    }))
+    argv, where = _deltas(tmp_path, '{"op": "suspect-channel", "src": "a", "dst": "c"}')
+    status = main(["quorums", "watch", "--spec", str(spec), argv[-1]])
+    _assert_one_error_line(
+        status,
+        capsys.readouterr(),
+        "error: {}: delta suspect-channel(a->c): ".format(where),
+        "channel ('a', 'c') that does not exist in the network graph",
+    )
+
+
+@pytest.mark.parametrize(
     "edits, field",
     [
         (

@@ -60,6 +60,9 @@ _RING = ["unidirectional-ring", "--runs", "2", "--seed", "7"]
 _MC = ["--seed", "7", "--samples", "8", "--probs", "0.0", "0.3"]
 _SCHEDULE = "corpus/nemesis-adversarial-partition-seed7-run0000.schedule.json"
 _JSON = ["--format", "json"]
+#: The six-delta script of the ``discover-churn`` benchmark workload (seed 0),
+#: committed beside the goldens as an input.
+_CHURN = "churn-deltas.jsonl"
 CLI_CASES = [
     ("check-yes", ["check"], 0),
     ("check-no", ["check", "--builtin", "figure1-modified"], 2),
@@ -72,6 +75,9 @@ CLI_CASES = [
     ("watch", ["quorums", "watch", "--builtin", "multiregion-4x3", "deltas.jsonl"], 0),
     ("watch-json", ["quorums", "watch", "--builtin", "multiregion-4x3", "deltas.jsonl"] + _JSON, 0),
     ("watch-lost", ["quorums", "watch", "lost.jsonl"], 2),
+    ("watch-churn", ["quorums", "watch", "--builtin", "large-threshold-24x2", _CHURN], 0),
+    ("watch-churn-json",
+     ["quorums", "watch", "--builtin", "large-threshold-24x2", _CHURN] + _JSON, 0),
     ("classify", ["quorums", "classify"], 0),
     ("classify-json", ["quorums", "classify", "--builtin", "figure1-modified"] + _JSON, 0),
     ("repair-found", ["quorums", "repair", "--builtin", "figure1-modified"], 0),
@@ -149,6 +155,7 @@ def evidence(tmp_path_factory):
         '{"op": "suspect-channel", "src": "g1m0", "dst": "g2m0"}\n'
         '{"op": "leave", "process": "g3m2"}\n'
     )
+    shutil.copy(os.path.join(GOLDEN_DIR, "cli", _CHURN), str(root))
     (root / "lost.jsonl").write_text(
         '{"op": "suspect", "process": "a"}\n{"op": "suspect", "process": "b"}\n'
     )
@@ -183,6 +190,7 @@ def test_cli_output_is_byte_identical(name, argv, status, evidence, monkeypatch,
 
 
 def test_every_golden_cli_file_has_a_case():
+    """Every ``.out`` file is a case's output; every other file is a case's input."""
     assert sorted(os.listdir(os.path.join(GOLDEN_DIR, "cli"))) == sorted(
-        case[0] + ".out" for case in CLI_CASES
+        [case[0] + ".out" for case in CLI_CASES] + [_CHURN]
     )

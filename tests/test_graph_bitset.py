@@ -366,3 +366,98 @@ def test_closure_and_component_functions_agree_with_class_and_set_oracle(n, data
         present = index.set_of(seeds & vertices)
         assert index.set_of(forward) == reachable_from(graph, present)
         assert index.set_of(backward) == can_reach(graph, present)
+
+
+# ---------------------------------------------------------------------- #
+# The row-free complete form against the same graph spelled out in rows
+# ---------------------------------------------------------------------- #
+def _rows_of_complete(index, vertices):
+    """A graph complete on ``vertices``, built from explicit rows."""
+    succ = [vertices & ~(1 << i) if vertices >> i & 1 else 0 for i in range(len(index))]
+    return BitsetDiGraph(index, vertices, succ, list(succ))
+
+
+def _assert_same_graph(fast, slow, seeds):
+    index = slow.index
+    assert fast.index.processes == index.processes
+    assert fast.vertex_mask == slow.vertex_mask
+    for i in range(len(index)):
+        assert fast.successor_mask(i) == slow.successor_mask(i)
+        assert fast.predecessor_mask(i) == slow.predecessor_mask(i)
+    assert fast.scc_masks() == slow.scc_masks()
+    assert fast.reader_masks() == slow.reader_masks()
+    for seed in seeds:
+        assert fast.reachable_mask(seed) == slow.reachable_mask(seed)
+        assert fast.can_reach_mask(seed) == slow.can_reach_mask(seed)
+    assert fast.to_digraph() == slow.to_digraph()
+    assert sorted(fast.to_digraph().edges()) == sorted(slow.to_digraph().edges())
+    assert fast == slow and slow == fast
+
+
+@given(st.integers(1, 9), st.sampled_from(["complete", "spelled", "sparse"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_complete_form_answers_like_its_rows(n, start, data):
+    """Chains of joins, leaves, re-indexes and residuals (crashing nobody,
+    some or everybody; clearing nothing, only channels of crashed processes,
+    or channels between survivors) keep the row-free form equal to the same
+    graph in rows — and keep it row-free until a cleared channel joins two
+    survivors."""
+    index = ProcessIndex("m{}".format(i) for i in range(n))
+    if start == "sparse":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        graph = DiGraph(vertices=index.processes)
+        for src in index.processes:
+            for dst in index.processes:
+                if src != dst and rng.random() < 0.6:
+                    graph.add_edge(src, dst)
+        fast = BitsetDiGraph.from_digraph(graph, index, vertex_mask=index.full_mask)
+        slow = BitsetDiGraph(index, index.full_mask, [fast.successor_mask(i) for i in range(n)],
+                             [fast.predecessor_mask(i) for i in range(n)])
+        complete = graph == DiGraph.complete(index.processes)
+    else:
+        fast = BitsetDiGraph.complete(index) if start == "complete" else (
+            BitsetDiGraph.from_digraph(DiGraph.complete(index.processes), index)
+        )
+        slow = _rows_of_complete(index, index.full_mask)
+        complete = True
+    assert (fast._succ is None) == complete
+    joiners = iter(["a{}".format(k) for k in range(4)] + ["m{}x".format(k) for k in range(4)])
+    for _ in range(data.draw(st.integers(1, 4))):
+        step = data.draw(st.sampled_from(["join", "join-absent", "leave", "residual"]))
+        if step == "leave" and len(index) == 1:
+            step = "residual"
+        if step in ("join", "join-absent"):
+            joiner = data.draw(st.sampled_from(["a", "m", "z"])) + next(joiners)
+            reindex = MaskReindex(index, ProcessIndex(index.processes + (joiner,)))
+            index = reindex.target
+            fast, slow = fast.reindexed(reindex), slow.reindexed(reindex)
+            if step == "join":
+                position = index.position(joiner)
+                fast, slow = fast.with_hub(position), slow.with_hub(position)
+        elif step == "leave":
+            departed = data.draw(st.sampled_from(index.processes))
+            reindex = MaskReindex(index, ProcessIndex(set(index.processes) - {departed}))
+            bit = 1 << index.position(departed)
+            fast = fast.residual_masks(bit).reindexed(reindex)
+            slow = slow.residual_masks(bit).reindexed(reindex)
+            index = reindex.target
+        else:
+            crash = data.draw(st.integers(0, index.full_mask))
+            survivors = fast.vertex_mask & ~crash
+            kind = data.draw(st.sampled_from(["none", "crashed", "any", "survivors"]))
+            ends = list(iter_bits(survivors)) if kind == "survivors" else range(len(index))
+            channels = []
+            if kind != "none" and ends:
+                for _ in range(data.draw(st.integers(1, 6))):
+                    i, j = data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))
+                    if i != j and (kind != "crashed" or not (survivors >> i & survivors >> j & 1)):
+                        channels.append((index.process_at(i), index.process_at(j)))
+            masks = index.failure_masks(index.set_of(crash), channels)
+            joins = any(survivors >> index.position(s) & survivors >> index.position(d) & 1
+                        for s, d in channels)
+            fast, slow = fast.residual_masks(*masks), slow.residual_masks(*masks)
+            complete = complete and not joins
+        if complete:
+            assert fast._succ is None
+        seeds = [data.draw(st.integers(0, index.full_mask)) for _ in range(3)]
+        _assert_same_graph(fast, slow, seeds)

@@ -376,3 +376,35 @@ def test_cli_watch_json_is_hash_seed_independent(tmp_path):
     payload = json.loads(out_a)
     assert payload["all_exist"] is True
     assert len(payload["deltas"]) == 3
+
+
+def test_crash_only_residuals_over_a_complete_network_hold_no_rows():
+    """The network and every crash-only residual stay in the row-free complete
+    form through a whole watch: joins and leaves re-key one mask per graph,
+    never a row list.  Only the patterns of the suspect-channel step that lose
+    a channel between two survivors hold rows."""
+    from repro.failures import builtin_fail_prone_system
+
+    system = builtin_fail_prone_system("large-threshold-24x2")
+    ring = sorted(system.processes)
+    outcome = watch_deltas(system, [
+        MembershipDelta("join", process="joiner"),
+        MembershipDelta("suspect", process=ring[3]),
+        MembershipDelta("trust", process=ring[3]),
+        MembershipDelta("suspect-channel", src=ring[4], dst=ring[8]),
+        MembershipDelta("trust-channel", src=ring[4], dst=ring[8]),
+        MembershipDelta("leave", process="joiner"),
+    ])
+    assert outcome.all_exist
+    with_rows = 0
+    for current in [outcome.initial] + [verdict.system for verdict in outcome.verdicts]:
+        assert current.bitset_graph._succ is None
+        residuals = current._residual_bitset_cache
+        assert len(residuals) == len(set(current.patterns))
+        for pattern, residual in residuals.items():
+            if pattern.channel_count:
+                assert residual._succ is not None
+                with_rows += 1
+            else:
+                assert residual._succ is None and residual._pred is None
+    assert with_rows == 24 - 4  # the windows that crash neither endpoint
