@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from operator import not_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import (
     InvalidQuorumSystemError,
@@ -24,6 +24,7 @@ from ..errors import (
     QuorumConsistencyError,
 )
 from ..failures import FailProneSystem, FailurePattern
+from ..graph import popcount
 from ..types import ProcessId, ProcessSet, sorted_processes
 
 QuorumFamily = Tuple[ProcessSet, ...]
@@ -176,27 +177,21 @@ class QuorumTriple:
     # ------------------------------------------------------------------ #
     # Consistency (shared) and Availability (per definition)
     # ------------------------------------------------------------------ #
-    def _inconsistent_positions(self) -> Iterator[Tuple[int, int]]:
-        """``(read, write)`` family positions of every non-intersecting pair, in order.
+    def _inconsistent_pair(self) -> Optional[Tuple[int, int]]:
+        """``(read, write)`` family positions of the first non-intersecting pair, or ``None``.
 
-        One ``all`` over the write masks per read mask; the pairs are listed
-        only for a read quorum that misses some write quorum.
+        Two subsets of ``n`` processes whose sizes sum past ``n`` share a
+        process, so a read mask with more than ``n`` minus the smallest write
+        size set bits meets every write mask and is passed without a scan.
+        Every other read mask takes one ``all`` over the write masks, and the
+        write position is looked up only for a read quorum that misses one.
         """
         write_masks = self._write_masks
+        floor = len(self._fail_prone.process_index) - min(map(popcount, write_masks), default=0)
         for i, read_mask in enumerate(self._read_masks):
-            if not all(map(read_mask.__and__, write_masks)):
-                for j, write_mask in enumerate(write_masks):
-                    if not read_mask & write_mask:
-                        yield i, j
-
-    def consistency_violations(self) -> List[Tuple[ProcessSet, ProcessSet]]:
-        """Return every ``(R, W)`` pair with an empty intersection."""
-        reads, writes = self._decoded()
-        return [(reads[i], writes[j]) for i, j in self._inconsistent_positions()]
-
-    def is_consistent(self) -> bool:
-        """Return whether every read quorum intersects every write quorum."""
-        return next(self._inconsistent_positions(), None) is None
+            if popcount(read_mask) <= floor and not all(map(read_mask.__and__, write_masks)):
+                return i, next(j for j, mask in enumerate(write_masks) if not read_mask & mask)
+        return None
 
     def _available_positions(self, pattern: FailurePattern) -> Optional[Tuple[int, int]]:
         """Family positions of a ``(read, write)`` pair validating ``pattern``, or ``None``.
@@ -217,17 +212,13 @@ class QuorumTriple:
         """Return whether Availability holds for ``pattern``."""
         return self._available_positions(pattern) is not None
 
-    def availability_violations(self) -> List[FailurePattern]:
-        """Return the failure patterns for which Availability fails."""
-        return [f for f in self._fail_prone if not self.is_available(f)]
-
     def check(self) -> None:
         """Validate Consistency and Availability, raising a descriptive error.
 
         Runs on the masks: the offending quorums are listed in process order
         straight from the index, with nothing decoded.
         """
-        bad_pair = next(self._inconsistent_positions(), None)
+        bad_pair = self._inconsistent_pair()
         if bad_pair is not None:
             sorted_list = self._fail_prone.process_index.sorted_list
             raise QuorumConsistencyError(

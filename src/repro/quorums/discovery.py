@@ -56,8 +56,9 @@ brute-forcer over arbitrary subsets) live with the tests, in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import and_
+from functools import cached_property, reduce
+from itertools import chain
+from operator import and_, or_
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..failures import FailProneSystem, FailurePattern
@@ -156,6 +157,39 @@ def candidate_pairs(
     return [CandidateQuorumPair(pattern, index, *c) for c in _candidates(fail_prone, pattern)]
 
 
+#: The least pattern count at which :func:`choose_candidates` pays for the size
+#: certificate's pass over every candidate; below it the pass costs the Monte
+#: Carlo shards' three-pattern searches more than it spares (docs/quorums.md).
+_CERTIFY_FROM_PATTERNS = 8
+
+
+def _size_certified(visited: Sequence[Sequence[Tuple[int, int]]]) -> List[int]:
+    """Per visiting depth, the bitmask of candidates compatible with every later candidate.
+
+    All masks lie inside their union of ``n`` positions, and two sets of
+    sizes summing past ``n`` meet.  So a candidate whose read size plus the
+    least later write size, and whose write size plus the least later read
+    size, both exceed ``n`` meets every later candidate both ways: its
+    compatibility row is the later patterns' full domains.  One pass from
+    the last pattern back carries the least sizes seen so far.
+    """
+    n = popcount(reduce(or_, chain.from_iterable(chain.from_iterable(visited)), 0))
+    least_read = least_write = n + 1  # nothing visited later: every row is empty
+    certified = []
+    for cands in reversed(visited):
+        read_floor, write_floor = n - least_write, n - least_read
+        bits = 0
+        for ci, (read, write) in enumerate(cands):
+            read_size, write_size = popcount(read), popcount(write)
+            if read_size > read_floor and write_size > write_floor:
+                bits |= 1 << ci
+            least_read = min(least_read, read_size)
+            least_write = min(least_write, write_size)
+        certified.append(bits)
+    certified.reverse()
+    return certified
+
+
 def choose_candidates(
     per_pattern: Sequence[Sequence[Tuple[int, int]]]
 ) -> Tuple[Optional[List[int]], int]:
@@ -176,7 +210,12 @@ def choose_candidates(
     bitmask per later pattern); an emptied domain fails the assignment on the
     spot (arc consistency with respect to the partial assignment), which is
     what prevents the exponential thrashing of a prefix-only backtracker on
-    systems whose preferred candidates doom a much later pattern.  Patterns are visited fewest-candidates-first (ties by
+    systems whose preferred candidates doom a much later pattern.  From
+    :data:`_CERTIFY_FROM_PATTERNS` patterns on, a candidate that
+    :func:`_size_certified` proves compatible with every later candidate
+    keeps the domains as they are and builds no row; only the others are
+    compared pair by pair, so the answer and ``nodes_explored`` do not
+    change.  Patterns are visited fewest-candidates-first (ties by
     position), candidates in the given order.  Iterative, so a system with
     more patterns than the recursion limit is searched like any other.
     """
@@ -185,6 +224,7 @@ def choose_candidates(
         return [], 0
     order = sorted(range(m), key=lambda i: len(per_pattern[i]))
     visited = [per_pattern[i] for i in order]
+    certified = _size_certified(visited) if m >= _CERTIFY_FROM_PATTERNS else [0] * m
     rows: Dict[Tuple[int, int], List[int]] = {}
     nodes = 0
 
@@ -219,9 +259,14 @@ def choose_candidates(
         later = domain_stack[depth][1:]
         for ci in iterators[depth]:
             nodes += 1
-            pruned = list(map(and_, later, compatibility_row(depth, ci)))
-            if 0 in pruned:
-                continue
+            if certified[depth] >> ci & 1:
+                # The domains stand, none empty: an empty one sorts first and
+                # ends the search at depth 0, and a pruned one is never pushed.
+                pruned = later
+            else:
+                pruned = list(map(and_, later, compatibility_row(depth, ci)))
+                if 0 in pruned:
+                    continue
             assignment[order[depth]] = ci
             if not pruned:
                 return assignment, nodes

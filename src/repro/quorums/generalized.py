@@ -23,7 +23,9 @@ it, the read quorums it is ``f``-reachable from are those inside the
 ``CanReach`` closure of that component, and Consistency is ``r_mask & w_mask``.
 Availability is decided component first: per component, one scan of the write
 masks finds the first write quorum inside it and one scan of the read masks
-the first read quorum inside its closure.  Components and closures come from
+the first read quorum inside its closure; ``is_available`` (hence ``check``)
+first looks each component and its closure up in the families, and scans
+only when that pair is missing.  Components and closures come from
 the residual's memo, the one discovery reads its candidates from; the
 search's choice is not read, so validating a discovered witness re-checks its
 quorum families — the masks discovery handed over, never decoded — against
@@ -32,7 +34,8 @@ the residual graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..errors import InvalidQuorumSystemError
 from ..failures import FailProneSystem, FailurePattern
@@ -102,6 +105,25 @@ class GeneralizedQuorumSystem(QuorumTriple):
                 if read is not None:
                     validating.append((write, read, home))
         return validating
+
+    @cached_property
+    def _family_sets(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        return frozenset(self._read_masks), frozenset(self._write_masks)
+
+    def is_available(self, pattern: FailurePattern) -> bool:
+        """Return whether Availability holds for ``pattern``.
+
+        A component that is a write quorum, with its ``CanReach`` closure a
+        read quorum, validates ``pattern`` — the shape of every discovered
+        witness — and two set lookups certify it; otherwise
+        :meth:`_validating`'s scans decide.
+        """
+        residual = self._fail_prone.residual_bitset(pattern)
+        reads, writes = self._family_sets
+        for k, home in enumerate(residual.scc_masks()):
+            if home in writes and residual.reader_masks()[k] in reads:
+                return True
+        return bool(self._validating(pattern))
 
     def _available_positions(self, pattern: FailurePattern) -> Optional[Tuple[int, int]]:
         """The lowest write position whose home has a reader, with the first such reader."""

@@ -125,7 +125,7 @@ def load_deltas(path: str) -> List[MembershipDelta]:
                 continue
             try:
                 obj = json.loads(text)
-            except ValueError as error:
+            except (ValueError, RecursionError) as error:  # malformed, or nested too deep
                 raise ReproError("{}:{}: invalid JSON: {}".format(path, lineno, error))
             if not isinstance(obj, dict):
                 raise ReproError("{}:{}: delta must be a JSON object".format(path, lineno))

@@ -275,4 +275,8 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as error:  # malformed, or nested too deep
+            raise ReproError("scenario spec: invalid JSON: {}".format(error))
+        return cls.from_dict(data)

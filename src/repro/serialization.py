@@ -256,7 +256,8 @@ def _read_json(path: str) -> Any:
             return json.load(handle)
     except OSError as error:
         raise ReproError("{}: {}".format(path, error.strerror or error))
-    except ValueError as error:  # JSONDecodeError, or UnicodeDecodeError on a binary file
+    except (ValueError, RecursionError) as error:
+        # JSONDecodeError, UnicodeDecodeError on a binary file, or nesting past the decoder's depth
         raise ReproError("{}: invalid JSON: {}".format(path, error))
 
 

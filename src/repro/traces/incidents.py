@@ -176,7 +176,7 @@ def load_incident(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             incident = json.load(handle)
-        except ValueError:
+        except (ValueError, RecursionError):  # malformed, or nested too deep
             raise ReproError("{}: not valid JSON".format(path))
     if not isinstance(incident, dict):
         raise ReproError("{}: an incident report must be a JSON object".format(path))

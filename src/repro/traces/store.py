@@ -214,7 +214,7 @@ def _parse_lines(path: str) -> Iterator[Dict[str, Any]]:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # RecursionError: nested past the decoder's depth
                 raise ReproError("{}:{}: not valid JSON".format(path, number))
             if not isinstance(record, dict) or "type" not in record:
                 raise ReproError("{}:{}: trace records must be objects with a 'type'".format(path, number))

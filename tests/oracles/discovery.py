@@ -5,6 +5,9 @@
   every call (the pre-bitmask pipeline);
 * :func:`discover_naive` — the seed backtracker: pairwise compatibility
   against the already-chosen prefix only, counting every candidate it tries;
+* :func:`choose_candidates_reference` — the forward-checking search with
+  every compatibility row built pair by pair, the node-for-node reference of
+  ``repro.quorums.choose_candidates`` and its size certificate;
 * :func:`gqs_exists_bruteforce` — exhaustive enumeration over arbitrary
   subsets, exponential in ``n`` and guarded accordingly;
 * :func:`strong_system_exists_reference` — the QS+ decision over Tarjan SCCs.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import and_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.failures import FailProneSystem, FailurePattern
@@ -96,6 +100,65 @@ def _naive_search(
         return False
 
     return chosen if backtrack(0) else None
+
+
+def _set_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    return (position for position in range(mask.bit_length()) if mask >> position & 1)
+
+
+def choose_candidates_reference(
+    per_pattern: Sequence[Sequence[Tuple[int, int]]]
+) -> Tuple[Optional[List[int]], int]:
+    """``(choice, nodes_explored)`` of forward checking with no certificate.
+
+    The production search's order and contract — patterns fewest-candidates
+    first, candidates as given, domains as bitmasks, a candidate's row of
+    compatible later candidates built once — with every row compared pair by
+    pair, so a size certificate that skips a row must land on the same node.
+    """
+    m = len(per_pattern)
+    if m == 0:
+        return [], 0
+    order = sorted(range(m), key=lambda i: len(per_pattern[i]))
+    visited = [per_pattern[i] for i in order]
+    rows: Dict[Tuple[int, int], List[int]] = {}
+    nodes = 0
+
+    def compatibility_row(depth: int, ci: int) -> List[int]:
+        row = rows.get((depth, ci))
+        if row is None:
+            read, write = visited[depth][ci]
+            row = rows[depth, ci] = []
+            for cands in visited[depth + 1:]:
+                bits = 0
+                for d, (r, w) in enumerate(cands):
+                    if read & w and r & write:
+                        bits |= 1 << d
+                row.append(bits)
+        return row
+
+    domain_stack: List[List[int]] = [[(1 << len(cands)) - 1 for cands in visited]]
+    iterators = [_set_bits(domain_stack[0][0])]
+    assignment: List[int] = [-1] * m
+    while iterators:
+        depth = len(iterators) - 1
+        later = domain_stack[depth][1:]
+        for ci in iterators[depth]:
+            nodes += 1
+            pruned = list(map(and_, later, compatibility_row(depth, ci)))
+            if 0 in pruned:
+                continue
+            assignment[order[depth]] = ci
+            if not pruned:
+                return assignment, nodes
+            domain_stack.append(pruned)
+            iterators.append(_set_bits(pruned[0]))
+            break
+        else:
+            iterators.pop()
+            domain_stack.pop()
+    return None, nodes
 
 
 def discover_naive(fail_prone: FailProneSystem, validate: bool = True) -> NaiveResult:

@@ -256,6 +256,43 @@ def test_unreadable_schedule_file_is_one_error_line(capsys, tmp_path, kind):
     _assert_one_error_line(status, capsys.readouterr(), str(path) + ": ")
 
 
+#: One line of 100 000 nested lists: deeper than the JSON decoder recurses.
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_trace_is_one_error_line(capsys, tmp_path):
+    """It used to reach a bare RecursionError traceback out of ``json.loads``."""
+    (tmp_path / "deep.trace.jsonl").write_text(DEEP_JSON + "\n")
+    status = main(["check", str(tmp_path)])
+    _assert_one_error_line(status, capsys.readouterr(), "deep.trace.jsonl:1: not valid JSON")
+
+
+def test_deeply_nested_spec_file_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(DEEP_JSON)
+    status = main(["quorums", "discover", "--spec", str(path)])
+    _assert_one_error_line(
+        status, capsys.readouterr(), str(path) + ": invalid JSON: maximum recursion depth"
+    )
+
+
+def test_deeply_nested_json_is_a_repro_error_at_every_other_ingress(tmp_path):
+    """The delta stream, the incident report and a scenario spec's text."""
+    from repro.errors import ReproError
+    from repro.quorums import load_deltas
+    from repro.scenarios import ScenarioSpec
+    from repro.traces.incidents import load_incident
+
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    with pytest.raises(ReproError, match=r":1: invalid JSON: maximum recursion depth"):
+        load_deltas(str(path))
+    with pytest.raises(ReproError, match=r"deep\.json: not valid JSON$"):
+        load_incident(str(path))
+    with pytest.raises(ReproError, match=r"^scenario spec: invalid JSON: maximum recursion"):
+        ScenarioSpec.from_json(DEEP_JSON)
+
+
 # ---------------------------------------------------------------------- #
 # Field ingress: a well-formed file with a malformed field names file and field
 # ---------------------------------------------------------------------- #

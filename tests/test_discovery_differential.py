@@ -13,28 +13,35 @@ The same random systems compare :func:`strong_system_exists` — the production
 search over the candidates ``(S, S)`` — with the set-based QS+ reference.  The
 battery also pins the candidate enumeration (bitmask vs. Tarjan-based) to
 byte-equality and checks :func:`suggest_channel_repairs` minimality under the
-incremental candidate cache.
+incremental candidate cache.  The search's size certificate is held to the
+row-by-row reference search node for node, on random candidate lists and on
+the large builder families whose sizes make it fire.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from repro.analysis import figure1_modified_fail_prone_system
-from repro.failures import random_fail_prone_system
+from repro.failures import large_threshold_system, multi_region_system, random_fail_prone_system
 from repro.quorums import (
     candidate_pairs,
+    choose_candidates,
     discover_gqs,
+    discovery,
     gqs_exists,
     harden_channels,
     strong_system_exists,
     suggest_channel_repairs,
 )
 
+from oracles import predicates
 from oracles.discovery import (
     candidate_pairs_reference,
+    choose_candidates_reference,
     discover_naive,
     gqs_exists_bruteforce,
     strong_system_exists_reference,
@@ -126,6 +133,105 @@ def test_candidate_order_is_fully_specified():
             ]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)  # the order admits no ties at all
+
+
+# ---------------------------------------------------------------------- #
+# The size certificate against the row-by-row reference search
+# ---------------------------------------------------------------------- #
+#: Mask sizes over 12 positions, per draw: large masks meet by size alone
+#: (7 + 7 > 12), small ones rarely can, mixed draws give both kinds.
+SIZE_REGIMES = (range(7, 12), range(1, 4), (2, 10))
+
+
+def _random_candidate_lists(rng, sizes, patterns, empty):
+    """``patterns`` lists of up to three ``(read, write)`` masks over 12 positions.
+
+    A read mask holds its write mask, as a ``CanReach`` closure holds its
+    component; with ``empty`` a list may have no candidate at all.
+    """
+    def mask():
+        return sum(1 << p for p in rng.sample(range(12), rng.choice(sizes)))
+
+    per_pattern = []
+    for _ in range(patterns):
+        candidates = []
+        for _ in range(rng.randrange(0 if empty else 1, 4)):
+            write = mask()
+            candidates.append((write | mask(), write))
+        per_pattern.append(candidates)
+    return per_pattern
+
+
+def _certified_share(per_pattern):
+    """``"every"``, ``"none"`` or ``"some"``: how many rows the certificate spares.
+
+    Only candidates with a later pattern count; the last pattern's rows are empty.
+    """
+    visited = sorted(per_pattern, key=len)
+    shares = set()
+    for cands, bits in zip(visited[:-1], discovery._size_certified(visited)):
+        shares.update(bool(bits >> ci & 1) for ci in range(len(cands)))
+    return {frozenset([True]): "every", frozenset([False]): "none"}.get(frozenset(shares), "some")
+
+
+@pytest.mark.parametrize("certify_from", [0, discovery._CERTIFY_FROM_PATTERNS])
+def test_size_certificate_explores_the_reference_nodes(monkeypatch, certify_from):
+    """Same ``(choice, nodes_explored)`` as the search that builds every row.
+
+    The lists cover all three shares of certified rows, lists with an empty
+    pattern and both verdicts; with ``certify_from=0`` the certificate also
+    runs on the short lists that the default threshold leaves to pairwise rows.
+    """
+    monkeypatch.setattr(discovery, "_CERTIFY_FROM_PATTERNS", certify_from)
+    rng = random.Random(20261018)
+    seen = {"every": 0, "none": 0, "some": 0, "empty": 0, "chosen": 0, "refused": 0}
+    for trial in range(360):
+        per_pattern = _random_candidate_lists(
+            rng, SIZE_REGIMES[trial % 3], patterns=rng.randrange(2, 14), empty=trial % 10 == 0
+        )
+        choice, nodes = choose_candidates(per_pattern)
+        assert (choice, nodes) == choose_candidates_reference(per_pattern), per_pattern
+        if not all(per_pattern):
+            seen["empty"] += 1
+            assert (choice, nodes) == (None, 0)
+            continue
+        seen["chosen" if choice is not None else "refused"] += 1
+        seen[_certified_share(per_pattern)] += 1
+    assert choose_candidates([]) == choose_candidates_reference([]) == ([], 0)
+    assert min(seen.values()) >= 10, seen
+
+
+#: Builder families on both sides of the size certificate (crash-only windows
+#: fire it, island candidates are too small), small enough for the naive search.
+LARGE_FAMILIES = [
+    lambda: large_threshold_system(n=16, max_crashes=3),
+    lambda: large_threshold_system(n=9, max_crashes=4),  # 5 + 5 > 9: certified
+    lambda: large_threshold_system(n=8, max_crashes=4),  # 4 + 4 = 8: scanned, refused
+    lambda: large_threshold_system(n=18, max_crashes=2, zones=3),
+    lambda: large_threshold_system(n=18, max_crashes=2, zones=3, catastrophic=True),
+    lambda: large_threshold_system(n=24, max_crashes=2, num_patterns=10, zones=4, catastrophic=True),
+    lambda: multi_region_system(regions=3, replicas_per_region=3),
+    lambda: multi_region_system(regions=4, replicas_per_region=2, catastrophic=False),
+    lambda: multi_region_system(regions=3, replicas_per_region=2, epochs=8),
+]
+
+
+@pytest.mark.parametrize("build", LARGE_FAMILIES)
+def test_large_families_match_the_naive_search_and_the_set_validator(build):
+    """Verdict and witness of the certified search and validator vs the references."""
+    system = build()
+    result = discover_gqs(system)
+    naive = discover_naive(system, validate=False)
+    assert result.exists == naive.exists, system.describe()
+    assert result.candidates_per_pattern == naive.candidates_per_pattern
+    assert result.nodes_explored <= naive.nodes_explored
+    if not result.exists:
+        return
+    for pattern in system.patterns:
+        assert result.choices[pattern].read_quorum == naive.choices[pattern].read_quorum
+        assert result.choices[pattern].write_quorum == naive.choices[pattern].write_quorum
+    gqs = result.quorum_system
+    predicates.check(system, list(gqs.read_quorums), list(gqs.write_quorums))
 
 
 # ---------------------------------------------------------------------- #

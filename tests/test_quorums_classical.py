@@ -51,7 +51,11 @@ def test_validate_false_defers_checking():
     fail_prone = crash_only_system(["a", "b", "c", "d"], 0)
     system = QuorumSystem(fail_prone, [{"a", "b"}], [{"c", "d"}], validate=False)
     assert not system.is_valid()
-    assert len(system.consistency_violations()) == 1
+    with pytest.raises(
+        QuorumConsistencyError,
+        match=r"^read quorum \['a', 'b'\] does not intersect write quorum \['c', 'd'\]$",
+    ):
+        system.check()
 
 
 def test_channel_failures_rejected_for_classical_systems():

@@ -45,8 +45,8 @@ def test_f_reachability(figure1_system):
 
 def test_figure1_gqs_is_valid(figure1_gqs):
     assert figure1_gqs.is_valid()
-    assert figure1_gqs.is_consistent()
-    assert not figure1_gqs.availability_violations()
+    figure1_gqs.check()  # neither Consistency nor Availability raises
+    assert all(figure1_gqs.is_available(f) for f in figure1_gqs.fail_prone)
 
 
 def test_figure1_termination_components_match_example9(figure1_gqs):

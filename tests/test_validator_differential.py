@@ -9,7 +9,10 @@ mutated witnesses: accept or reject, exception class, and the offending pair
 or pattern named in the message.  ``U_f`` must equal the Tarjan component.
 Every witness is also built through discovery's mask hand-off
 (``GeneralizedQuorumSystem._from_masks``), which must give the constructor's
-families, per-pattern answers and verdicts.
+families, per-pattern answers and verdicts.  Two hand-built witnesses pin the
+validator's certificates to the scans they skip: quorums strictly inside
+their components (the equality certificate misses, the scan decides) and
+small quorums that miss each other (the size certificate cannot apply).
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from repro.errors import InvalidQuorumSystemError
-from repro.failures import random_fail_prone_system
+import pytest
+
+from repro.errors import InvalidQuorumSystemError, QuorumConsistencyError
+from repro.failures import large_threshold_system, random_fail_prone_system
 from repro.quorums import GeneralizedQuorumSystem, discover_gqs, is_f_available
 from repro.types import sorted_processes
 
@@ -211,3 +216,61 @@ def test_the_mask_hand_off_builds_the_constructor_witness():
         assert handed.write_quorums == built.write_quorums
         assert repr(handed) == repr(built)
     assert witnesses >= 100
+
+
+# ---------------------------------------------------------------------- #
+# Where a certificate does not apply, the scan decides
+# ---------------------------------------------------------------------- #
+def _count_scans(monkeypatch):
+    """Count the per-pattern availability scans that the equality certificate did not spare."""
+    scans = []
+    scan = GeneralizedQuorumSystem._validating
+
+    def counted(self, pattern):
+        scans.append(pattern)
+        return scan(self, pattern)
+
+    monkeypatch.setattr(GeneralizedQuorumSystem, "_validating", counted)
+    return scans
+
+
+def test_quorums_strictly_inside_their_components_are_decided_by_the_scan(monkeypatch):
+    """Crash-only ``n=7, k=1``: each residual is one component of six survivors.
+
+    The discovered witness is those components, so the equality certificate
+    decides every pattern; four-process quorums inside them leave it to the
+    scan, which must still accept, and reject once every write quorum holds
+    ``p0`` (pattern ``window-0`` crashes it).
+    """
+    system = large_threshold_system(n=7, max_crashes=1)
+    scans = _count_scans(monkeypatch)
+    assert discover_gqs(system).exists and not scans
+
+    ring = sorted_processes(system.processes)
+    quorums = [frozenset(ring[(i + j) % 7] for j in range(1, 5)) for i in range(7)]
+    assert _assert_validators_agree(system, quorums, quorums) is None
+    del scans[:]
+    GeneralizedQuorumSystem(system, quorums, quorums, validate=False).check()
+    assert scans == list(system.patterns)
+
+    with_p0 = [quorum | {"p0"} for quorum in quorums]
+    verdict = _assert_validators_agree(system, quorums, with_p0)
+    assert verdict is not None and verdict[0].__name__ == "QuorumAvailabilityError"
+    assert "window-0" in verdict[1]
+
+
+def test_small_disjoint_quorums_are_named_as_before():
+    """Read and write sizes summing to at most ``n`` get the scan, and the first
+    non-intersecting pair in family order is named, after reads the size
+    certificate passed."""
+    system = large_threshold_system(n=7, max_crashes=1)
+    ring = sorted_processes(system.processes)
+    reads = [frozenset(ring[1:]), frozenset(ring[:2]), frozenset(ring[:3])]
+    writes = [frozenset(ring[1:5]), frozenset(ring[2:4]), frozenset(ring[5:7])]
+    verdict = _assert_validators_agree(system, reads, writes)
+    assert verdict == (
+        QuorumConsistencyError,
+        "read quorum ['p0', 'p1'] does not intersect write quorum ['p2', 'p3']",
+    )
+    with pytest.raises(QuorumConsistencyError, match=r"^read quorum \['p0', 'p1'\] does not"):
+        GeneralizedQuorumSystem(system, reads, writes)
