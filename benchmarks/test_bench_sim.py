@@ -12,8 +12,8 @@ Three workloads are measured:
 * **uniform delay token ring** — randomized delays stay on the heap, where
   the win is the tuple-keyed queue (ordering in C, no per-message object);
 * **relay flood** — eight relay-enabled register processes: most copies are
-  duplicate or pass-through envelopes.  Production queues no copy whose
-  receiver has already seen the envelope, so the two sides process different
+  duplicate or pass-through envelopes.  Production queues no copy that can
+  only arrive second at its receiver, so the two sides process different
   numbers of events for the same run; this one compares seconds per run,
   records ``relay_duplicates_elided`` and the exact ``probe_polls_per_delivery``
   of both sides.

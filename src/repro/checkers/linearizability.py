@@ -30,6 +30,7 @@ operation kinds ``"write"`` (argument = value written) and ``"read"``
 
 from __future__ import annotations
 
+import sys
 from typing import (
     Any,
     Callable,
@@ -103,6 +104,9 @@ REGISTER = SequentialSpec(
     no_order="no valid linearization order exists",
 )
 
+#: Frames kept free below the recursion limit for what one search level calls.
+_RECURSION_MARGIN = 50
+
 #: A history split for the search: complete operations, then optional updates.
 Partition = Tuple[List[OperationRecord], List[OperationRecord]]
 
@@ -141,12 +145,15 @@ def search_linearization(
     query whose result does not match) cannot take effect there.  States must
     be hashable.  ``max_states`` is a safety bound on the memoized states; a
     :class:`HistoryError` is raised when exceeded, so that callers never
-    mistake an aborted search for a verdict.
+    mistake an aborted search for a verdict.  The search recurses once per
+    linearized operation, so a history too long for the interpreter's
+    recursion limit is refused the same way, before any state is explored.
     """
     complete, optional_updates = partition
     operations = complete + optional_updates
     if not operations:
         return LinearizabilityResult(True, witness=[], explored_states=0)
+    _check_depth(len(operations))
     # Complete operations occupy the low positions, so "every complete
     # operation is linearized" is one mask test; whatever is left then is an
     # optional update and the linearization may stop.
@@ -191,6 +198,24 @@ def search_linearization(
         witness.reverse()
         return LinearizabilityResult(True, witness=witness, explored_states=explored)
     return LinearizabilityResult(False, explored_states=explored, reason=spec.no_order)
+
+
+def _check_depth(operations: int) -> None:
+    """Raise :class:`HistoryError` unless a search over ``operations``
+    operations fits below the recursion limit from the current stack depth."""
+    depth = 0
+    frame: Any = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    if depth + operations + _RECURSION_MARGIN > limit:
+        raise HistoryError(
+            "linearizability search over {} operations needs more recursion than "
+            "the interpreter allows (recursion limit {}, {} frames in use)".format(
+                operations, limit, depth
+            )
+        )
 
 
 def _apply_register(value: Any, op: OperationRecord) -> Any:

@@ -10,10 +10,10 @@ Hot path
 --------
 Message-heavy simulations execute one event per queued message, so the
 per-event constant factor of the scheduler dominates whole protocol workloads.
-(The network queues no relay copy whose receiver has already seen the
-envelope — see :meth:`repro.sim.Network.broadcast` — which removes about half
-of a relaying run's events before they reach this queue.)  The queue is built
-to keep that constant small:
+(The network queues no relay copy that can only arrive second at its
+receiver — see :meth:`repro.sim.Network.broadcast` — which keeps about three
+quarters of a relaying run's copies out of this queue.)  The queue is built to
+keep that constant small:
 
 * **tuple entries** — a queued event is a ``(time, seq, callback, handle)``
   tuple.  ``seq`` is unique, so ``heapq`` and the lane merge order entries by

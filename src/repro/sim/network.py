@@ -19,9 +19,10 @@ as well as mid-execution.
 
 A broadcast walks the sender's cached fan-out (its live channels in
 registration order, plus a count of the dropped ones).  Relay forwarding goes
-through it with the envelope's key, and a copy to a receiver that has already
-seen that key is counted and given a delay like any other but never queued:
-it could only be discarded on arrival (see :meth:`Network._fan_out`).
+through it with the envelope's key, and a copy that cannot arrive first — its
+receiver has seen that key, or holds an earlier-arriving copy of it — is
+counted and given a delay like any other but never queued: it could only be
+discarded on arrival (see :meth:`Network._fan_out`).
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .events import EventScheduler
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .process import Process
 
+#: The due time of a key no copy has been queued for: any arrival beats it.
+_UNQUEUED = float("inf")
+
 
 @dataclass
 class NetworkStats:
@@ -48,8 +52,9 @@ class NetworkStats:
     ``messages_sent`` counts every copy a live sender sends, self-copies
     included; of those, ``messages_dropped_channel`` went over a disconnected
     channel or one off the graph, ``relay_duplicates_elided`` were relay
-    copies to a receiver that had already seen the envelope (counted and
-    given a delay, never queued), and the rest were queued.  A queued copy
+    copies that could not arrive first — their receiver had seen the envelope
+    or held a copy of it arriving no later (counted and given a delay, never
+    queued) — and the rest were queued.  A queued copy
     ends up in ``messages_delivered`` or, when its receiver crashed
     meanwhile, ``messages_dropped_crashed`` — which also counts every copy
     sent by a crashed process.  ``per_process_sent`` is keyed by sender and
@@ -233,8 +238,8 @@ class Network:
         (its handler may send, drawing delays), no delay drawn for a dropped
         message — over the sender's cached fan-out, counters added once per
         segment.  Relay forwarding passes the envelope's key as ``seen_key``:
-        a copy to a receiver whose ``_relay_seen`` already holds it is counted
-        and draws its delay but is not queued (see :meth:`_fan_out`).
+        a copy that cannot arrive first at its receiver is counted and draws
+        its delay but is not queued (see :meth:`_fan_out`).
         """
         fanout = self._fanouts.get(sender)
         if fanout is None:
@@ -299,15 +304,18 @@ class Network:
         self_copy: bool = False,
     ) -> None:
         """Count the copies, the ``dropped`` ones and the self-copy as sent, and
-        draw one delay per copy, queueing it unless its receiver has already
-        seen ``seen_key``.
+        draw one delay per copy, queueing it unless it cannot arrive first.
 
-        Such a copy could only ever be discarded on arrival: ``_relay_seen``
-        only grows, a receiver that crashes meanwhile drops it anyway, and
+        A relaying receiver keeps ``_relay_due``: per key, the earliest arrival
+        time of a copy queued to it, or ``-1.0`` once it has seen the key.  A
+        copy arriving no earlier than that is counted, not queued: it would
+        land after a copy that delivers the key first (a tie fires the
+        earlier-queued copy first), or after a crash that drops both, and
         :meth:`Process.deliver` returns on a seen key before any protocol code
-        or wait polling runs.  Its delay is still drawn, so the delay model's
+        or wait polling runs.  A non-relaying receiver records nothing and
+        gets every copy.  Every delay is still drawn, so the delay model's
         draws (and a :class:`~repro.sim.ScheduleOverride`'s per-channel send
-        indices) are those of a run that queues it.
+        indices) are those of a run that queues every copy.
         """
         sent = len(copies) + dropped + self_copy
         stats = self.stats
@@ -323,13 +331,22 @@ class Network:
         delay = self.delay_model.delay
         fifo = self.delay_model.preserves_fifo
         deliver = self._deliver
+        if seen_key is None:
+            for target, channel in copies:
+                schedule_delivery(delay(channel, now), fifo, deliver, sender, target, message)
+            return
         elided = 0
         for target, channel in copies:
             latency = delay(channel, now)
-            if seen_key in target._relay_seen:
+            due = target._relay_due
+            at = now + latency
+            # Written so that a NaN arrival is queued, and refused there.
+            if at >= due.get(seen_key, _UNQUEUED):
                 elided += 1
-            else:
-                schedule_delivery(latency, fifo, deliver, sender, target, message)
+                continue
+            if target._relay_enabled:
+                due[seen_key] = at
+            schedule_delivery(latency, fifo, deliver, sender, target, message)
         stats.relay_duplicates_elided += elided
 
     def _deliver(self, sender: ProcessId, target: "Process", message: Any) -> None:

@@ -32,6 +32,9 @@ from .network import Network
 _NOT_READY = object()
 """Sentinel returned by wait-condition probes that are not yet satisfiable."""
 
+_SEEN = -1.0
+"""The ``_relay_due`` entry of a key the process has handled: below any arrival time."""
+
 
 class WaitCondition:
     """A resumable wait: ``probe`` returns ``_NOT_READY`` until it can produce a value."""
@@ -169,7 +172,9 @@ class Process:
         self._started = False
         self._relay_enabled = False
         self._relay_seq = 0
-        self._relay_seen: set = set()
+        # Relay key -> earliest arrival of a copy queued here, or _SEEN (see
+        # Network._fan_out); written only while relaying is enabled.
+        self._relay_due: Dict[Any, float] = {}
         network.register(self)
 
     # ------------------------------------------------------------------ #
@@ -238,10 +243,9 @@ class Process:
 
     def _relay_handle(self, envelope: "RelayEnvelope", deliver_to_self: bool = True) -> bool:
         """Forward a first-seen envelope; returns whether :meth:`on_message` ran."""
-        self._relay_seen.add(envelope.key)
+        self._relay_due[envelope.key] = _SEEN
         # Forward to every other process; the network drops the copies sent
-        # over disconnected channels and queues none to a process that has
-        # already seen the envelope.
+        # over disconnected channels and queues none that cannot arrive first.
         self.network.broadcast(self.pid, envelope, include_self=False, seen_key=envelope.key)
         targeted_here = envelope.destination is None or envelope.destination == self.pid
         if targeted_here and deliver_to_self:
@@ -252,9 +256,9 @@ class Process:
     def deliver(self, sender: ProcessId, message: Any) -> None:
         """Entry point used by the network to hand a message to this process.
 
-        A duplicate relay envelope is recognised first: the network queues
-        none whose receiver had seen it at send time, so those left learnt it
-        while the copy was in flight.
+        A duplicate relay envelope is recognised first: the network queues a
+        copy only while it can still arrive first, so a duplicate left here
+        was overtaken in flight by a copy sent later.
         Wait probes are re-evaluated only when the delivery ran protocol code:
         a duplicate envelope, or one merely passed on towards another
         destination, changes nothing a probe may read and wakes nothing.
@@ -262,11 +266,8 @@ class Process:
         if self.crashed:
             return
         if isinstance(message, RelayEnvelope):
-            # Only a relaying process ever records a key.
-            if message.key in self._relay_seen:
-                return
             if self._relay_enabled:
-                if not self._relay_handle(message):
+                if self._relay_due.get(message.key) == _SEEN or not self._relay_handle(message):
                     return
             elif message.destination is None or message.destination == self.pid:
                 # A non-relaying process still understands envelopes but does
@@ -384,10 +385,6 @@ class Process:
                     continue
                 self._advance(generator, handle, value)
                 progressed = True
-
-    def pending_operations(self) -> int:
-        """Number of operations currently blocked on a wait condition."""
-        return len(self._waits)
 
     def __repr__(self) -> str:
         return "{}(pid={!r}{})".format(

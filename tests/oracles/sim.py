@@ -14,15 +14,17 @@ Three pieces, lifted from the commits that preceded the production hot path
 * :func:`reference_broadcast` — ``Network.broadcast`` as one
   :meth:`~repro.sim.Network.send` per receiver, every membership, crash, graph
   and disconnection test and the lane choice repeated per message (relay
-  forwarding goes through it too), and every copy queued — including those to
-  a receiver that has already seen the envelope, which production elides.
+  forwarding goes through it too), and every copy queued — including the
+  relay copies that cannot arrive first, which production elides.
 
 Those copies are *counted*: each reference scheduler keeps an
-:class:`ElisionLedger` of what they did (how many were queued, popped,
-delivered or dropped, the order in which receivers got their first other
-delivery, and the time a run without them would show), and
-:func:`production_view` subtracts them, so the differential battery can pin
-production's counters as exact identities of the reference run.
+:class:`ElisionLedger` that decides from its own records which relay copies
+are counted (it reads no de-duplication state of production's) and tracks
+what they did (how many were queued, popped, delivered or dropped, the order
+in which receivers got their first other delivery, and the time a run
+without them would show), and :func:`production_view` subtracts them, so the
+differential battery can pin production's counters as exact identities of
+the reference run.
 
 The interface mirrored is what :mod:`repro.sim.network`, :mod:`repro.sim.process`
 and :mod:`repro.sim.runtime` call on a scheduler: ``now``, ``events_processed``,
@@ -41,7 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import repro.sim.network
 import repro.sim.runtime
@@ -84,12 +86,24 @@ class Event:
 
 
 class ElisionLedger:
-    """The counted copies of one reference run: relay copies queued to a
-    receiver whose ``_relay_seen`` already held the envelope's key."""
+    """The counted copies of one reference run: relay copies that could not
+    arrive first at their receiver.
+
+    A relay copy is counted when, as it is queued, its receiver has seen the
+    envelope, or an uncounted copy of the envelope was queued to that
+    receiver earlier with an arrival time no later than this one's.  Both
+    records are the ledger's own: :func:`reference_broadcast` notes a key as
+    seen by the process that forwards it, and the scheduler notes the
+    arrival times of the uncounted copies it queues to relaying receivers.
+    """
 
     def __init__(self) -> None:
-        #: Set by :func:`reference_broadcast` while it sends a counted copy.
-        self.marking = False
+        #: Processes that turned relaying on (see :func:`reference_simulator`).
+        self.relaying: Set[Any] = set()
+        #: ``(pid, key)`` of every envelope a process has forwarded.
+        self.seen: Set[Tuple[Any, Any]] = set()
+        #: ``(pid, key)`` -> earliest arrival of an uncounted copy queued to it.
+        self.due: Dict[Tuple[Any, Any], float] = {}
         #: Set by the scheduler while a counted copy's delivery runs.
         self.firing = False
         self.queued = 0
@@ -105,6 +119,18 @@ class ElisionLedger:
     def held(self) -> int:
         """Counted copies still queued."""
         return self.queued - self.popped
+
+    def counts(self, pid: Any, key: Any, time: float) -> bool:
+        """Whether a relay copy of ``key`` queued to ``pid`` for ``time`` is counted."""
+        entry = (pid, key)
+        if entry in self.seen:
+            return True
+        due = self.due.get(entry)
+        if due is not None and due <= time:
+            return True
+        if pid in self.relaying:
+            self.due[entry] = time
+        return False
 
 
 class EventScheduler:
@@ -146,7 +172,9 @@ class EventScheduler:
     def schedule_delivery(self, delay, fifo, callback, sender, target, message) -> None:
         # One lane, one entry kind: the arguments ride in a closure on the heap.
         event = self.schedule(delay, lambda: callback(sender, target, message))
-        if self.ledger.marking:
+        if isinstance(message, RelayEnvelope) and self.ledger.counts(
+            target.pid, (message.origin, message.seq), event.time
+        ):
             event.counted = True
             self.ledger.queued += 1
 
@@ -220,12 +248,14 @@ class EventScheduler:
 
 
 def reference_deliver(self, sender, message) -> None:
-    """``Process.deliver`` polling the wait probes after every delivery."""
+    """``Process.deliver`` polling the wait probes after every delivery; the
+    ledger's records say which envelopes are duplicates."""
     if self.crashed:
         return
     if isinstance(message, RelayEnvelope):
-        if self._relay_enabled:
-            if (message.origin, message.seq) not in self._relay_seen:
+        ledger = self.network.scheduler.ledger
+        if self.pid in ledger.relaying:
+            if (self.pid, (message.origin, message.seq)) not in ledger.seen:
                 self._relay_handle(message)
         elif message.destination is None or message.destination == self.pid:
             self.on_message(message.origin, message.payload)
@@ -237,20 +267,17 @@ def reference_deliver(self, sender, message) -> None:
 def reference_broadcast(self, sender, message, include_self=True, seen_key=None) -> None:
     """``Network.broadcast`` as one independent ``send`` per receiver.
 
-    ``seen_key`` is ignored: every copy is queued.  A relay copy whose receiver
-    has already seen the envelope is sent with the ledger marking, so the
-    scheduler counts it if it is queued at all.
+    ``seen_key`` is ignored: every copy is queued, and the scheduler's ledger
+    decides which relay copies are counted.  A relaying process broadcasts an
+    envelope right after it first handles it, so the broadcast is where the
+    ledger learns that the sender has seen it.
     """
-    ledger = self.scheduler.ledger
-    for receiver in list(self._processes):
+    if isinstance(message, RelayEnvelope):
+        self.scheduler.ledger.seen.add((sender, (message.origin, message.seq)))
+    for receiver in self.processes:
         if receiver == sender and not include_self:
             continue
-        target = self._processes.get(receiver)
-        ledger.marking = isinstance(message, RelayEnvelope) and (
-            (message.origin, message.seq) in target._relay_seen
-        )
         self.send(sender, receiver, message)
-        ledger.marking = False
 
 
 def reference_network_deliver(self, sender, target, message) -> None:
@@ -266,7 +293,14 @@ def reference_network_deliver(self, sender, target, message) -> None:
     _production_deliver(self, sender, target, message)
 
 
+def reference_enable_relay(self) -> None:
+    """``Process.enable_relay``, telling the ledger that ``self`` relays."""
+    self.network.scheduler.ledger.relaying.add(self.pid)
+    _production_enable_relay(self)
+
+
 _production_deliver = Network._deliver
+_production_enable_relay = Process.enable_relay
 
 
 def production_view(network) -> Dict[str, Any]:
@@ -274,8 +308,8 @@ def production_view(network) -> Dict[str, Any]:
     production reports them for the run made on ``network``.
 
     A production run reports itself.  For a reference run everything the
-    counted copies did is subtracted: the relay copies the reference queued to
-    a receiver that had already seen the envelope, which production counts in
+    counted copies did is subtracted: the relay copies the reference queued
+    that could not arrive first, which production counts in
     ``relay_duplicates_elided`` and never queues.  The rest of
     ``NetworkStats`` — ``messages_sent``, ``messages_dropped_channel`` and
     ``per_process_sent`` above all — is the reference's own.
@@ -325,6 +359,7 @@ def reference_simulator() -> Iterator[None]:
     for module, name in swaps:
         setattr(module, name, EventScheduler)
     Process.deliver = reference_deliver
+    Process.enable_relay = reference_enable_relay
     Network.broadcast = reference_broadcast
     Network._deliver = reference_network_deliver
     try:
@@ -333,5 +368,6 @@ def reference_simulator() -> Iterator[None]:
         for (module, name), original in zip(swaps, saved):
             setattr(module, name, original)
         Process.deliver = saved_deliver
+        Process.enable_relay = _production_enable_relay
         Network.broadcast = saved_broadcast
         Network._deliver = _production_deliver

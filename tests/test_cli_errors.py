@@ -293,6 +293,29 @@ def test_deeply_nested_json_is_a_repro_error_at_every_other_ingress(tmp_path):
         ScenarioSpec.from_json(DEEP_JSON)
 
 
+@pytest.mark.parametrize("checker", ["auto", "wing-gong"])
+def test_register_trace_too_long_for_the_search_is_one_error_line(capsys, tmp_path, checker):
+    """1500 sequential writes and a read of a value nobody wrote: the witness
+    fails, and the recursive search used to overflow the stack with a bare
+    RecursionError traceback."""
+    from repro.history import History, OperationRecord
+    from repro.traces import write_run_trace
+
+    records = [
+        OperationRecord("a", "write", i + 1, None, 2.0 * i, 2.0 * i + 1, op_id=i)
+        for i in range(1500)
+    ]
+    records.append(OperationRecord("b", "read", None, -7, 3000.0, 3001.0, op_id=1500))
+    write_run_trace(
+        str(tmp_path), name="long", protocol="register", root_seed=0, run_index=0, seed=0,
+        history=History(records), verdict={"safe": False},
+    )
+    status = main(["check", str(tmp_path), "--checker", checker])
+    _assert_one_error_line(
+        status, capsys.readouterr(), "long", "search over 1501 operations", "recursion limit"
+    )
+
+
 # ---------------------------------------------------------------------- #
 # Field ingress: a well-formed file with a malformed field names file and field
 # ---------------------------------------------------------------------- #

@@ -157,7 +157,7 @@ def test_register_run_leaves_no_response_dicts_behind(figure1_gqs):
     result.cluster.run(max_time=result.cluster.now + 50.0)
     for process in result.cluster.processes.values():
         assert process.seq >= 50
-        assert _open_response_dicts(process) <= process.pending_operations() == 0
+        assert _open_response_dicts(process) <= len(process._waits) == 0
 
 
 def test_classical_late_replies_do_not_reopen_finished_requests(threshold_3_1):

@@ -4,7 +4,7 @@ The production per-message path (:mod:`repro.sim.events`: tuple-keyed queue
 whose delivery entries carry their arguments, the FIFO short-circuit lane for
 :attr:`~repro.sim.DelayModel.preserves_fifo` models, lazy-deletion heap
 compaction; :meth:`repro.sim.Network.broadcast` over a cached fan-out that
-queues no relay copy whose receiver has already seen the envelope;
+queues no relay copy that can only arrive second at its receiver;
 ``Process.deliver`` recognising a duplicate envelope first and polling wait
 probes only after a protocol step) is a faster implementation of the same
 simulator, never a different simulator.  The reference — one heap of ``Event``
@@ -22,7 +22,8 @@ fed the same schedule.  The last section pins what the fan-out could break: a
 relaying cluster on a graph-restricted network, failures injected on a push
 tick and between two hops of a flood, a sender whose own handler sends (and
 crashes itself or cuts a channel) from inside its broadcast, and a broadcast
-from a crashed sender.
+from a crashed sender; the final one pins which relay copies may go unqueued,
+case by case.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _counters(network):
     ``events_processed``, ``pending()`` and ``now`` as production reports them.
 
     A reference run goes through :func:`oracles.sim.production_view`: the
-    relay copies it queued to a receiver that had already seen the envelope —
+    relay copies it queued that could not arrive first at their receiver —
     copies production counts in ``relay_duplicates_elided`` and never queues —
     are subtracted from what they delivered, dropped, popped or still hold.
     Everything else must be equal as it stands.
@@ -428,3 +429,86 @@ def test_broadcast_from_an_unknown_sender_is_rejected_like_a_send():
             ):
                 network.broadcast("ghost", "m")
             assert network.stats.messages_sent == 0
+
+
+# --------------------------------------------------------------------- #
+# Which relay copies may go unqueued, case by case
+# --------------------------------------------------------------------- #
+class _Flooder(Process):
+    """Logs every message it handles; relays unless told not to."""
+
+    def __init__(self, pid, network, log, relay=True):
+        super().__init__(pid, network)
+        if relay:
+            self.enable_relay()
+        self.log = log
+
+    def on_message(self, sender, message):
+        self.log.append((self.now, self.pid, sender, message))
+
+
+def _flood(nudges, crash=None, plain=(), pids="abcd"):
+    """``a`` relay-broadcasts one envelope over unit delays with ``nudges``
+    added; ``crash=(pid, time)`` crashes a process mid-flood and ``plain``
+    processes do not relay.  Returns ``run(directory)`` for :func:`_both_sides`."""
+
+    def run(directory):
+        network = Network(delay_model=ScheduleOverride(FixedDelay(1.0), nudges=nudges))
+        log = []
+        procs = {pid: _Flooder(pid, network, log, relay=pid not in plain) for pid in pids}
+        if crash is not None:
+            pid, at = crash
+            network.scheduler.schedule_at(at, lambda: network.crash_process(pid))
+        procs["a"].broadcast("E", include_self=False)
+        network.run()
+        return _fingerprint(network, History([]), directory, extra=log)
+
+    return run
+
+
+def _handled(outcome, pid):
+    return [time for time, receiver, _sender, _message in outcome["extra"] if receiver == pid]
+
+
+def test_a_later_copy_that_arrives_first_is_queued_before_a_crash(tmp_path):
+    """``a -> c`` is nudged to arrive at 6; ``b -> c`` is sent later and lands at
+    2, so it is queued and ``c`` handles the envelope before it crashes at 2.5.
+    ``d -> c`` (sent at 2, landing at 3) can only arrive after ``b -> c``: it is
+    elided, where the reference drops it on the crash.  ``a -> c`` is still
+    queued and is dropped on the crash on both sides."""
+    outcome = _both_sides(
+        _flood({(("a", "c"), 0): 5.0, (("a", "d"), 0): 1.0}, crash=("c", 2.5)), tmp_path
+    )
+    assert _handled(outcome, "c") == [2.0]
+    assert outcome["stats"]["messages_dropped_crashed"] == 1
+    assert outcome["now"] == 6.0
+
+
+def test_a_non_relaying_receiver_gets_every_copy(tmp_path):
+    """``c`` does not relay, so it does not de-duplicate either: each of the
+    three relaying processes' copies reaches it and is handled."""
+    outcome = _both_sides(_flood({}, plain="c"), tmp_path)
+    assert _handled(outcome, "c") == [1.0, 2.0, 2.0]
+    assert outcome["stats"]["per_process_delivered"]["c"] == 3
+
+
+def test_an_equal_arrival_time_goes_to_the_copy_queued_first(tmp_path):
+    """``b -> c`` and ``d -> c`` both land at 2, ahead of ``a -> c`` at 3: the
+    first is queued (it arrives first), the tie is elided (the copy queued
+    earlier fires first), and ``a -> c`` arrives second and is discarded."""
+    outcome = _both_sides(_flood({(("a", "c"), 0): 2.0}), tmp_path)
+    assert _handled(outcome, "c") == [2.0]
+    # b, c and d forward three copies each; all but b -> c are elided, the
+    # tie d -> c included.  b -> c and a -> c are the two copies c gets.
+    assert outcome["stats"]["relay_duplicates_elided"] == 8
+    assert outcome["stats"]["per_process_delivered"]["c"] == 2
+
+
+def test_a_copy_overtaken_by_a_later_send_is_delivered_and_discarded(tmp_path):
+    """The override makes ``a -> c``, sent first, arrive at 8, after ``b -> c``
+    (sent at 1, landing at 2): both are queued, ``c`` handles the envelope
+    once, at 2, and the overtaken copy still costs its event at 8."""
+    outcome = _both_sides(_flood({(("a", "c"), 0): 7.0}, pids="abc"), tmp_path)
+    assert _handled(outcome, "c") == [2.0]
+    assert outcome["stats"]["per_process_delivered"]["c"] == 2
+    assert outcome["now"] == 8.0

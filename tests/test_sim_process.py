@@ -74,7 +74,7 @@ def test_crash_clears_pending_waits():
     network.crash_process("a")
     network.run()
     assert not handle.done
-    assert procs["a"].pending_operations() == 0
+    assert procs["a"]._waits == []
 
 
 def test_timer_fires_and_crash_cancels_timers():
@@ -227,7 +227,7 @@ def test_send_to_an_unknown_process_is_rejected_with_or_without_relaying(relay):
     network.run()
     assert network.stats.messages_sent == 0
     assert network.scheduler.events_processed == 0
-    assert procs["a"]._relay_seq == 0 and not procs["a"]._relay_seen
+    assert procs["a"]._relay_seq == 0 and procs["a"]._relay_due == {}
 
 
 # --------------------------------------------------------------------------- #
