@@ -81,12 +81,12 @@ def _snapshot_path(directory):
 HIGHER_IS_BETTER = ("samples_per_sec", "events_per_sec", "reuse_fraction", "speedup")
 
 #: Guarded metric-name substrings where smaller numbers are better (search
-#: effort, the cost of witness validation relative to the search it
-#: certifies, and the wall clock of fixed one-shot commands and searches); a
-#: value growing more than 2x above the committed seed is a regression.
-#: ``reference or 1`` keeps a perfect seed of 0 explored nodes from flagging
-#: every nonzero future value.
-LOWER_IS_BETTER = ("nodes_explored", "validate_ratio", "_wall_s")
+#: effort, the cost of witness validation and of witness rendering relative
+#: to the search they certify or print, and the wall clock of fixed one-shot
+#: commands and searches); a value growing more than 2x above the committed
+#: seed is a regression.  ``reference or 1`` keeps a perfect seed of 0
+#: explored nodes from flagging every nonzero future value.
+LOWER_IS_BETTER = ("nodes_explored", "validate_ratio", "render_ratio", "_wall_s")
 
 
 def _throughput_regressions(results):
@@ -97,7 +97,8 @@ def _throughput_regressions(results):
     (``*samples_per_sec*``, ``*events_per_sec*``), production-vs-oracle
     ``*speedup*`` ratios, the watch-mode ``*reuse_fraction*`` (all
     higher-is-better: a >2x drop is a regression), discovery search effort
-    and validation overhead (``*nodes_explored*``, ``*validate_ratio*``) and
+    and validation and rendering overhead (``*nodes_explored*``,
+    ``*validate_ratio*``, ``*render_ratio*``) and
     the wall clock of fixed one-shot commands and searches (``*_wall_s``;
     lower-is-better: a >2x growth is a regression).
     """

@@ -304,6 +304,56 @@ def test_e7_validated_discovery_at_scale(benchmark, bench_numbers):
     )
 
 
+def test_e7_witness_render_cost_at_scale(benchmark, bench_numbers):
+    """Rendering a discovered witness against deciding it, on ``large-threshold-168x8``.
+
+    ``to_dict()`` (the JSON payload) plus ``to_text()`` (the table) of a
+    :class:`repro.api.DiscoveryReport` over the seconds of the validated
+    ``discover_gqs`` it prints.  Members are read off the process index in bit
+    order, so printing a witness costs a few times its decision, not tens.
+    Each side runs on its own fresh system and keeps the fastest of three
+    rounds; the ratio is recorded as ``render_ratio`` for the conftest guard
+    and only the verdict and the rendered bytes' shape are asserted.
+    """
+    from repro.api import DiscoveryReport
+
+    def experiment():
+        discover_seconds = render_seconds = float("inf")
+        for _ in range(3):
+            system = large_threshold_system(n=168, max_crashes=8)
+            gc.collect()
+            started = time.perf_counter()
+            discover_gqs(system)
+            discover_seconds = min(discover_seconds, time.perf_counter() - started)
+            system = large_threshold_system(n=168, max_crashes=8)
+            report = DiscoveryReport(system, discover_gqs(system))
+            gc.collect()
+            started = time.perf_counter()
+            payload, text = report.to_dict(), report.to_text()
+            render_seconds = min(render_seconds, time.perf_counter() - started)
+        return report, payload, text, discover_seconds, render_seconds
+
+    report, payload, text, discover_seconds, render_seconds = bench_once(benchmark, experiment)
+    ratio = render_seconds / discover_seconds
+    table = ResultTable(
+        title="E7: witness rendering vs validated discovery at n=168",
+        columns=["|F|", "discover s", "to_dict + to_text s", "ratio"],
+    )
+    table.add_row(**{
+        "|F|": len(report.system.patterns), "discover s": round(discover_seconds, 4),
+        "to_dict + to_text s": round(render_seconds, 4), "ratio": round(ratio, 2),
+    })
+    print()
+    print(table)
+    assert report.exists and len(payload["patterns"]) == len(report.system.patterns) == 168
+    assert "GQS exists        : True" in text
+    bench_numbers(
+        render_seconds=round(render_seconds, 6),
+        render_discover_seconds=round(discover_seconds, 6),
+        render_ratio=round(ratio, 2),
+    )
+
+
 def test_e7_island_family_cold_decision(benchmark, bench_numbers):
     """Build + validated discovery of the zoned island family, from nothing.
 

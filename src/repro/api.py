@@ -38,7 +38,7 @@ from ._lazy import lazy_exports
 from .analysis.metrics import RunAggregates
 from .errors import NoQuorumSystemExistsError, ReproError
 from .registry import PROTOCOLS, loaded_plugins, plugin_contributions
-from .types import ProcessId, sorted_channels, sorted_processes
+from .types import ProcessId, sorted_channels
 
 if TYPE_CHECKING:  # annotations only: each function imports the layers it runs
     from .analysis import ResultTable
@@ -124,7 +124,7 @@ def _system_summary(system: FailProneSystem) -> Dict[str, Any]:
         "name": system.name,
         "num_processes": len(system.processes),
         "num_patterns": len(system.patterns),
-        "processes": sorted_processes(system.processes),
+        "processes": list(system.process_index.processes),
     }
 
 
@@ -172,16 +172,17 @@ class DiscoveryReport(_Result):
 
     @property
     def rows(self) -> List[Dict[str, Any]]:
-        """One row per failure pattern: candidates plus the chosen quorums."""
+        """One row per failure pattern: candidates plus the chosen quorums, in process order."""
         rows = []
         for position, pattern in enumerate(self.system.patterns):
             chosen = self.result.choices.get(pattern)
+            read, write = chosen.sorted_pair() if chosen else (None, None)
             rows.append(
                 {
                     "pattern": pattern.label(position),
                     "candidates": self.result.candidates_per_pattern.get(pattern, 0),
-                    "read_quorum": sorted_processes(chosen.read_quorum) if chosen else None,
-                    "write_quorum": sorted_processes(chosen.write_quorum) if chosen else None,
+                    "read_quorum": read,
+                    "write_quorum": write,
                 }
             )
         return rows

@@ -353,7 +353,7 @@ class FailProneSystem:
             "FailProneSystem {}: n={} processes, {} patterns".format(
                 self._name or "<anonymous>", len(self._processes), len(self._patterns)
             ),
-            "  processes: {}".format(sorted_processes(self._processes)),
+            "  processes: {}".format(list(self._process_index.processes)),
         ]
         for i, f in enumerate(self._patterns):
             lines.append("  [{}] {!r}".format(i, f))

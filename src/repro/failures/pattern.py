@@ -15,7 +15,7 @@ such a pattern decodes its channel set only when someone reads it.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidFailurePatternError
 from ..graph import DiGraph, ProcessIndex, iter_bits, popcount
@@ -207,11 +207,19 @@ class FailurePattern:
 
     def __repr__(self) -> str:
         label = self._name or "FailurePattern"
-        return "{}(crash={}, disconnect={})".format(
-            label,
-            sorted_processes(self._crash_prone),
-            sorted_channels(self.disconnect_prone),
-        )
+        return "{}(crash={}, disconnect={})".format(label, *self.sorted_parts())
+
+    def sorted_parts(self) -> Tuple[List[ProcessId], List[Channel]]:
+        """``(crash_prone, disconnect_prone)`` as lists in output order.
+
+        A pattern born in masks reads both off its index in bit order, which
+        is the sort order, without decoding a set; a channel-list pattern has
+        no index and sorts its sets.
+        """
+        if self._encoding is not None:
+            index, crash_mask, rows = self._encoding
+            return index.sorted_list(crash_mask), index.channel_list(rows)
+        return sorted_processes(self._crash_prone), sorted_channels(self._disconnect_prone)
 
     # ------------------------------------------------------------------ #
     # Factories

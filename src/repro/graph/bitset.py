@@ -25,10 +25,16 @@ convert between the two.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..types import Channel, ProcessId, ProcessSet, sort_key, sorted_processes
+from ..types import Channel, ProcessId, ProcessSet, sorted_processes
 from .digraph import DiGraph
+
+#: ``bin`` digits as ``compress`` selectors, and the bit count up to which a
+#: mask is cheaper to decode bit by bit than by writing out its digits.
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+_SPARSE_BITS = 8
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -120,6 +126,11 @@ class ProcessIndex:
     Processes are ordered with :func:`repro.types.sort_key`, so the same
     process set always produces the same mapping regardless of the hash seed
     or of the iteration order of the input.
+
+    **Output order is bit order.**  Positions follow ``sort_key`` order, so a
+    mask read from its lowest bit up is sorted, and so are rows of channels
+    read source by source: :meth:`sorted_list` and :meth:`channel_list` decode
+    in that order, and no renderer of a mask re-sorts or ``repr``-s members.
     """
 
     __slots__ = ("_processes", "_positions", "_full_mask")
@@ -164,11 +175,23 @@ class ProcessIndex:
 
     def set_of(self, mask: int) -> ProcessSet:
         """Decode a bitmask back into a frozen process set."""
-        return frozenset(self._processes[i] for i in iter_bits(mask))
+        return frozenset(self.sorted_list(mask))
 
     def sorted_list(self, mask: int) -> List[ProcessId]:
-        """Decode a bitmask into a deterministically sorted list."""
-        return [self._processes[i] for i in iter_bits(mask)]
+        """The processes of ``mask`` in bit order, which is ``sort_key`` order.
+
+        A dense mask's binary digits, lowest first, select from
+        :attr:`processes` at C speed; a sparse one is decoded bit by bit.
+        """
+        processes = self._processes
+        if popcount(mask) > _SPARSE_BITS:
+            return list(compress(processes, bin(mask)[:1:-1].encode().translate(_SELECTORS)))
+        members = []
+        while mask:  # inline: a generator step per bit would cost twice as much
+            low = mask & -mask
+            members.append(processes[low.bit_length() - 1])
+            mask ^= low
+        return members
 
     def failure_masks(
         self, crashed: Iterable[ProcessId], channels: Iterable[Channel]
@@ -201,11 +224,22 @@ class ProcessIndex:
 
     def channels_of(self, succ_clear: Sequence[int]) -> FrozenSet[Channel]:
         """Decode per-source destination rows back into a channel set."""
-        return frozenset(
-            (self._processes[i], self._processes[j])
-            for i, row in enumerate(succ_clear)
-            for j in iter_bits(row)
-        )
+        return frozenset(self.channel_list(succ_clear))
+
+    def channel_list(self, succ_clear: Sequence[int]) -> List[Channel]:
+        """The channels of per-source rows, in :func:`~repro.types.sorted_channels` order.
+
+        Each distinct row is decoded once (an island pattern repeats one row per island).
+        """
+        channels: List[Channel] = []
+        decoded: Dict[int, List[ProcessId]] = {}
+        for source, row in zip(self._processes, succ_clear):
+            if row:
+                members = decoded.get(row)
+                if members is None:
+                    members = decoded[row] = self.sorted_list(row)
+                channels.extend(zip(repeat(source), members))
+        return channels
 
     def __repr__(self) -> str:
         return "ProcessIndex(n={})".format(len(self._processes))
@@ -341,13 +375,9 @@ class BitsetDiGraph:
 
     def to_digraph(self) -> DiGraph:
         """A fresh :class:`DiGraph` with the same vertices and edges, in position order."""
-        processes = self.index.processes
-        present = list(iter_bits(self.vertex_mask))
-        graph = DiGraph(vertices=[processes[i] for i in present])
-        for i in present:
-            for j in iter_bits(self.successor_mask(i)):
-                graph.add_edge(processes[i], processes[j])
-        return graph
+        index = self.index
+        rows = [self.successor_mask(i) for i in range(len(index))]
+        return DiGraph(index.sorted_list(self.vertex_mask), index.channel_list(rows))
 
     def reindexed(self, reindex: MaskReindex) -> "BitsetDiGraph":
         """The same graph over ``reindex.target``.

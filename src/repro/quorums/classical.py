@@ -164,6 +164,11 @@ class QuorumTriple:
         """The write-quorum family ``W``."""
         return self._decoded()[1]
 
+    def sorted_families(self) -> Tuple[List[List[ProcessId]], List[List[ProcessId]]]:
+        """``R`` and ``W`` with each quorum a list in process order, decoded from the masks."""
+        decode = self._fail_prone.process_index.sorted_list
+        return list(map(decode, self._read_masks)), list(map(decode, self._write_masks))
+
     @property
     def processes(self) -> ProcessSet:
         """The process set ``P``."""

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import ProcessIndex, iter_bits, popcount
-from ..types import ProcessSet
+from ..types import ProcessId, ProcessSet
 from .generalized import GeneralizedQuorumSystem
 
 if TYPE_CHECKING:  # the decision layer runs without the engine
@@ -100,6 +100,10 @@ class CandidateQuorumPair:
         if self._readers == self._component:
             return self.write_quorum
         return self._index.set_of(self._readers)
+
+    def sorted_pair(self) -> Tuple[List[ProcessId], List[ProcessId]]:
+        """``(read_quorum, write_quorum)`` as lists in process order, decoded from the masks."""
+        return self._index.sorted_list(self._readers), self._index.sorted_list(self._component)
 
 
 @dataclass

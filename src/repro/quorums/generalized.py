@@ -40,7 +40,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from ..errors import InvalidQuorumSystemError
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import component_containing
-from ..types import ProcessId, ProcessSet, sorted_processes
+from ..types import ProcessId, ProcessSet
 from .classical import QuorumSystem, QuorumTriple, _first_inside
 
 
@@ -162,6 +162,12 @@ class GeneralizedQuorumSystem(QuorumTriple):
         """
         if pattern in self._u_cache:
             return self._u_cache[pattern]
+        u_f = self._fail_prone.process_index.set_of(self._termination_mask(pattern))
+        self._u_cache[pattern] = u_f
+        return u_f
+
+    def _termination_mask(self, pattern: FailurePattern) -> int:
+        """:meth:`termination_component` as a mask (0 when Availability fails)."""
         homes = [home for _, _, home in self._validating(pattern)]
         # Sanity: Proposition 1 guarantees the union is inside one component.
         if len(homes) > 1:
@@ -169,9 +175,7 @@ class GeneralizedQuorumSystem(QuorumTriple):
                 "validating write quorums are not strongly connected under {!r}; "
                 "the quorum system violates Consistency or Availability".format(pattern)
             )
-        u_f = self._fail_prone.process_index.set_of(homes.pop()) if homes else frozenset()
-        self._u_cache[pattern] = u_f
-        return u_f
+        return homes[0] if homes else 0
 
     def termination_mapping(self) -> Dict[FailurePattern, ProcessSet]:
         """The mapping ``τ : f ↦ U_f`` used by Theorems 1 and 5."""
@@ -191,22 +195,25 @@ class GeneralizedQuorumSystem(QuorumTriple):
         return cls(system.fail_prone, system.read_quorums, system.write_quorums)
 
     def describe(self) -> str:
-        """Return a multi-line human-readable description of the GQS."""
+        """Return a multi-line human-readable description of the GQS.
+
+        Per pattern, :meth:`available_pair` and ``U_f``, decoded from their masks in bit order.
+        """
+        decode = self._fail_prone.process_index.sorted_list
         lines = [repr(self)]
         for i, f in enumerate(self._fail_prone):
-            pair = self.available_pair(f)
-            u = self.termination_component(f)
-            if pair is None:
+            positions = self._available_positions(f)
+            if positions is None:
                 lines.append("  [{}] {!r}: UNAVAILABLE".format(i, f))
             else:
-                r, w = pair
+                r, w = positions
                 lines.append(
                     "  [{}] {!r}: R={}, W={}, U_f={}".format(
                         i,
                         f,
-                        sorted_processes(r),
-                        sorted_processes(w),
-                        sorted_processes(u),
+                        decode(self._read_masks[r]),
+                        decode(self._write_masks[w]),
+                        decode(self._termination_mask(f)),
                     )
                 )
         return "\n".join(lines)

@@ -40,7 +40,7 @@ from .failures import FailProneSystem, FailurePattern
 from .graph import BitsetDiGraph, DiGraph
 from .history import History, OperationRecord
 from .quorums import GeneralizedQuorumSystem
-from .types import is_process_id, sorted_channels, sorted_processes
+from .types import is_process_id
 
 
 # ---------------------------------------------------------------------- #
@@ -48,10 +48,11 @@ from .types import is_process_id, sorted_channels, sorted_processes
 # ---------------------------------------------------------------------- #
 def failure_pattern_to_dict(pattern: FailurePattern) -> Dict[str, Any]:
     """Serialize a failure pattern to a JSON-compatible dictionary."""
+    crash, channels = pattern.sorted_parts()
     return {
         "name": pattern.name,
-        "crash": sorted_processes(pattern.crash_prone),
-        "disconnect": [list(channel) for channel in sorted_channels(pattern.disconnect_prone)],
+        "crash": crash,
+        "disconnect": [list(channel) for channel in channels],
     }
 
 
@@ -92,13 +93,16 @@ def fail_prone_system_to_dict(system: FailProneSystem) -> Dict[str, Any]:
 
     The network graph is written as a ``"channels"`` list only when it is not
     the complete graph (the paper's default, which needs no listing).
+    Processes and channels are listed in index order, which is sorted order.
     """
+    index = system.process_index
     data: Dict[str, Any] = {
         "name": system.name,
-        "processes": sorted_processes(system.processes),
+        "processes": list(index.processes),
     }
-    if system.bitset_graph != BitsetDiGraph.complete(system.process_index):
-        channels = sorted_channels(system.graph_view.edges())
+    network = system.bitset_graph
+    if network != BitsetDiGraph.complete(index):
+        channels = index.channel_list([network.successor_mask(i) for i in range(len(index))])
         data["channels"] = [list(channel) for channel in channels]
     data["patterns"] = [failure_pattern_to_dict(pattern) for pattern in system.patterns]
     return data
@@ -126,10 +130,11 @@ def fail_prone_system_from_dict(data: Dict[str, Any]) -> FailProneSystem:
 # ---------------------------------------------------------------------- #
 def quorum_system_to_dict(quorum_system: GeneralizedQuorumSystem) -> Dict[str, Any]:
     """Serialize a generalized quorum system (families + fail-prone system)."""
+    reads, writes = quorum_system.sorted_families()
     return {
         "fail_prone": fail_prone_system_to_dict(quorum_system.fail_prone),
-        "read_quorums": [sorted_processes(q) for q in quorum_system.read_quorums],
-        "write_quorums": [sorted_processes(q) for q in quorum_system.write_quorums],
+        "read_quorums": reads,
+        "write_quorums": writes,
     }
 
 

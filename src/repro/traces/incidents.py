@@ -32,7 +32,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..failures import FailurePattern
-from ..types import sorted_channels, sorted_processes
 from .store import run_stem, write_evidence
 
 __all__ = [
@@ -131,6 +130,7 @@ def build_incident(
     paper_bound_violation = unsafe and within_budget
     if paper_bound_violation:
         flags.append("violation")
+    crashed, channels = pattern.sorted_parts() if pattern is not None else ([], [])
     return {
         "schema": INCIDENT_SCHEMA_VERSION,
         "scenario": scenario,
@@ -140,11 +140,8 @@ def build_incident(
         "lineage": list(lineage),
         "pattern": pattern.name if pattern is not None else None,
         "inject_at": inject_at,
-        "crashed_processes": sorted_processes(pattern.crash_prone) if pattern else [],
-        "disconnected_channels": [
-            list(channel)
-            for channel in (sorted_channels(pattern.disconnect_prone) if pattern else [])
-        ],
+        "crashed_processes": crashed,
+        "disconnected_channels": [list(channel) for channel in channels],
         "stretched_channels": [list(row) for row in (stretches or [])],
         "nudged_deliveries": [list(row) for row in (nudges or [])],
         "within_budget": {"ok": within_budget, "witness": witness},

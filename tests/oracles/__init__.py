@@ -21,6 +21,8 @@ nothing (``tests/test_surface.py`` enforces this).
   prefix-only backtracker and the exponential brute-forcer;
 * :mod:`oracles.failures` — the island patterns of the zoned and multi-region
   families as channel lists, against the rows they are born as;
+* :mod:`oracles.render` — the reports and serializations sorted by ``repr``
+  from decoded sets, against the bit-order decodes of the process index;
 * :mod:`oracles.montecarlo` — object-per-pattern samplers (the admissibility
   sweep's ``sample_fail_prone_system`` among them) and shards, run through the
   production spec builders and merge functions.

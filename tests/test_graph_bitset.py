@@ -21,6 +21,8 @@ from repro.graph import (
     popcount,
 )
 
+from repro.types import sorted_channels, sorted_processes
+
 from oracles.graph import can_reach, reachable_from, strongly_connected_components
 
 
@@ -461,3 +463,56 @@ def test_complete_form_answers_like_its_rows(n, start, data):
             assert fast._succ is None
         seeds = [data.draw(st.integers(0, index.full_mask)) for _ in range(3)]
         _assert_same_graph(fast, slow, seeds)
+
+
+# ---------------------------------------------------------------------- #
+# Ordered decodes: output order is bit order
+# ---------------------------------------------------------------------- #
+_MASK_SHAPES = ("empty", "one", "two", "half", "full", "random")
+
+
+def _mask_of_shape(rng, n, shape):
+    """A mask over ``n`` positions: 0, 1 or 2 bits, half full, full or random."""
+    if shape == "empty":
+        return 0
+    if shape == "full":
+        return (1 << n) - 1
+    if shape == "random":
+        return rng.getrandbits(n)
+    count = {"one": 1, "two": min(2, n), "half": n // 2}[shape]
+    return sum(1 << i for i in rng.sample(range(n), count))
+
+
+def _mixed_ids(rng, n):
+    """``n`` distinct ids, integers and strings mixed (``'int'`` sorts before ``'str'``,
+    and integers sort by ``repr``: ``10`` before ``9``)."""
+    ints = rng.randint(0, n)
+    numbers = rng.sample(range(-50, 5000), ints)
+    names = ["p{}".format(k) for k in rng.sample(range(5000), n - ints)]
+    ids = numbers + names
+    rng.shuffle(ids)
+    return ids
+
+
+@given(st.integers(1, 300), st.sampled_from(_MASK_SHAPES), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ordered_decodes_are_the_sorted_decodes(n, shape, seed):
+    """``sorted_list`` equals ``sorted_processes(set_of(mask))`` and ``channel_list``
+    equals ``sorted_channels(channels_of(rows))``; both sets equal a bit-by-bit
+    decode, on mixed-type ids and on sparse, dense, empty and full masks."""
+    rng = random.Random(seed)
+    index = ProcessIndex(_mixed_ids(rng, n))
+    processes = index.processes
+    mask = _mask_of_shape(rng, n, shape)
+    members = frozenset(processes[i] for i in range(n) if mask >> i & 1)
+    assert index.set_of(mask) == members
+    assert index.sorted_list(mask) == sorted_processes(index.set_of(mask))
+    # At most 40 non-empty rows keep the repr-sorted reference cheap at n=300.
+    rows = [0] * n
+    for i in rng.sample(range(n), min(n, 40)):
+        rows[i] = _mask_of_shape(rng, n, rng.choice(_MASK_SHAPES))
+    channels = frozenset(
+        (processes[i], processes[j]) for i in range(n) for j in range(n) if rows[i] >> j & 1
+    )
+    assert index.channels_of(rows) == channels
+    assert index.channel_list(rows) == sorted_channels(index.channels_of(rows))

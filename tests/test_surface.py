@@ -156,6 +156,8 @@ FORBIDDEN_ORACLE_NAMES = {
     "BitsetDiGraph", "ProcessIndex", "component_containing",
     "iter_bits", "popcount", "residual_bitset", "bitset_graph",
     "process_index", "choose_candidates",
+    # the bit-order decoders ``oracles.render`` is the reference for
+    "sorted_list", "channel_list", "sorted_pair", "sorted_families", "sorted_parts",
 }
 
 
