@@ -42,7 +42,11 @@ def test_e4_access_function_overhead(benchmark):
                 ),
                 "mean latency": result.metrics.mean_latency,
                 "messages": result.metrics.messages_sent,
-                "messages/op": result.metrics.messages_per_operation(),
+                "messages/op": (
+                    result.metrics.messages_sent / result.metrics.completed
+                    if result.metrics.completed
+                    else float("nan")
+                ),
             }
         )
     print()

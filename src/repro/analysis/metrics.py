@@ -33,10 +33,6 @@ class ResultTable:
             raise ValueError("missing columns {} for table {!r}".format(missing, self.title))
         self.rows.append({c: values[c] for c in self.columns})
 
-    def column(self, name: str) -> List[Any]:
-        """All values of one column, in row order."""
-        return [row[name] for row in self.rows]
-
     def to_text(self) -> str:
         """Render the table as aligned ASCII text."""
         header = list(self.columns)
@@ -78,11 +74,11 @@ def mean(values: Iterable[float]) -> float:
 
 def percentile(values: Iterable[float], fraction: float) -> float:
     """The ``fraction``-quantile (nearest-rank) of ``values`` (0.0 when empty)."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must lie in [0, 1]")
     data = sorted(values)
     if not data:
         return 0.0
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
     index = min(len(data) - 1, max(0, int(math.ceil(fraction * len(data))) - 1))
     return data[index]
 
@@ -97,15 +93,6 @@ class OperationMetrics:
     max_latency: float = 0.0
     messages_sent: int = 0
     messages_delivered: int = 0
-
-    @property
-    def completion_ratio(self) -> float:
-        """Fraction of invoked operations that completed."""
-        return self.completed / self.operations if self.operations else 0.0
-
-    def messages_per_operation(self) -> float:
-        """Messages sent per completed operation (the whole run's traffic)."""
-        return self.messages_sent / self.completed if self.completed else float("nan")
 
 
 class RunAggregates:

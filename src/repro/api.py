@@ -466,7 +466,6 @@ class SimulateReport(RunAggregates, _Result):
     protocol: str
     pattern: Optional[str]
     root_seed: int
-    jobs: int
     invokers: List[ProcessId]
     rows: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -500,8 +499,7 @@ class SimulateReport(RunAggregates, _Result):
         if self.runs == 1:
             batch = ("invoked at", self.invokers)
         else:
-            batch = ("runs", "{} (seeds spawned from {}, jobs={})".format(
-                self.runs, self.root_seed, self.jobs))
+            batch = ("runs", "{} (seeds spawned from {})".format(self.runs, self.root_seed))
         return "\n".join(field_lines(
             18,
             ("object", self.protocol),
@@ -564,7 +562,7 @@ def simulate(
     seeds = [seed] if runs == 1 else spawn_seeds(seed, runs, "simulate", protocol)
     runner = ParallelRunner(jobs=jobs if runs > 1 else 1)
     return SimulateReport(
-        protocol=protocol, pattern=pattern, root_seed=seed, jobs=runner.jobs,
+        protocol=protocol, pattern=pattern, root_seed=seed,
         invokers=default_invokers(gqs, failure), rows=runner.map(task, enumerate(seeds)),
     )
 

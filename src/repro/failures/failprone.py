@@ -141,8 +141,8 @@ class FailProneSystem:
     ) -> "FailProneSystem":
         """A system with other patterns over this system's network (or ``network``).
 
-        The one derivation path behind :meth:`with_pattern`, :meth:`restrict`,
-        channel hardening and the membership deltas.  Without ``network`` the
+        The one derivation path behind channel hardening and the membership
+        deltas.  Without ``network`` the
         process index and both graph views are shared by identity — nothing is
         copied or rebuilt; with it (a join or leave, which re-indexes) the new
         system takes its processes from ``network.index``.  Every constructor
@@ -296,14 +296,6 @@ class FailProneSystem:
     def allows_channel_failures(self) -> bool:
         """Return whether any pattern allows a channel between correct processes to fail."""
         return any(f.channel_count for f in self._patterns)
-
-    def with_pattern(self, pattern: FailurePattern, name: Optional[str] = None) -> "FailProneSystem":
-        """Return a new system with ``pattern`` appended."""
-        return self._derive(self._patterns + (pattern,), name=name or self._name)
-
-    def restrict(self, patterns: Sequence[FailurePattern], name: Optional[str] = None) -> "FailProneSystem":
-        """Return a new system containing only ``patterns``."""
-        return self._derive(patterns, name=name or self._name)
 
     # ------------------------------------------------------------------ #
     # Threshold constructions

@@ -66,12 +66,6 @@ class History:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def add(self, record: OperationRecord) -> None:
-        """Append a record to the history."""
-        if record.completed_at is not None and record.completed_at < record.invoked_at:
-            raise HistoryError("operation {} completes before it is invoked".format(record))
-        self._records.append(record)
-
     @classmethod
     def from_handles(cls, handles: Iterable[Any]) -> "History":
         """Build a history from simulation :class:`OperationHandle` objects."""

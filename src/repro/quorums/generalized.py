@@ -177,10 +177,6 @@ class GeneralizedQuorumSystem(QuorumTriple):
             )
         return homes[0] if homes else 0
 
-    def termination_mapping(self) -> Dict[FailurePattern, ProcessSet]:
-        """The mapping ``τ : f ↦ U_f`` used by Theorems 1 and 5."""
-        return {f: self.termination_component(f) for f in self._fail_prone}
-
     # ------------------------------------------------------------------ #
     # Interoperability
     # ------------------------------------------------------------------ #

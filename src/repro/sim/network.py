@@ -134,12 +134,6 @@ class Network:
         """Current simulated time."""
         return self.scheduler.now
 
-    def graph(self) -> DiGraph:
-        """The network graph in force (complete graph when none was supplied)."""
-        if self._graph is not None:
-            return self._graph.copy()
-        return DiGraph.complete(self._processes)
-
     # ------------------------------------------------------------------ #
     # Failure injection
     # ------------------------------------------------------------------ #

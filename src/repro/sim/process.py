@@ -21,7 +21,6 @@ checkers.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import ProcessCrashedError, SimulationError
@@ -57,16 +56,7 @@ class WaitCondition:
 
 
 class OperationHandle:
-    """Tracks one in-flight (or completed) operation at a process.
-
-    ``op_id`` defaults to an interpreter-global counter; the simulation always
-    passes an explicit per-network id instead (see
-    :meth:`Process.start_operation`), so that a run's history — including the
-    recorded traces built from it — is a pure function of its seed, not of
-    how many simulations the interpreter happened to execute before it.
-    """
-
-    _ids = itertools.count()
+    """Tracks one in-flight (or completed) operation at a process."""
 
     def __init__(
         self,
@@ -74,9 +64,9 @@ class OperationHandle:
         kind: str,
         argument: Any,
         invoked_at: float,
-        op_id: Optional[int] = None,
+        op_id: int,
     ) -> None:
-        self.op_id = next(OperationHandle._ids) if op_id is None else op_id
+        self.op_id = op_id
         self.process_id = process_id
         self.kind = kind
         self.argument = argument

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     FIGURE1_PROCESSES,
-    OperationMetrics,
     ResultTable,
     figure1_fail_prone_system,
     figure1_modified_fail_prone_system,
@@ -97,7 +96,7 @@ def test_result_table_formatting():
     text = table.to_text()
     assert "demo" in text
     assert "0.500" in text
-    assert table.column("x") == [1, 2]
+    assert [row["x"] for row in table.rows] == [1, 2]
 
 
 def test_result_table_missing_column_rejected():
@@ -114,11 +113,5 @@ def test_mean_and_percentile():
     assert percentile([1, 2, 3, 4], 1.0) == 4
     with pytest.raises(ValueError):
         percentile([1], 1.5)
-
-
-def test_operation_metrics_ratios():
-    metrics = OperationMetrics(operations=4, completed=2, messages_sent=20)
-    assert metrics.completion_ratio == 0.5
-    assert metrics.messages_per_operation() == 10.0
-    empty = OperationMetrics()
-    assert empty.completion_ratio == 0.0
+    with pytest.raises(ValueError):
+        percentile([], 2.0)

@@ -91,6 +91,7 @@ def test_simulate_batch_independent_of_jobs():
     serial = api.simulate(system, protocol="register", pattern="f1", ops=1, seed=3, runs=3, jobs=1)
     parallel = api.simulate(system, protocol="register", pattern="f1", ops=1, seed=3, runs=3, jobs=2)
     assert serial.rows == parallel.rows
+    assert serial.to_text() == parallel.to_text()
     assert serial.total_messages == parallel.total_messages
     assert serial.runs == parallel.runs == 3
 

@@ -152,8 +152,9 @@ def test_removed_checker_names_are_ordinary_usage_errors(capsys, tmp_path, remov
     with pytest.raises(SystemExit) as excinfo:
         main(["check", str(tmp_path), "--checker", removed])
     assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and "invalid choice: '{}'".format(removed) in err
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "invalid choice: '{}'".format(removed) in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_plugin_module_golden_message(capsys):

@@ -2,20 +2,14 @@
 
 The seed implementation iterated ``set``-backed adjacency, so candidate order,
 the chosen witness and ``nodes_explored`` all depended on ``PYTHONHASHSEED``.
-These tests run discovery in subprocesses under two different hash seeds and
-compare the complete observable output byte for byte.
+These tests run library-level scripts in subprocesses under different hash
+seeds and compare the complete observable output byte for byte; the CLI's
+``quorums discover`` rows are in ``tests/determinism.py``.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
-import repro
-
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-TESTS_DIR = os.path.dirname(os.path.abspath(__file__))  # where ``oracles`` lives
+from determinism import run
 
 #: Systems with channel failures (multiple SCC candidates per pattern), where
 #: a hash-order-dependent traversal has the most room to reorder the search.
@@ -69,22 +63,16 @@ print(json.dumps(report, sort_keys=True))
 """
 
 
-def _run_under_hash_seed(hash_seed: str, argv=None) -> bytes:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = os.pathsep.join([SRC_DIR, TESTS_DIR, env.get("PYTHONPATH", "")])
-    command = argv if argv is not None else [sys.executable, "-c", DISCOVERY_SCRIPT]
-    completed = subprocess.run(
-        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert completed.returncode in (0, 2), completed.stderr.decode()
-    return completed.stdout
+def _stdout(script: str, hash_seed: int) -> bytes:
+    done = run(["-c", script], hash_seed)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
 
 
 def test_discovery_output_is_hash_seed_independent():
     """Witnesses, candidate order and nodes_explored: byte-identical streams."""
-    out_a = _run_under_hash_seed("0")
-    out_b = _run_under_hash_seed("4242")
+    out_a = _stdout(DISCOVERY_SCRIPT, 0)
+    out_b = _stdout(DISCOVERY_SCRIPT, 4242)
     assert out_a == out_b
     assert out_a  # the script actually produced a report
 
@@ -116,8 +104,7 @@ for attempt in attempts:
 
 
 def test_invalid_pattern_errors_are_hash_seed_independent():
-    argv = [sys.executable, "-c", ERROR_SCRIPT]
-    outputs = {_run_under_hash_seed(seed, argv) for seed in ("0", "1", "2", "3")}
+    outputs = {_stdout(ERROR_SCRIPT, seed) for seed in range(4)}
     assert len(outputs) == 1
     lines = outputs.pop().decode().splitlines()
     assert lines[0] == "channel ('p0', 'p0') is a self-loop"
@@ -126,21 +113,3 @@ def test_invalid_pattern_errors_are_hash_seed_independent():
         "disconnects channel ('p0', 'p2') that does not exist in the network graph"
     )
 
-
-def test_cli_discover_json_is_hash_seed_independent():
-    """The exact check CI runs: `repro quorums discover --format json` twice."""
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "quorums",
-        "discover",
-        "--builtin",
-        "multiregion-4x3",
-        "--format",
-        "json",
-    ]
-    out_a = _run_under_hash_seed("1", argv)
-    out_b = _run_under_hash_seed("31337", argv)
-    assert out_a == out_b
-    assert b'"nodes_explored"' in out_a

@@ -22,7 +22,6 @@ def test_register_workload_reports_metrics(figure1_gqs):
     assert result.metrics.completed == result.metrics.operations
     assert result.metrics.mean_latency > 0
     assert result.metrics.messages_sent > 0
-    assert result.metrics.completion_ratio == 1.0
 
 
 def test_workload_runs_on_the_systems_sparse_network():
@@ -35,9 +34,7 @@ def test_workload_runs_on_the_systems_sparse_network():
     )
     gqs = discover_gqs(system).quorum_system
     result = run_workload("register", gqs, seed=3)
-    network = result.cluster.network
-    assert network.graph() == ring
-    assert network.stats.messages_dropped_channel > 0  # every send off the ring
+    assert result.cluster.network.stats.messages_dropped_channel > 0  # every send off the ring
     assert result.completed
     assert check_register_linearizability(result.history).is_linearizable
 

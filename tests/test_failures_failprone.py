@@ -81,13 +81,13 @@ def test_minority_crashes():
     assert len(system) == 10
 
 
-def test_with_pattern_and_restrict():
+def test_derive_appends_and_restricts():
     f1 = FailurePattern(["a"], name="f1")
     f2 = FailurePattern(["b"], name="f2")
     system = FailProneSystem(["a", "b", "c"], [f1])
-    extended = system.with_pattern(f2)
+    extended = system._derive(system.patterns + (f2,))
     assert len(extended) == 2
-    restricted = extended.restrict([f2])
+    restricted = extended._derive([f2])
     assert list(restricted) == [f2]
     # original untouched
     assert len(system) == 1
@@ -139,12 +139,12 @@ def _ring_system():
 
 
 def _derivations(system):
-    """Every same-network derivation: the two methods, hardening, four delta ops."""
+    """Every same-network derivation: ``_derive`` itself, hardening, four delta ops."""
     from repro.quorums import MembershipDelta, apply_delta
     from repro.quorums.repair import harden_channels
 
-    yield system.with_pattern(FailurePattern(["a", "b"], name="fab"))
-    yield system.restrict(system.patterns[:1])
+    yield system._derive(system.patterns + (FailurePattern(["a", "b"], name="fab"),))
+    yield system._derive(system.patterns[:1])
     yield harden_channels(system, [("a", "b")])
     for delta in (
         MembershipDelta(op="suspect", process="a"),
@@ -166,7 +166,7 @@ def test_derived_systems_share_the_graph_objects_by_identity():
     # A system whose set-based graph was never asked for hands down nothing
     # to copy; the child materializes its own, equal, view on demand.
     cold = _ring_system()
-    child = cold.restrict(cold.patterns[:1])
+    child = cold._derive(cold.patterns[:1])
     assert child.bitset_graph is cold.bitset_graph
     assert child.graph_view == cold.graph_view == view
 
@@ -174,11 +174,11 @@ def test_derived_systems_share_the_graph_objects_by_identity():
 def test_derived_systems_still_run_every_constructor_check():
     system = _ring_system()
     with pytest.raises(InvalidFailurePatternError, match="unknown processes"):
-        system.with_pattern(FailurePattern(["z"]))
+        system._derive(system.patterns + (FailurePattern(["z"]),))
     with pytest.raises(InvalidFailurePatternError, match="outside the process set"):
-        system.restrict([FailurePattern([], [("a", "z")])])
+        system._derive([FailurePattern([], [("a", "z")])])
     with pytest.raises(InvalidFailurePatternError, match="does not exist in the network graph"):
-        system.with_pattern(FailurePattern([], [("b", "a")]))  # the ring is one-way
+        system._derive(system.patterns + (FailurePattern([], [("b", "a")]),))  # one-way ring
     # ... and a join keeps the sparse network: the joiner is a hub, no old edge appears.
     from repro.quorums import MembershipDelta, apply_delta
 
@@ -188,7 +188,7 @@ def test_derived_systems_still_run_every_constructor_check():
 
 def test_graph_copies_do_not_leak_into_parent_or_child():
     system = _ring_system()
-    child = system.restrict(system.patterns[:1])
+    child = system._derive(system.patterns[:1])
     for owner in (system, child):
         copy = owner.graph
         copy.remove_vertex("a")
@@ -400,7 +400,7 @@ def test_kept_encodings_build_the_residuals_of_the_set_definition():
         # pattern the system never declared (encoded on demand) all agree
         # with G \ f computed on sets.
         foreign = FailurePattern(sorted(system.processes)[:1])
-        child = system.restrict(system.patterns[1:])
+        child = system._derive(system.patterns[1:])
         for owner, pattern in [(system, f) for f in system.patterns] + [
             (child, f) for f in child.patterns
         ] + [(system, foreign)]:

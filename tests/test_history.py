@@ -46,11 +46,14 @@ def test_history_rejects_negative_duration():
         History([record("a", "write", 1, "ack", 5.0, 1.0)])
 
 
-def test_history_add_and_filters():
-    history = History()
-    history.add(record("a", "write", 1, "ack", 0.0, 1.0))
-    history.add(record("a", "read", None, 1, 2.0, 3.0))
-    history.add(record("b", "write", 2, None, 2.5, None))
+def test_history_filters():
+    history = History(
+        [
+            record("a", "write", 1, "ack", 0.0, 1.0),
+            record("a", "read", None, 1, 2.0, 3.0),
+            record("b", "write", 2, None, 2.5, None),
+        ]
+    )
     assert len(history) == 3
     assert len(history.complete_records()) == 2
     assert len(history.incomplete_records()) == 1

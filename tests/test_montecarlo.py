@@ -241,17 +241,8 @@ def test_pinned_asymmetric_curve():
 def test_cli_sweep_json_is_hash_seed_independent():
     """`repro sweep --format json` twice under different hash seeds: the
     batched engine's output must be a pure function of the seed (extends the
-    PR 4 determinism battery to the Monte Carlo path)."""
-    import sys
+    determinism battery to the Monte Carlo path): a row of ``tests/determinism.py``."""
+    from determinism import ROWS_BY_NAME, verify
 
-    from test_discovery_determinism import _run_under_hash_seed
-
-    argv = [
-        sys.executable, "-m", "repro", "sweep", "all",
-        "--probs", "0.0", "0.3", "--samples", "16", "--n", "4",
-        "--patterns", "2", "--seed", "5", "--format", "json",
-    ]
-    out_a = _run_under_hash_seed("0", argv)
-    out_b = _run_under_hash_seed("7777", argv)
-    assert out_a == out_b
-    assert b'"admissibility"' in out_a and b'"reliability"' in out_a
+    out = verify(ROWS_BY_NAME["sweep-all-json"])
+    assert b'"admissibility"' in out and b'"reliability"' in out

@@ -4,21 +4,16 @@ The hunt's contract is that ``(scenario, strategy, budget, seeds, batch,
 seed)`` fully determine the report and the persisted corpus — worker count
 must only change wall-clock time, and nothing may leak Python's per-process
 hash randomization into the output.  These tests compare complete artifacts
-byte for byte: corpus files across ``jobs`` ∈ {serial, 2, 4} in process, and
-CLI JSON output across two ``PYTHONHASHSEED`` values in subprocesses
-(the idiom of ``test_discovery_determinism.py``).
+byte for byte: corpus files across ``jobs`` ∈ {serial, 2, 4} in process.
+The CLI's reports and corpora across ``--jobs`` and ``PYTHONHASHSEED`` are
+rows of ``tests/determinism.py``.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 
-import repro
 from repro import api
-
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 SCENARIO = "unidirectional-ring"
 BUDGET = 6
@@ -66,37 +61,3 @@ def test_strategies_diverge_but_each_is_deterministic(tmp_path):
         again = api.hunt(SCENARIO, strategy=strategy, budget=BUDGET, seed=ROOT_SEED)
         assert report.to_json() == again.to_json()
 
-
-def _run_under_hash_seed(hash_seed: str, argv) -> bytes:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert completed.returncode == 0, completed.stderr.decode()
-    return completed.stdout
-
-
-def test_cli_hunt_json_is_hash_seed_independent():
-    """The CLI hunt under two hash seeds: byte-identical JSON reports."""
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "nemesis",
-        "hunt",
-        SCENARIO,
-        "--budget",
-        str(BUDGET),
-        "--seed",
-        str(ROOT_SEED),
-        "--jobs",
-        "2",
-        "--format",
-        "json",
-    ]
-    out_a = _run_under_hash_seed("0", argv)
-    out_b = _run_under_hash_seed("4242", argv)
-    assert out_a == out_b
-    assert b'"best_score"' in out_a

@@ -150,6 +150,20 @@ DELETED_UNREACHED = tuple(
     )
 )
 
+#: The protocol factory helpers, the per-system analysis caches and candidate
+#: memo that per-pattern residuals replaced, a delay helper and a scenario
+#: wrapper; then methods nothing outside the tests called, and the
+#: interpreter-global operation-id counter (a history depended on how many
+#: simulations ran before it).
+DELETED_UNCALLED = (
+    r"\bgqs_register_factory\b", r"\bkv_store_factory\b", r"\banalysis_cache\b",
+    r"\bwarm_caches_from\b", r"\badopt_pattern_caches\b", r"\bCANDIDATE_CACHE_NAMESPACE\b",
+    r"\b_MaskedCandidate\b", r"\bstretches_to_lists\b", r"\brun_scenario_once\b",
+    r"def with_pattern\(", r"def restrict\(", r"def column\(", r"\bcompletion_ratio\b",
+    r"\bmessages_per_operation\b", r"\btermination_mapping\b", r"def add\(self, record",
+    r"\b_ids = itertools\.count\(",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -178,6 +192,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_SEARCH_FORK
             + DELETED_SECOND_SOLVERS
             + DELETED_UNREACHED
+            + DELETED_UNCALLED
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
