@@ -53,23 +53,3 @@ class OperationTimeoutError(SimulationError):
 class HistoryError(ReproError):
     """An operation history handed to a checker is malformed."""
 
-
-def numeric_field(data, key, kind, default=None):
-    """``kind(data[key])`` for an ``int`` or ``float`` field of outside data.
-
-    The ``from_dict`` readers (scenario specs, nemesis schedules, trace
-    headers) take their numbers through here, so a field that is not a number
-    is a :class:`ReproError` naming the field — never a bare ``ValueError``
-    from a constructor call.  An absent or ``null`` field is ``default``.
-    """
-    value = data.get(key)
-    if value is None:
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ReproError(
-            "field {!r} must be {}, got {!r}".format(
-                key, "an integer" if kind is int else "a number", value
-            )
-        )

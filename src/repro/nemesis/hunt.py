@@ -492,13 +492,12 @@ def replay_schedule_file(path: str) -> Dict[str, Any]:
         from ..traces import load_incident
 
         incident = load_incident(incident_path)
-        recorded = incident.get("verdict", {})
+        recorded = incident["verdict"]
         compared = ("completed", "safe", "explored_states", "operations", "messages")
         replayed["recorded"] = recorded
-        match = all(recorded.get(key) == outcome["row"].get(key) for key in compared)
-        if incident.get("fitness"):
-            match = match and incident["fitness"] == outcome["fitness"]
-        replayed["match"] = match
+        replayed["match"] = incident["fitness"] == outcome["fitness"] and all(
+            recorded.get(key) == outcome["row"].get(key) for key in compared
+        )
     return replayed
 
 
@@ -519,37 +518,21 @@ CORPUS_COLUMNS = (
 def corpus_rows(directory: str) -> List[Dict[str, Any]]:
     """One row per incident report in ``directory`` (sorted file order)."""
     from ..traces import list_incident_files, load_incident
-    from .schedule import STALL_WEIGHT, VIOLATION_WEIGHT
 
     rows = []
     for path in list_incident_files(directory):
         incident = load_incident(path)
-        verdict = incident.get("verdict", {})
-        within = incident.get("within_budget", {}).get("ok", True)
-        violation = bool(incident.get("paper_bound_violation"))
-        stalled = not verdict.get("completed", True)
-        fitness = incident.get("fitness") or {}
-        explored = int(fitness.get("explored_states", verdict.get("explored_states", 0)))
-        score = fitness.get(
-            "score",
-            explored + STALL_WEIGHT * int(stalled) + VIOLATION_WEIGHT * int(violation),
-        )
-        lineage, flags = incident.get("lineage", []), incident.get("flags", [])
-        for key, names in (("lineage", lineage), ("flags", flags)):
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise ReproError(
-                    "{}: field {!r} must be a list of strings, got {!r}".format(path, key, names)
-                )
+        lineage, fitness = incident["lineage"], incident["fitness"]
         rows.append(
             {
-                "candidate": incident.get("candidate"),
-                "scenario": incident.get("scenario"),
-                "strategy": incident.get("strategy") or "-",
-                "pattern": incident.get("pattern") or "-",
-                "within-budget": within,
-                "score": int(score),
-                "explored": explored,
-                "flags": ",".join(flags) or "-",
+                "candidate": incident["candidate"],
+                "scenario": incident["scenario"],
+                "strategy": incident["strategy"] or "-",
+                "pattern": incident["pattern"] or "-",
+                "within-budget": incident["within_budget"]["ok"],
+                "score": int(fitness["score"]),
+                "explored": int(fitness["explored_states"]),
+                "flags": ",".join(incident["flags"]) or "-",
                 "mutation": lineage[-1] if lineage else "-",
             }
         )

@@ -30,14 +30,14 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ReproError, numeric_field
+from .. import ingress
+from ..errors import ReproError
 from ..failures import FailurePattern
 from ..quorums import GeneralizedQuorumSystem
 from ..registry import PROTOCOLS
 from ..scenarios import ScenarioSpec
 from ..scenarios.builders import run_built_scenario
 from ..scenarios.spec import DelaySpec, FailureSpec
-from ..serialization import _read_json
 from ..sim import build_delay_model
 from ..traces import budget_check
 from ..traces.store import write_evidence
@@ -136,30 +136,17 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Schedule":
-        if not isinstance(data, dict):
-            raise ReproError("a schedule must be a JSON object, got {!r}".format(data))
-        schema = data.get("schema")
-        if schema != SCHEDULE_SCHEMA_VERSION:
-            raise ReproError(
-                "unsupported schedule schema {!r} (this build reads schema {})".format(
-                    schema, SCHEDULE_SCHEMA_VERSION
-                )
-            )
-        if "base" not in data:
-            raise ReproError("a schedule must carry its 'base' scenario")
-        lineage = data.get("lineage", [])
-        if not isinstance(lineage, list) or not all(isinstance(op, str) for op in lineage):
-            raise ReproError(
-                "field 'lineage' must be a list of operator names, got {!r}".format(lineage)
-            )
+        data = ingress.mapping(data, "a schedule")
+        ingress.schema(data, SCHEDULE_SCHEMA_VERSION, "schedule")
+        rows = ingress.channel_rows
         schedule = cls(
-            base=ScenarioSpec.from_dict(data["base"]),
-            seed=numeric_field(data, "seed", int, default=0),
-            pattern=data.get("pattern"),
-            inject_at=numeric_field(data, "inject_at", float),
-            stretches=_override_rows(data, "stretches", (float,)),
-            nudges=_override_rows(data, "nudges", (int, float)),
-            lineage=tuple(lineage),
+            base=ScenarioSpec.from_dict(ingress.required(data, "base", "a schedule")),
+            seed=ingress.numeric_field(data, "seed", int, default=0),
+            pattern=ingress.text(data.get("pattern"), "field 'pattern'", optional=True),
+            inject_at=ingress.numeric_field(data, "inject_at", finite=True),
+            stretches=rows(data.get("stretches", []), "field 'stretches'", (float,)),
+            nudges=rows(data.get("nudges", []), "field 'nudges'", (int, float)),
+            lineage=tuple(ingress.names(data.get("lineage", []), "field 'lineage'")),
         )
         # Build the mutant's delay model once: a delay, stretch or nudge the
         # model refuses (NaN, negative) is refused here, where the file is
@@ -170,27 +157,6 @@ class Schedule:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-
-def _override_rows(data: Mapping[str, Any], key: str, kinds: Tuple[type, ...]) -> Tuple:
-    """Field ``key`` as ``(src, dst, *numbers)`` rows, one number per ``kinds`` entry."""
-    rows = data.get(key, [])
-    width = 2 + len(kinds)
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == width for row in rows
-    ):
-        raise ReproError(
-            "field {!r} must be a list of {}-element rows, got {!r}".format(key, width, rows)
-        )
-    try:
-        return tuple(
-            (row[0], row[1]) + tuple(kind(value) for kind, value in zip(kinds, row[2:]))
-            for row in rows
-        )
-    except (TypeError, ValueError):
-        raise ReproError(
-            "field {!r} rows must end in {} number(s), got {!r}".format(key, len(kinds), rows)
-        )
 
 
 def identity_schedule(base: ScenarioSpec, seed: int) -> Schedule:
@@ -210,11 +176,7 @@ def save_schedule(schedule: Schedule, path: str) -> None:
 
 def load_schedule(path: str) -> Schedule:
     """Parse one schedule file; what is wrong with it is reported against ``path``."""
-    data = _read_json(path)
-    try:
-        return Schedule.from_dict(data)
-    except ReproError as error:
-        raise ReproError("{}: {}".format(path, error)) from error
+    return ingress.read_json(path, Schedule.from_dict)
 
 
 # ---------------------------------------------------------------------- #

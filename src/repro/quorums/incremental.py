@@ -45,14 +45,14 @@ handled in sorted order and no output depends on ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .. import ingress
 from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern
 from ..graph import MaskReindex, ProcessIndex
-from ..types import ProcessId, is_process_id
+from ..types import ProcessId
 from .discovery import DiscoveryResult, discover_gqs
 
 #: The membership-delta operations understood by :func:`apply_delta`.
@@ -86,54 +86,29 @@ class MembershipDelta:
         return payload
 
 
-def parse_delta(obj: Mapping[str, Any]) -> MembershipDelta:
+def parse_delta(obj: Any) -> MembershipDelta:
     """Validate one JSON delta object into a :class:`MembershipDelta`."""
-    op = obj.get("op")
+    op = ingress.mapping(obj, "a delta").get("op")
     if op not in DELTA_OPS:
         raise ReproError(
             "unknown delta op {!r}; expected one of {}".format(op, list(DELTA_OPS))
         )
+    what = "delta op {!r}: field {!r}".format
     if op in ("suspect-channel", "trust-channel"):
-        src, dst = _process_field(obj, "src", op), _process_field(obj, "dst", op)
+        src, dst = (ingress.process_id(obj.get(key), what(op, key)) for key in ("src", "dst"))
         if src == dst:
             raise ReproError("delta op {!r} got a self-loop channel {!r}".format(op, src))
         return MembershipDelta(op=op, src=src, dst=dst)
-    return MembershipDelta(op=op, process=_process_field(obj, "process", op))
-
-
-def _process_field(obj: Mapping[str, Any], key: str, op: str) -> ProcessId:
-    """``obj[key]`` as a process id: a JSON string or number, like a spec file's."""
-    process = obj.get(key)
-    if not is_process_id(process):
-        raise ReproError(
-            "delta op {!r} needs {!r} to name a process, got {!r}".format(op, key, process)
-        )
-    return process
+    process = ingress.process_id(obj.get("process"), what(op, "process"))
+    return MembershipDelta(op=op, process=process)
 
 
 def load_deltas(path: str) -> List[MembershipDelta]:
     """Load a JSONL membership-delta stream (blank lines and ``#`` comments skipped)."""
-    deltas = []
-    try:
-        handle = open(path, "r")
-    except OSError as error:
-        raise ReproError("{}: {}".format(path, error.strerror or error))
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                obj = json.loads(text)
-            except (ValueError, RecursionError) as error:  # malformed, or nested too deep
-                raise ReproError("{}:{}: invalid JSON: {}".format(path, lineno, error))
-            if not isinstance(obj, dict):
-                raise ReproError("{}:{}: delta must be a JSON object".format(path, lineno))
-            try:
-                deltas.append(replace(parse_delta(obj), origin="{}:{}".format(path, lineno)))
-            except ReproError as error:
-                raise ReproError("{}:{}: {}".format(path, lineno, error)) from error
-    return deltas
+    return [
+        replace(delta, origin=where)
+        for where, delta in ingress.read_json_lines(path, parse_delta, comments=True)
+    ]
 
 
 def _require_known(system: FailProneSystem, process: ProcessId) -> None:

@@ -25,7 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..errors import ReproError, numeric_field
+from .. import ingress
+from ..errors import ReproError
 from ..registry import DELAY_MODELS, PROTOCOLS, TOPOLOGIES
 
 __all__ = [
@@ -41,12 +42,6 @@ __all__ = [
 #: :mod:`repro.serialization`); handled by the scenario builders rather than
 #: by :data:`repro.registry.TOPOLOGIES`.
 EXPLICIT_TOPOLOGY = "explicit"
-
-
-def _require_mapping(data: Any, what: str) -> Dict[str, Any]:
-    if not isinstance(data, dict):
-        raise ReproError("{} must be an object, got {!r}".format(what, data))
-    return data
 
 
 def _label_params(params: Dict[str, Any]) -> str:
@@ -77,8 +72,10 @@ class _KindSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]):
-        data = _require_mapping(data, cls.WHAT)
-        return cls(kind=data.get("kind", cls.DEFAULT_KIND), params=dict(data.get("params", {})))
+        data = ingress.mapping(data, cls.WHAT)
+        kind = ingress.text(data.get("kind", cls.DEFAULT_KIND), "{} 'kind'".format(cls.WHAT))
+        params = ingress.mapping(data.get("params", {}), "{} 'params'".format(cls.WHAT))
+        return cls(kind=kind, params=dict(params))
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,11 @@ class FailureSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FailureSpec":
-        data = _require_mapping(data, "failure spec")
-        return cls(pattern=data.get("pattern"), at_time=numeric_field(data, "at_time", float))
+        data = ingress.mapping(data, "failure spec")
+        return cls(
+            pattern=ingress.text(data.get("pattern"), "failure spec 'pattern'", optional=True),
+            at_time=ingress.numeric_field(data, "at_time", finite=True),
+        )
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,11 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "WorkloadSpec":
-        data = _require_mapping(data, "workload spec")
+        data = ingress.mapping(data, "workload spec")
         return cls(
-            ops_per_process=numeric_field(data, "ops_per_process", int, default=2),
-            op_spacing=numeric_field(data, "op_spacing", float),
-            max_time=numeric_field(data, "max_time", float),
+            ops_per_process=ingress.numeric_field(data, "ops_per_process", int, default=2),
+            op_spacing=ingress.numeric_field(data, "op_spacing", finite=True),
+            max_time=ingress.numeric_field(data, "max_time", finite=True),
         )
 
 
@@ -228,20 +228,19 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        data = _require_mapping(data, "scenario spec")
+        data = ingress.mapping(data, "scenario spec")
         for key in ("name", "topology", "protocol"):
-            if key not in data:
-                raise ReproError("scenario description is missing {!r}".format(key))
+            ingress.required(data, key, "scenario spec")
         return cls(
-            name=data["name"],
-            description=data.get("description", ""),
-            paper_section=data.get("paper_section", ""),
+            name=ingress.text(data["name"], "scenario 'name'"),
+            description=ingress.text(data.get("description", ""), "scenario 'description'"),
+            paper_section=ingress.text(data.get("paper_section", ""), "scenario 'paper_section'"),
             topology=TopologySpec.from_dict(data["topology"]),
             failure=FailureSpec.from_dict(data.get("failure", {})),
             delay=DelaySpec.from_dict(data.get("delay", {"kind": "uniform"})),
             protocol=ProtocolSpec.from_dict(data["protocol"]),
             workload=WorkloadSpec.from_dict(data.get("workload", {})),
-            default_runs=numeric_field(data, "default_runs", int, default=4),
+            default_runs=ingress.numeric_field(data, "default_runs", int, default=4),
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -272,11 +271,3 @@ class ScenarioSpec:
             ("workload", workload),
             ("default runs", self.default_runs),
         ))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as error:  # malformed, or nested too deep
-            raise ReproError("scenario spec: invalid JSON: {}".format(error))
-        return cls.from_dict(data)

@@ -33,14 +33,14 @@ exact Python value through a JSON round-trip.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List
 
 from .errors import ReproError
 from .failures import FailProneSystem, FailurePattern
 from .graph import BitsetDiGraph, DiGraph
 from .history import History, OperationRecord
+from . import ingress
 from .quorums import GeneralizedQuorumSystem
-from .types import is_process_id
 
 
 # ---------------------------------------------------------------------- #
@@ -56,36 +56,13 @@ def failure_pattern_to_dict(pattern: FailurePattern) -> Dict[str, Any]:
     }
 
 
-def _process_ids(value: Any, what: str) -> List[Any]:
-    """``value`` checked to be a list of scalar (JSON string or number) process ids."""
-    if not isinstance(value, (list, tuple)) or not all(map(is_process_id, value)):
-        raise ReproError(
-            "{} must be a list of process ids (strings or numbers), got {!r}".format(what, value)
-        )
-    return value
-
-
-def _channels(value: Any, what: str) -> List[Tuple[Any, Any]]:
-    """``value`` checked to be a list of ``[sender, receiver]`` process-id pairs."""
-    if not isinstance(value, (list, tuple)):
-        raise ReproError("{} must be a list of channels, got {!r}".format(what, value))
-    channels = []
-    for channel in value:
-        if len(_process_ids(channel, "a channel")) != 2:
-            raise ReproError(
-                "a channel must be a [sender, receiver] pair, got {!r}".format(channel)
-            )
-        channels.append(tuple(channel))
-    return channels
-
-
 def failure_pattern_from_dict(data: Dict[str, Any]) -> FailurePattern:
     """Deserialize a failure pattern from a dictionary."""
-    if not isinstance(data, dict):
-        raise ReproError("failure pattern must be an object, got {!r}".format(data))
-    crash = _process_ids(data.get("crash", []), "'crash'")
-    disconnect = _channels(data.get("disconnect", []), "'disconnect'")
-    return FailurePattern(crash, disconnect, name=data.get("name"))
+    data = ingress.mapping(data, "failure pattern")
+    crash = ingress.process_ids(data.get("crash", []), "'crash'")
+    disconnect = ingress.channel_rows(data.get("disconnect", []), "'disconnect'")
+    name = ingress.text(data.get("name"), "'name'", optional=True)
+    return FailurePattern(crash, disconnect, name=name)
 
 
 def fail_prone_system_to_dict(system: FailProneSystem) -> Dict[str, Any]:
@@ -110,19 +87,18 @@ def fail_prone_system_to_dict(system: FailProneSystem) -> Dict[str, Any]:
 
 def fail_prone_system_from_dict(data: Dict[str, Any]) -> FailProneSystem:
     """Deserialize a fail-prone system from a dictionary."""
-    if not isinstance(data, dict):
-        raise ReproError("fail-prone system must be an object, got {!r}".format(data))
-    if "processes" not in data:
-        raise ReproError("fail-prone system description must list 'processes'")
-    processes = _process_ids(data["processes"], "'processes'")
+    data = ingress.mapping(data, "fail-prone system")
+    processes = ingress.required(data, "processes", "fail-prone system")
+    processes = ingress.process_ids(processes, "'processes'")
     entries = data.get("patterns", [])
     if not isinstance(entries, (list, tuple)):
         raise ReproError("'patterns' must be a list of failure patterns, got {!r}".format(entries))
     patterns = [failure_pattern_from_dict(entry) for entry in entries]
     graph = None
     if "channels" in data:
-        graph = DiGraph(processes, _channels(data["channels"], "'channels'"))
-    return FailProneSystem(processes, patterns, graph=graph, name=data.get("name"))
+        graph = DiGraph(processes, ingress.channel_rows(data["channels"], "'channels'"))
+    name = ingress.text(data.get("name"), "'name'", optional=True)
+    return FailProneSystem(processes, patterns, graph=graph, name=name)
 
 
 # ---------------------------------------------------------------------- #
@@ -140,15 +116,20 @@ def quorum_system_to_dict(quorum_system: GeneralizedQuorumSystem) -> Dict[str, A
 
 def quorum_system_from_dict(data: Dict[str, Any], validate: bool = True) -> GeneralizedQuorumSystem:
     """Deserialize a generalized quorum system from a dictionary."""
-    if not isinstance(data, dict):
-        raise ReproError("quorum system must be an object, got {!r}".format(data))
-    for key in ("fail_prone", "read_quorums", "write_quorums"):
-        if key not in data:
-            raise ReproError("quorum system description is missing {!r}".format(key))
-    fail_prone = fail_prone_system_from_dict(data["fail_prone"])
-    return GeneralizedQuorumSystem(
-        fail_prone, data["read_quorums"], data["write_quorums"], validate=validate
+    data = ingress.mapping(data, "quorum system")
+    fail_prone = fail_prone_system_from_dict(ingress.required(data, "fail_prone", "quorum system"))
+    reads, writes = (
+        _family(ingress.required(data, key, "quorum system"), repr(key))
+        for key in ("read_quorums", "write_quorums")
     )
+    return GeneralizedQuorumSystem(fail_prone, reads, writes, validate=validate)
+
+
+def _family(value: Any, what: str) -> List[List[Any]]:
+    """``value`` checked to be a list of quorums, each a list of process ids."""
+    if not isinstance(value, (list, tuple)):
+        raise ReproError("{} must be a list of quorums, got {!r}".format(what, value))
+    return [ingress.process_ids(quorum, "a quorum in {}".format(what)) for quorum in value]
 
 
 # ---------------------------------------------------------------------- #
@@ -190,22 +171,27 @@ def value_from_jsonable(data: Any) -> Any:
     """Decode a value encoded by :func:`value_to_jsonable`."""
     if data is None or isinstance(data, (bool, int, float, str)):
         return data
-    if isinstance(data, dict):
-        if len(data) != 1:
-            raise ReproError("malformed encoded value: {!r}".format(data))
+    if isinstance(data, dict) and len(data) == 1:
         tag, payload = next(iter(data.items()))
-        if tag == "$tuple":
-            return tuple(value_from_jsonable(item) for item in payload)
-        if tag == "$list":
-            return [value_from_jsonable(item) for item in payload]
-        if tag == "$frozenset":
-            return frozenset(value_from_jsonable(item) for item in payload)
-        if tag == "$set":
-            return set(value_from_jsonable(item) for item in payload)
-        if tag == "$dict":
-            return {value_from_jsonable(k): value_from_jsonable(v) for k, v in payload}
-        raise ReproError("unknown value tag {!r}".format(tag))
+        decode = _VALUE_TAGS.get(tag)
+        if decode is None:
+            raise ReproError("unknown value tag {!r}".format(tag))
+        if not isinstance(payload, list):
+            raise ReproError("value tag {!r} needs a list, got {!r}".format(tag, payload))
+        try:
+            return decode(payload)
+        except (TypeError, ValueError):  # an unhashable member or key, a pair of the wrong size
+            raise ReproError("malformed encoded value: {!r}".format(data)) from None
     raise ReproError("malformed encoded value: {!r}".format(data))
+
+
+_VALUE_TAGS = {
+    "$tuple": lambda items: tuple(map(value_from_jsonable, items)),
+    "$list": lambda items: list(map(value_from_jsonable, items)),
+    "$frozenset": lambda items: frozenset(map(value_from_jsonable, items)),
+    "$set": lambda items: set(map(value_from_jsonable, items)),
+    "$dict": lambda pairs: {value_from_jsonable(k): value_from_jsonable(v) for k, v in pairs},
+}
 
 
 def operation_record_to_dict(record: OperationRecord) -> Dict[str, Any]:
@@ -223,21 +209,17 @@ def operation_record_to_dict(record: OperationRecord) -> Dict[str, Any]:
 
 def operation_record_from_dict(data: Dict[str, Any]) -> OperationRecord:
     """Deserialize one operation record."""
-    if not isinstance(data, dict):
-        raise ReproError("operation record must be an object, got {!r}".format(data))
+    data = ingress.mapping(data, "operation record")
     for key in ("process", "kind", "invoked_at"):
-        if key not in data:
-            raise ReproError("operation record is missing {!r}".format(key))
+        ingress.required(data, key, "operation record")
     return OperationRecord(
         process_id=value_from_jsonable(data["process"]),
-        kind=data["kind"],
+        kind=ingress.text(data["kind"], "field 'kind'"),
         argument=value_from_jsonable(data.get("argument")),
         result=value_from_jsonable(data.get("result")),
-        invoked_at=float(data["invoked_at"]),
-        completed_at=(
-            float(data["completed_at"]) if data.get("completed_at") is not None else None
-        ),
-        op_id=int(data.get("op_id", 0)),
+        invoked_at=ingress.number(data["invoked_at"], "field 'invoked_at'", finite=True),
+        completed_at=ingress.numeric_field(data, "completed_at", finite=True),
+        op_id=ingress.numeric_field(data, "op_id", int, default=0),
     )
 
 
@@ -246,26 +228,6 @@ def history_to_dicts(history: History) -> List[Dict[str, Any]]:
     return [operation_record_to_dict(record) for record in history]
 
 
-def history_from_dicts(data: Iterable[Dict[str, Any]]) -> History:
-    """Deserialize a history from operation-record dictionaries."""
-    return History(operation_record_from_dict(entry) for entry in data)
-
-
-# ---------------------------------------------------------------------- #
-# JSON file helpers
-# ---------------------------------------------------------------------- #
-def _read_json(path: str) -> Any:
-    """Parse the JSON file at ``path``; an unreadable or malformed file is a named error."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise ReproError("{}: {}".format(path, error.strerror or error))
-    except (ValueError, RecursionError) as error:
-        # JSONDecodeError, UnicodeDecodeError on a binary file, or nesting past the decoder's depth
-        raise ReproError("{}: invalid JSON: {}".format(path, error))
-
-
 def load_fail_prone_system(path: str) -> FailProneSystem:
     """Load a fail-prone system from a JSON file."""
-    return fail_prone_system_from_dict(_read_json(path))
+    return ingress.read_json(path, fail_prone_system_from_dict)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .. import ingress
 from ..errors import ReproError
 from ..types import Channel
 from .delays import DelayModel, build_delay_model, register_delay_model
@@ -42,33 +43,7 @@ from .delays import DelayModel, build_delay_model, register_delay_model
 __all__ = [
     "ScheduleOverride",
     "build_schedule_override",
-    "nudges_from_lists",
-    "stretches_from_lists",
 ]
-
-
-def stretches_from_lists(rows: Optional[Iterable[Sequence[Any]]]) -> Dict[Channel, float]:
-    """Parse ``[src, dst, factor]`` channel-stretch rows."""
-    stretches: Dict[Channel, float] = {}
-    for row in rows or ():
-        if len(row) != 3:
-            raise ReproError("stretch rows must be [src, dst, factor], got {!r}".format(row))
-        src, dst, factor = row
-        stretches[(src, dst)] = float(factor)
-    return stretches
-
-
-def nudges_from_lists(rows: Optional[Iterable[Sequence[Any]]]) -> Dict[Tuple[Channel, int], float]:
-    """Parse ``[src, dst, index, extra]`` delivery-nudge rows."""
-    nudges: Dict[Tuple[Channel, int], float] = {}
-    for row in rows or ():
-        if len(row) != 4:
-            raise ReproError(
-                "nudge rows must be [src, dst, index, extra], got {!r}".format(row)
-            )
-        src, dst, index, extra = row
-        nudges[((src, dst), int(index))] = float(extra)
-    return nudges
 
 
 class ScheduleOverride(DelayModel):
@@ -142,15 +117,20 @@ def build_schedule_override(
 
     ``base`` is a nested ``{"kind", "params"}`` delay-model description (the
     run seed is forwarded to it, so the wrapped model draws exactly what the
-    unwrapped model would); ``stretches``/``nudges`` use the canonical list
-    encodings above.
+    unwrapped model would); ``stretches``/``nudges`` are ``[src, dst,
+    factor]`` / ``[src, dst, index, extra]`` rows
+    (:func:`repro.ingress.channel_rows`).
     """
-    base = dict(base or {"kind": "uniform", "params": {}})
-    inner = build_delay_model(base.get("kind", "uniform"), base.get("params", {}), seed=seed)
+    base = ingress.mapping(base or {}, "'base'")
+    kind = ingress.text(base.get("kind", "uniform"), "'base' kind")
+    params = ingress.mapping(base.get("params", {}), "'base' params")
+    inner = build_delay_model(kind, params, seed=seed)
+    stretches = ingress.channel_rows(stretches or [], "stretches", (float,))
+    nudges = ingress.channel_rows(nudges or [], "nudges", (int, float))
     return ScheduleOverride(
         inner,
-        stretches=stretches_from_lists(stretches),
-        nudges=nudges_from_lists(nudges),
+        stretches={(src, dst): factor for src, dst, factor in stretches},
+        nudges={((src, dst), index): extra for src, dst, index, extra in nudges},
     )
 
 

@@ -30,6 +30,7 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import ingress
 from ..errors import ReproError
 from ..failures import FailurePattern
 from .store import run_stem, write_evidence
@@ -100,6 +101,7 @@ def build_incident(
     candidate: int,
     seed: int,
     declared: Sequence[FailurePattern],
+    fitness: Dict[str, Any],
     pattern: Optional[FailurePattern] = None,
     inject_at: Optional[float] = None,
     stretches: Optional[Iterable[Sequence[Any]]] = None,
@@ -107,7 +109,6 @@ def build_incident(
     lineage: Sequence[str] = (),
     verdict: Optional[Dict[str, Any]] = None,
     strategy: Optional[str] = None,
-    fitness: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble one incident report for a (possibly mutated) schedule.
 
@@ -148,7 +149,7 @@ def build_incident(
         "flags": flags,
         "paper_bound_violation": paper_bound_violation,
         "verdict": verdict,
-        "fitness": dict(fitness or {}),
+        "fitness": dict(fitness),
     }
 
 
@@ -168,23 +169,30 @@ def write_incident(directory: str, file_name: str, incident: Dict[str, Any]) -> 
     return path
 
 
-def load_incident(path: str) -> Dict[str, Any]:
-    """Parse one incident report (validating the schema version)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            incident = json.load(handle)
-        except (ValueError, RecursionError):  # malformed, or nested too deep
-            raise ReproError("{}: not valid JSON".format(path))
-    if not isinstance(incident, dict):
-        raise ReproError("{}: an incident report must be a JSON object".format(path))
-    schema = incident.get("schema")
-    if schema != INCIDENT_SCHEMA_VERSION:
-        raise ReproError(
-            "{}: unsupported incident schema {!r} (this build reads schema {})".format(
-                path, schema, INCIDENT_SCHEMA_VERSION
-            )
-        )
+def _incident(incident: Any) -> Dict[str, Any]:
+    """A schema-1 incident, with every field a reader of the corpus takes checked."""
+    incident = ingress.mapping(incident, "an incident report")
+    ingress.schema(incident, INCIDENT_SCHEMA_VERSION, "incident")
+    for key in INCIDENT_KEYS:
+        ingress.required(incident, key, "an incident report")
+    ingress.number(incident["candidate"], "field 'candidate'", int)
+    for key in ("scenario", "strategy", "pattern"):
+        ingress.text(incident[key], "field {!r}".format(key), optional=key != "scenario")
+    for key in ("lineage", "flags"):
+        ingress.names(incident[key], "field {!r}".format(key))
+    ingress.mapping(incident["verdict"], "field 'verdict'")
+    within = ingress.mapping(incident["within_budget"], "field 'within_budget'")
+    if not isinstance(ingress.required(within, "ok", "field 'within_budget'"), bool):
+        raise ReproError("field 'within_budget' needs a boolean 'ok', got {!r}".format(within))
+    fitness = ingress.mapping(incident["fitness"], "field 'fitness'")
+    for key in ("score", "explored_states"):
+        ingress.number(ingress.required(fitness, key, "field 'fitness'"), "fitness " + key, int)
     return incident
+
+
+def load_incident(path: str) -> Dict[str, Any]:
+    """Parse one incident report (validating the schema version and the fields it is read by)."""
+    return ingress.read_json(path, _incident)
 
 
 def list_incident_files(directory: str) -> List[str]:

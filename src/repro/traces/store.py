@@ -44,17 +44,18 @@ import errno
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ReproError, numeric_field
+from .. import ingress
+from ..errors import ReproError
 from ..failures import FailurePattern
 from ..history import History
 from ..quorums import GeneralizedQuorumSystem
 from ..serialization import (
     failure_pattern_from_dict,
     failure_pattern_to_dict,
-    history_from_dicts,
     history_to_dicts,
+    operation_record_from_dict,
     quorum_system_from_dict,
     quorum_system_to_dict,
 )
@@ -206,83 +207,62 @@ def write_run_trace(
     return path
 
 
-def _parse_lines(path: str) -> Iterator[Dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError):  # RecursionError: nested past the decoder's depth
-                raise ReproError("{}:{}: not valid JSON".format(path, number))
-            if not isinstance(record, dict) or "type" not in record:
-                raise ReproError("{}:{}: trace records must be objects with a 'type'".format(path, number))
-            yield record
+def _record(record: Any) -> Tuple[str, Any]:
+    """One trace line as ``(type, what it says)``, checked as far as its type says.
+
+    An ``op`` line says its operation record; every other type the
+    :class:`Trace` fields it sets.
+    """
+    record = ingress.mapping(record, "a trace record")
+    kind = ingress.required(record, "type", "a trace record")
+    if kind == "meta":
+        ingress.schema(record, TRACE_SCHEMA_VERSION, "trace")
+        scenario = record.get("scenario")
+        if scenario is not None:
+            ingress.mapping(scenario, "field 'scenario'")
+        fields = {
+            "name": ingress.text(record.get("name", ""), "field 'name'"),
+            "protocol": ingress.text(record.get("protocol", ""), "field 'protocol'"),
+            "scenario": scenario,
+        }
+        for key in ("root_seed", "run", "seed"):
+            fields[key] = ingress.numeric_field(record, key, int, default=0)
+        return kind, fields
+    if kind == "system":
+        # Recorded systems are trusted artifacts of a validated run, so
+        # skip re-running the (possibly expensive) GQS validity checks.
+        system = ingress.required(record, "quorum_system", "a 'system' record")
+        return kind, {"quorum_system": quorum_system_from_dict(system, validate=False)}
+    if kind == "failure":
+        pattern = ingress.required(record, "pattern", "a 'failure' record")
+        return kind, {
+            "pattern": failure_pattern_from_dict(pattern),
+            "inject_at": ingress.numeric_field(record, "at_time", finite=True),
+        }
+    if kind == "op":
+        return kind, operation_record_from_dict(record)
+    if kind in ("delay", "verdict"):
+        return kind, {kind: {key: value for key, value in record.items() if key != "type"}}
+    return "unknown", {}  # skipped: minor schema additions stay readable
 
 
 def load_trace(path: str) -> Trace:
     """Parse one trace file (validating the schema version)."""
-    meta: Optional[Dict[str, Any]] = None
-    quorum_system: Optional[GeneralizedQuorumSystem] = None
-    pattern: Optional[FailurePattern] = None
-    inject_at: Optional[float] = None
-    delay: Dict[str, Any] = {}
-    operations: List[Dict[str, Any]] = []
-    verdict: Dict[str, Any] = {}
-    for record in _parse_lines(path):
-        kind = record["type"]
-        if kind == "meta":
-            schema = record.get("schema")
-            if schema != TRACE_SCHEMA_VERSION:
-                raise ReproError(
-                    "{}: unsupported trace schema {!r} (this build reads schema {})".format(
-                        path, schema, TRACE_SCHEMA_VERSION
-                    )
-                )
-            meta = record
-        elif kind == "system":
-            # Recorded systems are trusted artifacts of a validated run, so
-            # skip re-running the (possibly expensive) GQS validity checks.
-            quorum_system = quorum_system_from_dict(record["quorum_system"], validate=False)
-        elif kind == "failure":
-            pattern = failure_pattern_from_dict(record["pattern"])
-            inject_at = record.get("at_time")
-        elif kind == "delay":
-            delay = {key: value for key, value in record.items() if key != "type"}
-        elif kind == "op":
-            operations.append(record)
-        elif kind == "verdict":
-            verdict = {key: value for key, value in record.items() if key != "type"}
-        # Unknown record types are skipped: minor schema additions stay readable.
-    if meta is None:
+    records = [record for _, record in ingress.read_json_lines(path, _record)]
+    if not any(kind == "meta" for kind, _ in records):
         raise ReproError("{}: trace has no 'meta' record".format(path))
-    if not verdict:
+    fields: Dict[str, Any] = {"delay": {}, "verdict": {}}
+    for kind, value in records:
+        if kind != "op":
+            fields.update(value)
+    if not fields["verdict"]:
         # Every writer ends a trace with its verdict line, so its absence
         # means truncation — refuse rather than vacuously re-verify a stub.
         raise ReproError(
             "{}: trace has no 'verdict' record (truncated or corrupt file)".format(path)
         )
-    try:
-        counters = {
-            key: numeric_field(meta, key, int, default=0) for key in ("root_seed", "run", "seed")
-        }
-    except ReproError as error:
-        raise ReproError("{}: 'meta' record {}".format(path, error)) from error
-    return Trace(
-        schema=meta["schema"],
-        name=meta.get("name", ""),
-        protocol=meta.get("protocol", ""),
-        **counters,
-        history=history_from_dicts(operations),
-        quorum_system=quorum_system,
-        pattern=pattern,
-        inject_at=inject_at,
-        delay=delay,
-        scenario=meta.get("scenario"),
-        verdict=verdict,
-        path=path,
-    )
+    history = History(value for kind, value in records if kind == "op")
+    return Trace(schema=TRACE_SCHEMA_VERSION, history=history, path=path, **fields)
 
 
 def list_trace_files(directory: str) -> List[str]:

@@ -23,11 +23,6 @@ ProcessSet = FrozenSet[ProcessId]
 ChannelSet = FrozenSet[Channel]
 
 
-def is_process_id(value: object) -> bool:
-    """Whether outside data names a process: a string or number, never a boolean (``True == 1``)."""
-    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
-
-
 def process_set(processes: Iterable[ProcessId]) -> ProcessSet:
     """Return ``processes`` as an immutable :class:`frozenset`."""
     return frozenset(processes)

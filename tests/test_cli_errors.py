@@ -217,11 +217,11 @@ def test_unreadable_spec_file_is_one_error_line(capsys, tmp_path, command, kind)
         ({"processes": ["a", "b"], "patterns": [{"crash": 7}]}, "'crash' must be a list"),
         (
             {"processes": ["a", "b"], "patterns": [{"disconnect": [["a"]]}]},
-            "a channel must be a [sender, receiver] pair",
+            "'disconnect' must be a list of [sender, receiver] rows",
         ),
         (
             {"processes": ["a", "b"], "patterns": [{"disconnect": "ab"}]},
-            "'disconnect' must be a list of channels",
+            "'disconnect' must be a list of [sender, receiver] rows",
         ),
     ],
     ids=[
@@ -265,7 +265,7 @@ def test_deeply_nested_trace_is_one_error_line(capsys, tmp_path):
     """It used to reach a bare RecursionError traceback out of ``json.loads``."""
     (tmp_path / "deep.trace.jsonl").write_text(DEEP_JSON + "\n")
     status = main(["check", str(tmp_path)])
-    _assert_one_error_line(status, capsys.readouterr(), "deep.trace.jsonl:1: not valid JSON")
+    _assert_one_error_line(status, capsys.readouterr(), "deep.trace.jsonl:1: invalid JSON")
 
 
 def test_deeply_nested_spec_file_is_one_error_line(capsys, tmp_path):
@@ -278,20 +278,19 @@ def test_deeply_nested_spec_file_is_one_error_line(capsys, tmp_path):
 
 
 def test_deeply_nested_json_is_a_repro_error_at_every_other_ingress(tmp_path):
-    """The delta stream, the incident report and a scenario spec's text."""
+    """The delta stream, the incident report and a nemesis schedule."""
     from repro.errors import ReproError
+    from repro.nemesis import load_schedule
     from repro.quorums import load_deltas
-    from repro.scenarios import ScenarioSpec
     from repro.traces.incidents import load_incident
 
     path = tmp_path / "deep.json"
     path.write_text(DEEP_JSON)
     with pytest.raises(ReproError, match=r":1: invalid JSON: maximum recursion depth"):
         load_deltas(str(path))
-    with pytest.raises(ReproError, match=r"deep\.json: not valid JSON$"):
-        load_incident(str(path))
-    with pytest.raises(ReproError, match=r"^scenario spec: invalid JSON: maximum recursion"):
-        ScenarioSpec.from_json(DEEP_JSON)
+    for load in (load_incident, load_schedule):
+        with pytest.raises(ReproError, match=r"deep\.json: invalid JSON: maximum recursion"):
+            load(str(path))
 
 
 @pytest.mark.parametrize("checker", ["auto", "wing-gong"])
@@ -354,7 +353,7 @@ def _trace_with_header(tmp_path, **header):
     (path,) = tmp_path.iterdir()
     first, rest = path.read_text().split("\n", 1)
     path.write_text(json.dumps(dict(json.loads(first), **header)) + "\n" + rest)
-    return ["check", str(tmp_path)], str(path)
+    return ["check", str(tmp_path)], str(path) + ":1"
 
 
 def _incident(tmp_path, **fields):
@@ -362,7 +361,8 @@ def _incident(tmp_path, **fields):
 
     from repro.traces import build_incident
 
-    incident = build_incident(scenario="s", candidate=0, seed=1, declared=())
+    fitness = {"score": 5, "explored_states": 5, "stalled": False, "violation": False}
+    incident = build_incident(scenario="s", candidate=0, seed=1, declared=(), fitness=fitness)
     path = tmp_path / "s-seed1-run0000.incident.json"
     path.write_text(json.dumps(dict(incident, **fields)))
     return ["nemesis", "corpus", str(tmp_path)], str(path)
@@ -400,7 +400,7 @@ def test_malformed_field_is_one_error_line_naming_file_and_field(capsys, tmp_pat
 @pytest.mark.parametrize(
     "spec, stream, complaint",
     [
-        ({"processes": [0, 1, 2]}, '{"op": "suspect", "process": true}', "needs 'process'"),
+        ({"processes": [0, 1, 2]}, '{"op": "suspect", "process": true}', "'process' must name"),
         ({"processes": [0, True, 2]}, None, "'processes' must be a list of process ids"),
         ({"processes": [0, 1, 2], "patterns": [{"crash": [False]}]}, None, "'crash' must be"),
     ],

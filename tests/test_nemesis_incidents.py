@@ -70,6 +70,10 @@ def test_unnamed_witness_gets_a_positional_label():
 # ---------------------------------------------------------------------- #
 # Flags: the accountability verdicts
 # ---------------------------------------------------------------------- #
+#: The score a hunt would give the incidents below (the flags do not read it).
+FITNESS = {"score": 3, "explored_states": 3, "stalled": False, "violation": False}
+
+
 def _incident(pattern, verdict, **kwargs):
     return build_incident(
         scenario="s",
@@ -78,6 +82,7 @@ def _incident(pattern, verdict, **kwargs):
         declared=DECLARED,
         pattern=pattern,
         verdict=verdict,
+        fitness=FITNESS,
         **kwargs,
     )
 
@@ -121,7 +126,7 @@ def test_clean_within_budget_run_has_no_flags():
 def test_incident_key_set_is_pinned():
     incident = _incident(DECLARED[0], {"completed": True, "safe": True})
     assert sorted(incident.keys()) == sorted(INCIDENT_KEYS)
-    bare = build_incident(scenario="s", candidate=0, seed=0, declared=())
+    bare = build_incident(scenario="s", candidate=0, seed=0, declared=(), fitness=FITNESS)
     assert sorted(bare.keys()) == sorted(INCIDENT_KEYS)
 
 
@@ -204,7 +209,7 @@ def test_loader_rejects_foreign_schema_and_garbage(tmp_path):
         load_incident(str(newer))
     garbage = tmp_path / "garbage.incident.json"
     garbage.write_text("not json at all")
-    with pytest.raises(ReproError, match="not valid JSON"):
+    with pytest.raises(ReproError, match="garbage.incident.json: invalid JSON"):
         load_incident(str(garbage))
     array = tmp_path / "array.incident.json"
     array.write_text("[1, 2]")

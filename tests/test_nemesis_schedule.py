@@ -31,7 +31,7 @@ from repro.registry import NEMESIS
 from repro.scenarios import get_scenario
 from repro.scenarios.builders import build_topology
 from repro.sim import FixedDelay, ScheduleOverride, build_delay_model
-from repro.sim.override import nudges_from_lists, stretches_from_lists
+from repro.sim.override import build_schedule_override
 
 
 # ---------------------------------------------------------------------- #
@@ -146,8 +146,10 @@ def nudges_to_lists(nudges):
 def test_override_list_encodings_round_trip_with_types():
     stretches = {("p0", "p1"): 2.0, ("p1", "p0"): 0.5}
     nudges = {(("p0", "p1"), 3): 4.0}
-    assert stretches_from_lists(stretches_to_lists(stretches)) == stretches
-    assert nudges_from_lists(nudges_to_lists(nudges)) == nudges
+    model = build_schedule_override(
+        0, stretches=stretches_to_lists(stretches), nudges=nudges_to_lists(nudges)
+    )
+    assert model.stretches == stretches and model.nudges == nudges
 
 
 def test_override_registered_as_delay_model_kind():

@@ -80,7 +80,7 @@ def test_explicit_topology_round_trips_and_builds():
         protocol=ProtocolSpec("register"),
         workload=WorkloadSpec(ops_per_process=1),
     )
-    again = ScenarioSpec.from_json(scenario.to_json())
+    again = ScenarioSpec.from_dict(json.loads(scenario.to_json()))
     assert again == scenario
     built = build_topology(again)
     assert built.processes == system.processes
@@ -205,7 +205,7 @@ def test_cli_scenario_list(capsys):
 def test_cli_scenario_show_json_round_trips(capsys):
     assert main(["scenario", "show", "churn-at-gst", "--format", "json"]) == 0
     output = capsys.readouterr().out
-    assert ScenarioSpec.from_json(output) == get_scenario("churn-at-gst")
+    assert ScenarioSpec.from_dict(json.loads(output)) == get_scenario("churn-at-gst")
 
 
 def test_cli_scenario_run_jobs_do_not_change_results(capsys):

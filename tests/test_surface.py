@@ -26,6 +26,9 @@ label block or typed-result JSON branch of its own.
 And ``src/`` ships only what something reaches: every module-level name is
 used by another ``src/`` module, a command or the e2e harness, six exempt
 names aside; what only tests read lives in ``tests/`` or ``examples/``.
+Methods too, a dozen waiting on named ROADMAP items aside.
+And a file from outside becomes data in one place, ``repro.ingress``: the
+private readers and field checks the ingresses each carried are gone.
 """
 
 from __future__ import annotations
@@ -164,6 +167,16 @@ DELETED_UNCALLED = (
     r"\b_ids = itertools\.count\(",
 )
 
+#: The private readers and field checks each file ingress carried before
+#: ``repro.ingress`` took them over: one JSON reader, one set of field checks
+#: (``from_json`` was a second spec reader only tests called; the two
+#: override-row parsers checked the rows a schedule had already checked).
+DELETED_INGRESS_COPIES = (
+    r"\b_read_json\b", r"\b_parse_lines\b", r"\b_require_mapping\b", r"\b_process_field\b",
+    r"def from_json\(", r"\bstretches_from_lists\b", r"\bnudges_from_lists\b",
+    r"\b_override_rows\b", r"\bhistory_from_dicts\b",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -193,8 +206,22 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_SECOND_SOLVERS
             + DELETED_UNREACHED
             + DELETED_UNCALLED
+            + DELETED_INGRESS_COPIES
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
+
+
+def test_only_the_ingress_module_decodes_files():
+    """One place turns file bytes into data: ``repro/ingress.py`` is the only
+    ``src/`` module that calls ``json.load``/``json.loads`` or catches the
+    decoder's ``RecursionError`` / ``UnicodeDecodeError``."""
+    decoding = re.compile(r"\bjson\.loads?\(|\bRecursionError\b|\bUnicodeDecodeError\b")
+    for path, text in _sources(SRC_DIR):
+        found = set(decoding.findall(text))
+        if path == os.path.join(SRC_DIR, "repro", "ingress.py"):
+            assert found == {"json.loads(", "RecursionError", "UnicodeDecodeError"}
+        else:
+            assert not found, (path, found)
 
 
 #: The only module-level names of ``src/repro`` nothing reaches: the four paper
@@ -223,15 +250,38 @@ def _export_table_lines(path, tree):
     return lines
 
 
+#: Methods nothing outside the tests calls yet, each with the ROADMAP item it
+#: waits on (a differential seam is a method a ``tests/oracles`` battery races).
+UNREACHED_METHODS = {
+    "OperationRecord.overlaps": "1",
+    "History.incomplete_records": "1",
+    "History.by_process": "1",
+    "History.is_sequential": "1",
+    "DiGraph.remove_vertex": "11",
+    "DiGraph.remove_edge": "11",
+    "DiGraph.copy": "11",
+    "DiGraph.predecessors": "11",
+    "TightnessReport.all_patterns_ok": "4(a)",
+    "TightnessReport.to_table": "4(a)",
+    "QuorumTriple.available_pair": "differential seam",
+    "GeneralizedQuorumSystem.validating_write_quorums": "differential seam",
+}
+
+#: Client operations invoked by name (``Cluster.invoke`` dispatches with ``getattr``).
+STRING_DISPATCHED = {"scan", "quorum_get", "quorum_set"}
+
+
 def test_every_src_name_is_reached_from_outside_its_definition():
     """A module-level ``def``/``class`` of ``src/repro`` is named, as an identifier,
     somewhere besides its own definition and the export tables — in ``src/``
     (which holds every command) or in the pinned ``benchmarks/e2e`` harness.
     A facade alias (``api.hunt`` for ``hunt_scenario``) counts as a use of its
-    target."""
-    e2e = os.path.join(os.path.dirname(SRC_DIR), "benchmarks", "e2e")
-    definitions, aliases, uses = {}, {}, {}
-    for path, text in itertools.chain(_sources(SRC_DIR), _sources(e2e)):
+    target.  A method (dunders aside) is named outside its own ``def`` there or
+    in ``examples/``, or is a client operation dispatched by name."""
+    root = os.path.dirname(SRC_DIR)
+    e2e, examples = os.path.join(root, "benchmarks", "e2e"), os.path.join(root, "examples")
+    definitions, aliases, uses, methods = {}, {}, {}, []
+    for path, text in itertools.chain(_sources(SRC_DIR), _sources(e2e), _sources(examples)):
         tree = ast.parse(text)
         exports = _export_table_lines(path, tree)
         # Identifiers only: a name in a docstring, comment or string is no use.
@@ -248,12 +298,33 @@ def test_every_src_name_is_reached_from_outside_its_definition():
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     span = range(node.lineno, node.end_lineno + 1)
                     definitions.setdefault(node.name, set()).update((path, n) for n in span)
+                if isinstance(node, ast.ClassDef):
+                    methods += [
+                        ("{}.{}".format(node.name, item.name), item.name,
+                         {(path, n) for n in range(item.lineno, item.end_lineno + 1)})
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                    ]
+    outside_examples = {
+        word: {use for use in found if not use[0].startswith(examples)}
+        for word, found in uses.items()
+    }
     unreached = {
         name
         for name, own in definitions.items()
-        if not any(uses.get(word, set()) - own for word in {name} | aliases.get(name, set()))
+        if not any(
+            outside_examples.get(word, set()) - own for word in {name} | aliases.get(name, set())
+        )
     }
     assert unreached == UNREACHED_BY_DESIGN
+    unreached_methods = {
+        qualified
+        for qualified, name, own in methods
+        if name not in STRING_DISPATCHED and not uses.get(name, set()) - own
+    }
+    assert unreached_methods == set(UNREACHED_METHODS)
+    assert set(UNREACHED_METHODS.values()) <= {"1", "4(a)", "11", "differential seam"}
 
 
 def test_decision_layer_has_one_graph_currency():

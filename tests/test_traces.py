@@ -12,7 +12,6 @@ from repro.experiments import run_workload
 from repro.history import History, OperationRecord
 from repro.scenarios import ScenarioSpec, get_scenario, run_scenario, sweep_scenarios
 from repro.serialization import (
-    history_from_dicts,
     history_to_dicts,
     operation_record_from_dict,
     operation_record_to_dict,
@@ -93,7 +92,7 @@ def test_history_round_trip_preserves_order_and_records():
         OperationRecord("a", "write", 1, "ack", 0.0, 1.0, op_id=0),
         OperationRecord("b", "read", None, 1, 2.0, None, op_id=1),
     ])
-    again = history_from_dicts(history_to_dicts(h))
+    again = History(map(operation_record_from_dict, history_to_dicts(h)))
     assert again.records == h.records
 
 
