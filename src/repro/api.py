@@ -30,12 +30,12 @@ facade call without any core change.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._lazy import lazy_exports
 from .analysis.metrics import RunAggregates
+from .egress import JsonDocument
 from .errors import NoQuorumSystemExistsError, ReproError
 from .registry import PROTOCOLS, loaded_plugins, plugin_contributions
 from .types import ProcessId, sorted_channels
@@ -128,14 +128,6 @@ def _system_summary(system: FailProneSystem) -> Dict[str, Any]:
     }
 
 
-class _Result:
-    """What the result types of this module share: one JSON spelling."""
-
-    def to_json(self) -> str:
-        """Canonical JSON of ``to_dict()``: sorted keys, the same bytes for every job count."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
 #: The impossibility verdict, as ``check`` and ``quorums discover`` word it.
 _NO_GQS_TEXT = (
     "NO generalized quorum system exists: by Theorem 2 the failure assumptions\n"
@@ -160,7 +152,7 @@ def discover(
 
 
 @dataclass
-class DiscoveryReport(_Result):
+class DiscoveryReport(JsonDocument):
     """A :class:`DiscoveryResult` paired with its per-pattern witness rows."""
 
     system: FailProneSystem
@@ -235,7 +227,7 @@ def discovery_report(
 
 
 @dataclass
-class ClassifyReport(_Result):
+class ClassifyReport(JsonDocument):
     """Which quorum conditions (classical / QS+ / generalized) a system admits."""
 
     system: FailProneSystem
@@ -264,7 +256,7 @@ def classify(system: FailProneSystem) -> ClassifyReport:
 
 
 @dataclass
-class RepairOutcome(_Result):
+class RepairOutcome(JsonDocument):
     """A channel-repair search result with its display/JSON projections."""
 
     system: FailProneSystem
@@ -355,7 +347,7 @@ class CheckReport(DiscoveryReport):
 
 
 @dataclass
-class WatchReport(_Result):
+class WatchReport(JsonDocument):
     """A :class:`~repro.quorums.WatchOutcome` with its display/JSON projections."""
 
     outcome: WatchOutcome
@@ -459,7 +451,7 @@ def _simulate_run(
 
 
 @dataclass
-class SimulateReport(RunAggregates, _Result):
+class SimulateReport(RunAggregates, JsonDocument):
     """The aggregate of one ``simulate`` call (single run or a seeded batch):
     one :func:`~repro.scenarios.run_built_scenario` row per run."""
 
@@ -571,7 +563,7 @@ def simulate(
 # Monte Carlo studies
 # ---------------------------------------------------------------------- #
 @dataclass
-class MonteCarloSweep(_Result):
+class MonteCarloSweep(JsonDocument):
     """The outcome of the Monte Carlo studies ``repro sweep`` runs."""
 
     admissibility: Optional[List[AdmissibilityPoint]] = None

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -320,10 +319,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # scenario
 # ---------------------------------------------------------------------- #
 def cmd_scenario_list(args: argparse.Namespace) -> int:
-    from . import scenarios
+    from . import egress, scenarios
 
     if args.format == "json":
-        print(json.dumps([scenarios.get_scenario(n).to_dict() for n in scenarios.scenario_names()], indent=2))
+        specs = [scenarios.get_scenario(n).to_dict() for n in scenarios.scenario_names()]
+        print(egress.indented_in_order(specs))
     elif args.format == "markdown":
         print(scenarios.catalogue_markdown())
     else:
@@ -347,11 +347,11 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario_sweep(args: argparse.Namespace) -> int:
-    from . import api, scenarios
+    from . import api, egress, scenarios
 
     results = _forward(api.sweep_scenarios, args, args.names or None)
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in results], indent=2))
+        print(egress.indented_in_order([r.to_dict() for r in results]))
     else:
         print(scenarios.sweep_table(results).to_text())
     return 0 if all(r.ok for r in results) else 1
@@ -371,12 +371,12 @@ def cmd_nemesis_hunt(args: argparse.Namespace) -> int:
 
 
 def cmd_nemesis_replay(args: argparse.Namespace) -> int:
-    from . import api
+    from . import api, egress
     from .analysis.metrics import field_lines
 
     outcome = api.replay_schedule(args.schedule)
     if args.format == "json":
-        print(json.dumps(outcome, indent=2, sort_keys=True))
+        print(egress.indented(outcome))
     else:
         row = outcome["row"]
         if outcome["recorded"] is None:
@@ -401,11 +401,11 @@ def cmd_nemesis_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_nemesis_corpus(args: argparse.Namespace) -> int:
-    from . import api
+    from . import api, egress
 
     rows = api.nemesis_corpus(args.directory)
     if args.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        print(egress.indented(rows))
     else:
         print(api.nemesis_corpus_table(args.directory, rows).to_text())
     violations = sum(1 for row in rows if "violation" in row["flags"].split(","))
@@ -416,7 +416,7 @@ def cmd_nemesis_corpus(args: argparse.Namespace) -> int:
 # plugins
 # ---------------------------------------------------------------------- #
 def cmd_plugins_list(args: argparse.Namespace) -> int:
-    from . import api
+    from . import api, egress
     from .registry import loaded_plugins, plugin_contributions
 
     if args.format == "json":
@@ -430,7 +430,7 @@ def cmd_plugins_list(args: argparse.Namespace) -> int:
             }
             for module in loaded_plugins()
         ]
-        print(json.dumps(payload, indent=2))
+        print(egress.indented_in_order(payload))
     elif not loaded_plugins():
         print("no plugins loaded (use --plugin MODULE or REPRO_PLUGINS=mod1,mod2)")
     else:

@@ -365,8 +365,8 @@ def build_protocol_factory(
     registry descriptor's schema (``PROTOCOLS[kind].params``).
     """
     params = dict(params or {})
-    descriptor = PROTOCOLS.validate_params(kind, params)
-    return descriptor.builder(quorum_system, params)
+    PROTOCOLS.validate_params(kind, params)
+    return PROTOCOLS.build(kind, quorum_system, params)
 
 
 def client_schedule(

@@ -545,11 +545,7 @@ register_topology(
 
 def build_fail_prone_system(kind: str, params: Optional[Mapping[str, Any]] = None) -> FailProneSystem:
     """Build a fail-prone system from a declarative ``(kind, params)`` description."""
-    descriptor = TOPOLOGIES.get(kind)
-    try:
-        return descriptor.builder(**dict(params or {}))
-    except TypeError as error:
-        raise ReproError("invalid parameters for topology {!r}: {}".format(kind, error))
+    return TOPOLOGIES.build(kind, **dict(params or {}))
 
 
 def builtin_fail_prone_system(name: str) -> FailProneSystem:

@@ -33,25 +33,30 @@ def _read(path: str) -> bytes:
         raise ReproError("{}: {}".format(path, error.strerror or error)) from error
 
 
-def _build(where: str, raw: bytes, build: Callable[[Any], T]) -> T:
-    """``build`` of the JSON text ``raw``; an error is re-raised naming ``where``."""
+def attributed(where: str, build: Callable[..., T], *args: Any) -> T:
+    """``build(*args)``; a :class:`ReproError` it raises starts with ``where``, class kept."""
     try:
-        try:
-            value = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as error:
-            # JSONDecodeError, UnicodeDecodeError, or nesting past the decoder's depth
-            raise ReproError("invalid JSON: {}".format(error)) from error
-        try:
-            return build(value)
-        except RecursionError as error:  # valid JSON, nested past a reader's depth
-            raise ReproError("nested too deeply to read: {}".format(error)) from error
+        return build(*args)
     except ReproError as error:
         raise type(error)("{}: {}".format(where, error)) from error
 
 
+def _decode(raw: bytes, build: Callable[[Any], T]) -> T:
+    """``build`` of the JSON text ``raw``."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        # JSONDecodeError, UnicodeDecodeError, or nesting past the decoder's depth
+        raise ReproError("invalid JSON: {}".format(error)) from error
+    try:
+        return build(value)
+    except RecursionError as error:  # valid JSON, nested past a reader's depth
+        raise ReproError("nested too deeply to read: {}".format(error)) from error
+
+
 def read_json(path: str, build: Callable[[Any], T]) -> T:
     """``build`` of the JSON document at ``path``; every error starts with ``path``."""
-    return _build(path, _read(path), build)
+    return attributed(path, _decode, _read(path), build)
 
 
 def read_json_lines(
@@ -67,7 +72,7 @@ def read_json_lines(
         raw = raw.strip()
         if raw and not (comments and raw.startswith(b"#")):
             where = "{}:{}".format(path, number)
-            records.append((where, _build(where, raw, build)))
+            records.append((where, attributed(where, _decode, raw, build)))
     return records
 
 

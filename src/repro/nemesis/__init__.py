@@ -43,7 +43,6 @@ from .schedule import (
     fitness_of,
     identity_schedule,
     load_schedule,
-    save_schedule,
 )
 from .strategies import (
     CoverageGuidedStrategy,
@@ -81,5 +80,4 @@ __all__ = [
     "load_schedule",
     "mutate_schedule",
     "replay_schedule_file",
-    "save_schedule",
 ]

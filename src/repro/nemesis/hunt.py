@@ -29,12 +29,12 @@ clock, never the trajectory.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from .. import egress, ingress
 from ..analysis.metrics import ResultTable, field_lines
 from ..engine import ExperimentSpec, ParallelRunner, ProgressCallback, derive_seed
 from ..errors import ReproError
@@ -50,16 +50,13 @@ from ..traces import (
     incident_file_name,
     list_trace_files,
     load_trace,
-    write_incident,
 )
-from ..traces.store import write_evidence
 from .mutate import mutate_schedule
 from .schedule import (
     SCHEDULE_SUFFIX,
     Schedule,
     evaluate_schedule,
     identity_schedule,
-    save_schedule,
 )
 from .strategies import Evaluation, HuntState, build_strategy
 
@@ -119,7 +116,7 @@ def _evaluation_row(evaluation: Evaluation, admitted: bool) -> Dict[str, Any]:
 
 
 @dataclass
-class HuntReport:
+class HuntReport(egress.JsonDocument):
     """Everything one ``repro nemesis hunt`` produced.
 
     ``rows`` has one entry per evaluation (seeds first, then mutants in
@@ -212,9 +209,6 @@ class HuntReport:
             "summary": self.summary(),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
     def to_text(self) -> str:
         """The candidate table and the totals under it (``repro nemesis hunt``)."""
         best = self.best_row
@@ -296,7 +290,7 @@ def _seeds_from_traces(spec: ScenarioSpec, directory: str) -> List[Schedule]:
         trace = load_trace(path)
         if trace.scenario is None:
             continue
-        base = ScenarioSpec.from_dict(trace.scenario)
+        base = ingress.attributed(path, ScenarioSpec.from_dict, trace.scenario)
         if base.name not in accepted_names:
             continue
         schedules.append(identity_schedule(base, trace.seed))
@@ -417,7 +411,7 @@ def hunt_scenario(
         for (ordinal, schedule), outcome in zip(survivors, recorded):
             incident_name = incident_file_name("nemesis-{}".format(spec.name), seed, ordinal)
             stem = incident_name[: -len(INCIDENT_SUFFIX)]
-            save_schedule(schedule, os.path.join(corpus_dir, stem + SCHEDULE_SUFFIX))
+            egress.write_json(os.path.join(corpus_dir, stem + SCHEDULE_SUFFIX), schedule.to_dict())
             evaluation = evaluations_by_candidate[ordinal]
             incident = build_incident(
                 scenario=spec.name,
@@ -433,7 +427,7 @@ def hunt_scenario(
                 strategy=strategy,
                 fitness=dict(evaluation.fitness),
             )
-            write_incident(corpus_dir, incident_name, incident)
+            egress.write_json(os.path.join(corpus_dir, incident_name), incident)
             report.corpus.append(
                 {
                     "candidate": ordinal,
@@ -442,7 +436,7 @@ def hunt_scenario(
                     "flags": incident["flags"],
                 }
             )
-        write_evidence(os.path.join(corpus_dir, "report.json"), report.to_json())
+        egress.write_json(os.path.join(corpus_dir, "report.json"), report.to_dict())
     else:
         report.corpus = [
             {
@@ -473,8 +467,8 @@ def replay_schedule_file(path: str) -> Dict[str, Any]:
     from .schedule import load_schedule  # local import avoids a cycle at module load
 
     schedule = load_schedule(path)
-    system = build_topology(schedule.base)
-    quorum_system = build_quorum_system(schedule.base, system)
+    system = ingress.attributed(path, build_topology, schedule.base)
+    quorum_system = ingress.attributed(path, build_quorum_system, schedule.base, system)
     declared = tuple(system.patterns)
     outcome = evaluate_schedule(schedule, quorum_system, declared)
     replayed = {

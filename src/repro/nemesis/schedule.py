@@ -26,7 +26,6 @@ so strategies can compare candidates with plain ``>``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -40,7 +39,6 @@ from ..scenarios.builders import run_built_scenario
 from ..scenarios.spec import DelaySpec, FailureSpec
 from ..sim import build_delay_model
 from ..traces import budget_check
-from ..traces.store import write_evidence
 
 __all__ = [
     "SCHEDULE_SCHEMA_VERSION",
@@ -52,7 +50,6 @@ __all__ = [
     "fitness_of",
     "identity_schedule",
     "load_schedule",
-    "save_schedule",
 ]
 
 #: Bumped whenever the schedule layout changes; readers reject newer schemas.
@@ -155,9 +152,6 @@ class Schedule:
         build_delay_model(delay.kind, delay.params, seed=schedule.seed)
         return schedule
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
 
 def identity_schedule(base: ScenarioSpec, seed: int) -> Schedule:
     """The unmutated schedule of one recorded run: base scenario + run seed."""
@@ -167,11 +161,6 @@ def identity_schedule(base: ScenarioSpec, seed: int) -> Schedule:
         pattern=base.failure.pattern,
         inject_at=base.failure.at_time,
     )
-
-
-def save_schedule(schedule: Schedule, path: str) -> None:
-    """Write one schedule as canonical JSON (atomically, like all evidence)."""
-    write_evidence(path, schedule.to_json())
 
 
 def load_schedule(path: str) -> Schedule:

@@ -179,4 +179,4 @@ register_nemesis_strategy(
 
 def build_strategy(name: str) -> NemesisStrategy:
     """A fresh strategy instance by registry name (rich unknown-name errors)."""
-    return NEMESIS.get(name).builder()
+    return NEMESIS.build(name)

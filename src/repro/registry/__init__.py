@@ -36,7 +36,6 @@ from .core import (
     ALL_REGISTRIES,
     Descriptor,
     Registry,
-    validate_params,
 )
 from .plugins import (
     PLUGINS_ENV_VAR,
@@ -69,7 +68,6 @@ __all__ = [
     "register_protocol",
     "register_scenario",
     "register_topology",
-    "validate_params",
 ]
 
 #: Protocol kinds the workload layer can drive (register, snapshot, …).

@@ -40,7 +40,6 @@ __all__ = [
     "Registry",
     "current_origin",
     "set_current_origin",
-    "validate_params",
 ]
 
 #: The origin recorded for descriptors registered by the library itself.
@@ -248,30 +247,33 @@ class Registry(MappingABC):
             message += " (did you mean {!r}?)".format(close[0])
         return ReproError(message)
 
+    def build(self, name: str, /, *args: Any, **params: Any) -> Any:
+        """What ``name``'s builder makes of ``args`` and ``params``; the only builder call.
+
+        ``params`` are checked against the schema first.  A ``TypeError`` or
+        ``ValueError`` becomes a :class:`ReproError` starting ``<param_noun>
+        '<name>': ``; a ``ReproError`` (``HistoryError`` too) already says what
+        was refused and passes through unchanged.
+        """
+        descriptor = self.validate_params(name, params)
+        try:
+            return descriptor.builder(*args, **params)
+        except (TypeError, ValueError) as error:
+            raise ReproError("{} {!r}: {}".format(self.param_noun, name, error)) from error
+
     def validate_params(self, name: str, params: Mapping[str, Any]) -> Descriptor:
-        """Look up ``name`` and check ``params`` against its schema."""
+        """Look up ``name`` and check ``params`` against its schema.
+
+        A schema of ``None`` accepts anything (the builder checks for itself);
+        otherwise an unknown key raises :class:`ReproError` listing the
+        offenders in sorted order.
+        """
         descriptor = self.get(name)
-        validate_params(descriptor, params, noun=self.param_noun)
-        return descriptor
-
-
-def validate_params(
-    descriptor: Descriptor, params: Mapping[str, Any], noun: Optional[str] = None
-) -> None:
-    """Check parameter names against a descriptor's schema.
-
-    Descriptors with ``params=None`` accept anything (their builder does its
-    own validation); otherwise an unknown key raises :class:`ReproError`
-    listing the offenders in sorted order.
-    """
-    if descriptor.params is None:
-        return
-    unknown = set(params) - set(descriptor.params)
-    if unknown:
-        raise ReproError(
-            "{} {!r} does not accept parameter(s) {}".format(
-                noun if noun is not None else descriptor.kind,
-                descriptor.name,
-                sorted(unknown),
+        unknown = set(params) - set(params if descriptor.params is None else descriptor.params)
+        if unknown:
+            raise ReproError(
+                "{} {!r} does not accept parameter(s) {}".format(
+                    self.param_noun, name, sorted(unknown)
+                )
             )
-        )
+        return descriptor

@@ -13,11 +13,11 @@ parallelism spans the whole sweep.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..analysis.metrics import ResultTable, RunAggregates, field_lines
+from ..egress import JsonDocument
 from ..engine import ExperimentSpec, ParallelRunner, ProgressCallback, ShardSpec
 from ..errors import ReproError
 from ..traces import ensure_trace_directory
@@ -106,8 +106,10 @@ def _merge_rows(spec: ExperimentSpec, rows: List[Dict[str, Any]]) -> "ScenarioRu
 
 
 @dataclass
-class ScenarioRunResult(RunAggregates):
+class ScenarioRunResult(RunAggregates, JsonDocument):
     """All per-run rows of one scenario execution, plus aggregates."""
+
+    json_in_order = True
 
     scenario: ScenarioSpec
     seed: int
@@ -143,9 +145,6 @@ class ScenarioRunResult(RunAggregates):
             "rows": [dict(row) for row in self.rows],
             "summary": self.summary(),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def to_text(self) -> str:
         """What ran, the per-run table and the aggregates (``repro scenario run``)."""

@@ -21,11 +21,11 @@ a scenario is *what* to run, the engine decides *how*.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from .. import ingress
+from ..egress import JsonDocument
 from ..errors import ReproError
 from ..registry import DELAY_MODELS, PROTOCOLS, TOPOLOGIES
 
@@ -191,8 +191,10 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonDocument):
     """One named, fully declarative evaluation scenario."""
+
+    json_in_order = True
 
     name: str
     description: str
@@ -242,9 +244,6 @@ class ScenarioSpec:
             workload=WorkloadSpec.from_dict(data.get("workload", {})),
             default_runs=ingress.numeric_field(data, "default_runs", int, default=4),
         )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def component_labels(self) -> Dict[str, str]:
         """What the catalogue, a run report and :meth:`to_text` tell scenarios apart by."""

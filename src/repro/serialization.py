@@ -32,14 +32,13 @@ exact Python value through a JSON round-trip.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List
 
 from .errors import ReproError
 from .failures import FailProneSystem, FailurePattern
 from .graph import BitsetDiGraph, DiGraph
 from .history import History, OperationRecord
-from . import ingress
+from . import egress, ingress
 from .quorums import GeneralizedQuorumSystem
 
 
@@ -143,9 +142,10 @@ def value_to_jsonable(value: Any) -> Any:
     ``{"$frozenset": [...]}``, ``{"$set": [...]}``, ``{"$list": [...]}``,
     ``{"$dict": [[key, value], ...]}``) so that element types — including
     non-string dictionary keys — survive the round-trip.  Unordered
-    collections are sorted by their encoded JSON text, so encoding is
-    deterministic.  Unsupported types raise :class:`ReproError` rather than
-    degrade silently: a trace must replay to the exact recorded values.
+    collections are sorted by their :func:`~repro.egress.canonical` text, so
+    encoding is deterministic.  Unsupported types raise :class:`ReproError`
+    rather than degrade silently: a trace must replay to the exact recorded
+    values.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -156,11 +156,11 @@ def value_to_jsonable(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         tag = "$frozenset" if isinstance(value, frozenset) else "$set"
         encoded = [value_to_jsonable(item) for item in value]
-        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
+        encoded.sort(key=egress.canonical)
         return {tag: encoded}
     if isinstance(value, dict):
         pairs = [[value_to_jsonable(k), value_to_jsonable(v)] for k, v in value.items()]
-        pairs.sort(key=lambda pair: json.dumps(pair[0], sort_keys=True))
+        pairs.sort(key=lambda pair: egress.canonical(pair[0]))
         return {"$dict": pairs}
     raise ReproError(
         "cannot serialize operation value of type {}: {!r}".format(type(value).__name__, value)

@@ -20,7 +20,6 @@ import math
 import random
 from typing import Any, Mapping, Optional
 
-from ..errors import ReproError
 from ..registry import DELAY_MODELS, register_delay_model
 from ..types import Channel
 
@@ -197,9 +196,4 @@ def build_delay_model(
     run-specific state.  A value the model refuses is a :class:`ReproError`
     naming the kind and the parameter.
     """
-    params = dict(params or {})
-    descriptor = DELAY_MODELS.validate_params(kind, params)
-    try:
-        return descriptor.builder(seed, **params)
-    except ValueError as error:
-        raise ReproError("delay model {!r}: {}".format(kind, error)) from error
+    return DELAY_MODELS.build(kind, seed, **dict(params or {}))

@@ -26,7 +26,6 @@ _EXPORTS = {
     ".incidents": (
         "INCIDENT_KEYS", "INCIDENT_SCHEMA_VERSION", "INCIDENT_SUFFIX", "budget_check",
         "build_incident", "incident_file_name", "list_incident_files", "load_incident",
-        "write_incident",
     ),
     ".store": (
         "TRACE_SCHEMA_VERSION", "TRACE_SUFFIX", "Trace", "ensure_trace_directory",

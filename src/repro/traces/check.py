@@ -24,14 +24,15 @@ choices route them through their ``auto`` path.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .. import ingress
 from ..analysis.metrics import ResultTable, field_lines
+from ..egress import JsonDocument
 from ..engine import ParallelRunner, ProgressCallback
-from ..errors import HistoryError, ReproError
+from ..errors import ReproError
 from ..registry import CHECKERS, register_checker
 from .store import Trace, list_trace_files, load_trace
 
@@ -68,9 +69,7 @@ def _check_auto(trace: Trace) -> Dict[str, Any]:
 
     if trace.protocol in ("snapshot", "consensus") and trace.quorum_system is None:
         raise ReproError(
-            "{}: {} trace carries no quorum system (needed to re-judge it)".format(
-                trace.path, trace.protocol
-            )
+            "{} trace carries no quorum system (needed to re-judge it)".format(trace.protocol)
         )
     report = judge_history(trace.protocol, trace.history, trace.quorum_system, trace.pattern)
     return {
@@ -106,12 +105,9 @@ register_checker(
 
 def check_trace(trace: Trace, checker: str = "auto") -> Dict[str, Any]:
     """Re-verify one parsed trace; returns a verdict-table row."""
-    try:
-        outcome = CHECKERS.get(checker).builder(trace)
-    except HistoryError as error:
-        # A history no checker can judge (a foreign operation kind, a search
-        # past its state bound) is reported against the file it came from.
-        raise HistoryError("{}: {}".format(trace.path, error)) from error
+    # A history no checker can judge (a foreign operation kind, a search past
+    # its state bound) is reported against the file it came from.
+    outcome = ingress.attributed(trace.path, CHECKERS.build, checker, trace)
     recorded = trace.recorded_safe
     return {
         "trace": os.path.basename(trace.path),
@@ -135,8 +131,10 @@ def _check_trace_task(checker: str, path: str) -> Dict[str, Any]:
 
 
 @dataclass
-class TraceCheckReport:
+class TraceCheckReport(JsonDocument):
     """All verdict rows of one ``repro check`` invocation."""
+
+    json_in_order = True
 
     directory: str
     checker: str
@@ -187,9 +185,6 @@ class TraceCheckReport:
             "rows": [dict(row) for row in self.rows],
             "summary": self.summary(),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def to_text(self) -> str:
         """The verdict table and the totals under it, as ``repro check DIR`` prints them."""

@@ -26,14 +26,13 @@ a regression test.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import ingress
 from ..errors import ReproError
 from ..failures import FailurePattern
-from .store import run_stem, write_evidence
+from .store import run_stem
 
 __all__ = [
     "INCIDENT_KEYS",
@@ -44,7 +43,6 @@ __all__ = [
     "incident_file_name",
     "list_incident_files",
     "load_incident",
-    "write_incident",
 ]
 
 #: Bumped whenever the incident layout changes; readers reject newer schemas.
@@ -156,17 +154,6 @@ def build_incident(
 def incident_file_name(name: str, root_seed: int, run_index: int) -> str:
     """The canonical incident file name, mirroring its trace's stem."""
     return run_stem(name, root_seed, run_index) + INCIDENT_SUFFIX
-
-
-def write_incident(directory: str, file_name: str, incident: Dict[str, Any]) -> str:
-    """Write one incident report as canonical JSON; returns its path.
-
-    Written like every piece of evidence (:func:`~repro.traces.store.write_evidence`).
-    """
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, file_name)
-    write_evidence(path, json.dumps(incident, sort_keys=True, indent=2))
-    return path
 
 
 def _incident(incident: Any) -> Dict[str, Any]:

@@ -32,21 +32,20 @@ File format (one JSON object per line, first field ``"type"``):
     The inline run row: ``completed``, ``safe``, ``checker``,
     ``explored_states`` and the metric columns.
 
-Every line is written with sorted keys and fixed separators, and operations
-are written in history order, so a trace's bytes are a pure function of the
-run that produced it — recording under ``--jobs 8`` yields byte-identical
-files to recording serially.
+Every line is :func:`repro.egress.canonical` JSON (sorted keys, fixed
+separators), and operations are written in history order, so a trace's bytes
+are a pure function of the run that produced it — recording under ``--jobs 8``
+yields byte-identical files to recording serially.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import ingress
+from .. import egress, ingress
 from ..errors import ReproError
 from ..failures import FailurePattern
 from ..history import History
@@ -77,10 +76,8 @@ TRACE_SCHEMA_VERSION = 1
 #: File-name suffix identifying trace files inside a trace directory.
 TRACE_SUFFIX = ".trace.jsonl"
 
-
-def _dumps(record: Dict[str, Any]) -> str:
-    """One canonical JSONL line (sorted keys, fixed separators)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: Operation kinds whose argument and result the checkers hash (not a snapshot scan's mapping).
+_HASHED_KINDS = frozenset({"read", "write", "snapshot_write"})
 
 
 @dataclass
@@ -117,20 +114,6 @@ def run_stem(name: str, root_seed: int, run_index: int) -> str:
 def trace_file_name(name: str, root_seed: int, run_index: int) -> str:
     """The canonical trace file name for one run of a seeded batch."""
     return run_stem(name, root_seed, run_index) + TRACE_SUFFIX
-
-
-def write_evidence(path: str, text: str) -> None:
-    """Write ``text`` and a final newline to ``path``, all or nothing.
-
-    Write-then-rename, so a killed worker (or a full disk) can never leave a
-    partial file behind that would later parse as a valid shorter trace,
-    incident, schedule or report: evidence must be all-or-nothing.
-    """
-    partial = "{}.tmp".format(path)
-    with open(partial, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
-    os.replace(partial, path)
 
 
 def ensure_trace_directory(directory: Optional[str]) -> None:
@@ -185,25 +168,19 @@ def write_run_trace(
     }
     if scenario is not None:
         meta["scenario"] = scenario
-    lines: List[str] = [_dumps(meta)]
+    records: List[Dict[str, Any]] = [meta]
     if quorum_system is not None:
-        lines.append(_dumps({"type": "system", "quorum_system": quorum_system_to_dict(quorum_system)}))
+        records.append({"type": "system", "quorum_system": quorum_system_to_dict(quorum_system)})
     if pattern is not None:
-        lines.append(
-            _dumps(
-                {
-                    "type": "failure",
-                    "pattern": failure_pattern_to_dict(pattern),
-                    "at_time": inject_at,
-                }
-            )
+        records.append(
+            {"type": "failure", "pattern": failure_pattern_to_dict(pattern), "at_time": inject_at}
         )
     if delay is not None:
-        lines.append(_dumps(dict({"type": "delay"}, **delay)))
+        records.append(dict({"type": "delay"}, **delay))
     for record in history_to_dicts(history):
-        lines.append(_dumps(dict({"type": "op"}, **record)))
-    lines.append(_dumps(dict({"type": "verdict"}, **verdict)))
-    write_evidence(path, "\n".join(lines))
+        records.append(dict({"type": "op"}, **record))
+    records.append(dict({"type": "verdict"}, **verdict))
+    egress.write_json_lines(path, records)
     return path
 
 
@@ -240,7 +217,14 @@ def _record(record: Any) -> Tuple[str, Any]:
             "inject_at": ingress.numeric_field(record, "at_time", finite=True),
         }
     if kind == "op":
-        return kind, operation_record_from_dict(record)
+        operation = operation_record_from_dict(record)
+        if operation.kind in _HASHED_KINDS:
+            try:
+                hash((operation.argument, operation.result))
+            except TypeError:
+                raise ReproError("a {!r} operation's argument and result must be scalars, tuples "
+                                 "or frozensets".format(operation.kind)) from None
+        return kind, operation
     if kind in ("delay", "verdict"):
         return kind, {kind: {key: value for key, value in record.items() if key != "type"}}
     return "unknown", {}  # skipped: minor schema additions stay readable

@@ -358,6 +358,45 @@ def test_a_bad_trace_record_is_one_error_line_naming_its_line(
     _one_error_line(argv, capsys, "error: " + where + complaint)
 
 
+@pytest.mark.parametrize("checker", ["auto", "wing-gong"])
+@pytest.mark.parametrize("value", [{"$set": [1]}, {"$list": [1]}, {"$dict": [[1, 2]]}],
+                         ids=["set", "list", "dict"])
+def test_an_unhashable_register_value_is_one_error_line_naming_its_line(
+    tmp_path, capsys, trace_records, checker, value
+):
+    """A ``TypeError: unhashable type`` inside the checkers before."""
+    records = copy.deepcopy(trace_records)
+    line = next(i for i, record in enumerate(records) if record.get("kind") == "write")
+    records[line]["argument"] = value
+    path = tmp_path / "x.trace.jsonl"
+    _write_lines(path, records)
+    complaint = "a 'write' operation's argument and result must be scalars, tuples or frozensets"
+    _one_error_line(["check", str(tmp_path), "--checker", checker], capsys,
+                    "error: {}:{}: {}".format(path, line + 1, complaint))
+
+
+def test_a_trace_missing_the_system_its_checker_needs_is_one_error_line(
+    tmp_path, capsys, trace_records
+):
+    records = [record for record in copy.deepcopy(trace_records) if record["type"] != "system"]
+    records[0]["protocol"] = "snapshot"
+    path = tmp_path / "x.trace.jsonl"
+    _write_lines(path, records)
+    _one_error_line(["check", str(tmp_path)], capsys,
+                    "error: {}: snapshot trace carries no quorum system".format(path))
+
+
+def test_a_hunt_seed_trace_with_a_bad_scenario_is_one_error_line_naming_it(
+    tmp_path, capsys, trace_records
+):
+    """The error named no file before."""
+    _trace(tmp_path, trace_records, "meta", lambda record: record["scenario"].update(workload=5))
+    argv = ["nemesis", "hunt", "unidirectional-ring", "--from-traces", str(tmp_path),
+            "--budget", "1"]
+    _one_error_line(argv, capsys, "error: {}: workload spec must be a JSON object, got 5".format(
+        tmp_path / "x.trace.jsonl"))
+
+
 @pytest.mark.parametrize(
     "part, edit, complaint",
     [
@@ -366,8 +405,12 @@ def test_a_bad_trace_record_is_one_error_line_naming_its_line(
         ("protocol", {"params": [1]}, "protocol spec 'params' must be a JSON object"),
         ("delay", {"kind": "schedule-override", "params": {"stretches": [5]}},
          "stretches must be a list of [sender, receiver, number] rows, got [5]"),
+        # A bare ``ValueError`` from the topology builder before.
+        ("topology", {"kind": "adversarial-partition", "params": {"n": -1}},
+         "topology 'adversarial-partition': need at least 2 processes"),
     ],
-    ids=["topology-params", "delay-params", "protocol-params", "override-stretches"],
+    ids=["topology-params", "delay-params", "protocol-params", "override-stretches",
+         "topology-n-negative"],
 )
 def test_a_bad_schedule_base_is_one_error_line(tmp_path, capsys, part, edit, complaint):
     schedule = _schedule()

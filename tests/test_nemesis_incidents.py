@@ -12,9 +12,11 @@ change must consciously bump :data:`INCIDENT_SCHEMA_VERSION`.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro import egress
 from repro.errors import ReproError
 from repro.failures import FailurePattern
 from repro.traces import (
@@ -24,7 +26,6 @@ from repro.traces import (
     incident_file_name,
     list_incident_files,
     load_incident,
-    write_incident,
 )
 
 #: A declared fail-prone budget: one crash pattern, one disconnect pattern.
@@ -190,7 +191,7 @@ def test_write_load_round_trip_and_sorted_listing(tmp_path):
         incident = _incident(DECLARED[0], {"completed": True, "safe": True})
         incident["candidate"] = run
         name = incident_file_name("ring", 3, run)
-        write_incident(directory, name, incident)
+        egress.write_json(os.path.join(directory, name), incident)
         written.append(name)
     paths = list_incident_files(directory)
     assert [p.rsplit("/", 1)[-1] for p in paths] == sorted(written)

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro import egress
 from repro.errors import ReproError
 from repro.nemesis import (
     MUTATION_OPERATORS,
@@ -22,7 +23,6 @@ from repro.nemesis import (
     identity_schedule,
     load_schedule,
     mutate_schedule,
-    save_schedule,
 )
 from repro.nemesis.mutate import MAX_STRETCH
 from repro.nemesis.schedule import STALL_WEIGHT, VIOLATION_WEIGHT
@@ -199,7 +199,7 @@ def test_schedule_save_load_round_trip(tmp_path):
         lineage=("stretch p0->p1 x2", "nudge p1->p2#3 +1.5"),
     )
     path = str(tmp_path / "one.schedule.json")
-    save_schedule(schedule, path)
+    egress.write_json(path, schedule.to_dict())
     assert load_schedule(path) == schedule
 
 

@@ -12,7 +12,7 @@ from repro.registry import (
     Descriptor,
     Registry,
 )
-from repro.registry.core import set_current_origin, validate_params
+from repro.registry.core import set_current_origin
 
 
 def _descriptor(name, kind="widget", **kwargs):
@@ -124,8 +124,9 @@ def test_validate_params_accepts_known_and_rejects_unknown():
 
 
 def test_validate_params_none_schema_accepts_anything():
-    descriptor = _descriptor("w", params=None)
-    validate_params(descriptor, {"anything": 1})
+    registry = Registry("widget", noun="widget kind")
+    registry.register(_descriptor("w", params=None))
+    registry.validate_params("w", {"anything": 1})
 
 
 def test_origin_attribution_during_plugin_import():

@@ -28,7 +28,9 @@ used by another ``src/`` module, a command or the e2e harness, six exempt
 names aside; what only tests read lives in ``tests/`` or ``examples/``.
 Methods too, a dozen waiting on named ROADMAP items aside.
 And a file from outside becomes data in one place, ``repro.ingress``: the
-private readers and field checks the ingresses each carried are gone.
+private readers and field checks the ingresses each carried are gone.  Its
+mirror, ``repro.egress``, is the one place data becomes JSON bytes, and a
+registry entry's builder has one caller, ``Registry.build``.
 """
 
 from __future__ import annotations
@@ -177,6 +179,12 @@ DELETED_INGRESS_COPIES = (
     r"\b_override_rows\b", r"\bhistory_from_dicts\b",
 )
 
+#: The encoders, ``to_json`` bodies and evidence writer the output sites each
+#: carried before ``repro.egress`` took them over.
+DELETED_EGRESS_COPIES = (
+    r"\b_dumps\b", r"def to_json\(self, indent", r"\bclass _Result\b", r"\bwrite_evidence\b",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -207,6 +215,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_UNREACHED
             + DELETED_UNCALLED
             + DELETED_INGRESS_COPIES
+            + DELETED_EGRESS_COPIES
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
@@ -222,6 +231,26 @@ def test_only_the_ingress_module_decodes_files():
             assert found == {"json.loads(", "RecursionError", "UnicodeDecodeError"}
         else:
             assert not found, (path, found)
+
+
+def test_only_the_egress_module_encodes_json():
+    """One place turns data into JSON bytes and files: ``repro/egress.py`` is the
+    only ``src/`` module that calls ``json.dump``/``json.dumps`` or ``os.replace``."""
+    encoding = re.compile(r"\bjson\.dumps?\(|\bos\.replace\(")
+    for path, text in _sources(SRC_DIR):
+        found = set(encoding.findall(text))
+        if path == os.path.join(SRC_DIR, "repro", "egress.py"):
+            assert found == {"json.dumps(", "os.replace("}
+        else:
+            assert not found, (path, found)
+
+
+def test_only_the_registry_calls_a_builder():
+    """A registry entry is built by ``Registry.build``, which turns what the
+    builder refuses into a ``ReproError``; no call site guards it on its own."""
+    for path, text in _sources(SRC_DIR):
+        if path != os.path.join(SRC_DIR, "repro", "registry", "core.py"):
+            assert ".builder(" not in text, path
 
 
 #: The only module-level names of ``src/repro`` nothing reaches: the four paper
