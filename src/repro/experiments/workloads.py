@@ -31,7 +31,6 @@ from ..checkers import (
 )
 from ..errors import HistoryError
 from ..failures import FailurePattern
-from ..graph import BitsetDiGraph
 from ..history import History
 from ..protocols import (
     ClassicalABDRegister,
@@ -407,16 +406,14 @@ def execute_workload(
     of time zero — churn scenarios use it to let failures arrive mid-run (for
     example exactly at GST).
     """
+    cluster = Cluster(sorted_processes(quorum_system.processes), factory, delay_model=delay_model)
+    # A channel the network lacks drops every message, like a cut one (a
+    # complete network lacks none).
     system = quorum_system.fail_prone
-    # A sparse network is simulated as it is; a complete one keeps the
-    # graph-free send path (every pair of processes has a channel).
-    complete = system.bitset_graph == BitsetDiGraph.complete(system.process_index)
-    cluster = Cluster(
-        sorted_processes(quorum_system.processes),
-        factory,
-        delay_model=delay_model,
-        graph=None if complete else system.graph_view,
-    )
+    network, index = system.bitset_graph, system.process_index
+    absent = [(index.full_mask ^ 1 << i) & ~network.successor_mask(i) for i in range(len(index))]
+    for channel in index.channel_list(absent):
+        cluster.network.disconnect_channel(channel)
     if pattern is not None:
         cluster.apply_failure_pattern(pattern, at_time=inject_at)
     deferred = [

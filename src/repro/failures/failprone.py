@@ -12,12 +12,34 @@ from __future__ import annotations
 
 import itertools
 from operator import and_
-from typing import Collection, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidFailurePatternError, ReproError
 from ..graph import BitsetDiGraph, DiGraph, MaskReindex, ProcessIndex
-from ..types import ProcessId, ProcessSet, sorted_processes
+from ..types import Channel, ProcessId, ProcessSet, sorted_processes
 from .pattern import FailurePattern
+
+
+def _unlisted(index: ProcessIndex, channels: Iterable[Channel]) -> Tuple[List[int], List[int]]:
+    """The ordered pairs of distinct processes ``channels`` does not list, as
+    ``(succ_clear, pred_clear)`` rows of :meth:`ProcessIndex.failure_masks`."""
+    channels = list(channels)
+    try:
+        _, succ, pred = index.failure_masks((), channels)
+    except KeyError:
+        strangers = {p for channel in channels for p in channel} - set(index.processes)
+        raise InvalidFailurePatternError(
+            "network graph has vertices outside the process set: {}".format(
+                sorted_processes(strangers)
+            )
+        ) from None
+    others = [index.full_mask ^ 1 << i for i in range(len(index))]
+    if not channels:
+        return others, others
+    return (
+        [other & ~row for other, row in zip(others, succ)],
+        [other & ~row for other, row in zip(others, pred)],
+    )
 
 
 class FailProneSystem:
@@ -31,10 +53,11 @@ class FailProneSystem:
         The failure patterns.  Every process referenced by a pattern must be in
         ``processes``.  No pattern at all means the failure-free pattern alone
         (a system in which nothing may fail still has to be available).
-    graph:
-        The network graph.  Defaults to the complete graph on ``processes`` (the
-        paper's model has a channel for every ordered pair); a sparser graph can
-        be supplied to model restricted physical topologies.
+    channels:
+        The network's channels as ``(sender, receiver)`` pairs.  Omitted, the
+        network is the complete graph on ``processes`` (the paper's model has a
+        channel for every ordered pair); a shorter list models a restricted
+        physical topology.  Self-loops are ignored.
     name:
         Optional label used in reports.
     """
@@ -43,7 +66,7 @@ class FailProneSystem:
         self,
         processes: Iterable[ProcessId],
         patterns: Iterable[FailurePattern],
-        graph: Optional[DiGraph] = None,
+        channels: Optional[Iterable[Channel]] = None,
         name: Optional[str] = None,
     ) -> None:
         members = frozenset(processes)
@@ -51,27 +74,19 @@ class FailProneSystem:
             raise InvalidFailurePatternError("a fail-prone system needs at least one process")
         # The sorted process index fixes every bit position, so nothing
         # downstream (SCCs, candidate enumeration, discovery) inherits the
-        # hash-seed-dependent iteration order of a frozenset or of ``graph``.
+        # hash-seed-dependent iteration order of a frozenset or of ``channels``.
         index = ProcessIndex(members)
-        if graph is None:
-            network = BitsetDiGraph.complete(index)
-        else:
-            strangers = graph.vertex_set - members
-            if strangers:
-                raise InvalidFailurePatternError(
-                    "network graph has vertices outside the process set: {}".format(
-                        sorted_processes(strangers)
-                    )
-                )
-            # A process without channels is still a vertex.
-            network = BitsetDiGraph.from_digraph(graph, index, vertex_mask=index.full_mask)
-        self._setup(members, network, None, patterns, name)
+        network = BitsetDiGraph.complete(index)
+        if channels is not None:
+            # The complete graph with every unlisted channel cut: a list that
+            # spells out every channel leaves it complete, and row-free.
+            network = network.residual_masks(0, *_unlisted(index, channels))
+        self._setup(members, network, patterns, name)
 
     def _setup(
         self,
         processes: ProcessSet,
         network: BitsetDiGraph,
-        graph: Optional[DiGraph],
         patterns: Iterable[FailurePattern],
         name: Optional[str],
         validated: Collection[FailurePattern] = (),
@@ -80,9 +95,6 @@ class FailProneSystem:
         self._processes = processes
         self._process_index = index = network.index
         self._bitset_graph = network
-        # The set-based DiGraph is only materialized for callers that ask for
-        # it (``graph`` / ``graph_view``); the decision layer never does.
-        self._graph = graph
         self._patterns: Tuple[FailurePattern, ...] = tuple(patterns) or (FailurePattern(),)
         self._name = name
         # Channel validation *is* the mask encoding: a channel endpoint
@@ -124,13 +136,11 @@ class FailProneSystem:
                     )
                 )
             self._pattern_masks[f] = masks
-        # Lazily populated derived state, keyed by (value-hashable)
-        # FailurePattern and shared: callers must treat it as immutable.  The
-        # bitmask residuals are the decision layer's one per-pattern memo (each
-        # memoizes its components and their reader closures) and the only
-        # state :meth:`adopt_residuals` hands to a derived system; the
-        # set-based residual graphs are a plain memo for set-level readers.
-        self._residual_cache: Dict[FailurePattern, DiGraph] = {}
+        # Lazily populated, keyed by (value-hashable) FailurePattern and
+        # shared: callers must treat it as immutable.  The bitmask residuals
+        # are the decision layer's one per-pattern memo (each memoizes its
+        # components and their reader closures) and the only state
+        # :meth:`adopt_residuals` hands to a derived system.
         self._residual_bitset_cache: Dict[FailurePattern, BitsetDiGraph] = {}
 
     def _derive(
@@ -143,7 +153,7 @@ class FailProneSystem:
 
         The one derivation path behind channel hardening and the membership
         deltas.  Without ``network`` the
-        process index and both graph views are shared by identity — nothing is
+        process index and the network are shared by identity — nothing is
         copied or rebuilt; with it (a join or leave, which re-indexes) the new
         system takes its processes from ``network.index``.  Every constructor
         check still runs on every pattern, except — over the shared network —
@@ -151,12 +161,12 @@ class FailProneSystem:
         """
         validated: Collection[FailurePattern] = ()
         if network is None:
-            processes, network, graph = self._processes, self._bitset_graph, self._graph
+            processes, network = self._processes, self._bitset_graph
             validated = set(self._patterns)
         else:
-            processes, graph = frozenset(network.index.processes), None
+            processes = frozenset(network.index.processes)
         system = FailProneSystem.__new__(FailProneSystem)
-        system._setup(processes, network, graph, patterns, name, validated)
+        system._setup(processes, network, patterns, name, validated)
         return system
 
     # ------------------------------------------------------------------ #
@@ -172,22 +182,9 @@ class FailProneSystem:
         """The network graph ``G = (P, C)`` as a fresh, caller-owned :class:`DiGraph`.
 
         Built from the bitmask rows on every access, so editing it never
-        reaches the system or the systems derived from it; readers that only
-        traverse the graph use the shared :attr:`graph_view` instead.
+        reaches the system or the systems derived from it.
         """
         return self._bitset_graph.to_digraph()
-
-    @property
-    def graph_view(self) -> DiGraph:
-        """The network graph as a shared read-only view (never mutate it).
-
-        Mutating the returned graph would silently invalidate every memoized
-        residual graph; use :attr:`graph` when a mutable copy is needed.
-        Materialized on first access.
-        """
-        if self._graph is None:
-            self._graph = self._bitset_graph.to_digraph()
-        return self._graph
 
     @property
     def patterns(self) -> Tuple[FailurePattern, ...]:
@@ -237,16 +234,8 @@ class FailProneSystem:
         return self._bitset_graph
 
     def residual_graph(self, pattern: FailurePattern) -> DiGraph:
-        """The residual graph ``G \\ f`` for ``pattern``.
-
-        The graph is memoized and shared between callers: treat it as
-        immutable (every in-tree consumer only traverses it).
-        """
-        cached = self._residual_cache.get(pattern)
-        if cached is None:
-            cached = pattern.residual_graph(self.graph_view)
-            self._residual_cache[pattern] = cached
-        return cached
+        """The residual graph ``G \\ f`` for ``pattern`` as a fresh :class:`DiGraph`."""
+        return self.residual_bitset(pattern).to_digraph()
 
     def residual_bitset(self, pattern: FailurePattern) -> BitsetDiGraph:
         """The residual graph for ``pattern`` as a memoized bitmask view."""

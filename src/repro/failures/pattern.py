@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidFailurePatternError
-from ..graph import DiGraph, ProcessIndex, iter_bits, popcount
+from ..graph import ProcessIndex, iter_bits, popcount
 from ..types import (
     Channel,
     ChannelSet,
@@ -142,17 +142,6 @@ class FailurePattern:
         if src in self._crash_prone or dst in self._crash_prone:
             return True
         return (src, dst) in self.disconnect_prone
-
-    # ------------------------------------------------------------------ #
-    # Residual graph
-    # ------------------------------------------------------------------ #
-    def residual_graph(self, graph: DiGraph) -> DiGraph:
-        """Return the residual graph ``G \\ f``.
-
-        All crash-prone processes, their incident channels, and all
-        disconnect-prone channels are removed from ``graph``.
-        """
-        return graph.without(vertices=self._crash_prone, edges=self.disconnect_prone)
 
     # ------------------------------------------------------------------ #
     # Ordering / comparison

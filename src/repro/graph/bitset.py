@@ -17,10 +17,10 @@ Two types are provided:
   reachability, and strongly connected components over masks; a graph
   complete on its vertices holds no rows, only its vertex mask.
 
-The bitmask layer is a *view*: :class:`~repro.graph.digraph.DiGraph` remains
-the construction-friendly representation;
-:meth:`BitsetDiGraph.from_digraph` and :meth:`BitsetDiGraph.to_digraph`
-convert between the two.
+The bitmask layer is the one graph currency of ``src/``: a network enters as a
+channel list encoded by :meth:`ProcessIndex.failure_masks`, and
+:meth:`BitsetDiGraph.to_digraph` is the one way back to a set-based
+:class:`~repro.graph.digraph.DiGraph`.
 """
 
 from __future__ import annotations
@@ -353,26 +353,6 @@ class BitsetDiGraph:
         """The complete graph on ``index``: a channel per ordered pair of processes."""
         return cls(index, index.full_mask, None, None)
 
-    @classmethod
-    def from_digraph(
-        cls, graph: DiGraph, index: Optional[ProcessIndex] = None, vertex_mask: Optional[int] = None
-    ) -> "BitsetDiGraph":
-        """A :class:`DiGraph`'s bitmask view over ``vertex_mask`` (default: its vertices)."""
-        if index is None:
-            index = ProcessIndex(graph.vertices)
-        if vertex_mask is None:
-            vertex_mask = index.mask_of(graph.vertices)
-        n = len(index)
-        succ = [0] * n
-        pred = [0] * n
-        for src, dst in graph.edges():
-            i, j = index.position(src), index.position(dst)
-            succ[i] |= 1 << j
-            pred[j] |= 1 << i
-        complete = cls(index, vertex_mask, None, None)
-        is_complete = all(row == complete.successor_mask(i) for i, row in enumerate(succ))
-        return complete if is_complete else cls(index, vertex_mask, succ, pred)
-
     def to_digraph(self) -> DiGraph:
         """A fresh :class:`DiGraph` with the same vertices and edges, in position order."""
         index = self.index
@@ -419,10 +399,10 @@ class BitsetDiGraph:
     def residual(self, crashed: Iterable[ProcessId], disconnected: Iterable[Channel]) -> "BitsetDiGraph":
         """The residual graph with ``crashed`` vertices and ``disconnected`` edges removed.
 
-        Channels incident to a crashed vertex disappear with the vertex, as in
-        :meth:`DiGraph.without`.  This is the ProcessId-level entry point; the
-        failure set is encoded once with :meth:`ProcessIndex.failure_masks`
-        and the mask-level :meth:`residual_masks` does the work.
+        Channels incident to a crashed vertex disappear with the vertex.  This
+        is the ProcessId-level entry point; the failure set is encoded once
+        with :meth:`ProcessIndex.failure_masks` and the mask-level
+        :meth:`residual_masks` does the work.
         """
         return self.residual_masks(*self.index.failure_masks(crashed, disconnected))
 

@@ -1,18 +1,18 @@
-"""A small directed-graph type tailored to the paper's network model.
+"""The network graph as sets: the form ``src/`` hands back to its callers.
 
 The paper works with the *network graph* ``G = (P, C)`` whose vertices are
 processes and whose edges are unidirectional channels, and with *residual
 graphs* ``G \\ f`` obtained by deleting the processes and channels that a
-failure pattern ``f`` allows to fail.  All connectivity notions used by the
-paper (``f``-availability, ``f``-reachability, the component ``U_f``) reduce to
-reachability and strongly connected components of such graphs, so this module
-provides exactly those primitives with no external dependencies.
+failure pattern ``f`` allows to fail.  ``src/`` decides on their bitmask form,
+:class:`~repro.graph.BitsetDiGraph`; :class:`DiGraph` is what
+:attr:`FailProneSystem.graph <repro.failures.FailProneSystem.graph>` and
+``residual_graph`` hand out (built by :meth:`BitsetDiGraph.to_digraph`), and
+:func:`reachable_from` is the one traversal kept on it.  The set-based
+algorithms the bitmask layer is tested against live with the tests.
 
-The implementation favours clarity and determinism: vertex iteration order is
-insertion order, *neighbour* iteration order is edge-insertion order (the
-adjacency structure is dict-backed, never a hash set, so no traversal depends
-on ``PYTHONHASHSEED``), and all algorithms are iterative (no recursion) so that
-large simulated networks do not hit Python's recursion limit.
+Iteration is deterministic: vertex order is insertion order and neighbour
+order edge-insertion order (the adjacency is dict-backed, never a hash set, so
+no traversal depends on ``PYTHONHASHSEED``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class DiGraph:
         # Adjacency is dict-of-dicts (values unused): a dict preserves
         # insertion order, so every neighbour iteration is deterministic.
         self._succ: Dict[ProcessId, Dict[ProcessId, None]] = {}
-        self._pred: Dict[ProcessId, Dict[ProcessId, None]] = {}
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -57,7 +56,6 @@ class DiGraph:
         """Add vertex ``v`` (no-op if already present)."""
         if v not in self._succ:
             self._succ[v] = {}
-            self._pred[v] = {}
 
     def add_edge(self, src: ProcessId, dst: ProcessId) -> None:
         """Add the directed edge ``src -> dst``; endpoints are added as needed.
@@ -71,33 +69,6 @@ class DiGraph:
         self.add_vertex(src)
         self.add_vertex(dst)
         self._succ[src][dst] = None
-        self._pred[dst][src] = None
-
-    def remove_vertex(self, v: ProcessId) -> None:
-        """Remove vertex ``v`` and every incident edge."""
-        if v not in self._succ:
-            return
-        for w in self._succ.pop(v):
-            self._pred[w].pop(v, None)
-        for w in self._pred.pop(v):
-            self._succ[w].pop(v, None)
-
-    def remove_edge(self, src: ProcessId, dst: ProcessId) -> None:
-        """Remove the edge ``src -> dst`` if present."""
-        if src in self._succ:
-            self._succ[src].pop(dst, None)
-        if dst in self._pred:
-            self._pred[dst].pop(src, None)
-
-    def copy(self) -> "DiGraph":
-        """Return an independent copy of the graph."""
-        g = DiGraph()
-        for v in self._succ:
-            g.add_vertex(v)
-        for src, dsts in self._succ.items():
-            for dst in dsts:
-                g.add_edge(src, dst)
-        return g
 
     # ------------------------------------------------------------------ #
     # Inspection
@@ -126,17 +97,9 @@ class DiGraph:
         """Return whether ``v`` is a vertex of the graph."""
         return v in self._succ
 
-    def has_edge(self, src: ProcessId, dst: ProcessId) -> bool:
-        """Return whether the edge ``src -> dst`` is present."""
-        return src in self._succ and dst in self._succ[src]
-
     def successors(self, v: ProcessId) -> Tuple[ProcessId, ...]:
         """Out-neighbours of ``v``, in deterministic edge-insertion order."""
         return tuple(self._succ.get(v, ()))
-
-    def predecessors(self, v: ProcessId) -> Tuple[ProcessId, ...]:
-        """In-neighbours of ``v``, in deterministic edge-insertion order."""
-        return tuple(self._pred.get(v, ()))
 
     def num_vertices(self) -> int:
         """Number of vertices."""
@@ -162,56 +125,6 @@ class DiGraph:
 
     def __repr__(self) -> str:
         return "DiGraph(|V|={}, |E|={})".format(self.num_vertices(), self.num_edges())
-
-    # ------------------------------------------------------------------ #
-    # Derived graphs
-    # ------------------------------------------------------------------ #
-    def without(
-        self,
-        vertices: Iterable[ProcessId] = (),
-        edges: Iterable[Channel] = (),
-    ) -> "DiGraph":
-        """Return a copy with the given vertices (and incident edges) and edges removed.
-
-        This is the *residual graph* operation ``G \\ f`` of the paper when
-        ``vertices`` is the set of crash-prone processes and ``edges`` the set
-        of disconnection-prone channels of a failure pattern ``f``.
-        """
-        removed_vertices = set(vertices)
-        removed_edges = set((src, dst) for src, dst in edges)
-        g = DiGraph()
-        for v in self._succ:
-            if v not in removed_vertices:
-                g.add_vertex(v)
-        for src, dsts in self._succ.items():
-            if src in removed_vertices:
-                continue
-            for dst in dsts:
-                if dst in removed_vertices:
-                    continue
-                if (src, dst) in removed_edges:
-                    continue
-                g.add_edge(src, dst)
-        return g
-
-    # ------------------------------------------------------------------ #
-    # Factories
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def complete(cls, processes: Iterable[ProcessId]) -> "DiGraph":
-        """The complete network graph: every ordered pair of distinct vertices.
-
-        This is the paper's network graph ``G = (P, C)`` where ``C`` contains a
-        channel for every ordered pair of processes.
-        """
-        procs = list(processes)
-        g = cls(vertices=procs)
-        for p in procs:
-            for q in procs:
-                if p != q:
-                    g.add_edge(p, q)
-        return g
-
 
 def reachable_from(graph: DiGraph, sources: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
     """Return every vertex reachable from any vertex in ``sources``.

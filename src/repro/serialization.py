@@ -18,7 +18,9 @@ procedure and store the witness.  The format is deliberately plain JSON:
 
 Channels are ``[sender, receiver]`` pairs.  A network graph sparser than the
 complete one (the default) adds a top-level ``"channels"`` list of the channels
-it has.  Quorum systems serialize to
+it has; on load those rows go to :class:`~repro.failures.FailProneSystem` as
+they are, which encodes them once into its bitmask rows (a list naming every
+channel is the complete network again).  Quorum systems serialize to
 ``{"read_quorums": [...], "write_quorums": [...]}`` plus the fail-prone system.
 
 Operation histories (:mod:`repro.history`) round-trip as well, which is what
@@ -36,7 +38,7 @@ from typing import Any, Dict, List
 
 from .errors import ReproError
 from .failures import FailProneSystem, FailurePattern
-from .graph import BitsetDiGraph, DiGraph
+from .graph import BitsetDiGraph
 from .history import History, OperationRecord
 from . import egress, ingress
 from .quorums import GeneralizedQuorumSystem
@@ -93,11 +95,11 @@ def fail_prone_system_from_dict(data: Dict[str, Any]) -> FailProneSystem:
     if not isinstance(entries, (list, tuple)):
         raise ReproError("'patterns' must be a list of failure patterns, got {!r}".format(entries))
     patterns = [failure_pattern_from_dict(entry) for entry in entries]
-    graph = None
+    channels = None
     if "channels" in data:
-        graph = DiGraph(processes, ingress.channel_rows(data["channels"], "'channels'"))
+        channels = ingress.channel_rows(data["channels"], "'channels'")
     name = ingress.text(data.get("name"), "'name'", optional=True)
-    return FailProneSystem(processes, patterns, graph=graph, name=name)
+    return FailProneSystem(processes, patterns, channels, name=name)
 
 
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ The network implements exactly the failure semantics of the paper's system
 model (§2):
 
 * processes communicate through **unidirectional channels**, one per ordered
-  pair of processes present in the network graph;
+  pair of processes (a channel a sparse network lacks is disconnected before
+  the run starts);
 * a **correct channel** is reliable: every message sent by a correct process is
   eventually delivered (after a delay chosen by the :class:`DelayModel`);
 * a **faulty channel fails by disconnection**: from the moment it is
@@ -33,7 +34,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..errors import SimulationError
 from ..failures import FailurePattern
-from ..graph import DiGraph
 from ..types import Channel, ProcessId
 from .delays import DelayModel, FixedDelay
 from .events import EventScheduler
@@ -51,14 +51,15 @@ class NetworkStats:
 
     ``messages_sent`` counts every copy a live sender sends, self-copies
     included; of those, ``messages_dropped_channel`` went over a disconnected
-    channel or one off the graph, ``relay_duplicates_elided`` were relay
-    copies that could not arrive first — their receiver had seen the envelope
-    or held a copy of it arriving no later (counted and given a delay, never
-    queued) — and the rest were queued.  A queued copy
-    ends up in ``messages_delivered`` or, when its receiver crashed
-    meanwhile, ``messages_dropped_crashed`` — which also counts every copy
-    sent by a crashed process.  ``per_process_sent`` is keyed by sender and
-    ``per_process_delivered`` by receiver, each in first-message order.
+    channel (one cut by a failure, or one the network lacks),
+    ``relay_duplicates_elided`` were relay copies that could not arrive first
+    — their receiver had seen the envelope or held a copy of it arriving no
+    later (counted and given a delay, never queued) — and the rest were
+    queued.  A queued copy ends up in ``messages_delivered`` or, when its
+    receiver crashed meanwhile, ``messages_dropped_crashed`` — which also
+    counts every copy sent by a crashed process.  ``per_process_sent`` is
+    keyed by sender and ``per_process_delivered`` by receiver, each in
+    first-message order.
     """
 
     messages_sent: int = 0
@@ -73,11 +74,11 @@ class NetworkStats:
 class Network:
     """A simulated asynchronous network of processes and unidirectional channels.
 
+    Every ordered pair of registered processes has a channel until
+    :meth:`disconnect_channel` cuts it.
+
     Parameters
     ----------
-    graph:
-        The network graph; messages can only be sent along its edges.  Defaults
-        to the complete graph over the processes registered later.
     delay_model:
         The :class:`DelayModel` deciding message latencies.
     scheduler:
@@ -86,13 +87,11 @@ class Network:
 
     def __init__(
         self,
-        graph: Optional[DiGraph] = None,
         delay_model: Optional[DelayModel] = None,
         scheduler: Optional[EventScheduler] = None,
     ) -> None:
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
         self.delay_model = delay_model if delay_model is not None else FixedDelay(1.0)
-        self._graph = graph
         self._processes: Dict[ProcessId, "Process"] = {}
         self._disconnected: Set[Channel] = set()
         self._crashed: Set[ProcessId] = set()
@@ -154,18 +153,14 @@ class Network:
         return pid in self._crashed
 
     def apply_failure_pattern(
-        self,
-        pattern: FailurePattern,
-        crash_processes: bool = True,
-        at_time: Optional[float] = None,
+        self, pattern: FailurePattern, at_time: Optional[float] = None
     ) -> None:
         """Inject the failures allowed by ``pattern``.
 
         All disconnect-prone channels are disconnected, all channels incident
-        to crash-prone processes are disconnected, and (when
-        ``crash_processes`` is true) the crash-prone processes are crashed.
-        When ``at_time`` is given the injection is scheduled for that simulated
-        time instead of happening immediately.
+        to crash-prone processes are disconnected, and the crash-prone
+        processes are crashed.  When ``at_time`` is given the injection is
+        scheduled for that simulated time instead of happening immediately.
         """
 
         def inject() -> None:
@@ -177,8 +172,7 @@ class Network:
                         if other != pid:
                             self.disconnect_channel((pid, other))
                             self.disconnect_channel((other, pid))
-                    if crash_processes:
-                        self.crash_process(pid)
+                    self.crash_process(pid)
 
         if at_time is None:
             inject()
@@ -208,12 +202,9 @@ class Network:
         stats.messages_sent += 1
         stats.per_process_sent[sender] = stats.per_process_sent.get(sender, 0) + 1
         channel = (sender, receiver)
-        graph = self._graph
         if sender == receiver:
             self._deliver(sender, target, message)
-        elif channel in self._disconnected or (
-            graph is not None and not graph.has_edge(sender, receiver)
-        ):
+        elif channel in self._disconnected:
             stats.messages_dropped_channel += 1
         else:
             model = self.delay_model
@@ -268,14 +259,12 @@ class Network:
         dropped_before)``.
 
         ``copies`` are the ``(target, channel)`` pairs of every other receiver
-        whose channel passes the graph and disconnection tests, in
-        registration order; ``dropped`` counts the receivers whose channel does
-        not.  The first ``split`` copies and ``dropped_before`` drops are of
+        whose channel is not disconnected, in registration order; ``dropped``
+        counts the receivers whose channel is.  The first ``split`` copies and ``dropped_before`` drops are of
         receivers registered before the sender.  :meth:`register` and
         :meth:`disconnect_channel` on one of the sender's channels invalidate
         the cache.
         """
-        graph = self._graph
         disconnected = self._disconnected
         copies: List[Tuple["Process", Channel]] = []
         dropped = split = dropped_before = 0
@@ -284,9 +273,7 @@ class Network:
                 split, dropped_before = len(copies), dropped
                 continue
             channel = (sender, receiver)
-            if channel in disconnected or (
-                graph is not None and not graph.has_edge(sender, receiver)
-            ):
+            if channel in disconnected:
                 dropped += 1
             else:
                 copies.append((target, channel))

@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import OperationTimeoutError, SimulationError
 from ..failures import FailurePattern
-from ..graph import DiGraph
 from ..history import History
 from ..types import ProcessId
 from .delays import DelayModel, UniformDelay
@@ -41,8 +40,6 @@ class Cluster:
         Callable building the protocol process for a given id and network.
     delay_model:
         Message delay model; defaults to a seeded :class:`UniformDelay`.
-    graph:
-        Optional network graph restricting which channels exist.
     """
 
     def __init__(
@@ -50,13 +47,11 @@ class Cluster:
         process_ids: Iterable[ProcessId],
         factory: ProcessFactory,
         delay_model: Optional[DelayModel] = None,
-        graph: Optional[DiGraph] = None,
     ) -> None:
         self.process_ids: List[ProcessId] = list(process_ids)
         if not self.process_ids:
             raise SimulationError("a cluster needs at least one process")
         self.network = Network(
-            graph=graph,
             delay_model=delay_model if delay_model is not None else UniformDelay(seed=0),
             scheduler=EventScheduler(),
         )
@@ -78,15 +73,10 @@ class Cluster:
             process.start()
 
     def apply_failure_pattern(
-        self,
-        pattern: FailurePattern,
-        crash_processes: bool = True,
-        at_time: Optional[float] = None,
+        self, pattern: FailurePattern, at_time: Optional[float] = None
     ) -> None:
         """Inject a failure pattern into the network (see :meth:`Network.apply_failure_pattern`)."""
-        self.network.apply_failure_pattern(
-            pattern, crash_processes=crash_processes, at_time=at_time
-        )
+        self.network.apply_failure_pattern(pattern, at_time=at_time)
 
     # ------------------------------------------------------------------ #
     # Operation invocation

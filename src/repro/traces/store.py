@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from .. import egress, ingress
 from ..errors import ReproError
 from ..failures import FailurePattern
-from ..history import History
+from ..history import History, OperationRecord
 from ..quorums import GeneralizedQuorumSystem
 from ..serialization import (
     failure_pattern_from_dict,
@@ -76,7 +76,8 @@ TRACE_SCHEMA_VERSION = 1
 #: File-name suffix identifying trace files inside a trace directory.
 TRACE_SUFFIX = ".trace.jsonl"
 
-#: Operation kinds whose argument and result the checkers hash (not a snapshot scan's mapping).
+#: Operation kinds whose argument and result the checkers hash (not a snapshot
+#: scan's mapping); a consensus trace's ``propose`` too (see :func:`load_trace`).
 _HASHED_KINDS = frozenset({"read", "write", "snapshot_write"})
 
 
@@ -218,27 +219,38 @@ def _record(record: Any) -> Tuple[str, Any]:
         }
     if kind == "op":
         operation = operation_record_from_dict(record)
-        if operation.kind in _HASHED_KINDS:
-            try:
-                hash((operation.argument, operation.result))
-            except TypeError:
-                raise ReproError("a {!r} operation's argument and result must be scalars, tuples "
-                                 "or frozensets".format(operation.kind)) from None
-        return kind, operation
+        return kind, _hashable(operation) if operation.kind in _HASHED_KINDS else operation
     if kind in ("delay", "verdict"):
         return kind, {kind: {key: value for key, value in record.items() if key != "type"}}
     return "unknown", {}  # skipped: minor schema additions stay readable
 
 
+def _hashable(operation: OperationRecord) -> OperationRecord:
+    """``operation``, refused if a checker could not hash its argument and result."""
+    try:
+        hash((operation.argument, operation.result))
+    except TypeError:
+        raise ReproError("a {!r} operation's argument and result must be scalars, tuples "
+                         "or frozensets".format(operation.kind)) from None
+    return operation
+
+
 def load_trace(path: str) -> Trace:
     """Parse one trace file (validating the schema version)."""
-    records = [record for _, record in ingress.read_json_lines(path, _record)]
+    lines = ingress.read_json_lines(path, _record)
+    records = [record for _, record in lines]
     if not any(kind == "meta" for kind, _ in records):
         raise ReproError("{}: trace has no 'meta' record".format(path))
     fields: Dict[str, Any] = {"delay": {}, "verdict": {}}
     for kind, value in records:
         if kind != "op":
             fields.update(value)
+    if fields["protocol"] == "consensus":
+        # Lattice agreement writes ``propose`` lines too: only the meta record
+        # says that the consensus checker hashes their values.
+        for where, (kind, value) in lines:
+            if kind == "op":
+                ingress.attributed(where, _hashable, value)
     if not fields["verdict"]:
         # Every writer ends a trace with its verdict line, so its absence
         # means truncation — refuse rather than vacuously re-verify a stub.

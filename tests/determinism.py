@@ -87,6 +87,10 @@ ROWS = (
     _row("simulate-snapshot",
          "simulate --builtin figure1 --object snapshot --runs 3 --seed 7 --record-traces {out}",
          BOTH),
+    # A sparse network: every send off the ring is dropped like a cut channel's.
+    _row("simulate-sparse",
+         "simulate --spec {golden}/sparse/ring-abcd.json --runs 3 --seed 7 --record-traces {out}",
+         BOTH, golden="sparse/simulate-ring-abcd.out"),
     # Re-checking recorded traces.
     _row("check-traces", "check {in}", JOBS, before=_RING_TRACES),
     _row("check-traces-auto-json", "check {in} --checker auto --format json", HASHSEED,

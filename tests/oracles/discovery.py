@@ -24,7 +24,7 @@ from repro.failures import FailProneSystem, FailurePattern
 from repro.types import ProcessSet, sort_key, sorted_processes
 
 from . import predicates
-from .graph import can_reach, strongly_connected_components
+from .graph import can_reach, residual, strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,14 @@ def _candidate_sort_key(candidate: ReferenceCandidate):
 def candidate_pairs_reference(
     fail_prone: FailProneSystem, pattern: FailurePattern
 ) -> List[ReferenceCandidate]:
-    """Uncached set-based candidate enumeration for ``pattern``."""
-    residual = pattern.residual_graph(fail_prone.graph_view)
+    """Set-based candidate enumeration for ``pattern``: Tarjan components and
+    their ``can_reach`` closures, recomputed on every call."""
+    graph = residual(fail_prone, pattern)
     candidates = [
         ReferenceCandidate(
-            pattern=pattern, write_quorum=component, read_quorum=can_reach(residual, component)
+            pattern=pattern, write_quorum=component, read_quorum=can_reach(graph, component)
         )
-        for component in strongly_connected_components(residual)
+        for component in strongly_connected_components(graph)
         if component
     ]
     candidates.sort(key=_candidate_sort_key)
@@ -234,9 +235,10 @@ def strong_system_exists_reference(fail_prone: FailProneSystem) -> bool:
     """Decide QS+ existence: one SCC per pattern, pairwise intersecting."""
     per_pattern: List[List[ProcessSet]] = []
     for f in fail_prone:
-        residual = fail_prone.residual_graph(f)
         correct = f.correct_processes(fail_prone.processes)
-        comps = [c for c in strongly_connected_components(residual) if c <= correct and c]
+        comps = [
+            c for c in strongly_connected_components(residual(fail_prone, f)) if c <= correct and c
+        ]
         if not comps:
             return False
         per_pattern.append(sorted(comps, key=len, reverse=True))

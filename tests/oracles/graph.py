@@ -3,6 +3,8 @@
 Everything the paper needs from graph theory, written the obvious way on
 :class:`~repro.graph.DiGraph` vertex sets:
 
+* the residual graph ``G \\ f`` by set subtraction (:func:`without`,
+  :func:`residual`);
 * forward/backward reachability (:func:`reachable_from`, :func:`can_reach`);
 * strongly connected components via an iterative Tarjan algorithm
   (:func:`strongly_connected_components`);
@@ -13,16 +15,68 @@ Everything the paper needs from graph theory, written the obvious way on
 
 Production code decides on :class:`~repro.graph.BitsetDiGraph` masks and calls
 none of these.  :func:`reachable_from` is this module's own copy (the package
-exports one too), so the oracle shares nothing but the ``DiGraph`` container
-with what ships.
+exports one too), and a residual is subtracted here from the network a system
+hands out (:attr:`FailProneSystem.graph`, read once per system), never taken
+from the system's own residuals, so the oracle shares nothing but the
+``DiGraph`` container with what ships.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.graph import DiGraph
-from repro.types import ProcessId
+from repro.types import Channel, ProcessId
+
+#: Per fail-prone system (alive): its network graph and the residuals
+#: subtracted from it so far, keyed by pattern.
+_RESIDUALS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def without(
+    graph: DiGraph, vertices: Iterable[ProcessId] = (), edges: Iterable[Channel] = ()
+) -> DiGraph:
+    """A copy of ``graph`` without ``vertices`` (and their edges) and ``edges``.
+
+    The residual graph ``G \\ f`` when ``vertices`` are the crash-prone
+    processes and ``edges`` the disconnect-prone channels of ``f``.
+    """
+    removed_vertices = set(vertices)
+    removed_edges = set(edges)
+    residual = DiGraph(v for v in graph.vertices if v not in removed_vertices)
+    for src, dst in graph.edges():
+        if (
+            src not in removed_vertices
+            and dst not in removed_vertices
+            and (src, dst) not in removed_edges
+        ):
+            residual.add_edge(src, dst)
+    return residual
+
+
+def network(system) -> DiGraph:
+    """The network graph of ``system``, read from :attr:`FailProneSystem.graph` once."""
+    return _memo(system)[0]
+
+
+def residual(system, pattern) -> DiGraph:
+    """``G \\ f`` for ``pattern`` subtracted from :func:`network`; memoized per
+    ``(system, pattern)`` and shared, so treat it as immutable."""
+    graph, residuals = _memo(system)
+    cached = residuals.get(pattern)
+    if cached is None:
+        cached = residuals[pattern] = without(
+            graph, pattern.crash_prone, pattern.disconnect_prone
+        )
+    return cached
+
+
+def _memo(system) -> Tuple[DiGraph, Dict[object, DiGraph]]:
+    memo = _RESIDUALS.get(system)
+    if memo is None:
+        memo = _RESIDUALS[system] = (system.graph, {})
+    return memo
 
 
 def reachable_from(graph: DiGraph, sources: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
@@ -43,12 +97,18 @@ def reachable_from(graph: DiGraph, sources: Iterable[ProcessId]) -> FrozenSet[Pr
 
 
 def can_reach(graph: DiGraph, targets: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
-    """Return every vertex from which some vertex in ``targets`` is reachable."""
+    """Return every vertex from which some vertex in ``targets`` is reachable.
+
+    A forward walk over the reversed edges, built here from :meth:`DiGraph.edges`.
+    """
+    predecessors: Dict[ProcessId, List[ProcessId]] = {}
+    for src, dst in graph.edges():
+        predecessors.setdefault(dst, []).append(src)
     frontier = [v for v in targets if graph.has_vertex(v)]
     seen: Set[ProcessId] = set(frontier)
     while frontier:
         v = frontier.pop()
-        for w in graph.predecessors(v):
+        for w in predecessors.get(v, ()):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)

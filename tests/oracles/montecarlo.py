@@ -32,7 +32,7 @@ from repro.montecarlo.reliability import _merge_reliability, _reliability_spec
 from repro.types import ProcessId
 
 from .discovery import discover_naive, strong_system_exists_reference
-from .graph import mutually_reachable
+from .graph import mutually_reachable, network, residual
 from .predicates import is_f_available, is_f_reachable
 
 
@@ -96,13 +96,13 @@ def availability_under(quorum_system, pattern: FailurePattern) -> Tuple[bool, bo
     (the draws already happened), since a pattern may only disconnect channels
     that exist.
     """
-    graph = quorum_system.fail_prone.graph_view
+    channels = network(quorum_system.fail_prone).edge_set()
     pattern = FailurePattern(
-        pattern.crash_prone, pattern.disconnect_prone & graph.edge_set(), name=pattern.name
+        pattern.crash_prone, pattern.disconnect_prone & channels, name=pattern.name
     )
-    fail_prone = FailProneSystem(quorum_system.processes, [pattern], graph=graph)
+    fail_prone = FailProneSystem(quorum_system.processes, [pattern], channels)
     correct = pattern.correct_processes(quorum_system.processes)
-    residual = fail_prone.residual_graph(pattern)
+    graph = residual(fail_prone, pattern)
 
     gqs_ok = False
     strong_ok = False
@@ -117,7 +117,7 @@ def availability_under(quorum_system, pattern: FailurePattern) -> Tuple[bool, bo
             classical_ok = True
             if write_available and is_f_reachable(fail_prone, pattern, write_quorum, read_quorum):
                 gqs_ok = True
-            if mutually_reachable(residual, read_quorum | write_quorum):
+            if mutually_reachable(graph, read_quorum | write_quorum):
                 strong_ok = True
         if gqs_ok and strong_ok and classical_ok:
             break

@@ -19,6 +19,7 @@ from repro.types import ProcessId, ProcessSet, sorted_processes
 from .graph import (
     is_strongly_connected,
     mutually_reachable,
+    residual,
     set_reaches_set,
     strongly_connected_components,
 )
@@ -36,7 +37,7 @@ def is_f_available(
     correct = pattern.correct_processes(fail_prone.processes)
     if not q <= correct:
         return False
-    return mutually_reachable(fail_prone.residual_graph(pattern), q)
+    return mutually_reachable(residual(fail_prone, pattern), q)
 
 
 def is_f_reachable(
@@ -53,7 +54,7 @@ def is_f_reachable(
     correct = pattern.correct_processes(fail_prone.processes)
     if not (w <= correct and r <= correct):
         return False
-    return set_reaches_set(fail_prone.residual_graph(pattern), r, w)
+    return set_reaches_set(residual(fail_prone, pattern), r, w)
 
 
 def consistency_violations(
@@ -91,10 +92,10 @@ def strong_available_pair(
     ``G \\ f``.
     """
     correct = pattern.correct_processes(fail_prone.processes)
-    residual = fail_prone.residual_graph(pattern)
+    graph = residual(fail_prone, pattern)
     for w in write_quorums:
         for r in read_quorums:
-            if r | w <= correct and is_strongly_connected(residual, r | w):
+            if r | w <= correct and is_strongly_connected(graph, r | w):
                 return r, w
     return None
 
@@ -164,7 +165,6 @@ def termination_component(
     union: FrozenSet[ProcessId] = frozenset().union(*validating)
     if not union:
         return frozenset()
-    residual = fail_prone.residual_graph(pattern)
-    homes = [c for c in strongly_connected_components(residual) if c & union]
+    homes = [c for c in strongly_connected_components(residual(fail_prone, pattern)) if c & union]
     assert len(homes) == 1 and union <= homes[0], (pattern, union, homes)
     return homes[0]

@@ -6,7 +6,7 @@ which ``repr`` every member.  The library now reads members off the process
 index in bit order, which is the same order; the renderers here keep the
 sets-then-sort path as the reference those bytes are compared with.  They
 read only set-valued accessors (``read_quorum``, ``available_pair``,
-``disconnect_prone``, ``graph_view``) and never a mask.
+``disconnect_prone``, ``graph``) and never a mask.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from repro.api import _NO_GQS_TEXT, DiscoveryReport, WatchReport
 from repro.failures import FailProneSystem, FailurePattern
 from repro.quorums import GeneralizedQuorumSystem
 from repro.types import sorted_channels, sorted_processes
+
+from .graph import network
 
 
 def pattern_repr(pattern: FailurePattern) -> str:
@@ -149,7 +151,7 @@ def fail_prone_system_to_dict(system: FailProneSystem) -> Dict[str, Any]:
         "name": system.name,
         "processes": sorted_processes(system.processes),
     }
-    edges = list(system.graph_view.edges())
+    edges = list(network(system).edges())
     n = len(system.processes)
     if len(edges) != n * (n - 1):
         data["channels"] = [list(channel) for channel in sorted_channels(edges)]

@@ -12,8 +12,8 @@ Three pieces, lifted from the commits that preceded the production hot path
   and pass-through relay envelopes, and recognises a duplicate from the
   envelope's ``(origin, seq)`` fields rather than its precomputed key;
 * :func:`reference_broadcast` — ``Network.broadcast`` as one
-  :meth:`~repro.sim.Network.send` per receiver, every membership, crash, graph
-  and disconnection test and the lane choice repeated per message (relay
+  :meth:`~repro.sim.Network.send` per receiver, every membership, crash and
+  disconnection test and the lane choice repeated per message (relay
   forwarding goes through it too), and every copy queued — including the
   relay copies that cannot arrive first, which production elides.
 

@@ -83,7 +83,6 @@ def test_discovery_output_is_hash_seed_independent():
 ERROR_SCRIPT = r"""
 from repro.errors import InvalidFailurePatternError
 from repro.failures import FailProneSystem, FailurePattern
-from repro.graph import DiGraph
 
 procs = ["p{}".format(i) for i in range(8)]
 attempts = [
@@ -92,7 +91,7 @@ attempts = [
     lambda: FailProneSystem(
         procs,
         [FailurePattern([], [(p, q) for p in procs for q in procs if p != q])],
-        graph=DiGraph(vertices=procs, edges=[("p0", "p1")]),
+        channels=[("p0", "p1")],
     ),
 ]
 for attempt in attempts:

@@ -10,7 +10,6 @@ from repro.experiments import (
     verify_tightness,
 )
 from repro.failures import FailProneSystem, FailurePattern
-from repro.graph import DiGraph
 from repro.quorums import discover_gqs, threshold_quorum_system
 from repro.sim import PartialSynchronyDelay
 
@@ -24,19 +23,31 @@ def test_register_workload_reports_metrics(figure1_gqs):
     assert result.metrics.messages_sent > 0
 
 
+RING = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+
+
 def test_workload_runs_on_the_systems_sparse_network():
     """A channel the network graph lacks carries no message, failure or not."""
-    ring = DiGraph(vertices="abcd", edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     system = FailProneSystem(
         "abcd",
         [FailurePattern(name="ok"), FailurePattern([], [("c", "d")], name="cut")],
-        graph=ring,
+        channels=RING,
     )
     gqs = discover_gqs(system).quorum_system
     result = run_workload("register", gqs, seed=3)
     assert result.cluster.network.stats.messages_dropped_channel > 0  # every send off the ring
     assert result.completed
     assert check_register_linearizability(result.history).is_linearizable
+
+
+@pytest.mark.parametrize("channels", [RING, None])
+def test_workload_disconnects_exactly_the_channels_the_network_lacks(channels):
+    """Before the first event; a complete network lacks none."""
+    system = FailProneSystem("abcd", [FailurePattern(name="ok")], channels=channels)
+    gqs = discover_gqs(system).quorum_system
+    result = run_workload("register", gqs, ops_per_process=1, seed=3)
+    lacking = {(p, q) for p in "abcd" for q in "abcd" if p != q} - set(channels or ())
+    assert result.cluster.network._disconnected == (lacking if channels else set())
 
 
 def test_register_workload_restricts_invokers_to_component(figure1_gqs):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import InvalidFailurePatternError
 from repro.failures import FailProneSystem, FailurePattern, large_threshold_system
-from repro.graph import DiGraph
 
 
 def test_construction_and_accessors():
@@ -33,9 +32,9 @@ def test_pattern_with_unknown_channel_rejected():
 
 
 def test_pattern_channel_must_exist_in_graph():
-    graph = DiGraph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "a")])
+    channels = [("a", "b"), ("b", "a")]
     with pytest.raises(InvalidFailurePatternError):
-        FailProneSystem(["a", "b", "c"], [FailurePattern([], [("a", "c")])], graph=graph)
+        FailProneSystem(["a", "b", "c"], [FailurePattern([], [("a", "c")])], channels)
 
 
 def test_residual_graph_and_correct_processes():
@@ -43,8 +42,7 @@ def test_residual_graph_and_correct_processes():
     system = FailProneSystem(["a", "b", "c"], [f])
     residual = system.residual_graph(f)
     assert residual.vertex_set == frozenset({"a", "b"})
-    assert not residual.has_edge("a", "b")
-    assert residual.has_edge("b", "a")
+    assert residual.edge_set() == {("b", "a")}
     assert system.correct_processes(f) == frozenset({"a", "b"})
 
 
@@ -104,38 +102,55 @@ def test_describe_mentions_every_pattern():
 def test_graph_copy_is_defensive():
     system = FailProneSystem(["a", "b"], [FailurePattern()])
     graph = system.graph
-    graph.remove_vertex("a")
-    assert "a" in system.graph.vertices
-
-
-def test_graph_view_is_shared_and_matches_the_copy():
-    system = FailProneSystem(["a", "b"], [FailurePattern()])
-    assert system.graph_view is system.graph_view
-    assert system.graph_view == system.graph
-    assert system.graph is not system.graph_view
+    assert graph == system.graph and graph is not system.graph
+    graph.add_vertex("z")
+    assert "z" not in system.graph.vertices
 
 
 def test_graph_with_a_vertex_outside_the_process_set_is_rejected():
-    graph = DiGraph(vertices=["a", "b", "stranger"], edges=[("a", "b")])
-    with pytest.raises(InvalidFailurePatternError, match="stranger"):
-        FailProneSystem(["a", "b"], [FailurePattern()], graph=graph)
+    channels = [("a", "b"), ("stranger", "a"), ("b", "other")]
+    with pytest.raises(InvalidFailurePatternError) as error:
+        FailProneSystem(["a", "b"], [FailurePattern()], channels)
+    assert str(error.value) == (
+        "network graph has vertices outside the process set: ['other', 'stranger']"
+    )
 
 
-def test_caller_graph_is_read_not_kept():
-    graph = DiGraph(vertices=["a", "b"], edges=[("a", "b")])
-    system = FailProneSystem(["a", "b", "c"], [FailurePattern()], graph=graph)
-    graph.add_edge("b", "a")  # the caller's object is theirs to edit
-    assert not system.graph_view.has_edge("b", "a")
-    assert system.graph_view.has_vertex("c")  # channel-less processes are vertices
+def test_caller_channels_are_read_not_kept():
+    channels = [("a", "b")]
+    system = FailProneSystem(["a", "b", "c"], [FailurePattern()], channels)
+    channels.append(("b", "a"))  # the caller's list is theirs to edit
+    assert system.graph.edge_set() == {("a", "b")}
+    assert system.graph.has_vertex("c")  # channel-less processes are vertices
+
+
+@pytest.mark.parametrize("extra", [[], [("a", "a")], [("b", "a")]])
+def test_a_channel_list_naming_every_channel_is_the_row_free_complete_network(extra):
+    """Self-loops are ignored and a repeated channel is one channel."""
+    from repro.graph import BitsetDiGraph
+
+    every = [(p, q) for p in "abc" for q in "abc" if p != q]
+    system = FailProneSystem("abc", [FailurePattern()], every + extra)
+    assert system.bitset_graph._succ is None
+    assert system.bitset_graph == BitsetDiGraph.complete(system.process_index)
+    sparse = FailProneSystem("abc", [FailurePattern()], every[1:] + extra)
+    assert sparse.graph.edge_set() == set(every[1:])
+
+
+def test_an_empty_channel_list_is_a_network_without_channels():
+    system = FailProneSystem("abc", [FailurePattern()], [])
+    assert system.graph.vertex_set == frozenset("abc")
+    assert system.graph.edge_set() == frozenset()
+    assert FailProneSystem("a", [FailurePattern()], []).bitset_graph._succ is None
 
 
 # ---------------------------------------------------------------------- #
 # Derived systems share the network instead of rebuilding it
 # ---------------------------------------------------------------------- #
 def _ring_system():
-    ring = DiGraph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c"), ("c", "a")])
+    ring = [("a", "b"), ("b", "c"), ("c", "a")]
     patterns = [FailurePattern([p], name="f" + p) for p in "abc"]
-    return FailProneSystem("abc", patterns, graph=ring)
+    return FailProneSystem("abc", patterns, channels=ring)
 
 
 def _derivations(system):
@@ -157,18 +172,11 @@ def _derivations(system):
 
 def test_derived_systems_share_the_graph_objects_by_identity():
     system = _ring_system()
-    view = system.graph_view  # materialized before deriving, so it is shared too
     for child in _derivations(system):
         assert child.process_index is system.process_index
         assert child.bitset_graph is system.bitset_graph
-        assert child.graph_view is view
+        assert child.graph == system.graph
         assert child.processes is system.processes
-    # A system whose set-based graph was never asked for hands down nothing
-    # to copy; the child materializes its own, equal, view on demand.
-    cold = _ring_system()
-    child = cold._derive(cold.patterns[:1])
-    assert child.bitset_graph is cold.bitset_graph
-    assert child.graph_view == cold.graph_view == view
 
 
 def test_derived_systems_still_run_every_constructor_check():
@@ -183,7 +191,8 @@ def test_derived_systems_still_run_every_constructor_check():
     from repro.quorums import MembershipDelta, apply_delta
 
     kept = apply_delta(system, MembershipDelta(op="join", process="d"))[0]
-    assert kept.graph_view.has_edge("d", "a") and not kept.graph_view.has_edge("b", "a")
+    edges = kept.graph.edge_set()
+    assert ("d", "a") in edges and ("b", "a") not in edges
 
 
 def test_graph_copies_do_not_leak_into_parent_or_child():
@@ -191,12 +200,11 @@ def test_graph_copies_do_not_leak_into_parent_or_child():
     child = system._derive(system.patterns[:1])
     for owner in (system, child):
         copy = owner.graph
-        copy.remove_vertex("a")
+        copy.add_vertex("z")
         copy.add_edge("c", "b")
     for owner in (system, child):
         assert owner.graph.vertex_set == frozenset("abc")
-        assert not owner.graph.has_edge("c", "b")
-        assert not owner.graph_view.has_edge("c", "b")
+        assert ("c", "b") not in owner.graph.edge_set()
         assert not owner.bitset_graph.successor_mask(2) >> 1 & 1
 
 
@@ -228,13 +236,11 @@ def test_harden_channels_adopts_exactly_the_untouched_patterns():
 def test_adopt_residuals_shares_the_residual_and_its_memos():
     pattern = FailurePattern(["a"], [("c", "d")], name="fa")
     old = _certified(FailProneSystem(PROCESSES, [pattern]))
-    old.residual_graph(pattern)
     new = FailProneSystem(PROCESSES, [pattern])
     assert new.adopt_residuals(old, {pattern: pattern}) == 1
     residual = new.residual_bitset(pattern)
     assert residual is old.residual_bitset(pattern)
     assert residual.reader_masks() is old.residual_bitset(pattern).reader_masks()
-    assert new._residual_cache == {}  # the set-based memo is never handed over
 
 
 def test_reindexed_residual_memo_equals_the_memo_built_from_scratch():
@@ -358,11 +364,9 @@ def test_a_hardening_walks_only_the_patterns_it_touches():
 
 def _random_sparse_system(rng, n):
     processes = ["p{}".format(i) for i in range(n)]
-    graph = DiGraph(vertices=processes)
-    for src in processes:
-        for dst in processes:
-            if src != dst and rng.random() < 0.6:
-                graph.add_edge(src, dst)
+    network = [
+        (src, dst) for src in processes for dst in processes if src != dst and rng.random() < 0.6
+    ]
     patterns = []
     for k in range(4):
         crash = [p for p in processes if rng.random() < 0.2][: n - 1]
@@ -371,23 +375,22 @@ def _random_sparse_system(rng, n):
             (src, dst)
             for src in survivors
             for dst in survivors
-            if graph.has_edge(src, dst) and rng.random() < 0.3
+            if (src, dst) in network and rng.random() < 0.3
         ]
         patterns.append(FailurePattern(crash, channels, name="f{}".format(k)))
-    return FailProneSystem(processes, patterns, graph=graph)
+    return FailProneSystem(processes, patterns, network)
 
 
 def _assert_residual_matches_the_set_definition(system, pattern):
-    from repro.graph import BitsetDiGraph
+    from oracles.graph import residual
 
-    expected = BitsetDiGraph.from_digraph(
-        pattern.residual_graph(system.graph_view), system.process_index
-    )
     got = system.residual_bitset(pattern)
-    assert got.vertex_mask == expected.vertex_mask
-    for i in range(len(system.process_index)):
-        assert got.successor_mask(i) == expected.successor_mask(i)
-        assert got.predecessor_mask(i) == expected.predecessor_mask(i)
+    assert got.to_digraph() == residual(system, pattern)
+    n = len(system.process_index)
+    for i in range(n):
+        assert got.predecessor_mask(i) == sum(
+            1 << j for j in range(n) if got.successor_mask(j) >> i & 1
+        )
 
 
 def test_kept_encodings_build_the_residuals_of_the_set_definition():
@@ -408,7 +411,7 @@ def test_kept_encodings_build_the_residuals_of_the_set_definition():
         assert system._pattern_masks == {}
 
 
-def _set_based_validation_error(processes, graph, patterns):
+def _set_based_validation_error(processes, network, patterns):
     """The constructor's contract, stated on sets: the first error, or ``None``."""
     from repro.types import sorted_channels, sorted_processes
 
@@ -421,7 +424,7 @@ def _set_based_validation_error(processes, graph, patterns):
         if any(src not in processes or dst not in processes for src, dst in f.disconnect_prone):
             return "pattern {!r} references a channel outside the process set".format(f)
         for src, dst in sorted_channels(f.disconnect_prone):
-            if not graph.has_edge(src, dst):
+            if (src, dst) not in network:
                 return (
                     "pattern {!r} disconnects channel ({!r}, {!r}) "
                     "that does not exist in the network graph".format(f, src, dst)
@@ -438,11 +441,12 @@ def test_validation_by_encoding_raises_what_the_set_based_checks_would():
     raised = set()
     for _ in range(200):
         processes = ["p{}".format(i) for i in range(rng.randint(2, 6))]
-        graph = DiGraph(vertices=processes)
-        for src in processes:
-            for dst in processes:
-                if src != dst and rng.random() < 0.5:
-                    graph.add_edge(src, dst)
+        network = [
+            (src, dst)
+            for src in processes
+            for dst in processes
+            if src != dst and rng.random() < 0.5
+        ]
         universe = processes + outsiders
         patterns = []
         for _ in range(3):
@@ -454,12 +458,12 @@ def test_validation_by_encoding_raises_what_the_set_based_checks_would():
                 if src != dst and src not in crash and dst not in crash and rng.random() < 0.2
             ]
             patterns.append(FailurePattern(crash, channels))
-        expected = _set_based_validation_error(frozenset(processes), graph, patterns)
+        expected = _set_based_validation_error(frozenset(processes), network, patterns)
         if expected is None:
-            FailProneSystem(processes, patterns, graph=graph)
+            FailProneSystem(processes, patterns, network)
             continue
         raised.update(kind for kind in kinds if kind in expected)
         with pytest.raises(InvalidFailurePatternError) as error:
-            FailProneSystem(processes, patterns, graph=graph)
+            FailProneSystem(processes, patterns, network)
         assert str(error.value) == expected
     assert raised == set(kinds)  # the battery reaches every error, not just the happy path

@@ -24,7 +24,7 @@ from repro.failures import (
     multi_region_system,
 )
 from repro.failures.generators import _zone_blocks
-from repro.graph import DiGraph, ProcessIndex
+from repro.graph import ProcessIndex
 from repro.quorums import discover_gqs
 
 
@@ -145,14 +145,13 @@ def test_islands_must_partition_the_survivors():
 
 def test_a_sparse_network_rejects_an_island_pattern_that_cuts_a_missing_channel():
     processes = list("abcd")
-    graph = DiGraph.complete(processes)
-    graph.remove_edge("a", "c")
+    channels = [(p, q) for p in processes for q in processes if p != q and (p, q) != ("a", "c")]
     born = FailurePattern.islands(ProcessIndex(processes), 0, [0b0011, 0b1100], name="split")
     listed = FailurePattern((), born.disconnect_prone, name="split")
     messages = []
     for pattern in (born, listed):
         with pytest.raises(InvalidFailurePatternError) as error:
-            FailProneSystem(processes, [pattern], graph=graph)
+            FailProneSystem(processes, [pattern], channels)
         messages.append(str(error.value))
     assert messages[0] == messages[1]
     assert "disconnects channel ('a', 'c') that does not exist in the network graph" in messages[0]

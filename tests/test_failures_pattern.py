@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import InvalidFailurePatternError
 from repro.failures import NO_FAILURES, FailurePattern
-from repro.graph import DiGraph
 
 
 def test_basic_pattern_accessors():
@@ -37,15 +36,6 @@ def test_faulty_channel_includes_crash_incident_channels():
     assert f.is_faulty_channel(("b", "a"))
     assert f.is_faulty_channel(("a", "c"))
     assert not f.is_faulty_channel(("c", "a"))
-
-
-def test_residual_graph_removes_failures():
-    graph = DiGraph.complete(["a", "b", "c", "d"])
-    f = FailurePattern(["d"], [("a", "c")])
-    residual = f.residual_graph(graph)
-    assert not residual.has_vertex("d")
-    assert not residual.has_edge("a", "c")
-    assert residual.has_edge("c", "a")
 
 
 def test_subsumption():

@@ -82,4 +82,4 @@ def test_closure_edges_iff_reachable(graph):
         for w in graph.vertices:
             if v == w:
                 continue
-            assert closure.has_edge(v, w) == (w in reachable_from(graph, [v]))
+            assert ((v, w) in closure.edge_set()) == (w in reachable_from(graph, [v]))

@@ -147,6 +147,17 @@ def _write(path, document):
         handle.write(document if isinstance(document, str) else json.dumps(document))
 
 
+@pytest.fixture(scope="module")
+def consensus_records(tmp_path_factory):
+    """The records of one recorded consensus run."""
+    directory = tmp_path_factory.mktemp("consensus")
+    api.run_scenario("churn-at-gst", runs=1, record_traces=str(directory))
+    (path,) = directory.iterdir()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records[0]["protocol"] == "consensus"
+    return records
+
+
 def _write_lines(path, records):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(json.dumps(record) for record in records) + "\n")
@@ -372,6 +383,24 @@ def test_an_unhashable_register_value_is_one_error_line_naming_its_line(
     _write_lines(path, records)
     complaint = "a 'write' operation's argument and result must be scalars, tuples or frozensets"
     _one_error_line(["check", str(tmp_path), "--checker", checker], capsys,
+                    "error: {}:{}: {}".format(path, line + 1, complaint))
+
+
+@pytest.mark.parametrize("value", [{"$set": [1]}, {"$list": [1]}, {"$dict": [[1, 2]]}],
+                         ids=["set", "list", "dict"])
+@pytest.mark.parametrize("field", ["argument", "result"])
+def test_an_unhashable_consensus_value_is_one_error_line_naming_its_line(
+    tmp_path, capsys, consensus_records, field, value
+):
+    """``error: PATH: checker 'auto': unhashable type: 'list'`` before, with no line:
+    lattice agreement writes ``propose`` too, so only the meta record tells."""
+    records = copy.deepcopy(consensus_records)
+    line = next(i for i, record in enumerate(records) if record.get("kind") == "propose")
+    records[line][field] = value
+    path = tmp_path / "x.trace.jsonl"
+    _write_lines(path, records)
+    complaint = "a 'propose' operation's argument and result must be scalars, tuples or frozensets"
+    _one_error_line(["check", str(tmp_path)], capsys,
                     "error: {}:{}: {}".format(path, line + 1, complaint))
 
 

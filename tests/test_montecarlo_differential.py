@@ -21,7 +21,7 @@ from repro import api
 from repro.analysis import figure1_quorum_system
 from repro.engine import ShardSpec
 from repro.failures import FailProneSystem, FailurePattern
-from repro.graph import DiGraph, ProcessIndex, popcount
+from repro.graph import ProcessIndex, popcount
 from repro.montecarlo import (
     admissibility_sweep,
     asymmetric_admissibility_sweep,
@@ -57,13 +57,13 @@ def reliability_point(quorum_system, disconnect_prob, **config):
     return reliability_sweep(quorum_system, (disconnect_prob,), **config)[0]
 
 
-def _random_quorum_system(rng, n, processes=None, graph=None):
+def _random_quorum_system(rng, n, processes=None, channels=None):
     """A random (not necessarily valid) GQS — reliability estimation never
     consults validity, only the quorum families."""
     if processes is None:
         processes = ["p{}".format(i) for i in range(n)]
     fail_prone = FailProneSystem(
-        processes, [FailurePattern.crash_only([processes[0]], name="f0")], graph=graph
+        processes, [FailurePattern.crash_only([processes[0]], name="f0")], channels
     )
 
     def family():
@@ -239,10 +239,7 @@ def test_battery_parameters_reach_every_kernel_branch():
 def _ring(processes, hops):
     """Every process has a channel to the ``h``-th next one, for ``h`` in ``hops``."""
     n = len(processes)
-    return DiGraph(
-        vertices=processes,
-        edges=[(processes[i], processes[(i + h) % n]) for i in range(n) for h in hops],
-    )
+    return [(processes[i], processes[(i + h) % n]) for i in range(n) for h in hops]
 
 
 @pytest.mark.parametrize("disconnect_prob", [0.0, 0.2, 0.5])
@@ -272,8 +269,8 @@ def test_reliability_counters_equal_on_mixed_type_ids(graph_hops):
     processes = [1, 2, "a", "b", 3]
     index = ProcessIndex(processes)
     assert [index.position(p) for p in sorted(processes, key=repr)] != list(range(5))
-    graph = None if graph_hops is None else _ring(processes, graph_hops)
-    quorum_system = _random_quorum_system(random.Random(5), 5, processes, graph)
+    channels = None if graph_hops is None else _ring(processes, graph_hops)
+    quorum_system = _random_quorum_system(random.Random(5), 5, processes, channels)
     for disconnect_prob in (0.0, 0.3, 0.6):
         config = dict(crash_prob=0.3, disconnect_prob=disconnect_prob, samples=80, seed=21)
         assert reliability_point(quorum_system, **config) == estimate_reliability_set(

@@ -185,6 +185,15 @@ DELETED_EGRESS_COPIES = (
     r"\b_dumps\b", r"def to_json\(self, indent", r"\bclass _Result\b", r"\bwrite_evidence\b",
 )
 
+#: The network's second, set-based currency: the ``DiGraph`` a system kept
+#: beside its rows (with a memo of set-based residuals), the second channel
+#: encoder, the simulator's option nobody set, and the ``DiGraph`` methods
+#: only tests called.
+DELETED_SET_NETWORK = (
+    r"\bfrom_digraph\b", r"\bgraph_view\b", r"\b_residual_cache\b", r"\bcrash_processes\b",
+    r"def without\(", r"def remove_vertex\(", r"def remove_edge\(", r"def predecessors\(",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -216,6 +225,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_UNCALLED
             + DELETED_INGRESS_COPIES
             + DELETED_EGRESS_COPIES
+            + DELETED_SET_NETWORK
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
@@ -286,10 +296,6 @@ UNREACHED_METHODS = {
     "History.incomplete_records": "1",
     "History.by_process": "1",
     "History.is_sequential": "1",
-    "DiGraph.remove_vertex": "11",
-    "DiGraph.remove_edge": "11",
-    "DiGraph.copy": "11",
-    "DiGraph.predecessors": "11",
     "TightnessReport.all_patterns_ok": "4(a)",
     "TightnessReport.to_table": "4(a)",
     "QuorumTriple.available_pair": "differential seam",
@@ -354,6 +360,23 @@ def test_every_src_name_is_reached_from_outside_its_definition():
     }
     assert unreached_methods == set(UNREACHED_METHODS)
     assert set(UNREACHED_METHODS.values()) <= {"1", "4(a)", "11", "differential seam"}
+
+
+def test_the_set_based_network_lives_in_the_graph_package_and_the_system_that_hands_it_out():
+    """``src/`` holds a network as ``ProcessIndex`` rows: the identifier
+    ``DiGraph`` appears only in ``repro/graph/`` and in ``failures/failprone.py``
+    (``FailProneSystem.graph`` and ``residual_graph``); the simulator has no graph."""
+    allowed = (
+        os.path.join(SRC_DIR, "repro", "graph") + os.sep,
+        os.path.join(SRC_DIR, "repro", "failures", "failprone.py"),
+    )
+    naming = set()
+    for path, text in _sources(SRC_DIR):
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        if any(token.type == tokenize.NAME and token.string == "DiGraph" for token in tokens):
+            naming.add(path)
+    assert naming and all(path.startswith(allowed) for path in naming), sorted(naming)
+    assert os.path.join(SRC_DIR, "repro", "failures", "failprone.py") in naming
 
 
 def test_decision_layer_has_one_graph_currency():
