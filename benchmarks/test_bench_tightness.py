@@ -40,7 +40,7 @@ def test_e8_tightness_on_figure1(benchmark):
     )
     print()
     print(report.to_table())
-    assert report.gqs_exists
+    assert report.discovery.exists
     assert report.all_patterns_ok
 
 
@@ -57,12 +57,13 @@ def test_e8_tightness_across_fail_prone_systems(benchmark):
         rows = []
         for name, system in systems:
             report = verify_tightness(system, ops_per_process=1, seed=3, jobs=BENCH_JOBS)
+            exists = report.discovery.exists
             rows.append(
                 {
                     "system": name,
-                    "GQS exists": report.gqs_exists,
+                    "GQS exists": exists,
                     "patterns": len(system),
-                    "all protocol checks pass": report.all_patterns_ok if report.gqs_exists else "n/a",
+                    "all protocol checks pass": report.all_patterns_ok if exists else "n/a",
                 }
             )
         return rows

@@ -64,10 +64,6 @@ class TightnessReport:
     verdicts: List[PatternVerdict] = field(default_factory=list)
 
     @property
-    def gqs_exists(self) -> bool:
-        return self.discovery.exists
-
-    @property
     def all_patterns_ok(self) -> bool:
         return all(verdict.ok for verdict in self.verdicts)
 

@@ -178,15 +178,6 @@ class FailProneSystem:
         return self._processes
 
     @property
-    def graph(self) -> DiGraph:
-        """The network graph ``G = (P, C)`` as a fresh, caller-owned :class:`DiGraph`.
-
-        Built from the bitmask rows on every access, so editing it never
-        reaches the system or the systems derived from it.
-        """
-        return self._bitset_graph.to_digraph()
-
-    @property
     def patterns(self) -> Tuple[FailurePattern, ...]:
         """The failure patterns, in the order they were given."""
         return self._patterns

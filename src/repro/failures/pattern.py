@@ -160,20 +160,6 @@ class FailurePattern:
                 return False
         return True
 
-    def union(self, other: "FailurePattern", name: Optional[str] = None) -> "FailurePattern":
-        """Combine two patterns into one that allows the failures of both.
-
-        Channels that become incident to a crash-prone process are dropped from
-        the explicit channel list (they are faulty by default).
-        """
-        crash = self._crash_prone | other._crash_prone
-        channels = {
-            ch
-            for ch in (self.disconnect_prone | other.disconnect_prone)
-            if ch[0] not in crash and ch[1] not in crash
-        }
-        return FailurePattern(crash, channels, name=name)
-
     # ------------------------------------------------------------------ #
     # Dunder methods
     # ------------------------------------------------------------------ #

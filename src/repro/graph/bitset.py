@@ -396,16 +396,6 @@ class BitsetDiGraph:
         succ[position] = pred[position] = self.vertex_mask
         return BitsetDiGraph(self.index, self.vertex_mask | bit, succ, pred)
 
-    def residual(self, crashed: Iterable[ProcessId], disconnected: Iterable[Channel]) -> "BitsetDiGraph":
-        """The residual graph with ``crashed`` vertices and ``disconnected`` edges removed.
-
-        Channels incident to a crashed vertex disappear with the vertex.  This
-        is the ProcessId-level entry point; the failure set is encoded once
-        with :meth:`ProcessIndex.failure_masks` and the mask-level
-        :meth:`residual_masks` does the work.
-        """
-        return self.residual_masks(*self.index.failure_masks(crashed, disconnected))
-
     def residual_masks(
         self, crash_mask: int, succ_clear: Sequence[int] = (), pred_clear: Sequence[int] = ()
     ) -> "BitsetDiGraph":
@@ -443,10 +433,6 @@ class BitsetDiGraph:
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
-    def num_vertices(self) -> int:
-        """Number of present vertices."""
-        return popcount(self.vertex_mask)
-
     def successor_mask(self, position: int) -> int:
         """Successors of the vertex at ``position`` as a mask."""
         if self._succ is None:

@@ -215,7 +215,7 @@ def operation_record_from_dict(data: Dict[str, Any]) -> OperationRecord:
     for key in ("process", "kind", "invoked_at"):
         ingress.required(data, key, "operation record")
     return OperationRecord(
-        process_id=value_from_jsonable(data["process"]),
+        process_id=ingress.process_id(data["process"], "field 'process'"),
         kind=ingress.text(data["kind"], "field 'kind'"),
         argument=value_from_jsonable(data.get("argument")),
         result=value_from_jsonable(data.get("result")),

@@ -70,9 +70,6 @@ class DelayModel:
         """
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Reset any internal randomness so a simulation can be replayed."""
-
 
 class FixedDelay(DelayModel):
     """Every message is delivered exactly ``latency`` time units after sending."""
@@ -100,15 +97,11 @@ class UniformDelay(DelayModel):
             raise ValueError(
                 "need min_delay <= max_delay, got {!r} > {!r}".format(min_delay, max_delay)
             )
-        self._seed = seed
         self._rng = random.Random(seed)
 
     def delay(self, channel: Channel, send_time: float) -> float:
         # What ``random.Random.uniform`` evaluates — the same floats, one frame less.
         return self.min_delay + (self.max_delay - self.min_delay) * self._rng.random()
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
 
 
 class PartialSynchronyDelay(DelayModel):
@@ -132,7 +125,6 @@ class PartialSynchronyDelay(DelayModel):
         self.pre_gst_max = _check_time("pre_gst_max", pre_gst_max)
         if pre_gst_max < delta:
             raise ValueError("pre_gst_max must be at least delta")
-        self._seed = seed
         self._rng = random.Random(seed)
 
     def delay(self, channel: Channel, send_time: float) -> float:
@@ -143,9 +135,6 @@ class PartialSynchronyDelay(DelayModel):
         # Arbitrary (but finite) delay before GST.  A message sent just before
         # GST may still arrive late, which is allowed by the model.
         return delta + (self.pre_gst_max - delta) * self._rng.random()
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
 
 
 # ---------------------------------------------------------------------- #

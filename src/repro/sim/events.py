@@ -174,12 +174,6 @@ class EventScheduler:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        before = self._events_processed
-        self.run(max_events=1)
-        return self._events_processed != before
-
     def run(
         self,
         max_time: Optional[float] = None,
@@ -236,9 +230,3 @@ class EventScheduler:
             executed += 1
             if stop_when is not None and stop_when():
                 return
-
-    def run_until(self, time: float) -> None:
-        """Run every event scheduled at or before ``time`` and advance to ``time``."""
-        self.run(max_time=time)
-        if self._now < time:
-            self._now = time

@@ -348,7 +348,3 @@ class Network:
             stop_when=None) -> None:
         """Run the underlying scheduler (see :meth:`EventScheduler.run`)."""
         self.scheduler.run(max_time=max_time, max_events=max_events, stop_when=stop_when)
-
-    def run_until(self, time: float) -> None:
-        """Run every event up to simulated time ``time``."""
-        self.scheduler.run_until(time)

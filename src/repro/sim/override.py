@@ -102,10 +102,6 @@ class ScheduleOverride(DelayModel):
         # A negative nudge may not deliver into the past.
         return latency if latency > 0.0 else 0.0
 
-    def reset(self) -> None:
-        self.base.reset()
-        self._channels = {}
-
 
 def build_schedule_override(
     seed: Optional[int],

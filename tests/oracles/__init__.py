@@ -6,14 +6,15 @@ versions it replaced live here, as a test-side package (not under ``src/``,
 not installed): the differential batteries in ``tests/`` and the speedup
 benchmarks in ``benchmarks/`` import them via their conftests.
 
-Everything in this package is written on :class:`~repro.graph.DiGraph` and the
-set-based functions of :mod:`oracles.graph` only.  It must never
+Everything in this package is written on the set-based container and
+functions of :mod:`oracles.graph` only.  It must never
 import :mod:`repro.graph.bitset`, :mod:`repro.montecarlo.bitsampler` or any
 mask-level helper — an oracle that shares code with what it checks checks
 nothing (``tests/test_surface.py`` enforces this).
 
-* :mod:`oracles.graph` — set-based reachability, Tarjan SCCs, condensation
-  and the mutual-reachability predicates, on ``DiGraph`` vertex sets;
+* :mod:`oracles.graph` — its own ``SetGraph`` container, a system's network
+  read from its serialized form, set-based reachability, Tarjan SCCs,
+  condensation and the mutual-reachability predicates;
 * :mod:`oracles.predicates` — the two availability predicates of §3, the
   set-based Definition 2 validator, the QS+ validator of §1 and the
   component ``U_f``;

@@ -1,10 +1,10 @@
 """Set-based connectivity algorithms: the oracle the bitmask view is tested against.
 
-Everything the paper needs from graph theory, written the obvious way on
-:class:`~repro.graph.DiGraph` vertex sets:
+Everything the paper needs from graph theory, written the obvious way on this
+module's own set-based container, :class:`SetGraph`:
 
-* the residual graph ``G \\ f`` by set subtraction (:func:`without`,
-  :func:`residual`);
+* the network graph ``G`` of a system (:func:`network`) and the residual graph
+  ``G \\ f`` by set subtraction (:func:`without`, :func:`residual`);
 * forward/backward reachability (:func:`reachable_from`, :func:`can_reach`);
 * strongly connected components via an iterative Tarjan algorithm
   (:func:`strongly_connected_components`);
@@ -14,19 +14,19 @@ Everything the paper needs from graph theory, written the obvious way on
   onto the paper's ``f``-availability and ``f``-reachability.
 
 Production code decides on :class:`~repro.graph.BitsetDiGraph` masks and calls
-none of these.  :func:`reachable_from` is this module's own copy (the package
-exports one too), and a residual is subtracted here from the network a system
-hands out (:attr:`FailProneSystem.graph`, read once per system), never taken
-from the system's own residuals, so the oracle shares nothing but the
-``DiGraph`` container with what ships.
+none of these.  A system's network is read from its public serialized form
+(:func:`repro.serialization.fail_prone_system_to_dict`: the process list and,
+for a sparse network, the channel list), and a residual is subtracted here
+from that network, never taken from the system's own residuals, so the
+oracle shares no container and no traversal with what ships.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
-from repro.graph import DiGraph
+from repro.serialization import fail_prone_system_to_dict
 from repro.types import Channel, ProcessId
 
 #: Per fail-prone system (alive): its network graph and the residuals
@@ -34,9 +34,82 @@ from repro.types import Channel, ProcessId
 _RESIDUALS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+class SetGraph:
+    """A directed graph over hashable vertices, as an adjacency dict of dicts.
+
+    Vertex order is insertion order and neighbour order edge-insertion order
+    (values unused: a dict, never a hash set), so no traversal depends on
+    ``PYTHONHASHSEED``.  Self-loops are ignored: the paper's channel set holds
+    only channels between distinct processes.
+    """
+
+    def __init__(self, vertices: Iterable[ProcessId] = (), edges: Iterable[Channel] = ()) -> None:
+        self._succ: Dict[ProcessId, Dict[ProcessId, None]] = {}
+        for v in vertices:
+            self.add_vertex(v)
+        for src, dst in edges:
+            self.add_edge(src, dst)
+
+    def add_vertex(self, v: ProcessId) -> None:
+        self._succ.setdefault(v, {})
+
+    def add_edge(self, src: ProcessId, dst: ProcessId) -> None:
+        self.add_vertex(src)
+        self.add_vertex(dst)
+        if src != dst:
+            self._succ[src][dst] = None
+
+    @property
+    def vertices(self) -> List[ProcessId]:
+        return list(self._succ)
+
+    @property
+    def vertex_set(self) -> FrozenSet[ProcessId]:
+        return frozenset(self._succ)
+
+    def edges(self) -> Iterator[Channel]:
+        for src, dsts in self._succ.items():
+            for dst in dsts:
+                yield (src, dst)
+
+    def edge_set(self) -> FrozenSet[Channel]:
+        return frozenset(self.edges())
+
+    def has_vertex(self, v: ProcessId) -> bool:
+        return v in self._succ
+
+    def successors(self, v: ProcessId) -> Tuple[ProcessId, ...]:
+        return tuple(self._succ.get(v, ()))
+
+    def num_vertices(self) -> int:
+        return len(self._succ)
+
+    def num_edges(self) -> int:
+        return sum(len(dsts) for dsts in self._succ.values())
+
+    def __contains__(self, v: ProcessId) -> bool:
+        return v in self._succ
+
+    def __len__(self) -> int:
+        return len(self._succ)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SetGraph):
+            return NotImplemented
+        return self.vertex_set == other.vertex_set and self.edge_set() == other.edge_set()
+
+
+def copy_of(graph, vertices: Iterable[ProcessId]) -> SetGraph:
+    """What ``graph`` shows through ``has_vertex`` and ``successors`` (all a
+    shipped ``residual_graph`` offers) over the candidate ``vertices``, as an
+    oracle container."""
+    present = [v for v in vertices if graph.has_vertex(v)]
+    return SetGraph(present, ((v, w) for v in present for w in graph.successors(v)))
+
+
 def without(
-    graph: DiGraph, vertices: Iterable[ProcessId] = (), edges: Iterable[Channel] = ()
-) -> DiGraph:
+    graph: SetGraph, vertices: Iterable[ProcessId] = (), edges: Iterable[Channel] = ()
+) -> SetGraph:
     """A copy of ``graph`` without ``vertices`` (and their edges) and ``edges``.
 
     The residual graph ``G \\ f`` when ``vertices`` are the crash-prone
@@ -44,23 +117,26 @@ def without(
     """
     removed_vertices = set(vertices)
     removed_edges = set(edges)
-    residual = DiGraph(v for v in graph.vertices if v not in removed_vertices)
-    for src, dst in graph.edges():
-        if (
-            src not in removed_vertices
+    return SetGraph(
+        (v for v in graph.vertices if v not in removed_vertices),
+        (
+            (src, dst)
+            for src, dst in graph.edges()
+            if src not in removed_vertices
             and dst not in removed_vertices
             and (src, dst) not in removed_edges
-        ):
-            residual.add_edge(src, dst)
-    return residual
+        ),
+    )
 
 
-def network(system) -> DiGraph:
-    """The network graph of ``system``, read from :attr:`FailProneSystem.graph` once."""
+def network(system) -> SetGraph:
+    """The network graph of ``system``, built once from its serialized form:
+    the ``"channels"`` list, or every ordered pair of distinct processes when
+    the network is complete and lists none."""
     return _memo(system)[0]
 
 
-def residual(system, pattern) -> DiGraph:
+def residual(system, pattern) -> SetGraph:
     """``G \\ f`` for ``pattern`` subtracted from :func:`network`; memoized per
     ``(system, pattern)`` and shared, so treat it as immutable."""
     graph, residuals = _memo(system)
@@ -72,14 +148,20 @@ def residual(system, pattern) -> DiGraph:
     return cached
 
 
-def _memo(system) -> Tuple[DiGraph, Dict[object, DiGraph]]:
+def _memo(system) -> Tuple[SetGraph, Dict[object, SetGraph]]:
     memo = _RESIDUALS.get(system)
     if memo is None:
-        memo = _RESIDUALS[system] = (system.graph, {})
+        data = fail_prone_system_to_dict(system)
+        processes = data["processes"]
+        channels = data.get("channels")
+        if channels is None:
+            channels = [(p, q) for p in processes for q in processes if p != q]
+        graph = SetGraph(processes, (tuple(channel) for channel in channels))
+        memo = _RESIDUALS[system] = (graph, {})
     return memo
 
 
-def reachable_from(graph: DiGraph, sources: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
+def reachable_from(graph: SetGraph, sources: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
     """Return every vertex reachable from any vertex in ``sources``.
 
     Sources themselves are always included (a vertex reaches itself via the
@@ -96,10 +178,10 @@ def reachable_from(graph: DiGraph, sources: Iterable[ProcessId]) -> FrozenSet[Pr
     return frozenset(seen)
 
 
-def can_reach(graph: DiGraph, targets: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
+def can_reach(graph: SetGraph, targets: Iterable[ProcessId]) -> FrozenSet[ProcessId]:
     """Return every vertex from which some vertex in ``targets`` is reachable.
 
-    A forward walk over the reversed edges, built here from :meth:`DiGraph.edges`.
+    A forward walk over the reversed edges, built here from :meth:`SetGraph.edges`.
     """
     predecessors: Dict[ProcessId, List[ProcessId]] = {}
     for src, dst in graph.edges():
@@ -115,14 +197,14 @@ def can_reach(graph: DiGraph, targets: Iterable[ProcessId]) -> FrozenSet[Process
     return frozenset(seen)
 
 
-def has_path(graph: DiGraph, src: ProcessId, dst: ProcessId) -> bool:
+def has_path(graph: SetGraph, src: ProcessId, dst: ProcessId) -> bool:
     """Return whether there is a directed path from ``src`` to ``dst``."""
     if not graph.has_vertex(src) or not graph.has_vertex(dst):
         return False
     return dst in reachable_from(graph, [src])
 
 
-def strongly_connected_components(graph: DiGraph) -> List[FrozenSet[ProcessId]]:
+def strongly_connected_components(graph: SetGraph) -> List[FrozenSet[ProcessId]]:
     """Return the strongly connected components of ``graph``.
 
     Uses an iterative version of Tarjan's algorithm so that deep graphs do not
@@ -179,7 +261,7 @@ def strongly_connected_components(graph: DiGraph) -> List[FrozenSet[ProcessId]]:
     return components
 
 
-def scc_of(graph: DiGraph, vertex: ProcessId) -> FrozenSet[ProcessId]:
+def scc_of(graph: SetGraph, vertex: ProcessId) -> FrozenSet[ProcessId]:
     """Return the strongly connected component containing ``vertex``.
 
     Raises ``KeyError`` if ``vertex`` is not a vertex of the graph.
@@ -191,7 +273,7 @@ def scc_of(graph: DiGraph, vertex: ProcessId) -> FrozenSet[ProcessId]:
     return frozenset(forward & backward)
 
 
-def condensation(graph: DiGraph) -> Tuple[DiGraph, Dict[ProcessId, int]]:
+def condensation(graph: SetGraph) -> Tuple[SetGraph, Dict[ProcessId, int]]:
     """Return the condensation DAG and the vertex -> component-index mapping.
 
     Component indices follow the order returned by
@@ -202,7 +284,7 @@ def condensation(graph: DiGraph) -> Tuple[DiGraph, Dict[ProcessId, int]]:
     for i, comp in enumerate(components):
         for v in comp:
             membership[v] = i
-    dag = DiGraph(vertices=range(len(components)))
+    dag = SetGraph(range(len(components)))
     for src, dst in graph.edges():
         ci, cj = membership[src], membership[dst]
         if ci != cj:
@@ -210,7 +292,7 @@ def condensation(graph: DiGraph) -> Tuple[DiGraph, Dict[ProcessId, int]]:
     return dag, membership
 
 
-def is_strongly_connected(graph: DiGraph, vertices: Iterable[ProcessId]) -> bool:
+def is_strongly_connected(graph: SetGraph, vertices: Iterable[ProcessId]) -> bool:
     """Return whether all ``vertices`` are mutually reachable in ``graph``.
 
     Note: following the paper (which assumes message forwarding, i.e. a
@@ -221,7 +303,7 @@ def is_strongly_connected(graph: DiGraph, vertices: Iterable[ProcessId]) -> bool
     return mutually_reachable(graph, vertices)
 
 
-def mutually_reachable(graph: DiGraph, vertices: Iterable[ProcessId]) -> bool:
+def mutually_reachable(graph: SetGraph, vertices: Iterable[ProcessId]) -> bool:
     """Return whether every vertex in ``vertices`` can reach every other one."""
     vs = list(dict.fromkeys(vertices))
     if len(vs) <= 1:
@@ -235,7 +317,7 @@ def mutually_reachable(graph: DiGraph, vertices: Iterable[ProcessId]) -> bool:
 
 
 def set_reaches_set(
-    graph: DiGraph, sources: Iterable[ProcessId], targets: Iterable[ProcessId]
+    graph: SetGraph, sources: Iterable[ProcessId], targets: Iterable[ProcessId]
 ) -> bool:
     """Return whether *every* target is reachable from *every* source.
 
@@ -256,14 +338,14 @@ def set_reaches_set(
     return True
 
 
-def transitive_closure(graph: DiGraph) -> DiGraph:
+def transitive_closure(graph: SetGraph) -> SetGraph:
     """Return the transitive closure of ``graph``.
 
     The paper assumes (w.l.o.g.) that connectivity is transitive because
     processes forward every message they receive; taking the closure of a
     residual graph models that assumption explicitly.
     """
-    closure = DiGraph(vertices=graph.vertices)
+    closure = SetGraph(graph.vertices)
     for v in graph.vertices:
         for w in reachable_from(graph, [v]):
             if v != w:

@@ -251,7 +251,7 @@ def test_tightness_identical_across_jobs(figure1_system):
 
     serial = verify_tightness(figure1_system, include_snapshot=True, include_lattice=True, jobs=1)
     parallel = verify_tightness(figure1_system, include_snapshot=True, include_lattice=True, jobs=2)
-    assert serial.gqs_exists and parallel.gqs_exists
+    assert serial.discovery.exists and parallel.discovery.exists
     assert serial.all_patterns_ok and parallel.all_patterns_ok
     assert serial.to_table().to_text() == parallel.to_table().to_text()
     assert [v.pattern.name for v in serial.verdicts] == [

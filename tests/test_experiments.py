@@ -109,7 +109,7 @@ def test_verify_pattern_register_only(figure1_gqs):
 
 def test_verify_tightness_for_figure1(figure1_system):
     report = verify_tightness(figure1_system, ops_per_process=2, seed=9)
-    assert report.gqs_exists
+    assert report.discovery.exists
     assert len(report.verdicts) == 4
     assert report.all_patterns_ok
     table = report.to_table()
@@ -143,12 +143,12 @@ def test_verify_tightness_pins_every_object_on_figure1(figure1_system):
 
 def test_verify_tightness_reports_non_existence(figure1_modified_system):
     report = verify_tightness(figure1_modified_system)
-    assert not report.gqs_exists
+    assert not report.discovery.exists
     assert report.verdicts == []
 
 
 def test_verify_tightness_classical_threshold():
     system = FailProneSystem.crash_threshold(["a", "b", "c"], 1)
     report = verify_tightness(system, ops_per_process=1, seed=10)
-    assert report.gqs_exists
+    assert report.discovery.exists
     assert report.all_patterns_ok

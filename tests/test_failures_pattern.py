@@ -49,15 +49,6 @@ def test_subsumption():
     assert with_channels.is_subsumed_by(bigger)
 
 
-def test_union_merges_failures_and_drops_covered_channels():
-    first = FailurePattern(["a"], [("b", "c")])
-    second = FailurePattern(["c"])
-    merged = first.union(second)
-    assert merged.crash_prone == frozenset({"a", "c"})
-    # (b, c) is incident to the now-crash-prone c, so it must not be listed.
-    assert ("b", "c") not in merged.disconnect_prone
-
-
 def test_equality_and_hash_ignore_name():
     first = FailurePattern(["a"], [("b", "c")], name="x")
     second = FailurePattern(["a"], [("b", "c")], name="y")

@@ -2,9 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import DiGraph
-
 from oracles.graph import (
+    SetGraph,
     can_reach,
     mutually_reachable,
     reachable_from,
@@ -26,7 +25,7 @@ def random_digraph(draw):
             max_size=20,
         )
     )
-    return DiGraph(vertices=vertices, edges=edges)
+    return SetGraph(vertices=vertices, edges=edges)
 
 
 @given(random_digraph())

@@ -87,14 +87,20 @@ def _incident():
 
 
 @pytest.fixture(scope="module")
-def trace_records(tmp_path_factory):
-    """The records of one recorded run, plus an op whose values need the tagged codec."""
+def register_records(tmp_path_factory):
+    """The records of one recorded register run."""
     directory = tmp_path_factory.mktemp("recorded")
     api.run_scenario("unidirectional-ring", runs=1, record_traces=str(directory))
     (path,) = directory.iterdir()
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def trace_records(register_records):
+    """``register_records`` plus an op whose values need the tagged codec."""
+    records = copy.deepcopy(register_records)
     records.insert(-1, {
-        "type": "op", "process": {"$tuple": ["p", 1]}, "kind": "propose",
+        "type": "op", "process": "p1", "kind": "propose",
         "argument": {"$frozenset": ["a"]}, "result": {"$dict": [[1, {"$set": [2]}]]},
         "invoked_at": 1.5, "completed_at": None, "op_id": 9,
     })
@@ -402,6 +408,17 @@ def test_an_unhashable_consensus_value_is_one_error_line_naming_its_line(
     complaint = "a 'propose' operation's argument and result must be scalars, tuples or frozensets"
     _one_error_line(["check", str(tmp_path)], capsys,
                     "error: {}:{}: {}".format(path, line + 1, complaint))
+
+
+@pytest.mark.parametrize("protocol", ["register", "consensus"])
+def test_an_op_naming_no_process_is_one_error_line_naming_its_line(
+    tmp_path, capsys, register_records, consensus_records, protocol
+):
+    """A consensus trace ended in ``error: PATH: checker 'auto': unhashable type:
+    'list'`` before, with no line; a register trace re-checked as safe."""
+    records = consensus_records if protocol == "consensus" else register_records
+    argv, where = _trace(tmp_path, records, "op", lambda r: r.update(process={"$list": [1]}))
+    _one_error_line(argv, capsys, "error: " + where + "field 'process' must name a process")
 
 
 def test_a_trace_missing_the_system_its_checker_needs_is_one_error_line(

@@ -34,6 +34,8 @@ from repro.quorums import (
     watch_deltas,
 )
 
+from oracles.graph import network
+
 def _small_system() -> FailProneSystem:
     return FailProneSystem(
         ["a", "b", "c", "d"],
@@ -111,7 +113,7 @@ def test_join_quarantines_the_new_process():
     assert len(pattern_map) == len(new_system.patterns)
     assert permutation is not None
     # The graph connects the newcomer both ways.
-    assert {("e", "a"), ("a", "e")} <= new_system.graph.edge_set()
+    assert {("e", "a"), ("a", "e")} <= network(new_system).edge_set()
 
 
 def test_leave_keeps_structures_of_patterns_that_crashed_the_process():
@@ -212,7 +214,7 @@ def test_watch_verdicts_match_from_scratch_discovery():
         fresh = FailProneSystem(
             verdict.system.processes,
             verdict.system.patterns,
-            channels=verdict.system.graph.edges(),
+            channels=network(verdict.system).edges(),
             name=verdict.system.name,
         )
         scratch = discover_gqs(fresh, validate=False)

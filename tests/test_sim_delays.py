@@ -23,9 +23,8 @@ def test_uniform_delay_within_bounds_and_deterministic():
     model = UniformDelay(1.0, 3.0, seed=42)
     values = [model.delay(("a", "b"), 0.0) for _ in range(50)]
     assert all(1.0 <= v <= 3.0 for v in values)
-    model.reset()
-    replay = [model.delay(("a", "b"), 0.0) for _ in range(50)]
-    assert values == replay
+    replay = UniformDelay(1.0, 3.0, seed=42)
+    assert values == [replay.delay(("a", "b"), 0.0) for _ in range(50)]
 
 
 def test_uniform_delay_rejects_bad_bounds():
@@ -57,12 +56,11 @@ def test_partial_synchrony_parameter_validation():
         PartialSynchronyDelay(gst=-1.0)
 
 
-def test_partial_synchrony_reset_replays():
-    model = PartialSynchronyDelay(seed=7)
-    first = [model.delay(("a", "b"), 0.0) for _ in range(10)]
-    model.reset()
-    second = [model.delay(("a", "b"), 0.0) for _ in range(10)]
-    assert first == second
+def test_partial_synchrony_same_seed_replays():
+    first, second = PartialSynchronyDelay(seed=7), PartialSynchronyDelay(seed=7)
+    assert [first.delay(("a", "b"), 0.0) for _ in range(10)] == [
+        second.delay(("a", "b"), 0.0) for _ in range(10)
+    ]
 
 
 def test_delay_streams_equal_random_uniform_float_for_float():
@@ -82,8 +80,6 @@ def test_delay_streams_equal_random_uniform_float_for_float():
             reference.uniform(0.1 * 0.7, 0.7) if send_time >= 30.0 else reference.uniform(0.7, 13.0)
         )
         assert model.delay(("a", "b"), send_time) == expected
-    model.reset()
-    assert model.delay(("a", "b"), 0.0) == random.Random(5).uniform(0.7, 13.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, "1.0"])

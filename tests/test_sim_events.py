@@ -115,12 +115,6 @@ def test_run_stop_when_predicate():
     assert len(seen) == 3
 
 
-def test_run_until_advances_time_even_with_no_events():
-    scheduler = EventScheduler()
-    scheduler.run_until(42.0)
-    assert scheduler.now == pytest.approx(42.0)
-
-
 def test_events_processed_counter():
     scheduler = EventScheduler()
     for i in range(3):

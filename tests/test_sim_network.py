@@ -112,9 +112,9 @@ def test_apply_failure_pattern_at_time():
     pattern = FailurePattern([], [("a", "b")])
     network.apply_failure_pattern(pattern, at_time=5.0)
     network.send("a", "b", "early")
-    network.run_until(3.0)
+    network.run(max_time=3.0)
     assert procs["b"].received == [("a", "early")]
-    network.run_until(6.0)
+    network.run(max_time=6.0)
     network.send("a", "b", "late")
     network.run()
     assert procs["b"].received == [("a", "early")]

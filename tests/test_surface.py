@@ -26,7 +26,9 @@ label block or typed-result JSON branch of its own.
 And ``src/`` ships only what something reaches: every module-level name is
 used by another ``src/`` module, a command or the e2e harness, six exempt
 names aside; what only tests read lives in ``tests/`` or ``examples/``.
-Methods too, a dozen waiting on named ROADMAP items aside.
+Methods too, counted where they are read as attributes, ten waiting on
+named ROADMAP items aside; a system hands out no network graph, and the
+``DiGraph`` it still decodes keeps only what the e2e harness probe walks.
 And a file from outside becomes data in one place, ``repro.ingress``: the
 private readers and field checks the ingresses each carried are gone.  Its
 mirror, ``repro.egress``, is the one place data becomes JSON bytes, and a
@@ -194,6 +196,18 @@ DELETED_SET_NETWORK = (
     r"def without\(", r"def remove_vertex\(", r"def remove_edge\(", r"def predecessors\(",
 )
 
+#: Members only tests read, found once a method counts as reached only where
+#: it is read as an attribute: the network a system handed out, the set-based
+#: container's inspection methods and dunders, a second residual entry, a
+#: pattern combinator, the scheduler's single step and ``run_until`` pair, the
+#: delay models' ``reset`` chain and a report property that restated a field.
+DELETED_TEST_ONLY = (
+    r"def graph\(self\)", r"def union\(", r"def residual\(self, crashed", r"def step\(self\)",
+    r"def run_until\(", r"def reset\(self\)", r"def gqs_exists\(self\)", r"def num_vertices\(",
+    r"def num_edges\(", r"def vertices\(self\)", r"def vertex_set\(", r"def edges\(self\)",
+    r"def edge_set\(", r"def add_vertex\(self", r"def add_edge\(self",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -226,6 +240,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_INGRESS_COPIES
             + DELETED_EGRESS_COPIES
             + DELETED_SET_NETWORK
+            + DELETED_TEST_ONLY
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
@@ -300,10 +315,49 @@ UNREACHED_METHODS = {
     "TightnessReport.to_table": "4(a)",
     "QuorumTriple.available_pair": "differential seam",
     "GeneralizedQuorumSystem.validating_write_quorums": "differential seam",
+    "CandidateQuorumPair.read_quorum": "differential seam",
+    "EventScheduler.pending": "differential seam",
 }
 
 #: Client operations invoked by name (``Cluster.invoke`` dispatches with ``getattr``).
-STRING_DISPATCHED = {"scan", "quorum_get", "quorum_set"}
+STRING_DISPATCHED = {"scan", "quorum_get", "quorum_set", "propose"}
+
+
+def _unreached_methods(sources, defining_root):
+    """Qualified names of the methods (dunders aside) of the classes defined at
+    module level under ``defining_root`` that ``sources`` never reach outside
+    their own ``def``.  A method is reached where it is read as an attribute
+    (``x.name``), named in ``getattr(x, "name")`` or dispatched by name
+    (:data:`STRING_DISPATCHED`); a bare identifier of the same spelling, such
+    as a local variable, is no use."""
+    methods, reads = [], {}
+    for path, text in sources:
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add((path, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                reads.setdefault(node.args[1].value, set()).add((path, node.lineno))
+        if path.startswith(defining_root):
+            methods += [
+                ("{}.{}".format(node.name, item.name), item.name,
+                 {(path, n) for n in range(item.lineno, item.end_lineno + 1)})
+                for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return {
+        qualified
+        for qualified, name, own in methods
+        if name not in STRING_DISPATCHED and not reads.get(name, set()) - own
+    }
 
 
 def test_every_src_name_is_reached_from_outside_its_definition():
@@ -311,12 +365,13 @@ def test_every_src_name_is_reached_from_outside_its_definition():
     somewhere besides its own definition and the export tables — in ``src/``
     (which holds every command) or in the pinned ``benchmarks/e2e`` harness.
     A facade alias (``api.hunt`` for ``hunt_scenario``) counts as a use of its
-    target.  A method (dunders aside) is named outside its own ``def`` there or
-    in ``examples/``, or is a client operation dispatched by name."""
+    target.  A method (dunders aside) is read as an attribute outside its own
+    ``def`` there or in ``examples/`` (see :func:`_unreached_methods`)."""
     root = os.path.dirname(SRC_DIR)
     e2e, examples = os.path.join(root, "benchmarks", "e2e"), os.path.join(root, "examples")
-    definitions, aliases, uses, methods = {}, {}, {}, []
-    for path, text in itertools.chain(_sources(SRC_DIR), _sources(e2e), _sources(examples)):
+    sources = list(itertools.chain(_sources(SRC_DIR), _sources(e2e), _sources(examples)))
+    definitions, aliases, uses = {}, {}, {}
+    for path, text in sources:
         tree = ast.parse(text)
         exports = _export_table_lines(path, tree)
         # Identifiers only: a name in a docstring, comment or string is no use.
@@ -333,14 +388,6 @@ def test_every_src_name_is_reached_from_outside_its_definition():
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     span = range(node.lineno, node.end_lineno + 1)
                     definitions.setdefault(node.name, set()).update((path, n) for n in span)
-                if isinstance(node, ast.ClassDef):
-                    methods += [
-                        ("{}.{}".format(node.name, item.name), item.name,
-                         {(path, n) for n in range(item.lineno, item.end_lineno + 1)})
-                        for item in node.body
-                        if isinstance(item, ast.FunctionDef)
-                        and not (item.name.startswith("__") and item.name.endswith("__"))
-                    ]
     outside_examples = {
         word: {use for use in found if not use[0].startswith(examples)}
         for word, found in uses.items()
@@ -353,19 +400,37 @@ def test_every_src_name_is_reached_from_outside_its_definition():
         )
     }
     assert unreached == UNREACHED_BY_DESIGN
-    unreached_methods = {
-        qualified
-        for qualified, name, own in methods
-        if name not in STRING_DISPATCHED and not uses.get(name, set()) - own
-    }
-    assert unreached_methods == set(UNREACHED_METHODS)
-    assert set(UNREACHED_METHODS.values()) <= {"1", "4(a)", "11", "differential seam"}
+    assert _unreached_methods(sources, os.path.join(SRC_DIR, "repro")) == set(UNREACHED_METHODS)
+    assert set(UNREACHED_METHODS.values()) <= {"1", "4(a)", "differential seam"}
 
 
-def test_the_set_based_network_lives_in_the_graph_package_and_the_system_that_hands_it_out():
+def test_a_method_is_reached_by_an_attribute_read_not_by_a_name():
+    """A local variable spelled like a method does not keep the method; a
+    read as an attribute or a ``getattr`` string does, outside its own body."""
+    root = os.path.join(SRC_DIR, "repro")
+    defined = (os.path.join(root, "synthetic.py"), (
+        "class Graph:\n"
+        "    def residual(self, crashed):\n"
+        "        return self.residual(crashed)\n"
+        "    def probe(self):\n"
+        "        return self\n"
+        "def decide(graph):\n"
+        "    residual = graph\n"
+        "    return residual\n"
+    ))
+    assert _unreached_methods([defined], root) == {"Graph.residual", "Graph.probe"}
+    for use in ("graph.residual(())", "getattr(graph, 'residual')"):
+        outside = (os.path.join(root, "caller.py"), "def run(graph):\n    " + use)
+        assert _unreached_methods([defined, outside], root) == {"Graph.probe"}
+
+
+def test_the_set_based_network_lives_in_the_graph_package_and_only_residual_graph_hands_it_out():
     """``src/`` holds a network as ``ProcessIndex`` rows: the identifier
     ``DiGraph`` appears only in ``repro/graph/`` and in ``failures/failprone.py``
-    (``FailProneSystem.graph`` and ``residual_graph``); the simulator has no graph."""
+    (``residual_graph``, what the e2e harness probe walks); a system hands out
+    no network graph, and ``DiGraph`` keeps only what ``reachable_from`` reads."""
+    from repro.graph import DiGraph
+
     allowed = (
         os.path.join(SRC_DIR, "repro", "graph") + os.sep,
         os.path.join(SRC_DIR, "repro", "failures", "failprone.py"),
@@ -376,7 +441,18 @@ def test_the_set_based_network_lives_in_the_graph_package_and_the_system_that_ha
         if any(token.type == tokenize.NAME and token.string == "DiGraph" for token in tokens):
             naming.add(path)
     assert naming and all(path.startswith(allowed) for path in naming), sorted(naming)
-    assert os.path.join(SRC_DIR, "repro", "failures", "failprone.py") in naming
+    failprone_py = os.path.join(SRC_DIR, "repro", "failures", "failprone.py")
+    with open(failprone_py, "r", encoding="utf-8") as handle:
+        failprone = ast.parse(handle.read())
+    returning = {
+        node.name
+        for node in ast.walk(failprone)
+        if isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", None) == "DiGraph"
+    }
+    assert returning == {"residual_graph"}
+    assert not hasattr(FailProneSystem, "graph")
+    members = {name for name, value in vars(DiGraph).items() if callable(value)}
+    assert members == {"__init__", "has_vertex", "successors"}
 
 
 def test_decision_layer_has_one_graph_currency():
@@ -582,6 +658,18 @@ def test_linearizability_oracle_shares_nothing_with_the_search():
                 from_checkers += [alias.name for alias in node.names]
     assert from_checkers == ["LinearizabilityResult"]
     assert oracles.graph.reachable_from is not repro.graph.reachable_from
+    # ``oracles.graph`` carries its own container too and reads a system's
+    # network from the serialized form, never from a graph the system hands out.
+    with open(oracles.graph.__file__, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("repro.graph"), node.module
+            assert "DiGraph" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("repro.graph") for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "graph", node.lineno
 
 
 # --------------------------------------------------------------------- #

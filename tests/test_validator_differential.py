@@ -2,7 +2,7 @@
 
 ``GeneralizedQuorumSystem.check`` (and everything it is built from) runs on
 :class:`~repro.graph.BitsetDiGraph` masks; ``oracles.predicates`` is the
-set-based validator it replaced, written on ``DiGraph`` reachability alone.
+set-based validator it replaced, written on ``oracles.graph`` reachability alone.
 On the systems the discovery batteries already generate — plus a sweep of
 larger random ones — both must agree on the discovered witness **and** on
 mutated witnesses: accept or reject, exception class, and the offending pair
