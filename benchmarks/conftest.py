@@ -1,4 +1,4 @@
-"""Shared fixtures for the benchmark harness (experiments E1-E8 of DESIGN.md).
+"""Shared fixtures for the benchmark harness (experiments E1-E8 of docs/experiments.md).
 
 Besides the fixtures, this conftest gives the harness a memory: every
 ``bench_once`` timing — and any counter a test attaches via the

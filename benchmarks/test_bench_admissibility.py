@@ -76,8 +76,8 @@ def test_e6_reliability_of_figure1_quorums(benchmark, figure1_gqs):
 def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
     """Batched bitset shards vs the set-based oracle engine, at equal output.
 
-    The production shards run against ``oracles.montecarlo`` (same specs and
-    merges, object-per-pattern shards).  The comparison is at *equal
+    The production shards run against ``oracles.montecarlo`` (the same studies,
+    object-per-pattern shards).  The comparison is at *equal
     statistical output*: both engines consume the
     shard RNG stream draw for draw, so the counters they produce are asserted
     identical before the throughputs are compared.  The engines run

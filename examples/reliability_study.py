@@ -6,7 +6,7 @@ Two quantitative questions around the paper's headline result:
 1. *Admissibility*: out of randomly drawn fail-prone systems (processes crash,
    channels disconnect), what fraction admits a classical quorum system, a
    strongly connected quorum system (QS+), and a generalized quorum system?
-   (This is experiment E6 of DESIGN.md.)
+   (This is experiment E6 of docs/experiments.md.)
 
 2. *Reliability of a fixed design*: take the Figure 1 quorum families and make
    processes/channels fail independently at random — how often does each

@@ -2,8 +2,8 @@
 
 Experiments report their results as :class:`ResultTable` objects — ordered rows
 of named columns — which print as aligned ASCII tables.  The benchmark
-harnesses and EXPERIMENTS.md use these to present the same "rows/series" a
-paper evaluation section would.
+harnesses and ``docs/experiments.md`` use these to present the same
+"rows/series" a paper evaluation section would.
 """
 
 from __future__ import annotations

@@ -141,14 +141,13 @@ _NO_GQS_TEXT = (
 # ---------------------------------------------------------------------- #
 def discover(
     system: FailProneSystem,
-    algorithm: str = "pruned",
     validate: bool = True,
     progress: Optional[ProgressCallback] = None,
 ) -> DiscoveryResult:
     """Run the GQS decision procedure (Theorem 2) on ``system``."""
     from .quorums import discover_gqs
 
-    return discover_gqs(system, validate=validate, algorithm=algorithm, progress=progress)
+    return discover_gqs(system, validate=validate, progress=progress)
 
 
 @dataclass
@@ -216,14 +215,11 @@ class DiscoveryReport(JsonDocument):
 
 def discovery_report(
     system: FailProneSystem,
-    algorithm: str = "pruned",
     validate: bool = True,
     progress: Optional[ProgressCallback] = None,
 ) -> DiscoveryReport:
     """:func:`discover` wrapped with the witness rows the CLI renders."""
-    return DiscoveryReport(
-        system, discover(system, algorithm=algorithm, validate=validate, progress=progress)
-    )
+    return DiscoveryReport(system, discover(system, validate=validate, progress=progress))
 
 
 @dataclass
@@ -403,7 +399,6 @@ class WatchReport(JsonDocument):
 def watch_quorums(
     system: FailProneSystem,
     deltas: Union[str, Sequence[MembershipDelta]],
-    algorithm: str = "pruned",
 ) -> WatchReport:
     """Recertify GQS existence after each membership delta in ``deltas``.
 
@@ -417,7 +412,7 @@ def watch_quorums(
 
     if isinstance(deltas, str):
         deltas = load_deltas(deltas)
-    return WatchReport(watch_deltas(system, deltas, algorithm=algorithm))
+    return WatchReport(watch_deltas(system, deltas))
 
 
 # ---------------------------------------------------------------------- #
@@ -582,28 +577,12 @@ class MonteCarloSweep(JsonDocument):
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready view: raw counters plus the derived fractions."""
-        data: Dict[str, Any] = {}
-        if self.admissibility is not None:
-            data["admissibility"] = [
-                dict(
-                    asdict(point),
-                    generalized_fraction=point.generalized_fraction,
-                    strong_fraction=point.strong_fraction,
-                    classical_fraction=point.classical_fraction,
-                )
-                for point in self.admissibility
-            ]
-        if self.reliability is not None:
-            data["reliability"] = [
-                dict(
-                    asdict(estimate),
-                    gqs_availability=estimate.gqs_availability,
-                    strong_availability=estimate.strong_availability,
-                    classical_availability=estimate.classical_availability,
-                )
-                for estimate in self.reliability
-            ]
-        return data
+        studies = (("admissibility", self.admissibility), ("reliability", self.reliability))
+        return {
+            name: [point.to_dict() for point in points]
+            for name, points in studies
+            if points is not None
+        }
 
 
 def sweep(
@@ -635,8 +614,6 @@ def sweep(
     for name, value in (("samples", samples), ("n", n), ("patterns", patterns)):
         if value < 1:
             raise ReproError("sweep needs {} >= 1 (got {})".format(name, value))
-    if not all(0.0 <= p <= 1.0 for p in probs):  # nan fails both comparisons
-        raise ReproError("sweep probabilities must lie in [0, 1] (got {})".format(list(probs)))
     outcome = MonteCarloSweep()
     if kind in ("admissibility", "all"):
         outcome.admissibility = admissibility_sweep(

@@ -5,8 +5,11 @@ hands results back *in submission order*, so merging is deterministic no matter
 which worker finished first.  With ``jobs=1`` (the default) it degrades to a
 plain serial loop in the calling process — no pool, no pickling — and it also
 falls back to that loop when the platform cannot provide worker processes.
+Every result comes back tagged with the position its item was submitted at,
+and a tag other than the one due ends the run in a
+:class:`~repro.errors.ReproError`: a mis-routed result never reaches a merge.
 A task that raises ends the run at once, the same way in both modes; a shard
-task's failure surfaces as a :class:`~repro.errors.ReproError` naming the
+task's failure (or mis-routed result) surfaces as a ``ReproError`` naming the
 spec, the shard index and the shard's derived seed.
 
 Two entry points:
@@ -56,6 +59,12 @@ def _invoke_shard_task(
     """Module-level trampoline so flattened (spec, shard) work pickles cleanly."""
     spec, shard = item
     return shard_task(spec, shard)
+
+
+def _tagged(task: Callable[[Any], Any], entry: Tuple[int, Any]) -> Tuple[int, Any]:
+    """Worker-side trampoline: ``task(item)`` tagged with the item's submission position."""
+    position, item = entry
+    return position, task(item)
 
 
 def _shard_failure(item: Tuple[ExperimentSpec, ShardSpec], error: Exception) -> ReproError:
@@ -117,9 +126,9 @@ class ParallelRunner:
     def map(self, task: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
         """Apply ``task`` to every item, returning results in item order.
 
-        Results are collected with ``Pool.imap`` (ordered), so the output list
-        — and anything merged from it — is identical whether one worker or
-        sixteen executed the tasks.
+        Results are collected with ``Pool.imap`` (ordered) and each is checked
+        against its item's position, so the output list — and anything merged
+        from it — is identical whether one worker or sixteen executed the tasks.
         """
         return self._run(task, list(items))
 
@@ -131,22 +140,34 @@ class ParallelRunner:
     ) -> List[Any]:
         """Ordered ``task(item)`` results, reporting progress after each.
 
-        An exception raised by a task ends the run where its result was due,
-        serial or parallel alike; ``blame(item, error)`` may supply the
-        exception raised in its place (chained to the original).
+        A worker returns each result tagged with its item's position, and the
+        result due at position ``i`` must carry tag ``i``: whatever permutes
+        results between the pool and here ends the run in a ``ReproError``.
+        That error, or an exception raised by a task, ends the run where the
+        result was due, serial or parallel alike; ``blame(item, error)`` may
+        supply the exception raised in its place (chained to the original).
         """
         pool = self._open_pool(len(work))
         self.last_mode = "serial" if pool is None else "parallel"
         results: List[Any] = []
         with pool if pool is not None else contextlib.nullcontext():
-            outcomes = iter(map(task, work) if pool is None else pool.imap(task, work))
-            for item in work:
+            if pool is None:
+                outcomes = enumerate(map(task, work))
+            else:
+                outcomes = pool.imap(functools.partial(_tagged, task), enumerate(work))
+            for position, item in enumerate(work):
                 try:
-                    results.append(next(outcomes))
+                    tag, result = next(outcomes)
+                    if tag != position:
+                        raise ReproError(
+                            "mis-routed result: the result of work item {} arrived where "
+                            "item {} of {} was due".format(tag, position, len(work))
+                        )
                 except Exception as error:
                     if blame is None:
                         raise
                     raise blame(item, error) from error
+                results.append(result)
                 self._report(len(results), len(work))
         return results
 

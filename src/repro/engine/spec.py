@@ -12,7 +12,7 @@ seed.  The decomposition depends only on ``(name, seed, samples, chunk_size)``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Mapping, Tuple
 
 from .seeding import spawn_seeds
 
@@ -84,16 +84,4 @@ class ExperimentSpec:
         return tuple(
             ShardSpec(index=index, samples=size, seed=seeds[index])
             for index, size in enumerate(sizes)
-        )
-
-    def with_params(self, **params: Any) -> "ExperimentSpec":
-        """Return a copy with ``params`` merged over the existing ones."""
-        merged: Dict[str, Any] = dict(self.params)
-        merged.update(params)
-        return ExperimentSpec(
-            name=self.name,
-            samples=self.samples,
-            seed=self.seed,
-            params=merged,
-            chunk_size=self.chunk_size,
         )

@@ -1,5 +1,8 @@
 """Batched bitmask Monte Carlo sampling — the shards every sweep runs.
 
+Each shard returns a plain ``(samples, *counters)`` tuple, which the study's
+one merge (:class:`~repro.montecarlo.study.Study`) sums per grid point.
+
 Failure patterns are sampled *directly as integers* by one kernel,
 :func:`_sample_residual`: a crash mask, then one successor row per survivor,
 then — only if a channel actually failed — predecessor rows and the strongly
@@ -52,8 +55,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..engine import ExperimentSpec, ShardSpec
 from ..graph import BitsetDiGraph, closure_mask, component_masks, iter_bits, popcount
 from ..quorums import choose_candidates
-from .comparison import AdmissibilityPoint
-from .reliability import ReliabilityEstimate
 
 #: One sampled residual: ``(survivor mask, SCC masks, succ rows, pred rows)``;
 #: both row lists are ``None`` when the residual is complete on the survivors.
@@ -236,8 +237,8 @@ def _reliability_setup(quorum_system):
     return setup
 
 
-def _reliability_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> ReliabilityEstimate:
-    """Run one shard of a reliability estimate (executes inside a worker).
+def _reliability_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int, int, int]:
+    """``(samples, GQS, QS+, classical)`` availability counts of one shard (worker side).
 
     Classical availability needs a correct read and a correct write quorum.
     In a strongly connected residual every such pair also satisfies GQS and
@@ -276,21 +277,15 @@ def _reliability_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Reliabi
                     break
         gqs_count += gqs_ok
         strong_count += strong_ok
-    return ReliabilityEstimate(
-        crash_prob=crash_prob,
-        disconnect_prob=disconnect_prob,
-        samples=shard.samples,
-        gqs_available=gqs_count,
-        strong_available=strong_count,
-        classical_available=classical_count,
-    )
+    return shard.samples, gqs_count, strong_count, classical_count
 
 
 # ---------------------------------------------------------------------- #
 # Admissibility (existence of quorum conditions over random systems)
 # ---------------------------------------------------------------------- #
-def _admissibility_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> AdmissibilityPoint:
-    """Classify one shard's worth of random fail-prone systems (worker side).
+def _admissibility_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int, int, int]:
+    """``(samples, GQS, QS+, classical)`` admission counts of one shard of random
+    fail-prone systems (worker side).
 
     The classical condition counts a sample only if QS+ holds and no channel
     coin landed in any of its patterns (Definition 1 knows no channel
@@ -319,18 +314,11 @@ def _admissibility_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Admis
                     break
             else:
                 classical_count += 1
-    return AdmissibilityPoint(
-        disconnect_prob=disconnect_prob,
-        crash_prob=crash_prob,
-        samples=shard.samples,
-        generalized=generalized_count,
-        strong=strong_count,
-        classical=classical_count,
-    )
+    return shard.samples, generalized_count, strong_count, classical_count
 
 
-def _asymmetric_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int]:
-    """Count (QS+, GQS) admissions in one shard of asymmetric-partition samples.
+def _asymmetric_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int, int]:
+    """``(samples, QS+, GQS)`` admission counts of one shard of asymmetric-partition samples.
 
     The asymmetric-partition residual is built directly: the sampled window is
     a complete subgraph, the reader keeps a single channel into it, and every
@@ -373,7 +361,7 @@ def _asymmetric_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[in
         generalized, strong = _conditions_exist(patterns)
         strong_count += strong
         generalized_count += generalized
-    return strong_count, generalized_count
+    return shard.samples, strong_count, generalized_count
 
 
 __all__ = [

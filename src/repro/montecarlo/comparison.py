@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..analysis.metrics import ResultTable
-from ..engine import DEFAULT_CHUNK_SIZE, ExperimentSpec, ParallelRunner, derive_seed
+from ..engine import derive_seed
 from ..engine.runner import ProgressCallback
-from ..errors import ReproError
 from ..failures import FailProneSystem, FailurePattern
 from ..quorums import gqs_exists, strong_system_exists
+from .bitsampler import _admissibility_shard_bitset, _asymmetric_shard_bitset
+from .study import Fraction, Study, Tally, check_probabilities, fraction
 
 
 @dataclass
-class AdmissibilityPoint:
+class AdmissibilityPoint(Tally):
     """Classification counts for one parameter setting."""
 
     disconnect_prob: float
@@ -36,81 +37,20 @@ class AdmissibilityPoint:
     strong: int = 0
     classical: int = 0
 
-    @property
-    def generalized_fraction(self) -> float:
-        return self.generalized / self.samples if self.samples else 0.0
-
-    @property
-    def strong_fraction(self) -> float:
-        return self.strong / self.samples if self.samples else 0.0
-
-    @property
-    def classical_fraction(self) -> float:
-        return self.classical / self.samples if self.samples else 0.0
+    generalized_fraction = Fraction("generalized")
+    strong_fraction = Fraction("strong")
+    classical_fraction = Fraction("classical")
 
 
-def _merge_admissibility(
-    spec: ExperimentSpec, shard_points: List[AdmissibilityPoint]
-) -> AdmissibilityPoint:
-    """Merge per-shard classification counts for one grid point.
-
-    Every shard must carry the grid point's own ``(disconnect_prob,
-    crash_prob)``: a shard routed here from another spec would silently
-    corrupt the counters it is summed into, so a mismatch raises instead.
-    """
-    merged = AdmissibilityPoint(
-        disconnect_prob=spec.params["disconnect_prob"],
-        crash_prob=spec.params["crash_prob"],
-        samples=0,
-    )
-    for point in shard_points:
-        if (
-            point.disconnect_prob != merged.disconnect_prob
-            or point.crash_prob != merged.crash_prob
-        ):
-            raise ReproError(
-                "mis-routed admissibility shard: point for (disconnect={}, crash={}) "
-                "cannot merge into grid point (disconnect={}, crash={})".format(
-                    point.disconnect_prob,
-                    point.crash_prob,
-                    merged.disconnect_prob,
-                    merged.crash_prob,
-                )
-            )
-        merged.samples += point.samples
-        merged.generalized += point.generalized
-        merged.strong += point.strong
-        merged.classical += point.classical
-    return merged
-
-
-def _admissibility_specs(
-    disconnect_probs: Sequence[float],
-    n: int,
-    num_patterns: int,
-    crash_prob: float,
-    samples: int,
-    max_crashes: Optional[int],
-    seed: int,
-    chunk_size: Optional[int],
-) -> List[ExperimentSpec]:
-    """Engine specs of an admissibility sweep, one per disconnection probability."""
-    return [
-        ExperimentSpec(
-            name="admissibility",
-            samples=samples,
-            seed=derive_seed(seed, "admissibility", disconnect_prob),
-            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-            params={
-                "disconnect_prob": disconnect_prob,
-                "crash_prob": crash_prob,
-                "n": n,
-                "num_patterns": num_patterns,
-                "max_crashes": max_crashes,
-            },
-        )
-        for disconnect_prob in disconnect_probs
-    ]
+#: E6: ``(samples, generalized, strong, classical)`` shards per disconnection probability.
+ADMISSIBILITY = Study(
+    name="admissibility",
+    axis="disconnect_prob",
+    seed_rule=lambda seed, _index, p: derive_seed(seed, "admissibility", p),
+    shard=_admissibility_shard_bitset,
+    result=AdmissibilityPoint,
+    grid=("disconnect_prob", "crash_prob"),
+)
 
 
 def admissibility_sweep(
@@ -131,13 +71,11 @@ def admissibility_sweep(
     seeds and all shards share one worker pool; the classification counts are
     independent of ``jobs``.
     """
-    from .bitsampler import _admissibility_shard_bitset  # imports this module
-
-    runner = ParallelRunner(jobs=jobs, progress=progress)
-    specs = _admissibility_specs(
-        disconnect_probs, n, num_patterns, crash_prob, samples, max_crashes, seed, chunk_size
+    check_probabilities(disconnect_probs, crash_prob)
+    return ADMISSIBILITY.run(
+        disconnect_probs, samples, seed, jobs, chunk_size, progress,
+        crash_prob=crash_prob, n=n, num_patterns=num_patterns, max_crashes=max_crashes,
     )
-    return runner.run_sharded(specs, _admissibility_shard_bitset, _merge_admissibility)
 
 
 def admissibility_table(points: Iterable[AdmissibilityPoint]) -> ResultTable:
@@ -197,41 +135,26 @@ def sample_asymmetric_partition_system(
     return FailProneSystem(processes, patterns)
 
 
-def _merge_asymmetric(
-    spec: ExperimentSpec, shard_counts: List[Tuple[int, int]]
-) -> Dict[str, object]:
-    """Merge shard counts for one system size into a result-table row."""
-    samples = spec.samples
-    strong_count = sum(strong for strong, _ in shard_counts)
-    generalized_count = sum(generalized for _, generalized in shard_counts)
+def _asymmetric_row(n: int, samples: int, strong: int = 0, generalized: int = 0) -> Dict[str, object]:
+    """One system size's result-table row."""
     return {
-        "n": spec.params["n"],
+        "n": n,
         "samples": samples,
-        "strong (QS+)": strong_count / samples if samples else 0.0,
-        "generalized (GQS)": generalized_count / samples if samples else 0.0,
-        "gap": (generalized_count - strong_count) / samples if samples else 0.0,
+        "strong (QS+)": fraction(strong, samples),
+        "generalized (GQS)": fraction(generalized, samples),
+        "gap": fraction(generalized - strong, samples),
     }
 
 
-def _asymmetric_specs(
-    n_values: Sequence[int],
-    num_patterns: int,
-    samples: int,
-    seed: int,
-    window_size: Optional[int],
-    chunk_size: Optional[int],
-) -> List[ExperimentSpec]:
-    """Engine specs of an asymmetric-partition sweep, one per system size."""
-    return [
-        ExperimentSpec(
-            name="asymmetric-admissibility",
-            samples=samples,
-            seed=derive_seed(seed, "asymmetric", n),
-            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-            params={"n": n, "num_patterns": num_patterns, "window_size": window_size},
-        )
-        for n in n_values
-    ]
+#: E6′: ``(samples, strong, generalized)`` shards per system size.
+ASYMMETRIC_ADMISSIBILITY = Study(
+    name="asymmetric-admissibility",
+    axis="n",
+    seed_rule=lambda seed, _index, n: derive_seed(seed, "asymmetric", n),
+    shard=_asymmetric_shard_bitset,
+    result=_asymmetric_row,
+    grid=("n",),
+)
 
 
 def asymmetric_admissibility_sweep(
@@ -253,11 +176,10 @@ def asymmetric_admissibility_sweep(
     fraction admitting a GQS.  The GQS column dominates — the quantitative form
     of "GQS is strictly weaker".
     """
-    from .bitsampler import _asymmetric_shard_bitset  # imports this module
-
-    runner = ParallelRunner(jobs=jobs, progress=progress)
-    specs = _asymmetric_specs(n_values, num_patterns, samples, seed, window_size, chunk_size)
-    rows = runner.run_sharded(specs, _asymmetric_shard_bitset, _merge_asymmetric)
+    rows = ASYMMETRIC_ADMISSIBILITY.run(
+        n_values, samples, seed, jobs, chunk_size, progress,
+        num_patterns=num_patterns, window_size=window_size,
+    )
     table = ResultTable(
         title="E6: admissibility under asymmetric partitions (GQS vs QS+)",
         columns=["n", "samples", "strong (QS+)", "generalized (GQS)", "gap"],

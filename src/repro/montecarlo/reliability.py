@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from ..analysis.metrics import ResultTable
-from ..engine import DEFAULT_CHUNK_SIZE, ExperimentSpec, ParallelRunner
 from ..engine.runner import ProgressCallback
-from ..errors import ReproError
 from ..quorums import GeneralizedQuorumSystem
+from .bitsampler import _reliability_shard_bitset
+from .study import Fraction, Study, Tally, check_probabilities
 
 
 @dataclass
-class ReliabilityEstimate:
+class ReliabilityEstimate(Tally):
     """Availability estimates for one (crash, disconnect) probability point."""
 
     crash_prob: float
@@ -33,74 +33,21 @@ class ReliabilityEstimate:
     strong_available: int = 0
     classical_available: int = 0
 
-    @property
-    def gqs_availability(self) -> float:
-        return self.gqs_available / self.samples if self.samples else 0.0
-
-    @property
-    def strong_availability(self) -> float:
-        return self.strong_available / self.samples if self.samples else 0.0
-
-    @property
-    def classical_availability(self) -> float:
-        return self.classical_available / self.samples if self.samples else 0.0
+    gqs_availability = Fraction("gqs_available")
+    strong_availability = Fraction("strong_available")
+    classical_availability = Fraction("classical_available")
 
 
-def _reliability_spec(
-    quorum_system: GeneralizedQuorumSystem,
-    crash_prob: float,
-    disconnect_prob: float,
-    samples: int,
-    seed: int,
-    chunk_size: Optional[int],
-) -> ExperimentSpec:
-    """Engine spec for one (crash, disconnect) grid point."""
-    spec = ExperimentSpec(
-        name="reliability",
-        samples=samples,
-        seed=seed,
-        chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-    )
-    return spec.with_params(
-        quorum_system=quorum_system,
-        crash_prob=crash_prob,
-        disconnect_prob=disconnect_prob,
-    )
-
-
-def _merge_reliability(
-    spec: ExperimentSpec, shard_estimates: List[ReliabilityEstimate]
-) -> ReliabilityEstimate:
-    """Merge per-shard estimates for one grid point, preserving sample counts.
-
-    Every shard must carry the grid point's own ``(crash_prob,
-    disconnect_prob)``: a shard routed here from another spec would silently
-    corrupt the counters it is summed into, so a mismatch raises instead.
-    """
-    merged = ReliabilityEstimate(
-        crash_prob=spec.params["crash_prob"],
-        disconnect_prob=spec.params["disconnect_prob"],
-        samples=0,
-    )
-    for estimate in shard_estimates:
-        if (
-            estimate.crash_prob != merged.crash_prob
-            or estimate.disconnect_prob != merged.disconnect_prob
-        ):
-            raise ReproError(
-                "mis-routed reliability shard: estimate for (crash={}, disconnect={}) "
-                "cannot merge into grid point (crash={}, disconnect={})".format(
-                    estimate.crash_prob,
-                    estimate.disconnect_prob,
-                    merged.crash_prob,
-                    merged.disconnect_prob,
-                )
-            )
-        merged.samples += estimate.samples
-        merged.gqs_available += estimate.gqs_available
-        merged.strong_available += estimate.strong_available
-        merged.classical_available += estimate.classical_available
-    return merged
+#: ``(samples, gqs, strong, classical)`` availability shards per disconnection
+#: probability; the grid point at ``index`` is seeded ``seed + index``.
+RELIABILITY = Study(
+    name="reliability",
+    axis="disconnect_prob",
+    seed_rule=lambda seed, index, _p: seed + index,
+    shard=_reliability_shard_bitset,
+    result=ReliabilityEstimate,
+    grid=("crash_prob", "disconnect_prob"),
+)
 
 
 def reliability_sweep(
@@ -118,16 +65,11 @@ def reliability_sweep(
     All grid points share one worker pool, so parallelism spans the whole
     sweep rather than a single point.
     """
-    from .bitsampler import _reliability_shard_bitset  # imports this module
-
-    runner = ParallelRunner(jobs=jobs, progress=progress)
-    specs = [
-        _reliability_spec(
-            quorum_system, crash_prob, p, samples, seed + index, chunk_size
-        )
-        for index, p in enumerate(disconnect_probs)
-    ]
-    return runner.run_sharded(specs, _reliability_shard_bitset, _merge_reliability)
+    check_probabilities(disconnect_probs, crash_prob)
+    return RELIABILITY.run(
+        disconnect_probs, samples, seed, jobs, chunk_size, progress,
+        quorum_system=quorum_system, crash_prob=crash_prob,
+    )
 
 
 def reliability_table(estimates: Iterable[ReliabilityEstimate]) -> ResultTable:

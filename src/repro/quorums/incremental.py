@@ -290,7 +290,6 @@ def recertify_delta(
     system: FailProneSystem,
     delta: MembershipDelta,
     index: int = 0,
-    algorithm: str = "pruned",
 ) -> DeltaVerdict:
     """Apply one delta and recertify, reusing what it preserved; an error names it and its line."""
     try:
@@ -301,7 +300,7 @@ def recertify_delta(
     # A certified system's residuals carry their candidates, so each adopted
     # residual is one reused candidate structure.
     adopted = new_system.adopt_residuals(system, pattern_map, reindex)
-    result = discover_gqs(new_system, algorithm=algorithm)
+    result = discover_gqs(new_system)
     return DeltaVerdict(
         index=index,
         delta=delta,
@@ -316,7 +315,6 @@ def recertify_delta(
 def watch_deltas(
     system: FailProneSystem,
     deltas: Iterable[MembershipDelta],
-    algorithm: str = "pruned",
 ) -> WatchOutcome:
     """Replay ``deltas`` against ``system``, recertifying after each one.
 
@@ -325,13 +323,14 @@ def watch_deltas(
     output is deterministic across hash seeds and identical however the
     caches were pre-warmed.
     """
-    initial_result = discover_gqs(system, algorithm=algorithm)
+    initial_result = discover_gqs(system)
     outcome = WatchOutcome(
-        initial=system, final=system, algorithm=algorithm, initial_result=initial_result
+        initial=system, final=system, algorithm=initial_result.algorithm,
+        initial_result=initial_result,
     )
     current = system
     for index, delta in enumerate(deltas):
-        verdict = recertify_delta(current, delta, index=index, algorithm=algorithm)
+        verdict = recertify_delta(current, delta, index=index)
         outcome.verdicts.append(verdict)
         current = verdict.system
     outcome.final = current

@@ -5,30 +5,27 @@ Every sampled failure pattern is materialised as a
 :class:`~repro.failures.FailProneSystem` and evaluated through set-based
 reachability, one quorum pair at a time — slow, and independent of every mask
 the production shards compute.  The shards consume the RNG in the documented
-draw order (see :mod:`repro.montecarlo.bitsampler`), and the ``*_set``
-runners push them through the *production* spec builders and merge functions,
-so a differential test compares merged counters draw for draw.
+draw order (see :mod:`repro.montecarlo.bitsampler`) and return the same
+``(samples, *counters)`` tuples, and the ``*_set`` runners swap them into the
+*production* studies (same grids, seed rules and summing merge), so a
+differential test compares merged counters draw for draw.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engine import ExperimentSpec, ParallelRunner, ShardSpec
+from repro.engine import ExperimentSpec, ShardSpec
 from repro.failures import FailProneSystem, FailurePattern, random_failure_pattern
 from repro.montecarlo import (
     AdmissibilityPoint,
     ReliabilityEstimate,
     sample_asymmetric_partition_system,
 )
-from repro.montecarlo.comparison import (
-    _admissibility_specs,
-    _asymmetric_specs,
-    _merge_admissibility,
-    _merge_asymmetric,
-)
-from repro.montecarlo.reliability import _merge_reliability, _reliability_spec
+from repro.montecarlo.comparison import ADMISSIBILITY, ASYMMETRIC_ADMISSIBILITY
+from repro.montecarlo.reliability import RELIABILITY
 from repro.types import ProcessId
 
 from .discovery import discover_naive, strong_system_exists_reference
@@ -127,22 +124,21 @@ def availability_under(quorum_system, pattern: FailurePattern) -> Tuple[bool, bo
 # ---------------------------------------------------------------------- #
 # Shards (same signature as the production ones: run inside a worker)
 # ---------------------------------------------------------------------- #
-def reliability_shard(spec: ExperimentSpec, shard: ShardSpec) -> ReliabilityEstimate:
+def reliability_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int, int, int]:
+    """``(samples, GQS, QS+, classical)`` availability counts of one shard."""
     quorum_system = spec.params["quorum_system"]
     crash_prob = spec.params["crash_prob"]
     disconnect_prob = spec.params["disconnect_prob"]
     rng = random.Random(shard.seed)
     processes = sorted(quorum_system.processes, key=repr)
-    estimate = ReliabilityEstimate(
-        crash_prob=crash_prob, disconnect_prob=disconnect_prob, samples=shard.samples
-    )
+    gqs_count = strong_count = classical_count = 0
     for _ in range(shard.samples):
         pattern = sample_pattern(processes, rng, crash_prob, disconnect_prob)
         gqs_ok, strong_ok, classical_ok = availability_under(quorum_system, pattern)
-        estimate.gqs_available += gqs_ok
-        estimate.strong_available += strong_ok
-        estimate.classical_available += classical_ok
-    return estimate
+        gqs_count += gqs_ok
+        strong_count += strong_ok
+        classical_count += classical_ok
+    return shard.samples, gqs_count, strong_count, classical_count
 
 
 def _classify(system: FailProneSystem) -> Tuple[bool, bool]:
@@ -150,13 +146,10 @@ def _classify(system: FailProneSystem) -> Tuple[bool, bool]:
     return discover_naive(system, validate=False).exists, strong_system_exists_reference(system)
 
 
-def admissibility_shard(spec: ExperimentSpec, shard: ShardSpec) -> AdmissibilityPoint:
+def admissibility_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int, int, int]:
+    """``(samples, GQS, QS+, classical)`` admission counts of one shard."""
     rng = random.Random(shard.seed)
-    point = AdmissibilityPoint(
-        disconnect_prob=spec.params["disconnect_prob"],
-        crash_prob=spec.params["crash_prob"],
-        samples=shard.samples,
-    )
+    generalized_count = strong_count = classical_count = 0
     for _ in range(shard.samples):
         system = sample_fail_prone_system(
             rng,
@@ -167,15 +160,16 @@ def admissibility_shard(spec: ExperimentSpec, shard: ShardSpec) -> Admissibility
             max_crashes=spec.params["max_crashes"],
         )
         generalized, strong = _classify(system)
-        point.generalized += generalized
-        point.strong += strong
+        generalized_count += generalized
+        strong_count += strong
         # Definition 1 applies only without channel failures (see
         # repro.quorums.classify_fail_prone_system).
-        point.classical += strong and not system.allows_channel_failures()
-    return point
+        classical_count += strong and not system.allows_channel_failures()
+    return shard.samples, generalized_count, strong_count, classical_count
 
 
-def asymmetric_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int]:
+def asymmetric_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int, int]:
+    """``(samples, QS+, GQS)`` admission counts of one shard."""
     rng = random.Random(shard.seed)
     strong_count = 0
     generalized_count = 0
@@ -189,12 +183,17 @@ def asymmetric_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int]:
         generalized, strong = _classify(system)
         strong_count += strong
         generalized_count += generalized
-    return strong_count, generalized_count
+    return shard.samples, strong_count, generalized_count
 
 
 # ---------------------------------------------------------------------- #
-# Runners: production specs and merges, reference shards
+# Runners: the production studies, reference shards
 # ---------------------------------------------------------------------- #
+RELIABILITY_SET = replace(RELIABILITY, shard=reliability_shard)
+ADMISSIBILITY_SET = replace(ADMISSIBILITY, shard=admissibility_shard)
+ASYMMETRIC_ADMISSIBILITY_SET = replace(ASYMMETRIC_ADMISSIBILITY, shard=asymmetric_shard)
+
+
 def estimate_reliability_set(
     quorum_system,
     crash_prob: float = 0.1,
@@ -204,8 +203,10 @@ def estimate_reliability_set(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
 ) -> ReliabilityEstimate:
-    spec = _reliability_spec(quorum_system, crash_prob, disconnect_prob, samples, seed, chunk_size)
-    return ParallelRunner(jobs=jobs).run(spec, reliability_shard, _merge_reliability)
+    (estimate,) = reliability_sweep_set(
+        quorum_system, (disconnect_prob,), crash_prob, samples, seed, jobs, chunk_size
+    )
+    return estimate
 
 
 def reliability_sweep_set(
@@ -217,11 +218,10 @@ def reliability_sweep_set(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
 ) -> List[ReliabilityEstimate]:
-    specs = [
-        _reliability_spec(quorum_system, crash_prob, p, samples, seed + index, chunk_size)
-        for index, p in enumerate(disconnect_probs)
-    ]
-    return ParallelRunner(jobs=jobs).run_sharded(specs, reliability_shard, _merge_reliability)
+    return RELIABILITY_SET.run(
+        disconnect_probs, samples, seed, jobs, chunk_size, None,
+        quorum_system=quorum_system, crash_prob=crash_prob,
+    )
 
 
 def admissibility_sweep_set(
@@ -235,10 +235,10 @@ def admissibility_sweep_set(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
 ) -> List[AdmissibilityPoint]:
-    specs = _admissibility_specs(
-        disconnect_probs, n, num_patterns, crash_prob, samples, max_crashes, seed, chunk_size
+    return ADMISSIBILITY_SET.run(
+        disconnect_probs, samples, seed, jobs, chunk_size, None,
+        crash_prob=crash_prob, n=n, num_patterns=num_patterns, max_crashes=max_crashes,
     )
-    return ParallelRunner(jobs=jobs).run_sharded(specs, admissibility_shard, _merge_admissibility)
 
 
 def asymmetric_rows_set(
@@ -251,5 +251,7 @@ def asymmetric_rows_set(
     chunk_size: Optional[int] = None,
 ) -> List[dict]:
     """The rows :func:`repro.montecarlo.asymmetric_admissibility_sweep` tabulates."""
-    specs = _asymmetric_specs(n_values, num_patterns, samples, seed, window_size, chunk_size)
-    return ParallelRunner(jobs=jobs).run_sharded(specs, asymmetric_shard, _merge_asymmetric)
+    return ASYMMETRIC_ADMISSIBILITY_SET.run(
+        n_values, samples, seed, jobs, chunk_size, None,
+        num_patterns=num_patterns, window_size=window_size,
+    )

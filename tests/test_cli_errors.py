@@ -112,7 +112,8 @@ def test_simulate_rejects_vacuous_runs_as_usage_errors(capsys, flag, value):
 )
 def test_sweep_rejects_meaningless_budgets_and_probabilities(capsys, flag, value, complaint):
     """They used to end in a traceback, an all-zero table, a vacuous all-one
-    table or a mis-routed-shard error (``nan != nan`` in the merge guard)."""
+    table or, for ``nan``, a false routing error from a per-study merge guard
+    that compared grid parameters (``nan != nan``)."""
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", flag, value])
     assert excinfo.value.code == 2

@@ -9,6 +9,7 @@ and the contract end-to-end on the Monte Carlo experiments that run on it.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import pytest
 
@@ -79,13 +80,6 @@ def test_spec_name_salts_shard_seeds():
     a = ExperimentSpec(name="reliability", samples=16, seed=5).shards()
     b = ExperimentSpec(name="admissibility", samples=16, seed=5).shards()
     assert all(x.seed != y.seed for x, y in zip(a, b))
-
-
-def test_with_params_merges():
-    spec = ExperimentSpec(name="x", samples=8, params={"a": 1})
-    derived = spec.with_params(b=2)
-    assert derived.params == {"a": 1, "b": 2}
-    assert derived.shards() == spec.shards()
 
 
 # ---------------------------------------------------------------------- #
@@ -202,6 +196,93 @@ def test_run_single_spec():
     spec = ExperimentSpec(name="solo", samples=12, seed=4, chunk_size=5)
     merged = ParallelRunner(jobs=1).run(spec, _count_shard, _merge_counts)
     assert merged["samples"] == 12
+
+
+# ---------------------------------------------------------------------- #
+# Routing: a result that arrives at another item's position is refused
+# ---------------------------------------------------------------------- #
+class _PermutingPool:
+    """A stand-in worker pool whose ``imap`` runs every task, then hands the
+    results back in ``order`` (positions into the submitted items)."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, task, entries):
+        results = [task(entry) for entry in entries]
+        return iter([results[i] for i in self.order(len(results))])
+
+
+def _swap(first, second):
+    def order(count):
+        positions = list(range(count))
+        positions[first], positions[second] = positions[second], positions[first]
+        return positions
+
+    return order
+
+
+@pytest.fixture
+def permuted(monkeypatch):
+    """``permuted(order)``: every parallel run in the test collects in ``order``."""
+
+    def install(order):
+        monkeypatch.setattr(ParallelRunner, "_open_pool", lambda self, tasks: _PermutingPool(order))
+
+    return install
+
+
+@pytest.mark.parametrize(
+    "order", [p for p in itertools.permutations(range(3)) if p != (0, 1, 2)]
+)
+def test_map_refuses_every_permutation_of_its_results(permuted, order):
+    permuted(lambda count: list(order))
+    first = next(i for i, tag in enumerate(order) if tag != i)
+    with pytest.raises(ReproError) as excinfo:
+        ParallelRunner(jobs=2).map(_square, [1, 2, 3])
+    assert str(excinfo.value) == (
+        "mis-routed result: the result of work item {} arrived where item {} of 3 "
+        "was due".format(order[first], first)
+    )
+
+
+def test_run_sharded_refuses_a_swap_inside_one_monte_carlo_grid_point(permuted, figure1_gqs):
+    """Two shards of one grid point swapped: the per-study guards compared grid
+    parameters and let it through; the position tags do not."""
+    from repro.montecarlo.reliability import RELIABILITY
+
+    permuted(_swap(0, 1))
+    (spec,) = RELIABILITY.specs((0.2,), 32, 5, 16, quorum_system=figure1_gqs, crash_prob=0.1)
+    with pytest.raises(ReproError) as excinfo:
+        ParallelRunner(jobs=2).run_sharded([spec], RELIABILITY.shard, RELIABILITY.merge)
+    assert str(excinfo.value) == (
+        "shard 0 of experiment 'reliability' (derived seed {}) failed: ReproError: "
+        "mis-routed result: the result of work item 1 arrived where item 0 of 2 "
+        "was due".format(spec.shards()[0].seed)
+    )
+
+
+def test_run_sharded_refuses_a_swap_across_monte_carlo_grid_points(permuted):
+    from repro.montecarlo import admissibility_sweep
+
+    permuted(_swap(1, 2))
+    with pytest.raises(ReproError, match="shard 1 of experiment 'admissibility'.*mis-routed"):
+        admissibility_sweep(disconnect_probs=(0.0, 0.4), n=4, samples=32, chunk_size=16, jobs=2)
+
+
+def test_run_sharded_refuses_a_swap_between_scenario_runs(permuted):
+    """Scenario sweeps had no guard: swapped runs were merged as given."""
+    from repro.scenarios import run_scenario
+
+    permuted(_swap(0, 1))
+    with pytest.raises(ReproError, match="shard 0 of experiment 'scenario/unidirectional-ring'.*mis-routed"):
+        run_scenario("unidirectional-ring", runs=2, seed=7, jobs=2)
 
 
 # ---------------------------------------------------------------------- #

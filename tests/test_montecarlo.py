@@ -3,6 +3,8 @@
 import pytest
 
 from repro.montecarlo import (
+    AdmissibilityPoint,
+    ReliabilityEstimate,
     admissibility_sweep,
     admissibility_table,
     gqs_strictly_weaker_examples,
@@ -165,40 +167,51 @@ def test_asymmetric_admissibility_sweep_table():
 
 
 # --------------------------------------------------------------------- #
-# Shard merging: mis-routed shards must raise, not corrupt counters
+# Shard merging: counter tuples summed into the grid point (the engine
+# refuses mis-routed shards before a merge sees them: see test_engine.py)
 # --------------------------------------------------------------------- #
-def test_merge_reliability_rejects_misrouted_shard():
-    from repro.engine import ExperimentSpec
+def test_study_merge_sums_counter_tuples_into_the_grid_point():
+    from repro.montecarlo.comparison import ADMISSIBILITY, ASYMMETRIC_ADMISSIBILITY
+    from repro.montecarlo.reliability import RELIABILITY
+
+    (spec,) = RELIABILITY.specs((0.2,), 10, 0, 5, quorum_system=None, crash_prob=0.1)
+    merged = RELIABILITY.merge(spec, [(5, 3, 2, 4), (5, 3, 1, 5)])
+    assert merged == ReliabilityEstimate(0.1, 0.2, 10, 6, 3, 9)
+    assert (merged.gqs_availability, merged.classical_availability) == (0.6, 0.9)
+    (spec,) = ADMISSIBILITY.specs(
+        (0.3,), 0, 0, None, crash_prob=0.2, n=4, num_patterns=2, max_crashes=None
+    )
+    assert ADMISSIBILITY.merge(spec, []) == AdmissibilityPoint(0.3, 0.2, 0)
+    assert AdmissibilityPoint(0.3, 0.2, 0).strong_fraction == 0.0
+    (spec,) = ASYMMETRIC_ADMISSIBILITY.specs((4,), 8, 0, 4, num_patterns=3, window_size=None)
+    assert ASYMMETRIC_ADMISSIBILITY.merge(spec, [(4, 1, 3), (4, 1, 2)]) == {
+        "n": 4, "samples": 8, "strong (QS+)": 0.25, "generalized (GQS)": 0.625, "gap": 0.375,
+    }
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, float("nan")])
+@pytest.mark.parametrize("where", ["disconnect_probs", "crash_prob"])
+@pytest.mark.parametrize("study", ["admissibility", "reliability"])
+def test_library_sweeps_refuse_probabilities_outside_the_unit_interval(
+    monkeypatch, figure1_gqs, study, where, bad
+):
+    """They used to return a point labelled 1.7, report every sample available
+    at -0.5, or end a nan in a false mis-routing error."""
+    from repro.engine import ParallelRunner
     from repro.errors import ReproError
-    from repro.montecarlo.reliability import ReliabilityEstimate, _merge_reliability
 
-    spec = ExperimentSpec(
-        name="rel", samples=10, params={"crash_prob": 0.1, "disconnect_prob": 0.2}
-    )
-    good = ReliabilityEstimate(
-        crash_prob=0.1, disconnect_prob=0.2, samples=5, gqs_available=3
-    )
-    merged = _merge_reliability(spec, [good, good])
-    assert (merged.samples, merged.gqs_available) == (10, 6)
-    stray = ReliabilityEstimate(crash_prob=0.9, disconnect_prob=0.2, samples=5)
-    with pytest.raises(ReproError, match="mis-routed reliability shard"):
-        _merge_reliability(spec, [good, stray])
+    def no_shard_may_run(*args, **kwargs):
+        raise AssertionError("a shard ran")
 
-
-def test_merge_admissibility_rejects_misrouted_shard():
-    from repro.engine import ExperimentSpec
-    from repro.errors import ReproError
-    from repro.montecarlo.comparison import AdmissibilityPoint, _merge_admissibility
-
-    spec = ExperimentSpec(
-        name="adm", samples=8, params={"disconnect_prob": 0.3, "crash_prob": 0.2}
-    )
-    good = AdmissibilityPoint(disconnect_prob=0.3, crash_prob=0.2, samples=4, strong=2)
-    merged = _merge_admissibility(spec, [good, good])
-    assert (merged.samples, merged.strong) == (8, 4)
-    stray = AdmissibilityPoint(disconnect_prob=0.4, crash_prob=0.2, samples=4)
-    with pytest.raises(ReproError, match="mis-routed admissibility shard"):
-        _merge_admissibility(spec, [good, stray])
+    monkeypatch.setattr(ParallelRunner, "run_sharded", no_shard_may_run)
+    kwargs = {"disconnect_probs": (0.1, bad)} if where == "disconnect_probs" else {
+        "disconnect_probs": (0.1,), "crash_prob": bad,
+    }
+    with pytest.raises(ReproError, match=r"probabilities must lie in \[0, 1\]"):
+        if study == "admissibility":
+            admissibility_sweep(samples=4, **kwargs)
+        else:
+            reliability_sweep(figure1_gqs, samples=4, **kwargs)
 
 
 # --------------------------------------------------------------------- #

@@ -7,9 +7,9 @@ strongest form of that claim: for identical shard seeds the two consume the
 RNG stream draw for draw and therefore produce **the same counters on every
 sample**, not merely statistically compatible estimates.  The battery runs
 the samplers head-to-head, sweeps ≥20 random systems and configurations
-through both (same spec builders, same merge functions, different shards),
-and checks the public ``sweep`` JSON is byte-identical to the oracle's and
-across ``jobs`` counts.
+through both (the same studies with different shards), and checks the
+public ``sweep`` JSON is byte-identical to the oracle's and across ``jobs``
+counts.
 """
 
 import json
@@ -35,8 +35,8 @@ from repro.montecarlo.bitsampler import (
     sample_admissibility_masks,
     sample_reliability_masks,
 )
-from repro.montecarlo.comparison import _admissibility_specs
-from repro.montecarlo.reliability import _reliability_spec
+from repro.montecarlo.comparison import ADMISSIBILITY
+from repro.montecarlo.reliability import RELIABILITY
 from repro.failures.generators import random_failure_pattern
 from repro.quorums import GeneralizedQuorumSystem
 
@@ -139,7 +139,9 @@ def test_reliability_shard_is_a_stream_twin_of_the_oracle_shard(
     monkeypatch, figure1_gqs, crash_prob, disconnect_prob
 ):
     """Not one sampler call: the RNG a whole production shard leaves behind."""
-    spec = _reliability_spec(figure1_gqs, crash_prob, disconnect_prob, 40, 3, None)
+    (spec,) = RELIABILITY.specs(
+        (disconnect_prob,), 40, 3, None, quorum_system=figure1_gqs, crash_prob=crash_prob
+    )
     shard = ShardSpec(index=0, samples=40, seed=1234)
     assert _shard_result_and_end_state(
         monkeypatch, _reliability_shard_bitset, spec, shard
@@ -151,7 +153,10 @@ def test_reliability_shard_is_a_stream_twin_of_the_oracle_shard(
 def test_admissibility_shard_is_a_stream_twin_of_the_oracle_shard(
     monkeypatch, disconnect_prob, max_crashes
 ):
-    (spec,) = _admissibility_specs((disconnect_prob,), 5, 3, 0.5, 30, max_crashes, 8, None)
+    (spec,) = ADMISSIBILITY.specs(
+        (disconnect_prob,), 30, 8, None, n=5, num_patterns=3, crash_prob=0.5,
+        max_crashes=max_crashes,
+    )
     shard = ShardSpec(index=0, samples=30, seed=4321)
     assert _shard_result_and_end_state(
         monkeypatch, _admissibility_shard_bitset, spec, shard

@@ -239,8 +239,7 @@ REINDEX_SCRIPT = [
 ]
 
 
-@pytest.mark.parametrize("algorithm", ["pruned", "quotient"])
-def test_reindexed_caches_give_the_from_scratch_report(algorithm):
+def test_reindexed_caches_give_the_from_scratch_report():
     """Delta for delta: same witness rows, search effort and candidate counts.
 
     Both sides validate their witness (the watch path's default), so a cache
@@ -249,13 +248,13 @@ def test_reindexed_caches_give_the_from_scratch_report(algorithm):
     from repro.api import DiscoveryReport
 
     outcome = watch_deltas(
-        multi_region_system(regions=4, replicas_per_region=3), REINDEX_SCRIPT, algorithm=algorithm
+        multi_region_system(regions=4, replicas_per_region=3), REINDEX_SCRIPT
     )
     assert outcome.all_exist
     current = multi_region_system(regions=4, replicas_per_region=3)
     for delta, verdict in zip(REINDEX_SCRIPT, outcome.verdicts):
         current = apply_delta(current, delta)[0]  # nothing carried over
-        scratch = discover_gqs(current, algorithm=algorithm)
+        scratch = discover_gqs(current)
         assert verdict.result.quorum_system.is_valid()
         assert DiscoveryReport(verdict.system, verdict.result).rows == (
             DiscoveryReport(current, scratch).rows

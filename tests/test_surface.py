@@ -32,7 +32,9 @@ named ROADMAP items aside; a system hands out no network graph, and the
 And a file from outside becomes data in one place, ``repro.ingress``: the
 private readers and field checks the ingresses each carried are gone.  Its
 mirror, ``repro.egress``, is the one place data becomes JSON bytes, and a
-registry entry's builder has one caller, ``Registry.build``.
+registry entry's builder has one caller, ``Registry.build``.  A Monte Carlo
+study has one shape: ``engine/runner.py`` alone checks where a result was
+routed, and the per-study merges and spec builders are gone.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from setuptools import find_packages
 
 import repro
 from repro.failures import FailProneSystem, builtin_fail_prone_system
-from repro.quorums import DISCOVERY_ALGORITHMS, discover_gqs
+from repro.quorums import DISCOVERY_ALGORITHMS, discover_gqs, recertify_delta, watch_deltas
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -208,6 +210,15 @@ DELETED_TEST_ONLY = (
     r"def edge_set\(", r"def add_vertex\(self", r"def add_edge\(self",
 )
 
+#: The per-study copies one :class:`repro.montecarlo.study.Study` replaced: each
+#: study's shard merge (with its own mis-routing guard) and grid-spec builder,
+#: and the spec method only the reliability builder called.
+DELETED_STUDY_COPIES = (
+    r"\b_merge_admissibility\b", r"\b_merge_reliability\b", r"\b_merge_asymmetric\b",
+    r"\b_admissibility_specs\b", r"\b_reliability_spec\b", r"\b_asymmetric_specs\b",
+    r"def with_params\(",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -241,6 +252,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_EGRESS_COPIES
             + DELETED_SET_NETWORK
             + DELETED_TEST_ONLY
+            + DELETED_STUDY_COPIES
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
@@ -266,6 +278,18 @@ def test_only_the_egress_module_encodes_json():
         found = set(encoding.findall(text))
         if path == os.path.join(SRC_DIR, "repro", "egress.py"):
             assert found == {"json.dumps(", "os.replace("}
+        else:
+            assert not found, (path, found)
+
+
+def test_only_the_engine_runner_refuses_a_mis_routed_result():
+    """Routing is checked once, where results are collected: ``engine/runner.py``
+    is the only ``src/`` module that words a mis-routing error, so no merge
+    carries a guard of its own."""
+    for path, text in _sources(SRC_DIR):
+        found = re.findall(r"mis-?routed", text, re.IGNORECASE)
+        if path == os.path.join(SRC_DIR, "repro", "engine", "runner.py"):
+            assert "mis-routed result: " in text
         else:
             assert not found, (path, found)
 
@@ -501,6 +525,11 @@ def test_removed_selectors_are_gone_from_the_api():
         api.sweep,
     ):
         assert "engine" not in inspect.signature(function).parameters, function
+    # ``algorithm=`` selects nothing; only ``discover_gqs`` still accepts the names.
+    for function in (
+        api.discover, api.discovery_report, api.watch_quorums, recertify_delta, watch_deltas,
+    ):
+        assert "algorithm" not in inspect.signature(function).parameters, function
     with pytest.raises(ValueError, match="unknown discovery algorithm 'naive'"):
         discover_gqs(builtin_fail_prone_system("figure1"), algorithm="naive")
     assert "symmetry" not in inspect.signature(FailProneSystem).parameters
