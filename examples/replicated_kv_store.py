@@ -171,7 +171,7 @@ def main() -> None:
     f1 = system.patterns[0]
     print()
     print("Phase 2: inject failure pattern f1 (d crashes, asymmetric partition)")
-    cluster.apply_failure_pattern(f1)
+    cluster.network.apply_failure_pattern(f1)
     component = sorted_processes(gqs.termination_component(f1))
     print("  operations keep terminating at U_f1 =", component)
 

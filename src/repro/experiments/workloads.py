@@ -42,7 +42,7 @@ from ..protocols import (
 )
 from ..quorums import GeneralizedQuorumSystem, QuorumSystem
 from ..registry import PROTOCOLS, register_protocol
-from ..sim import Cluster, DelayModel, OperationHandle, build_delay_model
+from ..sim import Cluster, DelayModel, build_delay_model
 from ..types import ProcessId, sorted_processes
 
 
@@ -75,8 +75,8 @@ def _collect_metrics(cluster: Cluster, history: History) -> OperationMetrics:
         completed=len(completed),
         mean_latency=history.mean_latency(),
         max_latency=history.max_latency(),
-        messages_sent=cluster.messages_sent(),
-        messages_delivered=cluster.messages_delivered(),
+        messages_sent=cluster.network.stats.messages_sent,
+        messages_delivered=cluster.network.stats.messages_delivered,
     )
 
 
@@ -415,27 +415,14 @@ def execute_workload(
     for channel in index.channel_list(absent):
         cluster.network.disconnect_channel(channel)
     if pattern is not None:
-        cluster.apply_failure_pattern(pattern, at_time=inject_at)
-    deferred = [
-        cluster.invoke_at(inv.at, inv.pid, inv.method, *inv.args) for inv in schedule
-    ]
-    # Count completions through on_resolve/on_complete instead of rescanning
-    # every deferred handle after every simulated event (O(events x ops)); the
-    # stop time — and therefore the history and stats — is unchanged, because
-    # the counter reaches the target at exactly the event where the rescan
-    # would first have seen every handle done.
-    completions = [0]
-
-    def _count(_handle: OperationHandle) -> None:
-        completions[0] += 1
-
-    for invocation in deferred:
-        invocation.on_resolve(lambda handle: handle.on_complete(_count))
-    target = len(deferred)
-    cluster.run(max_time=max_time, stop_when=lambda: completions[0] >= target)
-    completed = all(d.done for d in deferred)
-    handles = [d.handle for d in deferred if d.handle is not None]
-    history = History.from_handles(handles)
+        cluster.network.apply_failure_pattern(pattern, at_time=inject_at)
+    for inv in schedule:
+        cluster.invoke_at(inv.at, inv.pid, inv.method, *inv.args)
+    # The cluster counts completions, so the run stops at exactly the event
+    # that completes the last planned operation.
+    cluster.run(max_time=max_time, stop_when=lambda: cluster.completed >= len(schedule))
+    completed = cluster.completed == len(schedule)
+    history = cluster.history()
     return WorkloadResult(
         history=history,
         metrics=_collect_metrics(cluster, history),

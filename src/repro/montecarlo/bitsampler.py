@@ -55,6 +55,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..engine import ExperimentSpec, ShardSpec
 from ..graph import BitsetDiGraph, closure_mask, component_masks, iter_bits, popcount
 from ..quorums import choose_candidates
+from .study import partition_window
 
 #: One sampled residual: ``(survivor mask, SCC masks, succ rows, pred rows)``;
 #: both row lists are ``None`` when the residual is complete on the survivors.
@@ -330,8 +331,7 @@ def _asymmetric_shard_bitset(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[in
     rng = random.Random(shard.seed)
     n = spec.params["n"]
     num_patterns = spec.params["num_patterns"]
-    window_size = spec.params["window_size"]
-    size = window_size if window_size is not None else max(2, n // 2)
+    size = partition_window(n, spec.params["window_size"])
     processes = ["p{}".format(i) for i in range(n)]
     position = {p: i for i, p in enumerate(processes)}
     strong_count = 0

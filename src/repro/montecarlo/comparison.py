@@ -23,7 +23,9 @@ from ..engine.runner import ProgressCallback
 from ..failures import FailProneSystem, FailurePattern
 from ..quorums import gqs_exists, strong_system_exists
 from .bitsampler import _admissibility_shard_bitset, _asymmetric_shard_bitset
-from .study import Fraction, Study, Tally, check_probabilities, fraction
+from .study import (
+    Fraction, Study, Tally, check_probabilities, check_sizes, fraction, partition_window,
+)
 
 
 @dataclass
@@ -72,6 +74,7 @@ def admissibility_sweep(
     independent of ``jobs``.
     """
     check_probabilities(disconnect_probs, crash_prob)
+    check_sizes(n, num_patterns)
     return ADMISSIBILITY.run(
         disconnect_probs, samples, seed, jobs, chunk_size, progress,
         crash_prob=crash_prob, n=n, num_patterns=num_patterns, max_crashes=max_crashes,
@@ -114,7 +117,7 @@ def sample_asymmetric_partition_system(
     exist, while readers can still bridge patterns into a valid GQS.
     """
     processes = ["p{}".format(i) for i in range(n)]
-    size = window_size if window_size is not None else max(2, n // 2)
+    size = partition_window(n, window_size)
     patterns = []
     for index in range(num_patterns):
         window = rng.sample(processes, size)
@@ -176,6 +179,8 @@ def asymmetric_admissibility_sweep(
     fraction admitting a GQS.  The GQS column dominates — the quantitative form
     of "GQS is strictly weaker".
     """
+    for n in n_values:
+        check_sizes(n, num_patterns, partition_window(n, window_size))
     rows = ASYMMETRIC_ADMISSIBILITY.run(
         n_values, samples, seed, jobs, chunk_size, progress,
         num_patterns=num_patterns, window_size=window_size,
@@ -205,6 +210,7 @@ def gqs_strictly_weaker_examples(
     whereas asymmetric partitions — the failure mode reported in the study the
     paper cites — do so regularly.
     """
+    check_sizes(n, num_patterns, partition_window(n, window_size))
     rng = random.Random(seed)
     witnesses: List[FailProneSystem] = []
     for _ in range(samples):

@@ -57,6 +57,29 @@ def check_probabilities(disconnect_probs: Sequence[float], crash_prob: float) ->
         )
 
 
+def partition_window(n: int, window_size: Optional[int]) -> int:
+    """The asymmetric-partition window: ``window_size``, else ``max(2, n // 2)``."""
+    return window_size if window_size is not None else max(2, n // 2)
+
+
+def check_sizes(n: int, num_patterns: int, window: Optional[int] = None) -> None:
+    """Refuse a system no sample can be drawn from, before any shard runs.
+
+    ``n`` and ``num_patterns`` are at least 1 (an empty fail-prone system
+    admits every condition vacuously); an asymmetric-partition study also
+    passes its effective ``window``, which must hold 1 to ``n`` processes.
+    """
+    for name, value in (("n", n), ("num_patterns", num_patterns)):
+        if value < 1:
+            raise ReproError("a Monte Carlo study needs {} >= 1 (got {})".format(name, value))
+    if window is not None and not 1 <= window <= n:
+        raise ReproError(
+            "an asymmetric-partition window holds 1 to n processes (got {} with n {})".format(
+                window, n
+            )
+        )
+
+
 @dataclass(frozen=True)
 class Study:
     """What one Monte Carlo study fixes, whatever grid it is run on.
@@ -110,4 +133,7 @@ class Study:
         return runner.run_sharded(specs, self.shard, self.merge)
 
 
-__all__ = ["Fraction", "Study", "Tally", "check_probabilities", "fraction"]
+__all__ = [
+    "Fraction", "Study", "Tally", "check_probabilities", "check_sizes", "fraction",
+    "partition_window",
+]

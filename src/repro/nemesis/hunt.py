@@ -36,13 +36,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import egress, ingress
 from ..analysis.metrics import ResultTable, field_lines
-from ..engine import ExperimentSpec, ParallelRunner, ProgressCallback, derive_seed
+from ..engine import ParallelRunner, ProgressCallback, derive_seed
 from ..errors import ReproError
 from ..failures import FailurePattern
 from ..quorums import GeneralizedQuorumSystem
 from ..scenarios import ScenarioSpec, get_scenario
 from ..scenarios.builders import build_quorum_system, build_topology
-from ..scenarios.runner import SCENARIO_CHUNK_SIZE
+from ..scenarios.runner import scenario_batch
 from ..traces import (
     INCIDENT_SUFFIX,
     build_incident,
@@ -263,21 +263,6 @@ def _record_task(
 # ---------------------------------------------------------------------- #
 # Seeding
 # ---------------------------------------------------------------------- #
-def _scenario_seed_stream(spec: ScenarioSpec, count: int, root_seed: int) -> List[int]:
-    """The first ``count`` per-run seeds of ``repro scenario run --seed S``.
-
-    Uses the scenario runner's exact sharding spec, so identity schedule ``i``
-    replays run ``i`` of the recorded batch bit for bit.
-    """
-    experiment = ExperimentSpec(
-        name="scenario/{}".format(spec.name),
-        samples=count,
-        seed=root_seed,
-        chunk_size=SCENARIO_CHUNK_SIZE,
-    )
-    return [shard.seed for shard in experiment.shards()]
-
-
 def _seeds_from_traces(spec: ScenarioSpec, directory: str) -> List[Schedule]:
     """Seed schedules from an existing trace directory's recorded runs.
 
@@ -345,10 +330,9 @@ def hunt_scenario(
     if from_traces is not None:
         seed_schedules = _seeds_from_traces(spec, from_traces)
     else:
-        seed_schedules = [
-            identity_schedule(spec, run_seed)
-            for run_seed in _scenario_seed_stream(spec, seeds, seed)
-        ]
+        # Seed schedule ``i`` replays run ``i`` of ``repro scenario run --seed S``.
+        runs = scenario_batch(spec, seeds, seed).shards()
+        seed_schedules = [identity_schedule(spec, run.seed) for run in runs]
 
     state = HuntState()
     rows: List[Dict[str, Any]] = []

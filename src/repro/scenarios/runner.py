@@ -29,6 +29,7 @@ __all__ = [
     "SCENARIO_CHUNK_SIZE",
     "ScenarioRunResult",
     "run_scenario",
+    "scenario_batch",
     "sweep_scenarios",
     "sweep_table",
 ]
@@ -50,6 +51,16 @@ RUN_COLUMNS = (
 )
 
 
+def scenario_batch(scenario: ScenarioSpec, runs: int, seed: int, **params: Any) -> ExperimentSpec:
+    """The engine spec of ``runs`` seeded runs of ``scenario``, with ``params`` beside it.
+
+    Shard ``i``'s seed is run ``i``'s: ``repro scenario run --seed S`` and a
+    hunt's seed schedules over the same scenario draw one seed stream.
+    """
+    name = "scenario/{}".format(scenario.name)
+    return ExperimentSpec(name, runs, seed, dict(scenario=scenario, **params), SCENARIO_CHUNK_SIZE)
+
+
 def _scenario_experiment_spec(
     scenario: ScenarioSpec, runs: int, seed: int, record_traces: Optional[str] = None
 ) -> ExperimentSpec:
@@ -68,17 +79,10 @@ def _scenario_experiment_spec(
         )
     system = build_topology(scenario)
     pattern = resolve_pattern(scenario, system)
-    return ExperimentSpec(
-        name="scenario/{}".format(scenario.name),
-        samples=runs,
-        seed=seed,
-        params={
-            "scenario": scenario,
-            "quorum_system": build_quorum_system(scenario, system),
-            "pattern": pattern,
-            "record_traces": record_traces,
-        },
-        chunk_size=SCENARIO_CHUNK_SIZE,
+    quorum_system = build_quorum_system(scenario, system)
+    return scenario_batch(
+        scenario, runs, seed,
+        quorum_system=quorum_system, pattern=pattern, record_traces=record_traces,
     )
 
 

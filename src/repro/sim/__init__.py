@@ -11,11 +11,10 @@ from .events import Event, EventScheduler
 from .network import Network, NetworkStats
 from .override import ScheduleOverride, build_schedule_override
 from .process import NOT_READY, OperationHandle, Process, RelayEnvelope, WaitCondition
-from .runtime import Cluster, DeferredInvocation
+from .runtime import Cluster
 
 __all__ = [
     "Cluster",
-    "DeferredInvocation",
     "DelayModel",
     "Event",
     "EventScheduler",

@@ -175,24 +175,20 @@ class EventScheduler:
     # Execution
     # ------------------------------------------------------------------ #
     def run(
-        self,
-        max_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
+        self, max_time: Optional[float] = None, stop_when: Optional[Callable[[], bool]] = None
     ) -> None:
         """Run events in order until a stopping condition is met.
 
         Stops when the queue empties, when simulated time would exceed
-        ``max_time``, when ``max_events`` events have been executed by this
-        call, or when ``stop_when()`` becomes true (checked after every event).
+        ``max_time``, or when ``stop_when()`` becomes true (checked after every
+        event).
         """
         if stop_when is not None and stop_when():
             return
         queue = self._queue
         fifo = self._fifo
         heappop = heapq.heappop
-        executed = 0
-        while max_events is None or executed < max_events:
+        while True:
             if queue:
                 entry = queue[0]
                 handle = entry[3]
@@ -227,6 +223,5 @@ class EventScheduler:
             else:
                 handle._scheduler = None  # fired: cancel() is a no-op now
                 entry[2]()
-            executed += 1
             if stop_when is not None and stop_when():
                 return

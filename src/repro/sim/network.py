@@ -344,7 +344,6 @@ class Network:
     # ------------------------------------------------------------------ #
     # Execution helpers
     # ------------------------------------------------------------------ #
-    def run(self, max_time: Optional[float] = None, max_events: Optional[int] = None,
-            stop_when=None) -> None:
+    def run(self, max_time: Optional[float] = None, stop_when=None) -> None:
         """Run the underlying scheduler (see :meth:`EventScheduler.run`)."""
-        self.scheduler.run(max_time=max_time, max_events=max_events, stop_when=stop_when)
+        self.scheduler.run(max_time=max_time, stop_when=stop_when)

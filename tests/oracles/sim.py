@@ -214,17 +214,11 @@ class EventScheduler:
         return True
 
     def run(
-        self,
-        max_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
+        self, max_time: Optional[float] = None, stop_when: Optional[Callable[[], bool]] = None
     ) -> None:
-        executed = 0
         if stop_when is not None and stop_when():
             return
         while True:
-            if max_events is not None and executed >= max_events:
-                return
             event = self._peek()
             if event is None:
                 return
@@ -235,7 +229,6 @@ class EventScheduler:
                 return
             heapq.heappop(self._queue)
             self._fire(event)
-            executed += 1
             if stop_when is not None and stop_when():
                 return
 

@@ -7,6 +7,7 @@ from repro.montecarlo import (
     ReliabilityEstimate,
     admissibility_sweep,
     admissibility_table,
+    asymmetric_admissibility_sweep,
     gqs_strictly_weaker_examples,
     reliability_sweep,
     reliability_table,
@@ -212,6 +213,34 @@ def test_library_sweeps_refuse_probabilities_outside_the_unit_interval(
             admissibility_sweep(samples=4, **kwargs)
         else:
             reliability_sweep(figure1_gqs, samples=4, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: admissibility_sweep((0.2,), n=0, samples=4), "n >= 1"),
+        (lambda: admissibility_sweep((0.2,), num_patterns=0, samples=4), "num_patterns >= 1"),
+        (lambda: asymmetric_admissibility_sweep(n_values=(1,), samples=4), "got 2 with n 1"),
+        (
+            lambda: asymmetric_admissibility_sweep(n_values=(3,), window_size=5, samples=4),
+            "got 5 with n 3",
+        ),
+        (lambda: gqs_strictly_weaker_examples(n=3, window_size=5, samples=4), "got 5 with n 3"),
+    ],
+    ids=["n=0", "num_patterns=0", "n=1", "window>n", "witness window>n"],
+)
+def test_studies_refuse_sizes_no_sample_can_be_drawn_from(monkeypatch, call, message):
+    """They used to end in a bare ``ValueError`` out of ``randrange`` or
+    ``random.sample`` mid-run, or report an empty system as admitting all."""
+    from repro.engine import ParallelRunner
+    from repro.errors import ReproError
+
+    def no_shard_may_run(*args, **kwargs):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(ParallelRunner, "run_sharded", no_shard_may_run)
+    with pytest.raises(ReproError, match=message):
+        call()
 
 
 # --------------------------------------------------------------------- #

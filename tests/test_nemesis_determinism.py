@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro import api
 
 SCENARIO = "unidirectional-ring"
@@ -61,3 +63,28 @@ def test_strategies_diverge_but_each_is_deterministic(tmp_path):
         again = api.hunt(SCENARIO, strategy=strategy, budget=BUDGET, seed=ROOT_SEED)
         assert report.to_json() == again.to_json()
 
+
+
+@pytest.mark.parametrize("scenario", ["unidirectional-ring", "adversarial-partition"])
+def test_hunt_seed_rows_are_the_scenario_runs_rows(monkeypatch, scenario):
+    """Seed schedule ``i`` of ``hunt --seed S`` replays run ``i`` of
+    ``scenario run --seed S``: both draw the scenario runner's seed stream."""
+    from repro.nemesis import hunt as hunt_module
+    from repro.scenarios import run_scenario
+
+    rows = []
+    evaluate = hunt_module.evaluate_schedule
+
+    def recording(schedule, *args, **kwargs):
+        outcome = evaluate(schedule, *args, **kwargs)
+        rows.append(outcome["row"])
+        return outcome
+
+    monkeypatch.setattr(hunt_module, "evaluate_schedule", recording)
+    seeds = 3
+    api.hunt(scenario, budget=1, seeds=seeds, batch=1, seed=ROOT_SEED)
+    fields = ("completed", "safe", "operations", "messages", "explored_states")
+    expected = run_scenario(scenario, runs=seeds, seed=ROOT_SEED).rows
+    assert [[row[f] for f in fields] for row in rows[:seeds]] == [
+        [row[f] for f in fields] for row in expected
+    ]

@@ -33,12 +33,14 @@ def test_register_safe_when_pattern_strikes_mid_run(figure1_gqs):
     write = cluster.invoke("c", "write", "pre-failure")
     cluster.run_until_done([write], max_time=400.0, require_completion=True)
 
-    cluster.apply_failure_pattern(f1, at_time=cluster.now + 1.0)
-    cluster.run(max_time=cluster.now + 5.0)
+    cluster.network.apply_failure_pattern(f1, at_time=cluster.network.now + 1.0)
+    cluster.run(max_time=cluster.network.now + 5.0)
 
     read_a = cluster.invoke("a", "read")
     read_b = cluster.invoke("b", "read")
-    cluster.run_until_done([read_a, read_b], max_time=cluster.now + 600.0, require_completion=True)
+    cluster.run_until_done(
+        [read_a, read_b], max_time=cluster.network.now + 600.0, require_completion=True
+    )
     assert read_a.result == "pre-failure"
     assert read_b.result == "pre-failure"
 
@@ -72,7 +74,7 @@ def test_register_survives_extra_channel_disconnections_inside_pattern(figure1_g
     """Disconnect a channel that f2 already allows to fail, mid-run."""
     f2 = figure1_gqs.fail_prone.patterns[1]
     cluster = register_cluster(figure1_gqs, seed=3)
-    cluster.apply_failure_pattern(f2)
+    cluster.network.apply_failure_pattern(f2)
     first = cluster.invoke("b", "write", "w1")
     cluster.run_until_done([first], max_time=500.0, require_completion=True)
     # (d, c) is f2-faulty; disconnecting it later is a legal f2-compliant behaviour.
@@ -90,7 +92,7 @@ def test_consensus_decides_despite_mid_run_pattern_injection(figure1_gqs):
         functools.partial(ConsensusProcess, quorum_system=figure1_gqs, view_duration=5.0),
         PartialSynchronyDelay(gst=40.0, delta=1.0, seed=4),
     )
-    cluster.apply_failure_pattern(f3, at_time=15.0)
+    cluster.network.apply_failure_pattern(f3, at_time=15.0)
     handles = [
         cluster.invoke("c", "propose", "from-c"),
         cluster.invoke("d", "propose", "from-d"),

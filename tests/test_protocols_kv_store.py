@@ -93,7 +93,7 @@ def test_kv_store_live_and_linearizable_per_key_under_f1(figure1_gqs):
     key's sub-history is linearizable as a register history."""
     f1 = figure1_gqs.fail_prone.patterns[0]
     cluster = make_cluster(figure1_gqs, seed=4)
-    cluster.apply_failure_pattern(f1)
+    cluster.network.apply_failure_pattern(f1)
 
     handles = [
         cluster.invoke("a", "put", "x", "a-x-1"),

@@ -45,7 +45,7 @@ def test_paxos_survives_one_crash():
     from repro.failures import FailurePattern
 
     cluster = make_cluster(["a", "b", "c"], seed=4)
-    cluster.apply_failure_pattern(FailurePattern.crash_only(["c"]))
+    cluster.network.apply_failure_pattern(FailurePattern.crash_only(["c"]))
     handle = cluster.invoke("a", "propose", "v")
     assert cluster.run_until_done([handle], max_time=1_000.0)
 
@@ -70,7 +70,7 @@ def test_paxos_learns_decision_from_decided_message():
     cluster = make_cluster(["a", "b", "c"], seed=6)
     handle = cluster.invoke("a", "propose", "val")
     cluster.run_until_done([handle], max_time=1_000.0, require_completion=True)
-    cluster.run(max_time=cluster.now + 50.0)
+    cluster.run(max_time=cluster.network.now + 50.0)
     # All correct acceptors eventually learn the decision.
     learned = [p.has_decided for p in cluster.processes.values()]
     assert all(learned)

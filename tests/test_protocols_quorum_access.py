@@ -58,7 +58,7 @@ def test_classical_liveness_under_crash(threshold_3_1):
     from repro.failures import FailurePattern
 
     cluster = Cluster(["a", "b", "c"], classical_factory(threshold_3_1), UniformDelay(seed=3))
-    cluster.apply_failure_pattern(FailurePattern.crash_only(["c"]))
+    cluster.network.apply_failure_pattern(FailurePattern.crash_only(["c"]))
     handle = cluster.invoke("a", "quorum_get")
     assert cluster.run_until_done([handle], max_time=200.0)
 
@@ -83,7 +83,7 @@ def test_gqs_liveness_inside_termination_component(figure1_gqs):
     cluster = Cluster(
         sorted_processes(figure1_gqs.processes), gqs_factory(figure1_gqs), UniformDelay(seed=5)
     )
-    cluster.apply_failure_pattern(f1)
+    cluster.network.apply_failure_pattern(f1)
     handles = [
         cluster.invoke("a", "quorum_set", add(1)),
         cluster.invoke("b", "quorum_get"),
@@ -97,7 +97,7 @@ def test_gqs_real_time_ordering_under_failures(figure1_gqs):
     cluster = Cluster(
         sorted_processes(figure1_gqs.processes), gqs_factory(figure1_gqs), UniformDelay(seed=6)
     )
-    cluster.apply_failure_pattern(f1)
+    cluster.network.apply_failure_pattern(f1)
     set_handle = cluster.invoke("a", "quorum_set", add(7))
     cluster.run_until_done([set_handle], max_time=500.0, require_completion=True)
     get_handle = cluster.invoke("b", "quorum_get")
@@ -154,7 +154,7 @@ def test_register_run_leaves_no_response_dicts_behind(figure1_gqs):
     result = run_workload("register", figure1_gqs, ops_per_process=50, seed=4)
     assert result.completed and len(result.history.records) == 200
     # Let the replies still in flight when the last operation returned arrive.
-    result.cluster.run(max_time=result.cluster.now + 50.0)
+    result.cluster.run(max_time=result.cluster.network.now + 50.0)
     for process in result.cluster.processes.values():
         assert process.seq >= 50
         assert _open_response_dicts(process) <= len(process._waits) == 0
@@ -166,14 +166,14 @@ def test_classical_late_replies_do_not_reopen_finished_requests(threshold_3_1):
     # Quorums have two members: each wait completes with the third reply still
     # in flight; running on delivers it after the request was closed.
     cluster.run_until_done(handles, max_time=100.0, require_completion=True)
-    cluster.run(max_time=cluster.now + 50.0)
-    assert cluster.messages_delivered() == cluster.messages_sent()
+    cluster.run(max_time=cluster.network.now + 50.0)
+    assert cluster.network.stats.messages_delivered == cluster.network.stats.messages_sent
     assert _open_response_dicts(cluster.processes["a"]) == 0
     # A request still waiting keeps exactly its own table entry.
     from repro.failures import FailurePattern
 
-    cluster.apply_failure_pattern(FailurePattern.crash_only(["b", "c"]))
+    cluster.network.apply_failure_pattern(FailurePattern.crash_only(["b", "c"]))
     stuck = cluster.invoke("a", "quorum_get")
-    cluster.run(max_time=cluster.now + 50.0)
+    cluster.run(max_time=cluster.network.now + 50.0)
     assert not stuck.done
     assert _open_response_dicts(cluster.processes["a"]) == 1

@@ -100,7 +100,7 @@ def test_register_write_read_inside_component_under_f1(figure1_gqs):
     """Concrete Example 10 scenario: operations at a and b terminate under f1."""
     f1 = figure1_gqs.fail_prone.patterns[0]
     cluster = make_cluster(figure1_gqs, seed=3)
-    cluster.apply_failure_pattern(f1)
+    cluster.network.apply_failure_pattern(f1)
     write = cluster.invoke("a", "write", "from-a")
     cluster.run_until_done([write], max_time=600.0, require_completion=True)
     read = cluster.invoke("b", "read")

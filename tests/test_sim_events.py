@@ -97,15 +97,6 @@ def test_run_respects_max_time():
     assert scheduler.pending() == 1
 
 
-def test_run_respects_max_events():
-    scheduler = EventScheduler()
-    seen = []
-    for i in range(5):
-        scheduler.schedule(float(i + 1), lambda i=i: seen.append(i))
-    scheduler.run(max_events=2)
-    assert seen == [0, 1]
-
-
 def test_run_stop_when_predicate():
     scheduler = EventScheduler()
     seen = []

@@ -76,13 +76,15 @@ def test_run_until_done_can_raise_on_timeout():
 
 def test_invoke_at_defers_invocation():
     cluster = Cluster(["a", "b"], counter_factory, delay_model=FixedDelay(1.0))
-    deferred = cluster.invoke_at(5.0, "a", "bump_all")
+    assert cluster.invoke_at(5.0, "a", "bump_all") is None
     cluster.run(max_time=2.0)
-    assert deferred.handle is None
-    assert not deferred.done
+    assert cluster.handles == []
+    assert cluster.completed == 0
     cluster.run(max_time=20.0)
-    assert deferred.done
-    assert deferred.result >= 1
+    [handle] = cluster.handles
+    assert handle.done and handle.invoked_at == 5.0
+    assert handle.result >= 1
+    assert cluster.completed == 1
 
 
 def test_history_collects_tracked_handles():
@@ -101,16 +103,16 @@ def test_message_counters_exposed():
     cluster.run_until_done(max_time=50.0)
     # Drain the remaining in-flight deliveries before counting.
     cluster.run(max_time=50.0)
-    assert cluster.messages_sent() >= 3
-    assert cluster.messages_delivered() >= 3
-    assert cluster.now > 0.0
+    assert cluster.network.stats.messages_sent >= 3
+    assert cluster.network.stats.messages_delivered >= 3
+    assert cluster.network.now > 0.0
 
 
-def test_apply_failure_pattern_via_cluster():
+def test_failure_pattern_injected_through_the_network():
     from repro.failures import FailurePattern
 
     cluster = Cluster(["a", "b"], counter_factory, delay_model=FixedDelay(1.0))
-    cluster.apply_failure_pattern(FailurePattern(["b"]))
+    cluster.network.apply_failure_pattern(FailurePattern(["b"]))
     assert cluster.network.is_crashed("b")
     handle = cluster.invoke("a", "bump_all")
     cluster.run_until_done([handle], max_time=20.0)
@@ -124,30 +126,53 @@ def test_invoke_at_on_a_crashed_process_never_fires_instead_of_aborting():
     from repro.failures import FailurePattern
 
     cluster = Cluster(["a", "b", "c"], counter_factory, delay_model=FixedDelay(1.0))
-    cluster.apply_failure_pattern(FailurePattern(["b"]), at_time=2.0)
-    survivor = cluster.invoke_at(1.0, "b", "bump_all")  # fires before the crash
-    victim = cluster.invoke_at(5.0, "b", "bump_all")  # scheduled after the crash
-    bystander = cluster.invoke_at(6.0, "a", "bump_all")
+    cluster.network.apply_failure_pattern(FailurePattern(["b"]), at_time=2.0)
+    cluster.invoke_at(1.0, "b", "bump_all")  # fires before the crash
+    cluster.invoke_at(5.0, "b", "bump_all")  # scheduled after the crash
+    cluster.invoke_at(6.0, "a", "bump_all")
     # This used to raise ProcessCrashedError out of the scheduler callback,
     # killing the whole simulation mid-run().
     cluster.run(max_time=50.0)
-    assert survivor.handle is not None
-    assert victim.handle is None
-    assert victim.crashed
-    assert not victim.done
+    # The survivor started; the victim never did; the bystander finished.
+    survivor, bystander = cluster.handles
+    assert (survivor.process_id, survivor.invoked_at) == ("b", 1.0)
+    assert (bystander.process_id, bystander.invoked_at) == ("a", 6.0)
     assert bystander.done
+    assert cluster.completed == sum(handle.done for handle in cluster.handles)
 
 
-def test_deferred_on_resolve_fires_on_invocation_and_immediately_when_late():
+def test_completed_counts_operations_as_they_finish_and_late_invocations_too():
     cluster = Cluster(["a", "b"], counter_factory, delay_model=FixedDelay(1.0))
-    deferred = cluster.invoke_at(2.0, "a", "bump_all")
-    seen = []
-    deferred.on_resolve(lambda handle: seen.append(handle.kind))
+    cluster.invoke_at(2.0, "a", "bump_all")
     cluster.run(max_time=20.0)
-    assert seen == ["bump_all"]
-    late = []
-    deferred.on_resolve(lambda handle: late.append(handle.done))
-    assert late == [True]
+    [first] = cluster.handles
+    assert first.kind == "bump_all" and first.done
+    assert cluster.completed == 1
+    # b has seen one "inc"; its wait for a second one stays open until a bumps.
+    late = cluster.invoke("b", "wait_for_count", 2)
+    assert cluster.completed == 1
+    cluster.invoke("a", "bump_all")
+    assert cluster.run_until_done([late], max_time=40.0)
+    assert cluster.completed == 3
+
+
+@pytest.mark.parametrize("scheduled", [False, True], ids=["invoke", "invoke_at"])
+@pytest.mark.parametrize(
+    "pid, method, message",
+    [("zz", "bump_all", "no process 'zz'"), ("a", "bump", "has no operation 'bump'")],
+)
+def test_an_unknown_process_or_method_is_refused_at_the_call(scheduled, pid, method, message):
+    """A scheduled call used to end the later run() in a bare KeyError or AttributeError."""
+    cluster = Cluster(["a", "b"], counter_factory, delay_model=FixedDelay(1.0))
+    with pytest.raises(SimulationError, match=message):
+        if scheduled:
+            cluster.invoke_at(1.0, pid, method)
+        else:
+            cluster.invoke(pid, method)
+    # Nothing was invoked or scheduled: the run that follows is quiet.
+    cluster.run(max_time=10.0)
+    assert cluster.handles == []
+    assert cluster.network.scheduler.events_processed == 0
 
 
 def test_run_until_done_counts_completions_of_already_done_handles():

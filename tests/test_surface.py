@@ -34,7 +34,8 @@ private readers and field checks the ingresses each carried are gone.  Its
 mirror, ``repro.egress``, is the one place data becomes JSON bytes, and a
 registry entry's builder has one caller, ``Registry.build``.  A Monte Carlo
 study has one shape: ``engine/runner.py`` alone checks where a result was
-routed, and the per-study merges and spec builders are gone.
+routed, and the per-study merges and spec builders are gone.  A cluster counts
+the operations it started: the deferred handle and its resolve chain are gone.
 """
 
 from __future__ import annotations
@@ -219,6 +220,11 @@ DELETED_STUDY_COPIES = (
     r"def with_params\(",
 )
 
+#: The deferred handle ``Cluster.invoke_at`` returned, whose resolve chain let a
+#: workload count handles that did not exist yet (the cluster counts
+#: completions now), and the run knob nobody set.
+DELETED_RESOLVE_CHAIN = (r"\bclass DeferredInvocation\b", r"\bon_resolve\b", r"\bmax_events\b")
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -253,6 +259,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_SET_NETWORK
             + DELETED_TEST_ONLY
             + DELETED_STUDY_COPIES
+            + DELETED_RESOLVE_CHAIN
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
