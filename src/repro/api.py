@@ -140,14 +140,12 @@ _NO_GQS_TEXT = (
 # Quorum-decision toolbox
 # ---------------------------------------------------------------------- #
 def discover(
-    system: FailProneSystem,
-    validate: bool = True,
-    progress: Optional[ProgressCallback] = None,
+    system: FailProneSystem, progress: Optional[ProgressCallback] = None
 ) -> DiscoveryResult:
     """Run the GQS decision procedure (Theorem 2) on ``system``."""
     from .quorums import discover_gqs
 
-    return discover_gqs(system, validate=validate, progress=progress)
+    return discover_gqs(system, progress=progress)
 
 
 @dataclass
@@ -214,12 +212,10 @@ class DiscoveryReport(JsonDocument):
 
 
 def discovery_report(
-    system: FailProneSystem,
-    validate: bool = True,
-    progress: Optional[ProgressCallback] = None,
+    system: FailProneSystem, progress: Optional[ProgressCallback] = None
 ) -> DiscoveryReport:
     """:func:`discover` wrapped with the witness rows the CLI renders."""
-    return DiscoveryReport(system, discover(system, validate=validate, progress=progress))
+    return DiscoveryReport(system, discover(system, progress=progress))
 
 
 @dataclass

@@ -224,12 +224,3 @@ class ParallelRunner:
         for spec_index, result in zip(spec_indices, results):
             grouped[spec_index].append(result)
         return [merge(spec, shard_results) for spec, shard_results in zip(spec_list, grouped)]
-
-    def run(
-        self,
-        spec: ExperimentSpec,
-        shard_task: Callable[[ExperimentSpec, ShardSpec], Any],
-        merge: Callable[[ExperimentSpec, List[Any]], Any],
-    ) -> Any:
-        """Execute one spec's shards and return the merged result."""
-        return self.run_sharded([spec], shard_task, merge)[0]

@@ -40,6 +40,7 @@ from ..protocols import (
     PaxosBaselineProcess,
     SnapshotProcess,
 )
+from ..protocols.register import INITIAL_VALUE
 from ..quorums import GeneralizedQuorumSystem, QuorumSystem
 from ..registry import PROTOCOLS, register_protocol
 from ..sim import Cluster, DelayModel, build_delay_model
@@ -181,7 +182,7 @@ def judge_register_history(
 ) -> Dict[str, Any]:
     """Register linearizability via the witness-first path (dep-graph +
     automatic Wing-Gong fallback); the ``checker`` label reports which decided."""
-    outcome = check_register_witness_first(history, initial_value=0)
+    outcome = check_register_witness_first(history, initial_value=INITIAL_VALUE)
     label = (
         "dep-graph"
         if outcome.reason == "dependency-graph witness accepted"
@@ -219,7 +220,7 @@ def register_search_effort(
     del quorum_system, pattern  # effort depends only on the history
     try:
         outcome = check_register_linearizability(
-            history, initial_value=0, max_states=EFFORT_PROBE_MAX_STATES
+            history, initial_value=INITIAL_VALUE, max_states=EFFORT_PROBE_MAX_STATES
         )
     except HistoryError:
         return EFFORT_PROBE_MAX_STATES
@@ -233,9 +234,7 @@ def judge_snapshot_history(
 ) -> Dict[str, Any]:
     """Snapshot linearizability through the per-segment Wing-Gong search."""
     outcome = check_snapshot_linearizability(
-        history,
-        segment_ids=sorted_processes(quorum_system.processes),
-        initial_value=None,
+        history, segment_ids=sorted_processes(quorum_system.processes)
     )
     return {
         "safe": outcome.is_linearizable,
@@ -320,7 +319,7 @@ register_protocol(
     schedule=singleton_proposal_schedule,
     judge=judge_lattice_history,
     defaults={"op_spacing": 3.0, "max_time": 6_000.0},
-    params=("push_interval", "lattice"),
+    params=("push_interval",),
     safety_label="lattice-agreement-properties={}".format,
     doc="generalized lattice agreement: learned values are comparable joins",
 )
@@ -442,7 +441,6 @@ def run_workload(
     ops_per_process: int = 2,
     op_spacing: Optional[float] = None,
     max_time: Optional[float] = None,
-    invokers: Optional[Sequence[ProcessId]] = None,
     seed: int = 0,
 ) -> WorkloadResult:
     """Run protocol ``kind``'s canonical workload — the spec-driven front-end.
@@ -459,9 +457,7 @@ def run_workload(
     if delay_model is None:
         delay_model = build_delay_model(*descriptor.extras["default_delay"], seed=seed)
     factory = build_protocol_factory(kind, quorum_system, protocol_params)
-    invoking = (
-        list(invokers) if invokers is not None else default_invokers(quorum_system, pattern)
-    )
+    invoking = default_invokers(quorum_system, pattern)
     schedule = client_schedule(kind, invoking, ops_per_process=ops_per_process, op_spacing=op_spacing)
     horizon = (
         max_time if max_time is not None else descriptor.extras["defaults"]["max_time"]

@@ -116,8 +116,9 @@ def sample_asymmetric_partition_system(
     windows of different patterns may be disjoint, so a QS+ often does not
     exist, while readers can still bridge patterns into a valid GQS.
     """
-    processes = ["p{}".format(i) for i in range(n)]
     size = partition_window(n, window_size)
+    check_sizes(n, num_patterns, size)
+    processes = ["p{}".format(i) for i in range(n)]
     patterns = []
     for index in range(num_patterns):
         window = rng.sample(processes, size)

@@ -56,12 +56,10 @@ class ConsensusProcess(Process):
         network: Network,
         quorum_system: AnyQuorumSystem,
         view_duration: float = 5.0,
-        relay: bool = True,
     ) -> None:
         super().__init__(pid, network)
-        if relay:
-            # Simulate the transitive-connectivity assumption of §7.
-            self.enable_relay()
+        # Simulate the transitive-connectivity assumption of §7.
+        self.enable_relay()
         self.quorum_system = quorum_system
         self.read_quorums: Tuple[ProcessSet, ...] = tuple(quorum_system.read_quorums)
         self.write_quorums: Tuple[ProcessSet, ...] = tuple(quorum_system.write_quorums)

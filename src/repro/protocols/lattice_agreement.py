@@ -14,7 +14,7 @@ containment), decided values are joins of comparable sets and hence comparable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Generator, Iterable, Optional
+from typing import Any, Dict, FrozenSet, Generator, Iterable
 
 from ..sim.network import Network
 from ..sim.process import OperationHandle
@@ -76,19 +76,10 @@ class LatticeAgreementProcess(SnapshotProcess):
         pid: ProcessId,
         network: Network,
         quorum_system: AnyQuorumSystem,
-        lattice: Optional[SemiLattice] = None,
         push_interval: float = 1.0,
-        relay: bool = True,
     ) -> None:
-        super().__init__(
-            pid,
-            network,
-            quorum_system,
-            initial_value=None,
-            push_interval=push_interval,
-            relay=relay,
-        )
-        self.lattice = lattice if lattice is not None else SetLattice()
+        super().__init__(pid, network, quorum_system, push_interval=push_interval)
+        self.lattice = SetLattice()
 
     def propose(self, value: Any) -> OperationHandle:
         """Propose ``value``; resolves to the decided lattice element."""

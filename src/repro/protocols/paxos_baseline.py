@@ -9,8 +9,8 @@ terminate while the Figure 6 protocol decides.  It is used by the consensus
 experiments (E5) as the "who wins" comparison point.
 
 The implementation is standard single-decree Paxos with retry on timeout and
-exponentially growing ballots/timeouts; majorities are used by default but any
-read/write quorum families can be supplied.
+exponentially growing ballots/timeouts; majorities serve as both the phase-1
+and the phase-2 quorums.
 """
 
 from __future__ import annotations
@@ -42,21 +42,15 @@ class PaxosBaselineProcess(Process):
         pid: ProcessId,
         network: Network,
         process_ids: Sequence[ProcessId],
-        read_quorums: Optional[Sequence[ProcessSet]] = None,
-        write_quorums: Optional[Sequence[ProcessSet]] = None,
         retry_timeout: float = 20.0,
-        relay: bool = True,
     ) -> None:
         super().__init__(pid, network)
-        if relay:
-            # Give the baseline the same transitive connectivity as the GQS
-            # protocols so that the comparison isolates the quorum-access
-            # structure, not message routing.
-            self.enable_relay()
+        # Give the baseline the same transitive connectivity as the GQS
+        # protocols so that the comparison isolates the quorum-access
+        # structure, not message routing.
+        self.enable_relay()
         self.process_ids = sorted_processes(set(process_ids))
-        defaults = majority_quorums(self.process_ids)
-        self.read_quorums = tuple(read_quorums) if read_quorums is not None else defaults
-        self.write_quorums = tuple(write_quorums) if write_quorums is not None else defaults
+        self.read_quorums = self.write_quorums = majority_quorums(self.process_ids)
         self.retry_timeout = retry_timeout
         self._rank = self.process_ids.index(pid) + 1
 

@@ -83,9 +83,6 @@ class QuorumAccessProcess(Process):
         self.write_quorums: Tuple[ProcessSet, ...] = tuple(quorum_system.write_quorums)
         self.state: Any = initial_state
         self.seq: int = 0
-        # Counters for the experiments: how many get/set invocations completed.
-        self.completed_gets: int = 0
-        self.completed_sets: int = 0
 
     # -- helpers ---------------------------------------------------------- #
     def _first_complete_quorum(
@@ -124,19 +121,11 @@ class QuorumAccessProcess(Process):
     # -- direct invocation (used by tests and examples) -------------------- #
     def quorum_get(self):
         """Invoke ``quorum_get()`` as a tracked operation; returns an OperationHandle."""
-        return self.start_operation("quorum_get", None, self._tracked_get())
+        return self.start_operation("quorum_get", None, self._quorum_get())
 
     def quorum_set(self, update: UpdateFunction):
         """Invoke ``quorum_set(u)`` as a tracked operation; returns an OperationHandle."""
-        return self.start_operation("quorum_set", update, self._tracked_set(update))
-
-    def _tracked_get(self) -> Generator:
-        states = yield from self._quorum_get()
-        return states
-
-    def _tracked_set(self, update: UpdateFunction) -> Generator:
-        yield from self._quorum_set(update)
-        return None
+        return self.start_operation("quorum_set", update, self._quorum_set(update))
 
 
 class ClassicalQuorumAccessProcess(QuorumAccessProcess):
@@ -186,7 +175,6 @@ class ClassicalQuorumAccessProcess(QuorumAccessProcess):
 
         states = yield self.wait_for(read_quorum_ready, "GET_RESP from a read quorum")
         del self._get_responses[seq]
-        self.completed_gets += 1
         return states
 
     # -- quorum_set (Figure 2, lines 10-13) ---------------------------------- #
@@ -202,7 +190,6 @@ class ClassicalQuorumAccessProcess(QuorumAccessProcess):
 
         yield self.wait_for(write_quorum_ready, "SET_RESP from a write quorum")
         del self._set_responses[seq]
-        self.completed_sets += 1
         return None
 
 
@@ -320,7 +307,6 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
             lambda: self._read_quorum_states_at(cutoff),
             "fresh GET_RESP pushes from a read quorum",
         )
-        self.completed_gets += 1
         return states
 
     # -- quorum_set (Figure 3, lines 15-20) ----------------------------------- #
@@ -339,5 +325,4 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
             lambda: None if self._read_quorum_states_at(c_set) is not NOT_READY else NOT_READY,
             "read-quorum clocks past c_set",
         )
-        self.completed_sets += 1
         return None

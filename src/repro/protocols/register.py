@@ -50,10 +50,13 @@ class RegisterState:
 
 INITIAL_VERSION: Version = (0, 0)
 
+#: The paper initialises the register to 0; the register judges read it from here.
+INITIAL_VALUE = 0
 
-def initial_register_state(initial_value: Any = 0) -> RegisterState:
-    """The initial register state; the paper initialises the register to 0."""
-    return RegisterState(initial_value, INITIAL_VERSION)
+
+def initial_register_state() -> RegisterState:
+    """The initial register state: :data:`INITIAL_VALUE` at :data:`INITIAL_VERSION`."""
+    return RegisterState(INITIAL_VALUE, INITIAL_VERSION)
 
 
 def _store_update(value: Any, version: Version):
@@ -127,7 +130,6 @@ class GQSRegister(RegisterLogic, GeneralizedQuorumAccessProcess):
         pid: ProcessId,
         network: Network,
         quorum_system: AnyQuorumSystem,
-        initial_value: Any = 0,
         push_interval: float = 1.0,
         relay: bool = True,
     ) -> None:
@@ -136,7 +138,7 @@ class GQSRegister(RegisterLogic, GeneralizedQuorumAccessProcess):
             pid,
             network,
             quorum_system,
-            initial_state=initial_register_state(initial_value),
+            initial_state=initial_register_state(),
             push_interval=push_interval,
             relay=relay,
         )
@@ -151,13 +153,8 @@ class ClassicalABDRegister(RegisterLogic, ClassicalQuorumAccessProcess):
         pid: ProcessId,
         network: Network,
         quorum_system: AnyQuorumSystem,
-        initial_value: Any = 0,
     ) -> None:
         ClassicalQuorumAccessProcess.__init__(
-            self,
-            pid,
-            network,
-            quorum_system,
-            initial_state=initial_register_state(initial_value),
+            self, pid, network, quorum_system, initial_state=initial_register_state()
         )
         self.writer_rank = _writer_rank(pid, quorum_system)

@@ -48,9 +48,9 @@ class Segment:
 SnapshotVector = Dict[ProcessId, Segment]
 
 
-def initial_vector(process_ids, initial_value: Any = None) -> SnapshotVector:
-    """The initial segment vector: every segment holds ``initial_value`` at seq 0."""
-    return {pid: Segment(initial_value, 0) for pid in process_ids}
+def initial_vector(process_ids) -> SnapshotVector:
+    """The initial segment vector: every segment holds ``None`` at seq 0."""
+    return {pid: Segment(None, 0) for pid in process_ids}
 
 
 def merge_vectors(first: SnapshotVector, second: SnapshotVector) -> SnapshotVector:
@@ -104,21 +104,17 @@ class SnapshotProcess(GeneralizedQuorumAccessProcess):
         pid: ProcessId,
         network: Network,
         quorum_system: AnyQuorumSystem,
-        initial_value: Any = None,
         push_interval: float = 1.0,
-        relay: bool = True,
     ) -> None:
         process_ids = sorted_processes(quorum_system.processes)
         super().__init__(
             pid,
             network,
             quorum_system,
-            initial_state=initial_vector(process_ids, initial_value),
+            initial_state=initial_vector(process_ids),
             push_interval=push_interval,
-            relay=relay,
         )
         self.segment_ids = tuple(process_ids)
-        self.initial_value = initial_value
         self._write_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -178,8 +174,5 @@ class SnapshotProcess(GeneralizedQuorumAccessProcess):
                         # scan, so its embedded view was taken entirely within
                         # the scan interval and can be borrowed.
                         borrowed = current[pid].view_dict()
-                        return {
-                            seg: borrowed.get(seg, self.initial_value)
-                            for seg in self.segment_ids
-                        }
+                        return {seg: borrowed.get(seg) for seg in self.segment_ids}
             previous = current

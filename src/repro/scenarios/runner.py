@@ -183,15 +183,7 @@ def run_scenario(
     (:mod:`repro.traces`) for later independent re-verification; the recorded
     files are likewise jobs-independent.
     """
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    budget = runs if runs is not None else spec.default_runs
-    ensure_trace_directory(record_traces)
-    runner = ParallelRunner(jobs=jobs, progress=progress)
-    return runner.run(
-        _scenario_experiment_spec(spec, budget, seed, record_traces=record_traces),
-        _scenario_shard,
-        _merge_rows,
-    )
+    return sweep_scenarios([scenario], runs, seed, jobs, progress, record_traces)[0]
 
 
 def sweep_scenarios(

@@ -85,8 +85,9 @@ def _check_wing_gong(trace: Trace) -> Dict[str, Any]:
     if trace.protocol != "register":
         return _check_auto(trace)
     from ..checkers import check_register_linearizability
+    from ..protocols.register import INITIAL_VALUE
 
-    outcome = check_register_linearizability(trace.history, initial_value=0)
+    outcome = check_register_linearizability(trace.history, initial_value=INITIAL_VALUE)
     return {"safe": outcome.is_linearizable, "explored": outcome.explored_states,
             "checker": "wing-gong"}
 

@@ -258,6 +258,26 @@ def test_unreadable_schedule_file_is_one_error_line(capsys, tmp_path, kind):
     _assert_one_error_line(status, capsys.readouterr(), str(path) + ": ")
 
 
+def test_schedule_setting_an_unknown_protocol_knob_is_one_error_line(capsys, tmp_path):
+    """A lattice schedule naming a ``lattice`` knob used to reach the process
+    and end in a bare ``AttributeError: 'str' object has no attribute 'bottom'``."""
+    import json
+
+    from repro.nemesis import identity_schedule
+    from repro.scenarios import get_scenario
+
+    data = identity_schedule(get_scenario("lattice-fan-in"), 7).to_dict()
+    data["base"]["protocol"]["params"]["lattice"] = "max"
+    path = tmp_path / "lattice.schedule.json"
+    path.write_text(json.dumps(data))
+    assert main(["nemesis", "replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: {}: protocol 'lattice' does not accept parameter(s) ['lattice']\n".format(path)
+    )
+
+
 #: One line of 100 000 nested lists: deeper than the JSON decoder recurses.
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
@@ -578,7 +598,7 @@ def test_unwritable_evidence_directory_is_one_error_line(
     def no_run_may_start(*args, **kwargs):
         raise AssertionError("a run started")
 
-    for entry in ("map", "run", "run_sharded"):
+    for entry in ("map", "run_sharded"):
         monkeypatch.setattr(ParallelRunner, entry, no_run_may_start)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")

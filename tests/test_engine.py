@@ -194,7 +194,7 @@ def test_failing_shard_surfaces_as_attributed_repro_error(jobs):
 
 def test_run_single_spec():
     spec = ExperimentSpec(name="solo", samples=12, seed=4, chunk_size=5)
-    merged = ParallelRunner(jobs=1).run(spec, _count_shard, _merge_counts)
+    (merged,) = ParallelRunner(jobs=1).run_sharded([spec], _count_shard, _merge_counts)
     assert merged["samples"] == 12
 
 

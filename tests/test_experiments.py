@@ -56,14 +56,6 @@ def test_register_workload_restricts_invokers_to_component(figure1_gqs):
     assert set(result.extra["invokers"]) == set(figure1_gqs.termination_component(f2))
 
 
-def test_register_workload_explicit_invokers(figure1_gqs):
-    result = run_workload(
-        "register", figure1_gqs, pattern=None, ops_per_process=1, invokers=["a"], seed=3
-    )
-    assert result.extra["invokers"] == ["a"]
-    assert result.metrics.operations == 1
-
-
 def test_overhead_comparison_shows_extra_messages(threshold_3_1):
     runs = compare_register_overhead(threshold_3_1, ops_per_process=2, seed=4)
     classical = runs["classical_abd"]

@@ -11,6 +11,7 @@ from repro.montecarlo import (
     gqs_strictly_weaker_examples,
     reliability_sweep,
     reliability_table,
+    sample_asymmetric_partition_system,
 )
 from repro.quorums import gqs_exists, strong_system_exists
 
@@ -226,8 +227,19 @@ def test_library_sweeps_refuse_probabilities_outside_the_unit_interval(
             "got 5 with n 3",
         ),
         (lambda: gqs_strictly_weaker_examples(n=3, window_size=5, samples=4), "got 5 with n 3"),
+        (
+            lambda: sample_asymmetric_partition_system(random.Random(0), n=3, window_size=5),
+            "got 5 with n 3",
+        ),
+        (
+            lambda: sample_asymmetric_partition_system(random.Random(0), num_patterns=0),
+            "num_patterns >= 1",
+        ),
     ],
-    ids=["n=0", "num_patterns=0", "n=1", "window>n", "witness window>n"],
+    ids=[
+        "n=0", "num_patterns=0", "n=1", "window>n", "witness window>n",
+        "sampled window>n", "sampled num_patterns=0",
+    ],
 )
 def test_studies_refuse_sizes_no_sample_can_be_drawn_from(monkeypatch, call, message):
     """They used to end in a bare ``ValueError`` out of ``randrange`` or

@@ -129,14 +129,15 @@ def test_gqs_clock_advances_with_periodic_push(figure1_gqs):
     assert all(clock >= 5 for clock in clocks)
 
 
-def test_gqs_completed_counters(figure1_gqs):
+def test_gqs_quorum_get_completes_with_one_read_quorum(figure1_gqs):
     cluster = Cluster(
         sorted_processes(figure1_gqs.processes), gqs_factory(figure1_gqs), UniformDelay(seed=9)
     )
     handle = cluster.invoke("a", "quorum_get")
     cluster.run_until_done([handle], max_time=300.0, require_completion=True)
-    assert cluster.processes["a"].completed_gets == 1
-    assert cluster.processes["a"].completed_sets == 0
+    assert handle.done
+    assert frozenset(handle.result) in set(figure1_gqs.read_quorums)
+    assert set(handle.result.values()) == {0}
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,7 @@ def make_cluster(quorum_system, seed=0):
 # Pure helpers
 # --------------------------------------------------------------------------- #
 def test_initial_vector_shape():
-    vector = initial_vector(["a", "b"], initial_value=None)
+    vector = initial_vector(["a", "b"])
     assert set(vector) == {"a", "b"}
     assert all(segment.seq == 0 and segment.value is None for segment in vector.values())
 

@@ -225,6 +225,14 @@ DELETED_STUDY_COPIES = (
 #: completions now), and the run knob nobody set.
 DELETED_RESOLVE_CHAIN = (r"\bclass DeferredInvocation\b", r"\bon_resolve\b", r"\bmax_events\b")
 
+#: The quorum-access counters nothing read, the generators that only wrapped
+#: ``_quorum_get`` / ``_quorum_set``, and the one-spec runner entry
+#: (``run_sharded([spec], ...)[0]`` is the one path).
+DELETED_UNREAD_PROTOCOL_STATE = (
+    r"\bcompleted_gets\b", r"\bcompleted_sets\b", r"\b_tracked_get\b", r"\b_tracked_set\b",
+    r"def run\(self, spec",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -260,6 +268,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_TEST_ONLY
             + DELETED_STUDY_COPIES
             + DELETED_RESOLVE_CHAIN
+            + DELETED_UNREAD_PROTOCOL_STATE
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
@@ -537,6 +546,9 @@ def test_removed_selectors_are_gone_from_the_api():
         api.discover, api.discovery_report, api.watch_quorums, recertify_delta, watch_deltas,
     ):
         assert "algorithm" not in inspect.signature(function).parameters, function
+    # Only ``discover_gqs`` (which benchmarks time unvalidated) skips validation.
+    for function in (api.discover, api.discovery_report):
+        assert "validate" not in inspect.signature(function).parameters, function
     with pytest.raises(ValueError, match="unknown discovery algorithm 'naive'"):
         discover_gqs(builtin_fail_prone_system("figure1"), algorithm="naive")
     assert "symmetry" not in inspect.signature(FailProneSystem).parameters
@@ -746,6 +758,27 @@ def test_process_factories_are_partials_of_the_protocol_classes():
         assert isinstance(factory, functools.partial) and factory.func is process_class
         params.pop("classical", None)
         assert {k: v for k, v in factory.keywords.items() if k in params} == params
+
+
+def test_protocol_constructors_take_exactly_their_schema():
+    """A constructor knob no scenario can set is a constant: each built-in
+    protocol class takes the keywords its registry schema declares, beside what
+    the factory fills in, and the ABD baseline behind ``classical`` takes none."""
+    import inspect
+
+    from repro.experiments import build_protocol_factory
+    from repro.registry import PROTOCOLS
+
+    gqs = discover_gqs(builtin_fail_prone_system("figure1")).quorum_system
+
+    def knobs(kind, params=None):
+        process_class = build_protocol_factory(kind, gqs, params).func
+        taken = set(inspect.signature(process_class).parameters)
+        return taken - {"pid", "network", "quorum_system", "process_ids"}
+
+    for kind in ("register", "snapshot", "lattice", "consensus", "paxos"):
+        assert knobs(kind) == set(PROTOCOLS.get(kind).params) - {"classical"}, kind
+    assert knobs("register", {"classical": True}) == set()
 
 
 def test_protocol_defaults_are_written_once():
