@@ -107,6 +107,10 @@ def _process_factory(process_class):
 def _register_protocol_factory(quorum_system: GeneralizedQuorumSystem, params: Mapping[str, Any]):
     params = dict(params)
     if params.pop("classical", False):  # the ABD baseline has no push period and no relay
+        if params:
+            raise ValueError(
+                "classical ABD takes no {}".format(" or ".join(map(repr, sorted(params))))
+            )
         return functools.partial(ClassicalABDRegister, quorum_system=quorum_system)
     return functools.partial(GQSRegister, quorum_system=quorum_system, **params)
 

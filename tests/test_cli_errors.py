@@ -278,6 +278,24 @@ def test_schedule_setting_an_unknown_protocol_knob_is_one_error_line(capsys, tmp
     )
 
 
+def test_schedule_setting_a_knob_beside_classical_is_one_error_line(capsys, tmp_path):
+    """A register schedule with ``classical`` and ``push_interval`` used to run
+    classical ABD and drop the push period without a word."""
+    import json
+
+    from repro.nemesis import identity_schedule
+    from repro.scenarios import get_scenario
+
+    data = identity_schedule(get_scenario("unidirectional-ring"), 7).to_dict()
+    data["base"]["protocol"]["params"] = {"classical": True, "push_interval": 0.25}
+    path = tmp_path / "classical.schedule.json"
+    path.write_text(json.dumps(data))
+    assert main(["nemesis", "replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: protocol 'register': classical ABD takes no 'push_interval'\n"
+
+
 #: One line of 100 000 nested lists: deeper than the JSON decoder recurses.
 DEEP_JSON = "[" * 100000 + "]" * 100000
 

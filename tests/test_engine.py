@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -23,6 +28,8 @@ from repro.engine import (
     spawn_seeds,
 )
 from repro.errors import ReproError
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # ---------------------------------------------------------------------- #
@@ -85,6 +92,11 @@ def test_spec_name_salts_shard_seeds():
 # ---------------------------------------------------------------------- #
 # Runner
 # ---------------------------------------------------------------------- #
+#: Each parallel test below runs under both start methods: fork passes the
+#: workers their arguments in memory, spawn pickles them once per worker.
+START_METHODS = ["fork", "spawn"]
+
+
 def _square(value):
     """Top-level task so multiprocessing workers can pickle it."""
     return value * value
@@ -118,6 +130,20 @@ def _fail_second_shard(spec, shard):
     return {"samples": shard.samples, "seed": shard.seed}
 
 
+def _fail_slowly_on_two_and_at_once_on_five(value):
+    if value == 2:
+        time.sleep(0.2)
+        raise ValueError("item 2")
+    if value == 5:
+        raise ValueError("item 5")
+    return value
+
+
+def _sleep(value):
+    time.sleep(0.05)
+    return value
+
+
 def test_resolve_jobs():
     assert resolve_jobs(None) == 1
     assert resolve_jobs(1) == 1
@@ -139,11 +165,12 @@ def test_map_serial_fallback_for_single_item():
     assert runner.last_mode == "serial"
 
 
-def test_map_parallel_preserves_order():
-    runner = ParallelRunner(jobs=2)
+@pytest.mark.parametrize("method", START_METHODS)
+def test_map_parallel_preserves_order(method):
+    runner = ParallelRunner(jobs=2, mp_context=multiprocessing.get_context(method))
     items = list(range(20))
     assert runner.map(_square, items) == [i * i for i in items]
-    assert runner.last_mode in ("parallel", "serial")  # serial on fork-less platforms
+    assert runner.last_mode == "parallel"
 
 
 def test_progress_reports_every_shard():
@@ -151,6 +178,18 @@ def test_progress_reports_every_shard():
     runner = ParallelRunner(jobs=1, progress=lambda done, total: seen.append((done, total)))
     runner.map(_square, [1, 2, 3])
     assert seen == [(1, 3), (2, 3), (3, 3)]
+
+
+def test_progress_at_two_jobs_makes_the_serial_calls():
+    """Results arrive in completion order, but progress follows the contiguous
+    prefix of completed items: the same calls as the serial loop."""
+    calls = {}
+    for jobs in (1, 2):
+        seen = calls[jobs] = []
+        ParallelRunner(jobs=jobs, progress=lambda done, total: seen.append((done, total))).map(
+            _square, range(12)
+        )
+    assert calls[2] == calls[1] == [(done, 12) for done in range(1, 13)]
 
 
 def test_run_sharded_merges_in_shard_order():
@@ -165,31 +204,64 @@ def test_run_sharded_merges_in_shard_order():
         assert merged[0]["seeds"] == tuple(s.seed for s in specs[0].shards())
 
 
-def test_task_oserror_fails_the_run_instead_of_restarting_it_serially(tmp_path):
-    """Only pool *creation* may fall back to the serial loop: an OSError raised
-    by a task used to be mistaken for a platform without process support."""
+@pytest.mark.parametrize("method", START_METHODS)
+def test_task_oserror_fails_the_run_instead_of_restarting_it_serially(tmp_path, method):
+    """Only the set-up of the workers may fall back to the serial loop: an
+    OSError raised by a task used to be mistaken for a platform without
+    process support."""
     log = tmp_path / "calls.log"
     seen = []
-    runner = ParallelRunner(jobs=2, progress=lambda done, total: seen.append(done))
+    runner = ParallelRunner(
+        jobs=2,
+        progress=lambda done, total: seen.append(done),
+        mp_context=multiprocessing.get_context(method),
+    )
     with pytest.raises(OSError, match="disk full on item 3"):
         runner.map(functools.partial(_log_then_fail_on_three, str(log)), list(range(8)))
     assert runner.last_mode == "parallel"
     calls = log.read_text().split()
     assert len(calls) == len(set(calls)) <= 8, calls  # no item ran twice
-    assert seen == sorted(set(seen)) and 4 not in seen, seen  # progress never restarted
+    assert seen == list(range(1, len(seen) + 1)) and len(seen) <= 3, seen  # never past item 3
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_failing_shard_surfaces_as_attributed_repro_error(jobs):
+@pytest.mark.parametrize("jobs, method", [(1, None), (2, "fork"), (2, "spawn")])
+def test_failing_shard_surfaces_as_attributed_repro_error(jobs, method):
     spec = ExperimentSpec(name="boom", samples=25, seed=9, chunk_size=10)
+    context = multiprocessing.get_context(method) if method else None
     with pytest.raises(ReproError) as excinfo:
-        ParallelRunner(jobs=jobs).run_sharded([spec], _fail_second_shard, _merge_counts)
+        ParallelRunner(jobs=jobs, mp_context=context).run_sharded(
+            [spec], _fail_second_shard, _merge_counts
+        )
     assert str(excinfo.value) == (
         "shard 1 of experiment 'boom' (derived seed {}) failed: "
         "OSError: cannot write shard 1".format(spec.shards()[1].seed)
     )
     assert isinstance(excinfo.value.__cause__, OSError)
     assert str(excinfo.value.__cause__) == "cannot write shard 1"
+
+
+def test_the_lowest_failing_position_wins_whatever_fails_first():
+    """Item 5 fails at once while item 2 is still running: the run waits for
+    item 2 and raises its error, as the serial loop would."""
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="^item 2$"):
+            ParallelRunner(jobs=jobs).map(_fail_slowly_on_two_and_at_once_on_five, range(8))
+
+
+def test_more_workers_than_cores_claim_every_item_once():
+    """A lost update of the shared claim counter would hand one item to two
+    workers (``answered twice``) or skip one (``never answered``)."""
+    items = list(range(300))
+    assert ParallelRunner(jobs=4).map(_square, items) == [i * i for i in items]
+
+
+def test_an_interrupt_in_the_parent_kills_and_joins_every_worker():
+    def interrupt(done, total):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        ParallelRunner(jobs=2, progress=interrupt).map(_sleep, range(20))
+    assert multiprocessing.active_children() == []
 
 
 def test_run_single_spec():
@@ -199,89 +271,233 @@ def test_run_single_spec():
 
 
 # ---------------------------------------------------------------------- #
-# Routing: a result that arrives at another item's position is refused
+# A worker that dies or cannot answer ends the run instead of hanging it
 # ---------------------------------------------------------------------- #
-class _PermutingPool:
-    """A stand-in worker pool whose ``imap`` runs every task, then hands the
-    results back in ``order`` (positions into the submitted items)."""
+DYING_WORKER_SCRIPT = """
+import os
+import signal
+import sys
+import threading
 
-    def __init__(self, order):
-        self.order = order
+from repro.engine import ExperimentSpec, ParallelRunner
+from repro.errors import ReproError
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def kill_on_three(value):
+    if value == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value
 
-    def imap(self, task, entries):
-        results = [task(entry) for entry in entries]
-        return iter([results[i] for i in self.order(len(results))])
+
+def kill_on_shard_two(spec, shard):
+    if shard.index == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return shard.samples
+
+
+def lock_on_three(value):
+    return threading.Lock() if value == 3 else value
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, first, second):
+        super().__init__("{}/{}".format(first, second))
+
+
+def raise_on_three(value):
+    if value == 3:
+        raise TwoArgumentError(value, "x")
+    return value
+
+
+if __name__ == "__main__":
+    case = sys.argv[1]
+    try:
+        if case == "map-kill":
+            ParallelRunner(jobs=2).map(kill_on_three, range(8))
+        elif case == "sharded-kill":
+            spec = ExperimentSpec(name="doomed", samples=40, seed=9, chunk_size=10)
+            ParallelRunner(jobs=2).run_sharded([spec], kill_on_shard_two, lambda spec, rs: rs)
+        elif case == "unpicklable":
+            ParallelRunner(jobs=2).map(lock_on_three, range(8))
+        else:
+            ParallelRunner(jobs=2).map(raise_on_three, range(8))
+    except ReproError as error:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            print("a child process is left")
+        except ChildProcessError:
+            print("no child process is left")
+        print("{}: {}".format(type(error).__name__, error), file=sys.stderr)
+        sys.exit(1)
+    print("the run succeeded")
+"""
+
+
+def _dying_worker(case, tmp_path):
+    path = tmp_path / "dying_worker.py"
+    path.write_text(DYING_WORKER_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+    # The timeout is the regression's bound: a worker death used to hang the
+    # parent forever.
+    return subprocess.run(
+        [sys.executable, str(path), case], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_a_killed_worker_ends_the_map_naming_its_item(tmp_path):
+    result = _dying_worker("map-kill", tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1,
+        "no child process is left\n",
+        "ReproError: work item 3 of 8: its worker process exited with code -9\n",
+    )
+
+
+def test_a_killed_worker_is_blamed_on_its_shard_and_derived_seed(tmp_path):
+    seed = ExperimentSpec(name="doomed", samples=40, seed=9, chunk_size=10).shards()[2].seed
+    result = _dying_worker("sharded-kill", tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1,
+        "no child process is left\n",
+        "ReproError: shard 2 of experiment 'doomed' (derived seed {}) failed: ReproError: "
+        "work item 2 of 4: its worker process exited with code -9\n".format(seed),
+    )
+
+
+def test_an_unpicklable_result_ends_the_run_naming_its_item(tmp_path):
+    result = _dying_worker("unpicklable", tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1,
+        "no child process is left\n",
+        "ReproError: work item 3 of 8: its result cannot be sent back: TypeError: "
+        "cannot pickle '_thread.lock' object\n",
+    )
+
+
+def test_an_exception_that_cannot_rebuild_ends_the_run_naming_its_item(tmp_path):
+    """Unpickling it in the parent fails (its constructor takes two arguments):
+    the worker pool this runner replaced hung on that for ever."""
+    result = _dying_worker("unrebuildable", tmp_path)
+    assert (result.returncode, result.stdout) == (1, "no child process is left\n")
+    assert result.stderr.startswith(
+        "ReproError: work item 3 of 8: its exception TwoArgumentError: 3/x cannot be sent "
+        "back: TypeError: "
+    )
+    assert result.stderr.endswith("missing 1 required positional argument: 'second'\n")
+
+
+# ---------------------------------------------------------------------- #
+# Routing: each result is placed by its tag, and a tag that cannot be placed
+# ends the run
+# ---------------------------------------------------------------------- #
+def _tags(*tags):
+    return lambda count: list(tags)
 
 
 def _swap(first, second):
-    def order(count):
+    def tags(count):
         positions = list(range(count))
         positions[first], positions[second] = positions[second], positions[first]
         return positions
 
-    return order
+    return tags
 
 
 @pytest.fixture
-def permuted(monkeypatch):
-    """``permuted(order)``: every parallel run in the test collects in ``order``."""
+def arrivals(monkeypatch):
+    """``arrivals(tags)``: every parallel run in the test runs its tasks in
+    process, then receives one result per entry of ``tags(count)``, tagged
+    with that entry and in that order — a stand-in for the workers' result
+    streams that can permute, repeat, invent or lose tags."""
 
-    def install(order):
-        monkeypatch.setattr(ParallelRunner, "_open_pool", lambda self, tasks: _PermutingPool(order))
+    def install(tags):
+        def open_stream(self, task, work):
+            outcomes = [(tag, True, task(work[tag % len(work)])) for tag in tags(len(work))]
+            return (outcome for outcome in outcomes)
+
+        monkeypatch.setattr(ParallelRunner, "_open_stream", open_stream)
 
     return install
 
 
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_map_places_every_permutation_of_arrivals_by_tag(arrivals, order):
+    arrivals(lambda count: list(order))
+    seen = []
+    runner = ParallelRunner(jobs=2, progress=lambda done, total: seen.append((done, total)))
+    assert runner.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
+    assert runner.last_mode == "parallel"
+    assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+
 @pytest.mark.parametrize(
-    "order", [p for p in itertools.permutations(range(3)) if p != (0, 1, 2)]
+    "tags, message",
+    [
+        ((0, 1, 1, 2), "work item 1 of 3 was answered twice"),
+        ((0, 3, 1, 2), "a result tagged 3 arrived for work items 0-2"),
+        ((-1, 0, 1, 2), "a result tagged -1 arrived for work items 0-2"),
+        ((0, 2), "work item 1 of 3 was never answered"),
+    ],
+    ids=["repeated", "past-the-end", "negative", "unanswered"],
 )
-def test_map_refuses_every_permutation_of_its_results(permuted, order):
-    permuted(lambda count: list(order))
-    first = next(i for i, tag in enumerate(order) if tag != i)
+def test_map_refuses_a_tag_it_cannot_place(arrivals, tags, message):
+    arrivals(_tags(*tags))
     with pytest.raises(ReproError) as excinfo:
         ParallelRunner(jobs=2).map(_square, [1, 2, 3])
-    assert str(excinfo.value) == (
-        "mis-routed result: the result of work item {} arrived where item {} of 3 "
-        "was due".format(order[first], first)
-    )
+    assert str(excinfo.value) == "mis-routed result: " + message
 
 
-def test_run_sharded_refuses_a_swap_inside_one_monte_carlo_grid_point(permuted, figure1_gqs):
-    """Two shards of one grid point swapped: the per-study guards compared grid
-    parameters and let it through; the position tags do not."""
+def _shard_results(spec, shard_results):
+    return shard_results
+
+
+def test_run_sharded_places_a_swap_inside_one_monte_carlo_grid_point(arrivals, figure1_gqs):
+    """The study's merge sums its shards, so a swap would not show in it: the
+    merge here hands back the shard results as ``run_sharded`` ordered them."""
     from repro.montecarlo.reliability import RELIABILITY
 
-    permuted(_swap(0, 1))
+    (spec,) = RELIABILITY.specs((0.2,), 32, 5, 16, quorum_system=figure1_gqs, crash_prob=0.1)
+    (serial,) = ParallelRunner(jobs=1).run_sharded([spec], RELIABILITY.shard, _shard_results)
+    assert serial[0] != serial[1]
+    arrivals(_swap(0, 1))
+    (swapped,) = ParallelRunner(jobs=2).run_sharded([spec], RELIABILITY.shard, _shard_results)
+    assert swapped == serial
+
+
+def test_run_sharded_blames_a_repeated_tag_on_its_shard(arrivals, figure1_gqs):
+    from repro.montecarlo.reliability import RELIABILITY
+
+    arrivals(_tags(0, 0, 1))
     (spec,) = RELIABILITY.specs((0.2,), 32, 5, 16, quorum_system=figure1_gqs, crash_prob=0.1)
     with pytest.raises(ReproError) as excinfo:
         ParallelRunner(jobs=2).run_sharded([spec], RELIABILITY.shard, RELIABILITY.merge)
     assert str(excinfo.value) == (
         "shard 0 of experiment 'reliability' (derived seed {}) failed: ReproError: "
-        "mis-routed result: the result of work item 1 arrived where item 0 of 2 "
-        "was due".format(spec.shards()[0].seed)
+        "mis-routed result: work item 0 of 2 was answered twice".format(spec.shards()[0].seed)
     )
 
 
-def test_run_sharded_refuses_a_swap_across_monte_carlo_grid_points(permuted):
+def test_run_sharded_places_a_swap_across_monte_carlo_grid_points(arrivals):
     from repro.montecarlo import admissibility_sweep
 
-    permuted(_swap(1, 2))
-    with pytest.raises(ReproError, match="shard 1 of experiment 'admissibility'.*mis-routed"):
-        admissibility_sweep(disconnect_probs=(0.0, 0.4), n=4, samples=32, chunk_size=16, jobs=2)
+    kwargs = dict(disconnect_probs=(0.0, 0.4), n=4, samples=32, chunk_size=16, jobs=2)
+    serial = admissibility_sweep(**dict(kwargs, jobs=1))
+    arrivals(_swap(1, 2))
+    assert admissibility_sweep(**kwargs) == serial
 
 
-def test_run_sharded_refuses_a_swap_between_scenario_runs(permuted):
-    """Scenario sweeps had no guard: swapped runs were merged as given."""
+def test_run_sharded_blames_an_unanswered_scenario_run_on_its_shard(arrivals):
     from repro.scenarios import run_scenario
 
-    permuted(_swap(0, 1))
-    with pytest.raises(ReproError, match="shard 0 of experiment 'scenario/unidirectional-ring'.*mis-routed"):
+    serial = run_scenario("unidirectional-ring", runs=2, seed=7, jobs=1)
+    arrivals(_swap(0, 1))
+    assert run_scenario("unidirectional-ring", runs=2, seed=7, jobs=2).to_dict() == serial.to_dict()
+    arrivals(_tags(1))
+    with pytest.raises(
+        ReproError,
+        match=r"shard 0 of experiment 'scenario/unidirectional-ring'.*never answered",
+    ):
         run_scenario("unidirectional-ring", runs=2, seed=7, jobs=2)
 
 

@@ -67,6 +67,23 @@ def test_overhead_comparison_shows_extra_messages(threshold_3_1):
     assert bool(check_register_linearizability(gqs.history, initial_value=0))
 
 
+@pytest.mark.parametrize(
+    "knobs, named",
+    [
+        ({"push_interval": 0.25, "relay": False}, "'push_interval' or 'relay'"),
+        ({"relay": True}, "'relay'"),
+    ],
+)
+def test_classical_register_refuses_the_gqs_register_knobs(figure1_gqs, knobs, named):
+    """They used to be dropped without a word: the run measured a knob that
+    never reached a process."""
+    from repro.errors import ReproError
+
+    with pytest.raises(ReproError) as excinfo:
+        run_workload("register", figure1_gqs, protocol_params=dict(knobs, classical=True))
+    assert str(excinfo.value) == "protocol 'register': classical ABD takes no " + named
+
+
 def test_snapshot_and_lattice_workloads_complete(figure1_gqs):
     snapshot = run_workload("snapshot", figure1_gqs, pattern=None, ops_per_process=1, seed=5)
     lattice = run_workload("lattice", figure1_gqs, pattern=None, seed=5)

@@ -233,6 +233,11 @@ DELETED_UNREAD_PROTOCOL_STATE = (
     r"def run\(self, spec",
 )
 
+#: The worker pool the self-scheduling runner replaced: the pool itself, its
+#: ordered collection, the worker-side tagging trampoline and the stand-in
+#: pool the routing tests used, so the old path cannot return beside the new.
+DELETED_POOL_PATH = (r"\.Pool\(", r"\bimap\b", r"def _tagged", r"\b_PermutingPool\b")
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -269,6 +274,7 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_STUDY_COPIES
             + DELETED_RESOLVE_CHAIN
             + DELETED_UNREAD_PROTOCOL_STATE
+            + DELETED_POOL_PATH
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
