@@ -423,7 +423,7 @@ def execute_workload(
         cluster.invoke_at(inv.at, inv.pid, inv.method, *inv.args)
     # The cluster counts completions, so the run stops at exactly the event
     # that completes the last planned operation.
-    cluster.run(max_time=max_time, stop_when=lambda: cluster.completed >= len(schedule))
+    cluster.run(max_time=max_time, until_completed=len(schedule))
     completed = cluster.completed == len(schedule)
     history = cluster.history()
     return WorkloadResult(

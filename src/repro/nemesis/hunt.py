@@ -454,7 +454,7 @@ def replay_schedule_file(path: str) -> Dict[str, Any]:
     system = ingress.attributed(path, build_topology, schedule.base)
     quorum_system = ingress.attributed(path, build_quorum_system, schedule.base, system)
     declared = tuple(system.patterns)
-    outcome = evaluate_schedule(schedule, quorum_system, declared)
+    outcome = ingress.attributed(path, evaluate_schedule, schedule, quorum_system, declared)
     replayed = {
         "schedule": path,
         "scenario": schedule.base.name,

@@ -274,21 +274,26 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
             self._record_response(self._set_responses, message.seq, sender, message.clock)
 
     # -- internal wait helpers ---------------------------------------------- #
+    # The probes below run at every poll of a waiting operation, so they
+    # loop in place: no generator frame or throw-away dict per evaluation.
     def _write_quorum_clock_cutoff(self, responses: Dict[ProcessId, int]) -> Any:
         """The max clock over the first write quorum fully covered by ``responses``."""
-        covered = self._first_complete_quorum(self.write_quorums, responses)
-        if covered is None:
-            return NOT_READY
-        return max(covered.values())
+        have = responses.keys()
+        for quorum in self.write_quorums:
+            if have >= quorum:
+                return max(map(responses.__getitem__, quorum))
+        return NOT_READY
 
-    def _read_quorum_states_at(self, cutoff: int) -> Any:
-        """States of the first read quorum whose pushes all carry clocks ``>= cutoff``."""
+    def _fresh_read_quorum(self, cutoff: int) -> Any:
+        """The first read quorum whose pushes all carry clocks ``>= cutoff``."""
+        latest = self._latest_push
         for quorum in self.read_quorums:
-            if all(
-                member in self._latest_push and self._latest_push[member][1] >= cutoff
-                for member in quorum
-            ):
-                return {member: self._latest_push[member][0] for member in quorum}
+            for member in quorum:
+                push = latest.get(member)
+                if push is None or push[1] < cutoff:
+                    break
+            else:
+                return quorum
         return NOT_READY
 
     # -- quorum_get (Figure 3, lines 3-9) ------------------------------------ #
@@ -303,11 +308,11 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
             "CLOCK_RESP from a write quorum",
         )
         del self._clock_responses[seq]
-        states = yield self.wait_for(
-            lambda: self._read_quorum_states_at(cutoff),
+        quorum = yield self.wait_for(
+            lambda: self._fresh_read_quorum(cutoff),
             "fresh GET_RESP pushes from a read quorum",
         )
-        return states
+        return {member: self._latest_push[member][0] for member in quorum}
 
     # -- quorum_set (Figure 3, lines 15-20) ----------------------------------- #
     def _quorum_set(self, update: UpdateFunction) -> Generator:
@@ -322,7 +327,7 @@ class GeneralizedQuorumAccessProcess(QuorumAccessProcess):
         )
         del self._set_responses[seq]
         yield self.wait_for(
-            lambda: None if self._read_quorum_states_at(c_set) is not NOT_READY else NOT_READY,
+            lambda: self._fresh_read_quorum(c_set),
             "read-quorum clocks past c_set",
         )
         return None

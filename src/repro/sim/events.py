@@ -11,7 +11,7 @@ Hot path
 Message-heavy simulations execute one event per queued message, so the
 per-event constant factor of the scheduler dominates whole protocol workloads.
 (The network queues no relay copy that can only arrive second at its
-receiver — see :meth:`repro.sim.Network.broadcast` — which keeps about three
+receiver — see :meth:`repro.sim.Network.relay` — which keeps about three
 quarters of a relaying run's copies out of this queue.)  The queue is built to
 keep that constant small:
 
@@ -33,7 +33,12 @@ keep that constant small:
   (:meth:`EventScheduler.pending` is O(1) instead of an O(queue) rescan) and
   the heap is rebuilt without them once they exceed half of it, so a crash
   that cancels long timers does not leave their corpses occupying the heap
-  until their scheduled time.
+  until their scheduled time;
+* **a stop flag, not a predicate** — :meth:`EventScheduler.stop` ends the
+  running :meth:`~EventScheduler.run` after the event in progress, so the loop
+  tests one attribute per event instead of calling back into the caller;
+* **a clock field** — :attr:`EventScheduler.now` is a plain attribute, so the
+  network and the processes read the time without a property frame.
 
 The scheduler this one replaced — a single heap of ``Event`` objects with a
 Python-level ordering method — lives on as ``tests/oracles/sim.py``, queueing
@@ -90,20 +95,17 @@ class EventScheduler:
     def __init__(self) -> None:
         self._queue: List[_Entry] = []
         self._fifo: Deque[_Entry] = deque()
-        self._now = 0.0
+        #: Current simulated time (read it; only :meth:`run` moves it).
+        self.now = 0.0
         self._counter = itertools.count()
         self._events_processed = 0
         self._live = 0
         self._heap_cancelled = 0
+        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events executed so far."""
@@ -111,10 +113,10 @@ class EventScheduler:
 
     def schedule_at(self, time: float, callback: EventCallback) -> Event:
         """Schedule ``callback`` to run at absolute simulated time ``time``."""
-        if not time >= self._now:  # also refuses NaN, which compares false with anything
+        if not time >= self.now:  # also refuses NaN, which compares false with anything
             raise SimulationError(
                 "cannot schedule an event in the past (now={}, requested={})".format(
-                    self._now, time
+                    self.now, time
                 )
             )
         seq = next(self._counter)
@@ -127,7 +129,7 @@ class EventScheduler:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if not delay >= 0:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_delivery(
         self, delay: float, fifo: bool, callback: Callable[[Any, Any, Any], None],
@@ -142,8 +144,8 @@ class EventScheduler:
         :attr:`~repro.sim.DelayModel.preserves_fifo` contract); an out-of-order
         time falls back to the heap, so a misdeclared delay model stays correct.
         """
-        time = self._now + delay
-        if not time >= self._now:
+        time = self.now + delay
+        if not time >= self.now:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
         entry = (time, next(self._counter), callback, None, sender, target, message)
         if fifo and not (self._fifo and time < self._fifo[-1][0]):
@@ -174,17 +176,18 @@ class EventScheduler:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(
-        self, max_time: Optional[float] = None, stop_when: Optional[Callable[[], bool]] = None
-    ) -> None:
-        """Run events in order until a stopping condition is met.
+    def stop(self) -> None:
+        """End the running :meth:`run` once the event in progress returns.
 
-        Stops when the queue empties, when simulated time would exceed
-        ``max_time``, or when ``stop_when()`` becomes true (checked after every
-        event).
+        Outside a run it does nothing: every :meth:`run` starts unstopped.
         """
-        if stop_when is not None and stop_when():
-            return
+        self._stopped = True
+
+    def run(self, max_time: Optional[float] = None) -> None:
+        """Run events in order until the queue empties, until simulated time
+        would exceed ``max_time``, or until an event calls :meth:`stop`."""
+        self._stopped = False
+        limit = float("inf") if max_time is None else max_time
         queue = self._queue
         fifo = self._fifo
         heappop = heapq.heappop
@@ -207,10 +210,10 @@ class EventScheduler:
             else:
                 return
             time = entry[0]
-            if max_time is not None and time > max_time:
-                self._now = max_time
+            if time > limit:
+                self.now = max_time
                 return
-            self._now = time
+            self.now = time
             self._events_processed += 1
             self._live -= 1
             if from_fifo:
@@ -223,5 +226,5 @@ class EventScheduler:
             else:
                 handle._scheduler = None  # fired: cancel() is a no-op now
                 entry[2]()
-            if stop_when is not None and stop_when():
+            if self._stopped:
                 return

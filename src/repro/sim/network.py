@@ -19,11 +19,12 @@ happen at any simulated time, so experiments can explore failures at start-up
 as well as mid-execution.
 
 A broadcast walks the sender's cached fan-out (its live channels in
-registration order, plus a count of the dropped ones).  Relay forwarding goes
-through it with the envelope's key, and a copy that cannot arrive first — its
-receiver has seen that key, or holds an earlier-arriving copy of it — is
-counted and given a delay like any other but never queued: it could only be
-discarded on arrival (see :meth:`Network._fan_out`).
+registration order, plus a count of the dropped ones).  Relaying has one
+forwarder, :meth:`Network.relay`, for an envelope a process originates and
+one it receives first alike: it walks the same fan-out, and a copy that
+cannot arrive first — its receiver has seen the envelope, or holds an
+earlier-arriving copy of it — is counted and given a delay like any other but
+never queued: it could only be discarded on arrival.
 """
 
 from __future__ import annotations
@@ -39,10 +40,13 @@ from .delays import DelayModel, FixedDelay
 from .events import EventScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .process import Process
+    from .process import Process, RelayEnvelope
 
 #: The due time of a key no copy has been queued for: any arrival beats it.
 _UNQUEUED = float("inf")
+
+#: The due time of a key the process has seen: below any arrival time.
+_SEEN = -1.0
 
 
 @dataclass
@@ -213,18 +217,14 @@ class Network:
                 self._deliver, sender, target, message,
             )
 
-    def broadcast(
-        self, sender: ProcessId, message: Any, include_self: bool = True, seen_key: Any = None
-    ) -> None:
+    def broadcast(self, sender: ProcessId, message: Any, include_self: bool = True) -> None:
         """Send ``message`` from ``sender`` to every process (optionally itself).
 
         Message for message this is :meth:`send` per receiver in registration
         order — the self-copy delivered synchronously at the sender's position
         (its handler may send, drawing delays), no delay drawn for a dropped
         message — over the sender's cached fan-out, counters added once per
-        segment.  Relay forwarding passes the envelope's key as ``seen_key``:
-        a copy that cannot arrive first at its receiver is counted and draws
-        its delay but is not queued (see :meth:`_fan_out`).
+        segment.
         """
         fanout = self._fanouts.get(sender)
         if fanout is None:
@@ -239,10 +239,10 @@ class Network:
             return
         copies, dropped, split, dropped_before = fanout
         if not include_self:
-            self._fan_out(sender, message, copies, dropped, seen_key)
+            self._fan_out(sender, message, copies, dropped)
             return
         # The self-copy counts as sent at its position, before its handler runs.
-        self._fan_out(sender, message, copies[:split], dropped_before, seen_key, self_copy=True)
+        self._fan_out(sender, message, copies[:split], dropped_before, self_copy=True)
         self._deliver(sender, self._processes[sender], message)
         # Protocol code just ran: it may have crashed its own process or cut
         # one of its channels.
@@ -252,7 +252,7 @@ class Network:
         if sender in self._crashed:
             self.stats.messages_dropped_crashed += len(copies) - split + dropped - dropped_before
         else:
-            self._fan_out(sender, message, copies[split:], dropped - dropped_before, seen_key)
+            self._fan_out(sender, message, copies[split:], dropped - dropped_before)
 
     def _build_fanout(self, sender: ProcessId) -> tuple:
         """Build and cache ``sender``'s fan-out ``(copies, dropped, split,
@@ -281,23 +281,11 @@ class Network:
         return fanout
 
     def _fan_out(
-        self, sender: ProcessId, message: Any, copies: tuple, dropped: int, seen_key: Any,
+        self, sender: ProcessId, message: Any, copies: tuple, dropped: int,
         self_copy: bool = False,
     ) -> None:
-        """Count the copies, the ``dropped`` ones and the self-copy as sent, and
-        draw one delay per copy, queueing it unless it cannot arrive first.
-
-        A relaying receiver keeps ``_relay_due``: per key, the earliest arrival
-        time of a copy queued to it, or ``-1.0`` once it has seen the key.  A
-        copy arriving no earlier than that is counted, not queued: it would
-        land after a copy that delivers the key first (a tie fires the
-        earlier-queued copy first), or after a crash that drops both, and
-        :meth:`Process.deliver` returns on a seen key before any protocol code
-        or wait polling runs.  A non-relaying receiver records nothing and
-        gets every copy.  Every delay is still drawn, so the delay model's
-        draws (and a :class:`~repro.sim.ScheduleOverride`'s per-channel send
-        indices) are those of a run that queues every copy.
-        """
+        """Count the copies, the ``dropped`` ones and the self-copy as sent,
+        and queue each copy with its own delay."""
         sent = len(copies) + dropped + self_copy
         stats = self.stats
         if sent:
@@ -305,30 +293,63 @@ class Network:
             per_sent = stats.per_process_sent
             per_sent[sender] = per_sent.get(sender, 0) + sent
         stats.messages_dropped_channel += dropped
-        if not copies:
-            return
         schedule_delivery = self.scheduler.schedule_delivery
         now = self.scheduler.now
         delay = self.delay_model.delay
         fifo = self.delay_model.preserves_fifo
         deliver = self._deliver
-        if seen_key is None:
-            for target, channel in copies:
-                schedule_delivery(delay(channel, now), fifo, deliver, sender, target, message)
-            return
+        for target, channel in copies:
+            schedule_delivery(delay(channel, now), fifo, deliver, sender, target, message)
+
+    def relay(self, process: "Process", envelope: "RelayEnvelope") -> bool:
+        """Forward ``envelope`` from the relaying ``process`` to every other
+        process, unless ``process`` has seen it; returns whether it had not.
+
+        The one relay forwarder, for envelopes a process originates and
+        receives alike: :meth:`broadcast` without the self-copy, except that
+        a copy arriving no earlier than its receiver's ``_relay_due`` entry
+        (the earliest arrival of a copy queued there, or ``-1.0`` once seen)
+        is counted, not queued.  It would land after a copy that delivers the
+        key first (a tie fires the earlier-queued copy first), or after a
+        crash that drops both, and be discarded here on arrival.  A
+        non-relaying receiver records nothing and gets every copy.  Every
+        delay is still drawn, so the delay model's draws (and a
+        :class:`~repro.sim.ScheduleOverride`'s send indices) are those of a
+        run that queues every copy.
+        """
+        key = envelope.key
+        seen = process._relay_due
+        if seen.get(key) == _SEEN:
+            return False
+        seen[key] = _SEEN
+        sender = process.pid
+        copies, dropped, _, _ = self._fanouts.get(sender) or self._build_fanout(sender)
+        sent = len(copies) + dropped
+        stats = self.stats
+        if sent:
+            stats.messages_sent += sent
+            per_sent = stats.per_process_sent
+            per_sent[sender] = per_sent.get(sender, 0) + sent
+        stats.messages_dropped_channel += dropped
+        schedule_delivery = self.scheduler.schedule_delivery
+        now = self.scheduler.now
+        delay = self.delay_model.delay
+        fifo = self.delay_model.preserves_fifo
+        deliver = self._deliver
         elided = 0
         for target, channel in copies:
             latency = delay(channel, now)
             due = target._relay_due
             at = now + latency
             # Written so that a NaN arrival is queued, and refused there.
-            if at >= due.get(seen_key, _UNQUEUED):
+            if at >= due.get(key, _UNQUEUED):
                 elided += 1
                 continue
             if target._relay_enabled:
-                due[seen_key] = at
-            schedule_delivery(latency, fifo, deliver, sender, target, message)
+                due[key] = at
+            schedule_delivery(latency, fifo, deliver, sender, target, envelope)
         stats.relay_duplicates_elided += elided
+        return True
 
     def _deliver(self, sender: ProcessId, target: "Process", message: Any) -> None:
         """Delivery callback: hand ``message`` to ``target`` unless it crashed meanwhile."""
@@ -344,6 +365,6 @@ class Network:
     # ------------------------------------------------------------------ #
     # Execution helpers
     # ------------------------------------------------------------------ #
-    def run(self, max_time: Optional[float] = None, stop_when=None) -> None:
+    def run(self, max_time: Optional[float] = None) -> None:
         """Run the underlying scheduler (see :meth:`EventScheduler.run`)."""
-        self.scheduler.run(max_time=max_time, stop_when=stop_when)
+        self.scheduler.run(max_time=max_time)

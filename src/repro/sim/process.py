@@ -17,6 +17,10 @@ Operations are started with :meth:`Process.start_operation`, which returns an
 :class:`OperationHandle` that records completion and the result — the handles
 double as the raw material for operation histories fed to the linearizability
 checkers.
+
+A relaying process (:meth:`Process.enable_relay`) hands every
+:class:`RelayEnvelope` it originates or receives to the one forwarder,
+:meth:`repro.sim.Network.relay`, which also tells a duplicate from a first.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ from .network import Network
 
 _NOT_READY = object()
 """Sentinel returned by wait-condition probes that are not yet satisfiable."""
-
-_SEEN = -1.0
-"""The ``_relay_due`` entry of a key the process has handled: below any arrival time."""
 
 
 class WaitCondition:
@@ -162,8 +163,8 @@ class Process:
         self._started = False
         self._relay_enabled = False
         self._relay_seq = 0
-        # Relay key -> earliest arrival of a copy queued here, or _SEEN (see
-        # Network._fan_out); written only while relaying is enabled.
+        # Relay key -> earliest arrival of a copy queued here, or -1.0 once
+        # seen (see Network.relay); written only while relaying is enabled.
         self._relay_due: Dict[Any, float] = {}
         network.register(self)
 
@@ -228,43 +229,28 @@ class Process:
         self, destination: Optional[ProcessId], message: Any, include_self: bool = True
     ) -> None:
         self._relay_seq += 1
-        envelope = RelayEnvelope(self.pid, self._relay_seq, destination, message)
-        self._relay_handle(envelope, deliver_to_self=include_self or destination == self.pid)
-
-    def _relay_handle(self, envelope: "RelayEnvelope", deliver_to_self: bool = True) -> bool:
-        """Forward a first-seen envelope; returns whether :meth:`on_message` ran."""
-        self._relay_due[envelope.key] = _SEEN
-        # Forward to every other process; the network drops the copies sent
-        # over disconnected channels and queues none that cannot arrive first.
-        self.network.broadcast(self.pid, envelope, include_self=False, seen_key=envelope.key)
-        targeted_here = envelope.destination is None or envelope.destination == self.pid
-        if targeted_here and deliver_to_self:
-            self.on_message(envelope.origin, envelope.payload)
-            return True
-        return False
+        self.network.relay(self, RelayEnvelope(self.pid, self._relay_seq, destination, message))
+        if destination == self.pid or (destination is None and include_self):
+            self.on_message(self.pid, message)
 
     def deliver(self, sender: ProcessId, message: Any) -> None:
         """Entry point used by the network to hand a message to this process.
 
-        A duplicate relay envelope is recognised first: the network queues a
-        copy only while it can still arrive first, so a duplicate left here
-        was overtaken in flight by a copy sent later.
-        Wait probes are re-evaluated only when the delivery ran protocol code:
+        A relaying process hands an envelope to :meth:`Network.relay` first,
+        which forwards it unless it is a duplicate (one overtaken in flight by
+        a copy sent later: the network queues no other).  Wait probes are re-evaluated only when the delivery ran protocol code:
         a duplicate envelope, or one merely passed on towards another
         destination, changes nothing a probe may read and wakes nothing.
         """
         if self.crashed:
             return
         if isinstance(message, RelayEnvelope):
-            if self._relay_enabled:
-                if self._relay_due.get(message.key) == _SEEN or not self._relay_handle(message):
-                    return
-            elif message.destination is None or message.destination == self.pid:
-                # A non-relaying process still understands envelopes but does
-                # not forward them.
-                self.on_message(message.origin, message.payload)
-            else:
+            if self._relay_enabled and not self.network.relay(self, message):
                 return
+            destination = message.destination
+            if destination is not None and destination != self.pid:
+                return
+            self.on_message(message.origin, message.payload)
         else:
             self.on_message(sender, message)
         if self._waits:
@@ -313,7 +299,7 @@ class Process:
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self.network.now
+        return self.network.scheduler.now
 
     # ------------------------------------------------------------------ #
     # Generator-based operations
@@ -339,7 +325,8 @@ class Process:
                 "operation {!r} invoked on crashed process {!r}".format(kind, self.pid)
             )
         handle = OperationHandle(
-            self.pid, kind, argument, self.now, op_id=self.network.next_op_id()
+            self.pid, kind, argument, self.network.scheduler.now,
+            op_id=self.network.next_op_id(),
         )
         self._advance(generator, handle, None)
         self._check_waits()
@@ -349,7 +336,7 @@ class Process:
         try:
             condition = generator.send(value)
         except StopIteration as stop:
-            handle.complete(stop.value, self.now)
+            handle.complete(stop.value, self.network.scheduler.now)
             return
         if not isinstance(condition, WaitCondition):
             raise SimulationError(

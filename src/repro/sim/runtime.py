@@ -61,6 +61,8 @@ class Cluster:
         self.handles: List[OperationHandle] = []
         #: How many of :attr:`handles` have completed.
         self.completed = 0
+        # The count of completed handles that ends the current run, if any.
+        self._stop_at: Optional[int] = None
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -129,16 +131,23 @@ class Cluster:
 
     def _count_completion(self, _handle: OperationHandle) -> None:
         self.completed += 1
+        if self.completed == self._stop_at:
+            self.network.scheduler.stop()
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(
-        self, max_time: float = 1_000.0, stop_when: Optional[Callable[[], bool]] = None
-    ) -> None:
-        """Run the simulation until ``max_time`` or until ``stop_when()`` holds."""
+    def run(self, max_time: float = 1_000.0, until_completed: Optional[int] = None) -> None:
+        """Run the simulation until ``max_time``, or until :attr:`completed`
+        reaches ``until_completed`` (on the event that gets it there)."""
         self.start()
-        self.network.run(max_time=max_time, stop_when=stop_when)
+        if until_completed is not None and self.completed >= until_completed:
+            return
+        self._stop_at = until_completed
+        try:
+            self.network.run(max_time=max_time)
+        finally:
+            self._stop_at = None
 
     def run_until_done(
         self,
@@ -154,18 +163,32 @@ class Cluster:
         """
         self.start()
         watched = list(self.handles if handles is None else handles)
-        finished: List[OperationHandle] = []
-        for handle in watched:
-            handle.on_complete(finished.append)  # a done handle is appended at once
-        self.network.run(max_time=max_time, stop_when=lambda: len(finished) >= len(watched))
-        if require_completion and len(finished) < len(watched):
+        left = sum(not handle.done for handle in watched)
+        if left:
+            scheduler = self.network.scheduler
+            running = True
+
+            def finish(_handle: OperationHandle) -> None:
+                nonlocal left
+                left -= 1
+                if not left and running:  # a later run is not this call's to stop
+                    scheduler.stop()
+
+            for handle in watched:
+                if not handle.done:
+                    handle.on_complete(finish)
+            try:
+                self.network.run(max_time=max_time)
+            finally:
+                running = False
+        if require_completion and left:
             pending = [h for h in watched if not h.done]
             raise OperationTimeoutError(
                 "{} operation(s) did not complete by simulated time {}: {}".format(
                     len(pending), max_time, pending[:5]
                 )
             )
-        return len(finished) == len(watched)
+        return not left
 
     # ------------------------------------------------------------------ #
     # Results

@@ -1,7 +1,8 @@
 """The simulator's per-message path as it was before the tuple queue.
 
-Three pieces, lifted from the commits that preceded the production hot path
-(``repro.sim.events`` / ``Network.broadcast`` / ``Process.deliver``):
+Four pieces, lifted from the commits that preceded the production hot path
+(``repro.sim.events`` / ``Network.broadcast`` / ``Network.relay`` /
+``Process.deliver``):
 
 * :class:`EventScheduler` — one heap of :class:`Event` objects ordered by a
   Python-level ``__lt__``; deliveries and timers alike allocate an ``Event``
@@ -13,9 +14,11 @@ Three pieces, lifted from the commits that preceded the production hot path
   envelope's ``(origin, seq)`` fields rather than its precomputed key;
 * :func:`reference_broadcast` — ``Network.broadcast`` as one
   :meth:`~repro.sim.Network.send` per receiver, every membership, crash and
-  disconnection test and the lane choice repeated per message (relay
-  forwarding goes through it too), and every copy queued — including the
-  relay copies that cannot arrive first, which production elides.
+  disconnection test and the lane choice repeated per message;
+* :func:`reference_relay` — ``Network.relay`` as the same loop over every
+  other receiver, de-duplicating from the ledger's own records and queueing
+  every copy — including the relay copies that cannot arrive first, which
+  production elides.
 
 Those copies are *counted*: each reference scheduler keeps an
 :class:`ElisionLedger` that decides from its own records which relay copies
@@ -29,9 +32,9 @@ the reference run.
 The interface mirrored is what :mod:`repro.sim.network`, :mod:`repro.sim.process`
 and :mod:`repro.sim.runtime` call on a scheduler: ``now``, ``events_processed``,
 ``schedule_at``, ``schedule``, ``schedule_delivery(delay, fifo, callback,
-sender, target, message)``, ``pending``, ``step``, ``run`` and ``run_until``.
+sender, target, message)``, ``pending``, ``stop`` and ``run``.
 
-:func:`reference_simulator` swaps all three into the production simulator, so the
+:func:`reference_simulator` swaps all four into the production simulator, so the
 differential battery and the benchmarks can run any workload on the old path.
 This module carries its own ``Event`` and imports nothing from
 :mod:`repro.sim.events` — it must not share the queue it is the oracle for
@@ -92,7 +95,7 @@ class ElisionLedger:
     A relay copy is counted when, as it is queued, its receiver has seen the
     envelope, or an uncounted copy of the envelope was queued to that
     receiver earlier with an arrival time no later than this one's.  Both
-    records are the ledger's own: :func:`reference_broadcast` notes a key as
+    records are the ledger's own: :func:`reference_relay` notes a key as
     seen by the process that forwards it, and the scheduler notes the
     arrival times of the uncounted copies it queues to relaying receivers.
     """
@@ -142,6 +145,7 @@ class EventScheduler:
         self._counter = itertools.count()
         self._events_processed = 0
         self._live = 0
+        self._stopped = False
         self.ledger = ElisionLedger()
 
     @property
@@ -205,20 +209,12 @@ class EventScheduler:
         callback()
         ledger.firing = False
 
-    def step(self) -> bool:
-        event = self._peek()
-        if event is None:
-            return False
-        heapq.heappop(self._queue)
-        self._fire(event)
-        return True
+    def stop(self) -> None:
+        self._stopped = True
 
-    def run(
-        self, max_time: Optional[float] = None, stop_when: Optional[Callable[[], bool]] = None
-    ) -> None:
-        if stop_when is not None and stop_when():
-            return
-        while True:
+    def run(self, max_time: Optional[float] = None) -> None:
+        self._stopped = False
+        while not self._stopped:
             event = self._peek()
             if event is None:
                 return
@@ -229,27 +225,17 @@ class EventScheduler:
                 return
             heapq.heappop(self._queue)
             self._fire(event)
-            if stop_when is not None and stop_when():
-                return
-
-    def run_until(self, time: float) -> None:
-        self.run(max_time=time)
-        if self._now < time:
-            self._now = time
-        if self.ledger.now < time:
-            self.ledger.now = time
 
 
 def reference_deliver(self, sender, message) -> None:
     """``Process.deliver`` polling the wait probes after every delivery; the
-    ledger's records say which envelopes are duplicates."""
+    ledger's records say which processes relay."""
     if self.crashed:
         return
     if isinstance(message, RelayEnvelope):
-        ledger = self.network.scheduler.ledger
-        if self.pid in ledger.relaying:
-            if (self.pid, (message.origin, message.seq)) not in ledger.seen:
-                self._relay_handle(message)
+        if self.pid in self.network.scheduler.ledger.relaying:
+            if self.network.relay(self, message) and message.destination in (None, self.pid):
+                self.on_message(message.origin, message.payload)
         elif message.destination is None or message.destination == self.pid:
             self.on_message(message.origin, message.payload)
     else:
@@ -257,20 +243,29 @@ def reference_deliver(self, sender, message) -> None:
     self._check_waits()
 
 
-def reference_broadcast(self, sender, message, include_self=True, seen_key=None) -> None:
-    """``Network.broadcast`` as one independent ``send`` per receiver.
-
-    ``seen_key`` is ignored: every copy is queued, and the scheduler's ledger
-    decides which relay copies are counted.  A relaying process broadcasts an
-    envelope right after it first handles it, so the broadcast is where the
-    ledger learns that the sender has seen it.
-    """
-    if isinstance(message, RelayEnvelope):
-        self.scheduler.ledger.seen.add((sender, (message.origin, message.seq)))
+def reference_broadcast(self, sender, message, include_self=True) -> None:
+    """``Network.broadcast`` as one independent ``send`` per receiver."""
     for receiver in self.processes:
         if receiver == sender and not include_self:
             continue
         self.send(sender, receiver, message)
+
+
+def reference_relay(self, process, envelope) -> bool:
+    """``Network.relay`` as one independent ``send`` per other receiver.
+
+    An envelope is a duplicate when the ledger saw ``process`` forward it;
+    otherwise every copy is queued, and the scheduler's ledger decides which
+    of them are counted.
+    """
+    seen = (process.pid, (envelope.origin, envelope.seq))
+    if seen in self.scheduler.ledger.seen:
+        return False
+    self.scheduler.ledger.seen.add(seen)
+    for receiver in self.processes:
+        if receiver != process.pid:
+            self.send(process.pid, receiver, envelope)
+    return True
 
 
 def reference_network_deliver(self, sender, target, message) -> None:
@@ -349,11 +344,13 @@ def reference_simulator() -> Iterator[None]:
     saved = [getattr(module, name) for module, name in swaps]
     saved_deliver = Process.deliver
     saved_broadcast = Network.broadcast
+    saved_relay = Network.relay
     for module, name in swaps:
         setattr(module, name, EventScheduler)
     Process.deliver = reference_deliver
     Process.enable_relay = reference_enable_relay
     Network.broadcast = reference_broadcast
+    Network.relay = reference_relay
     Network._deliver = reference_network_deliver
     try:
         yield
@@ -363,4 +360,5 @@ def reference_simulator() -> Iterator[None]:
         Process.deliver = saved_deliver
         Process.enable_relay = _production_enable_relay
         Network.broadcast = saved_broadcast
+        Network.relay = saved_relay
         Network._deliver = _production_deliver

@@ -280,7 +280,8 @@ def test_schedule_setting_an_unknown_protocol_knob_is_one_error_line(capsys, tmp
 
 def test_schedule_setting_a_knob_beside_classical_is_one_error_line(capsys, tmp_path):
     """A register schedule with ``classical`` and ``push_interval`` used to run
-    classical ABD and drop the push period without a word."""
+    classical ABD and drop the push period without a word, and then to refuse
+    it without naming the file."""
     import json
 
     from repro.nemesis import identity_schedule
@@ -293,7 +294,9 @@ def test_schedule_setting_a_knob_beside_classical_is_one_error_line(capsys, tmp_
     assert main(["nemesis", "replay", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: protocol 'register': classical ABD takes no 'push_interval'\n"
+    assert captured.err == (
+        "error: {}: protocol 'register': classical ABD takes no 'push_interval'\n".format(path)
+    )
 
 
 #: One line of 100 000 nested lists: deeper than the JSON decoder recurses.

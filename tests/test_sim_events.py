@@ -97,13 +97,57 @@ def test_run_respects_max_time():
     assert scheduler.pending() == 1
 
 
-def test_run_stop_when_predicate():
-    scheduler = EventScheduler()
+@pytest.mark.parametrize(
+    "scheduler_class", [EventScheduler, ReferenceScheduler], ids=["production", "reference"]
+)
+def test_stop_ends_the_run_at_exactly_the_stopping_event(scheduler_class):
+    scheduler = scheduler_class()
     seen = []
+
+    def note(i):
+        seen.append(i)
+        if len(seen) == 3:
+            scheduler.stop()
+
     for i in range(5):
-        scheduler.schedule(float(i + 1), lambda i=i: seen.append(i))
-    scheduler.run(stop_when=lambda: len(seen) >= 3)
-    assert len(seen) == 3
+        scheduler.schedule(float(i + 1), lambda i=i: note(i))
+    scheduler.run()
+    assert seen == [0, 1, 2]
+    assert scheduler.events_processed == 3
+    assert scheduler.now == 3.0
+    assert scheduler.pending() == 2
+    # The next run starts unstopped and drains the rest.
+    scheduler.run()
+    assert seen == [0, 1, 2, 3, 4]
+    assert scheduler.events_processed == 5
+
+
+@pytest.mark.parametrize(
+    "scheduler_class", [EventScheduler, ReferenceScheduler], ids=["production", "reference"]
+)
+def test_stop_outside_a_run_does_nothing(scheduler_class):
+    scheduler = scheduler_class()
+    scheduler.stop()
+    fired = []
+    scheduler.schedule(1.0, lambda: fired.append(1))
+    scheduler.run()
+    assert fired == [1] and scheduler.events_processed == 1
+
+
+def test_stop_from_a_delivery_leaves_later_deliveries_queued():
+    scheduler = EventScheduler()
+    sink = []
+
+    def stop_on_second(sender, target, message):
+        sink.append(message)
+        if message == 2:
+            scheduler.stop()
+
+    for message in (1, 2, 3):
+        scheduler.schedule_delivery(1.0, True, stop_on_second, "a", "b", message)
+    scheduler.run()
+    assert sink == [1, 2]
+    assert scheduler.pending() == 1
 
 
 def test_events_processed_counter():

@@ -182,3 +182,75 @@ def test_run_until_done_counts_completions_of_already_done_handles():
     # A second call watching the already-done handle returns immediately.
     assert cluster.run_until_done([first], max_time=50.0)
     assert cluster.run_until_done([], max_time=50.0)
+
+
+# --------------------------------------------------------------------------- #
+# Stopping: the completion count stops the scheduler, no per-event predicate
+# --------------------------------------------------------------------------- #
+def test_run_until_completed_stops_at_the_completing_event():
+    cluster = Cluster(["a", "b", "c"], counter_factory, delay_model=FixedDelay(1.0))
+    cluster.invoke_at(1.0, "a", "bump_all")
+    cluster.invoke_at(2.0, "b", "bump_all")
+    cluster.run(max_time=50.0, until_completed=2)
+    assert cluster.completed == 2
+    # The self-copy completes each bump at once: the run ends on b's invocation
+    # event, with the copies to the others still queued.
+    assert cluster.network.now == 2.0
+    assert cluster.network.scheduler.pending() == 4
+
+
+def test_a_count_already_reached_processes_no_event():
+    """An empty schedule: the periodic pushes are queued, none of them runs."""
+    import functools
+
+    from repro.experiments import execute_workload
+    from repro.protocols import GQSRegister
+    from repro.quorums import discover_gqs
+    from repro.failures import builtin_fail_prone_system
+
+    gqs = discover_gqs(builtin_fail_prone_system("figure1")).quorum_system
+    result = execute_workload(
+        gqs, functools.partial(GQSRegister, quorum_system=gqs), [], FixedDelay(1.0)
+    )
+    scheduler = result.cluster.network.scheduler
+    assert result.completed
+    assert scheduler.events_processed == 0 and scheduler.pending() > 0
+
+
+def test_two_run_until_done_calls_on_one_cluster_each_stop_at_their_handles():
+    cluster = Cluster(["a", "b"], counter_factory, delay_model=FixedDelay(1.0))
+    first = cluster.invoke("b", "wait_for_count", 1)
+    cluster.invoke("a", "bump_all")
+    assert cluster.run_until_done([first], max_time=50.0)
+    assert cluster.network.now == first.completed_at == 1.0
+    second = cluster.invoke("a", "wait_for_count", 2)
+    cluster.invoke("b", "bump_all")
+    assert cluster.run_until_done([second], max_time=50.0)
+    assert cluster.network.now == second.completed_at == 2.0
+
+
+def test_a_timed_out_watch_does_not_stop_a_later_run():
+    cluster = Cluster(["a", "b"], counter_factory, delay_model=FixedDelay(1.0))
+    late = cluster.invoke("b", "wait_for_count", 2)
+    assert not cluster.run_until_done([late], max_time=5.0)
+    for at in (10.0, 10.0, 20.0):
+        cluster.invoke_at(at, "a", "bump_all")
+    cluster.run(max_time=50.0)
+    assert late.done and late.completed_at == 11.0
+    # The run went on past late's completion and drained the queue.
+    assert cluster.completed == 4
+    assert cluster.network.now == 21.0 and cluster.network.scheduler.pending() == 0
+
+
+def test_a_stop_raised_from_a_timer_callback_ends_the_run_there():
+    cluster = Cluster(["a", "b"], counter_factory, delay_model=FixedDelay(1.0))
+    process = cluster.processes["a"]
+    fired = []
+    for delay in (1.0, 2.0, 3.0, 4.0):
+        process.set_timer(delay, lambda delay=delay: fired.append(delay))
+    process.set_timer(2.5, cluster.network.scheduler.stop)
+    cluster.run(max_time=50.0)
+    assert fired == [1.0, 2.0]
+    assert cluster.network.now == 2.5
+    cluster.run(max_time=50.0)
+    assert fired == [1.0, 2.0, 3.0, 4.0]

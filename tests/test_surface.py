@@ -238,6 +238,13 @@ DELETED_UNREAD_PROTOCOL_STATE = (
 #: pool the routing tests used, so the old path cannot return beside the new.
 DELETED_POOL_PATH = (r"\.Pool\(", r"\bimap\b", r"def _tagged", r"\b_PermutingPool\b")
 
+#: The per-event stop predicate the scheduler's stop flag replaced, and the
+#: relay chain ``Network.relay`` replaced: the keyed broadcast, the
+#: process-side forwarding step and the dict-building read-quorum probe.
+DELETED_RELAY_CHAIN = (
+    r"\bstop_when\b", r"\bseen_key\b", r"\b_relay_handle\b", r"\b_read_quorum_states_at\b",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -275,8 +282,24 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_RESOLVE_CHAIN
             + DELETED_UNREAD_PROTOCOL_STATE
             + DELETED_POOL_PATH
+            + DELETED_RELAY_CHAIN
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
+
+
+def test_the_relay_elision_rule_is_written_once():
+    """Only ``Network.relay`` reads or writes a process's ``_relay_due`` map
+    (the process merely creates it), so the rule deciding which relay copies
+    are queued exists in one place."""
+    users = {}
+    for path, text in _sources(SRC_DIR):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and "_relay_due" in ast.unparse(node):
+                users.setdefault(os.path.relpath(path, SRC_DIR), []).append(node.name)
+    assert users == {
+        os.path.join("repro", "sim", "network.py"): ["relay"],
+        os.path.join("repro", "sim", "process.py"): ["__init__"],
+    }
 
 
 def test_only_the_ingress_module_decodes_files():
