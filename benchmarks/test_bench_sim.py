@@ -15,8 +15,12 @@ Three workloads are measured:
   duplicate or pass-through envelopes.  Production queues no copy that can
   only arrive second at its receiver, so the two sides process different
   numbers of events for the same run; this one compares seconds per run,
-  records ``relay_duplicates_elided`` and the exact ``probe_polls_per_delivery``
-  of both sides.
+  records production's own seconds per run as ``relay_wall_s`` (guarded on
+  its own, so a slowdown that the oracle shares cannot hide in the ratio;
+  seconds rather than events per second, because a run that queues fewer
+  events would read as a slower one),
+  ``relay_duplicates_elided`` and the exact ``probe_polls_per_delivery`` of
+  both sides.
 
 The two sides run interleaved with the best of three rounds per side, at
 *equal output*: every round asserts the run's fingerprint identical before
@@ -36,7 +40,7 @@ from contextlib import nullcontext
 from oracles.sim import production_view, reference_simulator
 from repro.experiments import run_workload
 from repro.quorums import GeneralizedQuorumSystem, threshold_quorum_system
-from repro.sim import FixedDelay, Network, Process, UniformDelay, WaitCondition
+from repro.sim import FixedDelay, Network, Process, UniformDelay
 
 from conftest import bench_once
 
@@ -206,19 +210,24 @@ def _run_relay_flood():
 
 def _probe_polls():
     """Exact counts of one untimed run: ``(wait-probe evaluations, messages
-    delivered, fingerprint)``."""
+    delivered, fingerprint)``; every probe handed to ``Process.wait_for``
+    (``wait_until`` hands its own there too) is wrapped to count its
+    evaluations."""
     polls = [0]
-    original = WaitCondition.poll
+    original = Process.wait_for
 
-    def counting_poll(self):
-        polls[0] += 1
-        return original(self)
+    def counting_wait_for(self, probe, description=""):
+        def counted():
+            polls[0] += 1
+            return probe()
 
-    WaitCondition.poll = counting_poll
+        return original(self, counted, description)
+
+    Process.wait_for = counting_wait_for
     try:
         network, fingerprint, _seconds = _relay_flood()
     finally:
-        WaitCondition.poll = original
+        Process.wait_for = original
     return polls[0], network.stats.messages_delivered, fingerprint
 
 
@@ -237,7 +246,7 @@ def test_sim_relay_flood_throughput(benchmark, bench_numbers):
     speedup = numbers["reference"]["seconds"] / numbers["production"]["seconds"]
     bench_numbers(
         reference_relay_run_s=round(numbers["reference"]["seconds"], 6),
-        relay_run_s=round(numbers["production"]["seconds"], 6),
+        relay_wall_s=round(numbers["production"]["seconds"], 6),
         relay_speedup=round(speedup, 2),
         reference_events=numbers["reference"]["events"],
         events=numbers["production"]["events"],

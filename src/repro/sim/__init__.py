@@ -8,9 +8,9 @@ from .delays import (
     build_delay_model,
 )
 from .events import Event, EventScheduler
-from .network import Network, NetworkStats
+from .network import Network, NetworkStats, RelayEnvelope
 from .override import ScheduleOverride, build_schedule_override
-from .process import NOT_READY, OperationHandle, Process, RelayEnvelope, WaitCondition
+from .process import NOT_READY, OperationHandle, Process, WaitCondition
 from .runtime import Cluster
 
 __all__ = [

@@ -19,17 +19,19 @@ happen at any simulated time, so experiments can explore failures at start-up
 as well as mid-execution.
 
 A broadcast walks the sender's cached fan-out (its live channels in
-registration order, plus a count of the dropped ones).  Relaying has one
-forwarder, :meth:`Network.relay`, for an envelope a process originates and
-one it receives first alike: it walks the same fan-out, and a copy that
-cannot arrive first — its receiver has seen the envelope, or holds an
-earlier-arriving copy of it — is counted and given a delay like any other but
-never queued: it could only be discarded on arrival.
+registration order, each with its receiver's relay due map, plus a count of
+the dropped ones).  Relaying has one forwarder, :meth:`Network.relay`, for an
+envelope a process originates and one it receives first alike: it walks the
+same fan-out, and a copy that cannot arrive first — its receiver has seen the
+envelope, or holds an earlier-arriving copy of it — is counted and given a
+delay like any other but never queued: it could only be discarded on arrival.
+Every message reaches its receiver through one callback,
+:meth:`Network._deliver`; the per-message methods it takes are bound once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
@@ -40,13 +42,44 @@ from .delays import DelayModel, FixedDelay
 from .events import EventScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .process import Process, RelayEnvelope
+    from .process import Process
 
 #: The due time of a key no copy has been queued for: any arrival beats it.
 _UNQUEUED = float("inf")
 
 #: The due time of a key the process has seen: below any arrival time.
 _SEEN = -1.0
+
+#: The attributes whose methods the network binds in ``__init__``: assigning
+#: either afterwards would leave the bound copies behind, so it is refused.
+_BOUND_AT_CONSTRUCTION = frozenset(("delay_model", "scheduler"))
+
+
+class RelayEnvelope:
+    """Envelope used by relaying processes to flood messages (see
+    :meth:`repro.sim.Process.enable_relay`).
+
+    ``destination`` is ``None`` for broadcasts and a process id for point-to-point
+    messages; ``origin`` and ``seq`` identify the logical message uniquely so
+    that each process forwards it at most once.
+    """
+
+    __slots__ = ("origin", "seq", "destination", "payload", "key")
+
+    def __init__(
+        self, origin: ProcessId, seq: int, destination: Optional[ProcessId], payload: Any
+    ) -> None:
+        self.origin = origin
+        self.seq = seq
+        self.destination = destination
+        self.payload = payload
+        #: De-duplication key, built once and looked up at every delivery.
+        self.key = (origin, seq)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "RelayEnvelope(origin={!r}, seq={}, dest={!r})".format(
+            self.origin, self.seq, self.destination
+        )
 
 
 @dataclass
@@ -61,9 +94,8 @@ class NetworkStats:
     later (counted and given a delay, never queued) — and the rest were
     queued.  A queued copy ends up in ``messages_delivered`` or, when its
     receiver crashed meanwhile, ``messages_dropped_crashed`` — which also
-    counts every copy sent by a crashed process.  ``per_process_sent`` is
-    keyed by sender and ``per_process_delivered`` by receiver, each in
-    first-message order.
+    counts every copy sent by a crashed process.  They are run-wide totals:
+    the network keeps no per-process table.
     """
 
     messages_sent: int = 0
@@ -71,8 +103,6 @@ class NetworkStats:
     messages_dropped_channel: int = 0
     messages_dropped_crashed: int = 0
     relay_duplicates_elided: int = 0
-    per_process_sent: Dict[ProcessId, int] = field(default_factory=dict)
-    per_process_delivered: Dict[ProcessId, int] = field(default_factory=dict)
 
 
 class Network:
@@ -87,6 +117,8 @@ class Network:
         The :class:`DelayModel` deciding message latencies.
     scheduler:
         An :class:`EventScheduler`; a fresh one is created if omitted.
+
+    Both are read-only: their per-message methods are bound at construction.
     """
 
     def __init__(
@@ -96,6 +128,14 @@ class Network:
     ) -> None:
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
         self.delay_model = delay_model if delay_model is not None else FixedDelay(1.0)
+        # What queueing a copy takes, bound once: every send, fan-out and
+        # relay unpacks this tuple instead of building bound methods per call.
+        self._transport = (
+            self.scheduler.schedule_delivery,
+            self.delay_model.delay,
+            self.delay_model.preserves_fifo,
+            self._deliver,
+        )
         self._processes: Dict[ProcessId, "Process"] = {}
         self._disconnected: Set[Channel] = set()
         self._crashed: Set[ProcessId] = set()
@@ -103,6 +143,14 @@ class Network:
         self._fanouts: Dict[ProcessId, tuple] = {}
         self.stats = NetworkStats()
         self._op_ids = count()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        """Refuse to replace the delay model or the scheduler once bound."""
+        if name in _BOUND_AT_CONSTRUCTION and name in self.__dict__:
+            raise AttributeError(
+                "Network.{} is fixed at construction: the network bound its methods".format(name)
+            )
+        object.__setattr__(self, name, value)
 
     def next_op_id(self) -> int:
         """The next operation id, unique and deterministic within this network.
@@ -204,17 +252,15 @@ class Network:
             stats.messages_dropped_crashed += 1
             return
         stats.messages_sent += 1
-        stats.per_process_sent[sender] = stats.per_process_sent.get(sender, 0) + 1
         channel = (sender, receiver)
         if sender == receiver:
             self._deliver(sender, target, message)
         elif channel in self._disconnected:
             stats.messages_dropped_channel += 1
         else:
-            model = self.delay_model
-            self.scheduler.schedule_delivery(
-                model.delay(channel, self.scheduler.now), model.preserves_fifo,
-                self._deliver, sender, target, message,
+            schedule_delivery, delay, fifo, deliver = self._transport
+            schedule_delivery(
+                delay(channel, self.scheduler.now), fifo, deliver, sender, target, message
             )
 
     def broadcast(self, sender: ProcessId, message: Any, include_self: bool = True) -> None:
@@ -258,15 +304,17 @@ class Network:
         """Build and cache ``sender``'s fan-out ``(copies, dropped, split,
         dropped_before)``.
 
-        ``copies`` are the ``(target, channel)`` pairs of every other receiver
-        whose channel is not disconnected, in registration order; ``dropped``
+        ``copies`` are the ``(target, channel, due)`` triples of every other
+        receiver whose channel is not disconnected, in registration order —
+        ``due`` is the receiver's ``_relay_due`` map, carried for
+        :meth:`relay`; ``dropped``
         counts the receivers whose channel is.  The first ``split`` copies and ``dropped_before`` drops are of
         receivers registered before the sender.  :meth:`register` and
         :meth:`disconnect_channel` on one of the sender's channels invalidate
         the cache.
         """
         disconnected = self._disconnected
-        copies: List[Tuple["Process", Channel]] = []
+        copies: List[Tuple["Process", Channel, Dict[Any, float]]] = []
         dropped = split = dropped_before = 0
         for receiver, target in self._processes.items():
             if receiver == sender:
@@ -276,7 +324,7 @@ class Network:
             if channel in disconnected:
                 dropped += 1
             else:
-                copies.append((target, channel))
+                copies.append((target, channel, target._relay_due))
         fanout = self._fanouts[sender] = (tuple(copies), dropped, split, dropped_before)
         return fanout
 
@@ -286,22 +334,15 @@ class Network:
     ) -> None:
         """Count the copies, the ``dropped`` ones and the self-copy as sent,
         and queue each copy with its own delay."""
-        sent = len(copies) + dropped + self_copy
         stats = self.stats
-        if sent:
-            stats.messages_sent += sent
-            per_sent = stats.per_process_sent
-            per_sent[sender] = per_sent.get(sender, 0) + sent
+        stats.messages_sent += len(copies) + dropped + self_copy
         stats.messages_dropped_channel += dropped
-        schedule_delivery = self.scheduler.schedule_delivery
+        schedule_delivery, delay, fifo, deliver = self._transport
         now = self.scheduler.now
-        delay = self.delay_model.delay
-        fifo = self.delay_model.preserves_fifo
-        deliver = self._deliver
-        for target, channel in copies:
+        for target, channel, _due in copies:
             schedule_delivery(delay(channel, now), fifo, deliver, sender, target, message)
 
-    def relay(self, process: "Process", envelope: "RelayEnvelope") -> bool:
+    def relay(self, process: "Process", envelope: RelayEnvelope) -> bool:
         """Forward ``envelope`` from the relaying ``process`` to every other
         process, unless ``process`` has seen it; returns whether it had not.
 
@@ -324,22 +365,14 @@ class Network:
         seen[key] = _SEEN
         sender = process.pid
         copies, dropped, _, _ = self._fanouts.get(sender) or self._build_fanout(sender)
-        sent = len(copies) + dropped
         stats = self.stats
-        if sent:
-            stats.messages_sent += sent
-            per_sent = stats.per_process_sent
-            per_sent[sender] = per_sent.get(sender, 0) + sent
+        stats.messages_sent += len(copies) + dropped
         stats.messages_dropped_channel += dropped
-        schedule_delivery = self.scheduler.schedule_delivery
+        schedule_delivery, delay, fifo, deliver = self._transport
         now = self.scheduler.now
-        delay = self.delay_model.delay
-        fifo = self.delay_model.preserves_fifo
-        deliver = self._deliver
         elided = 0
-        for target, channel in copies:
+        for target, channel, due in copies:
             latency = delay(channel, now)
-            due = target._relay_due
             at = now + latency
             # Written so that a NaN arrival is queued, and refused there.
             if at >= due.get(key, _UNQUEUED):
@@ -352,15 +385,26 @@ class Network:
         return True
 
     def _deliver(self, sender: ProcessId, target: "Process", message: Any) -> None:
-        """Delivery callback: hand ``message`` to ``target`` unless it crashed meanwhile."""
-        stats = self.stats
+        """The one delivery callback: hand ``message`` to ``target`` unless it
+        crashed meanwhile, an envelope to a relaying one through :meth:`relay`
+        first.  Wait probes are re-evaluated only when protocol code ran: a
+        duplicate envelope, or one passed on towards another destination,
+        changes nothing a probe may read."""
         if target.crashed:
-            stats.messages_dropped_crashed += 1
+            self.stats.messages_dropped_crashed += 1
             return
-        stats.messages_delivered += 1
-        per_delivered = stats.per_process_delivered
-        per_delivered[target.pid] = per_delivered.get(target.pid, 0) + 1
-        target.deliver(sender, message)
+        self.stats.messages_delivered += 1
+        if isinstance(message, RelayEnvelope):
+            if target._relay_enabled and not self.relay(target, message):
+                return
+            destination = message.destination
+            if destination is not None and destination != target.pid:
+                return
+            target.on_message(message.origin, message.payload)
+        else:
+            target.on_message(sender, message)
+        if target._waits:
+            target._check_waits()
 
     # ------------------------------------------------------------------ #
     # Execution helpers

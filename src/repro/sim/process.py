@@ -18,9 +18,12 @@ Operations are started with :meth:`Process.start_operation`, which returns an
 double as the raw material for operation histories fed to the linearizability
 checkers.
 
-A relaying process (:meth:`Process.enable_relay`) hands every
-:class:`RelayEnvelope` it originates or receives to the one forwarder,
-:meth:`repro.sim.Network.relay`, which also tells a duplicate from a first.
+Messages reach a process through the network's one delivery callback,
+which runs :meth:`Process.on_message` and then re-polls the suspended
+operations' probes.  A relaying process (:meth:`Process.enable_relay`) has
+every :class:`RelayEnvelope` it originates or receives handed to the one
+forwarder, :meth:`repro.sim.Network.relay`, which also tells a duplicate from
+a first.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ..errors import ProcessCrashedError, SimulationError
 from ..types import ProcessId
 from .events import Event
-from .network import Network
+from .network import Network, RelayEnvelope
 
 _NOT_READY = object()
 """Sentinel returned by wait-condition probes that are not yet satisfiable."""
@@ -44,13 +47,6 @@ class WaitCondition:
     def __init__(self, probe: Callable[[], Any], description: str = "") -> None:
         self.probe = probe
         self.description = description
-
-    def poll(self) -> Tuple[bool, Any]:
-        """Evaluate the probe; returns ``(ready, value)``."""
-        value = self.probe()
-        if value is _NOT_READY:
-            return False, None
-        return True, value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "WaitCondition({})".format(self.description or "<anonymous>")
@@ -115,32 +111,6 @@ class OperationHandle:
 OperationGenerator = Generator[WaitCondition, Any, Any]
 
 
-class RelayEnvelope:
-    """Envelope used by relaying processes to flood messages (see :meth:`Process.enable_relay`).
-
-    ``destination`` is ``None`` for broadcasts and a process id for point-to-point
-    messages; ``origin`` and ``seq`` identify the logical message uniquely so
-    that each process forwards it at most once.
-    """
-
-    __slots__ = ("origin", "seq", "destination", "payload", "key")
-
-    def __init__(
-        self, origin: ProcessId, seq: int, destination: Optional[ProcessId], payload: Any
-    ) -> None:
-        self.origin = origin
-        self.seq = seq
-        self.destination = destination
-        self.payload = payload
-        #: De-duplication key, built once and looked up at every delivery.
-        self.key = (origin, seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "RelayEnvelope(origin={!r}, seq={}, dest={!r})".format(
-            self.origin, self.seq, self.destination
-        )
-
-
 class Process:
     """Base class for simulated protocol processes.
 
@@ -153,7 +123,8 @@ class Process:
         self.pid = pid
         self.network = network
         self.crashed = False
-        self._waits: List[Tuple[WaitCondition, OperationGenerator, OperationHandle]] = []
+        # Suspended operations as (probe, generator, handle), in suspension order.
+        self._waits: List[Tuple[Callable[[], Any], OperationGenerator, OperationHandle]] = []
         # Live timers as an insertion-ordered set (dict keys): fired timers
         # remove themselves, so the structure stays bounded by the number of
         # *armed* timers even under long periodic runs; cancelled-but-unfired
@@ -233,29 +204,6 @@ class Process:
         if destination == self.pid or (destination is None and include_self):
             self.on_message(self.pid, message)
 
-    def deliver(self, sender: ProcessId, message: Any) -> None:
-        """Entry point used by the network to hand a message to this process.
-
-        A relaying process hands an envelope to :meth:`Network.relay` first,
-        which forwards it unless it is a duplicate (one overtaken in flight by
-        a copy sent later: the network queues no other).  Wait probes are re-evaluated only when the delivery ran protocol code:
-        a duplicate envelope, or one merely passed on towards another
-        destination, changes nothing a probe may read and wakes nothing.
-        """
-        if self.crashed:
-            return
-        if isinstance(message, RelayEnvelope):
-            if self._relay_enabled and not self.network.relay(self, message):
-                return
-            destination = message.destination
-            if destination is not None and destination != self.pid:
-                return
-            self.on_message(message.origin, message.payload)
-        else:
-            self.on_message(sender, message)
-        if self._waits:
-            self._check_waits()
-
     def on_message(self, sender: ProcessId, message: Any) -> None:
         """Handle a delivered message.  Subclasses override this."""
 
@@ -314,7 +262,7 @@ class Process:
         def probe() -> Any:
             return None if predicate() else _NOT_READY
 
-        return WaitCondition(probe, description)
+        return self.wait_for(probe, description)
 
     def start_operation(
         self, kind: str, argument: Any, generator: OperationGenerator
@@ -342,7 +290,7 @@ class Process:
             raise SimulationError(
                 "operation generators must yield WaitCondition objects, got {!r}".format(condition)
             )
-        self._waits.append((condition, generator, handle))
+        self._waits.append((condition.probe, generator, handle))
 
     def _check_waits(self) -> None:
         """Resume every suspended operation whose wait condition is now satisfiable."""
@@ -352,15 +300,14 @@ class Process:
         while progressed and not self.crashed:
             progressed = False
             for entry in list(self._waits):
-                condition, generator, handle = entry
-                ready, value = condition.poll()
-                if not ready:
+                value = entry[0]()
+                if value is _NOT_READY:
                     continue
                 try:
                     self._waits.remove(entry)
                 except ValueError:  # pragma: no cover - removed by a nested resume
                     continue
-                self._advance(generator, handle, value)
+                self._advance(entry[1], entry[2], value)
                 progressed = True
 
     def __repr__(self) -> str:

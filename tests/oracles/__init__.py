@@ -34,7 +34,8 @@ permutation brute-forcers for registers and snapshots, the scan-ordering
 check ``scans_totally_ordered`` and the streaming forward-closure register
 checker — and imports nothing of the search itself.
 :mod:`oracles.sim` carries the single-heap ``Event`` scheduler and the
-poll-after-every-delivery ``Process.deliver`` that :mod:`repro.sim` replaced,
-with a context manager that swaps them in.  Its rule is the same in spirit —
+poll-after-every-delivery delivery path that :mod:`repro.sim` replaced, with
+a context manager that swaps them in, and the traffic tap that counts each
+process's sent and delivered copies for the differential battery.  Its rule is the same in spirit —
 it imports nothing from :mod:`repro.sim.events`.
 """

@@ -2,15 +2,16 @@
 
 Four pieces, lifted from the commits that preceded the production hot path
 (``repro.sim.events`` / ``Network.broadcast`` / ``Network.relay`` /
-``Process.deliver``):
+``Network._deliver``):
 
 * :class:`EventScheduler` — one heap of :class:`Event` objects ordered by a
   Python-level ``__lt__``; deliveries and timers alike allocate an ``Event``
   holding a closure, there is no FIFO lane and no compaction (a cancelled
   event stays in the heap until it is popped);
-* :func:`reference_deliver` — ``Process.deliver`` that re-polls every
-  suspended operation's wait probe after *every* delivery, including duplicate
-  and pass-through relay envelopes, and recognises a duplicate from the
+* :func:`reference_network_deliver` — the delivery callback as the network
+  counter over a ``Process.deliver`` that re-polls every suspended
+  operation's wait probe after *every* delivery, including duplicate and
+  pass-through relay envelopes, and recognises a duplicate from the
   envelope's ``(origin, seq)`` fields rather than its precomputed key;
 * :func:`reference_broadcast` — ``Network.broadcast`` as one
   :meth:`~repro.sim.Network.send` per receiver, every membership, crash and
@@ -29,6 +30,13 @@ without them would show), and :func:`production_view` subtracts them, so the
 differential battery can pin production's counters as exact identities of
 the reference run.
 
+The network keeps run-wide totals only, so the per-process traffic the
+battery compares — copies sent per sender and delivered per receiver, each
+keyed in first-message order — is counted by :func:`traffic_tap`, a tap on
+production's send entry points and on whichever delivery callback is
+installed; :func:`traffic_view` reads it (minus the counted copies, for a
+reference run).
+
 The interface mirrored is what :mod:`repro.sim.network`, :mod:`repro.sim.process`
 and :mod:`repro.sim.runtime` call on a scheduler: ``now``, ``events_processed``,
 ``schedule_at``, ``schedule``, ``schedule_delivery(delay, fifo, callback,
@@ -45,14 +53,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import repro.sim.network
 import repro.sim.runtime
 from repro.errors import SimulationError
-from repro.sim.network import Network
-from repro.sim.process import Process, RelayEnvelope
+from repro.sim.network import Network, RelayEnvelope
+from repro.sim.process import Process
 
 EventCallback = Callable[[], None]
 
@@ -92,12 +101,14 @@ class ElisionLedger:
     """The counted copies of one reference run: relay copies that could not
     arrive first at their receiver.
 
-    A relay copy is counted when, as it is queued, its receiver has seen the
-    envelope, or an uncounted copy of the envelope was queued to that
-    receiver earlier with an arrival time no later than this one's.  Both
-    records are the ledger's own: :func:`reference_relay` notes a key as
-    seen by the process that forwards it, and the scheduler notes the
-    arrival times of the uncounted copies it queues to relaying receivers.
+    A relay copy — one :func:`reference_relay` queues; an envelope handed
+    to a plain ``send`` is queued by production too and is never counted —
+    is counted when, as it is queued, its receiver has seen the envelope, or
+    an uncounted relay copy of the envelope was queued to that receiver
+    earlier with an arrival time no later than this one's.  Both records are
+    the ledger's own: :func:`reference_relay` notes a key as seen by the
+    process that forwards it, and the scheduler notes the arrival times of
+    the uncounted relay copies it queues to relaying receivers.
     """
 
     def __init__(self) -> None:
@@ -109,6 +120,8 @@ class ElisionLedger:
         self.due: Dict[Tuple[Any, Any], float] = {}
         #: Set by the scheduler while a counted copy's delivery runs.
         self.firing = False
+        #: Set by :func:`reference_relay` while it queues an envelope's copies.
+        self.forwarding = False
         self.queued = 0
         self.popped = 0
         self.delivered: Dict[Any, int] = {}
@@ -176,7 +189,7 @@ class EventScheduler:
     def schedule_delivery(self, delay, fifo, callback, sender, target, message) -> None:
         # One lane, one entry kind: the arguments ride in a closure on the heap.
         event = self.schedule(delay, lambda: callback(sender, target, message))
-        if isinstance(message, RelayEnvelope) and self.ledger.counts(
+        if self.ledger.forwarding and self.ledger.counts(
             target.pid, (message.origin, message.seq), event.time
         ):
             event.counted = True
@@ -227,20 +240,20 @@ class EventScheduler:
             self._fire(event)
 
 
-def reference_deliver(self, sender, message) -> None:
+def reference_deliver(process, sender, message) -> None:
     """``Process.deliver`` polling the wait probes after every delivery; the
     ledger's records say which processes relay."""
-    if self.crashed:
-        return
     if isinstance(message, RelayEnvelope):
-        if self.pid in self.network.scheduler.ledger.relaying:
-            if self.network.relay(self, message) and message.destination in (None, self.pid):
-                self.on_message(message.origin, message.payload)
-        elif message.destination is None or message.destination == self.pid:
-            self.on_message(message.origin, message.payload)
+        if process.pid in process.network.scheduler.ledger.relaying:
+            if process.network.relay(process, message) and message.destination in (
+                None, process.pid
+            ):
+                process.on_message(message.origin, message.payload)
+        elif message.destination is None or message.destination == process.pid:
+            process.on_message(message.origin, message.payload)
     else:
-        self.on_message(sender, message)
-    self._check_waits()
+        process.on_message(sender, message)
+    process._check_waits()
 
 
 def reference_broadcast(self, sender, message, include_self=True) -> None:
@@ -258,18 +271,25 @@ def reference_relay(self, process, envelope) -> bool:
     otherwise every copy is queued, and the scheduler's ledger decides which
     of them are counted.
     """
+    ledger = self.scheduler.ledger
     seen = (process.pid, (envelope.origin, envelope.seq))
-    if seen in self.scheduler.ledger.seen:
+    if seen in ledger.seen:
         return False
-    self.scheduler.ledger.seen.add(seen)
-    for receiver in self.processes:
-        if receiver != process.pid:
-            self.send(process.pid, receiver, envelope)
+    ledger.seen.add(seen)
+    # No handler runs below: the loop skips the self-copy.
+    ledger.forwarding = True
+    try:
+        for receiver in self.processes:
+            if receiver != process.pid:
+                self.send(process.pid, receiver, envelope)
+    finally:
+        ledger.forwarding = False
     return True
 
 
 def reference_network_deliver(self, sender, target, message) -> None:
-    """``Network._deliver``, telling the ledger what a counted copy did."""
+    """The delivery callback: the network's counters, then
+    :func:`reference_deliver`, telling the ledger what a counted copy did."""
     ledger = self.scheduler.ledger
     if ledger.firing:
         if target.crashed:
@@ -278,7 +298,11 @@ def reference_network_deliver(self, sender, target, message) -> None:
             ledger.delivered[target.pid] = ledger.delivered.get(target.pid, 0) + 1
     elif not target.crashed and target.pid not in ledger.first_delivered:
         ledger.first_delivered.append(target.pid)
-    _production_deliver(self, sender, target, message)
+    if target.crashed:
+        self.stats.messages_dropped_crashed += 1
+        return
+    self.stats.messages_delivered += 1
+    reference_deliver(target, sender, message)
 
 
 def reference_enable_relay(self) -> None:
@@ -287,8 +311,99 @@ def reference_enable_relay(self) -> None:
     _production_enable_relay(self)
 
 
+_production_broadcast = Network.broadcast
+_production_relay = Network.relay
 _production_deliver = Network._deliver
 _production_enable_relay = Process.enable_relay
+
+
+class Traffic:
+    """The copies each process sent and was delivered on one network, keyed
+    in first-message order (see :func:`traffic_tap`)."""
+
+    def __init__(self) -> None:
+        self.sent: Dict[Any, int] = {}
+        self.delivered: Dict[Any, int] = {}
+
+    def count_sent(self, sender: Any, copies: int) -> None:
+        if copies:
+            self.sent[sender] = self.sent.get(sender, 0) + copies
+
+
+_TRAFFIC: "weakref.WeakKeyDictionary[Network, Traffic]" = weakref.WeakKeyDictionary()
+
+
+def traffic(network) -> Traffic:
+    """What the tap counted on ``network``, as it stands (``KeyError`` if no
+    tapped entry point ran on it)."""
+    return _TRAFFIC[network]
+
+
+@contextmanager
+def traffic_tap() -> Iterator[None]:
+    """Count, for every network used inside the block, the copies each
+    process sends and is delivered.
+
+    A sent copy is counted where production's send entry points count one in
+    ``messages_sent``: a ``send`` from a live sender counts one before it
+    runs; a ``broadcast`` counts its receivers registered up to and including
+    the sender before the self-copy's handler runs and, unless that handler
+    crashed the sender, those registered after it once it returns; a
+    ``relay`` that forwards counts every other process.  The reference's
+    broadcast and relay are loops over ``send``, so under
+    :func:`reference_simulator` they are left alone and every copy is counted
+    by ``send``.  A delivered copy is counted as the installed delivery
+    callback receives it for a receiver that has not crashed.  Enter it
+    inside :func:`reference_simulator`, never around it.
+    """
+    installed = (Network.send, Network.broadcast, Network.relay, Network._deliver)
+    send, broadcast, relay, deliver = installed
+
+    def tapped_send(self, sender, receiver, message):
+        counts = _TRAFFIC.setdefault(self, Traffic())
+        if self.has_process(sender) and self.has_process(receiver) and not self.is_crashed(sender):
+            counts.count_sent(sender, 1)
+        send(self, sender, receiver, message)
+
+    def tapped_broadcast(self, sender, message, include_self=True):
+        counts = _TRAFFIC.setdefault(self, Traffic())
+        order = list(self.processes)
+        if sender not in order or self.is_crashed(sender):
+            broadcast(self, sender, message, include_self)
+            return
+        if not include_self:
+            counts.count_sent(sender, len(order) - 1)
+            broadcast(self, sender, message, include_self)
+            return
+        counts.count_sent(sender, order.index(sender) + 1)
+        broadcast(self, sender, message, include_self)
+        if not self.is_crashed(sender):
+            order = list(self.processes)
+            counts.count_sent(sender, len(order) - order.index(sender) - 1)
+
+    def tapped_relay(self, process, envelope):
+        counts = _TRAFFIC.setdefault(self, Traffic())
+        forwarded = relay(self, process, envelope)
+        if forwarded:
+            counts.count_sent(process.pid, len(self.processes) - 1)
+        return forwarded
+
+    def tapped_deliver(self, sender, target, message):
+        if not target.crashed:
+            delivered = _TRAFFIC.setdefault(self, Traffic()).delivered
+            delivered[target.pid] = delivered.get(target.pid, 0) + 1
+        deliver(self, sender, target, message)
+
+    Network.send = tapped_send
+    Network._deliver = tapped_deliver
+    if broadcast is _production_broadcast:
+        Network.broadcast = tapped_broadcast
+    if relay is _production_relay:
+        Network.relay = tapped_relay
+    try:
+        yield
+    finally:
+        Network.send, Network.broadcast, Network.relay, Network._deliver = installed
 
 
 def production_view(network) -> Dict[str, Any]:
@@ -299,8 +414,8 @@ def production_view(network) -> Dict[str, Any]:
     counted copies did is subtracted: the relay copies the reference queued
     that could not arrive first, which production counts in
     ``relay_duplicates_elided`` and never queues.  The rest of
-    ``NetworkStats`` — ``messages_sent``, ``messages_dropped_channel`` and
-    ``per_process_sent`` above all — is the reference's own.
+    ``NetworkStats`` — ``messages_sent`` and ``messages_dropped_channel`` —
+    is the reference's own.
     """
     scheduler = network.scheduler
     stats = dict(vars(network.stats))
@@ -313,14 +428,10 @@ def production_view(network) -> Dict[str, Any]:
         }
     ledger = scheduler.ledger
     assert stats["relay_duplicates_elided"] == 0  # the reference elides nothing
-    per_delivered = stats["per_process_delivered"]
-    left = {pid: count - ledger.delivered.get(pid, 0) for pid, count in per_delivered.items()}
-    assert {pid for pid, count in left.items() if count} == set(ledger.first_delivered)
     stats.update(
         messages_delivered=stats["messages_delivered"] - sum(ledger.delivered.values()),
         messages_dropped_crashed=stats["messages_dropped_crashed"] - ledger.dropped_crashed,
         relay_duplicates_elided=ledger.queued,
-        per_process_delivered={pid: left[pid] for pid in ledger.first_delivered},
     )
     return {
         "stats": stats,
@@ -328,6 +439,27 @@ def production_view(network) -> Dict[str, Any]:
         "pending": scheduler.pending() - ledger.held,
         "now": ledger.now,
     }
+
+
+def traffic_view(network) -> Dict[str, Dict[Any, int]]:
+    """The tapped per-process traffic of the run made on ``network`` as a
+    production run shows it: ``sent`` per sender and ``delivered`` per
+    receiver, each in first-message order.
+
+    ``sent`` is the tap's own on both paths.  For a reference run the
+    deliveries of the counted copies are subtracted from ``delivered``,
+    which then holds one entry per receiver that got another copy, in the
+    order of its first such delivery.
+    """
+    counts = traffic(network)
+    delivered = dict(counts.delivered)
+    scheduler = network.scheduler
+    if isinstance(scheduler, EventScheduler):
+        ledger = scheduler.ledger
+        left = {pid: count - ledger.delivered.get(pid, 0) for pid, count in delivered.items()}
+        assert {pid for pid, count in left.items() if count} == set(ledger.first_delivered)
+        delivered = {pid: left[pid] for pid in ledger.first_delivered}
+    return {"sent": dict(counts.sent), "delivered": delivered}
 
 
 @contextmanager
@@ -342,12 +474,9 @@ def reference_simulator() -> Iterator[None]:
         (repro.sim.network, "EventScheduler"),
     )
     saved = [getattr(module, name) for module, name in swaps]
-    saved_deliver = Process.deliver
-    saved_broadcast = Network.broadcast
-    saved_relay = Network.relay
+    assert Network._deliver is _production_deliver, "enter traffic_tap() inside, not around"
     for module, name in swaps:
         setattr(module, name, EventScheduler)
-    Process.deliver = reference_deliver
     Process.enable_relay = reference_enable_relay
     Network.broadcast = reference_broadcast
     Network.relay = reference_relay
@@ -357,8 +486,7 @@ def reference_simulator() -> Iterator[None]:
     finally:
         for (module, name), original in zip(swaps, saved):
             setattr(module, name, original)
-        Process.deliver = saved_deliver
         Process.enable_relay = _production_enable_relay
-        Network.broadcast = saved_broadcast
-        Network.relay = saved_relay
+        Network.broadcast = _production_broadcast
+        Network.relay = _production_relay
         Network._deliver = _production_deliver

@@ -4,18 +4,20 @@ The production per-message path (:mod:`repro.sim.events`: tuple-keyed queue
 whose delivery entries carry their arguments, the FIFO short-circuit lane for
 :attr:`~repro.sim.DelayModel.preserves_fifo` models, lazy-deletion heap
 compaction; :meth:`repro.sim.Network.broadcast` over a cached fan-out that
-queues no relay copy that can only arrive second at its receiver;
-``Process.deliver`` recognising a duplicate envelope first and polling wait
-probes only after a protocol step) is a faster implementation of the same
+queues no relay copy that can only arrive second at its receiver; the one
+delivery callback ``Network._deliver`` recognising a duplicate envelope first
+and polling wait probes only after a protocol step) is a faster implementation of the same
 simulator, never a different simulator.  The reference — one heap of ``Event``
 objects, every copy queued, probes polled after every delivery — lives in
 :mod:`oracles.sim`.  These tests pin the strongest form of the claim: every
 catalogue scenario is recorded on both and the trace directories are compared
-**byte for byte** (jobs 1 and 2 included); per workload, histories and the
-send-side ``NetworkStats`` are asserted equal as they stand, and the
-delivery-side counters, ``events_processed``, ``pending()`` and ``now`` as
+**byte for byte** (jobs 1 and 2 included); per workload, histories, the
+send-side ``NetworkStats`` and the tapped copies sent per sender are asserted
+equal as they stand, and the delivery-side counters, the tapped copies
+delivered per receiver, ``events_processed``, ``pending()`` and ``now`` as
 exact identities of the reference run minus the copies production never
-queues (:func:`oracles.sim.production_view`); property tests cover the tuple
+queues (:func:`oracles.sim.production_view`, :func:`oracles.sim.traffic_view`);
+property tests cover the tuple
 queue (no callback fires twice, nothing stale survives a round) and the FIFO
 lane's ``(time, seq)`` tie-break equivalence against the reference scheduler
 fed the same schedule.  The last section pins what the fan-out could break: a
@@ -36,7 +38,7 @@ from contextlib import nullcontext
 import pytest
 
 from oracles.sim import EventScheduler as ReferenceScheduler
-from oracles.sim import production_view, reference_simulator
+from oracles.sim import production_view, reference_simulator, traffic_tap, traffic_view
 from repro.errors import SimulationError
 from repro.experiments import build_protocol_factory, run_workload
 from repro.history import History
@@ -48,6 +50,7 @@ from repro.sim import (
     FixedDelay,
     Network,
     Process,
+    RelayEnvelope,
     ScheduleOverride,
     UniformDelay,
 )
@@ -55,23 +58,27 @@ from repro.traces import write_run_trace
 
 
 def _counters(network):
-    """``NetworkStats`` (with the key order of both per-process tables),
-    ``events_processed``, ``pending()`` and ``now`` as production reports them.
+    """``NetworkStats``, the tapped copies sent per sender and delivered per
+    receiver (with the key order of both tables), ``events_processed``,
+    ``pending()`` and ``now`` as production reports them.
 
-    A reference run goes through :func:`oracles.sim.production_view`: the
-    relay copies it queued that could not arrive first at their receiver —
-    copies production counts in ``relay_duplicates_elided`` and never queues —
-    are subtracted from what they delivered, dropped, popped or still hold.
-    Everything else must be equal as it stands.
+    A reference run goes through :func:`oracles.sim.production_view` and
+    :func:`oracles.sim.traffic_view`: the relay copies it queued that could
+    not arrive first at their receiver — copies production counts in
+    ``relay_duplicates_elided`` and never queues — are subtracted from what
+    they delivered, dropped, popped or still hold.  Everything else must be
+    equal as it stands.  The run must have been made inside
+    :func:`oracles.sim.traffic_tap`.
     """
-    counters = production_view(network)
-    counters["sent_order"] = list(counters["stats"]["per_process_sent"])
-    counters["delivered_order"] = list(counters["stats"]["per_process_delivered"])
+    counters = dict(production_view(network), **traffic_view(network))
+    counters["sent_order"] = list(counters["sent"])
+    counters["delivered_order"] = list(counters["delivered"])
     return counters
 
 
 def _workload_fingerprint(kind, quorum_system, seed, delay_model=None):
-    result = run_workload(kind, quorum_system, seed=seed, delay_model=delay_model)
+    with traffic_tap():
+        result = run_workload(kind, quorum_system, seed=seed, delay_model=delay_model)
     return dict(
         _counters(result.cluster.network),
         records=result.history.records,
@@ -264,8 +271,9 @@ def test_fifo_lane_tie_breaks_match_the_reference_heap():
 # What hoisting the fan-out could break
 # --------------------------------------------------------------------- #
 def _fingerprint(network, history, directory, extra=None):
-    """Everything a run exposes: history, every counter *and the key order* of
-    the two per-process tables, the scheduler's counts and the trace bytes."""
+    """Everything a run exposes: history, every counter, the tapped
+    per-process tables *and their key order*, the scheduler's counts and the
+    trace bytes."""
     os.makedirs(directory, exist_ok=True)
     path = write_run_trace(
         directory, name="case", protocol="register", root_seed=0, run_index=0, seed=0,
@@ -277,10 +285,12 @@ def _fingerprint(network, history, directory, extra=None):
 
 
 def _both_sides(run, tmp_path):
-    """``run(directory)`` on the reference simulator and on production."""
-    with reference_simulator():
+    """``run(directory)`` on the reference simulator and on production, each
+    with the traffic tap on."""
+    with reference_simulator(), traffic_tap():
         reference = run(str(tmp_path / "reference"))
-    production = run(str(tmp_path / "production"))
+    with traffic_tap():
+        production = run(str(tmp_path / "production"))
     assert production == reference
     return production
 
@@ -490,7 +500,7 @@ def test_a_non_relaying_receiver_gets_every_copy(tmp_path):
     three relaying processes' copies reaches it and is handled."""
     outcome = _both_sides(_flood({}, plain="c"), tmp_path)
     assert _handled(outcome, "c") == [1.0, 2.0, 2.0]
-    assert outcome["stats"]["per_process_delivered"]["c"] == 3
+    assert outcome["delivered"]["c"] == 3
 
 
 def test_an_equal_arrival_time_goes_to_the_copy_queued_first(tmp_path):
@@ -502,7 +512,7 @@ def test_an_equal_arrival_time_goes_to_the_copy_queued_first(tmp_path):
     # b, c and d forward three copies each; all but b -> c are elided, the
     # tie d -> c included.  b -> c and a -> c are the two copies c gets.
     assert outcome["stats"]["relay_duplicates_elided"] == 8
-    assert outcome["stats"]["per_process_delivered"]["c"] == 2
+    assert outcome["delivered"]["c"] == 2
 
 
 def test_a_copy_overtaken_by_a_later_send_is_delivered_and_discarded(tmp_path):
@@ -511,5 +521,29 @@ def test_a_copy_overtaken_by_a_later_send_is_delivered_and_discarded(tmp_path):
     once, at 2, and the overtaken copy still costs its event at 8."""
     outcome = _both_sides(_flood({(("a", "c"), 0): 7.0}, pids="abc"), tmp_path)
     assert _handled(outcome, "c") == [2.0]
-    assert outcome["stats"]["per_process_delivered"]["c"] == 2
+    assert outcome["delivered"]["c"] == 2
     assert outcome["now"] == 8.0
+
+
+def test_an_envelope_handed_to_a_plain_send_is_never_elided(tmp_path):
+    """Only the relay forwarder elides.  The non-relaying ``y`` hands the same
+    envelope for the relaying ``x`` to three plain sends: production queues
+    and delivers all three, ``x`` handles the first and forwards it once, and
+    the reference's ledger counts none of them."""
+
+    def run(directory):
+        network = Network(delay_model=FixedDelay(1.0))
+        log = []
+        _Flooder("x", network, log)
+        for pid in "yz":
+            _Flooder(pid, network, log, relay=False)
+        for _ in range(3):
+            network.send("y", "x", RelayEnvelope("y", 1, "x", "for-x"))
+        network.run()
+        return _fingerprint(network, History([]), directory, extra=log)
+
+    outcome = _both_sides(run, tmp_path)
+    assert _handled(outcome, "x") == [1.0]
+    assert outcome["stats"]["relay_duplicates_elided"] == 0
+    assert outcome["delivered"] == {"x": 3, "y": 1, "z": 1}
+    assert outcome["sent"] == {"y": 3, "x": 2}

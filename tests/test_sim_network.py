@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.failures import FailurePattern
-from repro.sim import FixedDelay, Network, Process
+from repro.sim import EventScheduler, FixedDelay, Network, NetworkStats, Process
 
 
 class Recorder(Process):
@@ -126,4 +126,26 @@ def test_stats_counters():
     network.run()
     assert network.stats.messages_sent == 3
     assert network.stats.messages_delivered == 3
-    assert network.stats.per_process_sent["a"] == 3
+    network.send("b", "c", "y")
+    network.run()
+    # Run-wide totals only: another sender's copy adds to the same counters.
+    assert vars(network.stats) == vars(NetworkStats(messages_sent=4, messages_delivered=4))
+    assert set(vars(network.stats)) == {
+        "messages_sent", "messages_delivered", "messages_dropped_channel",
+        "messages_dropped_crashed", "relay_duplicates_elided",
+    }
+
+
+def test_delay_model_and_scheduler_are_fixed_at_construction():
+    """``send`` and ``relay`` draw from the model and queue on the scheduler
+    bound at construction, so neither attribute can be replaced afterwards."""
+    network, procs = make_network()
+    model, scheduler = network.delay_model, network.scheduler
+    with pytest.raises(AttributeError):
+        network.delay_model = FixedDelay(5.0)
+    with pytest.raises(AttributeError):
+        network.scheduler = EventScheduler()
+    assert network.delay_model is model and network.scheduler is scheduler
+    network.send("a", "b", "m")
+    network.run()
+    assert procs["b"].received == [("a", "m")] and network.now == 1.0

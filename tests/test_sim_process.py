@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles.sim import reference_simulator
+from oracles.sim import reference_simulator, traffic, traffic_tap
 from repro.errors import ProcessCrashedError, SimulationError
 from repro.sim import (
     NOT_READY,
@@ -273,18 +273,20 @@ PROBE_DELAY_MODELS = {
 def _flood_waiter(delay_model, relay, duplicates):
     """``x`` (suspended) receives, from the plain sink ``y``: one envelope for
     itself, ``duplicates`` more copies of it, and ``duplicates`` envelopes
-    addressed to ``z``.  Returns ``(x, network)`` after the run."""
-    network = Network(delay_model=delay_model)
-    x = Waiter("x", network, relay=relay)
-    Process("y", network)
-    Process("z", network)
-    x.suspend()
-    for _ in range(1 + duplicates):
-        network.send("y", "x", RelayEnvelope("y", 1, "x", "for-x"))
-    for index in range(duplicates):
-        network.send("y", "x", RelayEnvelope("y", 2 + index, "z", "for-z"))
-    network.run()
-    assert network.stats.per_process_delivered["x"] == 2 * duplicates + 1
+    addressed to ``z``.  Returns ``(x, network)`` after the run, made with
+    the traffic tap on."""
+    with traffic_tap():
+        network = Network(delay_model=delay_model)
+        x = Waiter("x", network, relay=relay)
+        Process("y", network)
+        Process("z", network)
+        x.suspend()
+        for _ in range(1 + duplicates):
+            network.send("y", "x", RelayEnvelope("y", 1, "x", "for-x"))
+        for index in range(duplicates):
+            network.send("y", "x", RelayEnvelope("y", 2 + index, "z", "for-z"))
+        network.run()
+    assert traffic(network).delivered["x"] == 2 * duplicates + 1
     return x, network
 
 
@@ -296,7 +298,7 @@ def test_relay_duplicates_and_pass_through_envelopes_poll_no_probe(lane):
     assert x.handled == [("y", "for-x")]
     assert x.polls == 1
     # The pass-through envelopes were still forwarded, once each, to y and z.
-    assert network.stats.per_process_sent["x"] == 2 * (1 + duplicates)
+    assert traffic(network).sent["x"] == 2 * (1 + duplicates)
     with reference_simulator():
         old, old_network = _flood_waiter(
             PROBE_DELAY_MODELS[lane](), relay=True, duplicates=duplicates
@@ -314,7 +316,7 @@ def test_non_relaying_process_ignores_foreign_envelopes_without_polling():
     # polled); the envelopes for z are dropped on the floor, probe untouched.
     assert x.handled == [("y", "for-x")] * (1 + duplicates)
     assert x.polls == 1 + duplicates
-    assert "x" not in network.stats.per_process_sent
+    assert "x" not in traffic(network).sent
     with reference_simulator():
         old, _ = _flood_waiter(FixedDelay(1.0), relay=False, duplicates=duplicates)
     assert old.polls == 2 * duplicates + 1 and old.handled == x.handled

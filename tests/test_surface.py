@@ -245,6 +245,15 @@ DELETED_RELAY_CHAIN = (
     r"\bstop_when\b", r"\bseen_key\b", r"\b_relay_handle\b", r"\b_read_quorum_states_at\b",
 )
 
+#: The per-process tables ``NetworkStats`` kept beside its totals (no ``src/``
+#: module read them; the differential battery counts that traffic with a tap),
+#: the ``(ready, value)`` wrapper every probe evaluation went through, and the
+#: second delivery frame below the network's one delivery callback.
+DELETED_PER_MESSAGE_BOOKKEEPING = (
+    r"\bper_process_sent\b", r"\bper_process_delivered\b", r"def poll\(", r"def deliver\(",
+    r"\.deliver\(",
+)
+
 #: What an oracle must never import or call: the layer it is the oracle *for*.
 FORBIDDEN_ORACLE_MODULES = ("bitset", "bitsampler")
 FORBIDDEN_ORACLE_NAMES = {
@@ -283,23 +292,36 @@ def test_deleted_names_are_gone_from_src():
             + DELETED_UNREAD_PROTOCOL_STATE
             + DELETED_POOL_PATH
             + DELETED_RELAY_CHAIN
+            + DELETED_PER_MESSAGE_BOOKKEEPING
         ):
             assert not re.search(pattern, text), "{} still has {}".format(path, pattern)
 
 
 def test_the_relay_elision_rule_is_written_once():
     """Only ``Network.relay`` reads or writes a process's ``_relay_due`` map
-    (the process merely creates it), so the rule deciding which relay copies
-    are queued exists in one place."""
+    (the process merely creates it, and ``_build_fanout`` only carries each
+    receiver's map into the cached fan-out as a tuple element), so the rule
+    deciding which relay copies are queued exists in one place."""
     users = {}
     for path, text in _sources(SRC_DIR):
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.FunctionDef) and "_relay_due" in ast.unparse(node):
-                users.setdefault(os.path.relpath(path, SRC_DIR), []).append(node.name)
-    assert users == {
-        os.path.join("repro", "sim", "network.py"): ["relay"],
+                users.setdefault(os.path.relpath(path, SRC_DIR), []).append(node)
+    assert {path: [node.name for node in nodes] for path, nodes in users.items()} == {
+        os.path.join("repro", "sim", "network.py"): ["_build_fanout", "relay"],
         os.path.join("repro", "sim", "process.py"): ["__init__"],
     }
+    (build_fanout, _relay) = users[os.path.join("repro", "sim", "network.py")]
+    carried = [
+        node
+        for node in ast.walk(build_fanout)
+        if isinstance(node, ast.Attribute) and node.attr == "_relay_due"
+    ]
+    assert len(carried) == 1
+    assert any(
+        isinstance(parent, ast.Tuple) and carried[0] in parent.elts
+        for parent in ast.walk(build_fanout)
+    )
 
 
 def test_only_the_ingress_module_decodes_files():
@@ -641,9 +663,10 @@ def test_simulator_has_one_scheduler_and_no_switch():
 
 def test_message_path_has_one_delivery_entry_point_and_no_closure():
     """Deliveries carry their arguments: the two closure-taking scheduler
-    entry points and the two per-message stats methods left ``src/``, and the
-    network builds no ``lambda`` per message."""
-    from repro.sim import EventScheduler, NetworkStats, network
+    entry points and the two per-message stats methods left ``src/``, the
+    network builds no ``lambda`` per message, and a message reaches its
+    process through the network's callback alone."""
+    from repro.sim import EventScheduler, NetworkStats, Process, WaitCondition, network
 
     gone = re.compile(r"schedule_pooled|schedule_fifo|record_sent|record_delivered")
     for path, text in _sources(SRC_DIR):
@@ -652,6 +675,9 @@ def test_message_path_has_one_delivery_entry_point_and_no_closure():
         assert not re.search(r"\blambda\b", handle.read())
     assert hasattr(EventScheduler, "schedule_delivery")
     assert not hasattr(NetworkStats, "record_sent")
+    # One delivery callback, probes called as they are, totals only.
+    assert not hasattr(Process, "deliver") and not hasattr(WaitCondition, "poll")
+    assert not {"per_process_sent", "per_process_delivered"} & set(vars(NetworkStats()))
 
 
 def test_sim_oracle_carries_its_own_queue():
